@@ -7,7 +7,7 @@
 //!
 //! Data-plane messages come in scalar and batched forms
 //! ([`RtMsg::Probe`]/[`RtMsg::ProbeBatch`], `Data`/[`RtMsg::DataBatch`],
-//! [`DispatcherMsg::Ingest`]/[`DispatcherMsg::IngestBatch`]). A batch is
+//! [`SpoutMsg::Ingest`]/[`SpoutMsg::IngestBatch`]). A batch is
 //! *defined* as equivalent to that many consecutive scalar messages on the
 //! same channel — every consumer (executors, kill switches, chaos
 //! receivers, checkpoints) must preserve that equivalence, which is what
@@ -56,17 +56,29 @@ pub enum RtMsg {
     Eos,
 }
 
-/// Input to the dispatcher executor.
+/// A dispatcher shard's data-channel input. Each shard has its own
+/// bounded channel of these, fed by the spout (which picks the shard by
+/// key hash).
 #[derive(Debug)]
-pub enum DispatcherMsg {
+pub enum SpoutMsg {
     /// A raw tuple from a spout. Event time (`ts`) is stamped by the
     /// spout at pacing time, *before* any batching, so inter-tuple gaps
     /// survive into the stream's event time.
     Ingest(fastjoin_core::tuple::Tuple),
     /// A run of spout tuples accumulated up to `RuntimeConfig::batch_size`
-    /// before crossing the spout → dispatcher channel; equivalent to that
-    /// many consecutive [`DispatcherMsg::Ingest`] messages.
+    /// before crossing the spout → shard channel; equivalent to that many
+    /// consecutive [`SpoutMsg::Ingest`] messages.
     IngestBatch(Vec<fastjoin_core::tuple::Tuple>),
+    /// The spout is done: flush everything pending and report
+    /// [`ShardNote::Eos`] to the sequencer, which forwards EOS to every
+    /// instance once all shards have reported.
+    Eos,
+}
+
+/// Migration control into the dispatcher's control sequencer — the
+/// serialization point for routing.
+#[derive(Debug)]
+pub enum DispatcherMsg {
     /// A routing update from a migration source.
     Route {
         /// Which group's table to update (0 = R, 1 = S).
@@ -74,12 +86,10 @@ pub enum DispatcherMsg {
         /// The update.
         req: RouteRequest,
     },
-    /// All spouts are done: forward EOS to every instance and stop.
-    Eos,
     /// Monitor request: abort migration round `epoch` of `group` if its
-    /// route flip has not been applied yet. The dispatcher is the
-    /// serialization point — it either already processed the round's
-    /// `Route` (abort refused) or it marks the epoch aborted and sends
+    /// route flip has not been applied yet. The sequencer either already
+    /// processed the round's `Route` (abort refused) or it marks the
+    /// epoch aborted and sends
     /// [`fastjoin_core::protocol::InstanceMsg::MigAbort`] to `source`
     /// (abort accepted). Either way it reports the verdict back with
     /// [`MonitorMsg::AbortOutcome`].
@@ -101,7 +111,7 @@ pub enum DispatcherMsg {
     },
 }
 
-/// Sequencer → shard control, used only when `dispatcher_shards >= 2`.
+/// Sequencer → shard control.
 ///
 /// Shards never mutate routing state on their own: the control sequencer
 /// owns the authoritative [`fastjoin_core::dispatcher::Dispatcher`] and
@@ -116,7 +126,7 @@ pub enum ShardCtrl {
     Publish(fastjoin_core::routing::RouteSnapshot),
 }
 
-/// Shard → sequencer notifications, used only when `dispatcher_shards >= 2`.
+/// Shard → sequencer notifications.
 #[derive(Debug, Clone, Copy)]
 pub enum ShardNote {
     /// Shard `shard` has flushed all batches buffered under snapshots
@@ -205,7 +215,7 @@ mod tests {
     fn messages_are_constructible_and_debuggable() {
         let m = RtMsg::Inst(InstanceMsg::Data(Tuple::r(1, 2, 3)));
         assert!(format!("{m:?}").contains("Data"));
-        let d = DispatcherMsg::Eos;
+        let d = SpoutMsg::Eos;
         assert!(format!("{d:?}").contains("Eos"));
         let r = ProbeRecord { matches: 3, latency_us: 10, done_us: 0 };
         assert_eq!(r.matches, 3);

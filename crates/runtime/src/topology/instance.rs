@@ -1,0 +1,559 @@
+//! Join-instance executors: the data-plane message step, and recovery by
+//! checkpoint + replay.
+//!
+//! Every message is processed by [`InstanceState::step`]; the executor
+//! keeps a full clone of that state from at most
+//! [`super::SupervisionConfig::checkpoint_every`] messages ago plus a
+//! replay log of everything processed since. After a panic (organic, or
+//! injected by a [`crate::fault::FaultPlan`] kill switch) recovery
+//! restores the clone, replays the log with outbound effects suppressed
+//! (they already escaped before the crash), then re-processes the
+//! in-flight message live. Because the input channel's receiver survives
+//! the restart, no queued message is lost, and because injected crashes
+//! are fail-stop at a message boundary the rebuilt state is exactly
+//! "everything before the crash message, nothing of it".
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use crossbeam::channel::{RecvTimeoutError, Sender};
+
+use fastjoin_core::config::FastJoinConfig;
+use fastjoin_core::instance::{JoinInstance, Work};
+use fastjoin_core::metrics::MetricsRegistry;
+use fastjoin_core::protocol::{Effects, InstanceMsg, MigrationState};
+use fastjoin_core::selection::{make_selector, KeySelector};
+use fastjoin_core::telemetry::InstanceProbe;
+use fastjoin_core::trace::{Actor, TraceEvent, TraceKind, TraceRing};
+use fastjoin_core::tuple::{JoinedPair, Side};
+
+use super::supervise::{Executor, Pulse};
+use super::{executor_seed, CollectorMsg, RuntimeConfig, EXECUTOR_TICK, SEED_ROLE_SELECTOR};
+use crate::fault::{ChaosReceiver, KillSwitch};
+use crate::introspect::IntrospectionHub;
+use crate::msg::{DispatcherMsg, MonitorMsg, ProbeRecord, RtMsg};
+
+/// Hottest keys each instance publishes per introspection probe (the
+/// width of one skew-heatmap row).
+const HOT_KEYS_PER_PROBE: usize = 5;
+
+/// A join-instance executor's identity, configuration and outbound
+/// channels.
+pub(super) struct InstanceIo {
+    pub group: usize,
+    pub id: usize,
+    pub fj: FastJoinConfig,
+    /// Bucket width of the executor's sampled time series (µs); one
+    /// monitor period, so samples align with load reports.
+    pub sample_period_us: u64,
+    /// Senders to every instance of this group (migration peers).
+    pub to_instances: Vec<Sender<RtMsg>>,
+    /// Sender to this group's monitor (None for static systems).
+    pub to_monitor: Option<Sender<MonitorMsg>>,
+    pub disp_ctrl: Sender<DispatcherMsg>,
+    pub collector: Sender<CollectorMsg>,
+    pub results: Option<Sender<JoinedPair>>,
+    /// Clock and heartbeat, refreshed while a bounded peer-inbox send
+    /// waits on backpressure so the stall watchdog never mistakes a full
+    /// channel for a hung executor (see [`Pulse::send`]).
+    pub pulse: Pulse,
+    /// Live introspection hub, present only when the plane is enabled;
+    /// published to on report ticks, never on the per-tuple hot path.
+    pub hub: Option<Arc<IntrospectionHub>>,
+}
+
+impl InstanceIo {
+    fn side(&self) -> Side {
+        if self.group == 0 {
+            Side::R
+        } else {
+            Side::S
+        }
+    }
+
+    fn actor(&self) -> Actor {
+        Actor::instance(self.group as u8, self.id as u16)
+    }
+}
+
+/// Everything a join-instance executor mutates while processing messages.
+/// `Clone` *is* the checkpoint mechanism: the executor snapshots the
+/// whole state between messages and restores the snapshot on a crash.
+#[derive(Clone)]
+struct InstanceState {
+    inst: JoinInstance,
+    selector: Box<dyn KeySelector + Send>,
+    /// Fan-out of every probe received but not yet completed, keyed by
+    /// seq. Entries for probes forwarded to a migration target are handed
+    /// off with the tuples (see `RtMsg::ProbeHandoff`); at exit the map
+    /// must be empty — leaks are counted and asserted on by the collector.
+    probe_fanout: HashMap<u64, u32>,
+    /// `MigrateCmd` receipt time by epoch, closed out by `RouteUpdated` —
+    /// the route-flip latency of a migration round this instance sourced.
+    flip_started: HashMap<u64, u64>,
+    reg: MetricsRegistry,
+    /// Times a bounded peer send parked on a full inbox (backpressure);
+    /// folded into the registry as `sends_parked` at end-of-stream.
+    /// Checkpointed with the rest of the state — a restore rolls it back
+    /// to the value consistent with the replayed sends.
+    sends_parked: u64,
+    eos: bool,
+}
+
+impl InstanceState {
+    fn new(io: &InstanceIo) -> Self {
+        let fj = &io.fj;
+        let mut inst = JoinInstance::new(io.id, io.side(), fj.window);
+        // Pairs are only materialized when a consumer wants them.
+        inst.set_emit_pairs(io.results.is_some());
+        inst.set_migration_mode(fj.migration_mode);
+        let selector = make_selector(&FastJoinConfig {
+            seed: executor_seed(fj.seed, io.group as u64, io.id as u64, SEED_ROLE_SELECTOR),
+            ..fj.clone()
+        });
+        InstanceState {
+            inst,
+            selector,
+            probe_fanout: HashMap::new(),
+            flip_started: HashMap::new(),
+            reg: MetricsRegistry::new(),
+            sends_parked: 0,
+            eos: false,
+        }
+    }
+
+    /// Journals the receipt of a migration-protocol message. The event's
+    /// `aux`/`aux2` payloads are kind-specific (see `core::trace`); data
+    /// tuples are journaled after processing instead (`StoreDone` /
+    /// `ProbeDone`, sampled).
+    fn trace_protocol_msg(&self, actor: Actor, at_us: u64, ring: &mut TraceRing, m: &InstanceMsg) {
+        let Some(kind) = TraceKind::of_instance_msg(m) else { return };
+        // Messages outside any migration round journal under the explicit
+        // sentinel — epoch 0 would be indistinguishable from a (therefore
+        // reserved) genuine round 0 in `fastjoin-cli trace --round`.
+        let epoch = m.round_id().unwrap_or(TraceEvent::NO_ROUND);
+        let (aux, aux2) = match m {
+            InstanceMsg::Data(_) => (0, 0),
+            InstanceMsg::MigrateCmd { target, .. } => (*target as u64, 0),
+            InstanceMsg::MigStart { from, keys, .. } => (*from as u64, keys.len() as u64),
+            InstanceMsg::MigStore { tuples, .. } => (tuples.len() as u64, 0),
+            InstanceMsg::RouteUpdated { .. } => {
+                let buffered = match self.inst.migration_state() {
+                    MigrationState::Source { buffer, .. } => buffer.len() as u64,
+                    MigrationState::Idle
+                    | MigrationState::Target { .. }
+                    | MigrationState::Aborting { .. } => 0,
+                };
+                (buffered, 0)
+            }
+            InstanceMsg::MigForward { tuples, .. } => (tuples.len() as u64, 0),
+            InstanceMsg::MigEnd { from, .. } => (*from as u64, 0),
+            InstanceMsg::MigAbort { .. } => (0, 0),
+            InstanceMsg::MigReturn { stored, inflight, .. } => {
+                (stored.len() as u64, inflight.len() as u64)
+            }
+        };
+        ring.push(TraceEvent { at_us, actor, kind, seq: 0, epoch, aux, aux2 });
+    }
+
+    /// Absorbs one data tuple (store- or probe-side) into the instance;
+    /// the work loop in [`InstanceState::step`] drains it.
+    fn absorb(&mut self, io: &InstanceIo, fx: &mut Effects, m: InstanceMsg) {
+        if let InstanceMsg::Data(t) = &m {
+            // Queue-wait attribution is per tuple (t.ts is the spout
+            // stamp; a whole batch waited equally).
+            self.reg
+                .histogram_record("stage.queue_wait_us", io.pulse.now_us().saturating_sub(t.ts));
+        }
+        self.inst
+            .handle(m, self.selector.as_mut(), io.fj.theta_gap, fx)
+            // lint:allow(a protocol violation in the threaded runtime is unrecoverable)
+            .unwrap_or_else(|e| panic!("protocol violation: {e}"));
+    }
+
+    /// Processes one message end to end (message, effects, pending work).
+    /// With `live == false` the step replays a message whose outbound
+    /// effects already escaped before a crash: every local mutation is
+    /// re-applied, every channel send is suppressed — and nothing is
+    /// journaled (the original live step already journaled these events).
+    fn step(
+        &mut self,
+        io: &InstanceIo,
+        fx: &mut Effects,
+        msg: RtMsg,
+        live: bool,
+        qlen: usize,
+        ring: &mut TraceRing,
+    ) {
+        let now_us = || io.pulse.now_us();
+        let actor = io.actor();
+        match msg {
+            RtMsg::Inst(m) => {
+                if let InstanceMsg::MigrateCmd { epoch, .. } = &m {
+                    self.flip_started.insert(*epoch, now_us());
+                }
+                if let InstanceMsg::RouteUpdated { epoch } = &m {
+                    if let Some(t0) = self.flip_started.remove(epoch) {
+                        let pause = now_us().saturating_sub(t0);
+                        // Migration pause attribution: how long this
+                        // source ran in buffering mode before the flip.
+                        self.reg.histogram_record("stage.mig_pause_us", pause);
+                        if live {
+                            let _ = io.collector.send(CollectorMsg::RouteFlip {
+                                group: io.group,
+                                epoch: *epoch,
+                                us: pause,
+                            });
+                        }
+                    }
+                }
+                if let InstanceMsg::MigAbort { epoch } = &m {
+                    // An aborted round's pause ends here; close it out so
+                    // the attribution histogram covers aborts too.
+                    if let Some(t0) = self.flip_started.remove(epoch) {
+                        self.reg
+                            .histogram_record("stage.mig_pause_us", now_us().saturating_sub(t0));
+                    }
+                }
+                if live {
+                    self.trace_protocol_msg(actor, now_us(), ring, &m);
+                }
+                // Decision audit, per-key half: a MigrateCmd is about to
+                // run key selection, so capture the loads the benefit
+                // formula (Eq. 8) will see and journal one event per key
+                // the selector actually picks.
+                let mut plan_ctx = None;
+                if live {
+                    if let InstanceMsg::MigrateCmd { epoch, target_load, .. } = &m {
+                        // Stats must be captured pre-handle: handling the
+                        // command ships the selected keys' tuples away.
+                        plan_ctx =
+                            Some((*epoch, self.inst.load(), *target_load, self.inst.key_stats()));
+                    }
+                }
+                self.absorb(io, fx, m);
+                if let Some((epoch, src_load, dst_load, stats)) = plan_ctx {
+                    if let MigrationState::Source { keys, .. } = self.inst.migration_state() {
+                        let at = now_us();
+                        for stat in stats.iter().filter(|s| keys.contains(&s.key)) {
+                            // MigrateCmds are rare (one per round): push
+                            // unsampled so `trace --round` can always
+                            // explain the chosen plan.
+                            ring.push(TraceEvent {
+                                at_us: at,
+                                actor,
+                                kind: TraceKind::MigPlanKey,
+                                seq: stat.key,
+                                epoch,
+                                aux: (stat.benefit(src_load, dst_load) * 1000.0) as u64,
+                                aux2: stat.stored + stat.queue,
+                            });
+                        }
+                    }
+                }
+            }
+            RtMsg::Probe(t, fanout) => {
+                self.probe_fanout.insert(t.seq, fanout);
+                self.absorb(io, fx, InstanceMsg::Data(t));
+            }
+            // A batch is equivalent to that many consecutive scalar
+            // messages: it is absorbed whole here, then the shared work
+            // loop below drains its probes/stores with per-tuple sampling.
+            RtMsg::DataBatch(tuples) => {
+                for t in tuples {
+                    self.absorb(io, fx, InstanceMsg::Data(t));
+                }
+            }
+            RtMsg::ProbeBatch(entries) => {
+                for (t, fanout) in entries {
+                    self.probe_fanout.insert(t.seq, fanout);
+                    self.absorb(io, fx, InstanceMsg::Data(t));
+                }
+            }
+            RtMsg::ProbeHandoff(entries) => {
+                // Fan-outs of probes a migration source is about to forward
+                // to us; FIFO guarantees they precede the MigForward.
+                self.reg.counter_add("probe_handoffs_in", entries.len() as u64);
+                self.probe_fanout.extend(entries);
+            }
+            RtMsg::ReportRequest => self.report(io, live, qlen),
+            RtMsg::Eos => self.eos = true,
+        }
+        self.flush(io, fx, live);
+        // Process everything currently pending before taking new input.
+        let mut before = now_us();
+        while let Some(work) = self.inst.process_next(fx) {
+            let after = now_us();
+            match work {
+                Work::Probe { tuple, matches, .. } => {
+                    self.reg.histogram_record("stage.probe_us", after.saturating_sub(before));
+                    let fanout = self
+                        .probe_fanout
+                        .remove(&tuple.seq)
+                        // lint:allow(accounting invariant: the fan-out arrived with the probe or its hand-off; absence is the bug this layer fixes)
+                        .unwrap_or_else(|| panic!("probe {} has no fan-out entry", tuple.seq));
+                    if live {
+                        ring.push_sampled(TraceEvent {
+                            at_us: after,
+                            actor,
+                            kind: TraceKind::ProbeDone,
+                            seq: tuple.seq,
+                            epoch: 0,
+                            aux: matches,
+                            aux2: 0,
+                        });
+                        let record = ProbeRecord {
+                            matches,
+                            latency_us: after.saturating_sub(tuple.ts),
+                            done_us: after,
+                        };
+                        let _ = io.collector.send(CollectorMsg::Probe {
+                            seq: tuple.seq,
+                            fanout,
+                            record,
+                        });
+                    }
+                }
+                Work::Store { tuple } => {
+                    if live {
+                        ring.push_sampled(TraceEvent {
+                            at_us: after,
+                            actor,
+                            kind: TraceKind::StoreDone,
+                            seq: tuple.seq,
+                            epoch: 0,
+                            aux: 0,
+                            aux2: 0,
+                        });
+                    }
+                }
+            }
+            before = after;
+            self.flush(io, fx, live);
+        }
+    }
+
+    /// Serves a monitor `ReportRequest`: samples the local series and,
+    /// when live, ships the period's load to the monitor and the hub.
+    fn report(&mut self, io: &InstanceIo, live: bool, qlen: usize) {
+        self.inst.collect_expired();
+        let load = self.inst.take_load_report();
+        let now = io.pulse.now_us();
+        self.reg.series_record("queue_depth", io.sample_period_us, now, qlen as f64);
+        let buffered = match self.inst.migration_state() {
+            MigrationState::Idle => 0,
+            MigrationState::Source { buffer, .. } => buffer.len(),
+            MigrationState::Target { held, .. } => held.len(),
+            MigrationState::Aborting { buffer, .. } => buffer.len(),
+        };
+        self.reg.gauge_set("mig_buffered_tuples", buffered as f64);
+        self.reg.series_record("mig_buffered", io.sample_period_us, now, buffered as f64);
+        if !live {
+            return;
+        }
+        if let Some(mon) = &io.to_monitor {
+            let _ = mon.send(MonitorMsg::Report { id: io.id, load });
+        }
+        if let Some(hub) = io.hub.as_deref() {
+            // The skew-heatmap row: current effective load, inbox depth,
+            // and this instance's hottest keys.
+            hub.publish_instance(InstanceProbe {
+                group: io.group as u8,
+                id: io.id as u16,
+                load: self.inst.load().effective_load() as u64,
+                queue_depth: qlen as u64,
+                hot_keys: self.inst.top_keys(HOT_KEYS_PER_PROBE),
+                migrating: !self.inst.migration_state().is_idle(),
+            });
+            let side = if io.group == 0 { 'r' } else { 's' };
+            let c = self.inst.counters();
+            hub.set_counter(&format!("inst.{side}{}.stored", io.id), c.stored);
+            hub.set_counter(&format!("inst.{side}{}.probed", io.id), c.probed);
+            hub.set_counter(&format!("inst.{side}{}.joined", io.id), c.joined);
+        }
+    }
+
+    /// Drains the effect buffer: local bookkeeping always happens; channel
+    /// sends only when `live` (a replayed message's sends already escaped
+    /// before the crash being recovered from).
+    fn flush(&mut self, io: &InstanceIo, fx: &mut Effects, live: bool) {
+        match &io.results {
+            Some(tx) if live => {
+                for pair in fx.joined.drain(..) {
+                    let _ = tx.send(pair); // receiver may have hung up — best effort
+                }
+            }
+            _ => fx.joined.clear(), // not materialized, or already emitted pre-crash
+        }
+        for (to, msg) in fx.sends.drain(..) {
+            // lint:allow(protocol contract: peer ids are valid instance indices)
+            let peer = &io.to_instances[to];
+            if let InstanceMsg::MigForward { tuples, .. } = &msg {
+                // Probe-side tuples in the forwarded buffer take their
+                // fan-out entries with them; sending the hand-off on the
+                // same channel first means the target owns the entries
+                // before the tuples arrive (per-channel FIFO). Store-side
+                // tuples have no entry and are skipped by the lookup.
+                let entries: Vec<(u64, u32)> = tuples
+                    .iter()
+                    .filter_map(|t| self.probe_fanout.remove(&t.seq).map(|f| (t.seq, f)))
+                    .collect();
+                if !entries.is_empty() {
+                    self.reg.counter_add("probe_handoffs_out", entries.len() as u64);
+                    if live {
+                        let handoff = RtMsg::ProbeHandoff(entries);
+                        let _ = io.pulse.send(peer, handoff, &mut self.sends_parked);
+                    }
+                }
+            }
+            if live {
+                let _ = io.pulse.send(peer, RtMsg::Inst(msg), &mut self.sends_parked);
+            }
+        }
+        for req in fx.route_requests.drain(..) {
+            if live {
+                let _ = io.disp_ctrl.send(DispatcherMsg::Route { group: io.group, req });
+            }
+        }
+        for done in fx.migration_done.drain(..) {
+            if live {
+                if let Some(mon) = &io.to_monitor {
+                    let _ = mon.send(MonitorMsg::Done(done));
+                }
+            }
+        }
+    }
+}
+
+/// One join-instance executor: receive → (maybe inject a crash) → step →
+/// checkpoint. Everything here survives a panic of [`Executor::run`];
+/// `state` may be torn by it and is rebuilt from `checkpoint` + `log`.
+pub(super) struct InstanceExecutor {
+    io: InstanceIo,
+    rx: ChaosReceiver<RtMsg>,
+    switch: KillSwitch,
+    checkpoint_every: u64,
+    state: InstanceState,
+    checkpoint: InstanceState,
+    /// Messages processed since `checkpoint` (whole batches, replayed
+    /// identically).
+    log: Vec<RtMsg>,
+    /// The message being stepped, parked before the step so a crash can
+    /// re-process it: it dies with the crash before any of its effects
+    /// escape.
+    inflight: Option<RtMsg>,
+    /// The ring lives OUTSIDE the checkpointed state: cloning a multi-KiB
+    /// event buffer on every checkpoint would tax the data plane, and the
+    /// journal should survive a crash (the crash is the interesting part).
+    /// Consequence, documented in ARCHITECTURE.md: events journaled by a
+    /// step that later panics are kept, so a crash-adjacent event can
+    /// appear even though its state mutation was rolled back — the paired
+    /// `FaultCrash` event marks exactly where to distrust.
+    ring: TraceRing,
+    fx: Effects,
+    /// Inbox-depth high watermark: survives checkpoint restores (it is a
+    /// property of the channel, not of the replayable state).
+    q_hwm: u64,
+}
+
+impl InstanceExecutor {
+    pub fn new(io: InstanceIo, rx: ChaosReceiver<RtMsg>, cfg: &RuntimeConfig) -> Self {
+        let state = InstanceState::new(&io);
+        InstanceExecutor {
+            ring: TraceRing::new(io.actor(), &cfg.trace),
+            switch: KillSwitch::new(cfg.faults.crash_for(io.group, io.id)),
+            io,
+            rx,
+            checkpoint_every: cfg.supervision.checkpoint_every.max(1),
+            checkpoint: state.clone(),
+            state,
+            log: Vec::new(),
+            inflight: None,
+            fx: Effects::new(),
+            q_hwm: 0,
+        }
+    }
+
+    fn crash_event(&mut self, kind: TraceKind, restarts: u32) {
+        let at = self.io.pulse.now_us();
+        self.ring.push(TraceEvent::control(at, self.io.actor(), kind, 0, u64::from(restarts)));
+    }
+}
+
+impl Executor for InstanceExecutor {
+    fn run(&mut self) {
+        // Done once end-of-stream arrived and no migration is in flight
+        // (checked first: a recovery may have just re-processed `Eos`).
+        while !(self.state.eos && self.state.inst.migration_state().is_idle()) {
+            if !self.io.pulse.beat() {
+                return; // emergency shutdown: the run already failed
+            }
+            let msg = match self.rx.recv_timeout(EXECUTOR_TICK) {
+                Ok(m) => m,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return,
+            };
+            let qlen = self.rx.queue_len();
+            self.q_hwm = self.q_hwm.max(qlen as u64);
+            let inject = self.switch.should_crash(&msg);
+            self.inflight = Some(msg.clone());
+            if inject {
+                // lint:allow(the injected fail-stop crash IS the fault being tested; supervise catches it and recover() replays)
+                panic!(
+                    "fault injection: scheduled crash of join-{}-{}",
+                    self.io.side(),
+                    self.io.id
+                );
+            }
+            self.state.step(&self.io, &mut self.fx, msg, true, qlen, &mut self.ring);
+            self.log.extend(self.inflight.take());
+            if self.log.len() as u64 >= self.checkpoint_every {
+                self.checkpoint = self.state.clone();
+                self.log.clear();
+            }
+        }
+    }
+
+    /// Instance recovery: restore the checkpoint, replay the log with
+    /// sends suppressed, re-process the in-flight message live. A replay
+    /// can only re-panic on a genuine bug (deterministic protocol
+    /// violation), which `supervise` treats as fatal.
+    fn recover(&mut self, restarts: u32) {
+        self.crash_event(TraceKind::FaultCrash, restarts);
+        self.fx.clear();
+        let mut s = self.checkpoint.clone();
+        let mut rfx = Effects::new();
+        for m in &self.log {
+            s.step(&self.io, &mut rfx, m.clone(), false, 0, &mut self.ring);
+        }
+        if let Some(m) = self.inflight.take() {
+            s.step(&self.io, &mut rfx, m.clone(), true, 0, &mut self.ring);
+            self.log.push(m);
+        }
+        s.reg.counter_add("executor_restarts", 1);
+        self.state = s;
+        self.crash_event(TraceKind::FaultRestart, restarts);
+    }
+
+    fn finish(mut self, collector: &Sender<CollectorMsg>) {
+        let reg = &mut self.state.reg;
+        // All probes this instance received must have completed here or
+        // been handed off; the collector asserts the sum stays zero.
+        reg.counter_add("probe_fanout_leaked", self.state.probe_fanout.len() as u64);
+        reg.counter_add("trace.dropped", self.ring.dropped());
+        reg.counter_add("sends_parked", self.state.sends_parked);
+        reg.gauge_set("queue.depth", self.q_hwm as f64);
+        let (delays, drops, dups, reorders) = self.rx.perturbations();
+        reg.counter_add("chaos.delays", delays);
+        reg.counter_add("chaos.drops", drops);
+        reg.counter_add("chaos.dups", dups);
+        reg.counter_add("chaos.reorders", reorders);
+        let _ = collector.send(CollectorMsg::InstanceDone {
+            group: self.io.group,
+            id: self.io.id,
+            counters: self.state.inst.counters(),
+            registry: std::mem::take(reg),
+            journal: Box::new(self.ring.into_journal()),
+        });
+    }
+}

@@ -1,0 +1,402 @@
+//! Per-group monitor executors: the periodic report/trigger/deadline
+//! loop, and recovery by harvest + reseed.
+//!
+//! Monitors are a *degradable* dependency. On a crash the recovery
+//! harvests the dead incarnation's durable summary (epoch allocator,
+//! in-flight round, last load report per instance, stats history), backs
+//! off deterministically, and reseeds a fresh monitor; while down,
+//! routing is frozen at the last committed table and the run continues
+//! without migrations. Past the restart budget the monitor degrades
+//! permanently: the in-flight round is tombstoned through the existing
+//! abort path and a minimal drain keeps the shutdown handshake alive.
+
+use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
+
+use crossbeam::channel::{RecvTimeoutError, Sender};
+use rand::rngs::StdRng;
+use rand::Rng;
+
+use fastjoin_core::config::FastJoinConfig;
+use fastjoin_core::metrics::{MetricsRegistry, TimeSeries};
+use fastjoin_core::monitor::Monitor;
+use fastjoin_core::protocol::InstanceMsg;
+use fastjoin_core::telemetry::{GroupProbe, MigrationPhase};
+use fastjoin_core::trace::{Actor, TraceEvent, TraceKind, TraceRing};
+
+use super::supervise::{Executor, Pulse};
+use super::{CollectorMsg, RuntimeConfig, EXECUTOR_TICK};
+use crate::fault::{ChaosReceiver, ControlKillSwitch};
+use crate::introspect::IntrospectionHub;
+use crate::msg::{DispatcherMsg, MonitorMsg, RtMsg};
+
+/// One group's monitor executor. Everything here survives a panic of
+/// [`Executor::run`] — the journal, telemetry, LI trace and
+/// quiesce-handshake state are never lost. The [`Monitor`] itself is
+/// deliberately *rebuilt* after a crash rather than reused: a panic
+/// mid-method may have left it torn, so recovery harvests its durable
+/// summary and reseeds a fresh one — modelling a real monitor process
+/// restarting from persisted load statistics.
+pub(super) struct MonitorExecutor {
+    group: usize,
+    period: Duration,
+    fj: FastJoinConfig,
+    round_timeout_ms: u64,
+    /// The monitor's own restart budget: the shell never rules a monitor
+    /// failure fatal, so degrading past the budget is decided here.
+    max_restarts: u32,
+    monitor: Monitor,
+    /// Live LI trace (the paper's Fig. 11), one bucket per monitor tick.
+    li: TimeSeries,
+    ring: TraceRing,
+    reg: MetricsRegistry,
+    rx: ChaosReceiver<MonitorMsg>,
+    to_instances: Vec<Sender<RtMsg>>,
+    disp_ctrl: Sender<DispatcherMsg>,
+    quiesce_ack: Sender<usize>,
+    pulse: Pulse,
+    hub: Option<Arc<IntrospectionHub>>,
+    quiescing: bool,
+    acked: bool,
+    /// Set once the restart budget is spent: `run` becomes the degraded
+    /// drain and no migration is ever triggered again.
+    degraded: bool,
+    /// Remaining injected `MigrateCmd` losses (see `FaultPlan`).
+    drop_triggers: u64,
+    /// Injects `CrashPhase::MonitorMidRound`: a panic immediately *after*
+    /// a `MigrateCmd` goes out, so the round is in flight at the
+    /// instances while the monitor that owns its deadline is dead
+    /// (dropped triggers do not advance the switch — no round starts).
+    switch: ControlKillSwitch,
+    backoff_rng: StdRng,
+    /// Times a bounded instance send parked on a full inbox; reported as
+    /// `monitor.sends_parked`.
+    sends_parked: u64,
+    /// How many of the monitor's audited decisions already have trace
+    /// events, so each incarnation journals only the new tail (resynced
+    /// on reseed — absorbed history was journaled by its incarnation).
+    decisions_seen: u64,
+}
+
+/// The monitor's wiring, bundled for [`MonitorExecutor::new`].
+pub(super) struct MonitorLinks {
+    pub rx: crossbeam::channel::Receiver<MonitorMsg>,
+    pub to_instances: Vec<Sender<RtMsg>>,
+    pub disp_ctrl: Sender<DispatcherMsg>,
+    pub quiesce_ack: Sender<usize>,
+    pub hub: Option<Arc<IntrospectionHub>>,
+}
+
+/// A monitor with no history. The runtime's monitor clock is wall-clock
+/// milliseconds; the µs cooldown goes through the one sanctioned
+/// conversion (rounds up, so a sub-millisecond cooldown can never
+/// truncate to "disabled").
+fn fresh_monitor(n: usize, fj: &FastJoinConfig, round_timeout_ms: u64) -> Monitor {
+    let mut m = Monitor::new(n, fj.theta, fj.migration_cooldown_ms());
+    m.set_round_timeout(round_timeout_ms);
+    m
+}
+
+impl MonitorExecutor {
+    pub fn new(group: usize, cfg: &RuntimeConfig, links: MonitorLinks, pulse: Pulse) -> Self {
+        let plan = &cfg.faults;
+        let period = Duration::from_millis(cfg.monitor_period_ms);
+        MonitorExecutor {
+            group,
+            period,
+            fj: cfg.fastjoin.clone(),
+            round_timeout_ms: cfg.supervision.round_timeout_ms,
+            max_restarts: cfg.supervision.max_restarts,
+            monitor: fresh_monitor(
+                links.to_instances.len(),
+                &cfg.fastjoin,
+                cfg.supervision.round_timeout_ms,
+            ),
+            li: TimeSeries::new((period.as_micros() as u64).max(1)),
+            ring: TraceRing::new(Actor::monitor(group as u8), &cfg.trace),
+            reg: MetricsRegistry::new(),
+            rx: ChaosReceiver::new(
+                links.rx,
+                plan.monitor_chaos,
+                plan.rng_for(0x4D_4F4E + group as u64), // "MON"
+                |m| matches!(m, MonitorMsg::Report { .. }),
+            ),
+            to_instances: links.to_instances,
+            disp_ctrl: links.disp_ctrl,
+            quiesce_ack: links.quiesce_ack,
+            pulse,
+            hub: links.hub,
+            quiescing: false,
+            acked: false,
+            degraded: false,
+            drop_triggers: plan.drop_migrate_cmds,
+            switch: ControlKillSwitch::new(plan.monitor_crash(group)),
+            backoff_rng: plan.rng_for(0x4D4F_4E53 + group as u64), // "MONS"
+            sends_parked: 0,
+            decisions_seen: 0,
+        }
+    }
+
+    fn actor(&self) -> Actor {
+        Actor::monitor(self.group as u8)
+    }
+
+    fn now_ms(&self) -> u64 {
+        self.pulse.now_us() / 1000
+    }
+
+    fn trace(&mut self, kind: TraceKind, epoch: u64, aux: u64, aux2: u64) {
+        let (at_us, actor) = (self.pulse.now_us(), self.actor());
+        self.ring.push(TraceEvent { at_us, actor, kind, seq: 0, epoch, aux, aux2 });
+    }
+
+    /// Acknowledges a pending `Quiesce` (once) if no round is in flight.
+    fn maybe_ack_quiesce(&mut self, round_in_flight: bool) {
+        if self.quiescing && !self.acked && !round_in_flight {
+            let _ = self.quiesce_ack.send(self.group);
+            self.acked = true;
+        }
+    }
+
+    /// One monitor period: sample LI, poll the instances, maybe trigger a
+    /// round, check the round deadline, journal and publish.
+    fn tick(&mut self) {
+        self.li.record(self.pulse.now_us(), self.monitor.imbalance());
+        // Ask every instance for its period statistics.
+        for tx in &self.to_instances {
+            let _ = self.pulse.send(tx, RtMsg::ReportRequest, &mut self.sends_parked);
+        }
+        if !self.quiescing {
+            if let Some(trigger) = self.monitor.maybe_trigger(self.now_ms()) {
+                let epoch = trigger.msg.round_id().unwrap_or(TraceEvent::NO_ROUND);
+                let target = match &trigger.msg {
+                    InstanceMsg::MigrateCmd { target, .. } => *target as u64,
+                    InstanceMsg::Data(_)
+                    | InstanceMsg::MigStart { .. }
+                    | InstanceMsg::MigStore { .. }
+                    | InstanceMsg::RouteUpdated { .. }
+                    | InstanceMsg::MigForward { .. }
+                    | InstanceMsg::MigEnd { .. }
+                    | InstanceMsg::MigAbort { .. }
+                    | InstanceMsg::MigReturn { .. } => 0,
+                };
+                let source = trigger.source;
+                if self.drop_triggers > 0 {
+                    // Injected fault: the command is lost in flight. The
+                    // monitor now believes a round is in flight that no
+                    // instance ever heard of — only the abort watchdog
+                    // can close it.
+                    self.drop_triggers -= 1;
+                    self.trace(TraceKind::FaultDropTrigger, epoch, source as u64, target);
+                } else {
+                    self.trace(TraceKind::MigTrigger, epoch, source as u64, target);
+                    let _ = self.pulse.send(
+                        // The monitor only triggers sources it was built to watch.
+                        &self.to_instances[source],
+                        RtMsg::Inst(trigger.msg),
+                        &mut self.sends_parked,
+                    );
+                    if self.switch.should_crash() {
+                        // lint:allow(the injected fail-stop crash IS the fault under test; supervise catches and restarts)
+                        panic!(
+                            "fault injection: scheduled crash of monitor-{} mid-round",
+                            self.group
+                        );
+                    }
+                }
+            }
+        }
+        if let Some(req) = self.monitor.check_deadline(self.now_ms()) {
+            self.request_abort(req.epoch, req.source);
+        }
+        // Decision audit, trace half: journal every decision the monitor
+        // recorded this tick (committed plans and rejections alike) so
+        // `trace --round` can explain them.
+        let recorded = self.monitor.decisions_recorded();
+        if recorded > self.decisions_seen {
+            let fresh = (recorded - self.decisions_seen) as usize;
+            let (at_us, actor) = (self.pulse.now_us(), self.actor());
+            let ds = self.monitor.decisions();
+            for d in ds.iter().skip(ds.len().saturating_sub(fresh)) {
+                self.ring.push(TraceEvent {
+                    at_us,
+                    actor,
+                    kind: TraceKind::MigDecision,
+                    seq: 0,
+                    epoch: d.epoch.unwrap_or(TraceEvent::NO_ROUND),
+                    aux: d.reason.code(),
+                    aux2: (d.source as u64) * 256 + d.target as u64,
+                });
+            }
+            self.decisions_seen = recorded;
+        }
+        if let Some(hub) = self.hub.as_deref() {
+            let (phase, epoch) = match self.monitor.in_flight_round() {
+                Some((e, _, _)) if self.monitor.abort_pending() => (MigrationPhase::Aborting, e),
+                Some((e, _, _)) => (MigrationPhase::Migrating, e),
+                None => (MigrationPhase::Idle, 0),
+            };
+            let stats = self.monitor.stats();
+            hub.publish_group(GroupProbe {
+                group: self.group as u8,
+                imbalance: self.monitor.imbalance(),
+                loads: self
+                    .monitor
+                    .load_snapshot()
+                    .iter()
+                    .map(|l| l.effective_load() as u64)
+                    .collect(),
+                phase,
+                epoch,
+                triggered: stats.triggered,
+                effective: stats.effective,
+            });
+        }
+    }
+
+    /// Asks the sequencer — the serialization point for routing — to
+    /// abort round `epoch`.
+    fn request_abort(&mut self, epoch: u64, source: usize) {
+        self.trace(TraceKind::AbortRequest, epoch, source as u64, 0);
+        let _ = self.disp_ctrl.send(DispatcherMsg::Abort { group: self.group, epoch, source });
+    }
+
+    /// Terminal degraded mode, entered when the restart budget is spent:
+    /// the run continues *without* migrations — routing is frozen at the
+    /// last table the sequencer committed — rather than failing. This
+    /// loop keeps the shutdown handshake alive: `Quiesce` is acknowledged
+    /// immediately (no round can be in flight — recovery tombstoned any
+    /// in-flight round through the abort path before entering), and every
+    /// other message is discarded until the inbox disconnects.
+    fn degraded_drain(&mut self) {
+        while self.pulse.beat() {
+            // A Quiesce that arrived before the final crash still needs
+            // its ack.
+            self.maybe_ack_quiesce(false);
+            match self.rx.recv_timeout(EXECUTOR_TICK) {
+                Ok(MonitorMsg::Quiesce) => self.quiescing = true,
+                Ok(_) | Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+        }
+    }
+}
+
+impl Executor for MonitorExecutor {
+    fn run(&mut self) {
+        if self.degraded {
+            self.degraded_drain();
+            return;
+        }
+        let mut next_tick = Instant::now() + self.period;
+        while self.pulse.beat() {
+            let timeout = next_tick.saturating_duration_since(Instant::now());
+            match self.rx.recv_timeout(timeout) {
+                Ok(MonitorMsg::Report { id, load }) => self.monitor.on_report(id, load),
+                Ok(MonitorMsg::Done(done)) => {
+                    self.monitor.on_migration_done(done, self.now_ms());
+                    self.trace(TraceKind::MigDone, done.epoch, done.tuples_moved, 0);
+                    // Whatever the round staged at the sequencer is now
+                    // permanent (no-op for aborted/abandoned rounds, whose
+                    // stage was already reverted or never existed).
+                    let commit = DispatcherMsg::Commit { group: self.group, epoch: done.epoch };
+                    let _ = self.disp_ctrl.send(commit);
+                }
+                Ok(MonitorMsg::AbortOutcome { epoch, aborted }) => {
+                    self.monitor.on_abort_outcome(epoch, aborted, self.now_ms());
+                    self.trace(TraceKind::AbortOutcome, epoch, u64::from(aborted), 0);
+                }
+                Ok(MonitorMsg::Quiesce) => self.quiescing = true,
+                Err(RecvTimeoutError::Timeout) => {
+                    next_tick += self.period;
+                    self.tick();
+                }
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            self.maybe_ack_quiesce(self.monitor.migration_in_flight());
+        }
+    }
+
+    /// Monitor recovery: harvest the dead incarnation's durable summary —
+    /// the load-stats seed a real monitor would restart from — then
+    /// either reseed a fresh monitor after a backoff, or (budget spent)
+    /// tombstone the in-flight round and degrade.
+    fn recover(&mut self, restarts: u32) {
+        if self.degraded {
+            // A panic inside the degraded drain: the round is already
+            // tombstoned and nothing is left to rebuild.
+            return;
+        }
+        let down_at = self.pulse.now_us();
+        self.trace(TraceKind::MonitorDown, 0, u64::from(restarts), 0);
+        let floor = self.monitor.last_allocated_epoch();
+        let inflight = self.monitor.in_flight_round();
+        if restarts > self.max_restarts {
+            // Tombstone the in-flight round through the sequencer's
+            // existing abort path, then freeze: the run continues
+            // correctly on the last committed routing table, without
+            // migrations.
+            if let Some((epoch, source, _)) = inflight {
+                self.request_abort(epoch, source);
+            }
+            self.reg.counter_add("monitor.permanent_degraded", 1);
+            if let Some(h) = self.hub.as_deref() {
+                h.set_degraded(true);
+            }
+            self.degraded = true;
+            return;
+        }
+        let loads = self.monitor.load_snapshot();
+        let stats = self.monitor.stats();
+        let spans = self.monitor.spans().to_vec();
+        let decisions = self.monitor.decisions().to_vec();
+        // Bounded, seed-deterministic exponential backoff before the next
+        // incarnation, heartbeat-refreshing so the stall watchdog sees a
+        // live (if degraded) executor.
+        let base_ms = 1u64 << restarts.saturating_sub(1).min(5);
+        let jitter = self.backoff_rng.gen_range(0..=base_ms);
+        let wake = Instant::now() + Duration::from_millis(base_ms + jitter);
+        while Instant::now() < wake && self.pulse.beat() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        // Reseed a fresh monitor from the harvest. The epoch floor keeps
+        // round ids monotonic across incarnations; a restored in-flight
+        // round gets a fresh deadline, so the bounded retry path (timeout
+        // → abort → backoff → retrigger) closes it if its instances died
+        // with the answer.
+        let mut m = fresh_monitor(self.to_instances.len(), &self.fj, self.round_timeout_ms);
+        m.set_epoch_floor(floor);
+        for (id, load) in loads.into_iter().enumerate() {
+            m.on_report(id, load);
+        }
+        m.absorb_history(stats, spans, decisions);
+        if let Some((epoch, source, target)) = inflight {
+            m.restore_round(epoch, source, target, self.now_ms());
+        }
+        // The absorbed decisions were journaled by the dead incarnation;
+        // only genuinely new ones get trace events from here on.
+        self.decisions_seen = m.decisions_recorded();
+        self.monitor = m;
+        let degraded_ms = self.pulse.now_us().saturating_sub(down_at) / 1000;
+        self.reg.counter_add("monitor.degraded_ms", degraded_ms);
+        self.reg.counter_add("monitor_restarts", 1);
+        self.trace(TraceKind::MonitorUp, 0, degraded_ms, 0);
+    }
+
+    fn finish(mut self, collector: &Sender<CollectorMsg>) {
+        // Close the LI trace with a final sample so even runs shorter
+        // than one monitor period report a (possibly single-point) series.
+        self.li.record(self.pulse.now_us(), self.monitor.imbalance());
+        self.reg.counter_add("monitor.sends_parked", self.sends_parked);
+        let _ = collector.send(CollectorMsg::MonitorDone {
+            group: self.group,
+            stats: self.monitor.stats(),
+            spans: self.monitor.spans().to_vec(),
+            decisions: self.monitor.decisions().to_vec(),
+            li: Box::new(self.li),
+            registry: Box::new(self.reg),
+            journal: Box::new(self.ring.into_journal()),
+        });
+    }
+}

@@ -389,15 +389,19 @@ fn trace_journal_reconstructs_migration_round_timelines() {
 }
 
 #[test]
-fn sharded_and_unsharded_runs_are_equivalent() {
-    // Dispatcher sharding is a transport optimization, exactly like
-    // batching: for every system, a sharded run must produce the results,
-    // probe completions, and latency sample counts of the single-threaded
-    // dispatcher on the same workload — including a shard count that does
-    // not divide the key space evenly, and sharding combined with
-    // batching.
+fn results_are_invariant_under_shard_count_and_batching() {
+    // Dispatcher sharding is a transport choice, exactly like batching:
+    // for every system, any shard count must produce the results, probe
+    // completions, and latency sample counts of the one-shard run on the
+    // same workload — including a shard count that does not divide the key
+    // space evenly, and sharding combined with batching.
     let tuples = uniform_workload(9, 25);
-    for system in [SystemKind::FastJoin, SystemKind::BiStream, SystemKind::Broadcast] {
+    for system in [
+        SystemKind::FastJoin,
+        SystemKind::BiStream,
+        SystemKind::BiStreamContRand,
+        SystemKind::Broadcast,
+    ] {
         let single = {
             let mut c = cfg(system, 4);
             c.dispatcher_shards = 1;
@@ -427,7 +431,7 @@ fn sharded_skewed_run_migrates_and_keeps_route_versions_monotone() {
     // sequencer serializes every route flip behind the snapshot barrier,
     // so completeness must hold and the journal's committed route versions
     // must stay strictly monotone per group — the same causal invariant
-    // `fastjoin-cli trace` checks on unsharded journals.
+    // `fastjoin-cli trace` checks on one-shard journals.
     let mut tuples = Vec::new();
     for i in 0..30_000u64 {
         let key = if i % 4 != 0 { 999 } else { i % 97 };

@@ -11,8 +11,8 @@
 //!    out-of-bounds) in the data-plane files; use `.get()` and handle the
 //!    miss.
 //! 3. **no-wildcard-match** — `match`es with arms on the protocol message
-//!    enums (`InstanceMsg`, `RtMsg`, `DispatcherMsg`, `MonitorMsg`,
-//!    `CollectorMsg`) must not have a `_` arm, so adding a message variant
+//!    enums (`InstanceMsg`, `RtMsg`, `SpoutMsg`, `DispatcherMsg`,
+//!    `MonitorMsg`, `CollectorMsg`) must not have a `_` arm, so adding a message variant
 //!    is a compile error at every handler instead of a silent drop.
 //! 4. **missing-docs** — public items in `fastjoin-core` carry doc
 //!    comments.
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// Message enums whose `match`es must stay wildcard-free (rule 3).
 const PROTOCOL_ENUMS: &[&str] =
-    &["InstanceMsg", "RtMsg", "DispatcherMsg", "MonitorMsg", "CollectorMsg"];
+    &["InstanceMsg", "RtMsg", "SpoutMsg", "DispatcherMsg", "MonitorMsg", "CollectorMsg"];
 
 /// Files on the tuple hot path where indexing must go through `.get()`
 /// (rule 2). Paths are relative to the repo root.
@@ -58,7 +58,9 @@ const DATA_PLANE_FILES: &[&str] = &[
     "crates/core/src/routing.rs",
     "crates/core/src/partition.rs",
     "crates/runtime/src/msg.rs",
-    "crates/runtime/src/topology.rs",
+    "crates/runtime/src/topology/mod.rs",
+    "crates/runtime/src/topology/dispatch.rs",
+    "crates/runtime/src/topology/instance.rs",
 ];
 
 /// One lint finding, printed as `file:line: [rule] message`.
@@ -969,6 +971,16 @@ mod tests {
             "lint violations in tree:\n{}",
             diags.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
         );
+    }
+
+    #[test]
+    fn every_data_plane_file_exists() {
+        // A renamed or split file must be re-listed, or it silently loses
+        // the no-index and hot-path rules.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for file in DATA_PLANE_FILES {
+            assert!(root.join(file).is_file(), "DATA_PLANE_FILES lists a missing file: {file}");
+        }
     }
 
     #[test]

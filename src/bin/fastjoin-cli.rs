@@ -320,7 +320,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let channel_cap: usize = args.get("channel-cap", 256)?;
     let dispatcher_shards: usize = args.get("dispatcher-shards", 1)?;
     if dispatcher_shards == 0 {
-        return Err("--dispatcher-shards must be ≥ 1 (1 = unsharded)".to_string());
+        return Err("--dispatcher-shards must be ≥ 1".to_string());
     }
     if batch_size < 2 {
         return Err(format!(
@@ -814,7 +814,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let channel_cap: usize = args.get("channel-cap", 256)?;
     let dispatcher_shards: usize = args.get("dispatcher-shards", 1)?;
     if dispatcher_shards == 0 {
-        return Err("--dispatcher-shards must be ≥ 1 (1 = unsharded)".to_string());
+        return Err("--dispatcher-shards must be ≥ 1".to_string());
     }
     if batch_size < 1 {
         return Err(format!("--batch-size must be ≥ 1 (1 = unbatched), got {batch_size}"));
@@ -857,10 +857,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         }),
         ("stalled-round", |s| FaultPlan { seed: s, drop_migrate_cmds: 2, ..FaultPlan::default() }),
         // Control-plane fault classes: kill the supervised control
-        // executors themselves. Sequencer and shard kills only fire with
-        // `--dispatcher-shards >= 2` (the unsharded dispatcher has neither
-        // executor, so the switches are inert and the runs are plain
-        // oracle checks).
+        // executors themselves (they exist at every shard count).
         ("kill-sequencer", |s| FaultPlan {
             seed: s,
             crashes: vec![CrashFault {
@@ -957,7 +954,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
                     max_restarts: 16,
                     checkpoint_every: 32,
                     round_timeout_ms: 25,
-                    ..SupervisionConfig::default()
                 },
                 faults: plan_for(seed),
                 trace: fastjoin::core::trace::TraceConfig::default(),
@@ -1189,7 +1185,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             (TraceKind::MigTrigger, TraceKind::MigCmd),
             (TraceKind::MigCmd, TraceKind::MigStart),
             (TraceKind::MigStart, TraceKind::MigStore),
-            (TraceKind::MigStore, TraceKind::RouteStaged),
+            // The target requests the flip on `MigStart`, so the staging
+            // races its receipt of `MigStore`; both precede `MigEnd`.
+            (TraceKind::MigStart, TraceKind::RouteStaged),
+            (TraceKind::MigStore, TraceKind::MigEnd),
             (TraceKind::RouteStaged, TraceKind::MigEnd),
             (TraceKind::MigEnd, TraceKind::MigDone),
             (TraceKind::AbortRequest, TraceKind::AbortOutcome),
@@ -1431,16 +1430,14 @@ fn usage() -> &'static str {
                        crash-handoff-forward | crash-pre-route-flip |\n\
                        crash-steady-state | channel-chaos | stalled-round |\n\
                        kill-sequencer | kill-shard | kill-monitor\n\
-                       (the kill-* classes crash control-plane executors;\n\
-                       sequencer/shard kills need --dispatcher-shards >= 2)\n\
+                       (the kill-* classes crash control-plane executors)\n\
        --out PATH      failure-report JSON (default CHAOS_report.json)\n\
        --trace-out P   write the first failing run's trace journal to P\n\
        --batch-size N  data-plane batch size for every run (default 1;\n\
                        CI also sweeps the matrix batched)\n\
        --channel-cap N bounded-channel capacity (default 256)\n\
        --dispatcher-shards N  dispatcher shard count for every run\n\
-                       (default 1 = the single-threaded dispatcher;\n\
-                       CI also sweeps the matrix sharded)\n\
+                       (default 1; CI also sweeps the matrix sharded)\n\
      bench:\n\
        --deadline-secs N   wall-clock deadline per scenario (default 120);\n\
                            breach exits non-zero\n\

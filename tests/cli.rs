@@ -194,6 +194,60 @@ fn trace_verb_rejects_missing_journal_and_unknown_round() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The target requests the route flip on `MigStart`, so the sequencer may
+/// stage it before the target logs the `MigStore` that follows: `trace
+/// --round` must accept that interleaving, and still reject a store that
+/// lands after the round's `MigEnd`.
+#[test]
+fn trace_round_orders_the_flip_and_the_store_against_mig_end_only() {
+    use fastjoin::core::trace::{Actor, TraceEvent, TraceKind};
+
+    let (mon, src, tgt, disp) =
+        (Actor::monitor(0), Actor::instance(0, 0), Actor::instance(0, 1), Actor::dispatcher());
+    let journal_of = |order: &[(Actor, TraceKind)]| {
+        let mut text = String::from("{\"schema\":\"fastjoin-trace-v1\",\"dropped\":0}\n");
+        for (i, &(actor, kind)) in order.iter().enumerate() {
+            let ev = TraceEvent::control(10 * (i as u64 + 1), actor, kind, 7, 0);
+            text.push_str(&ev.to_json().to_string());
+            text.push('\n');
+        }
+        text
+    };
+    let dir = std::env::temp_dir().join(format!("fjcli-traceorder-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("j.jsonl");
+    let check = |order: &[(Actor, TraceKind)]| {
+        std::fs::write(&journal, journal_of(order)).unwrap();
+        run(&["trace", "--journal", journal.to_str().unwrap(), "--round", "7", "--group", "r"])
+    };
+
+    let (ok, timeline, stderr) = check(&[
+        (mon, TraceKind::MigTrigger),
+        (src, TraceKind::MigCmd),
+        (tgt, TraceKind::MigStart),
+        (disp, TraceKind::RouteStaged),
+        (tgt, TraceKind::MigStore),
+        (tgt, TraceKind::MigEnd),
+        (mon, TraceKind::MigDone),
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(timeline.contains("timeline OK"), "{timeline}");
+
+    let (ok, _, stderr) = check(&[
+        (tgt, TraceKind::MigStart),
+        (disp, TraceKind::RouteStaged),
+        (tgt, TraceKind::MigEnd),
+        (tgt, TraceKind::MigStore),
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("MigStore appears after MigEnd"), "{stderr}");
+
+    let (ok, _, stderr) = check(&[(disp, TraceKind::RouteStaged), (tgt, TraceKind::MigStart)]);
+    assert!(!ok);
+    assert!(stderr.contains("MigStart appears after RouteStaged"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn malformed_trace_names_the_line() {
     let dir = std::env::temp_dir().join(format!("fjcli-bad-{}", std::process::id()));
