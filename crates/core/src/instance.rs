@@ -82,6 +82,24 @@ pub struct JoinInstance {
     stats: InstanceCounters,
 }
 
+/// What [`JoinInstance::checkpoint`] captures and
+/// [`JoinInstance::restore`] puts back: a copy of every field a message
+/// can change *except the store*, whose checkpoint is its own undo
+/// journal (see [`TupleStore::mark`]) — so taking one costs
+/// O(mutations since the previous one), not O(stored tuples).
+#[derive(Debug)]
+pub struct InstanceCheckpoint {
+    pending: VecDeque<Tuple>,
+    probe_arrivals: u64,
+    probe_arrivals_by_key: HashMap<Key, u64>,
+    last_probe_arrivals: u64,
+    last_probe_arrivals_by_key: HashMap<Key, u64>,
+    watermark: Timestamp,
+    mig: MigrationState,
+    aborted_epochs: HashSet<u64>,
+    stats: InstanceCounters,
+}
+
 /// Monotone lifetime counters of a join instance (diagnostics and tests).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct InstanceCounters {
@@ -120,6 +138,74 @@ impl JoinInstance {
             emit_pairs: true,
             stats: InstanceCounters::default(),
         }
+    }
+
+    /// Checkpoints the instance: marks the store (discarding the previous
+    /// mark) and copies everything else a message can change. The
+    /// checkpoint is only meaningful to *this* instance, and only until
+    /// the next call — [`JoinInstance::restore`] rolls the live store back
+    /// to the most recent mark.
+    pub fn checkpoint(&mut self) -> InstanceCheckpoint {
+        // Exhaustive on purpose: a new field must be classified here as
+        // configuration, store, or checkpointed state.
+        let JoinInstance {
+            id: _,
+            store_side: _,
+            window: _,
+            migration_mode: _,
+            emit_pairs: _,
+            store,
+            pending,
+            probe_arrivals,
+            probe_arrivals_by_key,
+            last_probe_arrivals,
+            last_probe_arrivals_by_key,
+            watermark,
+            mig,
+            aborted_epochs,
+            stats,
+        } = self;
+        store.mark();
+        InstanceCheckpoint {
+            pending: pending.clone(),
+            probe_arrivals: *probe_arrivals,
+            probe_arrivals_by_key: probe_arrivals_by_key.clone(),
+            last_probe_arrivals: *last_probe_arrivals,
+            last_probe_arrivals_by_key: last_probe_arrivals_by_key.clone(),
+            watermark: *watermark,
+            mig: mig.clone(),
+            aborted_epochs: aborted_epochs.clone(),
+            stats: *stats,
+        }
+    }
+
+    /// Returns the instance to the state [`JoinInstance::checkpoint`]
+    /// captured: rolls the store back to its mark and overwrites every
+    /// other mutable field, so it also repairs a state torn by a panic
+    /// mid-message. `cp` must be this instance's most recent checkpoint.
+    pub fn restore(&mut self, cp: &InstanceCheckpoint) {
+        // Exhaustive, like `checkpoint`: whatever is captured is put back.
+        let InstanceCheckpoint {
+            pending,
+            probe_arrivals,
+            probe_arrivals_by_key,
+            last_probe_arrivals,
+            last_probe_arrivals_by_key,
+            watermark,
+            mig,
+            aborted_epochs,
+            stats,
+        } = cp;
+        self.store.rollback();
+        self.pending.clone_from(pending);
+        self.probe_arrivals = *probe_arrivals;
+        self.probe_arrivals_by_key.clone_from(probe_arrivals_by_key);
+        self.last_probe_arrivals = *last_probe_arrivals;
+        self.last_probe_arrivals_by_key.clone_from(last_probe_arrivals_by_key);
+        self.watermark = *watermark;
+        self.mig.clone_from(mig);
+        self.aborted_epochs.clone_from(aborted_epochs);
+        self.stats = *stats;
     }
 
     /// Disables materialization of joined pairs; probes still count
@@ -1029,6 +1115,101 @@ mod tests {
         fx.clear();
         while src.process_next(&mut fx).is_some() {}
         assert_eq!(fx.joined.len() as u64, 2 * hot_bucket);
+    }
+
+    /// Asserts two instances are in the same state, store contents (per
+    /// key, in order) included.
+    fn assert_same_state(a: &JoinInstance, b: &JoinInstance) {
+        assert_eq!(a.pending, b.pending);
+        assert_eq!(a.probe_arrivals, b.probe_arrivals);
+        assert_eq!(a.probe_arrivals_by_key, b.probe_arrivals_by_key);
+        assert_eq!(a.last_probe_arrivals, b.last_probe_arrivals);
+        assert_eq!(a.last_probe_arrivals_by_key, b.last_probe_arrivals_by_key);
+        assert_eq!(a.watermark, b.watermark);
+        assert_eq!(a.mig, b.mig);
+        assert_eq!(a.aborted_epochs, b.aborted_epochs);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.store.len(), b.store.len());
+        assert_eq!(a.key_stats(), b.key_stats());
+        for stat in a.key_stats() {
+            let mut probe = Tuple::s(stat.key, 0, 0);
+            probe.seq = u64::MAX;
+            let bucket = |i: &JoinInstance| i.store.probe(&probe, 0).copied().collect::<Vec<_>>();
+            assert_eq!(bucket(a), bucket(b), "bucket of key {}", stat.key);
+        }
+    }
+
+    #[test]
+    fn restore_returns_to_the_checkpoint_and_replays_like_a_full_copy() {
+        let w = WindowConfig { sub_windows: 2, sub_window_len: 50 }; // span 100
+        let mut inst = JoinInstance::new(0, Side::R, Some(w));
+        let mut sel = GreedyFit::new();
+        let mut fx = Effects::new();
+        // Before the checkpoint: a hot and a cold key stored, probe
+        // pressure on both, one period frozen for key selection.
+        let mut before = Vec::new();
+        before.extend((0..50).map(|seq| data(Side::R, 1, seq, seq)));
+        before.extend((50..54).map(|seq| data(Side::R, 2, seq, seq)));
+        before.extend((60..70).map(|seq| data(Side::S, 1 + seq % 2, seq, seq)));
+        for m in before {
+            inst.handle(m, &mut sel, 0.0, &mut fx).unwrap();
+            while inst.process_next(&mut fx).is_some() {}
+        }
+        let _ = inst.take_load_report();
+
+        let cp = inst.checkpoint();
+        // The O(store) checkpoint the journal replaces, kept as the model.
+        let model = inst.clone();
+
+        // After it, every kind of change a message can make: a remembered
+        // abort, stores and probes, a watermark jump with window GC, a
+        // period rollover, and a migration round sourced here (store
+        // extraction, then buffering of a selected key's data).
+        let after = |inst: &mut JoinInstance, sel: &mut GreedyFit| -> Effects {
+            let mut fx = Effects::new();
+            inst.handle(InstanceMsg::MigAbort { epoch: 9 }, sel, 0.0, &mut fx).unwrap();
+            for seq in 70..90 {
+                inst.handle(data(Side::R, 1 + seq % 3, seq, seq), sel, 0.0, &mut fx).unwrap();
+                inst.handle(data(Side::S, 1, seq, 100 + seq), sel, 0.0, &mut fx).unwrap();
+            }
+            while inst.process_next(&mut fx).is_some() {}
+            inst.handle(data(Side::R, 3, 130, 200), sel, 0.0, &mut fx).unwrap();
+            while inst.process_next(&mut fx).is_some() {}
+            assert!(inst.collect_expired() > 0, "the watermark jump must expire old tuples");
+            let _ = inst.take_load_report();
+            inst.handle(
+                InstanceMsg::MigrateCmd {
+                    epoch: 1,
+                    target: 3,
+                    target_load: InstanceLoad::new(0, 0),
+                },
+                sel,
+                0.0,
+                &mut fx,
+            )
+            .unwrap();
+            assert!(matches!(inst.migration_state(), MigrationState::Source { .. }));
+            inst.handle(data(Side::S, 1, 131, 300), sel, 0.0, &mut fx).unwrap();
+            fx
+        };
+        let fx_first = after(&mut inst, &mut sel);
+        assert_ne!(inst.store.len(), model.store.len());
+
+        inst.restore(&cp);
+        assert_same_state(&inst, &model);
+
+        // From the checkpoint on, the restored instance and the full copy
+        // are interchangeable: same effects for the same input, same state
+        // after it — and the same as the first, pre-restore pass.
+        let mut model = model;
+        let fx_restored = after(&mut inst, &mut sel.clone());
+        let fx_model = after(&mut model, &mut sel);
+        assert_same_state(&inst, &model);
+        for fx in [&fx_restored, &fx_model] {
+            assert_eq!(fx.joined, fx_first.joined);
+            assert_eq!(fx.sends, fx_first.sends);
+            assert_eq!(fx.migration_done, fx_first.migration_done);
+        }
     }
 
     #[test]

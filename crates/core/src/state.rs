@@ -10,13 +10,38 @@
 //! collection and statistics maintenance. This split matters after a
 //! migration: installed tuples can be older than the newest local ones, so
 //! eager FIFO expiry alone could reclaim them late — but never emit them.
+//!
+//! # Undo journal
+//!
+//! A store can cheaply return to an earlier state: [`TupleStore::mark`]
+//! starts an undo journal, every mutator appends the inverse of what it
+//! did, and [`TupleStore::rollback`] re-applies the journal in reverse,
+//! leaving the store exactly as it was at the mark. This is what makes a
+//! join-instance checkpoint cost O(mutations since the last one) instead
+//! of a deep copy of every stored tuple. A store that was never marked
+//! journals nothing and pays one branch per mutation.
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::tuple::{Key, Seq, Timestamp, Tuple};
 
+/// The inverse of one store mutation, as recorded by the undo journal.
+#[derive(Debug)]
+enum Undo {
+    /// `insert` appended a tuple of this key: pop the bucket's and the
+    /// FIFO's back.
+    Insert(Key),
+    /// `expire` popped this trigger off the FIFO's front and, unless the
+    /// trigger was stale, this tuple off its bucket's front: push both
+    /// back.
+    Expire { trigger: Timestamp, key: Key, popped: Option<Tuple> },
+    /// `extract_keys` removed this whole bucket: put it back. (The FIFO is
+    /// untouched by extraction — its stale triggers stay where they were.)
+    Extract { key: Key, bucket: VecDeque<Tuple> },
+}
+
 /// Key-bucketed storage for one stream on one join instance.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct TupleStore {
     buckets: HashMap<Key, VecDeque<Tuple>>,
     /// Expiry triggers in monotone order: `(trigger_ts, key)`. The trigger
@@ -25,6 +50,26 @@ pub struct TupleStore {
     /// bucket-head timestamp.
     fifo: VecDeque<(Timestamp, Key)>,
     total: u64,
+    /// Undo entries since the last [`TupleStore::mark`], oldest first;
+    /// `None` until the first mark. Every mutator finishes its change to
+    /// the fields above and then pushes its entry, with nothing that can
+    /// panic in between, so a caller whose step is torn by a panic still
+    /// rolls back to exactly the mark.
+    journal: Option<Vec<Undo>>,
+}
+
+/// A clone is a plain, unmarked copy of the stored tuples: the journal
+/// describes how to get *this* store back to its mark and means nothing
+/// to a copy.
+impl Clone for TupleStore {
+    fn clone(&self) -> Self {
+        TupleStore {
+            buckets: self.buckets.clone(),
+            fifo: self.fifo.clone(),
+            total: self.total,
+            journal: None,
+        }
+    }
 }
 
 impl TupleStore {
@@ -65,12 +110,64 @@ impl TupleStore {
         self.buckets.iter().map(|(k, b)| (*k, b.len() as u64))
     }
 
+    /// Starts the undo journal at the store's current state, discarding
+    /// any earlier mark: from here on every mutation is journaled until
+    /// the next `mark`, and [`TupleStore::rollback`] returns to this state.
+    pub fn mark(&mut self) {
+        match &mut self.journal {
+            Some(journal) => journal.clear(),
+            None => self.journal = Some(Vec::new()),
+        }
+    }
+
+    /// Undoes every mutation since the last [`TupleStore::mark`], newest
+    /// first, leaving the store exactly as it was at the mark (and still
+    /// marked there). A no-op on a store that was never marked.
+    pub fn rollback(&mut self) {
+        let Some(journal) = &mut self.journal else { return };
+        while let Some(undo) = journal.pop() {
+            match undo {
+                Undo::Insert(key) => {
+                    if let Some(bucket) = self.buckets.get_mut(&key) {
+                        bucket.pop_back();
+                        if bucket.is_empty() {
+                            self.buckets.remove(&key);
+                        }
+                    }
+                    self.fifo.pop_back();
+                    self.total -= 1;
+                }
+                Undo::Expire { trigger, key, popped } => {
+                    self.fifo.push_front((trigger, key));
+                    if let Some(t) = popped {
+                        self.buckets.entry(key).or_default().push_front(t);
+                        self.total += 1;
+                    }
+                }
+                Undo::Extract { key, bucket } => {
+                    self.total += bucket.len() as u64;
+                    self.buckets.insert(key, bucket);
+                }
+            }
+        }
+    }
+
+    /// Undo entries recorded since the last mark (0 when never marked).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn journal_len(&self) -> usize {
+        self.journal.as_ref().map_or(0, Vec::len)
+    }
+
     /// Inserts a tuple.
     pub fn insert(&mut self, t: Tuple) {
         self.buckets.entry(t.key).or_default().push_back(t);
         let trigger = self.fifo.back().map_or(t.ts, |&(back, _)| back.max(t.ts));
         self.fifo.push_back((trigger, t.key));
         self.total += 1;
+        if let Some(journal) = &mut self.journal {
+            journal.push(Undo::Insert(t.key));
+        }
     }
 
     /// Probes the store: returns stored tuples with the probe's key whose
@@ -104,7 +201,10 @@ impl TupleStore {
         for k in keys {
             if let Some(bucket) = self.buckets.remove(k) {
                 self.total -= bucket.len() as u64;
-                out.extend(bucket);
+                out.extend(&bucket);
+                if let Some(journal) = &mut self.journal {
+                    journal.push(Undo::Extract { key: *k, bucket });
+                }
             }
         }
         out
@@ -134,15 +234,19 @@ impl TupleStore {
                 break;
             }
             self.fifo.pop_front();
+            let mut popped = None;
             if let Some(bucket) = self.buckets.get_mut(&key) {
                 if bucket.front().is_some_and(|t| t.ts < horizon) {
-                    bucket.pop_front();
+                    popped = bucket.pop_front();
                     self.total -= 1;
                     removed += 1;
                     if bucket.is_empty() {
                         self.buckets.remove(&key);
                     }
                 }
+            }
+            if let Some(journal) = &mut self.journal {
+                journal.push(Undo::Expire { trigger, key, popped });
             }
         }
         removed

@@ -18,9 +18,10 @@ use fastjoin_core::protocol::{InstanceMsg, MigrationDone, RouteRequest};
 
 /// Input to a join-instance executor.
 ///
-/// `Clone` because the supervisor keeps a replay log of messages processed
-/// since the last checkpoint; recovery re-feeds the clones (see
-/// `topology::InstanceState`).
+/// `Clone` because the fault-injection plane's `ChaosReceiver` can
+/// duplicate a message. The executor itself never copies one: the owned
+/// message is parked while its step borrows it, then moves into the replay
+/// log that recovery re-feeds (see `topology::instance`).
 #[derive(Debug, Clone)]
 pub enum RtMsg {
     /// A core protocol message (data or migration control).

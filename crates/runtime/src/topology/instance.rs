@@ -1,17 +1,21 @@
 //! Join-instance executors: the data-plane message step, and recovery by
 //! checkpoint + replay.
 //!
-//! Every message is processed by [`InstanceState::step`]; the executor
-//! keeps a full clone of that state from at most
-//! [`super::SupervisionConfig::checkpoint_every`] messages ago plus a
-//! replay log of everything processed since. After a panic (organic, or
-//! injected by a [`crate::fault::FaultPlan`] kill switch) recovery
-//! restores the clone, replays the log with outbound effects suppressed
-//! (they already escaped before the crash), then re-processes the
-//! in-flight message live. Because the input channel's receiver survives
-//! the restart, no queued message is lost, and because injected crashes
-//! are fail-stop at a message boundary the rebuilt state is exactly
-//! "everything before the crash message, nothing of it".
+//! Every message is processed by [`InstanceState::step`]. Every
+//! [`super::SupervisionConfig::checkpoint_every`] messages the executor
+//! takes a [`StateCheckpoint`] — it marks the tuple store's undo journal
+//! and copies the small rest of the state — and it keeps a replay log of
+//! everything processed since. A checkpoint therefore costs O(mutations
+//! since the previous one), independent of how many tuples are stored,
+//! and the process holds one copy of each store, not two. After a panic
+//! (organic, or injected by a [`crate::fault::FaultPlan`] kill switch)
+//! recovery rolls the live store back along its journal, overwrites the
+//! rest from the checkpoint, replays the log with outbound effects
+//! suppressed (they already escaped before the crash), then re-processes
+//! the in-flight message live. Because the input channel's receiver
+//! survives the restart, no queued message is lost, and because injected
+//! crashes are fail-stop at a message boundary the rebuilt state is
+//! exactly "everything before the crash message, nothing of it".
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,7 +23,7 @@ use std::sync::Arc;
 use crossbeam::channel::{RecvTimeoutError, Sender};
 
 use fastjoin_core::config::FastJoinConfig;
-use fastjoin_core::instance::{JoinInstance, Work};
+use fastjoin_core::instance::{InstanceCheckpoint, JoinInstance, Work};
 use fastjoin_core::metrics::MetricsRegistry;
 use fastjoin_core::protocol::{Effects, InstanceMsg, MigrationState};
 use fastjoin_core::selection::{make_selector, KeySelector};
@@ -77,9 +81,9 @@ impl InstanceIo {
 }
 
 /// Everything a join-instance executor mutates while processing messages.
-/// `Clone` *is* the checkpoint mechanism: the executor snapshots the
-/// whole state between messages and restores the snapshot on a crash.
-#[derive(Clone)]
+/// Deliberately not `Clone`: the executor checkpoints it between messages
+/// with [`InstanceState::checkpoint`] and, on a crash, restores it in
+/// place — the store is never copied.
 struct InstanceState {
     inst: JoinInstance,
     selector: Box<dyn KeySelector + Send>,
@@ -100,7 +104,48 @@ struct InstanceState {
     eos: bool,
 }
 
+/// An [`InstanceState`] as of its last checkpoint: the instance's own
+/// checkpoint (whose store half is the live store's undo journal) plus
+/// copies of the fields around it.
+struct StateCheckpoint {
+    inst: InstanceCheckpoint,
+    selector: Box<dyn KeySelector + Send>,
+    probe_fanout: HashMap<u64, u32>,
+    flip_started: HashMap<u64, u64>,
+    reg: MetricsRegistry,
+    sends_parked: u64,
+    eos: bool,
+}
+
 impl InstanceState {
+    fn checkpoint(&mut self) -> StateCheckpoint {
+        let InstanceState { inst, selector, probe_fanout, flip_started, reg, sends_parked, eos } =
+            self;
+        StateCheckpoint {
+            inst: inst.checkpoint(),
+            selector: selector.clone(),
+            probe_fanout: probe_fanout.clone(),
+            flip_started: flip_started.clone(),
+            reg: reg.clone(),
+            sends_parked: *sends_parked,
+            eos: *eos,
+        }
+    }
+
+    /// Returns to the state `cp` captured, whatever a panic left behind.
+    /// `cp` must be the latest checkpoint taken of this state.
+    fn restore(&mut self, cp: &StateCheckpoint) {
+        let StateCheckpoint { inst, selector, probe_fanout, flip_started, reg, sends_parked, eos } =
+            cp;
+        self.inst.restore(inst);
+        self.selector.clone_from(selector);
+        self.probe_fanout.clone_from(probe_fanout);
+        self.flip_started.clone_from(flip_started);
+        self.reg.clone_from(reg);
+        self.sends_parked = *sends_parked;
+        self.eos = *eos;
+    }
+
     fn new(io: &InstanceIo) -> Self {
         let fj = &io.fj;
         let mut inst = JoinInstance::new(io.id, io.side(), fj.window);
@@ -180,7 +225,7 @@ impl InstanceState {
         &mut self,
         io: &InstanceIo,
         fx: &mut Effects,
-        msg: RtMsg,
+        msg: &RtMsg,
         live: bool,
         qlen: usize,
         ring: &mut TraceRing,
@@ -189,10 +234,10 @@ impl InstanceState {
         let actor = io.actor();
         match msg {
             RtMsg::Inst(m) => {
-                if let InstanceMsg::MigrateCmd { epoch, .. } = &m {
+                if let InstanceMsg::MigrateCmd { epoch, .. } = m {
                     self.flip_started.insert(*epoch, now_us());
                 }
-                if let InstanceMsg::RouteUpdated { epoch } = &m {
+                if let InstanceMsg::RouteUpdated { epoch } = m {
                     if let Some(t0) = self.flip_started.remove(epoch) {
                         let pause = now_us().saturating_sub(t0);
                         // Migration pause attribution: how long this
@@ -207,7 +252,7 @@ impl InstanceState {
                         }
                     }
                 }
-                if let InstanceMsg::MigAbort { epoch } = &m {
+                if let InstanceMsg::MigAbort { epoch } = m {
                     // An aborted round's pause ends here; close it out so
                     // the attribution histogram covers aborts too.
                     if let Some(t0) = self.flip_started.remove(epoch) {
@@ -216,7 +261,7 @@ impl InstanceState {
                     }
                 }
                 if live {
-                    self.trace_protocol_msg(actor, now_us(), ring, &m);
+                    self.trace_protocol_msg(actor, now_us(), ring, m);
                 }
                 // Decision audit, per-key half: a MigrateCmd is about to
                 // run key selection, so capture the loads the benefit
@@ -224,14 +269,17 @@ impl InstanceState {
                 // the selector actually picks.
                 let mut plan_ctx = None;
                 if live {
-                    if let InstanceMsg::MigrateCmd { epoch, target_load, .. } = &m {
+                    if let InstanceMsg::MigrateCmd { epoch, target_load, .. } = m {
                         // Stats must be captured pre-handle: handling the
                         // command ships the selected keys' tuples away.
                         plan_ctx =
                             Some((*epoch, self.inst.load(), *target_load, self.inst.key_stats()));
                     }
                 }
-                self.absorb(io, fx, m);
+                // The core instance consumes its message; the owned original
+                // stays parked for the replay log. Only rare migration
+                // messages carry a payload to copy.
+                self.absorb(io, fx, m.clone());
                 if let Some((epoch, src_load, dst_load, stats)) = plan_ctx {
                     if let MigrationState::Source { keys, .. } = self.inst.migration_state() {
                         let at = now_us();
@@ -253,28 +301,28 @@ impl InstanceState {
                 }
             }
             RtMsg::Probe(t, fanout) => {
-                self.probe_fanout.insert(t.seq, fanout);
-                self.absorb(io, fx, InstanceMsg::Data(t));
+                self.probe_fanout.insert(t.seq, *fanout);
+                self.absorb(io, fx, InstanceMsg::Data(*t));
             }
             // A batch is equivalent to that many consecutive scalar
             // messages: it is absorbed whole here, then the shared work
             // loop below drains its probes/stores with per-tuple sampling.
             RtMsg::DataBatch(tuples) => {
                 for t in tuples {
-                    self.absorb(io, fx, InstanceMsg::Data(t));
+                    self.absorb(io, fx, InstanceMsg::Data(*t));
                 }
             }
             RtMsg::ProbeBatch(entries) => {
                 for (t, fanout) in entries {
-                    self.probe_fanout.insert(t.seq, fanout);
-                    self.absorb(io, fx, InstanceMsg::Data(t));
+                    self.probe_fanout.insert(t.seq, *fanout);
+                    self.absorb(io, fx, InstanceMsg::Data(*t));
                 }
             }
             RtMsg::ProbeHandoff(entries) => {
                 // Fan-outs of probes a migration source is about to forward
                 // to us; FIFO guarantees they precede the MigForward.
                 self.reg.counter_add("probe_handoffs_in", entries.len() as u64);
-                self.probe_fanout.extend(entries);
+                self.probe_fanout.extend(entries.iter().copied());
             }
             RtMsg::ReportRequest => self.report(io, live, qlen),
             RtMsg::Eos => self.eos = true,
@@ -427,20 +475,24 @@ impl InstanceState {
 
 /// One join-instance executor: receive → (maybe inject a crash) → step →
 /// checkpoint. Everything here survives a panic of [`Executor::run`];
-/// `state` may be torn by it and is rebuilt from `checkpoint` + `log`.
+/// `state` may be torn by it and is restored in place from `checkpoint`,
+/// then brought forward by replaying `log`.
 pub(super) struct InstanceExecutor {
     io: InstanceIo,
     rx: ChaosReceiver<RtMsg>,
     switch: KillSwitch,
     checkpoint_every: u64,
     state: InstanceState,
-    checkpoint: InstanceState,
+    /// The latest checkpoint of `state`; its store half lives in
+    /// `state`'s own store as the undo journal.
+    checkpoint: StateCheckpoint,
     /// Messages processed since `checkpoint` (whole batches, replayed
     /// identically).
     log: Vec<RtMsg>,
-    /// The message being stepped, parked before the step so a crash can
-    /// re-process it: it dies with the crash before any of its effects
-    /// escape.
+    /// The message being stepped — the one owned copy, parked here before
+    /// the step (which only borrows it) so a crash can re-process it: it
+    /// dies with the crash before any of its effects escape. Moved into
+    /// `log` once the step completes.
     inflight: Option<RtMsg>,
     /// The ring lives OUTSIDE the checkpointed state: cloning a multi-KiB
     /// event buffer on every checkpoint would tax the data plane, and the
@@ -458,14 +510,14 @@ pub(super) struct InstanceExecutor {
 
 impl InstanceExecutor {
     pub fn new(io: InstanceIo, rx: ChaosReceiver<RtMsg>, cfg: &RuntimeConfig) -> Self {
-        let state = InstanceState::new(&io);
+        let mut state = InstanceState::new(&io);
         InstanceExecutor {
             ring: TraceRing::new(io.actor(), &cfg.trace),
             switch: KillSwitch::new(cfg.faults.crash_for(io.group, io.id)),
             io,
             rx,
             checkpoint_every: cfg.supervision.checkpoint_every.max(1),
-            checkpoint: state.clone(),
+            checkpoint: state.checkpoint(),
             state,
             log: Vec::new(),
             inflight: None,
@@ -496,7 +548,7 @@ impl Executor for InstanceExecutor {
             let qlen = self.rx.queue_len();
             self.q_hwm = self.q_hwm.max(qlen as u64);
             let inject = self.switch.should_crash(&msg);
-            self.inflight = Some(msg.clone());
+            let msg = self.inflight.insert(msg);
             if inject {
                 // lint:allow(the injected fail-stop crash IS the fault being tested; supervise catches it and recover() replays)
                 panic!(
@@ -508,30 +560,29 @@ impl Executor for InstanceExecutor {
             self.state.step(&self.io, &mut self.fx, msg, true, qlen, &mut self.ring);
             self.log.extend(self.inflight.take());
             if self.log.len() as u64 >= self.checkpoint_every {
-                self.checkpoint = self.state.clone();
+                self.checkpoint = self.state.checkpoint();
                 self.log.clear();
             }
         }
     }
 
-    /// Instance recovery: restore the checkpoint, replay the log with
-    /// sends suppressed, re-process the in-flight message live. A replay
-    /// can only re-panic on a genuine bug (deterministic protocol
-    /// violation), which `supervise` treats as fatal.
+    /// Instance recovery: restore the checkpoint in place (the store rolls
+    /// back, the rest is overwritten), replay the log with sends
+    /// suppressed, re-process the in-flight message live. A replay can
+    /// only re-panic on a genuine bug (deterministic protocol violation),
+    /// which `supervise` treats as fatal.
     fn recover(&mut self, restarts: u32) {
         self.crash_event(TraceKind::FaultCrash, restarts);
         self.fx.clear();
-        let mut s = self.checkpoint.clone();
-        let mut rfx = Effects::new();
+        self.state.restore(&self.checkpoint);
         for m in &self.log {
-            s.step(&self.io, &mut rfx, m.clone(), false, 0, &mut self.ring);
+            self.state.step(&self.io, &mut self.fx, m, false, 0, &mut self.ring);
         }
         if let Some(m) = self.inflight.take() {
-            s.step(&self.io, &mut rfx, m.clone(), true, 0, &mut self.ring);
+            self.state.step(&self.io, &mut self.fx, &m, true, 0, &mut self.ring);
             self.log.push(m);
         }
-        s.reg.counter_add("executor_restarts", 1);
-        self.state = s;
+        self.state.reg.counter_add("executor_restarts", 1);
         self.crash_event(TraceKind::FaultRestart, restarts);
     }
 

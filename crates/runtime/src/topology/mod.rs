@@ -53,9 +53,11 @@
 //! followed by re-entry (see ARCHITECTURE.md, "Failure model &
 //! recovery"):
 //!
-//! * **Join instances** restore their last checkpoint, replay the message
-//!   log with outbound effects suppressed, and re-process the in-flight
-//!   message live (`instance`).
+//! * **Join instances** restore their last checkpoint in place (the
+//!   tuple store rolls back along its undo journal; the small rest is
+//!   overwritten from a copy), replay the message log with outbound
+//!   effects suppressed, and re-process the in-flight message live
+//!   (`instance`).
 //! * **Dispatcher shards** salvage-flush their pending batches, rebuild
 //!   the routing replica behind its *epoch fence*, defer new data until
 //!   the sequencer's re-publication rebuilds the table to the fence, and
@@ -166,7 +168,8 @@ pub struct SupervisionConfig {
     /// run (for monitors: before the run degrades to frozen routing).
     /// 0 disables recovery.
     pub max_restarts: u32,
-    /// Messages between instance checkpoints (bounds the replay log).
+    /// Messages between instance checkpoints (bounds the replay log and
+    /// the store's undo journal).
     pub checkpoint_every: u64,
     /// Migration-round deadline in milliseconds; a round still awaiting
     /// its route flip past the deadline is aborted. 0 disables the

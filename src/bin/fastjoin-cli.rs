@@ -303,6 +303,17 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
 /// (throughput, latency percentiles, LI, or — on the skewed run — at least
 /// one migration span) is an error, so the CI job fails rather than
 /// silently uploading a hollow artifact.
+///
+/// Only checks with a deterministic verdict are fatal: required series,
+/// ring drops, the snapshot stream, journal/Prometheus validation, the
+/// scenario deadline. The wall-clock comparisons between twin runs
+/// (tracing and introspection overhead, batched vs unbatched throughput
+/// and route-flip latency, shard scaling) are computed and recorded in
+/// the report, and a breach prints a `warning:` line — they compare two
+/// short runs on whatever host this is, most of them throttled to the
+/// same rate, so a red verdict says more about the scheduler than about
+/// the code. `fjbench`'s `runtime.trace_overhead_pct` (unthrottled
+/// twins, CPU seconds) is the overhead number of record.
 fn cmd_bench(args: &Args) -> Result<(), String> {
     use fastjoin::core::config::{FastJoinConfig, WindowConfig};
     use fastjoin::core::json::Json;
@@ -335,6 +346,8 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         ));
     }
     let mut failures = Vec::new();
+    // Wall-clock twin comparisons outside their budget: reported, not fatal.
+    let mut warnings = Vec::new();
     let mut deadline_check = |name: &str, started: std::time::Instant| {
         let took = started.elapsed();
         if took > deadline {
@@ -398,9 +411,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 
     // Tracing overhead check: the same skewed workload with tracing off.
     // Both runs are throttled to 60k tuples/s, so their throughput should
-    // be indistinguishable; a >10% gap means tracing leaked real work onto
-    // the hot path and fails the suite. Dropped events at the default ring
-    // size fail it too — the journal must be complete to be trustworthy.
+    // be indistinguishable; a >10% gap is worth a warning. Dropped events
+    // at the default ring size fail the suite — the journal must be
+    // complete to be trustworthy.
     let started = std::time::Instant::now();
     let untraced_elapsed = {
         let mut cfg = base(4);
@@ -416,7 +429,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let overhead_pct = (untraced_tps - traced_tps) / untraced_tps * 100.0;
     let mut trace_failures = Vec::new();
     if traced_tps < untraced_tps * 0.9 {
-        trace_failures.push(format!(
+        warnings.push(format!(
             "tracing overhead: traced skewed run achieved {traced_tps:.0} tuples/s \
              vs {untraced_tps:.0} untraced ({overhead_pct:.1}% slower; budget is 10%)"
         ));
@@ -428,10 +441,10 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         ));
     }
 
-    // Introspection overhead check, same shape as the tracing gate: the
-    // skewed workload with 100 ms snapshots streaming to a file sink must
-    // stay within 10% of the plane-off run. The stream itself is also
-    // validated — every line a parseable snapshot, seq monotone.
+    // Introspection overhead check, same shape as the tracing one: the
+    // skewed workload with 100 ms snapshots streaming to a file sink
+    // should stay within 10% of the plane-off run. The stream itself is
+    // validated, fatally — every line a parseable snapshot, seq monotone.
     let started = std::time::Instant::now();
     let snap_path =
         std::env::temp_dir().join(format!("fastjoin-bench-snapshots-{}.jsonl", std::process::id()));
@@ -450,7 +463,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let snap_tps = 30_000.0 / snap_elapsed.as_secs_f64().max(1e-9);
     let snap_overhead_pct = (traced_tps - snap_tps) / traced_tps.max(1e-9) * 100.0;
     if snap_tps < traced_tps * 0.9 {
-        trace_failures.push(format!(
+        warnings.push(format!(
             "introspection overhead: 100 ms snapshots achieved {snap_tps:.0} tuples/s \
              vs {traced_tps:.0} with the plane off ({snap_overhead_pct:.1}% slower; budget is 10%)"
         ));
@@ -484,14 +497,12 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     // Batched-vs-unbatched comparison, two angles:
     //
     //  * throughput — unthrottled skewed runs, best of three per mode so a
-    //    scheduler hiccup doesn't decide the verdict; batching must beat
-    //    the scalar baseline or the suite fails (amortizing per-message
-    //    channel overhead is the whole point of the batch plane);
+    //    scheduler hiccup doesn't decide the verdict; batching should beat
+    //    the scalar baseline (amortizing per-message channel overhead is
+    //    the whole point of the batch plane);
     //  * route-flip latency — a throttled unbatched twin of the skewed
     //    scenario above; draining control to empty every dispatcher
-    //    iteration must keep flips fast even when data rides batches, so
-    //    a grossly slower batched flip median fails the suite.
-    let mut batch_failures = Vec::new();
+    //    iteration should keep flips fast even when data rides batches.
     let started = std::time::Instant::now();
     let measure = |batch: usize, shards: usize| -> f64 {
         let mut best = 0.0f64;
@@ -510,7 +521,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let batched_tps = measure(batch_size, 1);
     deadline_check("batching-throughput", started);
     if batched_tps <= unbatched_tps {
-        batch_failures.push(format!(
+        warnings.push(format!(
             "batching regression: batch_size {batch_size} achieved {batched_tps:.0} tuples/s \
              vs {unbatched_tps:.0} unbatched on the skewed workload"
         ));
@@ -518,9 +529,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 
     // Dispatcher shard scaling: the same unthrottled skewed workload at 1,
     // 2, and 4 shards (1 shard is the batched run above). The numbers are
-    // always recorded; the monotonic-improvement gate only applies on a
-    // host with ≥ 4 cores — on fewer cores extra shard threads just take
-    // turns on the same CPUs and scaling is noise, not signal.
+    // always recorded; monotonic improvement is only expected on a host
+    // with ≥ 4 cores — on fewer cores extra shard threads just take turns
+    // on the same CPUs and scaling is noise, not signal.
     let started = std::time::Instant::now();
     let shard1_tps = batched_tps;
     let shard2_tps = measure(batch_size, 2);
@@ -528,7 +539,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     deadline_check("shard-scaling", started);
     let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     if cores >= 4 && !(shard2_tps > shard1_tps && shard4_tps > shard2_tps) {
-        batch_failures.push(format!(
+        warnings.push(format!(
             "shard scaling regression on a {cores}-core host: skewed throughput must \
              improve monotonically 1→2→4 shards, got {shard1_tps:.0} → {shard2_tps:.0} \
              → {shard4_tps:.0} tuples/s"
@@ -572,7 +583,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         // noise at smoke scale without re-admitting the old regression,
         // where flips queued behind a full dispatch tick.
         if b > u * 2 + 1_000 {
-            batch_failures.push(format!(
+            warnings.push(format!(
                 "route-flip latency regressed under batching: p50 {b} µs batched \
                  vs {u} µs unbatched (budget: 2x + 1 ms)"
             ));
@@ -598,7 +609,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let windowed = run_topology(&wcfg, windowed_workload);
     deadline_check("windowed", started);
     failures.append(&mut trace_failures);
-    failures.append(&mut batch_failures);
 
     // Validate before writing: the suite's contract with CI.
     let mut check = |name: &str, r: &RuntimeReport, expect_migration: bool| {
@@ -673,12 +683,13 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             "shard_scaling",
             Json::obj(vec![
                 ("cores", Json::uint(cores as u64)),
-                ("gate_enforced", Json::Bool(cores >= 4)),
+                ("scaling_expected", Json::Bool(cores >= 4)),
                 ("tuples_per_sec_1_shard", Json::Num(shard1_tps)),
                 ("tuples_per_sec_2_shards", Json::Num(shard2_tps)),
                 ("tuples_per_sec_4_shards", Json::Num(shard4_tps)),
             ]),
         ),
+        ("warnings", Json::arr(warnings.iter().map(Json::str))),
         (
             "workloads",
             Json::obj(vec![
@@ -778,9 +789,12 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     );
     println!(
         "shards  : {shard1_tps:.0} / {shard2_tps:.0} / {shard4_tps:.0} tuples/s \
-         at 1 / 2 / 4 dispatcher shards ({cores} cores, gate {})",
-        if cores >= 4 { "enforced" } else { "recorded only" }
+         at 1 / 2 / 4 dispatcher shards ({cores} cores, scaling {})",
+        if cores >= 4 { "expected" } else { "not expected" }
     );
+    for w in &warnings {
+        eprintln!("warning: {w}");
+    }
     if failures.is_empty() {
         Ok(())
     } else {

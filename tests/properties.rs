@@ -311,3 +311,9 @@ proptest! {
             "hot share {got} vs configured {hot_share}");
     }
 }
+
+/// The `TupleStore` undo-journal model test of `crates/core`, compiled
+/// into tier-1 as well: its cases are seeded by case index, so this runs
+/// the same fixed slice on every `cargo test`.
+#[path = "../crates/core/tests/store_journal_props.rs"]
+mod store_journal_props;
