@@ -86,6 +86,11 @@
 //! Whole-run liveness is watched from the collector: every executor
 //! maintains a heartbeat, and a silent stall (or a hung shutdown) surfaces
 //! as [`RunError::ExecutorHung`] instead of a wedged process.
+//!
+//! The collector has no thread of its own. The spout thread absorbs the
+//! executors' reports between the batches it sends and, once the input
+//! has ended, until every executor has reported — so the unbounded
+//! collector queue holds what is in flight, never the whole run.
 
 mod dispatch;
 mod instance;
@@ -415,8 +420,9 @@ fn run_topology_inner(
     let hub = introspection.as_ref().map(Introspection::hub);
 
     let topo = wire(cfg, clock, hub.clone(), results);
-    let ingested = topo.run_spout(cfg, workload, hub.as_deref());
-    let mut report = topo.shut_down_and_collect(ingested)?;
+    let mut collector = Collector::new(clock, topo.n, topo.handles.len());
+    let ingested = topo.run_spout(cfg, workload, hub.as_deref(), &mut collector);
+    let mut report = topo.shut_down_and_collect(ingested, collector)?;
 
     // Orderly teardown: stop the snapshot/HTTP threads and write the
     // final snapshot. (Failure paths above drop the plane instead, which
@@ -590,12 +596,18 @@ fn wire(
 
 impl Topology {
     /// The spout (this thread): paces, stamps, shards and batches the
-    /// workload into the shard channels. Returns the tuples ingested.
+    /// workload into the shard channels, and after every batch it sends
+    /// folds whatever the executors have reported so far into `collector`
+    /// — so the collector queue stays a few batches deep instead of
+    /// holding one message per probe until the input ends, and no
+    /// single-threaded drain of the whole run follows the last tuple.
+    /// Returns the tuples ingested.
     fn run_spout(
         &self,
         cfg: &RuntimeConfig,
         workload: impl IntoIterator<Item = Tuple>,
         hub: Option<&IntrospectionHub>,
+        collector: &mut Collector,
     ) -> u64 {
         // Pacing is hybrid: sleep off the bulk of the inter-tuple gap, then
         // spin only the last stretch (the scheduler cannot be trusted below
@@ -656,6 +668,10 @@ impl Topology {
                 break;
             }
             ingested += batch as u64;
+            collector.absorb_ready(&self.collector_rx);
+            if collector.error.is_some() {
+                break; // an executor failed for good: stop feeding
+            }
             if let Some(h) = hub {
                 // Spout-side backpressure view: ingest progress plus the
                 // depth of the channel it just fed.
@@ -683,7 +699,14 @@ impl Topology {
     /// Shutdown handshake (quiesce the monitors, then EOS down the data
     /// path), the collector loop, and the final join. The report's
     /// `duration_us` is left for the caller (teardown is not over yet).
-    fn shut_down_and_collect(mut self, ingested: u64) -> Result<RuntimeReport, RunError> {
+    fn shut_down_and_collect(
+        mut self,
+        ingested: u64,
+        mut collector: Collector,
+    ) -> Result<RuntimeReport, RunError> {
+        if let Some(e) = collector.error.take() {
+            return Err(self.fail(e));
+        }
         for tx in &self.mon_txs {
             let _ = tx.send(MonitorMsg::Quiesce);
         }
@@ -703,99 +726,16 @@ impl Topology {
             let _ = tx.send(SpoutMsg::Eos); // a dead shard is reported below
         }
 
-        let n = self.n;
-        let mut accountant = ProbeAccountant::new();
-        let mut report = RuntimeReport {
-            duration_us: 0,
-            tuples_ingested: ingested,
-            results_total: 0,
-            probes_total: 0,
-            latency: LogHistogram::new(),
-            throughput: TimeSeries::new(1_000_000),
-            counters: [vec![Default::default(); n], vec![Default::default(); n]],
-            monitor_stats: [None, None],
-            imbalance: [None, None],
-            migration_spans: [Vec::new(), Vec::new()],
-            decisions: [Vec::new(), Vec::new()],
-            registry: MetricsRegistry::new(),
-            trace: TraceJournal::new(),
-        };
-        // Route-flip latencies arrive from instances keyed by (group, epoch)
-        // and are patched into the matching monitor span after MonitorDone.
-        let mut route_flips: Vec<(usize, u64, u64)> = Vec::new();
-        // One loop collects everything: instances exit first (on Eos), then
-        // the monitors (their inboxes disconnect), and the dispatcher last
-        // — the sequencer keeps serving late control messages after
-        // broadcasting Eos and only reports once every control sender is
-        // gone. Every executor reports exactly once.
-        let mut reports_left = self.handles.len();
-        let mut error: Option<RunError> = None;
-        while reports_left > 0 && error.is_none() {
-            let reg = &mut report.registry;
+        // What the last batches left queued, then one loop for the rest:
+        // instances exit first (on Eos), then the monitors (their inboxes
+        // disconnect), and the dispatcher last — the sequencer keeps
+        // serving late control messages after broadcasting Eos and only
+        // reports once every control sender is gone. Every executor
+        // reports exactly once.
+        collector.absorb_ready(&self.collector_rx);
+        while collector.reports_left > 0 && collector.error.is_none() {
             match self.collector_rx.recv_timeout(COLLECT_TICK) {
-                Ok(CollectorMsg::Probe { seq, fanout, record }) => {
-                    let now = self.clock.now_us();
-                    report.results_total += record.matches;
-                    report.throughput.record(now, record.matches as f64);
-                    if record.done_us > 0 {
-                        // Emit-stage latency: probe completion → collector.
-                        reg.histogram_record("stage.emit_us", now.saturating_sub(record.done_us));
-                    }
-                    accountant
-                        .on_probe(seq, fanout, record.latency_us)
-                        // lint:allow(accounting corruption means every later count is garbage; fail the run loudly)
-                        .unwrap_or_else(|e| panic!("probe accounting violated: {e}"));
-                }
-                Ok(CollectorMsg::RouteFlip { group, epoch, us }) => {
-                    route_flips.push((group, epoch, us));
-                }
-                Ok(CollectorMsg::InstanceDone { group, id, counters, registry, journal }) => {
-                    report.counters[group][id] = counters; // lint:allow(group and id come from our own spawned executors)
-                    let prefix = format!("inst.{}{id}.", if group == 0 { 'r' } else { 's' });
-                    reg.merge_prefixed(&prefix, &registry);
-                    report.trace.absorb(*journal);
-                    reports_left -= 1;
-                }
-                Ok(CollectorMsg::MonitorDone {
-                    group,
-                    stats,
-                    spans,
-                    decisions,
-                    li,
-                    registry,
-                    journal,
-                }) => {
-                    report.monitor_stats[group] = Some(stats); // lint:allow(group is 0 or 1 by construction)
-                    report.migration_spans[group] = spans; // lint:allow(group is 0 or 1 by construction)
-                    report.decisions[group] = decisions; // lint:allow(group is 0 or 1 by construction)
-                    report.imbalance[group] = Some(*li); // lint:allow(group is 0 or 1 by construction)
-                    reg.merge_prefixed("", &registry);
-                    report.trace.absorb(*journal);
-                    reports_left -= 1;
-                }
-                Ok(CollectorMsg::DispatcherDone { registry, journal }) => {
-                    // Counter merges ADD, so per-shard counts (tuples_ingested,
-                    // probe_copies, snapshot_installs, …) sum across reports.
-                    reg.merge_prefixed("dispatcher.", &registry);
-                    report.trace.absorb(*journal);
-                    reports_left -= 1;
-                }
-                Ok(CollectorMsg::ExecutorFailure { name, error: text, fatal, control }) => {
-                    reg.counter_add("supervisor.executor_failures", 1);
-                    // One ExecutorFailure event is sent per restart attempt,
-                    // so counting events yields the cumulative per-executor
-                    // restart count.
-                    reg.counter_add(&format!("supervisor.restarts.{name}"), 1);
-                    // Control-plane recoveries (dispatcher shards, the
-                    // sequencer, monitors) get their own aggregate, the
-                    // headline number for control-plane chaos runs.
-                    if control && !fatal {
-                        reg.counter_add("supervisor.control_restarts", 1);
-                    }
-                    if fatal {
-                        error = Some(RunError::ExecutorFailed { name, error: text });
-                    }
-                }
+                Ok(msg) => collector.absorb(msg),
                 Err(RecvTimeoutError::Timeout) => {
                     let stalled = stalled_executors(
                         &self.heartbeats,
@@ -803,17 +743,20 @@ impl Topology {
                         STALL.as_millis() as u64,
                     );
                     if !stalled.is_empty() {
-                        error = Some(RunError::ExecutorHung { name: stalled.join(", ") });
+                        collector.error = Some(RunError::ExecutorHung { name: stalled.join(", ") });
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    error = Some(
+                    collector.error = Some(
                         drain_fatal(&self.collector_rx)
                             .unwrap_or(RunError::ExecutorHung { name: "collector feed".into() }),
                     );
                 }
             }
         }
+        let Collector { mut report, accountant, route_flips, backlog_hwm, error, .. } = collector;
+        report.tuples_ingested = ingested;
+        report.registry.gauge_set("collector.backlog_hwm", backlog_hwm as f64);
         if let Some(e) = error {
             return Err(self.fail(e));
         }
@@ -848,6 +791,130 @@ impl Topology {
         report.registry.counter_add("trace.dropped", report.trace.dropped());
         report.registry.counter_add("trace.events", report.trace.len() as u64);
         Ok(report)
+    }
+}
+
+/// The collector's side of the run: folds what the executors report —
+/// one message per completed probe, one final report per executor, every
+/// failure — into the [`RuntimeReport`]. It runs on the spout thread,
+/// between batches while the input lasts and alone after it.
+struct Collector {
+    clock: Clock,
+    report: RuntimeReport,
+    accountant: ProbeAccountant,
+    /// Route-flip latencies arrive from instances keyed by (group, epoch)
+    /// and are patched into the matching monitor span after `MonitorDone`.
+    route_flips: Vec<(usize, u64, u64)>,
+    /// Most messages one visit of the spout thread found waiting
+    /// (`collector.backlog_hwm` in the run registry): bounded by what the
+    /// bounded data channels hold in flight, not by the input.
+    backlog_hwm: u64,
+    /// Executors that have not sent their final report yet.
+    reports_left: usize,
+    /// The failure that ends the run, once one is known.
+    error: Option<RunError>,
+}
+
+impl Collector {
+    fn new(clock: Clock, n: usize, executors: usize) -> Self {
+        Collector {
+            clock,
+            report: RuntimeReport {
+                duration_us: 0,
+                tuples_ingested: 0,
+                results_total: 0,
+                probes_total: 0,
+                latency: LogHistogram::new(),
+                throughput: TimeSeries::new(1_000_000),
+                counters: [vec![Default::default(); n], vec![Default::default(); n]],
+                monitor_stats: [None, None],
+                imbalance: [None, None],
+                migration_spans: [Vec::new(), Vec::new()],
+                decisions: [Vec::new(), Vec::new()],
+                registry: MetricsRegistry::new(),
+                trace: TraceJournal::new(),
+            },
+            accountant: ProbeAccountant::new(),
+            route_flips: Vec::new(),
+            backlog_hwm: 0,
+            reports_left: executors,
+            error: None,
+        }
+    }
+
+    /// Absorbs everything queued right now, without waiting.
+    fn absorb_ready(&mut self, rx: &Receiver<CollectorMsg>) {
+        let mut found = 0;
+        while self.error.is_none() {
+            match rx.try_recv() {
+                Ok(msg) => self.absorb(msg),
+                Err(_) => break,
+            }
+            found += 1;
+        }
+        self.backlog_hwm = self.backlog_hwm.max(found);
+    }
+
+    fn absorb(&mut self, msg: CollectorMsg) {
+        let Collector { report, accountant, .. } = self;
+        let reg = &mut report.registry;
+        match msg {
+            CollectorMsg::Probe { seq, fanout, record } => {
+                let now = self.clock.now_us();
+                report.results_total += record.matches;
+                report.throughput.record(now, record.matches as f64);
+                if record.done_us > 0 {
+                    // Emit-stage latency: probe completion → collector.
+                    reg.histogram_record("stage.emit_us", now.saturating_sub(record.done_us));
+                }
+                accountant
+                    .on_probe(seq, fanout, record.latency_us)
+                    // lint:allow(accounting corruption means every later count is garbage; fail the run loudly)
+                    .unwrap_or_else(|e| panic!("probe accounting violated: {e}"));
+            }
+            CollectorMsg::RouteFlip { group, epoch, us } => {
+                self.route_flips.push((group, epoch, us));
+            }
+            CollectorMsg::InstanceDone { group, id, counters, registry, journal } => {
+                report.counters[group][id] = counters; // lint:allow(group and id come from our own spawned executors)
+                let prefix = format!("inst.{}{id}.", if group == 0 { 'r' } else { 's' });
+                reg.merge_prefixed(&prefix, &registry);
+                report.trace.absorb(*journal);
+                self.reports_left -= 1;
+            }
+            CollectorMsg::MonitorDone { group, stats, spans, decisions, li, registry, journal } => {
+                report.monitor_stats[group] = Some(stats); // lint:allow(group is 0 or 1 by construction)
+                report.migration_spans[group] = spans; // lint:allow(group is 0 or 1 by construction)
+                report.decisions[group] = decisions; // lint:allow(group is 0 or 1 by construction)
+                report.imbalance[group] = Some(*li); // lint:allow(group is 0 or 1 by construction)
+                reg.merge_prefixed("", &registry);
+                report.trace.absorb(*journal);
+                self.reports_left -= 1;
+            }
+            CollectorMsg::DispatcherDone { registry, journal } => {
+                // Counter merges ADD, so per-shard counts (tuples_ingested,
+                // probe_copies, snapshot_installs, …) sum across reports.
+                reg.merge_prefixed("dispatcher.", &registry);
+                report.trace.absorb(*journal);
+                self.reports_left -= 1;
+            }
+            CollectorMsg::ExecutorFailure { name, error: text, fatal, control } => {
+                reg.counter_add("supervisor.executor_failures", 1);
+                // One ExecutorFailure event is sent per restart attempt,
+                // so counting events yields the cumulative per-executor
+                // restart count.
+                reg.counter_add(&format!("supervisor.restarts.{name}"), 1);
+                // Control-plane recoveries (dispatcher shards, the
+                // sequencer, monitors) get their own aggregate, the
+                // headline number for control-plane chaos runs.
+                if control && !fatal {
+                    reg.counter_add("supervisor.control_restarts", 1);
+                }
+                if fatal {
+                    self.error = Some(RunError::ExecutorFailed { name, error: text });
+                }
+            }
+        }
     }
 }
 

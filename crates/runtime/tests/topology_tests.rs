@@ -3,8 +3,11 @@
 
 use fastjoin_baselines::SystemKind;
 use fastjoin_core::config::{FastJoinConfig, WindowConfig};
+use fastjoin_core::metrics::MetricValue;
 use fastjoin_core::tuple::Tuple;
-use fastjoin_runtime::{run_topology, RuntimeConfig};
+use fastjoin_runtime::{
+    run_topology, try_run_topology, CrashFault, CrashPhase, FaultPlan, RunError, RuntimeConfig,
+};
 
 fn cfg(system: SystemKind, n: usize) -> RuntimeConfig {
     RuntimeConfig {
@@ -495,4 +498,47 @@ fn disabling_tracing_yields_an_empty_journal() {
     assert_eq!(report.results_total, 5 * 10 * 10);
     assert!(report.trace.is_empty(), "disabled tracing must journal nothing");
     assert_eq!(report.trace.dropped(), 0);
+}
+
+#[test]
+fn collector_keeps_up_while_the_input_lasts() {
+    // One `CollectorMsg::Probe` per tuple: drained only after the last
+    // tuple, the queue would hold all 40k of them at once. Drained between
+    // batches it holds what the (here tiny) bounded channels keep in
+    // flight, give or take what arrives during one visit.
+    let mut cfg = cfg(SystemKind::BiStream, 4);
+    cfg.queue_cap = 16;
+    cfg.batch_size = 8;
+    let report = run_topology(&cfg, uniform_workload(2000, 10));
+    assert_eq!(report.probes_total, 40_000);
+    let Some(MetricValue::Gauge(hwm)) = report.registry.get("collector.backlog_hwm") else {
+        panic!("collector.backlog_hwm missing from the run registry");
+    };
+    assert!(*hwm < 10_000.0, "collector backlog reached {hwm} of 40000 probe reports");
+}
+
+#[test]
+fn a_crash_past_the_restart_budget_fails_the_run_while_the_input_lasts() {
+    // `max_restarts = 0` (the default): the first crash is final. The
+    // spout thread sees the failure between batches, stops feeding and
+    // reports it, rather than pushing the rest of the input at a pipeline
+    // with a dead instance.
+    let mut cfg = cfg(SystemKind::BiStream, 4);
+    cfg.faults = FaultPlan {
+        crashes: vec![CrashFault {
+            group: 0,
+            instance: 0,
+            phase: CrashPhase::SteadyState { after_msgs: 20 },
+        }],
+        ..FaultPlan::default()
+    };
+    let mut pulled = 0u64;
+    let workload = uniform_workload(2000, 100).into_iter().inspect(|_| pulled += 1);
+    match try_run_topology(&cfg, workload) {
+        Err(RunError::ExecutorFailed { name, .. }) => assert_eq!(name, "join-R-0"),
+        other => {
+            panic!("expected join-R-0 to fail the run, got {:?}", other.map(|r| r.results_total))
+        }
+    }
+    assert!(pulled < 400_000, "the spout fed the whole input to a failed run");
 }
