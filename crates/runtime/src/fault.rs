@@ -235,17 +235,12 @@ impl KillSwitch {
     /// matches the armed phase would be processed.
     pub fn should_crash(&mut self, msg: &RtMsg) -> bool {
         // Steady-state progress is counted in *tuples*, not channel
-        // messages, so a batched run crashes at the same point in the
-        // stream as its unbatched twin (a batch itself is a valid crash
-        // point: fail-stop at a message boundary retries the whole batch).
+        // messages, so a run crashes at the same point in the stream at
+        // every batch size (a batch itself is a valid crash point:
+        // fail-stop at a message boundary retries the whole batch).
         self.msgs_seen += match msg {
-            RtMsg::DataBatch(tuples) => tuples.len() as u64,
-            RtMsg::ProbeBatch(entries) => entries.len() as u64,
-            RtMsg::Inst(_)
-            | RtMsg::Probe(..)
-            | RtMsg::ProbeHandoff(_)
-            | RtMsg::ReportRequest
-            | RtMsg::Eos => 1,
+            RtMsg::Data(items) => items.len() as u64,
+            RtMsg::Inst(_) | RtMsg::ProbeHandoff(_) | RtMsg::ReportRequest | RtMsg::Eos => 1,
         };
         let Some(phase) = self.phase else { return false };
         let fire = match phase {
@@ -305,34 +300,34 @@ impl ControlKillSwitch {
     }
 }
 
-/// Splits a batched data-plane message into its scalar equivalents, in
+/// Splits a data message of several items into one-item messages, in
 /// order, or returns any other message untouched. Installed on instance
-/// [`ChaosReceiver`]s so chaos perturbs at *tuple* granularity: a batched
-/// run exposes the same per-tuple fault space (delays between any two
-/// tuples) as the unbatched message stream the chaos seed matrix was
-/// calibrated against.
+/// [`ChaosReceiver`]s so chaos perturbs at *tuple* granularity: every
+/// batch size exposes the same per-tuple fault space (delays between any
+/// two tuples) the chaos seed matrix was calibrated against.
 ///
 /// # Errors
-/// The original message, when it is not a batch (nothing to split).
+/// The original message, when there is nothing to split: it is not a data
+/// message, or it carries at most one item. The receiver feeds split parts
+/// back through the splitter, so a one-item message must come back as
+/// `Err` or an active policy would split forever.
 pub fn split_rt_batches(msg: RtMsg) -> Result<Vec<RtMsg>, RtMsg> {
     match msg {
-        RtMsg::DataBatch(tuples) => {
-            Ok(tuples.into_iter().map(|t| RtMsg::Inst(InstanceMsg::Data(t))).collect())
+        RtMsg::Data(items) if items.len() > 1 => {
+            Ok(items.into_iter().map(|item| RtMsg::Data(vec![item])).collect())
         }
-        RtMsg::ProbeBatch(entries) => {
-            Ok(entries.into_iter().map(|(t, f)| RtMsg::Probe(t, f)).collect())
-        }
-        RtMsg::Inst(_)
-        | RtMsg::Probe(..)
+        RtMsg::Data(_)
+        | RtMsg::Inst(_)
         | RtMsg::ProbeHandoff(_)
         | RtMsg::ReportRequest
         | RtMsg::Eos => Err(msg),
     }
 }
 
-/// Splits a batch message into its scalar equivalents (`Ok`), or returns
-/// the message unsplit (`Err`) when it is not a batch. See
-/// [`split_rt_batches`] for the canonical implementation.
+/// Splits a batch message into one-item messages (`Ok`), or returns the
+/// message unsplit (`Err`) when there is nothing to split — which must
+/// include every part of an earlier split. See [`split_rt_batches`] for
+/// the canonical implementation.
 pub type BatchSplitter<T> = fn(T) -> Result<Vec<T>, T>;
 
 /// A receiver wrapped with seed-driven delay/drop/duplicate/reorder
@@ -345,7 +340,7 @@ pub struct ChaosReceiver<T: Clone> {
     rng: StdRng,
     eligible: fn(&T) -> bool,
     /// Optional batch splitter (see [`split_rt_batches`]): under an active
-    /// policy, incoming messages are split to their scalar equivalents so
+    /// policy, incoming messages are split into one-item messages so
     /// faults apply at tuple granularity. `Err` returns the message
     /// unsplit; `Ok` yields the parts in order.
     splitter: Option<BatchSplitter<T>>,
@@ -444,8 +439,9 @@ impl<T: Clone> ChaosReceiver<T> {
                 }
             };
             // Split batches before rolling any fault so chaos decisions
-            // are per tuple, exactly as in an unbatched run; each part
-            // re-enters the pipeline in order (FIFO preserved).
+            // are per tuple at every batch size; each part re-enters the
+            // pipeline in order (FIFO preserved) and comes back from the
+            // splitter as `Err` — a part has nothing left to split.
             let msg = match self.splitter.filter(|_| !self.policy.is_noop()) {
                 Some(split) => match split(msg) {
                     Ok(parts) => {
@@ -489,6 +485,7 @@ impl<T: Clone> ChaosReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::DataItem;
     use crossbeam::channel::unbounded;
 
     fn plan_with_seed(seed: u64) -> FaultPlan {
@@ -603,62 +600,85 @@ mod tests {
         assert!(ks.should_crash(&RtMsg::ReportRequest));
     }
 
+    /// A mixed store/probe message, payloads `0..n` in order.
+    fn mixed_msg(n: u64) -> RtMsg {
+        use fastjoin_core::tuple::Tuple;
+        RtMsg::Data(
+            (0..n)
+                .map(|i| match i % 2 {
+                    0 => DataItem::Store(Tuple::r(i, 0, i)),
+                    _ => DataItem::Probe(Tuple::s(i, 0, i), 2),
+                })
+                .collect(),
+        )
+    }
+
+    /// The payloads a data message carries, in order.
+    fn payloads(msg: &RtMsg) -> Vec<u64> {
+        match msg {
+            RtMsg::Data(items) => items.iter().map(|item| item.tuple().payload).collect(),
+            other => panic!("not a data message: {other:?}"),
+        }
+    }
+
     #[test]
     fn steady_state_counts_tuples_inside_batches() {
-        use fastjoin_core::tuple::Tuple;
         let mut ks = KillSwitch::new(Some(CrashPhase::SteadyState { after_msgs: 2 }));
-        // One 3-tuple batch crosses the threshold on its own.
-        let batch = RtMsg::DataBatch(vec![Tuple::r(1, 0, 0), Tuple::r(2, 0, 0), Tuple::r(3, 0, 0)]);
+        // One mixed 3-item message crosses the threshold on its own.
+        let batch = mixed_msg(3);
         assert!(ks.should_crash(&batch), "3 tuples > after_msgs = 2");
         assert!(!ks.should_crash(&batch), "single fire");
     }
 
     #[test]
-    fn split_rt_batches_yields_scalar_equivalents_in_order() {
-        use fastjoin_core::tuple::Tuple;
-        let parts = split_rt_batches(RtMsg::ProbeBatch(vec![
-            (Tuple::r(1, 0, 10), 2),
-            (Tuple::s(2, 0, 11), 3),
-        ]))
-        .expect("batches split");
-        match parts.as_slice() {
-            [RtMsg::Probe(t0, 2), RtMsg::Probe(t1, 3)] => {
-                assert_eq!(t0.payload, 10);
-                assert_eq!(t1.payload, 11);
-            }
-            other => panic!("unexpected split: {other:?}"),
+    fn split_rt_batches_yields_one_item_messages_in_order() {
+        let parts = split_rt_batches(mixed_msg(4)).expect("a 4-item message splits");
+        assert_eq!(parts.len(), 4);
+        for (i, part) in parts.iter().enumerate() {
+            assert_eq!(payloads(part), vec![i as u64]);
         }
-        assert!(split_rt_batches(RtMsg::ReportRequest).is_err(), "non-batches pass through");
+        assert!(
+            matches!(parts.as_slice(), [RtMsg::Data(a), RtMsg::Data(b), ..]
+                if matches!(a.as_slice(), [DataItem::Store(_)])
+                    && matches!(b.as_slice(), [DataItem::Probe(_, 2)])),
+            "items keep their kind and fan-out: {parts:?}"
+        );
+        // Nothing to split: a part of a split, and any non-data message.
+        assert!(split_rt_batches(mixed_msg(1)).is_err(), "a one-item message must not re-split");
+        assert!(split_rt_batches(RtMsg::ReportRequest).is_err(), "non-data passes through");
     }
 
+    /// An active policy delivers a 3-item message as three one-item
+    /// messages and then runs dry. A splitter that re-split its own parts
+    /// would spin inside the first `recv_timeout` forever — this test
+    /// fails by hanging there.
     #[test]
-    fn splitter_unpacks_batches_under_an_active_policy() {
-        use fastjoin_core::tuple::Tuple;
+    fn splitter_unpacks_batches_once_under_an_active_policy() {
         let (tx, rx) = unbounded::<RtMsg>();
         // Delay-only policy (what instance inboxes get): non-noop, FIFO.
         let policy = ChaosPolicy { delay_1_in: 1000, delay_max_us: 1, ..Default::default() };
         let mut chaos = ChaosReceiver::new(rx, policy, plan_with_seed(3).rng_for(9), |_| false)
             .with_splitter(split_rt_batches);
-        tx.send(RtMsg::DataBatch(vec![Tuple::r(1, 0, 0), Tuple::r(2, 0, 1)])).unwrap();
-        tx.send(RtMsg::Eos).unwrap();
-        let a = chaos.recv_timeout(Duration::from_secs(1)).unwrap();
-        let b = chaos.recv_timeout(Duration::from_secs(1)).unwrap();
-        let c = chaos.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert!(matches!(a, RtMsg::Inst(InstanceMsg::Data(t)) if t.payload == 0));
-        assert!(matches!(b, RtMsg::Inst(InstanceMsg::Data(t)) if t.payload == 1));
-        assert!(matches!(c, RtMsg::Eos));
+        tx.send(mixed_msg(3)).unwrap();
+        for i in 0..3 {
+            let part = chaos.recv_timeout(Duration::from_secs(1)).unwrap();
+            assert_eq!(payloads(&part), vec![i]);
+        }
+        assert!(matches!(
+            chaos.recv_timeout(Duration::from_millis(10)),
+            Err(crossbeam::channel::RecvTimeoutError::Timeout)
+        ));
     }
 
     #[test]
     fn splitter_is_bypassed_when_the_policy_is_noop() {
-        use fastjoin_core::tuple::Tuple;
         let (tx, rx) = unbounded::<RtMsg>();
         let mut chaos =
             ChaosReceiver::new(rx, ChaosPolicy::default(), plan_with_seed(3).rng_for(9), |_| false)
                 .with_splitter(split_rt_batches);
-        tx.send(RtMsg::DataBatch(vec![Tuple::r(1, 0, 0), Tuple::r(2, 0, 1)])).unwrap();
+        tx.send(mixed_msg(2)).unwrap();
         let m = chaos.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert!(matches!(m, RtMsg::DataBatch(b) if b.len() == 2), "no policy, no split");
+        assert_eq!(payloads(&m), vec![0, 1], "no policy, no split");
     }
 
     #[test]

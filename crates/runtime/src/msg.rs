@@ -5,16 +5,41 @@
 //! gives the per-channel ordering the migration protocol requires (the
 //! same property Storm gives messages between two bolts).
 //!
-//! Data-plane messages come in scalar and batched forms
-//! ([`RtMsg::Probe`]/[`RtMsg::ProbeBatch`], `Data`/[`RtMsg::DataBatch`],
-//! [`SpoutMsg::Ingest`]/[`SpoutMsg::IngestBatch`]). A batch is
-//! *defined* as equivalent to that many consecutive scalar messages on the
-//! same channel — every consumer (executors, kill switches, chaos
-//! receivers, checkpoints) must preserve that equivalence, which is what
-//! lets the migration protocol ignore batching entirely.
+//! Each data hop has one message form: [`SpoutMsg::Data`] carries a run of
+//! spout tuples to a shard, [`RtMsg::Data`] carries a destination's pending
+//! queue — store and probe tuples interleaved in arrival order
+//! ([`DataItem`]) — to an instance. A message of n items *means* n
+//! consecutive one-item messages on the same channel; every consumer
+//! (executors, kill switches, chaos receivers, checkpoints) preserves that
+//! equivalence, which is what lets the migration protocol ignore batching
+//! entirely.
 
 use fastjoin_core::load::InstanceLoad;
 use fastjoin_core::protocol::{InstanceMsg, MigrationDone, RouteRequest};
+use fastjoin_core::tuple::Tuple;
+
+/// One data-plane tuple on the shard → instance edge: what a shard queues
+/// per destination and what [`RtMsg::Data`] carries.
+#[derive(Debug, Clone, Copy)]
+pub enum DataItem {
+    /// A tuple stored at the destination.
+    Store(Tuple),
+    /// A tuple probing the destination, with its dispatch fan-out (how
+    /// many instances received it). The join of the original tuple
+    /// completes when all fan-out parts complete — the straggler penalty
+    /// of broadcast-style strategies.
+    Probe(Tuple, u32),
+}
+
+impl DataItem {
+    /// The tuple, whichever way it is headed.
+    #[must_use]
+    pub fn tuple(&self) -> &Tuple {
+        match self {
+            DataItem::Store(t) | DataItem::Probe(t, _) => t,
+        }
+    }
+}
 
 /// Input to a join-instance executor.
 ///
@@ -24,24 +49,13 @@ use fastjoin_core::protocol::{InstanceMsg, MigrationDone, RouteRequest};
 /// log that recovery re-feeds (see `topology::instance`).
 #[derive(Debug, Clone)]
 pub enum RtMsg {
-    /// A core protocol message (data or migration control).
+    /// A migration-protocol message from a peer instance or the sequencer.
     Inst(InstanceMsg),
-    /// A probe-side tuple with its dispatch fan-out (how many instances
-    /// received it). The join of the original tuple completes when all
-    /// fan-out parts complete — the straggler penalty of broadcast-style
-    /// strategies.
-    Probe(fastjoin_core::tuple::Tuple, u32),
-    /// A run of store-side tuples for this instance, shipped as one
-    /// message — equivalent to that many consecutive
-    /// [`InstanceMsg::Data`] messages. The dispatcher accumulates
-    /// per-destination runs (see `RuntimeConfig::batch_size`) to amortize
-    /// per-message channel overhead; flushes preserve the per-channel
-    /// arrival order, so batching is invisible to the protocol.
-    DataBatch(Vec<fastjoin_core::tuple::Tuple>),
-    /// A run of probe-side tuples with their dispatch fan-outs, shipped as
-    /// one message — the batched form of [`RtMsg::Probe`], with the same
-    /// ordering guarantee as [`RtMsg::DataBatch`].
-    ProbeBatch(Vec<(fastjoin_core::tuple::Tuple, u32)>),
+    /// One flush of a shard's pending queue for this instance: up to
+    /// `RuntimeConfig::batch_size` store and probe tuples in the order the
+    /// shard routed them. The queue itself is the message body, so
+    /// batching cannot reorder a channel and is invisible to the protocol.
+    Data(Vec<DataItem>),
     /// Fan-out entries `(seq, fanout)` for probe tuples a migration source
     /// is about to forward in a `MigForward`. Sent on the same
     /// source → target channel *immediately before* the `MigForward`, so
@@ -62,14 +76,12 @@ pub enum RtMsg {
 /// key hash).
 #[derive(Debug)]
 pub enum SpoutMsg {
-    /// A raw tuple from a spout. Event time (`ts`) is stamped by the
-    /// spout at pacing time, *before* any batching, so inter-tuple gaps
-    /// survive into the stream's event time.
-    Ingest(fastjoin_core::tuple::Tuple),
-    /// A run of spout tuples accumulated up to `RuntimeConfig::batch_size`
-    /// before crossing the spout → shard channel; equivalent to that many
-    /// consecutive [`SpoutMsg::Ingest`] messages.
-    IngestBatch(Vec<fastjoin_core::tuple::Tuple>),
+    /// A run of raw spout tuples, accumulated up to
+    /// `RuntimeConfig::batch_size` before crossing the spout → shard
+    /// channel. Event time (`ts`) is stamped by the spout at pacing time,
+    /// *before* any batching, so inter-tuple gaps survive into the
+    /// stream's event time.
+    Data(Vec<Tuple>),
     /// The spout is done: flush everything pending and report
     /// [`ShardNote::Eos`] to the sequencer, which forwards EOS to every
     /// instance once all shards have reported.
@@ -210,12 +222,14 @@ pub struct ProbeRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastjoin_core::tuple::Tuple;
 
     #[test]
     fn messages_are_constructible_and_debuggable() {
-        let m = RtMsg::Inst(InstanceMsg::Data(Tuple::r(1, 2, 3)));
-        assert!(format!("{m:?}").contains("Data"));
+        let m = RtMsg::Data(vec![
+            DataItem::Store(Tuple::r(1, 2, 3)),
+            DataItem::Probe(Tuple::s(1, 2, 4), 2),
+        ]);
+        assert!(format!("{m:?}").contains("Probe"));
         let d = SpoutMsg::Eos;
         assert!(format!("{d:?}").contains("Eos"));
         let r = ProbeRecord { matches: 3, latency_us: 10, done_us: 0 };

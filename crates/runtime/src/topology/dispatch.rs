@@ -13,9 +13,9 @@
 //!   flip's `RouteUpdated` only once every shard acknowledged — so the
 //!   batched, sharded channels carry no control message ahead of data
 //!   routed under the table it supersedes;
-//! * flushes ship maximal same-kind runs as one `DataBatch`/`ProbeBatch`
-//!   message, and single-item runs as the scalar variants — `batch_size
-//!   = 1` reproduces the unbatched message stream exactly.
+//! * a flush ships the destination's queue itself — stores and probes
+//!   interleaved as they were routed — as one [`RtMsg::Data`], so a
+//!   channel carries exactly the order the shard routed in.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,24 +38,16 @@ use lintmarks::lint;
 use super::supervise::{Executor, Pulse};
 use super::{CollectorMsg, RuntimeConfig, CTRL_TICK, DISPATCH_TICK, EXECUTOR_TICK};
 use crate::fault::ControlKillSwitch;
-use crate::msg::{DispatcherMsg, MonitorMsg, RtMsg, ShardCtrl, ShardNote, SpoutMsg};
+use crate::msg::{DataItem, DispatcherMsg, MonitorMsg, RtMsg, ShardCtrl, ShardNote, SpoutMsg};
 
 /// Senders to every instance inbox: `[R group, S group]`.
 pub(super) type InstanceTxs = [Vec<Sender<RtMsg>>; 2];
-
-/// One queued data-plane item awaiting flush to a destination.
-enum PendingItem {
-    /// A tuple stored at the destination.
-    Store(Tuple),
-    /// A tuple probing the destination, with its dispatch fan-out.
-    Probe(Tuple, u32),
-}
 
 /// A destination's accumulation buffer. Store and probe tuples share one
 /// ordered queue so their relative arrival order survives batching.
 #[derive(Default)]
 struct PendingBatch {
-    items: Vec<PendingItem>,
+    items: Vec<DataItem>,
     /// `now_us` when the oldest queued item was enqueued (deadline flush).
     oldest_us: u64,
 }
@@ -171,10 +163,10 @@ impl Shard {
         self.reg.counter_add("probe_copies", u64::from(fanout));
         let now = self.pulse.now_us();
         let store_dest = self.scratch.store_dest;
-        self.enqueue(own, store_dest, PendingItem::Store(t), now);
+        self.enqueue(own, store_dest, DataItem::Store(t), now);
         let dests = std::mem::take(&mut self.scratch.probe_dests);
         for &d in &dests {
-            self.enqueue(opp, d, PendingItem::Probe(t, fanout), now);
+            self.enqueue(opp, d, DataItem::Probe(t, fanout), now);
         }
         self.scratch.probe_dests = dests;
         self.ring.push_sampled(TraceEvent {
@@ -188,7 +180,7 @@ impl Shard {
         });
     }
 
-    fn enqueue(&mut self, group: usize, dest: usize, item: PendingItem, now: u64) {
+    fn enqueue(&mut self, group: usize, dest: usize, item: DataItem, now: u64) {
         // lint:allow(partitioner contract: routes are < instances())
         let q = &mut self.pending[group][dest];
         if q.items.is_empty() {
@@ -200,9 +192,7 @@ impl Shard {
         }
     }
 
-    /// Ships a destination's pending items in arrival order: maximal
-    /// same-kind runs leave as one batch message, single-item runs as the
-    /// scalar variants.
+    /// Ships a destination's pending queue, as it is, in one message.
     fn flush_dest(&mut self, group: usize, dest: usize) {
         // lint:allow(callers pass destinations that exist by construction)
         let items = std::mem::take(&mut self.pending[group][dest].items);
@@ -211,33 +201,16 @@ impl Shard {
         }
         let flushed_at = self.pulse.now_us();
         for item in &items {
-            let ts = match item {
-                PendingItem::Store(t) | PendingItem::Probe(t, _) => t.ts,
-            };
             // Per-tuple dispatch attribution: spout stamp → flush (covers
             // spout-batch residency, queue wait, and batching delay).
-            self.reg.histogram_record("stage.dispatch_us", flushed_at.saturating_sub(ts));
+            self.reg
+                .histogram_record("stage.dispatch_us", flushed_at.saturating_sub(item.tuple().ts));
         }
+        // One per flush: (tuples_ingested + probe_copies) / batches_flushed
+        // is the batch fill.
+        self.reg.counter_add("batches_flushed", 1);
         let tx = &self.links.inst_txs[group][dest]; // lint:allow(callers pass destinations that exist by construction)
-        let (pulse, parked) = (&self.pulse, &mut self.sends_parked);
-        let store = |t| RtMsg::Inst(InstanceMsg::Data(t));
-        let probe = |(t, f)| RtMsg::Probe(t, f);
-        let mut stores: Vec<Tuple> = Vec::new();
-        let mut probes: Vec<(Tuple, u32)> = Vec::new();
-        for item in items {
-            match item {
-                PendingItem::Store(t) => {
-                    ship((pulse, tx, parked), &mut probes, probe, RtMsg::ProbeBatch);
-                    stores.push(t);
-                }
-                PendingItem::Probe(t, f) => {
-                    ship((pulse, tx, parked), &mut stores, store, RtMsg::DataBatch);
-                    probes.push((t, f));
-                }
-            }
-        }
-        ship((pulse, tx, parked), &mut stores, store, RtMsg::DataBatch);
-        ship((pulse, tx, parked), &mut probes, probe, RtMsg::ProbeBatch);
+        let _ = self.pulse.send(tx, RtMsg::Data(items), &mut self.sends_parked);
     }
 
     /// Flushes every destination whose oldest pending tuple has waited
@@ -270,8 +243,7 @@ impl Shard {
     /// end-of-stream marker.
     fn on_data(&mut self, msg: SpoutMsg) -> bool {
         match msg {
-            SpoutMsg::Ingest(t) => self.ingest(t),
-            SpoutMsg::IngestBatch(tuples) => {
+            SpoutMsg::Data(tuples) => {
                 for t in tuples {
                     self.ingest(t);
                 }
@@ -319,24 +291,6 @@ impl Shard {
             }
             InstallVerdict::Superseded => self.reg.counter_add("snapshots_superseded", 1),
         }
-    }
-}
-
-/// Ships one same-kind run in a single message: a lone item as its
-/// scalar variant (`one`), a longer run as a batch (`many`).
-fn ship<T>(
-    (pulse, tx, parked): (&Pulse, &Sender<RtMsg>, &mut u64),
-    run: &mut Vec<T>,
-    one: fn(T) -> RtMsg,
-    many: fn(Vec<T>) -> RtMsg,
-) {
-    let msg = match run.len() {
-        0 => return,
-        1 => run.pop().map(one),
-        _ => Some(many(std::mem::take(run))),
-    };
-    if let Some(msg) = msg {
-        let _ = pulse.send(tx, msg, parked);
     }
 }
 
@@ -886,6 +840,27 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(5)).unwrap_or_else(|e| panic!("{what}: {e}"))
     }
 
+    /// One spout tuple as the spout ships it at `batch_size = 1`.
+    fn one(t: Tuple) -> SpoutMsg {
+        SpoutMsg::Data(vec![t])
+    }
+
+    /// The tuples a message delivers for storing (none for non-data).
+    fn stores(msg: &RtMsg) -> Vec<Tuple> {
+        match msg {
+            RtMsg::Data(items) => items
+                .iter()
+                .filter_map(|item| match item {
+                    DataItem::Store(t) => Some(*t),
+                    DataItem::Probe(..) => None,
+                })
+                .collect(),
+            RtMsg::Inst(_) | RtMsg::ProbeHandoff(_) | RtMsg::ReportRequest | RtMsg::Eos => {
+                Vec::new()
+            }
+        }
+    }
+
     fn shutdown(h: Harness) {
         drop(h.data_txs);
         drop(h.ctrl_tx);
@@ -962,7 +937,7 @@ mod tests {
         // mid-data, while control and more data queue up.
         h.extra_txs[0][0].send(RtMsg::ReportRequest).expect("pre-fill");
         h.extra_txs[0][0].send(RtMsg::ReportRequest).expect("pre-fill");
-        h.data_txs[0].send(SpoutMsg::Ingest(Tuple::r(k_a, 0, 100))).expect("t1");
+        h.data_txs[0].send(one(Tuple::r(k_a, 0, 100))).expect("t1");
         // Give the shard time to park on the full inbox before the
         // control messages and the second tuple are enqueued.
         thread::sleep(Duration::from_millis(50));
@@ -975,15 +950,14 @@ mod tests {
             assert!(table.stage_route(Side::R, &req));
             h.publish_txs[0].send(ShardCtrl::Publish(table.route_snapshot(epoch))).expect("flip");
         }
-        h.data_txs[0].send(SpoutMsg::Ingest(Tuple::r(k_b, 0, 200))).expect("t2");
+        h.data_txs[0].send(one(Tuple::r(k_b, 0, 200))).expect("t2");
         h.data_txs[0].send(SpoutMsg::Eos).expect("eos");
         let stores_until_eos = |rx: &Receiver<RtMsg>| {
             let mut payloads = Vec::new();
             loop {
                 match recv(rx, "group-0 stream") {
                     RtMsg::Eos => return payloads,
-                    RtMsg::Inst(InstanceMsg::Data(t)) => payloads.push(t.payload),
-                    _ => {}
+                    m => payloads.extend(stores(&m).iter().map(|t| t.payload)),
                 }
             }
         };
@@ -1000,48 +974,54 @@ mod tests {
         shutdown(h);
     }
 
-    /// Batched dispatch ships per-destination runs as batch messages while
-    /// preserving arrival order and per-tuple identity (seq, fan-out).
+    /// A flush ships the destination's queue as one message: an interleaved
+    /// R/S input to a single destination arrives in ⌈n / batch_size⌉
+    /// messages (the last one the EOS remainder), stores and probes mixed
+    /// in arrival order, with per-tuple identity (seq, fan-out) intact.
     #[test]
-    fn flushes_ship_ordered_runs_as_batches() {
+    fn a_flush_ships_the_interleaved_queue_as_one_message() {
+        // n = 1 instance per group: every R tuple is stored at inst[0][0]
+        // and probes inst[1][0]; every S tuple the other way round. So
+        // inst[0][0] sees R stores and S probes interleaved.
         let h = spawn_sharded(1, 1, 64, 4);
-        let tuples: Vec<Tuple> = (0..10).map(|i| Tuple::r(i, 0, i)).collect();
-        h.data_txs[0].send(SpoutMsg::IngestBatch(tuples)).expect("batch");
+        let input: Vec<Tuple> = (0..10)
+            .map(|i| if i % 2 == 0 { Tuple::r(i, 0, i) } else { Tuple::s(i, 0, i) })
+            .collect();
+        h.data_txs[0].send(SpoutMsg::Data(input)).expect("batch");
         h.data_txs[0].send(SpoutMsg::Eos).expect("eos");
-        let mut stored = Vec::new();
-        let mut data_batches = 0;
-        loop {
-            match recv(&h.rxs[0][0], "store stream") {
-                RtMsg::Inst(InstanceMsg::Data(t)) => stored.push(t),
-                RtMsg::DataBatch(b) => {
-                    data_batches += 1;
-                    stored.extend(b);
+        for (g, store_side) in [(0, Side::R), (1, Side::S)] {
+            let mut sizes = Vec::new();
+            let mut items = Vec::new();
+            loop {
+                match recv(&h.rxs[g][0], "data stream") {
+                    RtMsg::Data(batch) => {
+                        sizes.push(batch.len());
+                        items.extend(batch);
+                    }
+                    RtMsg::Eos => break,
+                    other => panic!("unexpected on data channel: {other:?}"),
                 }
-                RtMsg::Eos => break,
-                other => panic!("unexpected on store channel: {other:?}"),
+            }
+            assert_eq!(sizes, vec![4, 4, 2], "group {g}: one message per flush");
+            assert_eq!(
+                items.iter().map(|item| item.tuple().payload).collect::<Vec<_>>(),
+                (0..10).collect::<Vec<_>>(),
+                "group {g}: arrival order"
+            );
+            assert!(
+                items.windows(2).all(|w| w[0].tuple().seq < w[1].tuple().seq),
+                "group {g}: dispatch seqs stay ordered"
+            );
+            for item in &items {
+                match item {
+                    DataItem::Store(t) => assert_eq!(t.side, store_side, "group {g} stores"),
+                    DataItem::Probe(t, fanout) => {
+                        assert_eq!(t.side, store_side.opposite(), "group {g} probes");
+                        assert_eq!(*fanout, 1, "n = 1: every probe has fan-out 1");
+                    }
+                }
             }
         }
-        assert_eq!(
-            stored.iter().map(|t| t.payload).collect::<Vec<_>>(),
-            (0..10).collect::<Vec<_>>()
-        );
-        assert!(data_batches >= 2, "10 tuples at batch 4 must ship in batch messages");
-        assert!(stored.windows(2).all(|w| w[0].seq < w[1].seq), "dispatch seqs stay ordered");
-        let mut probed = Vec::new();
-        loop {
-            match recv(&h.rxs[1][0], "probe stream") {
-                RtMsg::Probe(t, f) => probed.push((t, f)),
-                RtMsg::ProbeBatch(b) => probed.extend(b),
-                RtMsg::Eos => break,
-                other => panic!("unexpected on probe channel: {other:?}"),
-            }
-        }
-        assert_eq!(probed.len(), 10);
-        assert!(probed.iter().all(|(_, f)| *f == 1), "n = 1: every probe has fan-out 1");
-        assert_eq!(
-            probed.iter().map(|(t, _)| t.payload).collect::<Vec<_>>(),
-            (0..10).collect::<Vec<_>>()
-        );
         shutdown(h);
     }
 
@@ -1069,11 +1049,11 @@ mod tests {
         for _ in 0..cap {
             h.extra_txs[0][1].send(RtMsg::ReportRequest).expect("pre-fill");
         }
-        h.data_txs[1].send(SpoutMsg::Ingest(Tuple::r(k_b, 0, 1))).expect("park shard 1");
+        h.data_txs[1].send(one(Tuple::r(k_b, 0, 1))).expect("park shard 1");
         // Shard 0's tuple flushes immediately (batch_size 1, free inbox).
-        h.data_txs[0].send(SpoutMsg::Ingest(Tuple::r(k_a, 0, 1))).expect("t via shard 0");
+        h.data_txs[0].send(one(Tuple::r(k_a, 0, 1))).expect("t via shard 0");
         assert!(
-            matches!(recv(&h.rxs[0][0], "shard 0 store"), RtMsg::Inst(InstanceMsg::Data(t)) if t.key == k_a),
+            matches!(stores(&recv(&h.rxs[0][0], "shard 0 store")).as_slice(), [t] if t.key == k_a),
             "shard 0's store reaches inst[0][0]"
         );
         // Give shard 1 ample time to dequeue its tuple and block in the
@@ -1093,13 +1073,15 @@ mod tests {
         let mut released = false;
         for _ in 0..(cap + 1) {
             match recv(&h.rxs[0][1], "parked inbox") {
-                RtMsg::Inst(InstanceMsg::Data(t)) => {
-                    assert_eq!(t.key, k_b);
+                RtMsg::ReportRequest => {}
+                m => {
+                    assert!(
+                        matches!(stores(&m).as_slice(), [t] if t.key == k_b),
+                        "unexpected in parked inbox: {m:?}"
+                    );
                     released = true;
                     break;
                 }
-                RtMsg::ReportRequest => {}
-                other => panic!("unexpected in parked inbox: {other:?}"),
             }
         }
         assert!(released, "shard 1's parked store must drain");
@@ -1143,7 +1125,7 @@ mod tests {
             "migrating flip commits"
         );
         for tx in &h.data_txs {
-            tx.send(SpoutMsg::Ingest(Tuple::r(k_a, 0, 2))).expect("post-flip tuple");
+            tx.send(one(Tuple::r(k_a, 0, 2))).expect("post-flip tuple");
         }
         for tx in &h.data_txs {
             tx.send(SpoutMsg::Eos).expect("eos");
@@ -1156,10 +1138,7 @@ mod tests {
                 loop {
                     match recv(rx, "drain to Eos") {
                         RtMsg::Eos => break,
-                        RtMsg::Inst(InstanceMsg::Data(t)) if t.payload == 2 => {
-                            row[i] += 1;
-                        }
-                        _ => {}
+                        m => row[i] += stores(&m).iter().filter(|t| t.payload == 2).count(),
                     }
                 }
             }

@@ -35,7 +35,7 @@ use super::supervise::{Executor, Pulse};
 use super::{executor_seed, CollectorMsg, RuntimeConfig, EXECUTOR_TICK, SEED_ROLE_SELECTOR};
 use crate::fault::{ChaosReceiver, KillSwitch};
 use crate::introspect::IntrospectionHub;
-use crate::msg::{DispatcherMsg, MonitorMsg, ProbeRecord, RtMsg};
+use crate::msg::{DataItem, DispatcherMsg, MonitorMsg, ProbeRecord, RtMsg};
 
 /// Hottest keys each instance publishes per introspection probe (the
 /// width of one skew-heatmap row).
@@ -201,15 +201,10 @@ impl InstanceState {
         ring.push(TraceEvent { at_us, actor, kind, seq: 0, epoch, aux, aux2 });
     }
 
-    /// Absorbs one data tuple (store- or probe-side) into the instance;
-    /// the work loop in [`InstanceState::step`] drains it.
+    /// Hands one protocol message (a data tuple, or migration control) to
+    /// the instance; the work loop in [`InstanceState::step`] drains what
+    /// it queues.
     fn absorb(&mut self, io: &InstanceIo, fx: &mut Effects, m: InstanceMsg) {
-        if let InstanceMsg::Data(t) = &m {
-            // Queue-wait attribution is per tuple (t.ts is the spout
-            // stamp; a whole batch waited equally).
-            self.reg
-                .histogram_record("stage.queue_wait_us", io.pulse.now_us().saturating_sub(t.ts));
-        }
         self.inst
             .handle(m, self.selector.as_mut(), io.fj.theta_gap, fx)
             // lint:allow(a protocol violation in the threaded runtime is unrecoverable)
@@ -300,22 +295,21 @@ impl InstanceState {
                     }
                 }
             }
-            RtMsg::Probe(t, fanout) => {
-                self.probe_fanout.insert(t.seq, *fanout);
-                self.absorb(io, fx, InstanceMsg::Data(*t));
-            }
-            // A batch is equivalent to that many consecutive scalar
-            // messages: it is absorbed whole here, then the shared work
-            // loop below drains its probes/stores with per-tuple sampling.
-            RtMsg::DataBatch(tuples) => {
-                for t in tuples {
-                    self.absorb(io, fx, InstanceMsg::Data(*t));
-                }
-            }
-            RtMsg::ProbeBatch(entries) => {
-                for (t, fanout) in entries {
-                    self.probe_fanout.insert(t.seq, *fanout);
-                    self.absorb(io, fx, InstanceMsg::Data(*t));
+            // The message is absorbed whole, in the shard's routing
+            // order (the instance tells store from probe by `tuple.side`);
+            // the work loop below then drains it with per-tuple sampling.
+            RtMsg::Data(items) => {
+                // One clock read: the whole message left the inbox now.
+                let received = now_us();
+                for item in items {
+                    if let DataItem::Probe(t, fanout) = item {
+                        self.probe_fanout.insert(t.seq, *fanout);
+                    }
+                    let t = *item.tuple();
+                    // Queue-wait attribution stays per tuple (t.ts is the
+                    // spout stamp).
+                    self.reg.histogram_record("stage.queue_wait_us", received.saturating_sub(t.ts));
+                    self.absorb(io, fx, InstanceMsg::Data(t));
                 }
             }
             RtMsg::ProbeHandoff(entries) => {

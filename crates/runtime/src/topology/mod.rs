@@ -5,12 +5,17 @@
 //! Executor-to-executor communication uses crossbeam channels; each join
 //! instance has exactly one input channel, so all messages it receives are
 //! FIFO per sender — the ordering contract the migration protocol needs.
-//! The *data* channel into each instance is bounded (Storm-style
-//! backpressure propagating to the spout); every *control* edge
-//! (instance → sequencer, instance → monitor, instance → collector,
-//! instance → instance, sequencer ↔ shard) is unbounded, which breaks the
-//! only potential wait-for cycle (a shard blocked on a full instance queue
-//! while that instance publishes a routing update).
+//! Each instance's one inbox is bounded (Storm-style backpressure
+//! propagating to the spout), and everything that writes to it — shards,
+//! the sequencer, the group's monitor and migration peers — parks on it
+//! when it is full. Every edge *out of* an instance other than the peer
+//! edge (instance → sequencer, instance → monitor, instance → collector)
+//! and sequencer ↔ shard is unbounded, which breaks the shard-side
+//! wait-for cycle (a shard blocked on a full instance queue while that
+//! instance publishes a routing update). The bounded instance → instance
+//! edge cannot close one either: a group runs one migration round at a
+//! time and the two directions of its source ↔ target edge are never in
+//! use together (ARCHITECTURE.md, "Backpressure").
 //!
 //! There is one dispatcher path: the spout shards tuples by key hash over
 //! [`RuntimeConfig::dispatcher_shards`] shard threads (one by default),
@@ -22,10 +27,10 @@
 //! # Data-plane batching
 //!
 //! The hot path is batched end to end: the spout accumulates up to
-//! [`RuntimeConfig::batch_size`] tuples per spout → shard message, and
-//! each shard accumulates per-destination runs flushed as
-//! [`RtMsg::DataBatch`]/[`RtMsg::ProbeBatch`] when a destination reaches
-//! `batch_size` or its oldest pending tuple ages past [`DISPATCH_TICK`].
+//! [`RuntimeConfig::batch_size`] tuples per [`SpoutMsg::Data`], and each
+//! shard keeps one arrival-ordered queue per destination and ships it
+//! whole as one [`RtMsg::Data`] when it reaches `batch_size` or its
+//! oldest tuple ages past [`DISPATCH_TICK`].
 //! The send-ordering discipline that keeps batching invisible to the
 //! migration protocol (enforced in `dispatch`, tested there, documented in
 //! ARCHITECTURE.md):
@@ -37,12 +42,13 @@
 //! 2. control messages never wait behind a full data channel *at the
 //!    sequencer's input* because instance → sequencer control stays
 //!    unbounded (no wait-for cycle);
-//! 3. batches are *equivalent to their scalar expansion* everywhere else:
+//! 3. a message of n items means n one-item messages (the rule in
+//!    [`crate::msg`]) everywhere else:
 //!    tuple-granularity crash points ([`crate::fault::KillSwitch`]),
-//!    chaos perturbation via batch splitting
+//!    chaos perturbation of one-item messages
 //!    ([`crate::fault::split_rt_batches`]), per-tuple `stage.*`
 //!    attribution, per-tuple trace sampling, and checkpoint/replay (the
-//!    replay log stores whole batches and replays them identically).
+//!    replay log stores whole messages and replays them identically).
 //!
 //! # Failure model & supervision
 //!
@@ -174,7 +180,10 @@ pub struct SupervisionConfig {
     /// 0 disables recovery.
     pub max_restarts: u32,
     /// Messages between instance checkpoints (bounds the replay log and
-    /// the store's undo journal).
+    /// the store's undo journal). A data message carries up to
+    /// [`RuntimeConfig::batch_size`] tuples, so at the defaults (64 × 64)
+    /// up to 4,096 tuples — a replay log of ≈ 200 KB per instance — lie
+    /// between two checkpoints.
     pub checkpoint_every: u64,
     /// Migration-round deadline in milliseconds; a round still awaiting
     /// its route flip past the deadline is aborted. 0 disables the
@@ -195,13 +204,15 @@ pub struct RuntimeConfig {
     pub system: SystemKind,
     /// Cluster configuration (instances, Θ, selector, window, …).
     pub fastjoin: FastJoinConfig,
-    /// Capacity of each instance's input channel (backpressure bound).
+    /// Backpressure bound: tuples in flight per instance inbox. An inbox
+    /// slot holds one message of up to `batch_size` tuples, so the inbox
+    /// has `queue_cap / batch_size` slots. (The spout → shard channels
+    /// have `queue_cap` slots.)
     pub queue_cap: usize,
-    /// Data-plane batch size: tuples accumulated per spout → shard
-    /// message and per shard → instance flush. 1 reproduces the
-    /// unbatched per-tuple message stream exactly; larger values amortize
-    /// per-message channel overhead at the cost of up to one
-    /// [`DISPATCH_TICK`] of added latency per tuple.
+    /// Data-plane batch size: tuples per spout → shard message and per
+    /// shard → instance flush (≥ 1). Larger values amortize per-message
+    /// channel overhead at the cost of up to one [`DISPATCH_TICK`] of
+    /// added latency per tuple.
     pub batch_size: usize,
     /// Dispatcher shard count (default 1). N shard threads route disjoint
     /// key ranges (`mix64(key) % N`, so both sides of any matching pair
@@ -270,16 +281,15 @@ impl RuntimeConfig {
             return Err("queue_cap must be ≥ 1 (channels are bounded)".into());
         }
         if self.batch_size == 0 {
-            return Err("batch_size must be ≥ 1 (1 = unbatched)".into());
+            return Err("batch_size must be ≥ 1".into());
         }
         if self.dispatcher_shards == 0 {
             return Err("dispatcher_shards must be ≥ 1".into());
         }
         if self.batch_size > self.queue_cap {
             return Err(format!(
-                "batch_size ({}) must not exceed queue_cap ({}): a full batch is one message, \
-                 but the spout fills batches tuple-by-tuple and a channel smaller than the \
-                 batch rate bound starves the dispatcher",
+                "batch_size ({}) must not exceed queue_cap ({}): queue_cap counts tuples in \
+                 flight per instance inbox, and an inbox needs room for at least one full batch",
                 self.batch_size, self.queue_cap
             ));
         }
@@ -471,7 +481,10 @@ fn wire(
     let mut inst_rxs: [Vec<Receiver<RtMsg>>; 2] = [Vec::new(), Vec::new()];
     for (txs, rxs) in inst_txs.iter_mut().zip(inst_rxs.iter_mut()) {
         for _ in 0..n {
-            let (tx, rx) = bounded::<RtMsg>(cfg.queue_cap);
+            // `queue_cap` counts tuples; a slot holds a message of up to
+            // `batch_size` of them (≥ 1 slot: `validate` checked
+            // batch_size ≤ queue_cap).
+            let (tx, rx) = bounded::<RtMsg>(cfg.queue_cap / cfg.batch_size);
             txs.push(tx);
             rxs.push(rx);
         }
@@ -540,9 +553,9 @@ fn wire(
                 delay_max_us: cfg.faults.instance_chaos.delay_max_us,
                 ..ChaosPolicy::default()
             };
-            // Chaos perturbs at tuple granularity: batches are split to
-            // their scalar equivalents first (only under an active policy
-            // — see `fault`).
+            // Chaos perturbs at tuple granularity: data messages are split
+            // into one-item messages first (only under an active policy —
+            // see `fault`).
             let rx = ChaosReceiver::new(rx, chaos, chaos_rng, |_| false)
                 .with_splitter(crate::fault::split_rt_batches);
             let side = if g == 0 { 'R' } else { 'S' };
@@ -653,15 +666,11 @@ impl Topology {
             let sh = (mix64(t.key) % shards as u64) as usize;
             // lint:allow(sh is mix64 % len by construction)
             let (tx, buf) = (&self.shard_txs[sh], &mut bufs[sh]);
-            let msg = if batch == 1 {
-                SpoutMsg::Ingest(t)
-            } else {
-                buf.push(t);
-                if buf.len() < batch {
-                    continue;
-                }
-                SpoutMsg::IngestBatch(std::mem::replace(buf, Vec::with_capacity(batch)))
-            };
+            buf.push(t);
+            if buf.len() < batch {
+                continue;
+            }
+            let msg = SpoutMsg::Data(std::mem::replace(buf, Vec::with_capacity(batch)));
             if tx.send(msg).is_err() {
                 // Shard gone mid-stream: the failure that killed it is in
                 // the collector queue; stop feeding and go diagnose.
@@ -681,7 +690,7 @@ impl Topology {
         }
         for (tx, buf) in self.shard_txs.iter().zip(bufs) {
             let len = buf.len() as u64;
-            if len > 0 && tx.send(SpoutMsg::IngestBatch(buf)).is_ok() {
+            if len > 0 && tx.send(SpoutMsg::Data(buf)).is_ok() {
                 ingested += len;
             }
         }

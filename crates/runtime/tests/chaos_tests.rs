@@ -79,9 +79,9 @@ fn chaos_cfg(faults: FaultPlan) -> RuntimeConfig {
     }
 }
 
-/// Same chaos tuning with data-plane batching enabled: batches are flushed
-/// at `batch` tuples (or the dispatch tick) and must stay indistinguishable
-/// from the scalar stream to the protocol and the oracle.
+/// Same chaos tuning with batches of `batch` tuples (flushed when full or
+/// at the dispatch tick): they must stay indistinguishable from batches of
+/// one to the protocol and the oracle.
 fn batched_cfg(faults: FaultPlan, batch: usize) -> RuntimeConfig {
     RuntimeConfig { batch_size: batch, ..chaos_cfg(faults) }
 }
@@ -256,7 +256,7 @@ fn crash_between_handoff_and_forward_keeps_the_probe_ledger_exact() {
 fn batched_fault_free_runs_match_oracle_across_batch_sizes() {
     // Batching must be invisible to the join: a mid-size batch, a batch
     // that never divides the stream evenly, and the default production
-    // size all have to reproduce the scalar-mode results exactly.
+    // size all have to reproduce the batches-of-one results exactly.
     for batch in [2usize, 7, 64] {
         for seed in 0..3u64 {
             let tuples = skewed_workload(seed, 8_000);
@@ -288,8 +288,8 @@ fn batched_crashes_at_every_protocol_phase_recover_exactly_once() {
 #[test]
 fn batched_channel_chaos_preserves_exactly_once() {
     // An active chaos policy makes the ChaosReceiver split every batch
-    // back into scalar messages before perturbing, so delay faults land at
-    // tuple granularity exactly as they do unbatched.
+    // into one-item messages before perturbing, so delay faults land at
+    // tuple granularity exactly as they do at batch size 1.
     for seed in 0..8u64 {
         let tuples = skewed_workload(seed, 6_000);
         let expected = oracle(&tuples);

@@ -165,7 +165,7 @@ fn migrated_probes_account_exactly_once() {
 fn batched_and_unbatched_runs_are_equivalent() {
     // Batching is a transport optimization: for every system, a batched
     // run must produce exactly the results, probe completions, and latency
-    // sample counts of the scalar run on the same workload.
+    // sample counts of the batches-of-one run on the same workload.
     let tuples = uniform_workload(9, 25);
     for system in [SystemKind::FastJoin, SystemKind::BiStream, SystemKind::Broadcast] {
         let scalar = {
@@ -173,17 +173,40 @@ fn batched_and_unbatched_runs_are_equivalent() {
             c.batch_size = 1;
             run_topology(&c, tuples.clone())
         };
-        let batched = {
-            let mut c = cfg(system, 4);
-            c.batch_size = 7; // never divides the runs evenly
-            run_topology(&c, tuples.clone())
-        };
-        assert_eq!(batched.tuples_ingested, scalar.tuples_ingested, "{system:?} ingest");
-        assert_eq!(batched.results_total, scalar.results_total, "{system:?} results");
-        assert_eq!(batched.probes_total, scalar.probes_total, "{system:?} probes");
-        assert_eq!(batched.latency.count(), scalar.latency.count(), "{system:?} latency samples");
-        assert_eq!(batched.registry.counter_sum("probe_fanout_leaked"), 0);
+        // 7 never divides the stream evenly; 64 is the default.
+        for batch in [7, 64] {
+            let batched = {
+                let mut c = cfg(system, 4);
+                c.batch_size = batch;
+                run_topology(&c, tuples.clone())
+            };
+            let label = format!("{system:?} batch {batch}");
+            assert_eq!(batched.tuples_ingested, scalar.tuples_ingested, "{label} ingest");
+            assert_eq!(batched.results_total, scalar.results_total, "{label} results");
+            assert_eq!(batched.probes_total, scalar.probes_total, "{label} probes");
+            assert_eq!(batched.latency.count(), scalar.latency.count(), "{label} latency samples");
+            assert_eq!(batched.registry.counter_sum("probe_fanout_leaked"), 0, "{label}");
+        }
     }
+}
+
+#[test]
+fn saturated_interleaved_run_ships_full_batches() {
+    // A shard → instance message is a destination's whole pending queue,
+    // stores and probes mixed. On an unthrottled R/S-interleaved stream the
+    // queues fill to `batch_size` long before the 1 ms deadline, so the
+    // batch fill — routed items per flush, readable from any report — sits
+    // near 64.
+    let mut c = cfg(SystemKind::BiStream, 4);
+    c.batch_size = 64;
+    let report = run_topology(&c, uniform_workload(2000, 20));
+    let reg = &report.registry;
+    let routed = reg.counter("dispatcher.tuples_ingested") + reg.counter("dispatcher.probe_copies");
+    let flushes = reg.counter("dispatcher.batches_flushed");
+    assert!(flushes > 0, "dispatcher.batches_flushed missing from the run registry");
+    assert_eq!(routed, 2 * 80_000, "one store and one probe per tuple");
+    let fill = routed as f64 / flushes as f64;
+    assert!(fill >= 32.0, "batch fill {fill:.1}: {routed} items in {flushes} messages");
 }
 
 #[test]

@@ -124,8 +124,11 @@ impl CostModel {
     /// tuples ride in batches of `batch_size`: the whole message costs
     /// `per_message` µs once, so each of its tuples carries
     /// `per_message / batch_size`. With `batch_size = 1` the tuple pays
-    /// the full overhead — the unbatched baseline the runtime bench
-    /// compares against. Sharding the dispatcher
+    /// the full overhead — the `batch_size = 1` baseline the runtime bench
+    /// compares against. The threaded runtime matches this model: a shard
+    /// ships a destination's whole pending queue, stores and probes mixed,
+    /// as one channel message, so on an interleaved stream a message does
+    /// carry ≈ `batch_size` tuples. Sharding the dispatcher
     /// ([`CostModel::dispatch_shards`]) amortizes the same overhead a
     /// second way: `N` shard threads pay for messages concurrently, so the
     /// serialized per-tuple share every tuple observes drops to

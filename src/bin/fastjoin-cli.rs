@@ -21,9 +21,9 @@
 //!                       [--batch-size N] [--channel-cap N]
 //!                       [--trace-out PATH] [--prom-out PATH]
 //!                       # observability smoke suite → BENCH_smoke.json;
-//!                       # includes a batched-vs-unbatched comparison and
-//!                       # fails if batching loses or a scenario blows the
-//!                       # wall-clock deadline
+//!                       # includes a batch-64 vs batch-1 comparison
+//!                       # (warns if batching loses) and fails if a
+//!                       # scenario blows the wall-clock deadline
 //! fastjoin-cli chaos    [--seeds N] [--tuples N] [--out PATH] [--class NAME]
 //!                       [--batch-size N] [--channel-cap N]
 //!                       [--trace-out PATH]
@@ -821,9 +821,9 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let tuples_n: u64 = args.get("tuples", 6_000)?;
     let out = args.get_str("out", "CHAOS_report.json");
     let only = args.flags.get("class").cloned();
-    // Data-plane knobs: CI runs the matrix once unbatched (`--batch-size
-    // 1`, the historical fault space) and once batched, so batch
-    // boundaries straddling protocol messages get the full seed sweep.
+    // Data-plane knobs: CI runs the matrix at `--batch-size 1` (the
+    // historical fault space), 8 and the default 64, so batch boundaries
+    // straddling protocol messages get the full seed sweep.
     let batch_size: usize = args.get("batch-size", 1)?;
     let channel_cap: usize = args.get("channel-cap", 256)?;
     let dispatcher_shards: usize = args.get("dispatcher-shards", 1)?;
@@ -831,7 +831,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         return Err("--dispatcher-shards must be ≥ 1".to_string());
     }
     if batch_size < 1 {
-        return Err(format!("--batch-size must be ≥ 1 (1 = unbatched), got {batch_size}"));
+        return Err(format!("--batch-size must be ≥ 1, got {batch_size}"));
     }
     if channel_cap < batch_size {
         return Err(format!(
@@ -1456,8 +1456,8 @@ fn usage() -> &'static str {
        --deadline-secs N   wall-clock deadline per scenario (default 120);\n\
                            breach exits non-zero\n\
        --batch-size N      data-plane batch size (default 64, must be >= 2);\n\
-                           compared against an unbatched twin, which must\n\
-                           be slower or the suite fails\n\
+                           compared against a --batch-size 1 twin; a\n\
+                           twin that is not slower prints a warning\n\
        --channel-cap N     bounded-channel capacity (default 256)\n\
        --dispatcher-shards N  shard count for the named scenarios\n\
                            (default 1); the shard-scaling section always\n\
