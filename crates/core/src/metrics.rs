@@ -401,6 +401,20 @@ impl MetricsRegistry {
         }
     }
 
+    /// The histogram `name`, created empty if needed. For callers that
+    /// record many values in a row: resolve the name once, then record
+    /// through the handle.
+    pub fn histogram_mut(&mut self, name: &str) -> &mut LogHistogram {
+        if !matches!(self.metrics.get(name), Some(MetricValue::Histogram(_))) {
+            self.metrics.insert(name.to_string(), MetricValue::Histogram(LogHistogram::new()));
+        }
+        match self.metrics.get_mut(name) {
+            Some(MetricValue::Histogram(h)) => h,
+            // lint:allow(the branch above just made `name` a histogram)
+            _ => unreachable!("{name} was just made a histogram"),
+        }
+    }
+
     /// Records `value` at time `ts` into the series `name`, creating it
     /// with bucket `period` if needed (an existing series keeps its own
     /// period).
@@ -746,6 +760,22 @@ mod tests {
         assert!(matches!(r.get("buffered"), Some(MetricValue::Gauge(v)) if *v == 7.0));
         assert!(matches!(r.get("depth"), Some(MetricValue::Series(s)) if s.len() == 2));
         assert_eq!(r.len(), 4);
+    }
+
+    #[test]
+    fn histogram_handle_records_into_the_named_histogram() {
+        let mut r = MetricsRegistry::new();
+        r.histogram_record("lat", 10);
+        let h = r.histogram_mut("lat");
+        h.record(20);
+        h.record(30);
+        assert!(matches!(r.get("lat"), Some(MetricValue::Histogram(h)) if h.count() == 3));
+        // Absent, or of another kind: replaced by an empty histogram, as
+        // `histogram_record` does.
+        r.counter_add("n", 1);
+        assert_eq!(r.histogram_mut("n").count(), 0);
+        assert_eq!(r.histogram_mut("fresh").count(), 0);
+        assert_eq!(r.len(), 3);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! (executors, kill switches, chaos receivers, checkpoints) preserves that
 //! equivalence, which is what lets the migration protocol ignore batching
 //! entirely.
+//!
+//! The result hop follows the same unit: an instance reports the probes
+//! one input message completed as one vector of [`ProbeReport`]s.
 
 use fastjoin_core::load::InstanceLoad;
 use fastjoin_core::protocol::{InstanceMsg, MigrationDone, RouteRequest};
@@ -206,16 +209,25 @@ pub enum MonitorMsg {
     },
 }
 
-/// Per-probe completion record sent to the collector.
+/// One completed probe part, as its instance reports it to the collector.
+/// An instance collects the reports of the probes one input message
+/// completes and ships them together (`CollectorMsg::Probes` in
+/// `topology`), so the collector edge carries one message per instance
+/// message, not one per probe.
 #[derive(Debug, Clone, Copy)]
-pub struct ProbeRecord {
-    /// Result pairs this probe emitted.
+pub struct ProbeReport {
+    /// Dispatch seq of the probing tuple (the collector's ledger key).
+    pub seq: u64,
+    /// How many instances received a copy of this probe; the probe is
+    /// complete when that many parts have reported.
+    pub fanout: u32,
+    /// Result pairs this part emitted.
     pub matches: u64,
-    /// Microseconds from ingest to completion.
+    /// Microseconds from ingest to this part's completion.
     pub latency_us: u64,
-    /// Wall-clock microseconds (runtime clock) when the probe finished at
-    /// the instance; the collector subtracts it from its own receive time
-    /// to attribute the emit stage (`stage.emit_us`). Zero means unknown.
+    /// Runtime-clock microseconds when the part finished at the instance;
+    /// the collector subtracts it from its own receive time to attribute
+    /// the emit stage (`stage.emit_us`).
     pub done_us: u64,
 }
 
@@ -232,7 +244,8 @@ mod tests {
         assert!(format!("{m:?}").contains("Probe"));
         let d = SpoutMsg::Eos;
         assert!(format!("{d:?}").contains("Eos"));
-        let r = ProbeRecord { matches: 3, latency_us: 10, done_us: 0 };
+        let r = ProbeReport { seq: 1, fanout: 2, matches: 3, latency_us: 10, done_us: 0 };
         assert_eq!(r.matches, 3);
+        assert_eq!(std::mem::size_of::<ProbeReport>(), 40);
     }
 }

@@ -110,6 +110,12 @@ pub(super) struct Shard {
     /// High-watermark of this shard's spout → shard data channel: the
     /// backpressure depth an operator sees live and in the report.
     q_hwm: u64,
+    /// Tuples routed and probe copies made (Σ fan-out) so far; reported as
+    /// `tuples_ingested` / `probe_copies`. Plain fields, not registry
+    /// entries, so the per-tuple path pays no name lookup — and, like the
+    /// registry, they survive a restart.
+    tuples_ingested: u64,
+    probe_copies: u64,
     resync: bool,
     saw_eos: bool,
 }
@@ -144,6 +150,8 @@ impl Shard {
             switch: ControlKillSwitch::new(cfg.faults.shard_crash(id)),
             sends_parked: 0,
             q_hwm: 0,
+            tuples_ingested: 0,
+            probe_copies: 0,
             resync: false,
             saw_eos: false,
         }
@@ -159,8 +167,8 @@ impl Shard {
         let own = t.side.index();
         let opp = t.side.opposite().index();
         let fanout = self.scratch.probe_dests.len() as u32;
-        self.reg.counter_add("tuples_ingested", 1);
-        self.reg.counter_add("probe_copies", u64::from(fanout));
+        self.tuples_ingested += 1;
+        self.probe_copies += u64::from(fanout);
         let now = self.pulse.now_us();
         let store_dest = self.scratch.store_dest;
         self.enqueue(own, store_dest, DataItem::Store(t), now);
@@ -180,6 +188,7 @@ impl Shard {
         });
     }
 
+    #[lint(hot_path)]
     fn enqueue(&mut self, group: usize, dest: usize, item: DataItem, now: u64) {
         // lint:allow(partitioner contract: routes are < instances())
         let q = &mut self.pending[group][dest];
@@ -200,11 +209,12 @@ impl Shard {
             return;
         }
         let flushed_at = self.pulse.now_us();
+        // Per-tuple dispatch attribution: spout stamp → flush (covers
+        // spout-batch residency, queue wait, and batching delay), under
+        // one name lookup per flush.
+        let dispatch_us = self.reg.histogram_mut("stage.dispatch_us");
         for item in &items {
-            // Per-tuple dispatch attribution: spout stamp → flush (covers
-            // spout-batch residency, queue wait, and batching delay).
-            self.reg
-                .histogram_record("stage.dispatch_us", flushed_at.saturating_sub(item.tuple().ts));
+            dispatch_us.record(flushed_at.saturating_sub(item.tuple().ts));
         }
         // One per flush: (tuples_ingested + probe_copies) / batches_flushed
         // is the batch fill.
@@ -383,6 +393,8 @@ impl Executor for Shard {
 
     fn finish(mut self, collector: &Sender<CollectorMsg>) {
         self.reg.counter_add("sends_parked", self.sends_parked);
+        self.reg.counter_add("tuples_ingested", self.tuples_ingested);
+        self.reg.counter_add("probe_copies", self.probe_copies);
         let _ = collector.send(CollectorMsg::DispatcherDone {
             registry: Box::new(self.reg),
             journal: Box::new(self.ring.into_journal()),

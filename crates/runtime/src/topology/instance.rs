@@ -16,6 +16,19 @@
 //! survives the restart, no queued message is lost, and because injected
 //! crashes are fail-stop at a message boundary the rebuilt state is
 //! exactly "everything before the crash message, nothing of it".
+//!
+//! A step works per message wherever the work is the same for every tuple
+//! of the message: the `stage.*` histograms are resolved by name once per
+//! message, and the reports of the probes a step completes leave together,
+//! as one [`CollectorMsg::Probes`] sent after the step's work loop. That
+//! report buffer lives in the [`Outbox`], outside the checkpointed state;
+//! it is filled only by live steps and emptied by recovery. An injected
+//! crash fires before the step, so nothing of its message was reported;
+//! an organic panic mid-step loses the unsent buffer, and the live
+//! re-processing of that message reports each of its probes exactly once.
+//! Sending each report as its probe completes would not give that: the
+//! reports that escaped before such a panic would be sent again by the
+//! re-processing and count twice in `probes_total` / `results_total`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,13 +42,14 @@ use fastjoin_core::protocol::{Effects, InstanceMsg, MigrationState};
 use fastjoin_core::selection::{make_selector, KeySelector};
 use fastjoin_core::telemetry::InstanceProbe;
 use fastjoin_core::trace::{Actor, TraceEvent, TraceKind, TraceRing};
-use fastjoin_core::tuple::{JoinedPair, Side};
+use fastjoin_core::tuple::{JoinedPair, Side, Tuple};
+use lintmarks::lint;
 
 use super::supervise::{Executor, Pulse};
 use super::{executor_seed, CollectorMsg, RuntimeConfig, EXECUTOR_TICK, SEED_ROLE_SELECTOR};
 use crate::fault::{ChaosReceiver, KillSwitch};
 use crate::introspect::IntrospectionHub;
-use crate::msg::{DataItem, DispatcherMsg, MonitorMsg, ProbeRecord, RtMsg};
+use crate::msg::{DataItem, DispatcherMsg, MonitorMsg, ProbeReport, RtMsg};
 
 /// Hottest keys each instance publishes per introspection probe (the
 /// width of one skew-heatmap row).
@@ -77,6 +91,31 @@ impl InstanceIo {
 
     fn actor(&self) -> Actor {
         Actor::instance(self.group as u8, self.id as u16)
+    }
+}
+
+/// What a step hands to the outside world, collected while it runs. Lives
+/// OUTSIDE the checkpointed [`InstanceState`]: nothing here is state to
+/// restore, and recovery empties it — whatever a panicked step left behind
+/// never escaped, and the step's message is re-processed from scratch.
+#[derive(Default)]
+struct Outbox {
+    fx: Effects,
+    /// Reports of the probes the current step completed. Filled only by
+    /// live steps (a replayed message's reports escaped before the crash)
+    /// and shipped as one message after the step's work loop.
+    reports: Vec<ProbeReport>,
+    /// The current step's `stage.probe_us` values, folded into the
+    /// registry under one name lookup after the work loop (the loop itself
+    /// needs the whole state mutably). Capacity is reused across steps.
+    probe_us: Vec<u64>,
+}
+
+impl Outbox {
+    fn clear(&mut self) {
+        self.fx.clear();
+        self.reports.clear();
+        self.probe_us.clear();
     }
 }
 
@@ -202,13 +241,39 @@ impl InstanceState {
     }
 
     /// Hands one protocol message (a data tuple, or migration control) to
-    /// the instance; the work loop in [`InstanceState::step`] drains what
-    /// it queues.
+    /// the instance; the work loop in [`InstanceState::drain_work`] drains
+    /// what it queues.
     fn absorb(&mut self, io: &InstanceIo, fx: &mut Effects, m: InstanceMsg) {
         self.inst
             .handle(m, self.selector.as_mut(), io.fj.theta_gap, fx)
             // lint:allow(a protocol violation in the threaded runtime is unrecoverable)
             .unwrap_or_else(|e| panic!("protocol violation: {e}"));
+    }
+
+    /// Absorbs one data message whole, in the shard's routing order (the
+    /// instance tells store from probe by `tuple.side`). The whole message
+    /// left the inbox now — one clock read — while queue-wait attribution
+    /// stays per tuple (`ts` is the spout stamp), under one name lookup.
+    #[lint(hot_path)]
+    fn absorb_items(&mut self, io: &InstanceIo, out: &mut Outbox, items: &[DataItem], live: bool) {
+        let received = io.pulse.now_us();
+        let mut probes = 0;
+        for item in items {
+            if let DataItem::Probe(t, fanout) = item {
+                self.probe_fanout.insert(t.seq, *fanout);
+                probes += 1;
+            }
+            self.absorb(io, &mut out.fx, InstanceMsg::Data(*item.tuple()));
+        }
+        if live {
+            // One allocation for the step's report vector, not a growth
+            // series: these probes complete in the work loop that follows.
+            out.reports.reserve(probes);
+        }
+        let queue_wait = self.reg.histogram_mut("stage.queue_wait_us");
+        for item in items {
+            queue_wait.record(received.saturating_sub(item.tuple().ts));
+        }
     }
 
     /// Processes one message end to end (message, effects, pending work).
@@ -219,7 +284,7 @@ impl InstanceState {
     fn step(
         &mut self,
         io: &InstanceIo,
-        fx: &mut Effects,
+        out: &mut Outbox,
         msg: &RtMsg,
         live: bool,
         qlen: usize,
@@ -274,7 +339,7 @@ impl InstanceState {
                 // The core instance consumes its message; the owned original
                 // stays parked for the replay log. Only rare migration
                 // messages carry a payload to copy.
-                self.absorb(io, fx, m.clone());
+                self.absorb(io, &mut out.fx, m.clone());
                 if let Some((epoch, src_load, dst_load, stats)) = plan_ctx {
                     if let MigrationState::Source { keys, .. } = self.inst.migration_state() {
                         let at = now_us();
@@ -295,23 +360,9 @@ impl InstanceState {
                     }
                 }
             }
-            // The message is absorbed whole, in the shard's routing
-            // order (the instance tells store from probe by `tuple.side`);
-            // the work loop below then drains it with per-tuple sampling.
-            RtMsg::Data(items) => {
-                // One clock read: the whole message left the inbox now.
-                let received = now_us();
-                for item in items {
-                    if let DataItem::Probe(t, fanout) = item {
-                        self.probe_fanout.insert(t.seq, *fanout);
-                    }
-                    let t = *item.tuple();
-                    // Queue-wait attribution stays per tuple (t.ts is the
-                    // spout stamp).
-                    self.reg.histogram_record("stage.queue_wait_us", received.saturating_sub(t.ts));
-                    self.absorb(io, fx, InstanceMsg::Data(t));
-                }
-            }
+            // The message is absorbed whole; the work loop below then
+            // drains it with per-tuple sampling.
+            RtMsg::Data(items) => self.absorb_items(io, out, items, live),
             RtMsg::ProbeHandoff(entries) => {
                 // Fan-outs of probes a migration source is about to forward
                 // to us; FIFO guarantees they precede the MigForward.
@@ -321,57 +372,71 @@ impl InstanceState {
             RtMsg::ReportRequest => self.report(io, live, qlen),
             RtMsg::Eos => self.eos = true,
         }
-        self.flush(io, fx, live);
-        // Process everything currently pending before taking new input.
-        let mut before = now_us();
-        while let Some(work) = self.inst.process_next(fx) {
-            let after = now_us();
-            match work {
+        self.flush(io, &mut out.fx, live);
+        self.drain_work(io, out, live, ring);
+        // One report message per instance message: `stage.emit_us` of a
+        // probe therefore covers the rest of the step that completed it.
+        if !out.reports.is_empty() {
+            let _ = io.collector.send(CollectorMsg::Probes(std::mem::take(&mut out.reports)));
+        }
+    }
+
+    /// Processes everything currently pending before new input is taken,
+    /// flushing effects after every tuple. Completed probes are closed out
+    /// per tuple ([`InstanceState::probe_done`]); their `stage.probe_us`
+    /// values are recorded under one name lookup for the whole step.
+    #[lint(hot_path)]
+    fn drain_work(&mut self, io: &InstanceIo, out: &mut Outbox, live: bool, ring: &mut TraceRing) {
+        let actor = io.actor();
+        let mut before = io.pulse.now_us();
+        while let Some(work) = self.inst.process_next(&mut out.fx) {
+            let after = io.pulse.now_us();
+            let (kind, tuple, matches) = match work {
                 Work::Probe { tuple, matches, .. } => {
-                    self.reg.histogram_record("stage.probe_us", after.saturating_sub(before));
-                    let fanout = self
-                        .probe_fanout
-                        .remove(&tuple.seq)
-                        // lint:allow(accounting invariant: the fan-out arrived with the probe or its hand-off; absence is the bug this layer fixes)
-                        .unwrap_or_else(|| panic!("probe {} has no fan-out entry", tuple.seq));
+                    out.probe_us.push(after.saturating_sub(before));
+                    let report = self.probe_done(&tuple, matches, after);
                     if live {
-                        ring.push_sampled(TraceEvent {
-                            at_us: after,
-                            actor,
-                            kind: TraceKind::ProbeDone,
-                            seq: tuple.seq,
-                            epoch: 0,
-                            aux: matches,
-                            aux2: 0,
-                        });
-                        let record = ProbeRecord {
-                            matches,
-                            latency_us: after.saturating_sub(tuple.ts),
-                            done_us: after,
-                        };
-                        let _ = io.collector.send(CollectorMsg::Probe {
-                            seq: tuple.seq,
-                            fanout,
-                            record,
-                        });
+                        out.reports.push(report);
                     }
+                    (TraceKind::ProbeDone, tuple, matches)
                 }
-                Work::Store { tuple } => {
-                    if live {
-                        ring.push_sampled(TraceEvent {
-                            at_us: after,
-                            actor,
-                            kind: TraceKind::StoreDone,
-                            seq: tuple.seq,
-                            epoch: 0,
-                            aux: 0,
-                            aux2: 0,
-                        });
-                    }
-                }
+                Work::Store { tuple } => (TraceKind::StoreDone, tuple, 0),
+            };
+            if live {
+                ring.push_sampled(TraceEvent {
+                    at_us: after,
+                    actor,
+                    kind,
+                    seq: tuple.seq,
+                    epoch: 0,
+                    aux: matches,
+                    aux2: 0,
+                });
             }
             before = after;
-            self.flush(io, fx, live);
+            self.flush(io, &mut out.fx, live);
+        }
+        if !out.probe_us.is_empty() {
+            let probe_us = self.reg.histogram_mut("stage.probe_us");
+            out.probe_us.drain(..).for_each(|us| probe_us.record(us));
+        }
+    }
+
+    /// Closes the books on one completed probe part: its fan-out entry is
+    /// consumed here, and what the collector needs travels in the report.
+    #[lint(hot_path)]
+    fn probe_done(&mut self, tuple: &Tuple, matches: u64, done_us: u64) -> ProbeReport {
+        let fanout = self
+            .probe_fanout
+            .remove(&tuple.seq)
+            // lint:allow(accounting invariant: the fan-out arrived with the probe or its hand-off; absence is the bug this layer fixes)
+            .unwrap_or_else(|| panic!("probe {} has no fan-out entry", tuple.seq));
+        ProbeReport {
+            seq: tuple.seq,
+            fanout,
+            matches,
+            latency_us: done_us.saturating_sub(tuple.ts),
+            done_us,
         }
     }
 
@@ -496,7 +561,7 @@ pub(super) struct InstanceExecutor {
     /// appear even though its state mutation was rolled back — the paired
     /// `FaultCrash` event marks exactly where to distrust.
     ring: TraceRing,
-    fx: Effects,
+    out: Outbox,
     /// Inbox-depth high watermark: survives checkpoint restores (it is a
     /// property of the channel, not of the replayable state).
     q_hwm: u64,
@@ -515,7 +580,7 @@ impl InstanceExecutor {
             state,
             log: Vec::new(),
             inflight: None,
-            fx: Effects::new(),
+            out: Outbox::default(),
             q_hwm: 0,
         }
     }
@@ -551,7 +616,7 @@ impl Executor for InstanceExecutor {
                     self.io.id
                 );
             }
-            self.state.step(&self.io, &mut self.fx, msg, true, qlen, &mut self.ring);
+            self.state.step(&self.io, &mut self.out, msg, true, qlen, &mut self.ring);
             self.log.extend(self.inflight.take());
             if self.log.len() as u64 >= self.checkpoint_every {
                 self.checkpoint = self.state.checkpoint();
@@ -560,20 +625,21 @@ impl Executor for InstanceExecutor {
         }
     }
 
-    /// Instance recovery: restore the checkpoint in place (the store rolls
-    /// back, the rest is overwritten), replay the log with sends
+    /// Instance recovery: empty the outbox (nothing in it escaped), restore
+    /// the checkpoint in place (the store rolls back, the rest is
+    /// overwritten), replay the log with sends and probe reports
     /// suppressed, re-process the in-flight message live. A replay can
     /// only re-panic on a genuine bug (deterministic protocol violation),
     /// which `supervise` treats as fatal.
     fn recover(&mut self, restarts: u32) {
         self.crash_event(TraceKind::FaultCrash, restarts);
-        self.fx.clear();
+        self.out.clear();
         self.state.restore(&self.checkpoint);
         for m in &self.log {
-            self.state.step(&self.io, &mut self.fx, m, false, 0, &mut self.ring);
+            self.state.step(&self.io, &mut self.out, m, false, 0, &mut self.ring);
         }
         if let Some(m) = self.inflight.take() {
-            self.state.step(&self.io, &mut self.fx, &m, true, 0, &mut self.ring);
+            self.state.step(&self.io, &mut self.out, &m, true, 0, &mut self.ring);
             self.log.push(m);
         }
         self.state.reg.counter_add("executor_restarts", 1);
@@ -600,5 +666,89 @@ impl Executor for InstanceExecutor {
             registry: std::mem::take(reg),
             journal: Box::new(self.ring.into_journal()),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::ChaosPolicy;
+    use crate::topology::supervise::Clock;
+    use crossbeam::channel::{unbounded, Receiver};
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::time::Instant;
+
+    /// One S-group instance wired by hand, with the collector's end of
+    /// its report channel.
+    fn executor() -> (InstanceExecutor, Receiver<CollectorMsg>) {
+        let cfg = RuntimeConfig::default();
+        let (_inbox_tx, inbox_rx) = unbounded::<RtMsg>();
+        let (disp_ctrl, _) = unbounded();
+        let (collector, collector_rx) = unbounded();
+        let io = InstanceIo {
+            group: 1,
+            id: 0,
+            fj: cfg.fastjoin.clone(),
+            sample_period_us: 1_000,
+            to_instances: Vec::new(),
+            to_monitor: None,
+            disp_ctrl,
+            collector,
+            results: None,
+            pulse: Pulse {
+                clock: Clock(Instant::now()),
+                hb: Arc::new(AtomicU64::new(0)),
+                kill: Arc::new(AtomicBool::new(false)),
+            },
+            hub: None,
+        };
+        let rx =
+            ChaosReceiver::new(inbox_rx, ChaosPolicy::default(), cfg.faults.rng_for(0), |_| false);
+        (InstanceExecutor::new(io, rx, &cfg), collector_rx)
+    }
+
+    fn reported_seqs(rx: &Receiver<CollectorMsg>) -> Vec<Vec<u64>> {
+        std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|m| {
+                let CollectorMsg::Probes(reports) = m else {
+                    panic!("only probe reports expected")
+                };
+                reports.iter().map(|r| r.seq).collect()
+            })
+            .collect()
+    }
+
+    /// An organic panic mid-step leaves the probes that step had already
+    /// completed in the outbox, unsent. Recovery must drop them: the live
+    /// re-processing of the in-flight message reports every one of its
+    /// probes itself, and the replayed log reports nothing.
+    #[test]
+    fn recovery_drops_a_torn_steps_reports_and_replays_silently() {
+        let (mut exec, collector_rx) = executor();
+        let probe = |seq| {
+            let mut t = Tuple::r(7, 0, seq);
+            t.seq = seq;
+            DataItem::Probe(t, 1)
+        };
+        // One message processed before the crash: reported then, logged.
+        let logged = RtMsg::Data(vec![probe(1), probe(2)]);
+        exec.state.step(&exec.io, &mut exec.out, &logged, true, 0, &mut exec.ring);
+        exec.log.push(logged);
+        assert_eq!(reported_seqs(&collector_rx), vec![vec![1, 2]]);
+        // The next one panicked after completing its first probe.
+        exec.inflight = Some(RtMsg::Data(vec![probe(3), probe(4)]));
+        exec.out.reports.push(ProbeReport {
+            seq: 3,
+            fanout: 1,
+            matches: 0,
+            latency_us: 0,
+            done_us: 0,
+        });
+        exec.out.probe_us.push(5);
+        exec.recover(1);
+        assert_eq!(reported_seqs(&collector_rx), vec![vec![3, 4]], "one report per probe");
+        let probe_us = exec.state.reg.histogram_mut("stage.probe_us").count();
+        assert_eq!(probe_us, 4, "one stage.probe_us sample per probe part");
+        assert!(exec.state.probe_fanout.is_empty());
     }
 }

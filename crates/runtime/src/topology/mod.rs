@@ -95,8 +95,15 @@
 //!
 //! The collector has no thread of its own. The spout thread absorbs the
 //! executors' reports between the batches it sends and, once the input
-//! has ended, until every executor has reported — so the unbounded
-//! collector queue holds what is in flight, never the whole run.
+//! has ended, until every executor has reported. An instance reports the
+//! probes one input message completed as one vector
+//! ([`CollectorMsg::Probes`]), so the collector edge carries one message
+//! per instance message. The edge is unbounded — the collector runs on
+//! the thread that feeds the pipeline, and a full bounded edge would close
+//! the cycle spout → shard → instance → collector → spout — and what
+//! bounds its queue is structural: reports outstanding ≤ probe parts in
+//! flight ≤ tuples the bounded data channels hold (ARCHITECTURE.md, "The
+//! collector rides the spout thread").
 
 mod dispatch;
 mod instance;
@@ -118,11 +125,12 @@ use fastjoin_core::metrics::{LogHistogram, MetricsRegistry, MigrationSpan, TimeS
 use fastjoin_core::monitor::{MigrationDecision, MonitorStats};
 use fastjoin_core::trace::{TraceConfig, TraceJournal};
 use fastjoin_core::tuple::{JoinedPair, Tuple};
+use lintmarks::lint;
 
 use crate::accounting::ProbeAccountant;
 use crate::fault::{ChaosPolicy, ChaosReceiver, FaultPlan};
 use crate::introspect::{Introspection, IntrospectionHub};
-use crate::msg::{DispatcherMsg, MonitorMsg, ProbeRecord, RtMsg, ShardCtrl, ShardNote, SpoutMsg};
+use crate::msg::{DispatcherMsg, MonitorMsg, ProbeReport, RtMsg, ShardCtrl, ShardNote, SpoutMsg};
 use crate::report::RuntimeReport;
 use dispatch::{InstanceTxs, Sequencer, SequencerLinks, Shard, ShardLinks};
 use instance::{InstanceExecutor, InstanceIo};
@@ -611,9 +619,9 @@ impl Topology {
     /// The spout (this thread): paces, stamps, shards and batches the
     /// workload into the shard channels, and after every batch it sends
     /// folds whatever the executors have reported so far into `collector`
-    /// — so the collector queue stays a few batches deep instead of
-    /// holding one message per probe until the input ends, and no
-    /// single-threaded drain of the whole run follows the last tuple.
+    /// — so the collector queue holds what is in flight instead of every
+    /// report of the run, and no single-threaded drain of the whole run
+    /// follows the last tuple.
     /// Returns the tuples ingested.
     fn run_spout(
         &self,
@@ -677,15 +685,17 @@ impl Topology {
                 break;
             }
             ingested += batch as u64;
-            collector.absorb_ready(&self.collector_rx);
+            let backlog = collector.absorb_ready(&self.collector_rx);
             if collector.error.is_some() {
                 break; // an executor failed for good: stop feeding
             }
             if let Some(h) = hub {
-                // Spout-side backpressure view: ingest progress plus the
-                // depth of the channel it just fed.
+                // Spout-side backpressure view: ingest progress, the depth
+                // of the channel it just fed, and the reports this visit
+                // found waiting on the way back.
                 h.set_counter("spout.tuples_ingested", ingested);
                 h.publish_queue(&queue_names[sh], tx.len() as u64); // lint:allow(sh is mix64 % len by construction)
+                h.publish_queue("queue.collector.depth", backlog);
             }
         }
         for (tx, buf) in self.shard_txs.iter().zip(bufs) {
@@ -763,9 +773,18 @@ impl Topology {
                 }
             }
         }
-        let Collector { mut report, accountant, route_flips, backlog_hwm, error, .. } = collector;
+        let Collector {
+            mut report,
+            accountant,
+            route_flips,
+            backlog_hwm,
+            report_batches,
+            error,
+            ..
+        } = collector;
         report.tuples_ingested = ingested;
         report.registry.gauge_set("collector.backlog_hwm", backlog_hwm as f64);
+        report.registry.counter_add("collector.report_batches", report_batches);
         if let Some(e) = error {
             return Err(self.fail(e));
         }
@@ -804,9 +823,9 @@ impl Topology {
 }
 
 /// The collector's side of the run: folds what the executors report —
-/// one message per completed probe, one final report per executor, every
-/// failure — into the [`RuntimeReport`]. It runs on the spout thread,
-/// between batches while the input lasts and alone after it.
+/// one vector of probe reports per instance message, one final report per
+/// executor, every failure — into the [`RuntimeReport`]. It runs on the
+/// spout thread, between batches while the input lasts and alone after it.
 struct Collector {
     clock: Clock,
     report: RuntimeReport,
@@ -814,10 +833,14 @@ struct Collector {
     /// Route-flip latencies arrive from instances keyed by (group, epoch)
     /// and are patched into the matching monitor span after `MonitorDone`.
     route_flips: Vec<(usize, u64, u64)>,
-    /// Most messages one visit of the spout thread found waiting
+    /// Most reports one visit of the spout thread found waiting
     /// (`collector.backlog_hwm` in the run registry): bounded by what the
     /// bounded data channels hold in flight, not by the input.
     backlog_hwm: u64,
+    /// [`CollectorMsg::Probes`] messages folded
+    /// (`collector.report_batches`): probe parts ÷ this is how many
+    /// reports a message carried.
+    report_batches: u64,
     /// Executors that have not sent their final report yet.
     reports_left: usize,
     /// The failure that ends the run, once one is known.
@@ -846,41 +869,52 @@ impl Collector {
             accountant: ProbeAccountant::new(),
             route_flips: Vec::new(),
             backlog_hwm: 0,
+            report_batches: 0,
             reports_left: executors,
             error: None,
         }
     }
 
-    /// Absorbs everything queued right now, without waiting.
-    fn absorb_ready(&mut self, rx: &Receiver<CollectorMsg>) {
+    /// Absorbs everything queued right now, without waiting. Returns how
+    /// many reports (probe reports, plus one per other message) it found.
+    fn absorb_ready(&mut self, rx: &Receiver<CollectorMsg>) -> u64 {
         let mut found = 0;
         while self.error.is_none() {
-            match rx.try_recv() {
-                Ok(msg) => self.absorb(msg),
-                Err(_) => break,
-            }
-            found += 1;
+            let Ok(msg) = rx.try_recv() else { break };
+            found +=
+                if let CollectorMsg::Probes(reports) = &msg { reports.len() as u64 } else { 1 };
+            self.absorb(msg);
         }
         self.backlog_hwm = self.backlog_hwm.max(found);
+        found
+    }
+
+    /// Folds the probe reports of one instance message: one clock read and
+    /// one `stage.emit_us` lookup for the vector; ledger, result count and
+    /// throughput series per report.
+    #[lint(hot_path)]
+    fn fold_probes(&mut self, reports: &[ProbeReport]) {
+        let now = self.clock.now_us();
+        let RuntimeReport { results_total, throughput, registry, .. } = &mut self.report;
+        // Emit-stage latency: probe completion → collector.
+        let emit_us = registry.histogram_mut("stage.emit_us");
+        for r in reports {
+            *results_total += r.matches;
+            throughput.record(now, r.matches as f64);
+            emit_us.record(now.saturating_sub(r.done_us));
+            self.accountant
+                .on_probe(r.seq, r.fanout, r.latency_us)
+                // lint:allow(accounting corruption means every later count is garbage; fail the run loudly)
+                .unwrap_or_else(|e| panic!("probe accounting violated: {e}"));
+        }
+        self.report_batches += 1;
     }
 
     fn absorb(&mut self, msg: CollectorMsg) {
-        let Collector { report, accountant, .. } = self;
+        let report = &mut self.report;
         let reg = &mut report.registry;
         match msg {
-            CollectorMsg::Probe { seq, fanout, record } => {
-                let now = self.clock.now_us();
-                report.results_total += record.matches;
-                report.throughput.record(now, record.matches as f64);
-                if record.done_us > 0 {
-                    // Emit-stage latency: probe completion → collector.
-                    reg.histogram_record("stage.emit_us", now.saturating_sub(record.done_us));
-                }
-                accountant
-                    .on_probe(seq, fanout, record.latency_us)
-                    // lint:allow(accounting corruption means every later count is garbage; fail the run loudly)
-                    .unwrap_or_else(|e| panic!("probe accounting violated: {e}"));
-            }
+            CollectorMsg::Probes(reports) => self.fold_probes(&reports),
             CollectorMsg::RouteFlip { group, epoch, us } => {
                 self.route_flips.push((group, epoch, us));
             }
@@ -929,18 +963,12 @@ impl Collector {
 
 /// Messages into the collector.
 enum CollectorMsg {
-    Probe {
-        seq: u64,
-        fanout: u32,
-        record: ProbeRecord,
-    },
+    /// The probes one instance message completed, in completion order
+    /// (never empty).
+    Probes(Vec<ProbeReport>),
     /// Routing-update round trip measured at the migration source:
     /// `MigrateCmd` receipt → `RouteUpdated` receipt, in microseconds.
-    RouteFlip {
-        group: usize,
-        epoch: u64,
-        us: u64,
-    },
+    RouteFlip { group: usize, epoch: u64, us: u64 },
     InstanceDone {
         group: usize,
         id: usize,
@@ -962,20 +990,12 @@ enum CollectorMsg {
         journal: Box<TraceJournal>,
     },
     /// End-of-run report of one dispatcher shard or of the sequencer.
-    DispatcherDone {
-        registry: Box<MetricsRegistry>,
-        journal: Box<TraceJournal>,
-    },
+    DispatcherDone { registry: Box<MetricsRegistry>, journal: Box<TraceJournal> },
     /// An executor panicked. `fatal` means it will not recover (the run
     /// must fail); otherwise `supervise` ran its recovery and re-entered
     /// it. `control` marks control-plane executors (shards, sequencer,
     /// monitors).
-    ExecutorFailure {
-        name: String,
-        error: String,
-        fatal: bool,
-        control: bool,
-    },
+    ExecutorFailure { name: String, error: String, fatal: bool, control: bool },
 }
 
 #[cfg(test)]

@@ -525,10 +525,10 @@ fn disabling_tracing_yields_an_empty_journal() {
 
 #[test]
 fn collector_keeps_up_while_the_input_lasts() {
-    // One `CollectorMsg::Probe` per tuple: drained only after the last
-    // tuple, the queue would hold all 40k of them at once. Drained between
-    // batches it holds what the (here tiny) bounded channels keep in
-    // flight, give or take what arrives during one visit.
+    // One report per probe, shipped once per instance message: drained
+    // only after the last tuple, the queue would hold all 40k of them at
+    // once. Drained between batches it holds what the (here tiny) bounded
+    // channels keep in flight, give or take what arrives during one visit.
     let mut cfg = cfg(SystemKind::BiStream, 4);
     cfg.queue_cap = 16;
     cfg.batch_size = 8;
@@ -538,6 +538,69 @@ fn collector_keeps_up_while_the_input_lasts() {
         panic!("collector.backlog_hwm missing from the run registry");
     };
     assert!(*hwm < 10_000.0, "collector backlog reached {hwm} of 40000 probe reports");
+}
+
+#[test]
+fn saturated_run_reports_once_per_instance_message() {
+    // An instance ships the reports of the probes one input message
+    // completed as one vector, so on a saturated interleaved stream the
+    // collector edge carries at most one message per shard → instance
+    // message (plus slack for steps without a data message), each with
+    // about half a batch of reports — not one message per probe.
+    let mut c = cfg(SystemKind::BiStream, 4);
+    c.batch_size = 64;
+    let report = run_topology(&c, uniform_workload(2000, 20));
+    assert_eq!(report.probes_total, 80_000, "the oracle's: every tuple probes exactly once");
+    assert_eq!(report.results_total, 2000 * 20 * 20, "the oracle's: keys · pairs²");
+    let reg = &report.registry;
+    let batches = reg.counter("collector.report_batches");
+    let data_messages = reg.counter("dispatcher.batches_flushed");
+    let executors = 2 + 2 * 4; // shard, sequencer, instances (no monitors)
+    assert!(batches > 0, "collector.report_batches missing from the run registry");
+    assert!(
+        batches <= data_messages + executors,
+        "{batches} report messages for {data_messages} instance data messages"
+    );
+    let parts = reg.counter("dispatcher.probe_copies");
+    let fill = parts as f64 / batches as f64;
+    assert!(fill >= 16.0, "{fill:.1} reports per message: {parts} in {batches}");
+}
+
+#[test]
+fn stage_histograms_count_every_routed_item_and_every_probe_part() {
+    // Resolving a `stage.*` histogram once per message must not change
+    // what it counts: dispatch and queue-wait see every routed item (one
+    // store plus `fanout` probe copies per tuple), probe and emit see
+    // every probe part — on the skewed, paced run that migrates the hot
+    // key (forwarded tuples are counted where they were first routed).
+    let tuples: Vec<Tuple> = (0..30_000u64)
+        .map(|i| {
+            let key = if i % 4 != 0 { 999 } else { i % 97 };
+            if i % 5 == 0 {
+                Tuple::r(key, 0, i)
+            } else {
+                Tuple::s(key, 0, i)
+            }
+        })
+        .collect();
+    let mut c = cfg(SystemKind::FastJoin, 4);
+    c.rate_limit = Some(60_000.0);
+    let report = run_topology(&c, tuples);
+    let reg = &report.registry;
+    let samples = |stage: &str| -> u64 {
+        reg.iter()
+            .filter(|(name, _)| name.ends_with(stage))
+            .map(|(_, v)| if let MetricValue::Histogram(h) = v { h.count() } else { 0 })
+            .sum()
+    };
+    let parts = reg.counter("dispatcher.probe_copies");
+    let routed = reg.counter("dispatcher.tuples_ingested") + parts;
+    assert_eq!(reg.counter("dispatcher.tuples_ingested"), 30_000);
+    assert!(parts >= 30_000, "every tuple probes at least once");
+    assert_eq!(samples("stage.dispatch_us"), routed);
+    assert_eq!(samples("stage.queue_wait_us"), routed);
+    assert_eq!(samples("stage.probe_us"), parts);
+    assert_eq!(samples("stage.emit_us"), parts);
 }
 
 #[test]

@@ -21,13 +21,18 @@
 //!    channel is a *normal* event under supervision (a peer crashed or
 //!    shut down first); panicking on it turns one executor's failure into
 //!    a cascade. Handle the `Err` (stop the loop, report the failure).
-//! 6. **hot-path-alloc** — functions marked `#[lint(hot_path)]` (the
-//!    inert marker from the `lintmarks` crate, used on trace-emission
-//!    entry points) must not allocate: no `format!`, `to_string`,
+//! 6. **hot-path-alloc** / **hot-path-lookup** — functions marked
+//!    `#[lint(hot_path)]` (the inert marker from the `lintmarks` crate,
+//!    used on trace-emission entry points and on the runtime's per-tuple
+//!    functions) must not allocate: no `format!`, `to_string`,
 //!    `to_owned`, `String::`/`Vec::` constructors, `vec!`, `Box::new`,
-//!    or `collect`. The tracing plane promises the data plane it never
-//!    pays an allocator round-trip per tuple; this rule keeps that
-//!    promise honest as the code evolves.
+//!    or `collect`. Nor may they look a metric up by name:
+//!    `counter_add(`, `gauge_set(`, `histogram_record(` and
+//!    `series_record(` walk a string-keyed map on every call — resolve
+//!    the metric once per message (`MetricsRegistry::histogram_mut`, or a
+//!    plain field folded in at the end) and record through that. The
+//!    data plane promises no allocator round-trip and no registry lookup
+//!    per tuple; this rule keeps that promise honest as the code evolves.
 //!
 //! Sites that are genuinely unreachable or deliberately fatal are excused
 //! with a `// lint:allow(reason)` comment on the same line or the line
@@ -623,30 +628,33 @@ fn check_missing_docs(file: &str, src: &MaskedSource, in_test: &[bool], out: &mu
     }
 }
 
-/// Rule 6: no heap allocation inside `#[lint(hot_path)]` functions.
+/// Rule 6: no heap allocation and no by-name registry lookup inside
+/// `#[lint(hot_path)]` functions.
 ///
 /// The scanner finds each `#[lint(hot_path)]` attribute, brace-matches the
-/// body of the function it marks, and flags allocating constructs inside.
-/// `lint:allow` on the offending line (or the line above) excuses a site,
-/// as everywhere else.
-fn check_hot_path_alloc(
-    file: &str,
-    src: &MaskedSource,
-    in_test: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    const NEEDLES: &[(&str, &str)] = &[
-        ("format!", "format! allocates a String"),
-        (".to_string(", "to_string() allocates"),
-        (".to_owned(", "to_owned() allocates"),
-        ("String::new", "String constructor allocates on growth"),
-        ("String::from", "String::from allocates"),
-        ("String::with_capacity", "String::with_capacity allocates"),
-        ("vec!", "vec! allocates"),
-        ("Vec::new", "Vec constructor allocates on growth"),
-        ("Vec::with_capacity", "Vec::with_capacity allocates"),
-        ("Box::new", "Box::new allocates"),
-        (".collect(", "collect() allocates a container"),
+/// body of the function it marks, and flags allocating constructs and
+/// by-name metric calls inside. `lint:allow` on the offending line (or the
+/// line above) excuses a site, as everywhere else.
+fn check_hot_path(file: &str, src: &MaskedSource, in_test: &[bool], out: &mut Vec<Diagnostic>) {
+    const ALLOC: &str = "hot-path-alloc";
+    const LOOKUP: &str = "hot-path-lookup";
+    const BY_NAME: &str = "looks the metric up by name; resolve once per message";
+    const NEEDLES: &[(&str, &str, &str)] = &[
+        ("format!", ALLOC, "format! allocates a String"),
+        (".to_string(", ALLOC, "to_string() allocates"),
+        (".to_owned(", ALLOC, "to_owned() allocates"),
+        ("String::new", ALLOC, "String constructor allocates on growth"),
+        ("String::from", ALLOC, "String::from allocates"),
+        ("String::with_capacity", ALLOC, "String::with_capacity allocates"),
+        ("vec!", ALLOC, "vec! allocates"),
+        ("Vec::new", ALLOC, "Vec constructor allocates on growth"),
+        ("Vec::with_capacity", ALLOC, "Vec::with_capacity allocates"),
+        ("Box::new", ALLOC, "Box::new allocates"),
+        (".collect(", ALLOC, "collect() allocates a container"),
+        (".counter_add(", LOOKUP, BY_NAME),
+        (".gauge_set(", LOOKUP, BY_NAME),
+        (".histogram_record(", LOOKUP, BY_NAME),
+        (".series_record(", LOOKUP, BY_NAME),
     ];
     const MARKER: &str = "#[lint(hot_path)]";
     let text = &src.masked;
@@ -696,7 +704,7 @@ fn check_hot_path_alloc(
             if in_test.get(lineno).copied().unwrap_or(false) || allowed(&src.allow_lines, lineno) {
                 continue;
             }
-            for (needle, why) in NEEDLES {
+            for (needle, rule, why) in NEEDLES {
                 let mut from = 0usize;
                 while let Some(q) = line[from..].find(needle) {
                     let at = from + q;
@@ -704,7 +712,7 @@ fn check_hot_path_alloc(
                         out.push(Diagnostic {
                             file: file.to_string(),
                             line: lineno,
-                            rule: "hot-path-alloc",
+                            rule,
                             msg: format!(
                                 "`{}` inside a #[lint(hot_path)] fn: {}",
                                 needle.trim_start_matches('.'),
@@ -738,7 +746,7 @@ pub fn lint_source(repo_rel: &str, source: &str) -> Vec<Diagnostic> {
     if repo_rel.starts_with("crates/runtime/") {
         check_no_channel_unwrap(repo_rel, &masked, &in_test, &mut out);
     }
-    check_hot_path_alloc(repo_rel, &masked, &in_test, &mut out);
+    check_hot_path(repo_rel, &masked, &in_test, &mut out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
@@ -959,6 +967,33 @@ mod tests {
                    String::from(\"ok\")\n}\n";
         let d = lint_source("crates/core/src/fake.rs", src);
         assert!(!rules(&d).contains(&"hot-path-alloc"), "{d:?}");
+    }
+
+    #[test]
+    fn hot_path_fn_may_not_look_metrics_up_by_name() {
+        let src = "#[lint(hot_path)]\nfn ingest(&mut self, us: u64) {\n    \
+                   self.reg.counter_add(\"tuples\", 1);\n    \
+                   self.reg.histogram_record(\"stage.us\", us);\n    \
+                   self.reg.gauge_set(\"depth\", 1.0);\n    \
+                   self.reg.series_record(\"depth\", 10, us, 1.0);\n}\n";
+        let d = lint_source("crates/runtime/src/fake.rs", src);
+        let hits: Vec<_> = d.iter().filter(|d| d.rule == "hot-path-lookup").collect();
+        assert_eq!(hits.iter().map(|d| d.line).collect::<Vec<_>>(), vec![3, 4, 5, 6], "{d:?}");
+        assert!(hits[0].msg.contains("resolve once per message"), "{d:?}");
+    }
+
+    #[test]
+    fn by_name_lookups_pass_when_excused_resolved_once_or_outside_the_body() {
+        // Excused with a reason; a handle resolved once and recorded
+        // through; and a by-name call in the NEXT, unmarked function.
+        let src = "#[lint(hot_path)]\nfn flush(&mut self, items: &[u64]) {\n    \
+                   // lint:allow(once per flush, not per item)\n    \
+                   self.reg.counter_add(\"flushes\", 1);\n    \
+                   let h = self.reg.histogram_mut(\"stage.us\");\n    \
+                   for &us in items {\n        h.record(us);\n    }\n}\n\n\
+                   fn finish(&mut self) {\n    self.reg.counter_add(\"tuples\", self.n);\n}\n";
+        let d = lint_source("crates/runtime/src/fake.rs", src);
+        assert!(!rules(&d).contains(&"hot-path-lookup"), "{d:?}");
     }
 
     #[test]

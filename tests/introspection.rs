@@ -149,7 +149,18 @@ fn metrics_endpoint_serves_valid_prometheus_under_load() {
         }
         if let Some(text) = get("/metrics") {
             validate_prometheus(&text).expect("mid-run /metrics is valid Prometheus text");
-            let snap = get("/snapshot").expect("server answers /snapshot too");
+            // The run may end between the two requests; only a server that
+            // stops answering while the run is live is a failure. The server
+            // is stopped a moment before `run_topology` returns, so give
+            // the runner that moment before judging.
+            let Some(snap) = get("/snapshot") else {
+                let winding_down = std::time::Instant::now();
+                while !runner.is_finished() && winding_down.elapsed().as_millis() < 500 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                assert!(runner.is_finished(), "server answers /snapshot while the run is live");
+                break;
+            };
             let snap = Json::parse(&snap).expect("mid-run /snapshot is valid JSON");
             assert!(u(&snap, "seq") >= 1, "on-demand snapshots allocate sequence numbers");
             // The very first poll can land before the first report tick

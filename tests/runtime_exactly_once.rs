@@ -209,6 +209,27 @@ fn a_late_steady_state_crash_rolls_back_the_inserts_since_the_checkpoint() {
     }
 }
 
+/// Probe reports leave an instance once per input message, from a buffer
+/// outside its checkpointed state. Full 64-tuple messages, every R-side
+/// instance crashing once with several reported messages in its log: a
+/// replay that re-sent their reports would complete those probes twice,
+/// so every count must equal the crash-free run's.
+#[test]
+fn a_steady_state_crash_reports_every_probe_once_at_full_batches() {
+    let run = |crashes: Vec<CrashFault>| {
+        let mut c = cfg(SystemKind::BiStream, 1, 64, FaultPlan { crashes, ..FaultPlan::default() });
+        c.rate_limit = None;
+        run_exactly_once(&c, 3, "steady-state crash at batch 64")
+    };
+    let clean = run(Vec::new());
+    let crashed = run(crash_each_instance(0..1, CrashPhase::SteadyState { after_msgs: 600 }));
+    assert_eq!(crashed.registry.counter_sum("supervisor.executor_failures"), 4);
+    assert_eq!(crashed.probes_total, clean.probes_total);
+    assert_eq!(crashed.results_total, clean.results_total);
+    assert_eq!(crashed.latency.count(), clean.latency.count());
+    assert_eq!(group_totals(&crashed), group_totals(&clean));
+}
+
 /// A windowed run whose every instance crashes once in steady state, with
 /// window GC running on each monitor tick: the log since the checkpoint
 /// holds expiries, so recovery rolls `expire` back. Each key lives in ten
