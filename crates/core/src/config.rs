@@ -5,10 +5,8 @@
 //! `θ_gap`, the monitor sampling period, the key-selection algorithm, and
 //! the optional join window.
 
-use serde::{Deserialize, Serialize};
-
 /// Which key-selection algorithm the migration planner runs (§III-C, §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectorKind {
     /// Algorithm 1 — the paper's default `O(K log K)` greedy selector.
     #[default]
@@ -25,7 +23,7 @@ pub enum SelectorKind {
 /// Parameters of the SAFit simulated-annealing selector (Algorithm 3):
 /// initial temperature `T`, per-temperature iterations `L`, attenuation
 /// coefficient `a`, and termination temperature `T_min`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaFitParams {
     /// Initial temperature `T`.
     pub initial_temp: f64,
@@ -64,7 +62,7 @@ impl SaFitParams {
 /// an incomplete join. [`MigrationMode::NaiveNotifyFirst`] implements that
 /// rejected variant so the `ablation_migration` experiment can measure the
 /// loss; production code must use [`MigrationMode::Safe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MigrationMode {
     /// Algorithm 2: the target holds newly routed data for migrated keys
     /// until the source's `MigEnd` confirms the store and the buffered
@@ -81,7 +79,7 @@ pub enum MigrationMode {
 /// The window covers `sub_windows * sub_window_len` time units; expiry
 /// happens at sub-window granularity, mirroring the paper's fixed-size
 /// vector of per-sub-window counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
     /// Number of sub-windows in the ring (the paper's vector length).
     pub sub_windows: usize,
@@ -99,7 +97,7 @@ impl WindowConfig {
 
 /// Full FastJoin configuration. `Default` reproduces the paper's defaults
 /// for the DiDi experiments: 48 instances per group, `Θ = 2.2`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FastJoinConfig {
     /// Join instances per group (the paper's default for DiDi data is 48).
     pub instances_per_group: usize,

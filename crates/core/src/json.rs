@@ -1,10 +1,9 @@
 //! A minimal JSON value tree and writer.
 //!
-//! The offline build environment ships no real `serde`/`serde_json` (the
-//! vendored `serde` is a no-op marker shim), so every machine-readable
-//! report in this workspace — `RuntimeReport::to_json`, the
-//! `fastjoin-cli bench` emitter, the simulator's report dump — serializes
-//! through this module instead. It is deliberately tiny: construct a
+//! The offline build environment ships no `serde`/`serde_json`, so every
+//! machine-readable report in this workspace — `RuntimeReport::to_json`,
+//! the `fastjoin-cli chaos` failure report, the simulator's report dump —
+//! serializes through this module instead. It is deliberately tiny: construct a
 //! [`Json`] tree, `Display` it. Object keys keep insertion order so report
 //! schemas are stable and diffable.
 
@@ -129,7 +128,7 @@ impl Json {
         }
     }
 
-    /// Serializes with two-space indentation (human-diffable bench files).
+    /// Serializes with two-space indentation (human-diffable report files).
     #[must_use]
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();

@@ -6,14 +6,12 @@
 //! `LI = L_heaviest / L_lightest` (Eq. 2); migration triggers when
 //! `LI > Θ`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tuple::Key;
 
 /// Aggregate load statistics of one join instance: `|R_i|` (tuples stored
 /// from the storing stream) and `φ_si` (queued tuples of the joining
 /// stream).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InstanceLoad {
     /// Number of stored tuples, `|R_i|`.
     pub stored: u64,
@@ -49,7 +47,7 @@ impl InstanceLoad {
 
 /// Per-key statistics on an instance: `|R_ik|` stored tuples and `φ_sik`
 /// queued joining-stream tuples with key `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyStat {
     /// The key.
     pub key: Key,
@@ -91,7 +89,7 @@ impl KeyStat {
 
 /// The monitor's *load information table*: the latest [`InstanceLoad`] of
 /// every join instance in one group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoadTable {
     loads: Vec<InstanceLoad>,
 }

@@ -8,14 +8,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::Json;
 
 /// A latency histogram with logarithmic buckets (powers of two), covering
 /// `[0, 2^63)` time units in 64 buckets. Recording is O(1) and allocation
 /// free.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     buckets: Vec<u64>, // 64 fixed buckets
     count: u64,
@@ -139,7 +137,7 @@ impl LogHistogram {
 
 /// A time series that buckets observations into fixed periods of event
 /// time — the evaluation's "report every second" counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     period: u64,
     /// Sum of observations per period, indexed by period number.
@@ -276,7 +274,7 @@ impl TimeSeries {
 /// simulator); `route_flip_us` is always wall-clock microseconds and is
 /// filled in by engines that can observe the source's
 /// `MigrateCmd → RouteUpdated` interval (`None` otherwise).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationSpan {
     /// Migration round id (monotone per monitor).
     pub epoch: u64,
@@ -329,7 +327,7 @@ impl MigrationSpan {
 }
 
 /// One named metric in a [`MetricsRegistry`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum MetricValue {
     /// A monotone counter.
     Counter(u64),
@@ -362,7 +360,7 @@ impl MetricValue {
 /// Same-name writes must keep the same metric kind; a kind mismatch
 /// replaces the value rather than panicking (the registry is telemetry,
 /// never control flow).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, MetricValue>,
 }

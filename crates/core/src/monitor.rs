@@ -77,6 +77,15 @@ impl DecisionReason {
             DecisionReason::Degenerate => 3,
         }
     }
+
+    /// The reason a trace event's [`DecisionReason::code`] stands for, or
+    /// `None` for a code this build does not know (a newer journal).
+    #[must_use]
+    pub fn from_code(code: u64) -> Option<Self> {
+        [Self::Triggered, Self::Cooldown, Self::InFlight, Self::Degenerate]
+            .into_iter()
+            .find(|r| r.code() == code)
+    }
 }
 
 /// How a decision ultimately resolved. Rejections are terminal
@@ -700,6 +709,14 @@ mod tests {
         m.on_migration_done(MigrationDone { epoch, tuples_moved: 10, keys_moved: 2 }, 150);
         assert!(m.maybe_trigger(200).is_none(), "cooldown from round end");
         assert!(m.maybe_trigger(250).is_some());
+    }
+
+    #[test]
+    fn decision_reason_codes_round_trip() {
+        for code in 0..4 {
+            assert_eq!(DecisionReason::from_code(code).map(DecisionReason::code), Some(code));
+        }
+        assert_eq!(DecisionReason::from_code(4), None);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::partition_salted;
 use crate::partition::Partitioner;
 use crate::tuple::Key;
@@ -62,7 +60,7 @@ impl std::fmt::Debug for RouteSnapshot {
 
 /// The override values a staged migration replaced, kept so the stage can
 /// be reverted if the round aborts before its route flip is acknowledged.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct StagedMigration {
     /// Migration epoch the stage belongs to.
     epoch: u64,
@@ -72,7 +70,7 @@ struct StagedMigration {
 
 /// Routing table of one join group: default hash placement plus the
 /// override map for migrated keys.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoutingTable {
     instances: usize,
     /// The group size hashing was set up for. Scaling out keeps hashing

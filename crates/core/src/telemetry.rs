@@ -148,78 +148,6 @@ fn is_valid_metric_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-/// A push-style export target for a finished run's metrics. Sinks are
-/// fed the merged report-level registry once, after the engine shuts
-/// down. For *mid-run* observation the runtime's introspection plane
-/// (`snapshot_interval_ms` / `--serve-metrics`) assembles periodic
-/// [`RuntimeSnapshot`]s and serves them over HTTP instead.
-pub trait TelemetrySink {
-    /// Consumes one registry snapshot.
-    ///
-    /// # Errors
-    /// Returns a message when the registry cannot be rendered or stored.
-    fn export(&mut self, registry: &MetricsRegistry) -> Result<(), String>;
-}
-
-/// Renders registries into Prometheus text, accumulating in memory. The
-/// caller writes [`PrometheusTextSink::text`] wherever it needs (the CLI's
-/// `--prom-out` flag writes it to a file).
-#[derive(Debug, Default)]
-pub struct PrometheusTextSink {
-    text: String,
-}
-
-impl PrometheusTextSink {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Everything exported so far.
-    #[must_use]
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-}
-
-impl TelemetrySink for PrometheusTextSink {
-    fn export(&mut self, registry: &MetricsRegistry) -> Result<(), String> {
-        let rendered = registry.to_prometheus();
-        validate_prometheus(&rendered)?;
-        self.text.push_str(&rendered);
-        Ok(())
-    }
-}
-
-/// Renders registries as compact JSON objects, one per export (JSONL).
-#[derive(Debug, Default)]
-pub struct JsonLinesSink {
-    text: String,
-}
-
-impl JsonLinesSink {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Everything exported so far, one JSON object per line.
-    #[must_use]
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-}
-
-impl TelemetrySink for JsonLinesSink {
-    fn export(&mut self, registry: &MetricsRegistry) -> Result<(), String> {
-        self.text.push_str(&registry.to_json().to_string());
-        self.text.push('\n');
-        Ok(())
-    }
-}
-
 // ---------------------------------------------------------------------
 // Live introspection: mid-run runtime snapshots
 // ---------------------------------------------------------------------
@@ -532,19 +460,6 @@ mod tests {
         ] {
             assert!(validate_prometheus(bad).is_err(), "accepted: {why}");
         }
-    }
-
-    #[test]
-    fn sinks_accumulate_exports() {
-        let reg = sample_registry();
-        let mut prom = PrometheusTextSink::new();
-        prom.export(&reg).unwrap();
-        assert!(prom.text().contains("fastjoin_queue_depth"));
-        let mut jsonl = JsonLinesSink::new();
-        jsonl.export(&reg).unwrap();
-        jsonl.export(&reg).unwrap();
-        assert_eq!(jsonl.text().lines().count(), 2);
-        crate::json::Json::parse(jsonl.text().lines().next().unwrap()).unwrap();
     }
 
     fn probe(load: u64) -> InstanceProbe {

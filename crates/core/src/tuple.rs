@@ -9,8 +9,6 @@
 //! heap allocations. Applications that need rich payloads keep them in a
 //! side table indexed by [`Tuple::payload`] (see `examples/ridehailing.rs`).
 
-use serde::{Deserialize, Serialize};
-
 /// The join key type. Real deployments hash arbitrary attributes down to a
 /// 64-bit key before dispatch (see [`crate::hash`]).
 pub type Key = u64;
@@ -25,7 +23,7 @@ pub type Timestamp = u64;
 pub type Seq = u64;
 
 /// Which of the two joined streams a tuple belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// The `R` stream.
     R,
@@ -71,7 +69,7 @@ impl std::fmt::Display for Side {
 }
 
 /// A stream tuple as it travels through the join pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuple {
     /// Stream this tuple belongs to.
     pub side: Side,

@@ -7,14 +7,12 @@
 //! be popped out". [`SubWindowRing`] is that vector: a ring of per-sub-window
 //! counts whose sum is the instance's in-window stored-tuple count.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::WindowConfig;
 use crate::tuple::Timestamp;
 
 /// A ring of per-sub-window counts covering the most recent
 /// `sub_windows × sub_window_len` time units.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubWindowRing {
     cfg: WindowConfig,
     /// counts[i] is the count for absolute sub-window `base + i`.

@@ -3,8 +3,7 @@
 //! `cargo xtask lint` is a *textual* pass — it scans source files, not the
 //! compiled crate — so markers like `#[lint(hot_path)]` only need to (a)
 //! compile away to nothing and (b) be greppable at the annotation site.
-//! This crate provides (a): a pass-through attribute proc-macro, following
-//! the same offline pattern as the vendored `serde_derive` shim. The lint
+//! This crate provides (a): a pass-through attribute proc-macro. The lint
 //! rules that give the markers meaning live in `crates/xtask/src/lint.rs`.
 
 use proc_macro::TokenStream;

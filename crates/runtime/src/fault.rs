@@ -482,6 +482,98 @@ impl<T: Clone> ChaosReceiver<T> {
     }
 }
 
+/// The named schedules `fastjoin-cli chaos` and the in-tree chaos suite run.
+impl FaultPlan {
+    /// The fault classes of the chaos matrix, in the order it runs them:
+    /// instance crashes at the four protocol phases, channel chaos,
+    /// stalled rounds, and the kills of the supervised control executors.
+    pub const CLASSES: [&'static str; 9] = [
+        "crash-pre-migstart",
+        "crash-handoff-forward",
+        "crash-pre-route-flip",
+        "crash-steady-state",
+        "channel-chaos",
+        "stalled-round",
+        "kill-sequencer",
+        "kill-shard",
+        "kill-monitor",
+    ];
+
+    /// The schedule of fault class `name` under `seed`, shaped for up to
+    /// four instances per group and four dispatcher shards (entries for
+    /// executors a run does not have are inert); `None` for a name that is
+    /// not in [`FaultPlan::CLASSES`].
+    #[must_use]
+    pub fn class(name: &str, seed: u64) -> Option<FaultPlan> {
+        let crashing = |crashes| FaultPlan { crashes, ..FaultPlan::default() };
+        // Every instance of both groups: whichever executor the migration
+        // protocol steers into `phase` crashes (once).
+        let everywhere = |phase| {
+            crashing(
+                (0..2)
+                    .flat_map(|group| {
+                        (0..4).map(move |instance| CrashFault { group, instance, phase })
+                    })
+                    .collect(),
+            )
+        };
+        let plan = match name {
+            "crash-pre-migstart" => everywhere(CrashPhase::PreMigStart),
+            "crash-handoff-forward" => everywhere(CrashPhase::BetweenHandoffAndForward),
+            "crash-pre-route-flip" => everywhere(CrashPhase::PreRouteFlip),
+            "crash-steady-state" => everywhere(CrashPhase::SteadyState { after_msgs: 400 }),
+            // Delay on the (FIFO, lossless) data plane; drop/dup/reorder on
+            // the best-effort monitor report stream.
+            "channel-chaos" => FaultPlan {
+                instance_chaos: ChaosPolicy {
+                    delay_1_in: 64,
+                    delay_max_us: 300,
+                    ..ChaosPolicy::default()
+                },
+                monitor_chaos: ChaosPolicy {
+                    delay_1_in: 16,
+                    delay_max_us: 500,
+                    drop_1_in: 4,
+                    dup_1_in: 4,
+                    reorder_1_in: 4,
+                },
+                ..FaultPlan::default()
+            },
+            "stalled-round" => FaultPlan { drop_migrate_cmds: 2, ..FaultPlan::default() },
+            // The sequencer dies as it receives its first route publication
+            // (the parked message is replayed on restart).
+            "kill-sequencer" => crashing(vec![CrashFault {
+                group: 0,
+                instance: 0,
+                phase: CrashPhase::SequencerBarrier { at_publish: 1 },
+            }]),
+            // Every dispatcher shard dies at its first snapshot install; the
+            // epoch fence plus re-publication must rebuild each one.
+            "kill-shard" => crashing(
+                (0..4)
+                    .map(|instance| CrashFault {
+                        group: 0,
+                        instance,
+                        phase: CrashPhase::ShardSnapshotInstall { at_install: 1 },
+                    })
+                    .collect(),
+            ),
+            // Both monitors die right after they commit to a migration round.
+            "kill-monitor" => crashing(
+                (0..2)
+                    .map(|group| CrashFault {
+                        group,
+                        instance: 0,
+                        phase: CrashPhase::MonitorMidRound { at_round: 1 },
+                    })
+                    .collect(),
+            ),
+            _ => return None,
+        };
+        Some(FaultPlan { seed, ..plan })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,6 +592,16 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(!chaotic.is_noop());
+    }
+
+    #[test]
+    fn every_listed_class_has_a_plan_and_no_other_name_does() {
+        for name in FaultPlan::CLASSES {
+            let plan = FaultPlan::class(name, 7).unwrap_or_else(|| panic!("{name} has no plan"));
+            assert!(!plan.is_noop(), "{name} injects nothing");
+            assert_eq!(plan.seed, 7, "{name} drops the seed");
+        }
+        assert!(FaultPlan::class("kill-everything", 7).is_none());
     }
 
     #[test]

@@ -72,9 +72,8 @@ impl RuntimeReport {
         self.counters[group].iter().map(|c| c.stored).sum()
     }
 
-    /// The report as a JSON tree — the stable machine-readable schema the
-    /// bench suite emits (`BENCH_smoke.json`) and CI checks. Field names
-    /// are documented in `docs/ARCHITECTURE.md`.
+    /// The report as a JSON tree — the stable machine-readable schema.
+    /// Field names are documented in `docs/ARCHITECTURE.md`.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let group = |g: usize| -> Json {

@@ -17,8 +17,7 @@ use fastjoin_core::config::FastJoinConfig;
 use fastjoin_core::trace::TraceConfig;
 use fastjoin_core::tuple::{Side, Tuple};
 use fastjoin_runtime::{
-    try_run_topology, ChaosPolicy, CrashFault, CrashPhase, FaultPlan, RuntimeConfig, RuntimeReport,
-    SupervisionConfig,
+    try_run_topology, FaultPlan, RuntimeConfig, RuntimeReport, SupervisionConfig,
 };
 
 /// Single-threaded oracle: per-key cross product over the workload.
@@ -94,13 +93,15 @@ fn sharded_cfg(faults: FaultPlan, shards: usize, batch: usize) -> RuntimeConfig 
     RuntimeConfig { dispatcher_shards: shards, batch_size: batch, ..chaos_cfg(faults) }
 }
 
-/// Crash faults for every instance of both groups at `phase` — whichever
-/// executor the migration protocol steers into the phase crashes (once).
-fn crash_everywhere(phase: CrashPhase) -> Vec<CrashFault> {
-    (0..2)
-        .flat_map(|group| (0..4).map(move |instance| CrashFault { group, instance, phase }))
-        .collect()
+/// The schedule of fault class `class` (see [`FaultPlan::CLASSES`]) under
+/// `seed`: the same plans `fastjoin-cli chaos` sweeps.
+fn fault_class(class: &str, seed: u64) -> FaultPlan {
+    FaultPlan::class(class, seed).unwrap_or_else(|| panic!("unknown fault class {class}"))
 }
+
+/// The classes that crash every instance at one migration-protocol phase.
+const PHASE_CRASHES: [&str; 4] =
+    ["crash-pre-migstart", "crash-handoff-forward", "crash-pre-route-flip", "crash-steady-state"];
 
 /// The invariants every chaos run must satisfy, crash or no crash.
 fn assert_exactly_once(report: &RuntimeReport, expected: u64, probes: u64, label: &str) {
@@ -128,14 +129,14 @@ fn fault_free_supervised_run_matches_oracle() {
     assert_exactly_once(&report, expected, 8_000, "fault-free");
 }
 
-/// Runs the crash-at-`phase` matrix at the given batch size: every run is
+/// Runs the phase-crash class `class` at the given batch size: every run is
 /// oracle-checked, and when the base seeds never reach the phase (a loaded
 /// or single-core host can miss a migration window on timing alone) the
 /// matrix widens seed by seed until a crash fires, up to 12 seeds. The
 /// phase must be reachable somewhere in the widened matrix.
 fn assert_phase_crashes_recover(
     label: &str,
-    phase: CrashPhase,
+    class: &str,
     shards: usize,
     batch: usize,
     base_seeds: u64,
@@ -144,9 +145,9 @@ fn assert_phase_crashes_recover(
     for seed in 0..12u64 {
         let tuples = skewed_workload(seed, 8_000);
         let expected = oracle(&tuples);
-        let plan = FaultPlan { seed, crashes: crash_everywhere(phase), ..FaultPlan::default() };
-        let report = try_run_topology(&sharded_cfg(plan, shards, batch), tuples)
-            .unwrap_or_else(|e| panic!("{label} seed {seed}: run failed: {e}"));
+        let report =
+            try_run_topology(&sharded_cfg(fault_class(class, seed), shards, batch), tuples)
+                .unwrap_or_else(|e| panic!("{label} seed {seed}: run failed: {e}"));
         assert_exactly_once(&report, expected, 8_000, &format!("{label} seed {seed}"));
         crashes_fired += report.registry.counter_sum("supervisor.executor_failures");
         if seed + 1 >= base_seeds && crashes_fired > 0 {
@@ -162,14 +163,8 @@ fn assert_phase_crashes_recover(
 
 #[test]
 fn crashes_at_every_protocol_phase_recover_exactly_once() {
-    let phases = [
-        ("pre-MigStart", CrashPhase::PreMigStart),
-        ("handoff/forward window", CrashPhase::BetweenHandoffAndForward),
-        ("pre-route-flip", CrashPhase::PreRouteFlip),
-        ("steady state", CrashPhase::SteadyState { after_msgs: 400 }),
-    ];
-    for (label, phase) in phases {
-        assert_phase_crashes_recover(label, phase, 1, 1, 4);
+    for class in PHASE_CRASHES {
+        assert_phase_crashes_recover(class, class, 1, 1, 4);
     }
 }
 
@@ -181,22 +176,7 @@ fn channel_chaos_matrix_preserves_exactly_once() {
     for seed in 0..12u64 {
         let tuples = skewed_workload(seed, 6_000);
         let expected = oracle(&tuples);
-        let plan = FaultPlan {
-            seed,
-            instance_chaos: ChaosPolicy {
-                delay_1_in: 64,
-                delay_max_us: 300,
-                ..ChaosPolicy::default()
-            },
-            monitor_chaos: ChaosPolicy {
-                delay_1_in: 16,
-                delay_max_us: 500,
-                drop_1_in: 4,
-                dup_1_in: 4,
-                reorder_1_in: 4,
-            },
-            ..FaultPlan::default()
-        };
+        let plan = fault_class("channel-chaos", seed);
         let report = try_run_topology(&chaos_cfg(plan), tuples)
             .unwrap_or_else(|e| panic!("chaos seed {seed}: run failed: {e}"));
         assert_exactly_once(&report, expected, 6_000, &format!("chaos seed {seed}"));
@@ -212,7 +192,7 @@ fn stalled_round_is_aborted_by_the_watchdog_and_the_run_completes() {
     // untouched (the lost rounds moved nothing).
     let tuples = skewed_workload(3, 12_000);
     let expected = oracle(&tuples);
-    let plan = FaultPlan { seed: 3, drop_migrate_cmds: 2, ..FaultPlan::default() };
+    let plan = fault_class("stalled-round", 3);
     let mut cfg = chaos_cfg(plan);
     cfg.supervision.round_timeout_ms = 10;
     let report = try_run_topology(&cfg, tuples).expect("stalled rounds must not wedge the run");
@@ -230,14 +210,11 @@ fn crash_between_handoff_and_forward_keeps_the_probe_ledger_exact() {
     // replay. Crash timing depends on a migration with probes in flight,
     // so the observation retries — the ledger invariants must hold on
     // EVERY attempt regardless.
-    let phase = CrashPhase::BetweenHandoffAndForward;
     let mut observed = false;
     for attempt in 0..5u64 {
         let tuples = skewed_workload(attempt, 12_000);
         let expected = oracle(&tuples);
-        let plan =
-            FaultPlan { seed: attempt, crashes: crash_everywhere(phase), ..FaultPlan::default() };
-        let mut cfg = chaos_cfg(plan);
+        let mut cfg = chaos_cfg(fault_class("crash-handoff-forward", attempt));
         cfg.rate_limit = Some(60_000.0); // longer run: more rounds, more in-flight probes
         let report = try_run_topology(&cfg, tuples)
             .unwrap_or_else(|e| panic!("attempt {attempt}: run failed: {e}"));
@@ -274,14 +251,8 @@ fn batched_crashes_at_every_protocol_phase_recover_exactly_once() {
     // flushed batches regularly straddle `ProbeHandoff`/`MigForward`
     // boundaries: crash-triggered replay must re-feed whole batches and
     // still land on the oracle.
-    let phases = [
-        ("pre-MigStart", CrashPhase::PreMigStart),
-        ("handoff/forward window", CrashPhase::BetweenHandoffAndForward),
-        ("pre-route-flip", CrashPhase::PreRouteFlip),
-        ("steady state", CrashPhase::SteadyState { after_msgs: 400 }),
-    ];
-    for (label, phase) in phases {
-        assert_phase_crashes_recover(&format!("batched {label}"), phase, 1, 7, 3);
+    for class in PHASE_CRASHES {
+        assert_phase_crashes_recover(&format!("batched {class}"), class, 1, 7, 3);
     }
 }
 
@@ -293,22 +264,7 @@ fn batched_channel_chaos_preserves_exactly_once() {
     for seed in 0..8u64 {
         let tuples = skewed_workload(seed, 6_000);
         let expected = oracle(&tuples);
-        let plan = FaultPlan {
-            seed,
-            instance_chaos: ChaosPolicy {
-                delay_1_in: 64,
-                delay_max_us: 300,
-                ..ChaosPolicy::default()
-            },
-            monitor_chaos: ChaosPolicy {
-                delay_1_in: 16,
-                delay_max_us: 500,
-                drop_1_in: 4,
-                dup_1_in: 4,
-                reorder_1_in: 4,
-            },
-            ..FaultPlan::default()
-        };
+        let plan = fault_class("channel-chaos", seed);
         let report = try_run_topology(&batched_cfg(plan, 7), tuples)
             .unwrap_or_else(|e| panic!("batched chaos seed {seed}: run failed: {e}"));
         assert_exactly_once(&report, expected, 6_000, &format!("batched chaos seed {seed}"));
@@ -339,14 +295,8 @@ fn sharded_crashes_at_every_protocol_phase_recover_exactly_once() {
     // crash-triggered replay, the snapshot publication barrier, and
     // watchdog aborts all have to compose. (Four shards ride the chaos CLI
     // matrix; in-tree stays at two so `cargo test` stays fast.)
-    let phases = [
-        ("pre-MigStart", CrashPhase::PreMigStart),
-        ("handoff/forward window", CrashPhase::BetweenHandoffAndForward),
-        ("pre-route-flip", CrashPhase::PreRouteFlip),
-        ("steady state", CrashPhase::SteadyState { after_msgs: 400 }),
-    ];
-    for (label, phase) in phases {
-        assert_phase_crashes_recover(&format!("sharded {label}"), phase, 2, 7, 3);
+    for class in PHASE_CRASHES {
+        assert_phase_crashes_recover(&format!("sharded {class}"), class, 2, 7, 3);
     }
 }
 
@@ -359,57 +309,10 @@ fn sharded_channel_chaos_preserves_exactly_once() {
     for seed in 0..6u64 {
         let tuples = skewed_workload(seed, 6_000);
         let expected = oracle(&tuples);
-        let plan = FaultPlan {
-            seed,
-            instance_chaos: ChaosPolicy {
-                delay_1_in: 64,
-                delay_max_us: 300,
-                ..ChaosPolicy::default()
-            },
-            monitor_chaos: ChaosPolicy {
-                delay_1_in: 16,
-                delay_max_us: 500,
-                drop_1_in: 4,
-                dup_1_in: 4,
-                reorder_1_in: 4,
-            },
-            ..FaultPlan::default()
-        };
+        let plan = fault_class("channel-chaos", seed);
         let report = try_run_topology(&sharded_cfg(plan, 2, 7), tuples)
             .unwrap_or_else(|e| panic!("sharded chaos seed {seed}: run failed: {e}"));
         assert_exactly_once(&report, expected, 6_000, &format!("sharded chaos seed {seed}"));
-    }
-}
-
-/// Control-plane fault classes: one `CrashFault` schedule per class,
-/// shaped for `shards` dispatcher shards.
-fn control_crashes(class: &str, shards: usize) -> Vec<CrashFault> {
-    match class {
-        // Kill the control sequencer as it receives its first route
-        // publication (the parked message is replayed on restart).
-        "kill-sequencer" => vec![CrashFault {
-            group: 0,
-            instance: 0,
-            phase: CrashPhase::SequencerBarrier { at_publish: 1 },
-        }],
-        // Kill every dispatcher shard at its first snapshot install; the
-        // epoch fence plus re-publication must rebuild each one.
-        "kill-shard" => (0..shards)
-            .map(|s| CrashFault {
-                group: 0,
-                instance: s,
-                phase: CrashPhase::ShardSnapshotInstall { at_install: 1 },
-            })
-            .collect(),
-        // Kill both monitors right after they commit to a migration round.
-        "kill-monitor" => (0..2)
-            .map(|g| CrashFault {
-                group: g,
-                instance: 0,
-                phase: CrashPhase::MonitorMidRound { at_round: 1 },
-            })
-            .collect(),
-        other => panic!("unknown control fault class {other}"),
     }
 }
 
@@ -428,11 +331,7 @@ fn control_plane_crashes_recover_exactly_once() {
             for seed in 0..8u64 {
                 let tuples = skewed_workload(seed, 8_000);
                 let expected = oracle(&tuples);
-                let plan = FaultPlan {
-                    seed,
-                    crashes: control_crashes(class, shards),
-                    ..FaultPlan::default()
-                };
+                let plan = fault_class(class, seed);
                 let label = format!("{class} shards {shards} seed {seed}");
                 let report = try_run_topology(&sharded_cfg(plan, shards, 7), tuples)
                     .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
@@ -463,12 +362,7 @@ fn monitor_death_degrades_routing_and_matches_the_oracle_exactly() {
         for seed in 0..8u64 {
             let tuples = skewed_workload(seed, 8_000);
             let expected = oracle(&tuples);
-            let plan = FaultPlan {
-                seed,
-                crashes: control_crashes("kill-monitor", shards),
-                ..FaultPlan::default()
-            };
-            let mut cfg = sharded_cfg(plan, shards, 1);
+            let mut cfg = sharded_cfg(fault_class("kill-monitor", seed), shards, 1);
             cfg.supervision.max_restarts = 0; // the first monitor crash is permanent
             let label = format!("degraded shards {shards} seed {seed}");
             let report = try_run_topology(&cfg, tuples)
@@ -495,9 +389,8 @@ fn supervisor_restart_counters_are_exported_per_executor() {
     for seed in 0..8u64 {
         let tuples = skewed_workload(seed, 8_000);
         let expected = oracle(&tuples);
-        let mut crashes = control_crashes("kill-sequencer", 2);
-        crashes.extend(control_crashes("kill-monitor", 2));
-        let plan = FaultPlan { seed, crashes, ..FaultPlan::default() };
+        let mut plan = fault_class("kill-sequencer", seed);
+        plan.crashes.extend(fault_class("kill-monitor", seed).crashes);
         let report = try_run_topology(&sharded_cfg(plan, 2, 7), tuples)
             .unwrap_or_else(|e| panic!("counters seed {seed}: run failed: {e}"));
         assert_exactly_once(&report, expected, 8_000, &format!("counters seed {seed}"));
@@ -532,7 +425,7 @@ fn sharded_stalled_round_is_aborted_by_the_watchdog_and_the_run_completes() {
     // hang on the publication barrier.
     let tuples = skewed_workload(3, 12_000);
     let expected = oracle(&tuples);
-    let plan = FaultPlan { seed: 3, drop_migrate_cmds: 2, ..FaultPlan::default() };
+    let plan = fault_class("stalled-round", 3);
     let mut cfg = sharded_cfg(plan, 2, 1);
     cfg.supervision.round_timeout_ms = 10;
     let report =

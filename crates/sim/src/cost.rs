@@ -51,8 +51,7 @@ pub struct CostModel {
     /// Fixed per-message channel overhead, µs, amortized across the
     /// message's batch (see [`CostModel::message_overhead_us`]). Zero by
     /// default so unbatched simulations reproduce the historical numbers
-    /// bit-for-bit; the runtime's batched-vs-unbatched bench is the
-    /// empirical counterpart.
+    /// bit-for-bit.
     pub per_message: f64,
     /// Modeled dispatcher shard count, mirroring the runtime's
     /// `RuntimeConfig::dispatcher_shards`: `N` shard threads drain the
@@ -124,8 +123,7 @@ impl CostModel {
     /// tuples ride in batches of `batch_size`: the whole message costs
     /// `per_message` µs once, so each of its tuples carries
     /// `per_message / batch_size`. With `batch_size = 1` the tuple pays
-    /// the full overhead — the `batch_size = 1` baseline the runtime bench
-    /// compares against. The threaded runtime matches this model: a shard
+    /// the full overhead. The threaded runtime matches this model: a shard
     /// ships a destination's whole pending queue, stores and probes mixed,
     /// as one channel message, so on an interleaved stream a message does
     /// carry ≈ `batch_size` tuples. Sharding the dispatcher
