@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks — the hot-path primitives: hashing,
-//! dispatch, store insert/probe, and Zipf sampling.
+//! dispatch, store insert and probe (ns per scanned tuple), and Zipf
+//! sampling.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -11,7 +12,7 @@ use fastjoin_core::dispatcher::{Dispatch, Dispatcher};
 use fastjoin_core::hash::{mix64, partition};
 use fastjoin_core::partition::HashPartitioner;
 use fastjoin_core::state::TupleStore;
-use fastjoin_core::tuple::Tuple;
+use fastjoin_core::tuple::{JoinedPair, Tuple};
 use fastjoin_datagen::zipf::Zipf;
 use fastjoin_datagen::TieredSampler;
 
@@ -67,17 +68,36 @@ fn bench_store(c: &mut Criterion) {
             store.insert(t);
         });
     });
-    group.bench_function("probe_bucket16", |b| {
+    // ns per scanned tuple: one key's bucket, probed by a tuple every stored
+    // one matches — counted (the saturated runtime) or handed out as pairs,
+    // over the whole history (`seq` column only) or inside a window that
+    // still holds everything (`seq` and `ts`).
+    for (name, bucket) in [("16", 16u64), ("1k", 1 << 10), ("64k", 1 << 16)] {
         let mut store = TupleStore::new();
-        for i in 0..16_000u64 {
-            let mut t = Tuple::r(i % 1000, i, 0);
+        for i in 1..=bucket {
+            let mut t = Tuple::r(7, i, i);
             t.seq = i;
-            store.insert(t); // 16 tuples per key
+            store.insert(t);
         }
-        let mut probe = Tuple::s(7, 20_000, 0);
+        let mut probe = Tuple::s(7, bucket + 1, 0);
         probe.seq = u64::MAX;
-        b.iter(|| black_box(store.probe(&probe, 0).count()));
-    });
+        let mut pairs = Vec::with_capacity(bucket as usize);
+        group.throughput(Throughput::Elements(bucket));
+        for (history, min_ts) in [("full_history", 0), ("windowed", 1)] {
+            group.bench_function(format!("probe_bucket{name}/{history}/count"), |b| {
+                b.iter(|| black_box(store.probe(black_box(&probe), min_ts).count()));
+            });
+            group.bench_function(format!("probe_bucket{name}/{history}/emit"), |b| {
+                b.iter(|| {
+                    pairs.clear();
+                    for stored in store.probe(black_box(&probe), min_ts) {
+                        pairs.push(JoinedPair::orient(stored, probe));
+                    }
+                    black_box(pairs.len())
+                });
+            });
+        }
+    }
     group.finish();
 }
 

@@ -684,16 +684,17 @@ impl JoinInstance {
             Some(Work::Store { tuple: t })
         } else {
             let stored_total = self.store.len();
-            let bucket = self.store.probe_bucket_len(t.key);
             let min_ts = self.min_ts(t.ts);
+            let found = self.store.probe(&t, min_ts);
+            let bucket = found.bucket_len();
             let mut matches = 0;
             if self.emit_pairs {
-                for stored in self.store.probe(&t, min_ts) {
-                    fx.joined.push(JoinedPair::orient(*stored, t));
+                for stored in found {
+                    fx.joined.push(JoinedPair::orient(stored, t));
                     matches += 1;
                 }
             } else {
-                matches = self.store.probe(&t, min_ts).count() as u64;
+                matches = found.count() as u64;
             }
             self.stats.probed += 1;
             self.stats.joined += matches;
@@ -1111,7 +1112,7 @@ mod tests {
             "the source acks the rollback so the monitor can close the round"
         );
         // The two buffered probes join the restored store exactly once.
-        let hot_bucket = src.store().probe_bucket_len(migrated_key);
+        let hot_bucket = src.store().key_count(migrated_key);
         fx.clear();
         while src.process_next(&mut fx).is_some() {}
         assert_eq!(fx.joined.len() as u64, 2 * hot_bucket);
@@ -1134,7 +1135,7 @@ mod tests {
         for stat in a.key_stats() {
             let mut probe = Tuple::s(stat.key, 0, 0);
             probe.seq = u64::MAX;
-            let bucket = |i: &JoinInstance| i.store.probe(&probe, 0).copied().collect::<Vec<_>>();
+            let bucket = |i: &JoinInstance| i.store.probe(&probe, 0).collect::<Vec<_>>();
             assert_eq!(bucket(a), bucket(b), "bucket of key {}", stat.key);
         }
     }

@@ -11,6 +11,27 @@
 //! migration: installed tuples can be older than the newest local ones, so
 //! eager FIFO expiry alone could reclaim them late — but never emit them.
 //!
+//! # Layout
+//!
+//! Comparing a probe against a key's stored tuples is the work of a join
+//! instance (the paper's `L_i = |R_i| · φ_si`), and the comparison reads
+//! one field, `seq` — two inside a window. So a key's tuples are stored as
+//! columns, not as `Tuple`s: one allocation per key holding a `seq`, a
+//! `ts`, a `payload` and a `side` column of `cap` words each (`key` is the
+//! map key). A probe that only counts walks the `seq` column — 8
+//! contiguous bytes per stored tuple where an array of `Tuple`s costs 40 —
+//! plus the `ts` column when `min_ts > 0`; `payload` and `side` are read
+//! only for a match that is handed out as a `Tuple`. The scan stays linear
+//! in the bucket on purpose: it is the cost the load model and the monitor
+//! balance.
+//!
+//! The columns are rings sharing one `head`, because a bucket is a FIFO
+//! (`insert` appends, `expire` pops the oldest) whose both ends move back
+//! under [`TupleStore::rollback`]. A full ring doubles into a fresh
+//! allocation laid out from slot 0; a [`Clone`] is that same copy at
+//! exactly the live length. `docs/ARCHITECTURE.md`, "Store layout", has
+//! the measurements behind each of these choices.
+//!
 //! # Undo journal
 //!
 //! A store can cheaply return to an earlier state: [`TupleStore::mark`]
@@ -22,8 +43,244 @@
 //! journals nothing and pays one branch per mutation.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
-use crate::tuple::{Key, Seq, Timestamp, Tuple};
+use lintmarks::lint;
+
+use crate::tuple::{Key, Seq, Side, Timestamp, Tuple};
+
+/// Slots of a bucket's first allocation.
+const FIRST_CAP: usize = 4;
+
+/// Word columns of a bucket: `seq | ts | payload | side`.
+const COLUMNS: usize = 4;
+
+/// The stored tuples of one key, oldest first, as ring-buffer columns in
+/// one allocation (module docs, "Layout").
+#[derive(Debug, Default)]
+struct Bucket {
+    /// [`COLUMNS`] columns of `cap` words each, indexed by physical slot.
+    buf: Box<[u64]>,
+    /// Physical slot of the oldest tuple.
+    head: usize,
+    len: usize,
+}
+
+/// Splits a bucket's allocation into its columns.
+fn columns(buf: &[u64]) -> [&[u64]; COLUMNS] {
+    let cap = buf.len() / COLUMNS;
+    let (seq, rest) = buf.split_at(cap);
+    let (ts, rest) = rest.split_at(cap);
+    let (payload, side) = rest.split_at(cap);
+    [seq, ts, payload, side]
+}
+
+/// Iterator over a bucket's tuples, oldest first: the bucket's columns
+/// and a cursor over its live slots.
+#[derive(Debug, Clone, Default)]
+struct Tuples<'a> {
+    key: Key,
+    seq: &'a [u64],
+    ts: &'a [u64],
+    payload: &'a [u64],
+    side: &'a [u64],
+    /// Physical slot of the next tuple.
+    slot: usize,
+    /// Tuples not yet visited.
+    left: usize,
+}
+
+impl Tuples<'_> {
+    /// The next tuple whose `(seq, ts)` passes `keep`. Only `seq` and `ts`
+    /// are read of a tuple that does not.
+    #[inline]
+    fn next_where(&mut self, keep: impl Fn(Seq, Timestamp) -> bool) -> Option<Tuple> {
+        while self.left > 0 {
+            let slot = self.slot;
+            self.slot = if slot + 1 < self.seq.len() { slot + 1 } else { 0 };
+            self.left -= 1;
+            let (seq, ts) = (*self.seq.get(slot)?, *self.ts.get(slot)?);
+            if keep(seq, ts) {
+                let side = if *self.side.get(slot)? == 0 { Side::R } else { Side::S };
+                return Some(Tuple {
+                    side,
+                    key: self.key,
+                    ts,
+                    seq,
+                    payload: *self.payload.get(slot)?,
+                });
+            }
+        }
+        None
+    }
+
+    /// The unvisited slots, oldest first: a ring's live slots are at most
+    /// two contiguous runs, up to the end of the columns and then on from
+    /// slot 0.
+    fn runs(&self) -> [Range<usize>; 2] {
+        let (cap, end) = (self.seq.len(), self.slot + self.left);
+        [self.slot..end.min(cap), 0..end.saturating_sub(cap)]
+    }
+}
+
+impl Iterator for Tuples<'_> {
+    type Item = Tuple;
+
+    fn next(&mut self) -> Option<Tuple> {
+        self.next_where(|_, _| true)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Tuples<'_> {}
+
+impl Bucket {
+    fn cap(&self) -> usize {
+        self.buf.len() / COLUMNS
+    }
+
+    fn tuples(&self, key: Key) -> Tuples<'_> {
+        let [seq, ts, payload, side] = columns(&self.buf);
+        Tuples { key, seq, ts, payload, side, slot: self.head, left: self.len }
+    }
+
+    /// A copy of the live tuples in an allocation of `cap >= len` slots,
+    /// laid out from slot 0.
+    fn copy_into(&self, cap: usize) -> Bucket {
+        let mut buf = vec![0; COLUMNS * cap];
+        let runs = self.tuples(0).runs();
+        for (column, src) in columns(&self.buf).into_iter().enumerate() {
+            let mut at = column * cap;
+            // An empty run is skipped, not copied: a bucket's first
+            // allocation and every unwrapped ring have one.
+            for run in runs.iter().filter(|run| !run.is_empty()) {
+                if let (Some(src), Some(dst)) =
+                    (src.get(run.clone()), buf.get_mut(at..at + run.len()))
+                {
+                    dst.copy_from_slice(src);
+                }
+                at += run.len();
+            }
+        }
+        Bucket { buf: buf.into(), head: 0, len: self.len }
+    }
+
+    /// Writes `t` into physical slot `slot` of every column.
+    fn write(&mut self, slot: usize, t: &Tuple) {
+        let cap = self.cap();
+        let words = [t.seq, t.ts, t.payload, t.side.index() as u64];
+        for (column, word) in words.into_iter().enumerate() {
+            if let Some(w) = self.buf.get_mut(column * cap + slot) {
+                *w = word;
+            }
+        }
+    }
+
+    /// Makes room for one more tuple: a full ring moves to an allocation
+    /// twice the size.
+    fn reserve_one(&mut self) {
+        if self.len == self.cap() {
+            *self = self.copy_into((2 * self.len).max(FIRST_CAP));
+        }
+    }
+
+    fn push_back(&mut self, t: &Tuple) {
+        self.reserve_one();
+        let (cap, end) = (self.cap(), self.head + self.len);
+        self.write(if end < cap { end } else { end - cap }, t);
+        self.len += 1;
+    }
+
+    /// Puts `t` back in front of the oldest tuple — what undoing an expiry
+    /// needs. The ring has room there whatever happened to the bucket
+    /// since: the slot before `head`, wrapping to the last one.
+    fn push_front(&mut self, t: &Tuple) {
+        self.reserve_one();
+        self.head = self.head.checked_sub(1).unwrap_or(self.cap() - 1);
+        self.write(self.head, t);
+        self.len += 1;
+    }
+
+    fn pop_back(&mut self) {
+        self.len = self.len.saturating_sub(1);
+    }
+
+    fn pop_front(&mut self, key: Key) -> Option<Tuple> {
+        let mut scan = self.tuples(key);
+        let t = scan.next()?;
+        (self.head, self.len) = (scan.slot, scan.left);
+        Some(t)
+    }
+
+    /// Event time of the oldest tuple.
+    fn front_ts(&self) -> Option<Timestamp> {
+        self.tuples(0).next().map(|t| t.ts)
+    }
+}
+
+/// A clone is compact: exactly the live tuples, no growth slack.
+impl Clone for Bucket {
+    fn clone(&self) -> Self {
+        self.copy_into(self.len)
+    }
+}
+
+/// The stored tuples one probe matches, oldest first — what
+/// [`TupleStore::probe`] returns. Iterating hands each match out as a
+/// [`Tuple`]; [`count`](Iterator::count) only counts them, from the `seq`
+/// column alone when `min_ts == 0` (module docs, "Layout").
+#[derive(Debug, Clone)]
+pub struct Matches<'a> {
+    scan: Tuples<'a>,
+    before: Seq,
+    min_ts: Timestamp,
+    bucket_len: u64,
+}
+
+impl Matches<'_> {
+    /// Stored tuples the probe is compared against (`|R_ik|`, the whole
+    /// bucket) — the hash-probe cost, whatever part of the iterator has
+    /// been consumed.
+    #[must_use]
+    pub fn bucket_len(&self) -> u64 {
+        self.bucket_len
+    }
+}
+
+impl Iterator for Matches<'_> {
+    type Item = Tuple;
+
+    #[lint(hot_path)]
+    #[inline]
+    fn next(&mut self) -> Option<Tuple> {
+        let (before, min_ts) = (self.before, self.min_ts);
+        self.scan.next_where(|seq, ts| seq < before && ts >= min_ts)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(self.scan.left))
+    }
+
+    /// The probe kernel: same comparisons as `next`, over the columns they
+    /// read and nothing else.
+    #[lint(hot_path)]
+    fn count(self) -> usize {
+        let (before, min_ts) = (self.before, self.min_ts);
+        let in_run = |slots: Range<usize>| {
+            let seqs = self.scan.seq.get(slots.clone()).unwrap_or_default();
+            if min_ts == 0 {
+                seqs.iter().filter(|&&seq| seq < before).count()
+            } else {
+                let pairs = seqs.iter().zip(self.scan.ts.get(slots).unwrap_or_default());
+                pairs.filter(|&(&seq, &ts)| seq < before && ts >= min_ts).count()
+            }
+        };
+        self.scan.runs().into_iter().map(in_run).sum()
+    }
+}
 
 /// The inverse of one store mutation, as recorded by the undo journal.
 #[derive(Debug)]
@@ -37,13 +294,13 @@ enum Undo {
     Expire { trigger: Timestamp, key: Key, popped: Option<Tuple> },
     /// `extract_keys` removed this whole bucket: put it back. (The FIFO is
     /// untouched by extraction — its stale triggers stay where they were.)
-    Extract { key: Key, bucket: VecDeque<Tuple> },
+    Extract { key: Key, bucket: Bucket },
 }
 
 /// Key-bucketed storage for one stream on one join instance.
 #[derive(Debug, Default)]
 pub struct TupleStore {
-    buckets: HashMap<Key, VecDeque<Tuple>>,
+    buckets: HashMap<Key, Bucket>,
     /// Expiry triggers in monotone order: `(trigger_ts, key)`. The trigger
     /// is `max(event ts, previous trigger)` so the queue stays sorted even
     /// when migration installs old tuples; removal re-checks the real
@@ -96,7 +353,7 @@ impl TupleStore {
     #[inline]
     #[must_use]
     pub fn key_count(&self, key: Key) -> u64 {
-        self.buckets.get(&key).map_or(0, |b| b.len() as u64)
+        self.buckets.get(&key).map_or(0, |b| b.len as u64)
     }
 
     /// Number of distinct keys currently stored.
@@ -107,7 +364,7 @@ impl TupleStore {
 
     /// Iterates over `(key, |R_ik|)` pairs.
     pub fn key_counts(&self) -> impl Iterator<Item = (Key, u64)> + '_ {
-        self.buckets.iter().map(|(k, b)| (*k, b.len() as u64))
+        self.buckets.iter().map(|(k, b)| (*k, b.len as u64))
     }
 
     /// Starts the undo journal at the store's current state, discarding
@@ -130,7 +387,7 @@ impl TupleStore {
                 Undo::Insert(key) => {
                     if let Some(bucket) = self.buckets.get_mut(&key) {
                         bucket.pop_back();
-                        if bucket.is_empty() {
+                        if bucket.len == 0 {
                             self.buckets.remove(&key);
                         }
                     }
@@ -140,12 +397,12 @@ impl TupleStore {
                 Undo::Expire { trigger, key, popped } => {
                     self.fifo.push_front((trigger, key));
                     if let Some(t) = popped {
-                        self.buckets.entry(key).or_default().push_front(t);
+                        self.buckets.entry(key).or_default().push_front(&t);
                         self.total += 1;
                     }
                 }
                 Undo::Extract { key, bucket } => {
-                    self.total += bucket.len() as u64;
+                    self.total += bucket.len as u64;
                     self.buckets.insert(key, bucket);
                 }
             }
@@ -161,7 +418,7 @@ impl TupleStore {
 
     /// Inserts a tuple.
     pub fn insert(&mut self, t: Tuple) {
-        self.buckets.entry(t.key).or_default().push_back(t);
+        self.buckets.entry(t.key).or_default().push_back(&t);
         let trigger = self.fifo.back().map_or(t.ts, |&(back, _)| back.max(t.ts));
         self.fifo.push_back((trigger, t.key));
         self.total += 1;
@@ -175,20 +432,14 @@ impl TupleStore {
     /// opposite seq direction of the pair joins in the other group) and
     /// whose event time is within the window (`ts >= min_ts`). Pass
     /// `min_ts = 0` for full-history joins.
-    pub fn probe(&self, probe: &Tuple, min_ts: Timestamp) -> impl Iterator<Item = &Tuple> + '_ {
-        let seq = probe.seq;
-        self.buckets
-            .get(&probe.key)
-            .into_iter()
-            .flatten()
-            .filter(move |t| t.seq < seq && t.ts >= min_ts)
-    }
-
-    /// Number of stored tuples the probe would be compared against
-    /// (`|R_ik|`, bucket size) — the hash-probe cost.
-    #[must_use]
-    pub fn probe_bucket_len(&self, key: Key) -> u64 {
-        self.key_count(key)
+    pub fn probe(&self, probe: &Tuple, min_ts: Timestamp) -> Matches<'_> {
+        let bucket = self.buckets.get(&probe.key);
+        Matches {
+            scan: bucket.map(|b| b.tuples(probe.key)).unwrap_or_default(),
+            before: probe.seq,
+            min_ts,
+            bucket_len: bucket.map_or(0, |b| b.len as u64),
+        }
     }
 
     /// Removes and returns all tuples whose key is in `keys`, preserving
@@ -200,8 +451,9 @@ impl TupleStore {
         let mut out = Vec::new();
         for k in keys {
             if let Some(bucket) = self.buckets.remove(k) {
-                self.total -= bucket.len() as u64;
-                out.extend(&bucket);
+                self.total -= bucket.len as u64;
+                // `Tuples` is exact-size, so this reserves the bucket's length.
+                out.extend(bucket.tuples(*k));
                 if let Some(journal) = &mut self.journal {
                     journal.push(Undo::Extract { key: *k, bucket });
                 }
@@ -236,11 +488,11 @@ impl TupleStore {
             self.fifo.pop_front();
             let mut popped = None;
             if let Some(bucket) = self.buckets.get_mut(&key) {
-                if bucket.front().is_some_and(|t| t.ts < horizon) {
-                    popped = bucket.pop_front();
+                if bucket.front_ts().is_some_and(|ts| ts < horizon) {
+                    popped = bucket.pop_front(key);
                     self.total -= 1;
                     removed += 1;
-                    if bucket.is_empty() {
+                    if bucket.len == 0 {
                         self.buckets.remove(&key);
                     }
                 }
@@ -255,7 +507,7 @@ impl TupleStore {
     /// The largest stored sequence number for `key`, if any (diagnostics).
     #[must_use]
     pub fn max_seq(&self, key: Key) -> Option<Seq> {
-        self.buckets.get(&key).and_then(|b| b.iter().map(|t| t.seq).max())
+        self.buckets.get(&key).and_then(|b| b.tuples(key).map(|t| t.seq).max())
     }
 }
 
@@ -273,7 +525,7 @@ mod tests {
     fn probe_all(s: &TupleStore, key: Key, min_ts: Timestamp) -> Vec<Tuple> {
         let mut p = Tuple::new(Side::S, key, u64::MAX, 0);
         p.seq = u64::MAX;
-        s.probe(&p, min_ts).cloned().collect()
+        s.probe(&p, min_ts).collect()
     }
 
     #[test]

@@ -123,6 +123,7 @@ impl JoinedPair {
     /// # Panics
     /// Panics if both tuples come from the same stream side — that would be
     /// a routing bug, not a data condition.
+    #[inline]
     #[must_use]
     pub fn orient(stored: Tuple, probe: Tuple) -> Self {
         // lint:allow(caller contract: a pair is one stored + one probe side)

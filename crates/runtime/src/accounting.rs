@@ -113,6 +113,20 @@ impl ProbeAccountant {
         fanout: u32,
         latency_us: u64,
     ) -> Result<(), AccountingError> {
+        // A one-part probe arriving while nothing is outstanding — every
+        // probe of a hash-partitioned run — would open its entry and close
+        // it again: same counts, same sample, without hashing `seq` twice.
+        if fanout == 1 && self.outstanding.is_empty() {
+            self.probes_total += 1;
+            self.latency.record(latency_us);
+            return Ok(());
+        }
+        self.book_part(seq, fanout, latency_us)
+    }
+
+    /// The ledger proper: finds or opens the probe's entry, checks the
+    /// part against it and closes the entry on its last part.
+    fn book_part(&mut self, seq: u64, fanout: u32, latency_us: u64) -> Result<(), AccountingError> {
         if fanout == 0 {
             return Err(AccountingError::ZeroFanout { seq });
         }
@@ -168,6 +182,7 @@ impl ProbeAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn single_part_probes_complete_immediately() {
@@ -225,6 +240,35 @@ mod tests {
         a.on_probe(8, 3, 3).unwrap(); // completes
         assert_eq!(a.probes_total(), 2);
         assert!(a.finish().is_ok());
+    }
+
+    proptest! {
+        /// `on_probe`'s shortcut for one-part probes is invisible: on any
+        /// interleaving of one- and multi-part reports — duplicates,
+        /// mismatched and zero fan-outs included — every call returns what
+        /// the ledger alone returns, and the totals, the entries left
+        /// outstanding and the latency histogram end up identical.
+        #[test]
+        fn the_one_part_shortcut_matches_the_ledger(
+            parts in prop::collection::vec((0u64..6, 0u32..4, 0u64..10_000), 0..120),
+            one_part_share in 0u32..4,
+        ) {
+            let (mut fast, mut slow) = (ProbeAccountant::new(), ProbeAccountant::new());
+            for (i, (seq, fanout, latency_us)) in parts.into_iter().enumerate() {
+                // Runs of fresh one-part probes (the shortcut's case)
+                // between parts that share a few seqs and so stay open,
+                // complete late, or contradict each other.
+                let (seq, fanout) =
+                    if fanout < one_part_share { (1_000 + i as u64, 1) } else { (seq, fanout) };
+                prop_assert_eq!(
+                    fast.on_probe(seq, fanout, latency_us),
+                    slow.book_part(seq, fanout, latency_us)
+                );
+                prop_assert_eq!(fast.probes_total(), slow.probes_total());
+                prop_assert_eq!(fast.outstanding(), slow.outstanding());
+            }
+            prop_assert_eq!(format!("{:?}", fast.finish()), format!("{:?}", slow.finish()));
+        }
     }
 
     #[test]
