@@ -494,58 +494,58 @@ impl JoinInstance {
     /// `RouteUpdated`) it starts the rollback; at the target (relayed by
     /// the source behind `MigStart`/`MigStore`) it returns the round's
     /// payload; at an idle instance it acknowledges a round whose
-    /// `MigrateCmd` never engaged.
+    /// `MigrateCmd` never engaged — and so does an instance engaged in a
+    /// *later* round: the aborted round ended here without engaging (its
+    /// `MigrateCmd` found nothing to move, or was dropped), the monitor
+    /// went on to the next one, and the sequencer's abort of the old round
+    /// arrives behind the new round's first message.
     fn on_mig_abort(&mut self, epoch: u64, fx: &mut Effects) -> Result<(), ProtocolError> {
-        match &self.mig {
-            MigrationState::Source { epoch: e, .. } => {
-                if *e != epoch {
-                    return Err(ProtocolError::EpochMismatch {
-                        instance: self.id,
-                        msg: "MigAbort",
-                        expected: *e,
-                        got: epoch,
-                    });
-                }
-                let MigrationState::Source { target, keys, buffer, .. } =
-                    std::mem::replace(&mut self.mig, MigrationState::Idle)
-                else {
-                    unreachable!("checked above"); // lint:allow(role verified two lines up)
-                };
+        let engaged = match &self.mig {
+            MigrationState::Source { epoch: e, .. } | MigrationState::Target { epoch: e, .. } => {
+                Some(*e)
+            }
+            MigrationState::Idle => None,
+            MigrationState::Aborting { .. } => {
+                return Err(ProtocolError::UnexpectedAbort { instance: self.id, msg: "MigAbort" });
+            }
+        };
+        match engaged {
+            Some(e) if epoch > e => {
+                return Err(ProtocolError::EpochMismatch {
+                    instance: self.id,
+                    msg: "MigAbort",
+                    expected: e,
+                    got: epoch,
+                });
+            }
+            Some(e) if epoch == e => {}
+            Some(_) | None => {
+                // The round never engaged here (MigrateCmd dropped, still in
+                // flight, or answered without a migration). Remember the
+                // epoch so a late command is ignored, and acknowledge so the
+                // monitor can close the round; a later round this instance
+                // is engaged in is left alone.
+                self.aborted_epochs.insert(epoch);
+                fx.migration_done.push(MigrationDone { epoch, tuples_moved: 0, keys_moved: 0 });
+                return Ok(());
+            }
+        }
+        match std::mem::replace(&mut self.mig, MigrationState::Idle) {
+            MigrationState::Source { target, keys, buffer, .. } => {
                 // Relay on the same channel that carried MigStart/MigStore:
                 // FIFO guarantees the target is engaged when it arrives.
                 fx.sends.push((target, InstanceMsg::MigAbort { epoch }));
                 self.mig = MigrationState::Aborting { epoch, keys, buffer };
             }
-            MigrationState::Target { epoch: e, .. } => {
-                if *e != epoch {
-                    return Err(ProtocolError::EpochMismatch {
-                        instance: self.id,
-                        msg: "MigAbort",
-                        expected: *e,
-                        got: epoch,
-                    });
-                }
-                let MigrationState::Target { from, keys, held, .. } =
-                    std::mem::replace(&mut self.mig, MigrationState::Idle)
-                else {
-                    unreachable!("checked above"); // lint:allow(role verified two lines up)
-                };
+            MigrationState::Target { from, keys, held, .. } => {
                 // Hand everything back: the stored tuples installed so far
                 // and any held dispatcher data (none pre-flip).
                 let key_list: Vec<Key> = keys.iter().copied().collect();
                 let stored = self.store.extract_keys(&key_list);
                 fx.sends.push((from, InstanceMsg::MigReturn { epoch, stored, inflight: held }));
             }
-            MigrationState::Idle => {
-                // The round never engaged here (MigrateCmd dropped or still
-                // in flight). Remember the epoch so a late command is
-                // ignored, and acknowledge so the monitor can close the
-                // round.
-                self.aborted_epochs.insert(epoch);
-                fx.migration_done.push(MigrationDone { epoch, tuples_moved: 0, keys_moved: 0 });
-            }
-            MigrationState::Aborting { .. } => {
-                return Err(ProtocolError::UnexpectedAbort { instance: self.id, msg: "MigAbort" });
+            MigrationState::Idle | MigrationState::Aborting { .. } => {
+                unreachable!("engaged in round {epoch}"); // lint:allow(role verified above)
             }
         }
         Ok(())
@@ -1244,6 +1244,68 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(inst.migration_state(), MigrationState::Source { epoch: 6, .. }));
+    }
+
+    /// A source and its target, both engaged in round 6.
+    fn engaged_pair() -> (JoinInstance, JoinInstance, GreedyFit) {
+        let mut src = skewed_source();
+        let mut tgt = JoinInstance::new(3, Side::R, None);
+        let mut sel = GreedyFit::new();
+        let mut fx = Effects::new();
+        src.handle(
+            InstanceMsg::MigrateCmd { epoch: 6, target: 3, target_load: InstanceLoad::new(0, 0) },
+            &mut sel,
+            0.0,
+            &mut fx,
+        )
+        .unwrap();
+        for (_, m) in std::mem::take(&mut fx.sends) {
+            tgt.handle(m, &mut sel, 0.0, &mut fx).unwrap();
+        }
+        assert!(matches!(src.migration_state(), MigrationState::Source { epoch: 6, .. }));
+        assert!(matches!(tgt.migration_state(), MigrationState::Target { epoch: 6, .. }));
+        (src, tgt, sel)
+    }
+
+    #[test]
+    fn abort_of_an_older_round_is_acknowledged_and_leaves_the_engaged_round_alone() {
+        // Round 5 ended at this instance without engaging it; the monitor
+        // moved on to round 6, and the sequencer's abort of round 5 arrives
+        // behind round 6's first message — in either role.
+        let (src, tgt, mut sel) = engaged_pair();
+        for mut inst in [src, tgt] {
+            let before = inst.clone();
+            let mut fx = Effects::new();
+            inst.handle(InstanceMsg::MigAbort { epoch: 5 }, &mut sel, 0.0, &mut fx).unwrap();
+            assert_eq!(
+                fx.migration_done.as_slice(),
+                &[MigrationDone { epoch: 5, tuples_moved: 0, keys_moved: 0 }]
+            );
+            assert!(fx.sends.is_empty() && fx.route_requests.is_empty(), "no relay, no return");
+            assert_eq!(inst.mig, before.mig, "the engaged round is untouched");
+            assert_eq!(inst.store.len(), before.store.len());
+            assert!(inst.aborted_epochs.contains(&5), "a late MigrateCmd{{5}} must be dropped");
+            // The engaged round can still be aborted on its own epoch.
+            fx.clear();
+            inst.handle(InstanceMsg::MigAbort { epoch: 6 }, &mut sel, 0.0, &mut fx).unwrap();
+            assert_eq!(fx.sends.len(), 1, "round 6's own abort still relays / returns");
+        }
+    }
+
+    #[test]
+    fn abort_of_a_newer_round_than_the_engaged_one_stays_an_error() {
+        let (src, tgt, mut sel) = engaged_pair();
+        for mut inst in [src, tgt] {
+            let mut fx = Effects::new();
+            let err = inst
+                .handle(InstanceMsg::MigAbort { epoch: 7 }, &mut sel, 0.0, &mut fx)
+                .unwrap_err();
+            assert!(
+                matches!(err, ProtocolError::EpochMismatch { expected: 6, got: 7, .. }),
+                "{err}"
+            );
+            assert!(fx.is_empty());
+        }
     }
 
     #[test]

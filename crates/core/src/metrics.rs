@@ -53,6 +53,20 @@ impl LogHistogram {
         self.max = self.max.max(value);
     }
 
+    /// Records `n` observations of the same `value` — what `n` calls of
+    /// [`LogHistogram::record`] would, in O(1). For a sample that is the
+    /// same for every tuple of a message by construction.
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_of(value)] += n;
+        self.count += n;
+        self.sum += u128::from(value) * u128::from(n);
+        self.max = self.max.max(value);
+    }
+
     /// Number of recorded observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -533,6 +547,7 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn histogram_mean_and_count() {
@@ -615,6 +630,37 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.max(), 30);
         assert!((a.mean().unwrap() - 20.0).abs() < 1e-12);
+    }
+
+    proptest! {
+        /// `record_n(v, n)` is n × `record(v)` to every reader, on top of
+        /// whatever the histogram already held — n = 0 (nothing recorded,
+        /// `max` untouched) and the capped top bucket included.
+        #[test]
+        fn record_n_is_n_records(
+            base in prop::collection::vec(0u64..5_000, 0..20),
+            shift in 0u32..64,
+            mantissa in prop::num::u64::ANY,
+            n in 0u64..200,
+        ) {
+            let value = mantissa >> shift;
+            let (mut bulk, mut looped) = (LogHistogram::new(), LogHistogram::new());
+            for &v in &base {
+                bulk.record(v);
+                looped.record(v);
+            }
+            bulk.record_n(value, n);
+            for _ in 0..n {
+                looped.record(value);
+            }
+            prop_assert_eq!(bulk.count(), looped.count());
+            prop_assert_eq!(bulk.mean(), looped.mean());
+            prop_assert_eq!(bulk.max(), looped.max());
+            for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(bulk.quantile(q), looped.quantile(q));
+            }
+            prop_assert_eq!(bulk.to_json(), looped.to_json());
+        }
     }
 
     #[test]

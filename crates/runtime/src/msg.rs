@@ -15,7 +15,8 @@
 //! entirely.
 //!
 //! The result hop follows the same unit: an instance reports the probes
-//! one input message completed as one vector of [`ProbeReport`]s.
+//! one input message completed as one vector of [`ProbeReport`]s, stamped
+//! once with the time the step that completed them finished.
 
 use fastjoin_core::load::InstanceLoad;
 use fastjoin_core::protocol::{InstanceMsg, MigrationDone, RouteRequest};
@@ -213,7 +214,9 @@ pub enum MonitorMsg {
 /// An instance collects the reports of the probes one input message
 /// completes and ships them together (`CollectorMsg::Probes` in
 /// `topology`), so the collector edge carries one message per instance
-/// message, not one per probe.
+/// message, not one per probe. What is the same for every report of a
+/// message — when the step finished — travels once, in that message; a
+/// report carries only what differs per probe.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeReport {
     /// Dispatch seq of the probing tuple (the collector's ledger key).
@@ -223,12 +226,10 @@ pub struct ProbeReport {
     pub fanout: u32,
     /// Result pairs this part emitted.
     pub matches: u64,
-    /// Microseconds from ingest to this part's completion.
-    pub latency_us: u64,
-    /// Runtime-clock microseconds when the part finished at the instance;
-    /// the collector subtracts it from its own receive time to attribute
-    /// the emit stage (`stage.emit_us`).
-    pub done_us: u64,
+    /// The probing tuple's spout stamp (its event time, and the origin of
+    /// its latency): the collector books `done_us − ts` for this part,
+    /// `done_us` being the message's.
+    pub ts: u64,
 }
 
 #[cfg(test)]
@@ -244,8 +245,8 @@ mod tests {
         assert!(format!("{m:?}").contains("Probe"));
         let d = SpoutMsg::Eos;
         assert!(format!("{d:?}").contains("Eos"));
-        let r = ProbeReport { seq: 1, fanout: 2, matches: 3, latency_us: 10, done_us: 0 };
+        let r = ProbeReport { seq: 1, fanout: 2, matches: 3, ts: 10 };
         assert_eq!(r.matches, 3);
-        assert_eq!(std::mem::size_of::<ProbeReport>(), 40);
+        assert_eq!(std::mem::size_of::<ProbeReport>(), 32);
     }
 }

@@ -17,7 +17,12 @@ pub struct RuntimeReport {
     pub results_total: u64,
     /// Probe-side tuples processed.
     pub probes_total: u64,
-    /// Per-probe completion latency (µs) histogram.
+    /// Per-probe latency (µs) from ingest to result-visible: the spout's
+    /// stamp on the probing tuple → the end of the instance step that
+    /// completed its last fan-out part, which is when that step's report
+    /// (and, for a results consumer, its pairs) left the instance. One
+    /// sample per probe, at the slowest part. `stage.queue_wait_us` +
+    /// `stage.probe_us` tile it per part; `stage.emit_us` is what follows.
     pub latency: LogHistogram,
     /// Results per second of wall time.
     pub throughput: TimeSeries,

@@ -48,7 +48,8 @@ pub(super) type InstanceTxs = [Vec<Sender<RtMsg>>; 2];
 #[derive(Default)]
 struct PendingBatch {
     items: Vec<DataItem>,
-    /// `now_us` when the oldest queued item was enqueued (deadline flush).
+    /// `now_us` of the spout message that brought the oldest queued item
+    /// (deadline flush).
     oldest_us: u64,
 }
 
@@ -158,9 +159,10 @@ impl Shard {
     }
 
     /// Routes one spout tuple into the per-destination pending queues
-    /// (assigning its dispatch seq), flushing any queue that fills.
+    /// (assigning its dispatch seq), flushing any queue that fills. `now`
+    /// is when the tuple's spout message was taken off the channel.
     #[lint(hot_path)]
-    fn ingest(&mut self, t: Tuple) {
+    fn ingest(&mut self, t: Tuple, now: u64) {
         let s = self.links.seq.fetch_add(1, Ordering::Relaxed);
         self.dispatcher.dispatch_into_with_seq(t, s, &mut self.scratch);
         let t = self.scratch.tuple;
@@ -169,7 +171,6 @@ impl Shard {
         let fanout = self.scratch.probe_dests.len() as u32;
         self.tuples_ingested += 1;
         self.probe_copies += u64::from(fanout);
-        let now = self.pulse.now_us();
         let store_dest = self.scratch.store_dest;
         self.enqueue(own, store_dest, DataItem::Store(t), now);
         let dests = std::mem::take(&mut self.scratch.probe_dests);
@@ -254,8 +255,11 @@ impl Shard {
     fn on_data(&mut self, msg: SpoutMsg) -> bool {
         match msg {
             SpoutMsg::Data(tuples) => {
+                // The message changed hands now: one clock read stamps all
+                // of its tuples (queue age, the sampled `Ingest` events).
+                let now = self.pulse.now_us();
                 for t in tuples {
-                    self.ingest(t);
+                    self.ingest(t, now);
                 }
             }
             SpoutMsg::Eos => {

@@ -18,9 +18,12 @@
 //! exactly "everything before the crash message, nothing of it".
 //!
 //! A step works per message wherever the work is the same for every tuple
-//! of the message: the `stage.*` histograms are resolved by name once per
-//! message, and the reports of the probes a step completes leave together,
-//! as one [`CollectorMsg::Probes`] sent after the step's work loop. That
+//! of the message: the clock is read as the message is taken and once the
+//! work it queued has drained (the per-tuple functions take those stamps
+//! as arguments), the `stage.*` histograms are resolved by name once per
+//! message, the effects buffer is flushed once, and the reports of the
+//! probes a step completes leave together, as one
+//! [`CollectorMsg::Probes`] sent after the step's work loop. That
 //! report buffer lives in the [`Outbox`], outside the checkpointed state;
 //! it is filled only by live steps and emptied by recovery. An injected
 //! crash fires before the step, so nothing of its message was reported;
@@ -105,17 +108,12 @@ struct Outbox {
     /// live steps (a replayed message's reports escaped before the crash)
     /// and shipped as one message after the step's work loop.
     reports: Vec<ProbeReport>,
-    /// The current step's `stage.probe_us` values, folded into the
-    /// registry under one name lookup after the work loop (the loop itself
-    /// needs the whole state mutably). Capacity is reused across steps.
-    probe_us: Vec<u64>,
 }
 
 impl Outbox {
     fn clear(&mut self) {
         self.fx.clear();
         self.reports.clear();
-        self.probe_us.clear();
     }
 }
 
@@ -252,11 +250,17 @@ impl InstanceState {
 
     /// Absorbs one data message whole, in the shard's routing order (the
     /// instance tells store from probe by `tuple.side`). The whole message
-    /// left the inbox now — one clock read — while queue-wait attribution
-    /// stays per tuple (`ts` is the spout stamp), under one name lookup.
+    /// left the inbox at `received`, while queue-wait attribution stays per
+    /// tuple (`ts` is the spout stamp), under one name lookup.
     #[lint(hot_path)]
-    fn absorb_items(&mut self, io: &InstanceIo, out: &mut Outbox, items: &[DataItem], live: bool) {
-        let received = io.pulse.now_us();
+    fn absorb_items(
+        &mut self,
+        io: &InstanceIo,
+        out: &mut Outbox,
+        items: &[DataItem],
+        received: u64,
+        live: bool,
+    ) {
         let mut probes = 0;
         for item in items {
             if let DataItem::Probe(t, fanout) = item {
@@ -276,11 +280,17 @@ impl InstanceState {
         }
     }
 
-    /// Processes one message end to end (message, effects, pending work).
+    /// Processes one message end to end (message, pending work, effects).
     /// With `live == false` the step replays a message whose outbound
     /// effects already escaped before a crash: every local mutation is
     /// re-applied, every channel send is suppressed — and nothing is
     /// journaled (the original live step already journaled these events).
+    ///
+    /// A tuple can only be observed where its message is, so the data
+    /// plane reads the clock where the message changes hands and nowhere
+    /// else: `received`, as the message is taken, and `finished`, once the
+    /// work it queued has drained and its reports are about to leave.
+    /// Every probe the step completes is done at `finished`.
     fn step(
         &mut self,
         io: &InstanceIo,
@@ -291,6 +301,7 @@ impl InstanceState {
         ring: &mut TraceRing,
     ) {
         let now_us = || io.pulse.now_us();
+        let received = now_us();
         let actor = io.actor();
         match msg {
             RtMsg::Inst(m) => {
@@ -362,7 +373,7 @@ impl InstanceState {
             }
             // The message is absorbed whole; the work loop below then
             // drains it with per-tuple sampling.
-            RtMsg::Data(items) => self.absorb_items(io, out, items, live),
+            RtMsg::Data(items) => self.absorb_items(io, out, items, received, live),
             RtMsg::ProbeHandoff(entries) => {
                 // Fan-outs of probes a migration source is about to forward
                 // to us; FIFO guarantees they precede the MigForward.
@@ -372,29 +383,49 @@ impl InstanceState {
             RtMsg::ReportRequest => self.report(io, live, qlen),
             RtMsg::Eos => self.eos = true,
         }
+        let probes = self.drain_work(io, out, received, live, ring);
         self.flush(io, &mut out.fx, live);
-        self.drain_work(io, out, live, ring);
-        // One report message per instance message: `stage.emit_us` of a
-        // probe therefore covers the rest of the step that completed it.
+        if probes == 0 {
+            return;
+        }
+        let finished = now_us();
+        // One value for every probe of the step: message taken → step
+        // drained. Recorded by replays too (the registry is checkpointed).
+        self.reg
+            .histogram_mut("stage.probe_us")
+            .record_n(finished.saturating_sub(received), probes);
+        // One report message per instance message (live steps only: a
+        // replayed message's reports escaped before the crash).
         if !out.reports.is_empty() {
-            let _ = io.collector.send(CollectorMsg::Probes(std::mem::take(&mut out.reports)));
+            let reports = std::mem::take(&mut out.reports);
+            let _ = io.collector.send(CollectorMsg::Probes { done_us: finished, reports });
         }
     }
 
-    /// Processes everything currently pending before new input is taken,
-    /// flushing effects after every tuple. Completed probes are closed out
-    /// per tuple ([`InstanceState::probe_done`]); their `stage.probe_us`
-    /// values are recorded under one name lookup for the whole step.
+    /// Processes everything currently pending before new input is taken and
+    /// returns how many probes that completed. Completed probes are closed
+    /// out per tuple ([`InstanceState::probe_done`]); sampled events carry
+    /// `received`, their message's stamp. The only effect the loop itself
+    /// produces is joined pairs, and only when a results consumer wants
+    /// them materialised: those leave as their probe completes (paced
+    /// latency and memory stay per probe); everything else waits for the
+    /// step's one flush after the loop.
     #[lint(hot_path)]
-    fn drain_work(&mut self, io: &InstanceIo, out: &mut Outbox, live: bool, ring: &mut TraceRing) {
+    fn drain_work(
+        &mut self,
+        io: &InstanceIo,
+        out: &mut Outbox,
+        received: u64,
+        live: bool,
+        ring: &mut TraceRing,
+    ) -> u64 {
         let actor = io.actor();
-        let mut before = io.pulse.now_us();
+        let mut probes = 0;
         while let Some(work) = self.inst.process_next(&mut out.fx) {
-            let after = io.pulse.now_us();
             let (kind, tuple, matches) = match work {
                 Work::Probe { tuple, matches, .. } => {
-                    out.probe_us.push(after.saturating_sub(before));
-                    let report = self.probe_done(&tuple, matches, after);
+                    probes += 1;
+                    let report = self.probe_done(&tuple, matches);
                     if live {
                         out.reports.push(report);
                     }
@@ -404,7 +435,7 @@ impl InstanceState {
             };
             if live {
                 ring.push_sampled(TraceEvent {
-                    at_us: after,
+                    at_us: received,
                     actor,
                     kind,
                     seq: tuple.seq,
@@ -413,31 +444,23 @@ impl InstanceState {
                     aux2: 0,
                 });
             }
-            before = after;
-            self.flush(io, &mut out.fx, live);
+            if !out.fx.joined.is_empty() {
+                self.flush(io, &mut out.fx, live);
+            }
         }
-        if !out.probe_us.is_empty() {
-            let probe_us = self.reg.histogram_mut("stage.probe_us");
-            out.probe_us.drain(..).for_each(|us| probe_us.record(us));
-        }
+        probes
     }
 
     /// Closes the books on one completed probe part: its fan-out entry is
     /// consumed here, and what the collector needs travels in the report.
     #[lint(hot_path)]
-    fn probe_done(&mut self, tuple: &Tuple, matches: u64, done_us: u64) -> ProbeReport {
+    fn probe_done(&mut self, tuple: &Tuple, matches: u64) -> ProbeReport {
         let fanout = self
             .probe_fanout
             .remove(&tuple.seq)
             // lint:allow(accounting invariant: the fan-out arrived with the probe or its hand-off; absence is the bug this layer fixes)
             .unwrap_or_else(|| panic!("probe {} has no fan-out entry", tuple.seq));
-        ProbeReport {
-            seq: tuple.seq,
-            fanout,
-            matches,
-            latency_us: done_us.saturating_sub(tuple.ts),
-            done_us,
-        }
+        ProbeReport { seq: tuple.seq, fanout, matches, ts: tuple.ts }
     }
 
     /// Serves a monitor `ReportRequest`: samples the local series and,
@@ -710,12 +733,25 @@ mod tests {
     fn reported_seqs(rx: &Receiver<CollectorMsg>) -> Vec<Vec<u64>> {
         std::iter::from_fn(|| rx.try_recv().ok())
             .map(|m| {
-                let CollectorMsg::Probes(reports) = m else {
+                let CollectorMsg::Probes { reports, .. } = m else {
                     panic!("only probe reports expected")
                 };
                 reports.iter().map(|r| r.seq).collect()
             })
             .collect()
+    }
+
+    fn item(side: Side, seq: u64, ts: u64) -> DataItem {
+        let mut t = Tuple::new(side, 7, ts, 0);
+        t.seq = seq;
+        match side {
+            Side::S => DataItem::Store(t), // `executor()` is an S-group instance
+            Side::R => DataItem::Probe(t, 1),
+        }
+    }
+
+    fn samples(exec: &mut InstanceExecutor, stage: &str) -> u64 {
+        exec.state.reg.histogram_mut(stage).count()
     }
 
     /// An organic panic mid-step leaves the probes that step had already
@@ -725,11 +761,7 @@ mod tests {
     #[test]
     fn recovery_drops_a_torn_steps_reports_and_replays_silently() {
         let (mut exec, collector_rx) = executor();
-        let probe = |seq| {
-            let mut t = Tuple::r(7, 0, seq);
-            t.seq = seq;
-            DataItem::Probe(t, 1)
-        };
+        let probe = |seq| item(Side::R, seq, 0);
         // One message processed before the crash: reported then, logged.
         let logged = RtMsg::Data(vec![probe(1), probe(2)]);
         exec.state.step(&exec.io, &mut exec.out, &logged, true, 0, &mut exec.ring);
@@ -737,18 +769,42 @@ mod tests {
         assert_eq!(reported_seqs(&collector_rx), vec![vec![1, 2]]);
         // The next one panicked after completing its first probe.
         exec.inflight = Some(RtMsg::Data(vec![probe(3), probe(4)]));
-        exec.out.reports.push(ProbeReport {
-            seq: 3,
-            fanout: 1,
-            matches: 0,
-            latency_us: 0,
-            done_us: 0,
-        });
-        exec.out.probe_us.push(5);
+        exec.out.reports.push(ProbeReport { seq: 3, fanout: 1, matches: 0, ts: 0 });
         exec.recover(1);
         assert_eq!(reported_seqs(&collector_rx), vec![vec![3, 4]], "one report per probe");
-        let probe_us = exec.state.reg.histogram_mut("stage.probe_us").count();
-        assert_eq!(probe_us, 4, "one stage.probe_us sample per probe part");
+        assert_eq!(samples(&mut exec, "stage.probe_us"), 4, "one sample per probe part");
         assert!(exec.state.probe_fanout.is_empty());
+    }
+
+    /// The step is the unit of observation: one message in, one report
+    /// message out, stamped once with the time every probe of the step is
+    /// done at, while the stage histograms still count per tuple.
+    #[test]
+    fn a_step_stamps_its_message_once_and_samples_its_stages_per_tuple() {
+        let (mut exec, collector_rx) = executor();
+        let now = exec.io.pulse.now_us();
+        let msg =
+            RtMsg::Data(vec![item(Side::R, 1, now), item(Side::S, 2, now), item(Side::R, 3, now)]);
+        exec.state.step(&exec.io, &mut exec.out, &msg, true, 0, &mut exec.ring);
+        exec.log.push(msg);
+        let sent: Vec<CollectorMsg> = std::iter::from_fn(|| collector_rx.try_recv().ok()).collect();
+        let [CollectorMsg::Probes { done_us, reports }] = sent.as_slice() else {
+            panic!("one report message per instance message, got {}", sent.len())
+        };
+        let reported: Vec<(u64, u64, u64)> =
+            reports.iter().map(|r| (r.seq, r.matches, r.ts)).collect();
+        // The second probe sees the tuple stored between the two.
+        assert_eq!(reported, vec![(1, 0, now), (3, 1, now)]);
+        assert!(*done_us >= now, "the step finished after its tuples were stamped");
+        assert_eq!(samples(&mut exec, "stage.probe_us"), 2);
+        assert_eq!(samples(&mut exec, "stage.queue_wait_us"), 3);
+        assert!(exec.out.reports.is_empty() && exec.out.fx.is_empty());
+
+        // A recovery rolls the registry back with the rest of the state and
+        // replays the log: the same samples once, not twice, and no report.
+        exec.recover(1);
+        assert_eq!(samples(&mut exec, "stage.probe_us"), 2);
+        assert_eq!(samples(&mut exec, "stage.queue_wait_us"), 3);
+        assert!(collector_rx.try_recv().is_err(), "a replayed step reports nothing");
     }
 }

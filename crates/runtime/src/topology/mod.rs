@@ -881,32 +881,40 @@ impl Collector {
         let mut found = 0;
         while self.error.is_none() {
             let Ok(msg) = rx.try_recv() else { break };
-            found +=
-                if let CollectorMsg::Probes(reports) = &msg { reports.len() as u64 } else { 1 };
+            found += if let CollectorMsg::Probes { reports, .. } = &msg {
+                reports.len() as u64
+            } else {
+                1
+            };
             self.absorb(msg);
         }
         self.backlog_hwm = self.backlog_hwm.max(found);
         found
     }
 
-    /// Folds the probe reports of one instance message: one clock read and
-    /// one `stage.emit_us` lookup for the vector; ledger, result count and
-    /// throughput series per report.
+    /// Folds the probe reports of one instance message at `now`, the
+    /// caller's one clock read for it. What is the same for every report —
+    /// the emit stage `now − done_us`, the period the results land in — is
+    /// booked once; the ledger takes `done_us − ts` per part, so for every
+    /// part the stages tile: its latency plus its emit sample is
+    /// `now − ts`.
     #[lint(hot_path)]
-    fn fold_probes(&mut self, reports: &[ProbeReport]) {
-        let now = self.clock.now_us();
+    fn fold_probes(&mut self, now: u64, done_us: u64, reports: &[ProbeReport]) {
         let RuntimeReport { results_total, throughput, registry, .. } = &mut self.report;
-        // Emit-stage latency: probe completion → collector.
-        let emit_us = registry.histogram_mut("stage.emit_us");
+        // Emit-stage latency: step finished → results visible here.
+        registry
+            .histogram_mut("stage.emit_us")
+            .record_n(now.saturating_sub(done_us), reports.len() as u64);
+        let mut matches = 0;
         for r in reports {
-            *results_total += r.matches;
-            throughput.record(now, r.matches as f64);
-            emit_us.record(now.saturating_sub(r.done_us));
+            matches += r.matches;
             self.accountant
-                .on_probe(r.seq, r.fanout, r.latency_us)
+                .on_probe(r.seq, r.fanout, done_us.saturating_sub(r.ts))
                 // lint:allow(accounting corruption means every later count is garbage; fail the run loudly)
                 .unwrap_or_else(|e| panic!("probe accounting violated: {e}"));
         }
+        *results_total += matches;
+        throughput.record(now, matches as f64);
         self.report_batches += 1;
     }
 
@@ -914,7 +922,9 @@ impl Collector {
         let report = &mut self.report;
         let reg = &mut report.registry;
         match msg {
-            CollectorMsg::Probes(reports) => self.fold_probes(&reports),
+            CollectorMsg::Probes { done_us, reports } => {
+                self.fold_probes(self.clock.now_us(), done_us, &reports);
+            }
             CollectorMsg::RouteFlip { group, epoch, us } => {
                 self.route_flips.push((group, epoch, us));
             }
@@ -964,8 +974,10 @@ impl Collector {
 /// Messages into the collector.
 enum CollectorMsg {
     /// The probes one instance message completed, in completion order
-    /// (never empty).
-    Probes(Vec<ProbeReport>),
+    /// (never empty). `done_us` is when the step that completed them had
+    /// drained its work — the moment before this message was sent, so
+    /// every probe of the step is done, and its result visible, then.
+    Probes { done_us: u64, reports: Vec<ProbeReport> },
     /// Routing-update round trip measured at the migration source:
     /// `MigrateCmd` receipt → `RouteUpdated` receipt, in microseconds.
     RouteFlip { group: usize, epoch: u64, us: u64 },
@@ -1016,6 +1028,40 @@ mod tests {
         assert!(no_shards.validate().is_err(), "dispatcher_shards 0 must be rejected");
         let sharded = RuntimeConfig { dispatcher_shards: 4, ..RuntimeConfig::default() };
         assert!(sharded.validate().is_ok(), "multi-shard configs are valid");
+    }
+
+    /// The stages tile by construction: for every probe part, what the
+    /// ledger books (`done_us − ts`) plus the message's emit sample
+    /// (`now − done_us`) is the fold time minus the tuple's spout stamp.
+    /// And what is booked once per message equals the per-report sums.
+    #[test]
+    fn fold_probes_tiles_the_stages_and_books_the_message_once() {
+        let collector = || Collector::new(Clock(Instant::now()), 1, 1);
+        let (now, done_us) = (2_010_000, 2_009_400);
+        let reports = [
+            ProbeReport { seq: 1, fanout: 1, matches: 3, ts: 100 },
+            ProbeReport { seq: 2, fanout: 1, matches: 0, ts: 1_999_999 },
+            ProbeReport { seq: 3, fanout: 1, matches: 7, ts: done_us },
+        ];
+        for r in &reports {
+            let mut c = collector();
+            c.fold_probes(now, done_us, std::slice::from_ref(r));
+            let emit = c.report.registry.histogram_mut("stage.emit_us").max();
+            let (_, latency) = c.accountant.finish().expect("one-part probes all complete");
+            assert_eq!(latency.max() + emit, now - r.ts, "probe {}", r.seq);
+        }
+
+        let mut c = collector();
+        c.fold_probes(now, done_us, &reports);
+        let matches: u64 = reports.iter().map(|r| r.matches).sum();
+        assert_eq!(c.report.results_total, matches);
+        assert_eq!(c.report.throughput.sums(), &[0.0, 0.0, matches as f64]);
+        assert_eq!(c.report_batches, 1);
+        let emit = c.report.registry.histogram_mut("stage.emit_us");
+        assert_eq!((emit.count(), emit.max()), (3, now - done_us), "n samples at one value");
+        let (probes, latency) = c.accountant.finish().expect("one-part probes all complete");
+        assert_eq!((probes, latency.count()), (3, 3));
+        assert_eq!(latency.max(), done_us - 100);
     }
 
     /// Satellite bugfix regression: per-executor seeds are derived by

@@ -21,7 +21,8 @@
 //!    channel is a *normal* event under supervision (a peer crashed or
 //!    shut down first); panicking on it turns one executor's failure into
 //!    a cascade. Handle the `Err` (stop the loop, report the failure).
-//! 6. **hot-path-alloc** / **hot-path-lookup** — functions marked
+//! 6. **hot-path-alloc** / **hot-path-lookup** / **hot-path-clock** —
+//!    functions marked
 //!    `#[lint(hot_path)]` (the inert marker from the `lintmarks` crate,
 //!    used on trace-emission entry points and on the runtime's per-tuple
 //!    functions) must not allocate: no `format!`, `to_string`,
@@ -30,9 +31,14 @@
 //!    `counter_add(`, `gauge_set(`, `histogram_record(` and
 //!    `series_record(` walk a string-keyed map on every call — resolve
 //!    the metric once per message (`MetricsRegistry::histogram_mut`, or a
-//!    plain field folded in at the end) and record through that. The
-//!    data plane promises no allocator round-trip and no registry lookup
-//!    per tuple; this rule keeps that promise honest as the code evolves.
+//!    plain field folded in at the end) and record through that. Nor
+//!    may they read the clock: `now_us(`, `Instant::now(` and
+//!    `.elapsed(` cost a vDSO call per tuple for a time that can only be
+//!    observed where the tuple's message is — the caller reads the clock
+//!    where the message changes hands and passes the stamp down. The
+//!    data plane promises no allocator round-trip, no registry lookup and
+//!    no clock read per tuple; this rule keeps that promise honest as the
+//!    code evolves.
 //!
 //! Sites that are genuinely unreachable or deliberately fatal are excused
 //! with a `// lint:allow(reason)` comment on the same line or the line
@@ -628,17 +634,19 @@ fn check_missing_docs(file: &str, src: &MaskedSource, in_test: &[bool], out: &mu
     }
 }
 
-/// Rule 6: no heap allocation and no by-name registry lookup inside
-/// `#[lint(hot_path)]` functions.
+/// Rule 6: no heap allocation, no by-name registry lookup and no clock
+/// read inside `#[lint(hot_path)]` functions.
 ///
 /// The scanner finds each `#[lint(hot_path)]` attribute, brace-matches the
-/// body of the function it marks, and flags allocating constructs and
-/// by-name metric calls inside. `lint:allow` on the offending line (or the
-/// line above) excuses a site, as everywhere else.
+/// body of the function it marks, and flags allocating constructs, by-name
+/// metric calls and clock reads inside. `lint:allow` on the offending line
+/// (or the line above) excuses a site, as everywhere else.
 fn check_hot_path(file: &str, src: &MaskedSource, in_test: &[bool], out: &mut Vec<Diagnostic>) {
     const ALLOC: &str = "hot-path-alloc";
     const LOOKUP: &str = "hot-path-lookup";
+    const CLOCK: &str = "hot-path-clock";
     const BY_NAME: &str = "looks the metric up by name; resolve once per message";
+    const READS_CLOCK: &str = "reads the clock; take the message's stamp as an argument";
     const NEEDLES: &[(&str, &str, &str)] = &[
         ("format!", ALLOC, "format! allocates a String"),
         (".to_string(", ALLOC, "to_string() allocates"),
@@ -655,6 +663,9 @@ fn check_hot_path(file: &str, src: &MaskedSource, in_test: &[bool], out: &mut Ve
         (".gauge_set(", LOOKUP, BY_NAME),
         (".histogram_record(", LOOKUP, BY_NAME),
         (".series_record(", LOOKUP, BY_NAME),
+        ("now_us(", CLOCK, READS_CLOCK),
+        ("Instant::now(", CLOCK, READS_CLOCK),
+        (".elapsed(", CLOCK, READS_CLOCK),
     ];
     const MARKER: &str = "#[lint(hot_path)]";
     let text = &src.masked;
@@ -994,6 +1005,36 @@ mod tests {
                    fn finish(&mut self) {\n    self.reg.counter_add(\"tuples\", self.n);\n}\n";
         let d = lint_source("crates/runtime/src/fake.rs", src);
         assert!(!rules(&d).contains(&"hot-path-lookup"), "{d:?}");
+    }
+
+    #[test]
+    fn hot_path_fn_may_not_read_the_clock() {
+        let src = "#[lint(hot_path)]\nfn ingest(&mut self, t: Tuple) {\n    \
+                   let now = self.pulse.now_us();\n    \
+                   let t0 = Instant::now();\n    \
+                   self.enqueue(t, now);\n    \
+                   self.spent += t0.elapsed().as_micros() as u64;\n    \
+                   self.last = now_us();\n}\n";
+        let d = lint_source("crates/runtime/src/fake.rs", src);
+        let hits: Vec<_> = d.iter().filter(|d| d.rule == "hot-path-clock").collect();
+        assert_eq!(hits.iter().map(|d| d.line).collect::<Vec<_>>(), vec![3, 4, 6, 7], "{d:?}");
+        assert!(hits[0].msg.contains("stamp as an argument"), "{d:?}");
+    }
+
+    #[test]
+    fn clock_reads_pass_when_excused_passed_down_or_outside_the_body() {
+        // Excused with a reason; a stamp taken as an argument (the name
+        // `now_us` alone is not a read); and the caller, unmarked, reading
+        // the clock once for the whole message.
+        let src = "#[lint(hot_path)]\nfn ingest(&mut self, t: Tuple, now_us: u64) {\n    \
+                   // lint:allow(once per parked send, not per tuple)\n    \
+                   let parked = self.pulse.now_us();\n    \
+                   self.enqueue(t, now_us.max(parked));\n}\n\n\
+                   fn on_data(&mut self, tuples: Vec<Tuple>) {\n    \
+                   let now = self.pulse.now_us();\n    \
+                   for t in tuples {\n        self.ingest(t, now);\n    }\n}\n";
+        let d = lint_source("crates/runtime/src/fake.rs", src);
+        assert!(!rules(&d).contains(&"hot-path-clock"), "{d:?}");
     }
 
     #[test]
