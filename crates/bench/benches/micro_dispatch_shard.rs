@@ -1,52 +1,17 @@
-//! Criterion micro-benchmarks — the sharded dispatcher's per-tuple probe
-//! path in ns/op: routing one tuple through `dispatch_into_with_seq` with
-//! the cross-shard shared sequence counter (what every shard pays per
-//! tuple) against the single-threaded internal-counter baseline, plus the
-//! off-path snapshot costs (taking and installing a whole-table
-//! `RouteSnapshot`, what a route flip costs each shard).
+//! Criterion micro-benchmarks — the sharded dispatcher's off-path snapshot
+//! costs in ns/op: taking and installing a whole-table `RouteSnapshot`,
+//! what a route flip costs the sequencer and each shard. (Shard-unique
+//! dispatch seqs cost one `fetch_add(len)` per spout message, not one per
+//! tuple, so there is no per-tuple sharding overhead left to price.)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use fastjoin_core::dispatcher::{Dispatch, Dispatcher};
+use fastjoin_core::dispatcher::Dispatcher;
 use fastjoin_core::partition::HashPartitioner;
-use fastjoin_core::tuple::Tuple;
 
 fn dispatcher48() -> Dispatcher {
     Dispatcher::new(Box::new(HashPartitioner::new(48, 0)), Box::new(HashPartitioner::new(48, 1)))
-}
-
-fn bench_probe_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_probe_path");
-    group.throughput(Throughput::Elements(1));
-    // The unsharded hot path: the dispatcher's own monotone counter.
-    group.bench_function("internal_seq", |b| {
-        let mut d = dispatcher48();
-        let mut out = Dispatch::default();
-        let mut k = 0u64;
-        b.iter(|| {
-            k = k.wrapping_add(1);
-            d.dispatch_into(Tuple::s(k % 10_000, k, 0), &mut out);
-            black_box(out.store_dest)
-        });
-    });
-    // The sharded hot path: one `fetch_add` on the shared cross-shard
-    // counter per tuple, then the same routing work. The delta between
-    // these two is the per-tuple cost of shard-unique sequence numbers.
-    group.bench_function("shared_seq", |b| {
-        let mut d = dispatcher48();
-        let seq = AtomicU64::new(1);
-        let mut out = Dispatch::default();
-        let mut k = 0u64;
-        b.iter(|| {
-            k = k.wrapping_add(1);
-            let s = seq.fetch_add(1, Ordering::Relaxed);
-            d.dispatch_into_with_seq(Tuple::s(k % 10_000, k, 0), s, &mut out);
-            black_box(out.store_dest)
-        });
-    });
-    group.finish();
 }
 
 fn bench_snapshot(c: &mut Criterion) {
@@ -72,5 +37,5 @@ fn bench_snapshot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_probe_path, bench_snapshot);
+criterion_group!(benches, bench_snapshot);
 criterion_main!(benches);

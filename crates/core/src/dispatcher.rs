@@ -43,30 +43,6 @@ pub struct DispatchCounts {
     pub s_group: Vec<u64>,
 }
 
-/// Verdict of a fenced snapshot install ([`Dispatcher::install_routes_fenced`]).
-///
-/// The fence is the highest snapshot epoch this dispatcher has ever
-/// installed. It survives a dispatch shard's crash (the supervisor keeps it
-/// outside the restarted body), which is what makes re-publication after a
-/// restart safe: a resurrected shard may *re-install* the current snapshot
-/// to rebuild its table, but can never acknowledge a superseded one — so a
-/// duplicate `Publish` (original + post-restart replay) yields exactly one
-/// acknowledgement and the sequencer's publication barrier cannot be
-/// released early by a stale ack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstallVerdict {
-    /// `snap.epoch > fence`: installed and the fence advanced. The caller
-    /// must acknowledge (`SnapshotLive`).
-    Installed,
-    /// `snap.epoch == fence`: the table was rebuilt from a re-published
-    /// copy of the already-fenced snapshot. Must NOT be acknowledged — the
-    /// original install already was (or is being credited via the restart
-    /// note).
-    Reinstalled,
-    /// `snap.epoch < fence`: a superseded snapshot; dropped entirely.
-    Superseded,
-}
-
 /// The dispatcher: one partitioner per group plus the sequence counter.
 #[derive(Clone)]
 pub struct Dispatcher {
@@ -74,8 +50,6 @@ pub struct Dispatcher {
     parts: [Box<dyn Partitioner + Send>; 2],
     next_seq: Seq,
     counts: DispatchCounts,
-    /// Highest snapshot epoch ever installed (see [`InstallVerdict`]).
-    fence: u64,
 }
 
 impl Dispatcher {
@@ -87,7 +61,7 @@ impl Dispatcher {
             r_group: vec![0; r_group.instances()],
             s_group: vec![0; s_group.instances()],
         };
-        Dispatcher { parts: [r_group, s_group], next_seq: 1, counts, fence: 0 }
+        Dispatcher { parts: [r_group, s_group], next_seq: 1, counts }
     }
 
     /// The partitioner of the group storing `side`.
@@ -222,36 +196,6 @@ impl Dispatcher {
         self.counts.r_group.resize(r.instances().max(self.counts.r_group.len()), 0);
         self.counts.s_group.resize(s.instances().max(self.counts.s_group.len()), 0);
         self.parts = [r, s];
-    }
-
-    /// Installs `snap` subject to the epoch fence; see [`InstallVerdict`]
-    /// for the three outcomes and the restart-safety argument.
-    pub fn install_routes_fenced(&mut self, snap: RouteSnapshot) -> InstallVerdict {
-        match snap.epoch.cmp(&self.fence) {
-            std::cmp::Ordering::Less => InstallVerdict::Superseded,
-            std::cmp::Ordering::Equal => {
-                self.install_routes(snap);
-                InstallVerdict::Reinstalled
-            }
-            std::cmp::Ordering::Greater => {
-                self.fence = snap.epoch;
-                self.install_routes(snap);
-                InstallVerdict::Installed
-            }
-        }
-    }
-
-    /// The highest snapshot epoch ever installed (0 = none).
-    #[must_use]
-    pub fn fence(&self) -> u64 {
-        self.fence
-    }
-
-    /// Carries a fence across a restart: a respawned shard's fresh
-    /// dispatcher inherits the dead incarnation's fence so it can never
-    /// re-acknowledge an epoch the sequencer already counted.
-    pub fn set_fence(&mut self, fence: u64) {
-        self.fence = self.fence.max(fence);
     }
 }
 
@@ -400,38 +344,6 @@ mod tests {
         assert_eq!(d.dispatch(Tuple::r(key, 3, 0)).store_dest, home);
         assert_eq!(shard.dispatch(Tuple::r(key, 4, 0)).store_dest, target);
         assert!(format!("{snap:?}").contains("epoch"));
-    }
-
-    #[test]
-    fn fenced_install_acks_each_epoch_exactly_once() {
-        let mut d = hash_dispatcher(4);
-        let mut shard = hash_dispatcher(4);
-        let key = 7;
-        let home = d.dispatch(Tuple::r(key, 0, 0)).store_dest;
-        let target = (home + 1) % 4;
-        assert!(d.stage_route(
-            Side::R,
-            &RouteRequest { epoch: 2, keys: vec![key], target, source: home }
-        ));
-        let snap = d.route_snapshot(2);
-        // First copy installs and must be acked.
-        assert_eq!(shard.install_routes_fenced(snap.clone()), InstallVerdict::Installed);
-        assert_eq!(shard.fence(), 2);
-        // A duplicate (post-restart re-publication) rebuilds the table but
-        // must not be acked again.
-        assert_eq!(shard.install_routes_fenced(snap.clone()), InstallVerdict::Reinstalled);
-        assert_eq!(shard.fence(), 2);
-        // A superseded snapshot is dropped outright.
-        let old = d.route_snapshot(1);
-        assert_eq!(shard.install_routes_fenced(old), InstallVerdict::Superseded);
-        assert_eq!(shard.dispatch(Tuple::r(key, 1, 0)).store_dest, target);
-        // A restarted shard's fresh dispatcher inherits the fence.
-        let mut fresh = hash_dispatcher(4);
-        fresh.set_fence(shard.fence());
-        assert_eq!(fresh.install_routes_fenced(snap), InstallVerdict::Reinstalled);
-        // set_fence never lowers the fence.
-        fresh.set_fence(1);
-        assert_eq!(fresh.fence(), 2);
     }
 
     #[test]

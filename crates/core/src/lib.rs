@@ -21,6 +21,9 @@
 //! * [`instance`] / [`protocol`] / [`monitor`] — the join instances, the
 //!   completeness-preserving migration protocol (§III-D, Algorithm 2), and
 //!   the monitoring component.
+//! * [`shard`] / [`sequencer`] — the dispatcher stage's decisions (batching,
+//!   flush-before-install, the publication barrier) as pure transitions
+//!   that the threaded runtime and the model checker both drive.
 //! * [`biclique`] — [`biclique::JoinCluster`], a synchronous reference
 //!   cluster wiring all components together.
 //! * [`metrics`] — throughput/latency/imbalance collection.
@@ -70,6 +73,12 @@ pub mod protocol;
 pub mod routing;
 /// Migration key-selection policies (greedy, DP, exact; §III-C).
 pub mod selection;
+/// The dispatcher stage's control sequencer: route / abort / commit and
+/// the publication barrier, as a pure transition.
+pub mod sequencer;
+/// One dispatcher shard: pending batches, flush, fenced snapshot install,
+/// as a pure transition.
+pub mod shard;
 /// The per-instance tuple store indexed by key.
 pub mod state;
 /// Telemetry export: Prometheus text rendering and sink abstraction.

@@ -11,6 +11,7 @@
 use std::collections::HashSet;
 
 use crate::load::InstanceLoad;
+use crate::routing::RouteSnapshot;
 use crate::tuple::{JoinedPair, Key, Tuple};
 
 /// Identifies one migration round within a group; assigned by the monitor,
@@ -224,6 +225,85 @@ pub struct MigrationDone {
     pub tuples_moved: u64,
     /// Keys migrated.
     pub keys_moved: usize,
+}
+
+/// Migration control into the dispatcher stage's control sequencer
+/// ([`crate::sequencer::Sequencer`]) — the serialization point for routing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DispatcherMsg {
+    /// A routing update from a migration target.
+    Route {
+        /// Which group's table to update (0 = R, 1 = S).
+        group: usize,
+        /// The update.
+        req: RouteRequest,
+    },
+    /// Monitor request: abort migration round `epoch` of `group` if its
+    /// route flip has not been applied yet. Accepted or refused, the
+    /// verdict goes back ([`crate::sequencer::SeqOut::ToMonitor`]); an
+    /// accepted abort sends [`InstanceMsg::MigAbort`] to `source`.
+    Abort {
+        /// Which group's round to abort (0 = R, 1 = S).
+        group: usize,
+        /// The overdue migration round.
+        epoch: Epoch,
+        /// The round's source instance (receives `MigAbort` on acceptance).
+        source: usize,
+    },
+    /// Monitor notification: round `epoch` of `group` closed normally, so
+    /// the routing-table entries it staged are now permanent.
+    Commit {
+        /// Which group's table to commit (0 = R, 1 = S).
+        group: usize,
+        /// The completed migration round.
+        epoch: Epoch,
+    },
+}
+
+/// Sequencer → shard control.
+///
+/// Shards never mutate routing state on their own: the control sequencer
+/// owns the authoritative [`crate::dispatcher::Dispatcher`] and publishes
+/// each net route change as a whole-table [`RouteSnapshot`]. A shard
+/// installs the snapshot atomically between batches, so every tuple in a
+/// batch routes under exactly one epoch (the snapshot-per-batch rule).
+#[derive(Debug, Clone)]
+pub enum ShardCtrl {
+    /// Flush everything buffered under the current snapshot, install this
+    /// one, then acknowledge with [`ShardNote::SnapshotLive`].
+    Publish(RouteSnapshot),
+}
+
+/// Shard → sequencer notifications.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardNote {
+    /// Shard `shard` has flushed all batches buffered under snapshots
+    /// older than `epoch` and is now routing under `epoch` — the
+    /// acknowledgement the sequencer's publication barrier collects.
+    SnapshotLive {
+        /// The acknowledging shard.
+        shard: usize,
+        /// The epoch of the snapshot now live on that shard.
+        epoch: u64,
+    },
+    /// Shard `shard` drained its data channel and observed end-of-stream;
+    /// it will keep acknowledging publishes (nothing can be pending) until
+    /// the control channel disconnects.
+    Eos {
+        /// The finished shard.
+        shard: usize,
+    },
+    /// Shard `shard` panicked and was respawned by its supervisor; `fence`
+    /// is the highest snapshot epoch the dead incarnation installed. The
+    /// sequencer re-publishes its current snapshot, and credits an open
+    /// barrier when `fence` covers its epoch (the install happened; only
+    /// the ack was lost with the thread).
+    Restarted {
+        /// The respawned shard.
+        shard: usize,
+        /// Highest epoch the dead incarnation had installed.
+        fence: u64,
+    },
 }
 
 /// Side effects produced by a join instance while handling messages or

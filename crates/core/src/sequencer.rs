@@ -1,0 +1,552 @@
+//! The dispatcher stage's control sequencer as a pure transition: the
+//! authoritative routing table, route / abort / commit, and the
+//! publication barrier as *state*.
+//!
+//! A [`Sequencer`] serializes every route flip, abort and commit of both
+//! groups and never touches data. Like [`crate::shard::Shard`] it has no
+//! channel, clock or thread: inputs ([`Sequencer::ctrl`],
+//! [`Sequencer::note`], [`Sequencer::shard_gone`], [`Sequencer::restart`])
+//! append to a caller-owned ordered sequence of [`SeqOut`]s that the
+//! embedding shell performs in order.
+//!
+//! A flip stages the route, publishes the post-stage table to every shard
+//! and opens a barrier; the source's `RouteUpdated` is emitted by —
+//! and only by — the transition that records the last missing
+//! acknowledgement. A shard acknowledges only behind the flushes of
+//! everything it routed under older snapshots, so by then all data any
+//! shard routed under the old table is already in the instances' inboxes
+//! and `RouteUpdated` cannot overtake an old-routed tuple. While a barrier
+//! is open the sequencer takes notes only ([`Sequencer::wants_ctrl`]).
+//!
+//! (The simulator keeps its own `routed_epochs` / `aborted_epochs` arms in
+//! `crates/sim/src/driver.rs`: its links have latency, so its tombstones
+//! must outlive `Commit` where these need not.)
+
+use std::collections::VecDeque;
+
+use crate::dispatcher::Dispatcher;
+use crate::protocol::{DispatcherMsg, Epoch, InstanceMsg, ShardNote};
+use crate::routing::RouteSnapshot;
+use crate::tuple::Side;
+
+/// An open publication barrier: which shards have been credited with
+/// installing `epoch`, and whom to tell once all have.
+#[derive(Debug, Clone)]
+struct Barrier {
+    epoch: u64,
+    /// Per-shard credit flags (not a count): a shard that restarts
+    /// mid-barrier may be credited through its `Restarted` note instead of
+    /// a `SnapshotLive` ack, and a count could not tell a duplicate from a
+    /// distinct shard.
+    acked: Vec<bool>,
+    /// `(group, source, round epoch)` of the `RouteUpdated` to release.
+    release: (usize, usize, Epoch),
+}
+
+/// What a transition did, for the shell's counters and trace journal, in
+/// the shape the journal records it (`aux` / `aux2` as documented on the
+/// matching [`crate::trace::TraceKind`]). Carries no instruction — a shell
+/// may ignore every one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeqEvent {
+    /// What happened.
+    pub did: Did,
+    /// The migration round (for `Republished`: the publication epoch).
+    pub epoch: u64,
+    /// See [`Did`].
+    pub aux: u64,
+    /// See [`Did`].
+    pub aux2: u64,
+}
+
+/// The kinds of [`SeqEvent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Did {
+    /// A `Route` was staged, and is being published (`aux` = the group's
+    /// route version now, `aux2` = group).
+    Staged,
+    /// A `Route` was staged and rolled back at once — the round's abort
+    /// had won, the source already got `MigAbort`, nothing is published
+    /// (`aux` = route version, bumped twice; `aux2` = group).
+    Reverted,
+    /// An abort was accepted (`aux` = the round's source, `aux2` = group).
+    AbortAccepted,
+    /// A round's staged routes were made permanent (`aux` = route version,
+    /// `aux2` = group).
+    Committed,
+    /// The current publication was re-sent to shard `aux` — in answer to
+    /// its `Restarted` note (`aux2` = the fence it reported), or to every
+    /// shard after a sequencer restart (`aux2` = 0).
+    Republished,
+}
+
+/// One element of the sequencer's ordered output sequence.
+#[derive(Debug, Clone)]
+pub enum SeqOut {
+    /// Queue `snapshot` at shard `shard`. A refused send is reported back
+    /// with [`Sequencer::shard_gone`].
+    Publish {
+        /// Destination shard.
+        shard: usize,
+        /// The table to install.
+        snapshot: RouteSnapshot,
+    },
+    /// Send `msg` (`RouteUpdated` or `MigAbort`) to instance `dest` of
+    /// `group`.
+    ToInstance {
+        /// Destination group.
+        group: usize,
+        /// Destination instance.
+        dest: usize,
+        /// The message.
+        msg: InstanceMsg,
+    },
+    /// Tell `group`'s monitor the verdict on its abort request. It
+    /// precedes the `MigAbort` it may cause: the source's rollback ack
+    /// races the verdict on the monitor's inbox, and if the ack won the
+    /// monitor would close the round as abandoned instead of aborted.
+    ToMonitor {
+        /// The requesting monitor's group.
+        group: usize,
+        /// The round the verdict is for.
+        epoch: Epoch,
+        /// Whether the abort was accepted.
+        aborted: bool,
+    },
+    /// Every shard has flushed and reported end-of-stream: send EOS to
+    /// every instance (it lands after all shard data on each FIFO inbox)
+    /// and release the monitors. Emitted once.
+    BroadcastEos,
+    /// Bookkeeping only.
+    Event(SeqEvent),
+}
+
+/// The control sequencer. The struct is what survives a crash of the
+/// thread driving it: a sequencer crash loses the thread, never the
+/// table, the publication epoch or an open barrier.
+#[derive(Debug, Clone)]
+pub struct Sequencer {
+    dispatcher: Dispatcher,
+    /// Rounds whose flip was applied (abort refused from then on) and
+    /// rounds whose abort won (their late `Route` is reverted), per group.
+    /// Entries retire when the monitor's `Commit` closes the round.
+    routed: [Vec<Epoch>; 2],
+    aborted: [Vec<Epoch>; 2],
+    /// Last published epoch; publication epochs start at 1.
+    epoch: u64,
+    barrier: Option<Barrier>,
+    /// Shards that reported end-of-stream (they still ack publishes).
+    eos_shards: Vec<bool>,
+    /// Shards whose channel is gone (their supervisor gave up — the run is
+    /// already failing); pre-credited so a barrier cannot wedge shutdown.
+    gone: Vec<bool>,
+    eos_broadcast: bool,
+}
+
+fn event(did: Did, epoch: u64, aux: u64, aux2: u64) -> SeqOut {
+    SeqOut::Event(SeqEvent { did, epoch, aux, aux2 })
+}
+
+impl Sequencer {
+    /// A sequencer owning `dispatcher` as the authoritative table of a
+    /// stage with `shards` shards.
+    #[must_use]
+    pub fn new(dispatcher: Dispatcher, shards: usize) -> Self {
+        Sequencer {
+            dispatcher,
+            routed: [Vec::new(), Vec::new()],
+            aborted: [Vec::new(), Vec::new()],
+            epoch: 0,
+            barrier: None,
+            eos_shards: vec![false; shards],
+            gone: vec![false; shards],
+            eos_broadcast: false,
+        }
+    }
+
+    /// False while a publication barrier is open: the shell must feed
+    /// [`Sequencer::note`] only until it closes.
+    #[must_use]
+    pub fn wants_ctrl(&self) -> bool {
+        self.barrier.is_none()
+    }
+
+    /// Applies one control message. Must not be called while a barrier is
+    /// open (see [`Sequencer::wants_ctrl`]).
+    pub fn ctrl(&mut self, msg: DispatcherMsg, out: &mut VecDeque<SeqOut>) {
+        debug_assert!(self.wants_ctrl(), "control served inside a publication barrier");
+        match msg {
+            DispatcherMsg::Route { group, req } => {
+                let side = if group == 0 { Side::R } else { Side::S };
+                let ok = self.dispatcher.stage_route(side, &req);
+                assert!(ok, "route update on non-migratable partitioner"); // lint:allow(config contract: dynamic mode implies a migratable partitioner)
+                let reverted = self.aborted[group].contains(&req.epoch); // lint:allow(group is 0 or 1: monitors and targets send their own group id)
+                if reverted {
+                    // Stage-and-revert leaves the table at its last
+                    // committed contents.
+                    let undone = self.dispatcher.revert_route(side, req.epoch);
+                    debug_assert!(undone);
+                } else {
+                    self.routed[group].push(req.epoch); // lint:allow(group is 0 or 1: monitors and targets send their own group id)
+                }
+                let did = if reverted { Did::Reverted } else { Did::Staged };
+                let version = self.dispatcher.route_version(side);
+                out.push_back(event(did, req.epoch, version, group as u64));
+                if !reverted {
+                    self.open_barrier((group, req.source, req.epoch), out);
+                }
+            }
+            DispatcherMsg::Abort { group, epoch, source } => {
+                let accept = !self.routed[group].contains(&epoch); // lint:allow(group is 0 or 1: the monitor sends its own group id)
+                out.push_back(SeqOut::ToMonitor { group, epoch, aborted: accept });
+                if accept {
+                    let aborted = &mut self.aborted[group]; // lint:allow(group is 0 or 1: the monitor sends its own group id)
+                    if !aborted.contains(&epoch) {
+                        aborted.push(epoch);
+                    }
+                    out.push_back(event(Did::AbortAccepted, epoch, source as u64, group as u64));
+                    // An abort leaves the committed table unchanged, so
+                    // there is nothing to publish.
+                    let msg = InstanceMsg::MigAbort { epoch };
+                    out.push_back(SeqOut::ToInstance { group, dest: source, msg });
+                }
+            }
+            DispatcherMsg::Commit { group, epoch } => {
+                let side = if group == 0 { Side::R } else { Side::S };
+                if self.dispatcher.commit_route(side, epoch) {
+                    let version = self.dispatcher.route_version(side);
+                    out.push_back(event(Did::Committed, epoch, version, group as u64));
+                }
+                self.routed[group].retain(|e| *e != epoch); // lint:allow(group is 0 or 1: the monitor sends its own group id)
+                self.aborted[group].retain(|e| *e != epoch); // lint:allow(group is 0 or 1: the monitor sends its own group id)
+            }
+        }
+    }
+
+    /// Publishes the post-stage table to every live shard and opens the
+    /// barrier that withholds `release`'s `RouteUpdated`. Post-EOS shards
+    /// still install and ack (nothing is pending there).
+    fn open_barrier(&mut self, release: (usize, usize, Epoch), out: &mut VecDeque<SeqOut>) {
+        self.epoch += 1;
+        let snapshot = self.dispatcher.route_snapshot(self.epoch);
+        for (shard, gone) in self.gone.iter().enumerate() {
+            if !gone {
+                out.push_back(SeqOut::Publish { shard, snapshot: snapshot.clone() });
+            }
+        }
+        self.barrier = Some(Barrier { epoch: self.epoch, acked: self.gone.clone(), release });
+        self.settle(out);
+    }
+
+    /// Applies one shard note.
+    pub fn note(&mut self, note: ShardNote, out: &mut VecDeque<SeqOut>) {
+        match note {
+            // Acks for other epochs are stale (a dead incarnation's, or a
+            // duplicate); `credit` ignores them.
+            ShardNote::SnapshotLive { shard, epoch } => self.credit(shard, epoch),
+            ShardNote::Eos { shard } => {
+                if let Some(seen) = self.eos_shards.get_mut(shard) {
+                    *seen = true;
+                }
+            }
+            ShardNote::Restarted { shard, fence } => {
+                // Re-publish so the fresh incarnation can rebuild its
+                // table. If the dead incarnation had already installed the
+                // barrier's epoch (fence >= epoch), the install is durable
+                // in the fence and only the ack died with the thread: the
+                // note counts as the ack. The reinstall itself never acks
+                // (see `Shard::publish`), so this cannot double-count.
+                self.republish_to(shard, fence, out);
+                self.credit(shard, fence);
+            }
+        }
+        self.settle(out);
+    }
+
+    /// A send to `shard` was refused: its supervisor gave up. Credits it
+    /// in the open barrier and in every later one.
+    pub fn shard_gone(&mut self, shard: usize, out: &mut VecDeque<SeqOut>) {
+        if let Some(gone) = self.gone.get_mut(shard) {
+            *gone = true;
+        }
+        self.credit(shard, u64::MAX);
+        self.settle(out);
+    }
+
+    /// Recovery after a crash of the driving thread: re-publishes the
+    /// current snapshot to every shard, which heals any divergence (the
+    /// shards' fences turn duplicates into ack-free reinstalls). An open
+    /// barrier stays open and still releases on the remaining acks.
+    pub fn restart(&mut self, out: &mut VecDeque<SeqOut>) {
+        for shard in 0..self.gone.len() {
+            self.republish_to(shard, 0, out);
+        }
+    }
+
+    /// Credits `shard` in the open barrier if it is known to have
+    /// installed at least the barrier's epoch (its ack names the epoch; a
+    /// restart note names the fence).
+    fn credit(&mut self, shard: usize, installed: u64) {
+        if let Some(b) = self.barrier.as_mut().filter(|b| installed >= b.epoch) {
+            if let Some(acked) = b.acked.get_mut(shard) {
+                *acked = true;
+            }
+        }
+    }
+
+    /// Re-sends the current snapshot to one shard. No-op before the first
+    /// publication: with fence 0 a fresh incarnation is not resyncing and
+    /// its initial routing table is already correct.
+    fn republish_to(&mut self, shard: usize, fence: u64, out: &mut VecDeque<SeqOut>) {
+        if self.epoch == 0 || self.gone.get(shard) != Some(&false) {
+            return;
+        }
+        out.push_back(event(Did::Republished, self.epoch, shard as u64, fence));
+        let snapshot = self.dispatcher.route_snapshot(self.epoch);
+        out.push_back(SeqOut::Publish { shard, snapshot });
+    }
+
+    /// Emits what the state has become ready for: the barrier's
+    /// `RouteUpdated` once every shard is credited, then — outside any
+    /// barrier — the EOS broadcast once every shard has reported.
+    fn settle(&mut self, out: &mut VecDeque<SeqOut>) {
+        if self.barrier.as_ref().is_some_and(|b| b.acked.iter().all(|a| *a)) {
+            if let Some(Barrier { release: (group, dest, epoch), .. }) = self.barrier.take() {
+                let msg = InstanceMsg::RouteUpdated { epoch };
+                out.push_back(SeqOut::ToInstance { group, dest, msg });
+            }
+        }
+        if self.barrier.is_none() && !self.eos_broadcast && self.eos_shards.iter().all(|e| *e) {
+            self.eos_broadcast = true;
+            out.push_back(SeqOut::BroadcastEos);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::HashPartitioner;
+    use crate::protocol::RouteRequest;
+    use crate::shard::{InstallVerdict, Shard, ShardOut};
+    use crate::trace::{Actor, TraceConfig, TraceRing};
+    use crate::tuple::Tuple;
+
+    fn table(n: usize) -> Dispatcher {
+        Dispatcher::new(Box::new(HashPartitioner::new(n, 0)), Box::new(HashPartitioner::new(n, 1)))
+    }
+
+    /// A sequencer whose outputs are read back as one line each (events
+    /// included, in sequence); published snapshots are kept aside.
+    struct Rig {
+        seq: Sequencer,
+        snaps: Vec<RouteSnapshot>,
+    }
+
+    impl Rig {
+        fn new(shards: usize) -> Self {
+            Rig { seq: Sequencer::new(table(2), shards), snaps: Vec::new() }
+        }
+
+        fn step(
+            &mut self,
+            input: impl FnOnce(&mut Sequencer, &mut VecDeque<SeqOut>),
+        ) -> Vec<String> {
+            let mut out = VecDeque::new();
+            input(&mut self.seq, &mut out);
+            let line = |o| match o {
+                SeqOut::Publish { shard, snapshot } => {
+                    let line = format!("publish {} -> shard{shard}", snapshot.epoch);
+                    self.snaps.push(snapshot);
+                    line
+                }
+                SeqOut::ToInstance { group, dest, msg } => format!("{msg:?} -> inst{group}.{dest}"),
+                SeqOut::ToMonitor { epoch, aborted, .. } => format!("verdict {epoch}: {aborted}"),
+                SeqOut::BroadcastEos => "eos".to_string(),
+                SeqOut::Event(e) => format!("{:?} {}: {} {}", e.did, e.epoch, e.aux, e.aux2),
+            };
+            out.into_iter().map(line).collect()
+        }
+
+        fn ctrl(&mut self, msg: DispatcherMsg) -> Vec<String> {
+            self.step(|seq, out| seq.ctrl(msg, out))
+        }
+
+        fn route(&mut self, epoch: Epoch, keys: &[u64]) -> Vec<String> {
+            let req = RouteRequest { epoch, keys: keys.to_vec(), target: 1, source: 0 };
+            self.ctrl(DispatcherMsg::Route { group: 0, req })
+        }
+
+        fn note(&mut self, note: ShardNote) -> Vec<String> {
+            self.step(|seq, out| seq.note(note, out))
+        }
+    }
+
+    fn live(shard: usize, epoch: u64) -> ShardNote {
+        ShardNote::SnapshotLive { shard, epoch }
+    }
+
+    /// `RouteUpdated` of round `epoch` to the source, as [`Rig`] prints it.
+    fn updated(epoch: Epoch) -> String {
+        format!("RouteUpdated {{ epoch: {epoch} }} -> inst0.0")
+    }
+
+    /// Part (a) of the flip contract plus post-flip consistency, with two
+    /// real shards: `RouteUpdated` is withheld while any shard still
+    /// holds data routed under the old snapshot, and afterwards every
+    /// shard routes a migrated key under the published one.
+    #[test]
+    fn a_flip_waits_for_every_shard_to_flush_old_snapshot_data() {
+        let mut probe = table(2);
+        let k_a =
+            (0u64..64).find(|k| probe.dispatch(Tuple::r(*k, 0, 0)).store_dest == 0).expect("a key");
+        let mut ring = TraceRing::new(Actor::dispatcher(), &TraceConfig::disabled());
+        let mut rig = Rig::new(2);
+        let mut shards = [Shard::new(0, table(2), 8), Shard::new(1, table(2), 8)];
+        let mut out = VecDeque::new();
+        // Shard 1 holds a store routed under the pre-flip table.
+        assert!(shards[1].data(&[Tuple::r(k_a, 0, 1)], 1, 0, &mut ring, &mut out));
+        assert!(out.is_empty());
+
+        assert_eq!(
+            rig.route(5, &[k_a]),
+            ["Staged 5: 2 0", "publish 1 -> shard0", "publish 1 -> shard1"]
+        );
+        assert!(!rig.seq.wants_ctrl(), "nothing leaves before the acks");
+        // Shard 0 (nothing pending) installs and acks: still withheld.
+        assert_eq!(shards[0].publish(rig.snaps[0].clone(), &mut out), InstallVerdict::Installed);
+        assert_eq!(out.pop_front(), Some(ShardOut::Note(live(0, 1))));
+        assert!(rig.note(live(0, 1)).is_empty(), "shard 1 still holds old-snapshot data");
+        // Shard 1 flushes the old store, *then* acks; that ack releases.
+        shards[1].publish(rig.snaps[1].clone(), &mut out);
+        assert!(matches!(out.front(), Some(ShardOut::Flush { group: 0, dest: 0, .. })));
+        assert_eq!(out.pop_back(), Some(ShardOut::Note(live(1, 1))));
+        assert_eq!(rig.note(live(1, 1)), [updated(5)]);
+        assert!(rig.seq.wants_ctrl());
+        // Post-flip: both shards store the migrated key at its new owner.
+        for shard in &mut shards {
+            out.clear();
+            assert!(shard.data(&[Tuple::r(k_a, 0, 2)], 9, 0, &mut ring, &mut out));
+            shard.eos(&mut out);
+            assert!(
+                out.iter().any(|o| matches!(o, ShardOut::Flush { group: 0, dest: 1, .. })),
+                "every shard routes under the published snapshot: {out:?}"
+            );
+        }
+    }
+
+    /// Nothing but the last missing credit produces `RouteUpdated` — not
+    /// an EOS report, a stale ack, a restart note with a low fence, or a
+    /// duplicate ack of a shard already credited.
+    #[test]
+    fn only_the_last_missing_ack_releases_the_barrier() {
+        let mut rig = Rig::new(2);
+        rig.route(1, &[]);
+        rig.note(live(0, 1));
+        assert_eq!(rig.note(live(1, 1)), [updated(1)]);
+        rig.route(2, &[]);
+        for note in [
+            ShardNote::Eos { shard: 0 },
+            ShardNote::Eos { shard: 1 },
+            live(1, 1),
+            live(0, 2),
+            live(0, 2),
+        ] {
+            assert_eq!(rig.note(note), [""; 0], "{note:?} must not release");
+        }
+        let republish = rig.note(ShardNote::Restarted { shard: 1, fence: 1 });
+        assert_eq!(republish[1..], ["publish 2 -> shard1"], "a fence below the epoch is no ack");
+        assert!(!rig.seq.wants_ctrl());
+        // EOS waited for the barrier and follows RouteUpdated.
+        assert_eq!(rig.note(live(1, 2)), [updated(2), "eos".to_string()]);
+    }
+
+    /// A sequencer crash inside the barrier keeps it: the restart
+    /// re-publishes to every shard, the shard that already acked answers
+    /// with an ack-free reinstall, and the missing ack still releases —
+    /// once.
+    #[test]
+    fn a_restart_inside_the_barrier_keeps_it_open() {
+        let mut rig = Rig::new(2);
+        let mut shard0 = Shard::new(0, table(2), 1);
+        let mut out = VecDeque::new();
+        rig.route(1, &[]);
+        shard0.publish(rig.snaps[0].clone(), &mut out);
+        assert!(rig.note(live(0, 1)).is_empty());
+        out.clear();
+
+        let republished = rig.step(|seq, out| seq.restart(out));
+        let event = |shard| format!("Republished 1: {shard} 0");
+        assert_eq!(
+            republished,
+            [event(0), "publish 1 -> shard0".into(), event(1), "publish 1 -> shard1".into()]
+        );
+        assert_eq!(shard0.publish(rig.snaps[2].clone(), &mut out), InstallVerdict::Reinstalled);
+        assert!(out.is_empty(), "a reinstall does not ack");
+        assert_eq!(rig.note(live(1, 1)), [updated(1)]);
+        assert!(rig.note(live(1, 1)).is_empty(), "a duplicate ack after the release is dropped");
+    }
+
+    #[test]
+    fn a_restarted_shard_is_republished_to_with_its_fence_and_credited_by_it() {
+        let mut rig = Rig::new(2);
+        let restarted = |shard, fence| ShardNote::Restarted { shard, fence };
+        assert!(rig.note(restarted(0, 0)).is_empty(), "nothing published yet, nothing to rebuild");
+        rig.route(1, &[]);
+        rig.note(live(0, 1));
+        // Shard 1 installed epoch 1 and died before its ack got out: its
+        // fence covers the epoch, which counts as the ack.
+        let event = |shard| format!("Republished 1: {shard} 1");
+        assert_eq!(rig.note(restarted(1, 1)), [event(1), "publish 1 -> shard1".into(), updated(1)]);
+        // Outside a barrier the note's fence is still what is recorded.
+        assert_eq!(rig.note(restarted(0, 1)), [event(0), "publish 1 -> shard0".into()]);
+    }
+
+    #[test]
+    fn an_abort_wins_before_the_route_and_loses_after_it() {
+        let mut rig = Rig::new(1);
+        let abort = |epoch| DispatcherMsg::Abort { group: 0, epoch, source: 0 };
+        let commit = |epoch| DispatcherMsg::Commit { group: 0, epoch };
+        // Round 1: the abort reaches the serialization point first; the
+        // verdict precedes the MigAbort it causes.
+        assert_eq!(
+            rig.ctrl(abort(1)),
+            ["verdict 1: true", "AbortAccepted 1: 0 0", "MigAbort { epoch: 1 } -> inst0.0"]
+        );
+        assert_eq!(rig.route(1, &[7]), ["Reverted 1: 3 0"], "version 1, bumped twice");
+        assert!(rig.seq.wants_ctrl(), "a reverted stage publishes nothing");
+        assert!(rig.ctrl(commit(1)).is_empty(), "nothing was left staged to commit");
+        // Round 2: the route is applied first, so the abort is refused.
+        assert_eq!(rig.route(2, &[7]), ["Staged 2: 4 0", "publish 1 -> shard0"]);
+        assert_eq!(rig.note(live(0, 1)), [updated(2)]);
+        assert_eq!(rig.ctrl(abort(2)), ["verdict 2: false"]);
+        assert!(rig.ctrl(commit(2))[0].starts_with("Committed 2: "));
+    }
+
+    #[test]
+    fn a_gone_shard_is_credited_now_and_in_later_barriers() {
+        let mut rig = Rig::new(2);
+        rig.route(1, &[]);
+        rig.note(live(0, 1));
+        assert_eq!(rig.step(|seq, out| seq.shard_gone(1, out)), [updated(1)]);
+        assert_eq!(rig.route(2, &[])[1..], ["publish 2 -> shard0"]);
+        assert_eq!(rig.note(live(0, 2)), [updated(2)]);
+    }
+
+    #[test]
+    fn eos_is_broadcast_once_when_every_shard_has_reported() {
+        let mut rig = Rig::new(2);
+        let eos = |shard| ShardNote::Eos { shard };
+        assert!(rig.note(eos(0)).is_empty());
+        assert!(rig.note(eos(0)).is_empty(), "one shard reporting twice is still one shard");
+        assert_eq!(rig.note(eos(1)), ["eos"]);
+        // A post-EOS shard restart repeats its report; a sequencer restart
+        // changes nothing either.
+        assert!(rig.note(eos(1)).is_empty());
+        assert!(rig.step(|seq, out| seq.restart(out)).is_empty());
+        // Control keeps being served after the broadcast.
+        rig.route(1, &[]);
+        rig.note(live(0, 1));
+        assert_eq!(rig.note(live(1, 1)), [updated(1)]);
+    }
+}

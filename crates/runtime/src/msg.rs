@@ -19,31 +19,13 @@
 //! once with the time the step that completed them finished.
 
 use fastjoin_core::load::InstanceLoad;
-use fastjoin_core::protocol::{InstanceMsg, MigrationDone, RouteRequest};
+use fastjoin_core::protocol::{InstanceMsg, MigrationDone};
 use fastjoin_core::tuple::Tuple;
 
-/// One data-plane tuple on the shard → instance edge: what a shard queues
-/// per destination and what [`RtMsg::Data`] carries.
-#[derive(Debug, Clone, Copy)]
-pub enum DataItem {
-    /// A tuple stored at the destination.
-    Store(Tuple),
-    /// A tuple probing the destination, with its dispatch fan-out (how
-    /// many instances received it). The join of the original tuple
-    /// completes when all fan-out parts complete — the straggler penalty
-    /// of broadcast-style strategies.
-    Probe(Tuple, u32),
-}
-
-impl DataItem {
-    /// The tuple, whichever way it is headed.
-    #[must_use]
-    pub fn tuple(&self) -> &Tuple {
-        match self {
-            DataItem::Store(t) | DataItem::Probe(t, _) => t,
-        }
-    }
-}
+// The dispatcher stage's own vocabulary lives with its state machines in
+// `fastjoin_core` (`shard`, `sequencer`); the channels here carry it as is.
+pub use fastjoin_core::protocol::{DispatcherMsg, ShardCtrl, ShardNote};
+pub use fastjoin_core::shard::DataItem;
 
 /// Input to a join-instance executor.
 ///
@@ -90,95 +72,6 @@ pub enum SpoutMsg {
     /// [`ShardNote::Eos`] to the sequencer, which forwards EOS to every
     /// instance once all shards have reported.
     Eos,
-}
-
-/// Migration control into the dispatcher's control sequencer — the
-/// serialization point for routing.
-#[derive(Debug)]
-pub enum DispatcherMsg {
-    /// A routing update from a migration source.
-    Route {
-        /// Which group's table to update (0 = R, 1 = S).
-        group: usize,
-        /// The update.
-        req: RouteRequest,
-    },
-    /// Monitor request: abort migration round `epoch` of `group` if its
-    /// route flip has not been applied yet. The sequencer either already
-    /// processed the round's `Route` (abort refused) or it marks the
-    /// epoch aborted and sends
-    /// [`fastjoin_core::protocol::InstanceMsg::MigAbort`] to `source`
-    /// (abort accepted). Either way it reports the verdict back with
-    /// [`MonitorMsg::AbortOutcome`].
-    Abort {
-        /// Which group's round to abort (0 = R, 1 = S).
-        group: usize,
-        /// The overdue migration round.
-        epoch: u64,
-        /// The round's source instance (receives `MigAbort` on acceptance).
-        source: usize,
-    },
-    /// Monitor notification: round `epoch` of `group` closed normally, so
-    /// the routing-table entries it staged are now permanent.
-    Commit {
-        /// Which group's table to commit (0 = R, 1 = S).
-        group: usize,
-        /// The completed migration round.
-        epoch: u64,
-    },
-}
-
-/// Sequencer → shard control.
-///
-/// Shards never mutate routing state on their own: the control sequencer
-/// owns the authoritative [`fastjoin_core::dispatcher::Dispatcher`] and
-/// publishes each net route change as a whole-table
-/// [`fastjoin_core::routing::RouteSnapshot`]. A shard installs the
-/// snapshot atomically between batches, so every tuple in a batch routes
-/// under exactly one epoch (the snapshot-per-batch rule).
-#[derive(Debug)]
-pub enum ShardCtrl {
-    /// Flush everything buffered under the current snapshot, install this
-    /// one, then acknowledge with [`ShardNote::SnapshotLive`].
-    Publish(fastjoin_core::routing::RouteSnapshot),
-}
-
-/// Shard → sequencer notifications.
-#[derive(Debug, Clone, Copy)]
-pub enum ShardNote {
-    /// Shard `shard` has flushed all batches buffered under snapshots
-    /// older than `epoch` and is now routing under `epoch`. The sequencer
-    /// withholds the source's `RouteUpdated` until every shard reports
-    /// this, which is the barrier that keeps per-channel FIFO meaningful
-    /// across shards: all data routed under the old table is already in
-    /// the source's inbox when the flip notification lands.
-    SnapshotLive {
-        /// The acknowledging shard.
-        shard: usize,
-        /// The epoch of the snapshot now live on that shard.
-        epoch: u64,
-    },
-    /// Shard `shard` drained its data channel and observed end-of-stream;
-    /// it will keep acknowledging publishes (nothing can be pending) until
-    /// the control channel disconnects.
-    Eos {
-        /// The finished shard.
-        shard: usize,
-    },
-    /// Shard `shard` panicked and was respawned by its supervisor. `fence`
-    /// is the highest snapshot epoch the dead incarnation installed (the
-    /// epoch fence, kept outside the restarted body). The sequencer
-    /// re-publishes its current snapshot so the fresh incarnation can
-    /// rebuild its routing table, and — when a publication barrier is in
-    /// flight — treats `fence >= barrier epoch` as that shard's
-    /// acknowledgement (the install happened; only the ack was lost with
-    /// the thread).
-    Restarted {
-        /// The respawned shard.
-        shard: usize,
-        /// Highest epoch the dead incarnation had installed.
-        fence: u64,
-    },
 }
 
 /// Input to a monitor executor.

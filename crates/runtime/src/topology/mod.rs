@@ -32,8 +32,9 @@
 //! whole as one [`RtMsg::Data`] when it reaches `batch_size` or its
 //! oldest tuple ages past [`DISPATCH_TICK`].
 //! The send-ordering discipline that keeps batching invisible to the
-//! migration protocol (enforced in `dispatch`, tested there, documented in
-//! ARCHITECTURE.md):
+//! migration protocol (decided in `fastjoin_core::{shard, sequencer}`,
+//! unit-tested and model-checked there; `dispatch` performs their outputs
+//! in order; documented in ARCHITECTURE.md):
 //!
 //! 1. a shard flushes everything it buffered *before* it installs and
 //!    acknowledges a published routing snapshot, and the sequencer sends a
@@ -69,13 +70,14 @@
 //!   the sequencer's re-publication rebuilds the table to the fence, and
 //!   announce [`crate::msg::ShardNote::Restarted`]. The fence makes it
 //!   impossible for a resurrected shard to acknowledge a snapshot older
-//!   than one its predecessor installed (`xtask check-protocol
-//!   sharded-shard-restart` checks this exhaustively).
-//! * **The sequencer** keeps its authoritative routing table outside the
-//!   restarted body, parks the in-flight control message in a replay slot
-//!   before an injected crash fires, and re-publishes the current snapshot
-//!   to every shard before resuming — so an interrupted publication
-//!   barrier re-runs to completion.
+//!   than one its predecessor installed (`xtask check-protocol --variant
+//!   sharded-shard-restart` checks this exhaustively, on the same structs).
+//! * **The sequencer** keeps its authoritative routing table — and an
+//!   open publication barrier, which is state — outside the restarted
+//!   body, parks the in-flight control message in a replay slot before an
+//!   injected crash fires, and re-publishes the current snapshot to every
+//!   shard before resuming — so an interrupted barrier still releases on
+//!   the remaining acks.
 //! * **Monitors** are a *degradable* dependency: harvest, backoff, reseed;
 //!   past the restart budget the run continues on the last committed
 //!   routing table without migrations (`monitor`).

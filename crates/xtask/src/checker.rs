@@ -1,115 +1,208 @@
-//! Exhaustive model checker for the migration protocol (§III-D).
+//! Exhaustive model checker for the migration protocol (§III-D) and the
+//! dispatcher stage that carries it.
 //!
-//! `fastjoin-core` is engine-agnostic — a [`JoinInstance`] consumes
-//! [`InstanceMsg`]s and emits [`Effects`] — so the whole protocol can be
-//! driven by a tiny explorer that enumerates **every FIFO-respecting
-//! delivery interleaving** of a bounded scenario and checks join
-//! completeness and epoch monotonicity on each one.
+//! Nothing protocol-bearing is modeled by hand: the explorer drives the
+//! **real** [`JoinInstance`], dispatcher [`Shard`]s and control
+//! [`Sequencer`] of `fastjoin-core` — the structs the threaded runtime's
+//! executors own — through a bounded scenario, enumerates every order in
+//! which their messages can be sent and received, and checks join
+//! completeness, exactly-once and epoch order on each one.
 //!
 //! ## The model
 //!
-//! Four nodes: the dispatcher, two R-group join instances, and a scripted
-//! monitor. Directed FIFO channels connect them exactly as the threaded
-//! runtime does (crucially, `RouteUpdated` travels in the *same*
-//! dispatcher→instance queue as data, which is the ordering assumption the
-//! protocol's correctness rests on). A state transition is either
+//! Nodes: N shards (each fed a scripted slice of the input, one tuple per
+//! spout message, then EOS), the sequencer, two R-group join instances and
+//! a scripted monitor. Every node is a sequential thread, as in the
+//! runtime: it *receives* one input, its state machine appends to an
+//! ordered output sequence, and it *sends* those outputs one at a time, in
+//! order, before it receives again. Queues are the runtime's: **one MPSC
+//! inbox per instance** shared by every shard, the sequencer, the monitor
+//! and the peer instance (the ordering assumption the publication barrier
+//! rests on), one control and one note queue into the sequencer, one
+//! publication queue per shard, one inbox for the monitor. A transition is
+//! the spout handing a shard its next message, a node receiving the head
+//! of one of its queues, a node sending the head of its output sequence, a
+//! shard crashing (restart variants) or the monitor's round deadline
+//! passing (abort variant). The S group is not modeled: flushes to it are
+//! dropped.
 //!
-//! * the spout handing the next tuple to the dispatcher (which routes it
-//!   atomically), or
-//! * the head message of one non-empty channel being delivered.
+//! **Known-bad variants are mutations of this shell**, never switches in
+//! `fastjoin-core`: they change what *this file* does with the real
+//! structs' outputs — sends them in another order, sends one early,
+//! replaces a crashed shard by a fresh one instead of calling
+//! [`Shard::restart`] (see [`Variant`]).
 //!
-//! After a delivery, the receiving instance drains its pending queue
-//! (processing order relative to other nodes' deliveries does not affect
-//! which pairs join — the pending queue itself is FIFO — so exploring it
-//! would only multiply schedules without adding behaviors).
+//! ## Search
 //!
-//! ## State deduplication
-//!
-//! Every node is a deterministic function of the *sequence of events it
-//! has consumed* (messages delivered to it; dispatches, for the
-//! dispatcher). Channel contents are the sender's emitted-prefix minus the
-//! receiver's consumed-prefix. Hence the tuple of per-node histories is a
-//! complete state fingerprint: two interleavings with equal per-node
-//! histories converge to the same global state. The explorer interns each
-//! (node, event) pair as a small integer and keys its visited-set on the
-//! concatenated histories.
+//! A node is a deterministic function of the sequence of inputs it
+//! consumed, so per-node input histories plus the contents of every queue
+//! and output sequence are a complete state fingerprint. Two reductions
+//! keep the search closed without losing a behaviour: a receive by a node
+//! that has a single input and no alternative step (an instance; the
+//! monitor outside its deadline window; the sequencer inside a barrier)
+//! commutes with every step of every other node, and so does a send into a
+//! queue with a single sender — when one is enabled it is the only
+//! transition explored. What is left to branch on is what can matter: the
+//! order of sends into shared queues, which input a multi-input node takes
+//! next, crash and deadline timing.
 //!
 //! BFS order means the first violation found has a minimal-length trace.
 //! The number of distinct schedules (maximal paths in the deduplicated
 //! state DAG) is counted exactly by reverse-order dynamic programming.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 use fastjoin_core::config::MigrationMode;
 use fastjoin_core::dispatcher::Dispatcher;
-use fastjoin_core::instance::JoinInstance;
+use fastjoin_core::instance::{JoinInstance, Work};
 use fastjoin_core::load::{InstanceLoad, KeyStat};
 use fastjoin_core::partition::{HashPartitioner, Partitioner};
-use fastjoin_core::protocol::{Effects, InstanceMsg, MigrationDone, RouteRequest};
+use fastjoin_core::protocol::{
+    DispatcherMsg, Effects, InstanceMsg, MigrationDone, MigrationState, ShardNote,
+};
+use fastjoin_core::routing::RouteSnapshot;
 use fastjoin_core::selection::{KeySelector, MigrationPlan};
+use fastjoin_core::sequencer::{Did, SeqEvent, SeqOut, Sequencer};
+use fastjoin_core::shard::{DataItem, Shard, ShardOut};
+use fastjoin_core::trace::{Actor, TraceConfig, TraceRing};
 use fastjoin_core::tuple::{Key, Side, Tuple};
 
 /// Number of join instances in the modeled R group.
 const INSTANCES: usize = 2;
-/// Migration rounds the scripted monitor runs: `(epoch, source, target)`.
-/// Round `e+1` starts only after `MigrationDone(e)` arrives, which also
-/// exercises monotone epoch handling.
-const ROUNDS: &[(u64, usize, usize)] = &[(1, 0, 1), (2, 1, 0)];
-/// The key every migration round moves (the "hot" key).
+/// The key every migration round moves; starts on instance 0.
 const HOT_KEY: Key = 0;
+/// A key that stays on instance 1.
+const COLD_KEY: Key = 1;
 
 /// Protocol implementation variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// The shipped protocol (Algorithm 2, `MigrationMode::Safe`).
+    /// The shipped protocol (Algorithm 2, `MigrationMode::Safe`) behind a
+    /// one-shard stage; two rounds move the hot key away and back.
     Safe,
     /// Known-bad: the target does not hold newly routed data until
     /// `MigEnd`, so probes race the store transfer (the paper's warning).
     NaiveNotifyFirst,
-    /// Known-bad: the source sends `MigForward` (in-flight data) before
-    /// `MigStore` (the stored payload), so forwarded probes reach the
-    /// target before the store they must match against.
+    /// Known-bad: the source's `MigStore` is sent after its `MigForward`,
+    /// so forwarded probes reach the target before the store they must
+    /// match against.
     ForwardBeforeStore,
-    /// The sharded dispatcher (two shards + control sequencer) with the
-    /// snapshot publication barrier: `RouteUpdated` is withheld until
-    /// every shard has installed the new routing epoch. See [`sharded`].
+    /// Two shards with `batch_size` 2 (so pending batches exist) and the
+    /// sequencer's publication barrier; one flip.
     Sharded,
-    /// Known-bad: the sequencer sends `RouteUpdated` at stage time,
-    /// racing shards that still route under the old epoch — stale data
-    /// reaches the source after its store moved away.
+    /// Known-bad: `RouteUpdated` is sent at stage time and the barrier's
+    /// own is dropped, racing shards that still route under the old table.
     ShardedNoBarrier,
-    /// The sharded dispatcher under **shard crash/restart**: either shard
-    /// may crash once at any point and be respawned by its supervisor.
-    /// The fresh incarnation keeps the dead one's epoch *fence* (highest
-    /// installed snapshot epoch) and defers routing until the sequencer's
-    /// re-publication reinstalls the current snapshot, so a dead
-    /// incarnation's install acknowledgement can never release the
-    /// publication barrier onto a shard still routing under the old
-    /// table. See [`sharded`].
+    /// [`Variant::Sharded`] where a shard may crash whenever it is not
+    /// mid-send and is restarted through [`Shard::restart`] (salvage
+    /// flush, epoch fence, resync).
     ShardedShardRestart,
-    /// Known-bad: restart WITHOUT the epoch fence — the fresh incarnation
-    /// starts from the initial table and routes immediately, while the
-    /// dead incarnation's acknowledgement (a stale ack) still counts
-    /// toward the barrier.
+    /// Known-bad: a crashed shard is replaced by a *fresh* one — fence 0,
+    /// no resync — so it routes under the initial table at once while the
+    /// dead incarnation's acknowledgement still releases the barrier.
     ShardedRestartNoFence,
+    /// Two rounds with the monitor's deadline for round 1 free to pass at
+    /// any time: the abort races the target's `Route` (accepted or
+    /// refused, stage-and-revert), and a round whose source had nothing to
+    /// move closes on its own while its abort is still under way, so a
+    /// `MigAbort` older than the engaged round is met too.
+    ShardedAbort,
+    /// Known-bad: a shard's acknowledgement is sent ahead of the flushes
+    /// that precede it in its output sequence.
+    ShardedAckBeforeFlush,
 }
+
+/// Every variant: its CLI name, and whether it must pass.
+pub const VARIANTS: &[(&str, Variant, bool)] = &[
+    ("safe", Variant::Safe, true),
+    ("naive-notify-first", Variant::NaiveNotifyFirst, false),
+    ("forward-before-store", Variant::ForwardBeforeStore, false),
+    ("sharded", Variant::Sharded, true),
+    ("sharded-no-barrier", Variant::ShardedNoBarrier, false),
+    ("sharded-shard-restart", Variant::ShardedShardRestart, true),
+    ("sharded-restart-no-fence", Variant::ShardedRestartNoFence, false),
+    ("sharded-abort", Variant::ShardedAbort, true),
+    ("sharded-ack-before-flush", Variant::ShardedAckBeforeFlush, false),
+];
 
 impl Variant {
     /// Parses a CLI variant name.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "safe" => Some(Variant::Safe),
-            "naive-notify-first" => Some(Variant::NaiveNotifyFirst),
-            "forward-before-store" => Some(Variant::ForwardBeforeStore),
-            "sharded" => Some(Variant::Sharded),
-            "sharded-no-barrier" => Some(Variant::ShardedNoBarrier),
-            "sharded-shard-restart" => Some(Variant::ShardedShardRestart),
-            "sharded-restart-no-fence" => Some(Variant::ShardedRestartNoFence),
-            _ => None,
+        VARIANTS.iter().find(|(name, ..)| *name == s).map(|(_, v, _)| *v)
+    }
+
+    /// The CLI name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        VARIANTS.iter().find(|(_, v, _)| *v == self).map_or("?", |(name, ..)| name)
+    }
+
+    /// What a stale delivery under this variant is evidence of.
+    fn stale_cause(self) -> &'static str {
+        match self {
+            Variant::ShardedRestartNoFence => {
+                "the barrier was released by a stale ack from a crashed shard's dead incarnation \
+                 while its fence-less replacement routed under the initial table"
+            }
+            Variant::ShardedAckBeforeFlush => {
+                "a shard's ack went out ahead of data it had routed under the old table"
+            }
+            _ => "a shard was still routing under the old table after RouteUpdated left",
         }
     }
+}
+
+/// The bounded scenario a variant explores.
+#[derive(Debug)]
+struct Scenario {
+    /// Per-shard input scripts as [`script`] specs, each followed by EOS.
+    /// Shard-by-key: every tuple of a key rides one shard.
+    scripts: &'static [&'static str],
+    batch_size: usize,
+    /// Migration rounds the scripted monitor runs, `(epoch, source,
+    /// target)`; round `e + 1` starts when round `e` closed.
+    rounds: &'static [(u64, usize, usize)],
+    /// Shard crashes allowed in one schedule.
+    crashes: u8,
+    /// Whether the monitor's deadline for round 1 may pass.
+    deadline: bool,
+}
+
+/// Scenario bounds are tuned so the slowest search stays near two minutes
+/// with the real structs: the restart and abort variants carry one cold
+/// tuple instead of two, and a schedule has one shard crash, not one per
+/// shard.
+fn scenario(variant: Variant) -> Scenario {
+    let (scripts, batch_size, rounds, crashes, deadline): (&[&str], _, &[_], _, _) = match variant {
+        // Stores race probes race migration control.
+        Variant::Safe | Variant::NaiveNotifyFirst | Variant::ForwardBeforeStore => {
+            (&["RSrSRs"], 1, &[(1, 0, 1), (2, 1, 0)], 0, false)
+        }
+        // Hot stores and probes straddle the flip on shard 0; shard 1
+        // carries the cold key.
+        Variant::Sharded | Variant::ShardedNoBarrier | Variant::ShardedAckBeforeFlush => {
+            (&["RSRS", "rs"], 2, &[(1, 0, 1)], 0, false)
+        }
+        Variant::ShardedShardRestart | Variant::ShardedRestartNoFence => {
+            (&["RSRS", "r"], 2, &[(1, 0, 1)], 1, false)
+        }
+        Variant::ShardedAbort => (&["RSRS", "r"], 2, &[(1, 0, 1), (2, 0, 1)], 0, true),
+    };
+    Scenario { scripts, batch_size, rounds, crashes, deadline }
+}
+
+/// A shard's input: `R` / `S` are hot-key tuples, `r` / `s` cold-key ones;
+/// dispatch seqs (and event times) count up from `first_seq`.
+fn script(spec: &str, first_seq: u64) -> Vec<Tuple> {
+    let tuple = |(c, seq): (char, u64)| {
+        let key = if c.is_ascii_uppercase() { HOT_KEY } else { COLD_KEY };
+        let side = if c.eq_ignore_ascii_case(&'r') { Side::R } else { Side::S };
+        Tuple { seq, ..Tuple::new(side, key, seq, 0) }
+    };
+    spec.chars().zip(first_seq..).map(tuple).collect()
 }
 
 /// Result of exploring every schedule of the bounded scenario.
@@ -119,10 +212,12 @@ pub enum CheckOutcome {
     Pass {
         /// Distinct global states explored.
         states: usize,
-        /// Distinct complete delivery schedules (maximal DAG paths).
+        /// Distinct complete schedules (maximal DAG paths).
         schedules: u128,
         /// Join pairs each schedule must produce.
         expected_pairs: usize,
+        /// Protocol paths some schedule took.
+        covered: BTreeSet<&'static str>,
     },
     /// Some schedule violated an invariant.
     Violation {
@@ -135,77 +230,61 @@ pub enum CheckOutcome {
     },
 }
 
-/// Node indices for history bookkeeping.
-const NODE_DISP: usize = 0;
-const NODE_I0: usize = 1;
-const NODE_I1: usize = 2;
-const NODE_MON: usize = 3;
-const NODES: usize = 4;
+/// A queue of the model, named by who reads it: instance `i`'s one inbox
+/// (shards, sequencer, monitor and peer all write to it) is port `i`.
+type Port = usize;
+/// Instances' `Route`s and the monitor's `Abort` / `Commit`.
+const SEQ_CTRL: Port = INSTANCES;
+/// The shards' acks, EOS reports and restart notices.
+const SEQ_NOTES: Port = INSTANCES + 1;
+/// `MigrationDone`s and abort verdicts.
+const MONITOR: Port = INSTANCES + 2;
+/// Shard `k`'s publications are port `SHARD_CTRL + k` (the sequencer is the
+/// only sender).
+const SHARD_CTRL: Port = INSTANCES + 3;
 
-/// FIFO channel endpoints, in a fixed order so transition enumeration is
-/// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Channel {
-    from: usize,
-    to: usize,
-}
-
-/// All channels in the model. Dispatcher→instance carries data *and*
-/// `RouteUpdated` (one queue — the FIFO ordering the protocol needs).
-const CHANNELS: &[Channel] = &[
-    Channel { from: NODE_DISP, to: NODE_I0 },
-    Channel { from: NODE_DISP, to: NODE_I1 },
-    Channel { from: NODE_I0, to: NODE_I1 },
-    Channel { from: NODE_I1, to: NODE_I0 },
-    Channel { from: NODE_I0, to: NODE_DISP },
-    Channel { from: NODE_I1, to: NODE_DISP },
-    Channel { from: NODE_MON, to: NODE_I0 },
-    Channel { from: NODE_MON, to: NODE_I1 },
-    Channel { from: NODE_I0, to: NODE_MON },
-    Channel { from: NODE_I1, to: NODE_MON },
-];
-
-#[allow(clippy::panic)] // model-internal invariant: the topology is static
-fn channel_id(from: usize, to: usize) -> usize {
-    CHANNELS
-        .iter()
-        .position(|c| c.from == from && c.to == to)
-        .unwrap_or_else(|| panic!("no channel {from}->{to}"))
-}
-
-fn instance_node(i: usize) -> usize {
-    NODE_I0 + i
-}
-
-/// Messages carried by the model's channels.
-#[derive(Debug, Clone, PartialEq)]
-enum ChanMsg {
-    /// Dispatcher/monitor/peer → instance.
+/// Everything the model's queues carry.
+#[derive(Debug, Clone)]
+enum Msg {
+    /// One shard flush.
+    Data(Vec<DataItem>),
     Inst(InstanceMsg),
-    /// Instance → dispatcher.
-    Route(RouteRequest),
-    /// Target instance → monitor.
+    /// The sequencer's end-of-stream broadcast.
+    Eos,
+    Ctrl(DispatcherMsg),
+    Note(ShardNote),
+    Publish(RouteSnapshot),
     Done(MigrationDone),
+    AbortOutcome {
+        epoch: u64,
+        aborted: bool,
+    },
 }
 
-/// Scripted selector: always proposes moving the hot key, so every
-/// exploration is deterministic given the delivery schedule.
-#[derive(Clone)]
-struct FixedSelector;
+/// A message with its interned summary id (what fingerprints compare).
+type Queued = (u16, Rc<Msg>);
 
-impl KeySelector for FixedSelector {
+/// Scripted selector: proposes moving the hot key, so every exploration is
+/// deterministic given the schedule. With `only_if_stored`, a source that
+/// stores nothing of it finds nothing worth moving and abandons the round.
+#[derive(Clone)]
+struct HotKeySelector {
+    only_if_stored: bool,
+}
+
+impl KeySelector for HotKeySelector {
     fn select(
         &mut self,
-        _src: InstanceLoad,
-        _dst: InstanceLoad,
-        _keys: &[KeyStat],
-        _theta_gap: f64,
+        _: InstanceLoad,
+        _: InstanceLoad,
+        keys: &[KeyStat],
+        _: f64,
     ) -> MigrationPlan {
+        let stored = keys.iter().any(|k| k.key == HOT_KEY && k.stored > 0);
         // The benefit must be positive: instances abandon zero-benefit
-        // plans (they rebalance nothing), and an abandoned round would
-        // make every exploration migration-free and the check vacuous.
+        // plans (they rebalance nothing).
         MigrationPlan {
-            keys: vec![HOT_KEY],
+            keys: if stored || !self.only_if_stored { vec![HOT_KEY] } else { Vec::new() },
             total_benefit: 1.0,
             tuples_to_move: 0,
             predicted_delta: 0.0,
@@ -213,387 +292,648 @@ impl KeySelector for FixedSelector {
     }
 
     fn name(&self) -> &'static str {
-        "fixed"
+        "hot-key"
     }
+}
+
+#[derive(Clone)]
+struct ShardNode {
+    core: Shard,
+    /// Next unread position of the script (`len` = EOS, `len + 1` = done).
+    pos: usize,
+}
+
+#[derive(Clone)]
+struct InstNode {
+    inst: JoinInstance,
+    eos: bool,
+    /// Keys whose store this instance handed to a migration target (it
+    /// processed the round's `RouteUpdated`) and did not get back.
+    handed_off: Vec<Key>,
+    /// A `MigStore` held back by [`Variant::ForwardBeforeStore`].
+    deferred_store: Option<(usize, InstanceMsg)>,
 }
 
 /// One global state of the model.
 #[derive(Clone)]
 struct State {
-    spout_pos: usize,
-    dispatcher: Dispatcher,
-    instances: Vec<JoinInstance>,
-    channels: Vec<VecDeque<ChanMsg>>,
-    /// `MigrationDone`s the monitor has consumed (also the last finished
-    /// epoch, since epochs are 1-based and sequential).
-    mon_dones: usize,
+    shards: Vec<Rc<ShardNode>>,
+    seq: Rc<Sequencer>,
+    insts: Vec<Rc<InstNode>>,
+    /// The scripted monitor: rounds closed so far (round `closed` is in
+    /// flight if there is one), and whether round 1's abort was requested.
+    rounds_closed: usize,
+    abort_requested: bool,
+    crashes_left: u8,
+    /// Per node: outputs of its last step not yet sent.
+    outbox: Vec<VecDeque<(Port, Queued)>>,
+    /// Per [`Port`].
+    queues: Vec<VecDeque<Queued>>,
     /// Joined `(r_seq, s_seq)` pairs in emission order.
     joined: Vec<(u64, u64)>,
-    /// Per-source stashed `MigStore` for [`Variant::ForwardBeforeStore`].
-    deferred_store: Vec<Option<(usize, InstanceMsg)>>,
-    /// Per-node consumed-event histories (interned ids) — the state
-    /// fingerprint.
-    histories: [Vec<u16>; NODES],
+    /// Per node: the id of the sequence of inputs it has consumed (see
+    /// [`Explorer::consume`]).
+    histories: Vec<u32>,
 }
 
 /// A transition out of a state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
-    /// The spout hands the next tuple to the dispatcher.
-    Dispatch,
-    /// Deliver the head of channel `CHANNELS[i]`.
-    Deliver(usize),
+    /// The spout hands shard `k` its next scripted message.
+    Spout(usize),
+    /// `node` receives the head of `port`.
+    Recv(usize, Port),
+    /// `node` sends the head of its output sequence.
+    Send(usize),
+    /// Shard `k` crashes and is restarted by its supervisor.
+    Crash(usize),
+    /// The monitor's deadline for round 1 passes.
+    Deadline,
 }
 
 /// Why a schedule is invalid, raised during or at the end of exploration.
-enum Bad {
-    Protocol(String),
-    DuplicatePair(u64, u64),
-    UnexpectedPair(u64, u64),
-    EpochOrder { expected: u64, got: u64 },
-    RouteRejected,
-}
-
-impl Bad {
-    fn describe(&self) -> String {
-        match self {
-            Bad::Protocol(e) => format!("protocol violation: {e}"),
-            Bad::DuplicatePair(r, s) => {
-                format!("pair (r_seq={r}, s_seq={s}) joined twice — not exactly-once")
-            }
-            Bad::UnexpectedPair(r, s) => {
-                format!("pair (r_seq={r}, s_seq={s}) joined but is not an expected match")
-            }
-            Bad::EpochOrder { expected, got } => format!(
-                "monitor saw MigrationDone epoch {got}, expected {expected} — epochs must be \
-                 strictly sequential"
-            ),
-            Bad::RouteRejected => "dispatcher rejected a route update".to_string(),
-        }
-    }
-}
+type Bad = String;
 
 /// The bounded scenario plus exploration bookkeeping.
 struct Explorer {
     variant: Variant,
-    /// Input stream in dispatch order (seqs are assigned 1..=n).
-    spout: Vec<Tuple>,
+    sc: Scenario,
+    scripts: Vec<Vec<Tuple>>,
     /// `(r_seq, s_seq)` pairs every complete schedule must join.
     expected: Vec<(u64, u64)>,
-    /// Interning table: (node, event description) → compact id.
-    intern: HashMap<(usize, String), u16>,
+    /// Interning table: message summary → compact id.
+    intern: HashMap<String, u16>,
+    /// Hash-consed input histories: `(history, next input)` → the longer
+    /// history's id. 0 is the empty history.
+    histories: HashMap<(u32, u16), u32>,
+    /// Protocol paths taken by some explored transition.
+    covered: BTreeSet<&'static str>,
+    /// The shards' (disabled) trace ring.
+    ring: TraceRing,
+    /// Node ids: shards `0..N`, then the sequencer, the instances (from
+    /// `inst0`), the monitor.
+    seq_node: usize,
+    inst0: usize,
+    mon_node: usize,
 }
+
+/// History entries for the inputs that are not messages.
+const EV_SPOUT: u16 = u16::MAX - 1;
+const EV_CRASH: u16 = u16::MAX - 2;
+const EV_DEADLINE: u16 = u16::MAX - 3;
 
 impl Explorer {
     fn new(variant: Variant) -> Self {
-        // Keys: HOT_KEY (0) is migrated back and forth; key 1 stays on
-        // instance 1. Store tuples race probes race migration control.
-        let spout = vec![
-            Tuple::r(HOT_KEY, 0, 0),
-            Tuple::s(HOT_KEY, 1, 0),
-            Tuple::r(1, 2, 0),
-            Tuple::s(HOT_KEY, 3, 0),
-            Tuple::r(HOT_KEY, 4, 0),
-            Tuple::s(1, 5, 0),
-        ];
-        // Expected pairs: every same-key (R, S) pair where the R tuple is
-        // dispatched before the S tuple (the R group stores only R).
+        let sc = scenario(variant);
+        let n = sc.scripts.len();
+        let mut scripts: Vec<Vec<Tuple>> = Vec::new();
+        for spec in sc.scripts {
+            scripts.push(script(spec, scripts.iter().map(Vec::len).sum::<usize>() as u64 + 1));
+        }
+        // Expected pairs: same key, R scripted before S — per-shard script
+        // order is the per-key arrival order, since one shard carries a
+        // key's every tuple (the R group stores only R).
         let mut expected = Vec::new();
-        for (ri, r) in spout.iter().enumerate() {
-            if r.side != Side::R {
-                continue;
-            }
-            for (si, s) in spout.iter().enumerate() {
-                if s.side == Side::S && s.key == r.key && si > ri {
-                    expected.push((ri as u64 + 1, si as u64 + 1));
+        for script in &scripts {
+            for (ri, r) in script.iter().enumerate() {
+                for s in script.iter().skip(ri + 1) {
+                    if r.side == Side::R && s.side == Side::S && s.key == r.key {
+                        expected.push((r.seq, s.seq));
+                    }
                 }
             }
         }
         expected.sort_unstable();
-        Explorer { variant, spout, expected, intern: HashMap::new() }
+        Explorer {
+            variant,
+            sc,
+            scripts,
+            expected,
+            intern: HashMap::new(),
+            histories: HashMap::new(),
+            covered: BTreeSet::new(),
+            ring: TraceRing::new(Actor::dispatcher(), &TraceConfig::disabled()),
+            seq_node: n,
+            inst0: n + 1,
+            mon_node: n + 1 + INSTANCES,
+        }
+    }
+
+    fn shards(&self) -> usize {
+        self.scripts.len()
+    }
+
+    fn node_name(&self, node: usize) -> String {
+        match node.checked_sub(self.seq_node) {
+            None => format!("shard{node}"),
+            Some(0) => "sequencer".to_string(),
+            Some(i) if i <= INSTANCES => format!("inst{}", i - 1),
+            Some(_) => "monitor".to_string(),
+        }
+    }
+
+    /// The stage's initial table: the hot key on instance 0, the cold key
+    /// on instance 1 (overriding the hash default).
+    fn initial_table() -> Dispatcher {
+        let mut r_part = HashPartitioner::new(INSTANCES, 0);
+        assert!(r_part.apply_migration(&[HOT_KEY], 0) && r_part.apply_migration(&[COLD_KEY], 1));
+        // The S-group partitioner only routes the (unmodeled) S stores.
+        Dispatcher::new(Box::new(r_part), Box::new(HashPartitioner::new(INSTANCES, 1)))
     }
 
     fn initial_state(&mut self) -> State {
-        // Pre-place the keys deterministically: HOT_KEY on instance 0,
-        // key 1 on instance 1 (overriding the hash default).
-        let mut r_part = HashPartitioner::new(INSTANCES, 0);
-        assert!(r_part.apply_migration(&[HOT_KEY], 0));
-        assert!(r_part.apply_migration(&[1], 1));
-        // The S-group partitioner only routes the (unmodeled) S stores.
-        let s_part = HashPartitioner::new(INSTANCES, 1);
-        let dispatcher = Dispatcher::new(Box::new(r_part), Box::new(s_part));
-
-        let mut instances: Vec<JoinInstance> =
-            (0..INSTANCES).map(|i| JoinInstance::new(i, Side::R, None)).collect();
-        if self.variant == Variant::NaiveNotifyFirst {
-            for inst in &mut instances {
+        let n = self.shards();
+        let shard = |k| Shard::new(k, Self::initial_table(), self.sc.batch_size);
+        let inst = |i| {
+            let mut inst = JoinInstance::new(i, Side::R, None);
+            if self.variant == Variant::NaiveNotifyFirst {
                 inst.set_migration_mode(MigrationMode::NaiveNotifyFirst);
             }
-        }
-
+            Rc::new(InstNode { inst, eos: false, handed_off: Vec::new(), deferred_store: None })
+        };
+        let nodes = self.mon_node + 1;
         let mut state = State {
-            spout_pos: 0,
-            dispatcher,
-            instances,
-            channels: vec![VecDeque::new(); CHANNELS.len()],
-            mon_dones: 0,
+            shards: (0..n).map(|k| Rc::new(ShardNode { core: shard(k), pos: 0 })).collect(),
+            seq: Rc::new(Sequencer::new(Self::initial_table(), n)),
+            insts: (0..INSTANCES).map(inst).collect(),
+            rounds_closed: 0,
+            abort_requested: false,
+            crashes_left: self.sc.crashes,
+            outbox: vec![VecDeque::new(); nodes],
+            queues: vec![VecDeque::new(); SHARD_CTRL + n],
             joined: Vec::new(),
-            deferred_store: vec![None; INSTANCES],
-            histories: std::array::from_fn(|_| Vec::new()),
+            histories: vec![0; nodes],
         };
         // The monitor's first command is ready at time zero.
-        let (epoch, source, target) = ROUNDS[0];
-        state.channels[channel_id(NODE_MON, instance_node(source))].push_back(ChanMsg::Inst(
-            InstanceMsg::MigrateCmd { epoch, target, target_load: InstanceLoad::default() },
-        ));
+        self.start_round(&mut state);
         state
     }
 
-    fn intern_event(&mut self, node: usize, desc: &str) -> u16 {
-        if let Some(&id) = self.intern.get(&(node, desc.to_string())) {
-            return id;
+    /// Appends `msg` for `port` to `node`'s output sequence.
+    fn emit(&mut self, s: &mut State, node: usize, port: Port, msg: Msg) {
+        let next = u16::try_from(self.intern.len()).expect("message table overflow");
+        let id = *self.intern.entry(msg_summary(&msg)).or_insert(next);
+        assert!(id < EV_DEADLINE, "message table overflow");
+        s.outbox[node].push_back((port, (id, Rc::new(msg))));
+    }
+
+    /// Records that `node` consumed input `event`. A node is a
+    /// deterministic function of its input sequence, so the sequence's id
+    /// stands for the node's whole state in a fingerprint.
+    fn consume(&mut self, s: &mut State, node: usize, event: u16) {
+        let next = u32::try_from(self.histories.len() + 1).expect("history table overflow");
+        s.histories[node] = *self.histories.entry((s.histories[node], event)).or_insert(next);
+    }
+
+    /// Notes that some schedule took protocol path `what`.
+    fn saw(&mut self, what: &'static str) {
+        self.covered.insert(what);
+    }
+
+    /// The monitor commands the round now in flight, if one is left.
+    fn start_round(&mut self, s: &mut State) {
+        if let Some(&(epoch, source, target)) = self.sc.rounds.get(s.rounds_closed) {
+            let cmd =
+                InstanceMsg::MigrateCmd { epoch, target, target_load: InstanceLoad::default() };
+            self.emit(s, self.mon_node, source, Msg::Inst(cmd));
         }
-        let id = u16::try_from(self.intern.len() + 1).expect("event table overflow");
-        self.intern.insert((node, desc.to_string()), id);
-        id
     }
 
     fn enabled(&self, s: &State) -> Vec<Action> {
         let mut acts = Vec::new();
-        if s.spout_pos < self.spout.len() {
-            acts.push(Action::Dispatch);
-        }
-        for (i, ch) in s.channels.iter().enumerate() {
-            if !ch.is_empty() {
-                acts.push(Action::Deliver(i));
+        // A step that commutes with every step of every other node, and
+        // whose node has no alternative: explore it alone.
+        let mut solo = None;
+        let has = |port: Port| !s.queues[port].is_empty();
+        for node in 0..=self.mon_node {
+            if let Some((port, _)) = s.outbox[node].front() {
+                let single_sender =
+                    *port >= SHARD_CTRL || (*port == SEQ_NOTES && self.shards() == 1);
+                if single_sender {
+                    solo = solo.or(Some(Action::Send(node)));
+                }
+                acts.push(Action::Send(node));
+            } else if node < self.shards() {
+                let shard = &s.shards[node];
+                if has(SHARD_CTRL + node) {
+                    acts.push(Action::Recv(node, SHARD_CTRL + node));
+                }
+                if shard.pos <= self.scripts[node].len() && !shard.core.resyncing() {
+                    acts.push(Action::Spout(node));
+                }
+                if s.crashes_left > 0 {
+                    acts.push(Action::Crash(node));
+                }
+            } else if node == self.seq_node {
+                let barrier = !s.seq.wants_ctrl();
+                if !barrier && has(SEQ_CTRL) {
+                    acts.push(Action::Recv(node, SEQ_CTRL));
+                }
+                if has(SEQ_NOTES) {
+                    acts.push(Action::Recv(node, SEQ_NOTES));
+                    solo = solo.or(acts.last().copied().filter(|_| barrier));
+                }
+            } else if node == self.mon_node {
+                // Round 1 is in flight and its abort was not requested yet.
+                let deadline = self.sc.deadline && s.rounds_closed == 0 && !s.abort_requested;
+                if deadline {
+                    acts.push(Action::Deadline);
+                }
+                if has(MONITOR) {
+                    acts.push(Action::Recv(node, MONITOR));
+                    solo = solo.or(acts.last().copied().filter(|_| !deadline));
+                }
+            } else if has(node - self.inst0) {
+                acts.push(Action::Recv(node, node - self.inst0));
+                solo = solo.or(acts.last().copied());
             }
         }
-        acts
+        solo.map_or(acts, |a| vec![a])
     }
 
-    /// Applies `action` to a copy of `s`. Returns the successor state, a
-    /// human-readable action description, or the invariant violation hit.
-    fn apply(&mut self, s: &State, action: Action) -> Result<(State, String), Bad> {
+    /// Applies `action` to a copy of `s`: the successor, or the invariant
+    /// violation hit.
+    fn apply(&mut self, s: &State, action: Action) -> Result<State, Bad> {
         let mut n = s.clone();
-        let desc = match action {
-            Action::Dispatch => {
-                let tuple = self.spout[n.spout_pos];
-                n.spout_pos += 1;
-                let d = n.dispatcher.dispatch(tuple);
-                let desc = format!(
-                    "spout → dispatcher: {:?} key={} (seq {})",
-                    d.tuple.side, d.tuple.key, d.tuple.seq
-                );
-                match d.tuple.side {
-                    // R tuples store in the modeled R group.
-                    Side::R => {
-                        n.channels[channel_id(NODE_DISP, instance_node(d.store_dest))]
-                            .push_back(ChanMsg::Inst(InstanceMsg::Data(d.tuple)));
-                    }
-                    // S tuples probe the R group; their own store side is
-                    // the unmodeled S group.
-                    Side::S => {
-                        for dest in &d.probe_dests {
-                            n.channels[channel_id(NODE_DISP, instance_node(*dest))]
-                                .push_back(ChanMsg::Inst(InstanceMsg::Data(d.tuple)));
-                        }
-                    }
-                }
-                let id = self.intern_event(NODE_DISP, &desc);
-                n.histories[NODE_DISP].push(id);
-                desc
+        match action {
+            Action::Send(node) => {
+                let (port, queued) = n.outbox[node].pop_front().expect("enabled ⇒ non-empty");
+                n.queues[port].push_back(queued);
             }
-            Action::Deliver(ci) => {
-                let ch = CHANNELS[ci];
-                let msg = n.channels[ci].pop_front().expect("enabled ⇒ non-empty");
-                let desc =
-                    format!("{} → {}: {}", node_name(ch.from), node_name(ch.to), msg_summary(&msg));
-                let id = self.intern_event(ch.to, &desc);
-                n.histories[ch.to].push(id);
-                match msg {
-                    ChanMsg::Inst(m) => self.deliver_to_instance(&mut n, ch.to - NODE_I0, m)?,
-                    ChanMsg::Route(req) => {
-                        if !n.dispatcher.apply_route(Side::R, &req) {
-                            return Err(Bad::RouteRejected);
-                        }
-                        n.channels[channel_id(NODE_DISP, instance_node(req.source))].push_back(
-                            ChanMsg::Inst(InstanceMsg::RouteUpdated { epoch: req.epoch }),
-                        );
+            Action::Spout(k) => {
+                self.consume(&mut n, k, EV_SPOUT);
+                let shard = Rc::make_mut(&mut n.shards[k]);
+                let mut out = VecDeque::new();
+                match self.scripts[k].get(shard.pos) {
+                    Some(t) => {
+                        let routed = shard.core.data(&[*t], t.seq, 0, &mut self.ring, &mut out);
+                        assert!(routed, "a resyncing shard is not handed data");
                     }
-                    ChanMsg::Done(done) => {
-                        let expected = n.mon_dones as u64 + 1;
-                        if done.epoch != expected {
-                            return Err(Bad::EpochOrder { expected, got: done.epoch });
-                        }
-                        n.mon_dones += 1;
-                        if let Some(&(epoch, source, target)) = ROUNDS.get(n.mon_dones) {
-                            n.channels[channel_id(NODE_MON, instance_node(source))].push_back(
-                                ChanMsg::Inst(InstanceMsg::MigrateCmd {
-                                    epoch,
-                                    target,
-                                    target_load: InstanceLoad::default(),
-                                }),
-                            );
-                        }
-                    }
+                    None => shard.core.eos(&mut out),
                 }
-                desc
+                shard.pos += 1;
+                self.shard_outputs(&mut n, k, out);
             }
-        };
-        Ok((n, desc))
+            Action::Crash(k) => {
+                self.consume(&mut n, k, EV_CRASH);
+                n.crashes_left -= 1;
+                let shard = Rc::make_mut(&mut n.shards[k]);
+                let mut out = VecDeque::new();
+                if self.variant == Variant::ShardedRestartNoFence {
+                    // The bug under test: salvage the pending batches, but
+                    // start over with a shard that remembers no fence.
+                    shard.core.tick(u64::MAX, 0, &mut out);
+                    shard.core = Shard::new(k, Self::initial_table(), self.sc.batch_size);
+                    out.push_back(ShardOut::Note(ShardNote::Restarted { shard: k, fence: 0 }));
+                } else {
+                    shard.core.restart(Self::initial_table(), &mut out);
+                }
+                self.shard_outputs(&mut n, k, out);
+            }
+            Action::Deadline => {
+                let mon = self.mon_node;
+                self.consume(&mut n, mon, EV_DEADLINE);
+                n.abort_requested = true;
+                let (epoch, source, _) = self.sc.rounds[0];
+                let abort = DispatcherMsg::Abort { group: 0, epoch, source };
+                self.emit(&mut n, mon, SEQ_CTRL, Msg::Ctrl(abort));
+            }
+            Action::Recv(node, port) => {
+                let (id, msg) = n.queues[port].pop_front().expect("enabled ⇒ non-empty");
+                self.consume(&mut n, node, id);
+                let msg = Rc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
+                self.receive(&mut n, node, msg)?;
+            }
+        }
+        Ok(n)
     }
 
-    /// Delivers one message to instance `i`, drains its pending queue, and
-    /// routes the produced effects onto the model's channels.
-    fn deliver_to_instance(
-        &mut self,
-        n: &mut State,
-        i: usize,
-        msg: InstanceMsg,
-    ) -> Result<(), Bad> {
-        let mut fx = Effects::new();
-        let mut sel = FixedSelector;
-        n.instances[i]
-            .handle(msg, &mut sel, 0.0, &mut fx)
-            .map_err(|e| Bad::Protocol(e.to_string()))?;
-        while n.instances[i].process_next(&mut fx).is_some() {}
+    /// `node` consumes `msg`; what it answers joins its output sequence.
+    fn receive(&mut self, n: &mut State, node: usize, msg: Msg) -> Result<(), Bad> {
+        let inst = node.wrapping_sub(self.inst0);
+        let mut seq_out = VecDeque::new();
+        match msg {
+            Msg::Publish(snap) => {
+                let mut out = VecDeque::new();
+                Rc::make_mut(&mut n.shards[node]).core.publish(snap, &mut out);
+                self.shard_outputs(n, node, out);
+            }
+            Msg::Ctrl(m) => Rc::make_mut(&mut n.seq).ctrl(m, &mut seq_out),
+            Msg::Note(note) => Rc::make_mut(&mut n.seq).note(note, &mut seq_out),
+            Msg::Done(done) => self.monitor_done(n, done)?,
+            // The verdict only updates the real monitor's bookkeeping.
+            Msg::AbortOutcome { .. } => {}
+            Msg::Data(_) if n.insts[inst].eos => {
+                return Err(format!("inst{inst} received shard data behind the EOS broadcast"));
+            }
+            Msg::Data(items) => {
+                for item in items {
+                    let t = *item.tuple();
+                    if n.insts[inst].handed_off.contains(&t.key) {
+                        // The invariant the barrier exists for: no data
+                        // for a migrated-away key may arrive after the
+                        // store left. (The tuple would be stored where no
+                        // probe looks, or probe where nothing is stored.)
+                        return Err(format!(
+                            "stale delivery: {} reached inst{inst} after it handed the key's \
+                             store away — {}",
+                            tuple_summary(&t),
+                            self.variant.stale_cause()
+                        ));
+                    }
+                    self.instance_step(n, inst, InstanceMsg::Data(t))?;
+                }
+            }
+            Msg::Inst(m) => self.instance_step(n, inst, m)?,
+            Msg::Eos => Rc::make_mut(&mut n.insts[inst]).eos = true,
+        }
+        self.seq_outputs(n, seq_out);
+        Ok(())
+    }
 
+    /// Queues a shard step's outputs in the order they are sent.
+    fn shard_outputs(&mut self, n: &mut State, k: usize, mut out: VecDeque<ShardOut>) {
+        if self.variant == Variant::ShardedAckBeforeFlush {
+            // The bug under test: notes overtake the flushes before them.
+            out.make_contiguous().sort_by_key(|o| matches!(o, ShardOut::Flush { .. }));
+        }
+        for o in out {
+            match o {
+                ShardOut::Flush { group: 0, dest, items } => {
+                    self.emit(n, k, dest, Msg::Data(items));
+                }
+                ShardOut::Flush { .. } => {} // the S group is not modeled
+                ShardOut::Note(note) => self.emit(n, k, SEQ_NOTES, Msg::Note(note)),
+            }
+        }
+    }
+
+    /// Queues a sequencer step's outputs in the order they are sent.
+    fn seq_outputs(&mut self, n: &mut State, out: VecDeque<SeqOut>) {
+        let node = self.seq_node;
+        let no_barrier = self.variant == Variant::ShardedNoBarrier;
+        for o in out {
+            match o {
+                SeqOut::Publish { shard, snapshot } => {
+                    self.emit(n, node, SHARD_CTRL + shard, Msg::Publish(snapshot));
+                }
+                SeqOut::ToInstance { msg: InstanceMsg::RouteUpdated { .. }, .. } if no_barrier => {}
+                SeqOut::ToInstance { dest, msg, .. } => {
+                    self.emit(n, node, dest, Msg::Inst(msg));
+                }
+                SeqOut::ToMonitor { epoch, aborted, .. } => {
+                    self.saw(if aborted { "abort accepted" } else { "abort refused" });
+                    self.emit(n, node, MONITOR, Msg::AbortOutcome { epoch, aborted });
+                }
+                SeqOut::BroadcastEos => {
+                    for i in 0..INSTANCES {
+                        self.emit(n, node, i, Msg::Eos);
+                    }
+                }
+                SeqOut::Event(SeqEvent { did: Did::Reverted, .. }) => self.saw("stage reverted"),
+                SeqOut::Event(SeqEvent { did: Did::Staged, epoch, .. }) if no_barrier => {
+                    // The bug under test: the source hears of the flip when
+                    // it is staged, not when every shard acked.
+                    let round = self.sc.rounds.iter().find(|r| r.0 == epoch);
+                    let source = round.expect("a scripted round").1;
+                    let msg = InstanceMsg::RouteUpdated { epoch };
+                    self.emit(n, node, source, Msg::Inst(msg));
+                }
+                SeqOut::Event(_) => {}
+            }
+        }
+    }
+
+    /// The monitor closes the round `done` reports and starts the next.
+    fn monitor_done(&mut self, n: &mut State, done: MigrationDone) -> Result<(), Bad> {
+        let expected = n.rounds_closed as u64 + 1;
+        if done.epoch < expected && self.sc.deadline {
+            // A second acknowledgement of a round whose abort was
+            // requested (the abandoned-round completion and the idle
+            // source's abort ack race each other); the loser is dropped.
+            return Ok(());
+        }
+        if done.epoch != expected {
+            return Err(format!(
+                "monitor saw MigrationDone epoch {}, expected {expected} — epochs must be \
+                 strictly sequential",
+                done.epoch
+            ));
+        }
+        n.rounds_closed += 1;
+        // Whatever the round staged is now permanent (a no-op for an
+        // aborted or abandoned round), then the next round starts.
+        let commit = DispatcherMsg::Commit { group: 0, epoch: done.epoch };
+        self.emit(n, self.mon_node, SEQ_CTRL, Msg::Ctrl(commit));
+        self.start_round(n);
+        Ok(())
+    }
+
+    /// Instance `i` handles one message and drains its pending queue
+    /// (processing order relative to other nodes' steps does not affect
+    /// which pairs join — the pending queue itself is FIFO).
+    fn instance_step(&mut self, n: &mut State, i: usize, msg: InstanceMsg) -> Result<(), Bad> {
+        let node = Rc::make_mut(&mut n.insts[i]);
+        match (&msg, node.inst.migration_state()) {
+            (InstanceMsg::RouteUpdated { .. }, MigrationState::Source { keys, .. }) => {
+                node.handed_off.extend(keys.iter().copied());
+            }
+            (InstanceMsg::MigStart { keys, .. }, _) => {
+                node.handed_off.retain(|k| !keys.contains(k))
+            }
+            (
+                InstanceMsg::MigAbort { epoch },
+                MigrationState::Source { epoch: e, .. } | MigrationState::Target { epoch: e, .. },
+            ) if epoch < e => self.saw("MigAbort older than the engaged round"),
+            (InstanceMsg::MigAbort { .. }, MigrationState::Idle) => self.saw("MigAbort while idle"),
+            _ => {}
+        }
+        let mut fx = Effects::new();
+        let mut sel = HotKeySelector { only_if_stored: self.sc.deadline };
+        node.inst
+            .handle(msg, &mut sel, 0.0, &mut fx)
+            .map_err(|e| format!("protocol violation: {e}"))?;
+        while let Some(work) = node.inst.process_next(&mut fx) {
+            // A probe is served once, at one instance: every match it will
+            // ever find, it finds now.
+            if let Work::Probe { tuple, matches, .. } = work {
+                let due = self.expected.iter().filter(|(_, s)| *s == tuple.seq).count() as u64;
+                if matches < due {
+                    return Err(format!(
+                        "join incomplete: probe {} found {matches} of its {due} matches at \
+                         inst{i} — the stored tuples it must meet were not there",
+                        tuple_summary(&tuple)
+                    ));
+                }
+            }
+        }
         for pair in fx.joined.drain(..) {
             let key = (pair.left.seq, pair.right.seq);
-            if n.joined.contains(&key) {
-                return Err(Bad::DuplicatePair(key.0, key.1));
-            }
-            if !self.expected.contains(&key) {
-                return Err(Bad::UnexpectedPair(key.0, key.1));
+            if n.joined.contains(&key) || !self.expected.contains(&key) {
+                return Err(format!("pair (r_seq, s_seq) = {key:?} joined twice, or is no match"));
             }
             n.joined.push(key);
         }
+        // The order the runtime's instance sends its effects in.
+        let from = self.inst0 + i;
         for (to, m) in fx.sends.drain(..) {
-            self.route_send(n, i, to, m);
+            self.peer_send(n, i, to, m);
         }
         for req in fx.route_requests.drain(..) {
-            n.channels[channel_id(instance_node(i), NODE_DISP)].push_back(ChanMsg::Route(req));
+            self.emit(n, from, SEQ_CTRL, Msg::Ctrl(DispatcherMsg::Route { group: 0, req }));
         }
         for done in fx.migration_done.drain(..) {
-            n.channels[channel_id(instance_node(i), NODE_MON)].push_back(ChanMsg::Done(done));
+            if done.keys_moved == 0 {
+                self.saw("round closed without moving anything");
+            }
+            self.emit(n, from, MONITOR, Msg::Done(done));
         }
         Ok(())
     }
 
-    /// Enqueues one instance→instance send, applying the
+    /// Queues one instance → instance send, applying the
     /// [`Variant::ForwardBeforeStore`] reordering when selected.
-    fn route_send(&mut self, n: &mut State, from: usize, to: usize, m: InstanceMsg) {
-        if self.variant == Variant::ForwardBeforeStore {
-            if matches!(m, InstanceMsg::MigStore { .. }) {
-                // Hold the store payload back until after MigForward —
-                // the bug under test.
-                n.deferred_store[from] = Some((to, m));
-                return;
-            }
-            let is_forward = matches!(m, InstanceMsg::MigForward { .. });
-            n.channels[channel_id(instance_node(from), instance_node(to))]
-                .push_back(ChanMsg::Inst(m));
-            if is_forward {
-                if let Some((to2, store)) = n.deferred_store[from].take() {
-                    n.channels[channel_id(instance_node(from), instance_node(to2))]
-                        .push_back(ChanMsg::Inst(store));
-                }
-            }
+    fn peer_send(&mut self, n: &mut State, from: usize, to: usize, m: InstanceMsg) {
+        let node = self.inst0 + from;
+        let reorder = self.variant == Variant::ForwardBeforeStore;
+        if reorder && matches!(m, InstanceMsg::MigStore { .. }) {
+            // The bug under test: hold the store payload back until after
+            // MigForward.
+            Rc::make_mut(&mut n.insts[from]).deferred_store = Some((to, m));
             return;
         }
-        n.channels[channel_id(instance_node(from), instance_node(to))].push_back(ChanMsg::Inst(m));
+        let held = if reorder && matches!(m, InstanceMsg::MigForward { .. }) {
+            Rc::make_mut(&mut n.insts[from]).deferred_store.take()
+        } else {
+            None
+        };
+        self.emit(n, node, to, Msg::Inst(m));
+        if let Some((to, store)) = held {
+            self.emit(n, node, to, Msg::Inst(store));
+        }
     }
 
     /// Checks the invariants that must hold once no transition is enabled.
     fn check_terminal(&self, s: &State) -> Result<(), Bad> {
-        for inst in &s.instances {
-            if !inst.migration_state().is_idle() {
-                return Err(Bad::Protocol(format!(
-                    "instance {} not idle at quiescence: {:?}",
-                    inst.id(),
-                    inst.migration_state()
-                )));
+        let stuck = |what: String| Err(format!("stuck at quiescence: {what}"));
+        for (k, shard) in s.shards.iter().enumerate() {
+            if shard.core.resyncing() || shard.pos <= self.scripts[k].len() {
+                return stuck(format!("shard{k} resyncing, or its input unfinished"));
             }
         }
-        if s.mon_dones != ROUNDS.len() {
-            return Err(Bad::Protocol(format!(
+        if !s.seq.wants_ctrl() {
+            return stuck("a publication barrier never closed".to_string());
+        }
+        if let Some(port) = s.queues.iter().position(|q| !q.is_empty()) {
+            return stuck(format!("queue {port} never drained"));
+        }
+        for InstNode { inst, eos, .. } in s.insts.iter().map(Rc::as_ref) {
+            if !inst.migration_state().is_idle() || !eos {
+                return Err(format!(
+                    "instance {} at quiescence: saw EOS = {eos}, migration state {:?}",
+                    inst.id(),
+                    inst.migration_state()
+                ));
+            }
+        }
+        if s.rounds_closed != self.sc.rounds.len() {
+            return Err(format!(
                 "only {}/{} migration rounds completed at quiescence",
-                s.mon_dones,
-                ROUNDS.len()
-            )));
+                s.rounds_closed,
+                self.sc.rounds.len()
+            ));
         }
         let mut joined = s.joined.clone();
         joined.sort_unstable();
         if joined != self.expected {
             let missing: Vec<_> = self.expected.iter().filter(|p| !joined.contains(p)).collect();
-            return Err(Bad::Protocol(format!(
-                "join incomplete: joined {joined:?}, missing {missing:?}"
-            )));
+            return Err(format!("join incomplete: joined {joined:?}, missing {missing:?}"));
         }
         Ok(())
     }
 
-    /// State fingerprint: concatenated per-node histories.
+    /// State fingerprint: per-node histories, then what every output
+    /// sequence and every queue holds. Histories alone are not enough: the
+    /// shared queues mean two schedules with identical per-node histories
+    /// can still differ in cross-sender enqueue order, which is exactly the
+    /// order the barrier argument is about.
     fn fingerprint(s: &State) -> Box<[u16]> {
-        let total: usize = s.histories.iter().map(Vec::len).sum();
-        let mut key = Vec::with_capacity(total + NODES);
+        let mut key = Vec::with_capacity(64);
         for h in &s.histories {
-            key.extend_from_slice(h);
-            key.push(u16::MAX); // separator — never a valid event id
+            key.extend([(h >> 16) as u16, *h as u16]);
+        }
+        for outbox in &s.outbox {
+            key.extend(outbox.iter().map(|(_, (id, _))| *id));
+            key.push(u16::MAX); // separator — never a valid id
+        }
+        for queue in &s.queues {
+            key.extend(queue.iter().map(|(id, _)| *id));
+            key.push(u16::MAX);
         }
         key.into_boxed_slice()
     }
-}
 
-fn node_name(n: usize) -> &'static str {
-    match n {
-        NODE_DISP => "dispatcher",
-        NODE_I0 => "inst0",
-        NODE_I1 => "inst1",
-        _ => "monitor",
+    /// What `action` does in `s`, for a counterexample trace.
+    fn describe(&self, s: &State, action: Action) -> String {
+        let port_name = |port: Port| match port.checked_sub(SHARD_CTRL) {
+            Some(k) => format!("shard{k}"),
+            None if port < INSTANCES => format!("inst{port}"),
+            None if port == MONITOR => "monitor".to_string(),
+            None => "sequencer".to_string(),
+        };
+        match action {
+            Action::Spout(k) => {
+                let next = self.scripts[k].get(s.shards[k].pos);
+                format!("spout → shard{k}: {}", next.map_or("Eos".to_string(), tuple_summary))
+            }
+            Action::Recv(node, port) => {
+                let head = s.queues[port].front().map(|(_, m)| msg_summary(m));
+                format!("{} ← {}", self.node_name(node), head.unwrap_or_default())
+            }
+            Action::Send(node) => {
+                let (to, what) = s.outbox[node]
+                    .front()
+                    .map_or_else(Default::default, |(p, (_, m))| (port_name(*p), msg_summary(m)));
+                format!("{} → {to}: {what}", self.node_name(node))
+            }
+            Action::Crash(k) => {
+                let fence = s.shards[k].core.fence();
+                if self.variant == Variant::ShardedRestartNoFence {
+                    format!(
+                        "shard{k} crashes; its replacement starts WITHOUT the fence (was {fence})"
+                    )
+                } else {
+                    format!("shard{k} crashes; supervisor restarts it behind fence {fence}")
+                }
+            }
+            Action::Deadline => "monitor: round 1's deadline passes".to_string(),
+        }
     }
 }
 
-fn msg_summary(m: &ChanMsg) -> String {
+fn tuple_summary(t: &Tuple) -> String {
+    format!("{:?} key={} (seq {})", t.side, t.key, t.seq)
+}
+
+/// A message's content in one line: what traces print and what state
+/// fingerprints compare (so it leaves out nothing a receiver reads).
+fn msg_summary(m: &Msg) -> String {
     match m {
-        ChanMsg::Inst(InstanceMsg::Data(t)) => {
-            format!("Data {:?} key={} (seq {})", t.side, t.key, t.seq)
+        Msg::Data(items) => items.iter().fold("Data".to_string(), |mut out, item| {
+            let what = if matches!(item, DataItem::Store(_)) { "store" } else { "probe" };
+            let _ = write!(out, " [{what} {}]", tuple_summary(item.tuple()));
+            out
+        }),
+        Msg::Publish(snap) => {
+            let mut r_group = snap.parts[0].clone();
+            format!("Publish epoch={} hot→inst{}", snap.epoch, r_group.store_route(HOT_KEY))
         }
-        ChanMsg::Inst(InstanceMsg::MigrateCmd { epoch, target, .. }) => {
-            format!("MigrateCmd epoch={epoch} target={target}")
-        }
-        ChanMsg::Inst(InstanceMsg::MigStart { epoch, from, keys }) => {
-            format!("MigStart epoch={epoch} from={from} keys={keys:?}")
-        }
-        ChanMsg::Inst(InstanceMsg::MigStore { epoch, tuples }) => {
-            format!("MigStore epoch={epoch} ({} tuples)", tuples.len())
-        }
-        ChanMsg::Inst(InstanceMsg::RouteUpdated { epoch }) => {
-            format!("RouteUpdated epoch={epoch}")
-        }
-        ChanMsg::Inst(InstanceMsg::MigForward { epoch, tuples }) => {
-            format!("MigForward epoch={epoch} ({} tuples)", tuples.len())
-        }
-        ChanMsg::Inst(InstanceMsg::MigEnd { epoch, from }) => {
-            format!("MigEnd epoch={epoch} from={from}")
-        }
-        ChanMsg::Inst(InstanceMsg::MigAbort { epoch }) => {
-            format!("MigAbort epoch={epoch}")
-        }
-        ChanMsg::Inst(InstanceMsg::MigReturn { epoch, stored, inflight }) => {
-            format!(
-                "MigReturn epoch={epoch} ({} stored, {} inflight)",
-                stored.len(),
-                inflight.len()
-            )
-        }
-        ChanMsg::Route(req) => {
-            format!("RouteRequest epoch={} keys={:?} -> target {}", req.epoch, req.keys, req.target)
-        }
-        ChanMsg::Done(d) => format!(
-            "MigrationDone epoch={} ({} tuples, {} keys)",
-            d.epoch, d.tuples_moved, d.keys_moved
-        ),
+        Msg::Inst(m) => format!("{m:?}"),
+        Msg::Ctrl(m) => format!("{m:?}"),
+        Msg::Note(n) => format!("{n:?}"),
+        Msg::Done(d) => format!("{d:?}"),
+        Msg::Eos => "Eos".to_string(),
+        Msg::AbortOutcome { epoch, aborted } => format!("AbortOutcome {epoch} aborted={aborted}"),
     }
 }
 
@@ -606,10 +946,7 @@ fn rebuild_trace(
     last_action: Option<Action>,
 ) -> Vec<String> {
     // Collect the action path root → node.
-    let mut actions = Vec::new();
-    if let Some(a) = last_action {
-        actions.push(a);
-    }
+    let mut actions: Vec<Action> = last_action.into_iter().collect();
     let mut cur = node;
     while cur != 0 {
         let (parent, act) = parents[cur];
@@ -621,107 +958,78 @@ fn rebuild_trace(
     let mut state = explorer.initial_state();
     let mut out = Vec::with_capacity(actions.len());
     for (step, act) in actions.iter().enumerate() {
+        let desc = explorer.describe(&state, *act);
         match explorer.apply(&state, *act) {
-            Ok((next, desc)) => {
+            Ok(next) => {
                 out.push(format!("{:>3}. {desc}", step + 1));
                 state = next;
             }
-            Err(bad) => {
-                // The final step is the violating one.
-                let ch = match act {
-                    Action::Deliver(ci) => CHANNELS[*ci],
-                    Action::Dispatch => Channel { from: NODE_DISP, to: NODE_DISP },
-                };
-                out.push(format!(
-                    "{:>3}. {} → {}: <violating delivery> — {}",
-                    step + 1,
-                    node_name(ch.from),
-                    node_name(ch.to),
-                    bad.describe()
-                ));
-            }
+            // The final step is the violating one.
+            Err(bad) => out.push(format!("{:>3}. {desc} — {bad}", step + 1)),
         }
     }
     out
 }
 
-/// Explores every FIFO-respecting schedule of the bounded scenario under
-/// `variant` and checks the protocol invariants on each.
+/// Explores every schedule of the bounded scenario under `variant` and
+/// checks the protocol invariants on each.
 #[must_use]
 pub fn check(variant: Variant) -> CheckOutcome {
-    match variant {
-        Variant::Sharded => return sharded::check(sharded::Mode::Barrier),
-        Variant::ShardedNoBarrier => return sharded::check(sharded::Mode::NoBarrier),
-        Variant::ShardedShardRestart => return sharded::check(sharded::Mode::Restart),
-        Variant::ShardedRestartNoFence => return sharded::check(sharded::Mode::RestartNoFence),
-        Variant::Safe | Variant::NaiveNotifyFirst | Variant::ForwardBeforeStore => {}
-    }
     let mut explorer = Explorer::new(variant);
     let initial = explorer.initial_state();
 
-    // BFS over deduplicated states.
+    // BFS over deduplicated states. States are expanded in index order, so
+    // state i's successors are `edges[first_edge[i]..first_edge[i + 1]]`.
     let mut visited: HashMap<Box<[u16]>, u32> = HashMap::new();
-    let mut parents: Vec<(u32, Action)> = vec![(0, Action::Dispatch)]; // [0] unused
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new()];
-    let mut terminal: Vec<bool> = vec![false];
+    let mut parents: Vec<(u32, Action)> = vec![(0, Action::Deadline)]; // [0] unused
+    let mut edges: Vec<u32> = Vec::new();
+    let mut first_edge: Vec<usize> = Vec::new();
     let mut frontier: Vec<(u32, State)> = vec![(0, initial)];
     visited.insert(Explorer::fingerprint(&frontier[0].1), 0);
 
     while !frontier.is_empty() {
         let mut next_frontier: Vec<(u32, State)> = Vec::new();
         for (idx, state) in frontier.drain(..) {
+            first_edge.push(edges.len());
             let acts = explorer.enabled(&state);
-            if acts.is_empty() {
-                if let Err(bad) = explorer.check_terminal(&state) {
-                    let trace = rebuild_trace(&mut explorer, &parents, idx as usize, None);
-                    return CheckOutcome::Violation {
-                        reason: bad.describe(),
-                        trace,
-                        states: visited.len(),
-                    };
-                }
-                terminal[idx as usize] = true;
-                continue;
-            }
+            let mut failed = if acts.is_empty() {
+                explorer.check_terminal(&state).err().map(|bad| (bad, None))
+            } else {
+                None
+            };
             for act in acts {
                 match explorer.apply(&state, act) {
-                    Ok((next, _desc)) => {
-                        let fp = Explorer::fingerprint(&next);
-                        if let Some(&existing) = visited.get(&fp) {
-                            succs[idx as usize].push(existing);
-                            continue;
-                        }
+                    Ok(next) => {
                         let new_idx = u32::try_from(parents.len()).expect("state index overflow");
-                        visited.insert(fp, new_idx);
-                        parents.push((idx, act));
-                        succs.push(Vec::new());
-                        terminal.push(false);
-                        succs[idx as usize].push(new_idx);
-                        next_frontier.push((new_idx, next));
+                        let known = *visited.entry(Explorer::fingerprint(&next)).or_insert(new_idx);
+                        edges.push(known);
+                        if known == new_idx {
+                            parents.push((idx, act));
+                            next_frontier.push((new_idx, next));
+                        }
                     }
-                    Err(bad) => {
-                        let trace = rebuild_trace(&mut explorer, &parents, idx as usize, Some(act));
-                        return CheckOutcome::Violation {
-                            reason: bad.describe(),
-                            trace,
-                            states: visited.len(),
-                        };
-                    }
+                    Err(bad) => failed = failed.or(Some((bad, Some(act)))),
                 }
+            }
+            if let Some((bad, last)) = failed {
+                let trace = rebuild_trace(&mut explorer, &parents, idx as usize, last);
+                return CheckOutcome::Violation { reason: bad, trace, states: visited.len() };
             }
         }
         frontier = next_frontier;
     }
+    first_edge.push(edges.len());
 
     // Schedule count: number of root→terminal paths. Every action advances
     // total progress by one, so discovery (BFS) order is topological and a
-    // single reverse sweep suffices.
+    // single reverse sweep suffices. A state without successors is terminal.
     let mut paths: Vec<u128> = vec![0; parents.len()];
     for i in (0..parents.len()).rev() {
-        paths[i] = if terminal[i] {
+        let succs = &edges[first_edge[i]..first_edge[i + 1]];
+        paths[i] = if succs.is_empty() {
             1
         } else {
-            succs[i].iter().map(|&s| paths[s as usize]).fold(0u128, u128::saturating_add)
+            succs.iter().map(|&s| paths[s as usize]).fold(0u128, u128::saturating_add)
         };
     }
 
@@ -729,903 +1037,131 @@ pub fn check(variant: Variant) -> CheckOutcome {
         states: visited.len(),
         schedules: paths[0],
         expected_pairs: explorer.expected.len(),
+        covered: explorer.covered,
     }
 }
 
-/// Renders an outcome for the CLI; returns the process exit code.
+/// Renders an outcome for the CLI; returns whether the variant passed.
 #[must_use]
-pub fn report(outcome: &CheckOutcome, variant: Variant) -> i32 {
+pub fn report(outcome: &CheckOutcome, variant: Variant) -> bool {
+    let (name, bounds) = (variant.name(), format!("{:?}", scenario(variant)));
     match outcome {
-        CheckOutcome::Pass { states, schedules, expected_pairs } => {
+        CheckOutcome::Pass { states, schedules, expected_pairs, covered } => {
             println!(
-                "check-protocol [{variant:?}]: OK — {schedules} FIFO schedules over {states} \
-                 distinct states; every schedule joined all {expected_pairs} expected pairs \
+                "check-protocol [{name}]: OK — {schedules} schedules over {states} distinct \
+                 states ({bounds}); every schedule joined all {expected_pairs} expected pairs \
                  exactly once with monotone epochs"
             );
-            0
+            if !covered.is_empty() {
+                let paths: Vec<&str> = covered.iter().copied().collect();
+                println!("  paths some schedule took: {}", paths.join("; "));
+            }
+            true
         }
         CheckOutcome::Violation { reason, trace, states } => {
             let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "check-protocol [{variant:?}]: FAILED after {states} states — {reason}"
-            );
+            let _ =
+                writeln!(out, "check-protocol [{name}]: FAILED after {states} states — {reason}");
+            let _ = writeln!(out, "  ({bounds})");
             let _ = writeln!(out, "shortest counterexample schedule ({} steps):", trace.len());
             for line in trace {
                 let _ = writeln!(out, "{line}");
             }
             eprint!("{out}");
-            1
+            false
         }
     }
 }
 
-/// Exhaustive model of the **sharded dispatcher**: two dispatch shards and
-/// the control sequencer interleaving over one epoch-versioned route flip.
-///
-/// The threaded runtime splits the dispatcher into N shard threads that
-/// route data under private replicas of the routing table, plus a control
-/// sequencer that owns the authoritative table and publishes each net
-/// route change as a whole-table snapshot. The correctness argument rests
-/// on two properties this model checks exhaustively:
-///
-/// * **MPSC inbox order** — every join instance has ONE input queue shared
-///   by all shards and the sequencer, so enqueue order is a total order
-///   per instance;
-/// * **the publication barrier** — the sequencer withholds the source's
-///   `RouteUpdated` until every shard has acknowledged installing the new
-///   epoch, which (with the property above) guarantees all data routed
-///   under the old table is already in the source's inbox when the flip
-///   notification lands.
-///
-/// The model: shard 0 scripts four hot-key tuples, shard 1 two cold-key
-/// tuples (shard-by-key puts every tuple of a key on one shard). The
-/// sequencer runs one flip moving the hot key from instance 0 to
-/// instance 1 (`MigStart` to the target, snapshots to both shards, then —
-/// barrier permitting — `RouteUpdated` to the source, which transfers its
-/// hot store and treats later hot arrivals as a checked violation). The
-/// explorer enumerates every interleaving of shard routing, snapshot
-/// installs, sequencer steps, and inbox deliveries; each schedule must
-/// join exactly the expected pairs and never deliver data for a
-/// migrated-away key. With the barrier dropped
-/// ([`Variant::ShardedNoBarrier`]) the stale-delivery race is reachable
-/// and reported with a shortest counterexample.
-///
-/// ## Crash/restart extension
-///
-/// The restart modes ([`Mode::Restart`], [`Mode::RestartNoFence`]) let
-/// each shard additionally **crash once at any point** and be respawned
-/// by its supervisor, exactly like the threaded runtime's shard wrapper:
-/// the fresh incarnation rebuilds the *initial* routing table (fresh
-/// partitioners), the sequencer learns of the restart via a
-/// `Restarted { shard, fence }` note and re-publishes its current
-/// snapshot, and — with the fence — the shard defers all routing until
-/// that re-publication installs (`resync`). The fence is the highest
-/// snapshot epoch the dead incarnation installed; it survives the crash
-/// outside the restarted body. Install verdicts mirror the runtime's
-/// `InstallVerdict`: an epoch above the fence installs and acks, the
-/// fence epoch *reinstalls* (rebuilds the table, clears `resync`, does
-/// NOT ack again), anything below is superseded and dropped. During a
-/// publication barrier a `Restarted` note with `fence >= epoch` counts
-/// as that shard's acknowledgement — the install happened; only the ack
-/// was lost with the thread. [`Mode::RestartNoFence`] drops the fence:
-/// the fresh incarnation forgets what it installed and routes
-/// immediately under the initial table while the dead incarnation's
-/// stale ack still releases the barrier — the checker finds the
-/// resulting stale delivery with a shortest counterexample.
-mod sharded {
-    use super::{CheckOutcome, HashMap, Key, Side, VecDeque};
-
-    /// Which sharded-dispatcher behavior to explore.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Mode {
-        /// The shipped protocol: publication barrier, no crashes.
-        Barrier,
-        /// Known-bad: the barrier dropped (`RouteUpdated` at stage time).
-        NoBarrier,
-        /// Barrier plus supervised shard crash/restart with the epoch
-        /// fence: the fence survives the crash and gates routing until
-        /// the sequencer's re-publication reinstalls the snapshot.
-        Restart,
-        /// Known-bad: crash/restart WITHOUT the fence — the restarted
-        /// shard routes under the initial table while the dead
-        /// incarnation's stale ack releases the barrier.
-        RestartNoFence,
+/// Runs every variant; true when each verdict is the one [`VARIANTS`]
+/// expects (a known-bad variant that passes is as wrong as a good one
+/// that fails).
+#[must_use]
+pub fn check_all() -> bool {
+    let mut as_expected = true;
+    for &(name, variant, expect_pass) in VARIANTS {
+        let started = std::time::Instant::now();
+        let passed = report(&check(variant), variant);
+        let verdict = if passed == expect_pass { "as expected" } else { "NOT AS EXPECTED" };
+        let expected = if expect_pass { "must pass" } else { "must keep failing" };
+        println!("  [{name}] {expected}: {verdict} ({:.1} s)", started.elapsed().as_secs_f64());
+        as_expected &= passed == expect_pass;
     }
-
-    impl Mode {
-        /// Is the publication barrier in force?
-        fn barrier(self) -> bool {
-            self != Mode::NoBarrier
-        }
-        /// Are shard crashes part of the scenario?
-        fn restart(self) -> bool {
-            matches!(self, Mode::Restart | Mode::RestartNoFence)
-        }
-        /// Does the epoch fence survive a crash?
-        fn fence(self) -> bool {
-            self != Mode::RestartNoFence
-        }
-    }
-
-    /// Shards in the model.
-    const SHARDS: usize = 2;
-    /// The key the flip moves (all its tuples script on shard 0).
-    const HOT: Key = 0;
-    /// A cold key that stays put (all its tuples script on shard 1).
-    const COLD: Key = 1;
-    /// Flip endpoints: `HOT` moves instance 0 → instance 1.
-    const SOURCE: usize = 0;
-    const TARGET: usize = 1;
-    /// The epoch the flip publishes (initial tables are epoch 1).
-    const NEW_EPOCH: u64 = 2;
-
-    /// Node indices for history bookkeeping (two shards, the sequencer,
-    /// two instances).
-    const NODE_SH0: usize = 0;
-    const NODE_SEQ: usize = 2;
-    const NODE_I0: usize = 3;
-    const NODES: usize = 5;
-
-    /// A modeled tuple: side, key, and its global sequence number.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct STuple {
-        side: Side,
-        key: Key,
-        seq: u64,
-    }
-
-    /// Messages in an instance's single MPSC inbox.
-    #[derive(Debug, Clone, PartialEq)]
-    enum SMsg {
-        /// A shard routed this tuple here.
-        Data(STuple),
-        /// Sequencer → target: the hot key is migrating — buffer its data
-        /// until the store transfer arrives.
-        MigStart,
-        /// Sequencer → source: the flip is live on every shard (barrier
-        /// variant) or merely staged (no-barrier variant); hand the hot
-        /// store to the target.
-        RouteUpdated,
-        /// Source → target: the hot key's stored R sequence numbers.
-        MigStore(Vec<u64>),
-    }
-
-    /// Shard → sequencer notes (one MPSC queue, like the runtime's
-    /// `ShardNote` channel).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum SNote {
-        /// Install acknowledgement: `shard` is now routing under `epoch`.
-        Live { shard: usize, epoch: u64 },
-        /// `shard` crashed and was respawned; `fence` is the highest
-        /// epoch the dead incarnation installed (0 when the fence is
-        /// dropped with the incarnation).
-        Restarted { shard: usize, fence: u64 },
-    }
-
-    /// One join instance: R store per key, the migration buffer, and the
-    /// keys whose store has been handed away.
-    #[derive(Debug, Clone)]
-    struct SInst {
-        store: HashMap<Key, Vec<u64>>,
-        /// `Some(buffered)` between `MigStart` and `MigStore`.
-        buffer: Option<Vec<STuple>>,
-        migrated_hot: bool,
-    }
-
-    /// Sequencer lifecycle for the single modeled flip.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum SeqPhase {
-        Idle,
-        /// Snapshots published; which shards have been credited with an
-        /// install so far (per-shard flags, so a duplicate credit for one
-        /// shard can never release the barrier).
-        WaitAcks([bool; SHARDS]),
-        Done,
-    }
-
-    /// One global state.
-    #[derive(Clone)]
-    struct SState {
-        /// Next unread position in each shard's script.
-        shard_pos: [usize; SHARDS],
-        /// Each shard's current owner of `HOT` (its private table).
-        shard_hot_owner: [usize; SHARDS],
-        /// Pending snapshot publications, sequencer → shard (FIFO).
-        ctrl: [VecDeque<u64>; SHARDS],
-        /// Pending shard → sequencer notes (MPSC): install acks and
-        /// restart notifications share one queue, like the runtime.
-        notes: VecDeque<SNote>,
-        /// Highest snapshot epoch each shard has installed (the fence).
-        fence: [u64; SHARDS],
-        /// Restarted shards holding all routing until a reinstall
-        /// clears the gate (fence mode only).
-        resync: [bool; SHARDS],
-        /// Which shards have already spent their one crash.
-        crashed: [bool; SHARDS],
-        seq: SeqPhase,
-        /// The per-instance MPSC inboxes — ONE queue per instance, shared
-        /// by both shards and the sequencer, exactly like the runtime.
-        inboxes: [VecDeque<SMsg>; 2],
-        insts: [SInst; 2],
-        /// Joined `(r_seq, s_seq)` pairs in emission order.
-        joined: Vec<(u64, u64)>,
-        /// Per-node consumed-event histories (interned ids).
-        histories: [Vec<u16>; NODES],
-    }
-
-    /// A transition out of a state.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum SAction {
-        /// Shard `i` routes its next scripted tuple.
-        Route(usize),
-        /// Shard `i` installs its pending snapshot and acknowledges.
-        Install(usize),
-        /// Shard `i` crashes and is respawned by its supervisor (restart
-        /// modes only; once per shard).
-        Crash(usize),
-        /// The sequencer stages the flip and publishes snapshots.
-        SeqStart,
-        /// The sequencer consumes one shard note (ack or restart).
-        SeqAck,
-        /// Instance `i` processes the head of its inbox.
-        Deliver(usize),
-    }
-
-    /// The bounded scenario plus interning state.
-    struct SExplorer {
-        mode: Mode,
-        scripts: [Vec<STuple>; SHARDS],
-        expected: Vec<(u64, u64)>,
-        intern: HashMap<(usize, String), u16>,
-    }
-
-    impl SExplorer {
-        fn new(mode: Mode) -> Self {
-            let r = |key, seq| STuple { side: Side::R, key, seq };
-            let s = |key, seq| STuple { side: Side::S, key, seq };
-            // Shard-by-key: every hot tuple rides shard 0, every cold
-            // tuple shard 1. Hot stores and probes straddle the flip.
-            let scripts =
-                [vec![r(HOT, 1), s(HOT, 2), r(HOT, 3), s(HOT, 4)], vec![r(COLD, 5), s(COLD, 6)]];
-            // Expected pairs: same key, R scripted before S — per-shard
-            // script order is the per-key arrival order, since one shard
-            // carries a key's every tuple.
-            let mut expected = Vec::new();
-            for script in &scripts {
-                for (ri, r) in script.iter().enumerate() {
-                    if r.side != Side::R {
-                        continue;
-                    }
-                    for s in script.iter().skip(ri + 1) {
-                        if s.side == Side::S && s.key == r.key {
-                            expected.push((r.seq, s.seq));
-                        }
-                    }
-                }
-            }
-            expected.sort_unstable();
-            SExplorer { mode, scripts, expected, intern: HashMap::new() }
-        }
-
-        fn initial_state(&self) -> SState {
-            SState {
-                shard_pos: [0; SHARDS],
-                shard_hot_owner: [SOURCE; SHARDS],
-                ctrl: std::array::from_fn(|_| VecDeque::new()),
-                notes: VecDeque::new(),
-                fence: [0; SHARDS],
-                resync: [false; SHARDS],
-                crashed: [false; SHARDS],
-                seq: SeqPhase::Idle,
-                inboxes: std::array::from_fn(|_| VecDeque::new()),
-                insts: std::array::from_fn(|_| SInst {
-                    store: HashMap::new(),
-                    buffer: None,
-                    migrated_hot: false,
-                }),
-                joined: Vec::new(),
-                histories: std::array::from_fn(|_| Vec::new()),
-            }
-        }
-
-        fn intern_event(&mut self, node: usize, desc: &str) -> u16 {
-            if let Some(&id) = self.intern.get(&(node, desc.to_string())) {
-                return id;
-            }
-            let id = u16::try_from(self.intern.len() + 1).expect("event table overflow");
-            self.intern.insert((node, desc.to_string()), id);
-            id
-        }
-
-        fn enabled(&self, s: &SState) -> Vec<SAction> {
-            let mut acts = Vec::new();
-            for i in 0..SHARDS {
-                // A resyncing shard routes nothing until its reinstall.
-                if s.shard_pos[i] < self.scripts[i].len() && !s.resync[i] {
-                    acts.push(SAction::Route(i));
-                }
-                if !s.ctrl[i].is_empty() {
-                    acts.push(SAction::Install(i));
-                }
-                if self.mode.restart() && !s.crashed[i] {
-                    acts.push(SAction::Crash(i));
-                }
-            }
-            if s.seq == SeqPhase::Idle {
-                acts.push(SAction::SeqStart);
-            }
-            if !s.notes.is_empty() {
-                acts.push(SAction::SeqAck);
-            }
-            for (i, inbox) in s.inboxes.iter().enumerate() {
-                if !inbox.is_empty() {
-                    acts.push(SAction::Deliver(i));
-                }
-            }
-            acts
-        }
-
-        /// Applies `action` to a copy of `s`; returns the successor and a
-        /// human-readable description, or the violation hit.
-        fn apply(&mut self, s: &SState, action: SAction) -> Result<(SState, String), String> {
-            let mut n = s.clone();
-            let (node, desc) = match action {
-                SAction::Route(i) => {
-                    let t = self.scripts[i][n.shard_pos[i]];
-                    n.shard_pos[i] += 1;
-                    let owner = if t.key == HOT { n.shard_hot_owner[i] } else { TARGET };
-                    n.inboxes[owner].push_back(SMsg::Data(t));
-                    (NODE_SH0 + i, format!("shard{i} routes {t:?} → inst{owner}"))
-                }
-                SAction::Install(i) => {
-                    let epoch = n.ctrl[i].pop_front().expect("enabled ⇒ non-empty");
-                    if self.mode.fence() && epoch < n.fence[i] {
-                        // Below the fence: a superseded snapshot. Drop it —
-                        // no table change, no ack.
-                        (NODE_SH0 + i, format!("shard{i} discards superseded epoch {epoch}"))
-                    } else if self.mode.fence() && epoch == n.fence[i] {
-                        // Re-publication of the epoch the dead incarnation
-                        // already installed: rebuild the table and clear
-                        // the resync gate, but do NOT ack a second time.
-                        n.shard_hot_owner[i] = TARGET;
-                        n.resync[i] = false;
-                        (NODE_SH0 + i, format!("shard{i} reinstalls epoch {epoch} (no ack)"))
-                    } else {
-                        n.shard_hot_owner[i] = TARGET;
-                        n.fence[i] = epoch;
-                        n.resync[i] = false;
-                        n.notes.push_back(SNote::Live { shard: i, epoch });
-                        (NODE_SH0 + i, format!("shard{i} installs epoch {epoch} and acks"))
-                    }
-                }
-                SAction::Crash(i) => {
-                    n.crashed[i] = true;
-                    // The fresh incarnation rebuilds the *initial* routing
-                    // table, exactly like the runtime's restarted shard
-                    // (fresh partitioners; only the fence survives — or
-                    // not, in the no-fence variant).
-                    n.shard_hot_owner[i] = SOURCE;
-                    if self.mode.fence() {
-                        n.resync[i] = n.fence[i] > 0;
-                        n.notes.push_back(SNote::Restarted { shard: i, fence: n.fence[i] });
-                        (
-                            NODE_SH0 + i,
-                            format!(
-                                "shard{i} crashes; supervisor restarts it (fence={} kept{})",
-                                n.fence[i],
-                                if n.resync[i] { ", resync until reinstall" } else { "" }
-                            ),
-                        )
-                    } else {
-                        n.fence[i] = 0;
-                        n.resync[i] = false;
-                        n.notes.push_back(SNote::Restarted { shard: i, fence: 0 });
-                        (
-                            NODE_SH0 + i,
-                            format!(
-                                "shard{i} crashes; supervisor restarts it WITHOUT the fence \
-                                 (initial table, routes immediately)"
-                            ),
-                        )
-                    }
-                }
-                SAction::SeqStart => {
-                    // MigStart first: it must precede any new-epoch data
-                    // in the target's inbox, and it does — snapshots are
-                    // published (hence installable) only afterwards.
-                    n.inboxes[TARGET].push_back(SMsg::MigStart);
-                    for ctrl in &mut n.ctrl {
-                        ctrl.push_back(NEW_EPOCH);
-                    }
-                    n.seq = SeqPhase::WaitAcks([false; SHARDS]);
-                    if self.mode.barrier() {
-                        (NODE_SEQ, "sequencer stages flip, publishes snapshots".to_string())
-                    } else {
-                        // The bug under test: notify the source before any
-                        // shard has necessarily installed the new table.
-                        n.inboxes[SOURCE].push_back(SMsg::RouteUpdated);
-                        (
-                            NODE_SEQ,
-                            "sequencer stages flip, publishes snapshots, and sends RouteUpdated \
-                             WITHOUT waiting for installs"
-                                .to_string(),
-                        )
-                    }
-                }
-                SAction::SeqAck => {
-                    let note = n.notes.pop_front().expect("enabled ⇒ non-empty");
-                    match note {
-                        SNote::Live { shard, epoch: _ } => {
-                            if let SeqPhase::WaitAcks(acked) = n.seq {
-                                let desc = self.credit(&mut n, acked, shard, "consumes ack from");
-                                (NODE_SEQ, desc)
-                            } else if self.mode.restart() {
-                                // A dead incarnation's ack arriving after
-                                // the round closed: harmless, discard it —
-                                // like the runtime's `fold_notes`.
-                                (
-                                    NODE_SEQ,
-                                    format!(
-                                        "sequencer discards shard{shard}'s stale ack \
-                                         (round closed)"
-                                    ),
-                                )
-                            } else {
-                                return Err(format!(
-                                    "ack from shard{shard} outside a publication round"
-                                ));
-                            }
-                        }
-                        SNote::Restarted { shard, fence } => {
-                            // Re-publish the current snapshot so the fresh
-                            // incarnation can rebuild its table (a no-op
-                            // before the flip is staged — there is nothing
-                            // to republish).
-                            if n.seq != SeqPhase::Idle {
-                                n.ctrl[shard].push_back(NEW_EPOCH);
-                            }
-                            match n.seq {
-                                SeqPhase::WaitAcks(acked) if fence >= NEW_EPOCH => {
-                                    // The dead incarnation installed the
-                                    // barrier epoch — only its ack was
-                                    // lost with the thread. Credit it; the
-                                    // fence keeps the fresh incarnation
-                                    // from routing until the reinstall.
-                                    let desc =
-                                        self.credit(&mut n, acked, shard, "credits restarted");
-                                    (NODE_SEQ, format!("{desc}; republishes epoch {NEW_EPOCH}"))
-                                }
-                                SeqPhase::Idle => (
-                                    NODE_SEQ,
-                                    format!(
-                                        "sequencer sees shard{shard} restart \
-                                         (nothing published yet)"
-                                    ),
-                                ),
-                                _ => (
-                                    NODE_SEQ,
-                                    format!(
-                                        "sequencer republishes epoch {NEW_EPOCH} to restarted \
-                                         shard{shard} (fence={fence})"
-                                    ),
-                                ),
-                            }
-                        }
-                    }
-                }
-                SAction::Deliver(i) => {
-                    let msg = n.inboxes[i].pop_front().expect("enabled ⇒ non-empty");
-                    let desc = format!("inst{i} ← {msg:?}");
-                    self.deliver(&mut n, i, msg)?;
-                    (NODE_I0 + i, desc)
-                }
-            };
-            let id = self.intern_event(node, &desc);
-            n.histories[node].push(id);
-            Ok((n, desc))
-        }
-
-        /// Credits `shard`'s install toward the open barrier and releases
-        /// it — sending `RouteUpdated` to the source — once every shard
-        /// is credited. Returns the step description.
-        fn credit(
-            &self,
-            n: &mut SState,
-            mut acked: [bool; SHARDS],
-            shard: usize,
-            why: &str,
-        ) -> String {
-            acked[shard] = true;
-            let done = acked.iter().filter(|a| **a).count();
-            if acked.iter().all(|a| *a) {
-                n.seq = SeqPhase::Done;
-                if self.mode.barrier() {
-                    // The barrier releases: every shard routes under the
-                    // new epoch, so everything the old table routed to the
-                    // source is already in its inbox ahead of this message.
-                    n.inboxes[SOURCE].push_back(SMsg::RouteUpdated);
-                    return format!(
-                        "sequencer {why} shard{shard} ({done}/{SHARDS}) — barrier releases, \
-                         RouteUpdated → source"
-                    );
-                }
-            } else {
-                n.seq = SeqPhase::WaitAcks(acked);
-            }
-            format!("sequencer {why} shard{shard} ({done}/{SHARDS})")
-        }
-
-        /// Processes one inbox message at instance `i`.
-        fn deliver(&mut self, n: &mut SState, i: usize, msg: SMsg) -> Result<(), String> {
-            match msg {
-                SMsg::Data(t) => {
-                    if n.insts[i].buffer.is_some() && t.key == HOT {
-                        n.insts[i].buffer.as_mut().expect("checked is_some").push(t);
-                        return Ok(());
-                    }
-                    if n.insts[i].migrated_hot && t.key == HOT {
-                        // The invariant the barrier exists for: no data
-                        // for a migrated-away key may arrive after the
-                        // store left. (In the runtime this tuple would be
-                        // lost or mis-stored — either breaks the join.)
-                        return Err(if self.mode.restart() {
-                            format!(
-                                "stale delivery: {t:?} reached inst{i} after its hot store \
-                                 migrated away — the publication barrier was released by a \
-                                 stale ack from a crashed shard's dead incarnation while the \
-                                 restarted shard routed under the initial table (the epoch \
-                                 fence would have held routing until the reinstall)"
-                            )
-                        } else {
-                            format!(
-                                "stale delivery: {t:?} reached inst{i} after its hot store \
-                                 migrated away — a shard was still routing under the old epoch"
-                            )
-                        });
-                    }
-                    Self::process_tuple(n, i, t)?;
-                }
-                SMsg::MigStart => n.insts[i].buffer = Some(Vec::new()),
-                SMsg::RouteUpdated => {
-                    let moved = n.insts[i].store.remove(&HOT).unwrap_or_default();
-                    n.insts[i].migrated_hot = true;
-                    n.inboxes[TARGET].push_back(SMsg::MigStore(moved));
-                }
-                SMsg::MigStore(moved) => {
-                    n.insts[i].store.entry(HOT).or_default().extend(moved);
-                    // Replay everything buffered since MigStart, in inbox
-                    // order — stores then probes exactly as they arrived.
-                    if let Some(buffered) = n.insts[i].buffer.take() {
-                        for t in buffered {
-                            Self::process_tuple(n, i, t)?;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        }
-
-        /// Stores an R tuple / probes an S tuple at instance `i`.
-        fn process_tuple(n: &mut SState, i: usize, t: STuple) -> Result<(), String> {
-            match t.side {
-                Side::R => n.insts[i].store.entry(t.key).or_default().push(t.seq),
-                Side::S => {
-                    for &r_seq in n.insts[i].store.get(&t.key).map_or(&[][..], Vec::as_slice) {
-                        let pair = (r_seq, t.seq);
-                        if n.joined.contains(&pair) {
-                            return Err(format!("pair {pair:?} joined twice — not exactly-once"));
-                        }
-                        n.joined.push(pair);
-                    }
-                }
-            }
-            Ok(())
-        }
-
-        /// Invariants that must hold once no transition is enabled.
-        fn check_terminal(&self, s: &SState) -> Result<(), String> {
-            if s.seq != SeqPhase::Done {
-                return Err(format!("flip incomplete at quiescence: {:?}", s.seq));
-            }
-            for (i, inst) in s.insts.iter().enumerate() {
-                if inst.buffer.is_some() {
-                    return Err(format!("inst{i} still buffering at quiescence"));
-                }
-            }
-            for (i, resyncing) in s.resync.iter().enumerate() {
-                if *resyncing {
-                    return Err(format!("shard{i} still resyncing at quiescence"));
-                }
-            }
-            let mut joined = s.joined.clone();
-            joined.sort_unstable();
-            if joined != self.expected {
-                let missing: Vec<_> =
-                    self.expected.iter().filter(|p| !joined.contains(p)).collect();
-                let extra: Vec<_> = joined.iter().filter(|p| !self.expected.contains(p)).collect();
-                return Err(format!(
-                    "join incomplete: missing pairs {missing:?}, unexpected {extra:?}"
-                ));
-            }
-            Ok(())
-        }
-
-        /// State fingerprint: per-node histories **plus** every queue's
-        /// pending contents. Histories alone are not enough here — the
-        /// MPSC inboxes mean two interleavings with identical per-node
-        /// histories can still differ in cross-sender enqueue order, which
-        /// is exactly the order the barrier argument is about.
-        fn fingerprint(&mut self, s: &SState) -> Box<[u16]> {
-            let mut key = Vec::new();
-            for h in &s.histories {
-                key.extend_from_slice(h);
-                key.push(u16::MAX);
-            }
-            for (i, inbox) in s.inboxes.iter().enumerate() {
-                for m in inbox {
-                    let id = self.intern_event(NODES + i, &format!("{m:?}"));
-                    key.push(id);
-                }
-                key.push(u16::MAX);
-            }
-            for ctrl in &s.ctrl {
-                key.push(u16::try_from(ctrl.len()).expect("tiny queue"));
-            }
-            key.push(u16::MAX);
-            for note in &s.notes {
-                let id = self.intern_event(NODES + 2, &format!("{note:?}"));
-                key.push(id);
-            }
-            key.into_boxed_slice()
-        }
-    }
-
-    /// Replays the parent chain ending at `node` into readable steps.
-    fn rebuild_trace(
-        explorer: &mut SExplorer,
-        parents: &[(u32, SAction)],
-        node: usize,
-        last_action: Option<SAction>,
-    ) -> Vec<String> {
-        let mut actions = Vec::new();
-        if let Some(a) = last_action {
-            actions.push(a);
-        }
-        let mut cur = node;
-        while cur != 0 {
-            let (parent, act) = parents[cur];
-            actions.push(act);
-            cur = parent as usize;
-        }
-        actions.reverse();
-
-        let mut state = explorer.initial_state();
-        let mut out = Vec::with_capacity(actions.len());
-        for (step, act) in actions.iter().enumerate() {
-            match explorer.apply(&state, *act) {
-                Ok((next, desc)) => {
-                    out.push(format!("{:>3}. {desc}", step + 1));
-                    state = next;
-                }
-                Err(why) => {
-                    out.push(format!("{:>3}. <violating step> — {why}", step + 1));
-                }
-            }
-        }
-        out
-    }
-
-    /// Explores every interleaving of the two shards, the sequencer,
-    /// crash/restart points (restart modes), and the instance inboxes
-    /// under `mode`; see [`Mode`] for the known-bad variants.
-    #[must_use]
-    pub fn check(mode: Mode) -> CheckOutcome {
-        let mut explorer = SExplorer::new(mode);
-        let initial = explorer.initial_state();
-
-        let mut visited: HashMap<Box<[u16]>, u32> = HashMap::new();
-        let mut parents: Vec<(u32, SAction)> = vec![(0, SAction::SeqStart)]; // [0] unused
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut terminal: Vec<bool> = vec![false];
-        let fp0 = explorer.fingerprint(&initial);
-        let mut frontier: Vec<(u32, SState)> = vec![(0, initial)];
-        visited.insert(fp0, 0);
-
-        while !frontier.is_empty() {
-            let mut next_frontier: Vec<(u32, SState)> = Vec::new();
-            for (idx, state) in frontier.drain(..) {
-                let acts = explorer.enabled(&state);
-                if acts.is_empty() {
-                    if let Err(reason) = explorer.check_terminal(&state) {
-                        let trace = rebuild_trace(&mut explorer, &parents, idx as usize, None);
-                        return CheckOutcome::Violation { reason, trace, states: visited.len() };
-                    }
-                    terminal[idx as usize] = true;
-                    continue;
-                }
-                for act in acts {
-                    match explorer.apply(&state, act) {
-                        Ok((next, _desc)) => {
-                            let fp = explorer.fingerprint(&next);
-                            if let Some(&existing) = visited.get(&fp) {
-                                succs[idx as usize].push(existing);
-                                continue;
-                            }
-                            let new_idx =
-                                u32::try_from(parents.len()).expect("state index overflow");
-                            visited.insert(fp, new_idx);
-                            parents.push((idx, act));
-                            succs.push(Vec::new());
-                            terminal.push(false);
-                            succs[idx as usize].push(new_idx);
-                            next_frontier.push((new_idx, next));
-                        }
-                        Err(reason) => {
-                            let trace =
-                                rebuild_trace(&mut explorer, &parents, idx as usize, Some(act));
-                            return CheckOutcome::Violation {
-                                reason,
-                                trace,
-                                states: visited.len(),
-                            };
-                        }
-                    }
-                }
-            }
-            frontier = next_frontier;
-        }
-
-        let mut paths: Vec<u128> = vec![0; parents.len()];
-        for i in (0..parents.len()).rev() {
-            paths[i] = if terminal[i] {
-                1
-            } else {
-                succs[i].iter().map(|&s| paths[s as usize]).fold(0u128, u128::saturating_add)
-            };
-        }
-
-        CheckOutcome::Pass {
-            states: visited.len(),
-            schedules: paths[0],
-            expected_pairs: explorer.expected.len(),
-        }
-    }
+    as_expected
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn safe_protocol_passes_exhaustively() {
-        match check(Variant::Safe) {
-            CheckOutcome::Pass { states, schedules, expected_pairs } => {
-                assert!(states > 100, "scenario too small to be meaningful: {states} states");
+    /// A passing variant's `(states, schedules, pairs, covered)`.
+    fn pass(variant: Variant) -> (usize, u128, usize, BTreeSet<&'static str>) {
+        match check(variant) {
+            CheckOutcome::Pass { states, schedules, expected_pairs, covered } => {
+                assert!(states > 1_000, "scenario too small to be meaningful: {states} states");
                 assert!(schedules > 1_000, "expected many schedules, got {schedules}");
-                assert_eq!(expected_pairs, 3);
+                (states, schedules, expected_pairs, covered)
             }
             CheckOutcome::Violation { reason, trace, .. } => {
-                panic!("safe protocol must pass, got: {reason}\n{}", trace.join("\n"));
+                panic!("{} must pass, got: {reason}\n{}", variant.name(), trace.join("\n"));
             }
         }
     }
 
-    #[test]
-    fn naive_notify_first_is_caught() {
-        match check(Variant::NaiveNotifyFirst) {
-            CheckOutcome::Violation { trace, .. } => {
-                assert!(!trace.is_empty(), "counterexample trace must not be empty");
-            }
-            CheckOutcome::Pass { .. } => {
-                panic!("the naive variant must violate completeness")
-            }
-        }
-    }
-
-    #[test]
-    fn forward_before_store_is_caught() {
-        match check(Variant::ForwardBeforeStore) {
-            CheckOutcome::Violation { reason, trace, .. } => {
-                assert!(!trace.is_empty());
-                // The reorder loses forwarded probes' matches (or trips a
-                // protocol error) — either way it must be reported.
-                assert!(!reason.is_empty());
-            }
-            CheckOutcome::Pass { .. } => {
-                panic!("forwarding before the store transfer must be caught")
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_dispatcher_with_barrier_passes_exhaustively() {
-        match check(Variant::Sharded) {
-            CheckOutcome::Pass { states, schedules, expected_pairs } => {
-                assert!(states > 100, "scenario too small to be meaningful: {states} states");
-                assert!(schedules > 1_000, "expected many interleavings, got {schedules}");
-                assert_eq!(expected_pairs, 4);
-            }
-            CheckOutcome::Violation { reason, trace, .. } => {
-                panic!("sharded barrier protocol must pass, got: {reason}\n{}", trace.join("\n"));
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_without_the_publication_barrier_is_caught() {
-        match check(Variant::ShardedNoBarrier) {
+    /// A known-bad variant's reason, with its (short) trace appended.
+    fn violation(variant: Variant) -> String {
+        match check(variant) {
             CheckOutcome::Violation { reason, trace, .. } => {
                 assert!(!trace.is_empty(), "counterexample trace must not be empty");
-                assert!(
-                    reason.contains("stale delivery") || reason.contains("join incomplete"),
-                    "the failure must be the stale-route race: {reason}"
-                );
-                assert!(
-                    trace.len() <= 40,
-                    "BFS should find a short counterexample, got {} steps",
-                    trace.len()
-                );
+                assert!(trace.len() <= 40, "BFS should find a short counterexample: {trace:#?}");
+                format!("{reason}\n{}", trace.join("\n"))
             }
-            CheckOutcome::Pass { .. } => {
-                panic!("skipping the publication barrier must violate completeness")
-            }
+            CheckOutcome::Pass { .. } => panic!("{} must be caught", variant.name()),
         }
     }
 
-    /// Exhaustive (~12 M states, minutes of CPU), so it is ignored in the
-    /// default test run to keep `cargo test --workspace` from starving
-    /// latency-sensitive tests on small hosts; CI proves it on every push
-    /// via the protocol job's dedicated
-    /// `cargo xtask check-protocol --variant sharded-shard-restart` step.
-    /// Run locally with `cargo test -p xtask -- --ignored`.
+    #[test]
+    fn the_shipped_protocol_passes_exhaustively_behind_one_shard_and_two() {
+        assert_eq!(pass(Variant::Safe).2, 3);
+        assert_eq!(pass(Variant::Sharded).2, 4);
+    }
+
+    #[test]
+    fn every_known_bad_variant_fails_for_the_cause_its_name_says() {
+        for (variant, what, cause) in [
+            // Either reorder loses a probe's matches.
+            (Variant::NaiveNotifyFirst, "join incomplete", "were not there"),
+            (Variant::ForwardBeforeStore, "join incomplete", "were not there"),
+            (Variant::ShardedNoBarrier, "stale delivery", "after RouteUpdated left"),
+            (Variant::ShardedRestartNoFence, "stale delivery", "stale ack"),
+            (Variant::ShardedAckBeforeFlush, "stale delivery", "ahead of data"),
+        ] {
+            let why = violation(variant);
+            assert!(why.contains(what) && why.contains(cause), "{}: {why}", variant.name());
+        }
+    }
+
+    /// Minutes of CPU and ~6 GB, so `cargo test --workspace` skips it; CI
+    /// proves it on every push (`cargo xtask check-protocol --all`).
     #[test]
     #[ignore = "exhaustive (minutes); CI runs it via the protocol job"]
     fn sharded_shard_restart_with_fence_passes_exhaustively() {
-        match check(Variant::ShardedShardRestart) {
-            CheckOutcome::Pass { states, schedules, expected_pairs } => {
-                assert!(states > 1_000, "restart scenario too small: {states} states");
-                assert!(schedules > 1_000, "expected many interleavings, got {schedules}");
-                assert_eq!(expected_pairs, 4);
-            }
-            CheckOutcome::Violation { reason, trace, .. } => {
-                panic!(
-                    "fenced shard restart must preserve the barrier, got: {reason}\n{}",
-                    trace.join("\n")
-                );
-            }
-        }
+        assert_eq!(pass(Variant::ShardedShardRestart).2, 3);
     }
 
     #[test]
-    fn sharded_restart_without_the_fence_is_caught() {
-        match check(Variant::ShardedRestartNoFence) {
-            CheckOutcome::Violation { reason, trace, .. } => {
-                assert!(!trace.is_empty(), "counterexample trace must not be empty");
-                assert!(
-                    reason.contains("stale ack"),
-                    "the failure must be the stale-ack race: {reason}"
-                );
-                assert!(
-                    trace.len() <= 40,
-                    "BFS should find a short counterexample, got {} steps",
-                    trace.len()
-                );
-            }
-            CheckOutcome::Pass { .. } => {
-                panic!("restarting without the epoch fence must be caught")
-            }
-        }
-    }
-
-    #[test]
-    fn violation_traces_are_minimal_enough_to_read() {
-        if let CheckOutcome::Violation { trace, .. } = check(Variant::NaiveNotifyFirst) {
-            assert!(
-                trace.len() <= 40,
-                "BFS should find a short counterexample, got {} steps",
-                trace.len()
-            );
+    fn sharded_abort_passes_and_takes_every_abort_path() {
+        let (.., pairs, covered) = pass(Variant::ShardedAbort);
+        assert_eq!(pairs, 3);
+        for path in [
+            "abort accepted",
+            "abort refused",
+            "stage reverted",
+            "round closed without moving anything",
+            "MigAbort while idle",
+            "MigAbort older than the engaged round",
+        ] {
+            assert!(covered.contains(path), "no schedule took `{path}`: {covered:?}");
         }
     }
 }

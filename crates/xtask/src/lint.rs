@@ -68,6 +68,8 @@ const DATA_PLANE_FILES: &[&str] = &[
     "crates/core/src/hash.rs",
     "crates/core/src/routing.rs",
     "crates/core/src/partition.rs",
+    "crates/core/src/shard.rs",
+    "crates/core/src/sequencer.rs",
     "crates/runtime/src/msg.rs",
     "crates/runtime/src/topology/mod.rs",
     "crates/runtime/src/topology/dispatch.rs",

@@ -5,8 +5,8 @@
 //! * `lint` — repo-specific static analysis over `crates/core` and
 //!   `crates/runtime` (no-panic data plane, no wildcard protocol matches,
 //!   doc coverage on `fastjoin-core`). See [`lint`].
-//! * `check-protocol [--variant <name>]` — exhaustive FIFO-interleaving
-//!   model check of the migration protocol. See [`checker`].
+//! * `check-protocol [--variant <name> | --all]` — exhaustive model check
+//!   of the migration protocol and the dispatcher stage. See [`checker`].
 
 mod checker;
 mod lint;
@@ -19,15 +19,24 @@ usage: cargo xtask <command>
 commands:
   lint                        run the repo's custom lint pass over
                               crates/core and crates/runtime
-  check-protocol [--variant <v>]
+  check-protocol [--variant <v> | --all]
                               exhaustively model-check the migration
-                              protocol over every FIFO delivery schedule;
-                              <v> is one of: safe (default),
-                              naive-notify-first, forward-before-store,
-                              sharded, sharded-no-barrier,
-                              sharded-shard-restart, sharded-restart-no-fence
+                              protocol and the dispatcher stage (the real
+                              fastjoin-core structs) over every send /
+                              receive order; <v> defaults to safe. --all
+                              runs every variant and fails unless each
+                              verdict is the expected one
   help                        show this message
 ";
+
+/// The variant names, with `*` on the known-bad ones that must keep failing.
+fn variant_list() -> String {
+    let names: Vec<String> = checker::VARIANTS
+        .iter()
+        .map(|(name, _, pass)| format!("{name}{}", if *pass { "" } else { "*" }))
+        .collect();
+    format!("variants (* = known-bad, must keep failing): {}", names.join(", "))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,11 +45,11 @@ fn main() -> ExitCode {
         Some("lint") => run_lint(),
         Some("check-protocol") => run_check_protocol(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
+            println!("{USAGE}\n{}", variant_list());
             ExitCode::SUCCESS
         }
         Some(other) => {
-            eprintln!("xtask: unknown command `{other}`\n\n{USAGE}");
+            eprintln!("xtask: unknown command `{other}`\n\n{USAGE}\n{}", variant_list());
             ExitCode::FAILURE
         }
     }
@@ -86,17 +95,14 @@ fn run_check_protocol(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--all" if args.len() == 1 => {
+                return if checker::check_all() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+            }
             "--variant" => {
-                let Some(name) = it.next() else {
-                    eprintln!("xtask check-protocol: --variant needs a value\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                let Some(v) = checker::Variant::parse(name) else {
+                let Some(v) = it.next().and_then(|name| checker::Variant::parse(name)) else {
                     eprintln!(
-                        "xtask check-protocol: unknown variant `{name}` (expected safe, \
-                         naive-notify-first, forward-before-store, sharded, \
-                         sharded-no-barrier, sharded-shard-restart, or \
-                         sharded-restart-no-fence)"
+                        "xtask check-protocol: --variant needs one of the {}",
+                        variant_list()
                     );
                     return ExitCode::FAILURE;
                 };
@@ -108,9 +114,9 @@ fn run_check_protocol(args: &[String]) -> ExitCode {
             }
         }
     }
-    let outcome = checker::check(variant);
-    match checker::report(&outcome, variant) {
-        0 => ExitCode::SUCCESS,
-        _ => ExitCode::FAILURE,
+    if checker::report(&checker::check(variant), variant) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
