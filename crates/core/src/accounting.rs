@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use fastjoin_core::metrics::LogHistogram;
+use crate::metrics::LogHistogram;
 
 /// A violation of the probe-accounting invariant. Any of these means the
 /// runtime mis-tracked a probe's fan-out — the collector treats them as

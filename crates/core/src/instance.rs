@@ -87,7 +87,7 @@ pub struct JoinInstance {
 /// can change *except the store*, whose checkpoint is its own undo
 /// journal (see [`TupleStore::mark`]) — so taking one costs
 /// O(mutations since the previous one), not O(stored tuples).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct InstanceCheckpoint {
     pending: VecDeque<Tuple>,
     probe_arrivals: u64,
@@ -206,6 +206,15 @@ impl JoinInstance {
         self.mig.clone_from(mig);
         self.aborted_epochs.clone_from(aborted_epochs);
         self.stats = *stats;
+    }
+
+    /// A copy whose store keeps its mark and undo journal, so the copy's
+    /// [`JoinInstance::restore`] rolls back as this instance's would.
+    /// [`Clone`] copies the tuples alone and leaves the copy unmarked.
+    pub(crate) fn fork(&self) -> Self {
+        let mut copy = self.clone();
+        copy.store.keep_mark_of(&self.store);
+        copy
     }
 
     /// Disables materialization of joined pairs; probes still count

@@ -24,6 +24,9 @@
 //! * [`shard`] / [`sequencer`] — the dispatcher stage's decisions (batching,
 //!   flush-before-install, the publication barrier) as pure transitions
 //!   that the threaded runtime and the model checker both drive.
+//! * [`stage`] / [`accounting`] — the instance stage (message step,
+//!   checkpoint + replay recovery, one report batch per step) as a pure
+//!   transition likewise, and the collector's probe fan-out ledger.
 //! * [`biclique`] — [`biclique::JoinCluster`], a synchronous reference
 //!   cluster wiring all components together.
 //! * [`metrics`] — throughput/latency/imbalance collection.
@@ -47,6 +50,8 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+/// The collector's probe fan-out ledger: one completion per probe, checked.
+pub mod accounting;
 /// Synchronous in-process cluster wiring the full join-biclique (§III-A).
 pub mod biclique;
 /// Tunable parameters: group sizes, θ thresholds, windowing, migration mode.
@@ -79,6 +84,9 @@ pub mod sequencer;
 /// One dispatcher shard: pending batches, flush, fenced snapshot install,
 /// as a pure transition.
 pub mod shard;
+/// One join-instance stage: message step, checkpoint, replay and the
+/// probe-report buffer, as a pure transition.
+pub mod stage;
 /// The per-instance tuple store indexed by key.
 pub mod state;
 /// Telemetry export: Prometheus text rendering and sink abstraction.

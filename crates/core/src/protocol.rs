@@ -12,6 +12,7 @@ use std::collections::HashSet;
 
 use crate::load::InstanceLoad;
 use crate::routing::RouteSnapshot;
+use crate::shard::DataItem;
 use crate::tuple::{JoinedPair, Key, Tuple};
 
 /// Identifies one migration round within a group; assigned by the monitor,
@@ -169,6 +170,16 @@ pub enum ProtocolError {
         /// Name of the offending message variant.
         msg: &'static str,
     },
+    /// A probe completed at an instance stage that holds no fan-out entry
+    /// for it: the entry arrives with the probe ([`DataItem::Probe`]) or
+    /// ahead of it ([`RtMsg::ProbeHandoff`]), so its absence means a
+    /// hand-off was lost or reordered.
+    MissingFanout {
+        /// Completing instance.
+        instance: usize,
+        /// Dispatch seq of the probe.
+        seq: u64,
+    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -195,11 +206,66 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::UnexpectedAbort { instance, msg } => {
                 write!(f, "instance {instance} got {msg} outside an abortable round")
             }
+            ProtocolError::MissingFanout { instance, seq } => {
+                write!(f, "instance {instance}: probe {seq} has no fan-out entry")
+            }
         }
     }
 }
 
 impl std::error::Error for ProtocolError {}
+
+/// Input to a join-instance stage ([`crate::stage::InstanceStage`]): the
+/// one FIFO inbox of an instance carries data and control alike, which is
+/// what gives the per-channel ordering the migration protocol requires.
+///
+/// `Clone` because a fault-injection plane may duplicate a message. The
+/// stage itself never copies one: the owned message is parked while its
+/// step borrows it, then moves into the replay log that recovery re-feeds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RtMsg {
+    /// A migration-protocol message from a peer instance or the sequencer.
+    Inst(InstanceMsg),
+    /// One flush of a shard's pending queue for this instance: store and
+    /// probe tuples in the order the shard routed them. The queue itself
+    /// is the message body, so batching cannot reorder a channel and is
+    /// invisible to the protocol.
+    Data(Vec<DataItem>),
+    /// Fan-out entries `(seq, fanout)` for probe tuples a migration source
+    /// is about to forward in a `MigForward`. Sent on the same
+    /// source → target channel *immediately before* the `MigForward`, so
+    /// FIFO ordering guarantees the target owns each probe's fan-out
+    /// before the probe itself arrives. Without this hand-off the source
+    /// leaked the entries and the target had to guess a fan-out of 1 —
+    /// the accounting bug this variant fixes.
+    ProbeHandoff(Vec<(u64, u32)>),
+    /// Monitor request: report the period's load statistics.
+    ReportRequest,
+    /// End of stream: process everything pending, then acknowledge and
+    /// stop. Sent by the dispatcher after the last data tuple.
+    Eos,
+}
+
+/// One completed probe part, as its instance reports it to the collector.
+/// An instance collects the reports of the probes one input message
+/// completes and ships them together, so the collector edge carries one
+/// message per instance message, not one per probe. What is the same for
+/// every report of a message — when the step finished — travels once, in
+/// that message; a report carries only what differs per probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeReport {
+    /// Dispatch seq of the probing tuple (the collector's ledger key).
+    pub seq: u64,
+    /// How many instances received a copy of this probe; the probe is
+    /// complete when that many parts have reported.
+    pub fanout: u32,
+    /// Result pairs this part emitted.
+    pub matches: u64,
+    /// The probing tuple's spout stamp (its event time, and the origin of
+    /// its latency): the collector books `done_us − ts` for this part,
+    /// `done_us` being the message's.
+    pub ts: u64,
+}
 
 /// A request for the dispatcher to reroute `keys` to `target` and confirm
 /// back to the requesting source instance with [`InstanceMsg::RouteUpdated`].

@@ -1,0 +1,662 @@
+//! One join-instance stage as a pure transition: the message step, the
+//! probe fan-out ledger, and crash recovery by checkpoint + replay.
+//!
+//! An [`InstanceStage`] is what of a join instance must survive a crash of
+//! the thread driving it, and nothing else: no channel, clock, thread or
+//! metric. Like [`crate::shard::Shard`] and
+//! [`crate::sequencer::Sequencer`], every input appends to a caller-owned
+//! **ordered** sequence of [`InstOut`]s, and the embedding shell — the
+//! threaded runtime, the model checker — sends them *in that order*, after
+//! the call returned. A message passes through four calls:
+//!
+//! 1. [`InstanceStage::accept`] parks the owned message in the in-flight
+//!    slot, where a crash cannot lose it;
+//! 2. [`InstanceStage::step`] applies it and computes its outputs: peer
+//!    sends with each [`RtMsg::ProbeHandoff`] ahead of the `MigForward` it
+//!    justifies, route requests, completions, the load report, and **one**
+//!    [`InstOut::Reports`] for every probe the step completed. Joined
+//!    pairs alone do not wait for the step to end: they go to the caller's
+//!    sink as their probe completes, so a long bucket never materialises a
+//!    whole message's pairs;
+//! 3. the shell performs the outputs;
+//! 4. [`InstanceStage::commit`] logs the message and, every
+//!    `checkpoint_every` messages, checkpoints: it marks the tuple store's
+//!    undo journal and copies the small rest, at O(mutations since the
+//!    previous one), and the process holds one copy of each store.
+//!
+//! After a crash [`InstanceStage::recover`] rolls the store back along its
+//! journal, overwrites the rest from the checkpoint, replays the log with
+//! every output discarded *here* (they left before the crash), then
+//! re-applies the in-flight message, if any, with its outputs kept. What a
+//! torn step computed never left — outputs leave only after `step`
+//! returned, and the shell drops what it still holds of them before it
+//! calls `recover`. Sending each probe's report as it completes would not
+//! give that: a report that escaped a mid-step panic would be sent again
+//! by the re-application and count twice at the collector.
+
+use std::collections::{HashMap, VecDeque};
+
+use lintmarks::lint;
+
+use crate::instance::{InstanceCheckpoint, JoinInstance, Work};
+use crate::load::InstanceLoad;
+use crate::protocol::{
+    Effects, Epoch, InstanceMsg, MigrationDone, MigrationState, ProbeReport, ProtocolError,
+    RouteRequest, RtMsg,
+};
+use crate::selection::KeySelector;
+use crate::shard::DataItem;
+use crate::trace::{TraceEvent, TraceKind, TraceRing};
+use crate::tuple::{JoinedPair, Tuple};
+
+/// One element of an instance stage's ordered output sequence.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InstOut {
+    /// Send `msg` to instance `to` of this stage's group.
+    Peer {
+        /// Destination instance within the group.
+        to: usize,
+        /// `RtMsg::Inst` or the `RtMsg::ProbeHandoff` ahead of one.
+        msg: RtMsg,
+    },
+    /// Ask the sequencer for a route flip (sent by a migration target).
+    Route(RouteRequest),
+    /// Tell the group's monitor a round closed.
+    Done(MigrationDone),
+    /// The period's load, answering [`RtMsg::ReportRequest`].
+    Load(InstanceLoad),
+    /// The probes this step completed, in completion order (never empty;
+    /// at most one per step, and its last output).
+    Reports(Vec<ProbeReport>),
+    /// Bookkeeping only.
+    Event(InstEvent),
+}
+
+/// What a step did to a migration round this instance sources, for the
+/// shell's pause attribution. Carries no instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InstEvent {
+    /// A `MigrateCmd` engaged: the instance now buffers the round's keys.
+    BecameSource(Epoch),
+    /// `RouteUpdated` ended the buffering; the buffer went to the target.
+    RouteFlipped(Epoch),
+    /// `MigAbort` ended it instead; the round is being rolled back.
+    AbortClosed(Epoch),
+}
+
+/// The replayable state: what a message can change, and so what a
+/// checkpoint captures and a replay rebuilds.
+struct Replayable {
+    inst: JoinInstance,
+    selector: Box<dyn KeySelector + Send>,
+    /// Minimum per-key benefit worth migrating (configuration).
+    theta_gap: f64,
+    /// Fan-out of every probe received but not yet completed, keyed by
+    /// seq. Entries of probes forwarded to a migration target are handed
+    /// off with the tuples; at end of stream the map must be empty.
+    probe_fanout: HashMap<u64, u32>,
+    eos: bool,
+    /// The instance's effect buffer; empty between steps.
+    fx: Effects,
+}
+
+/// A [`Replayable`] as of its last checkpoint: the instance's own
+/// checkpoint (whose store half is the live store's undo journal) plus
+/// copies of the fields around it.
+#[derive(Clone)]
+struct Checkpoint {
+    inst: InstanceCheckpoint,
+    selector: Box<dyn KeySelector + Send>,
+    probe_fanout: HashMap<u64, u32>,
+    eos: bool,
+}
+
+/// One join instance with its recovery state. The struct is what survives
+/// a crash of the thread driving it; `recover` repairs whatever a panic
+/// mid-`step` tore.
+pub struct InstanceStage {
+    state: Replayable,
+    /// The latest checkpoint of `state`.
+    checkpoint: Checkpoint,
+    /// Messages committed since `checkpoint` (whole, replayed identically).
+    log: Vec<RtMsg>,
+    /// The accepted message until its outputs left — the one owned copy.
+    inflight: Option<RtMsg>,
+    checkpoint_every: u64,
+}
+
+/// A copy that recovers exactly as the original would (the store's undo
+/// journal is copied with it) — what lets the model checker branch.
+impl Clone for InstanceStage {
+    fn clone(&self) -> Self {
+        let state = &self.state;
+        InstanceStage {
+            state: Replayable {
+                inst: state.inst.fork(),
+                selector: state.selector.clone(),
+                probe_fanout: state.probe_fanout.clone(),
+                fx: Effects::new(),
+                ..*state
+            },
+            checkpoint: self.checkpoint.clone(),
+            log: self.log.clone(),
+            inflight: self.inflight.clone(),
+            checkpoint_every: self.checkpoint_every,
+        }
+    }
+}
+
+impl InstanceStage {
+    /// A stage around `inst` (fresh, configured), selecting migration keys
+    /// with `selector` above `theta_gap` and checkpointing every
+    /// `checkpoint_every` (≥ 1) committed messages.
+    #[must_use]
+    pub fn new(
+        inst: JoinInstance,
+        selector: Box<dyn KeySelector + Send>,
+        theta_gap: f64,
+        checkpoint_every: u64,
+    ) -> Self {
+        let mut state = Replayable {
+            inst,
+            selector,
+            theta_gap,
+            probe_fanout: HashMap::new(),
+            eos: false,
+            fx: Effects::new(),
+        };
+        InstanceStage {
+            checkpoint: state.checkpoint(),
+            state,
+            log: Vec::new(),
+            inflight: None,
+            checkpoint_every: checkpoint_every.max(1),
+        }
+    }
+
+    /// The wrapped instance (load, counters, migration state, store).
+    #[must_use]
+    pub fn instance(&self) -> &JoinInstance {
+        &self.state.inst
+    }
+
+    /// True once [`RtMsg::Eos`] was applied. The instance is done when,
+    /// besides, no migration is in flight.
+    #[must_use]
+    pub fn saw_eos(&self) -> bool {
+        self.state.eos
+    }
+
+    /// Probes received (or handed over) and not completed or handed on;
+    /// 0 at a clean end of stream.
+    #[must_use]
+    pub fn fanout_outstanding(&self) -> usize {
+        self.state.probe_fanout.len()
+    }
+
+    /// The accepted message whose outputs have not been committed.
+    #[must_use]
+    pub fn inflight(&self) -> Option<&RtMsg> {
+        self.inflight.as_ref()
+    }
+
+    /// Messages a recovery would replay.
+    #[must_use]
+    pub fn log_len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Parks `msg` as the in-flight message. From here until
+    /// [`InstanceStage::commit`], a crash re-applies it.
+    pub fn accept(&mut self, msg: RtMsg) {
+        debug_assert!(self.inflight.is_none(), "the previous message was never committed");
+        self.inflight = Some(msg);
+    }
+
+    /// Applies the in-flight message (a no-op without one) and appends its
+    /// outputs to `out`. `now` is when the message changed hands; it
+    /// stamps what the step journals into `ring`. Joined pairs go to
+    /// `pairs` as their probe completes.
+    ///
+    /// # Errors
+    ///
+    /// A [`ProtocolError`] when the message violates the migration
+    /// protocol or a probe has no fan-out entry; the stage may be torn
+    /// then (fatal to the runtime, a counterexample to the checker).
+    pub fn step(
+        &mut self,
+        now: u64,
+        ring: &mut TraceRing,
+        pairs: &mut impl FnMut(JoinedPair),
+        out: &mut VecDeque<InstOut>,
+    ) -> Result<(), ProtocolError> {
+        match &self.inflight {
+            Some(msg) => self.state.apply(msg, now, Some(ring), pairs, out),
+            None => Ok(()),
+        }
+    }
+
+    /// The in-flight message's outputs have left: logs it, and takes a
+    /// checkpoint once `checkpoint_every` messages are logged.
+    pub fn commit(&mut self) {
+        self.log.extend(self.inflight.take());
+        if self.log.len() as u64 >= self.checkpoint_every {
+            self.checkpoint = self.state.checkpoint();
+            self.log.clear();
+        }
+    }
+
+    /// Recovery after a crash of the driving thread, whatever it tore:
+    /// restores the checkpoint in place, replays the log with its outputs
+    /// discarded and nothing journaled (both happened before the crash),
+    /// then applies the in-flight message, if any, as
+    /// [`InstanceStage::step`] would. The caller must have dropped every
+    /// output of that message it still held.
+    ///
+    /// # Errors
+    ///
+    /// As for `step`; a replay can only fail on a deterministic bug.
+    pub fn recover(
+        &mut self,
+        now: u64,
+        ring: &mut TraceRing,
+        pairs: &mut impl FnMut(JoinedPair),
+        out: &mut VecDeque<InstOut>,
+    ) -> Result<(), ProtocolError> {
+        self.state.restore(&self.checkpoint);
+        let mut discarded = VecDeque::new();
+        for msg in &self.log {
+            self.state.apply(msg, now, None, &mut |_| {}, &mut discarded)?;
+            discarded.clear();
+        }
+        self.step(now, ring, pairs, out)
+    }
+}
+
+impl Replayable {
+    fn checkpoint(&mut self) -> Checkpoint {
+        let Replayable { inst, selector, theta_gap: _, probe_fanout, eos, fx: _ } = self;
+        Checkpoint {
+            inst: inst.checkpoint(),
+            selector: selector.clone(),
+            probe_fanout: probe_fanout.clone(),
+            eos: *eos,
+        }
+    }
+
+    /// Returns to the state `cp` captured, whatever a panic left behind.
+    /// `cp` must be the latest checkpoint taken of this state.
+    fn restore(&mut self, cp: &Checkpoint) {
+        let Checkpoint { inst, selector, probe_fanout, eos } = cp;
+        self.inst.restore(inst);
+        self.selector.clone_from(selector);
+        self.probe_fanout.clone_from(probe_fanout);
+        self.eos = *eos;
+        self.fx.clear();
+    }
+
+    /// One message end to end: message, pending work, effects, reports.
+    /// Without a `ring` (a replay) nothing is journaled.
+    fn apply(
+        &mut self,
+        msg: &RtMsg,
+        now: u64,
+        mut ring: Option<&mut TraceRing>,
+        pairs: &mut impl FnMut(JoinedPair),
+        out: &mut VecDeque<InstOut>,
+    ) -> Result<(), ProtocolError> {
+        let mut reports = Vec::new();
+        match msg {
+            RtMsg::Inst(m) => self.control(m, now, ring.as_deref_mut(), out)?,
+            // One allocation for the step's report vector, not a growth
+            // series: these probes complete in the work loop that follows.
+            RtMsg::Data(items) => reports.reserve(self.absorb_items(items)?),
+            // Fan-outs of probes a migration source is about to forward
+            // to us; FIFO guarantees they precede the MigForward.
+            RtMsg::ProbeHandoff(entries) => self.probe_fanout.extend(entries.iter().copied()),
+            RtMsg::ReportRequest => {
+                self.inst.collect_expired();
+                out.push_back(InstOut::Load(self.inst.take_load_report()));
+            }
+            RtMsg::Eos => self.eos = true,
+        }
+        self.drain_work(now, ring, pairs, &mut reports)?;
+        self.flush(out);
+        if !reports.is_empty() {
+            out.push_back(InstOut::Reports(reports));
+        }
+        Ok(())
+    }
+
+    fn handle(&mut self, m: InstanceMsg) -> Result<(), ProtocolError> {
+        self.inst.handle(m, self.selector.as_mut(), self.theta_gap, &mut self.fx)
+    }
+
+    /// Absorbs one data message whole, in the shard's routing order (the
+    /// instance tells store from probe by `tuple.side`); returns how many
+    /// probes it carried.
+    #[lint(hot_path)]
+    fn absorb_items(&mut self, items: &[DataItem]) -> Result<usize, ProtocolError> {
+        let mut probes = 0;
+        for item in items {
+            if let DataItem::Probe(t, fanout) = item {
+                self.probe_fanout.insert(t.seq, *fanout);
+                probes += 1;
+            }
+            self.handle(InstanceMsg::Data(*item.tuple()))?;
+        }
+        Ok(probes)
+    }
+
+    /// One migration-protocol message: journals its receipt, hands it to
+    /// the instance, and reports what it did to a round sourced here.
+    fn control(
+        &mut self,
+        m: &InstanceMsg,
+        now: u64,
+        mut ring: Option<&mut TraceRing>,
+        out: &mut VecDeque<InstOut>,
+    ) -> Result<(), ProtocolError> {
+        // Decision audit, per-key half: a MigrateCmd is about to run key
+        // selection, so capture the loads the benefit formula (Eq. 8) will
+        // see — before handling ships the selected keys' tuples away.
+        let mut plan_ctx = None;
+        if let Some(ring) = ring.as_deref_mut() {
+            self.trace_receipt(m, now, ring);
+            if let InstanceMsg::MigrateCmd { target_load, .. } = m {
+                plan_ctx = Some((self.inst.load(), *target_load, self.inst.key_stats()));
+            }
+        }
+        let sourcing =
+            |inst: &JoinInstance| matches!(inst.migration_state(), MigrationState::Source { .. });
+        let was_source = sourcing(&self.inst);
+        // The instance consumes its message; the owned original stays
+        // parked for the replay log. Only rare migration messages carry a
+        // payload to copy.
+        self.handle(m.clone())?;
+        // A command engages only an idle instance, and an abort ends only
+        // the round the source is engaged in (an older one is just acked).
+        let is_source = sourcing(&self.inst);
+        let event = if let InstanceMsg::MigrateCmd { epoch, .. } = m {
+            is_source.then_some(InstEvent::BecameSource(*epoch))
+        } else if let InstanceMsg::RouteUpdated { epoch } = m {
+            Some(InstEvent::RouteFlipped(*epoch))
+        } else if let InstanceMsg::MigAbort { epoch } = m {
+            (was_source && !is_source).then_some(InstEvent::AbortClosed(*epoch))
+        } else {
+            None
+        };
+        out.extend(event.map(InstOut::Event));
+        if let (Some(ring), Some((src_load, dst_load, stats))) = (ring, plan_ctx) {
+            if let MigrationState::Source { epoch, keys, .. } = self.inst.migration_state() {
+                for stat in stats.iter().filter(|s| keys.contains(&s.key)) {
+                    // MigrateCmds are rare (one per round): push unsampled
+                    // so `trace --round` can always explain the plan.
+                    ring.push(TraceEvent {
+                        at_us: now,
+                        actor: ring.actor(),
+                        kind: TraceKind::MigPlanKey,
+                        seq: stat.key,
+                        epoch: *epoch,
+                        aux: (stat.benefit(src_load, dst_load) * 1000.0) as u64,
+                        aux2: stat.stored + stat.queue,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Journals the receipt of a migration-protocol message. The event's
+    /// `aux`/`aux2` payloads are kind-specific (see `core::trace`); data
+    /// tuples are journaled after processing instead (`StoreDone` /
+    /// `ProbeDone`, sampled).
+    fn trace_receipt(&self, m: &InstanceMsg, at_us: u64, ring: &mut TraceRing) {
+        let Some(kind) = TraceKind::of_instance_msg(m) else { return };
+        // Messages outside any migration round journal under the explicit
+        // sentinel — epoch 0 would be indistinguishable from a (therefore
+        // reserved) genuine round 0 in `fastjoin-cli trace --round`.
+        let epoch = m.round_id().unwrap_or(TraceEvent::NO_ROUND);
+        let (aux, aux2) = match m {
+            InstanceMsg::Data(_) | InstanceMsg::MigAbort { .. } => (0, 0),
+            InstanceMsg::MigrateCmd { target, .. } => (*target as u64, 0),
+            InstanceMsg::MigStart { from, keys, .. } => (*from as u64, keys.len() as u64),
+            InstanceMsg::MigStore { tuples, .. } | InstanceMsg::MigForward { tuples, .. } => {
+                (tuples.len() as u64, 0)
+            }
+            InstanceMsg::RouteUpdated { .. } => match self.inst.migration_state() {
+                MigrationState::Source { buffer, .. } => (buffer.len() as u64, 0),
+                MigrationState::Idle
+                | MigrationState::Target { .. }
+                | MigrationState::Aborting { .. } => (0, 0),
+            },
+            InstanceMsg::MigEnd { from, .. } => (*from as u64, 0),
+            InstanceMsg::MigReturn { stored, inflight, .. } => {
+                (stored.len() as u64, inflight.len() as u64)
+            }
+        };
+        ring.push(TraceEvent { at_us, actor: ring.actor(), kind, seq: 0, epoch, aux, aux2 });
+    }
+
+    /// Processes everything pending before new input is taken. Completed
+    /// probes are closed out per tuple ([`Replayable::probe_done`]);
+    /// sampled events carry `now`, their message's stamp. Joined pairs —
+    /// produced only when a consumer wants them materialised — leave as
+    /// their probe completes (latency and memory stay per probe);
+    /// everything else waits for the step's one flush after the loop.
+    #[lint(hot_path)]
+    fn drain_work(
+        &mut self,
+        now: u64,
+        mut ring: Option<&mut TraceRing>,
+        pairs: &mut impl FnMut(JoinedPair),
+        reports: &mut Vec<ProbeReport>,
+    ) -> Result<(), ProtocolError> {
+        while let Some(work) = self.inst.process_next(&mut self.fx) {
+            let (kind, tuple, matches) = match work {
+                Work::Probe { tuple, matches, .. } => {
+                    reports.push(self.probe_done(&tuple, matches)?);
+                    (TraceKind::ProbeDone, tuple, matches)
+                }
+                Work::Store { tuple } => (TraceKind::StoreDone, tuple, 0),
+            };
+            if let Some(ring) = ring.as_deref_mut() {
+                ring.push_sampled(TraceEvent {
+                    at_us: now,
+                    actor: ring.actor(),
+                    kind,
+                    seq: tuple.seq,
+                    epoch: 0,
+                    aux: matches,
+                    aux2: 0,
+                });
+            }
+            if !self.fx.joined.is_empty() {
+                self.fx.joined.drain(..).for_each(&mut *pairs);
+            }
+        }
+        Ok(())
+    }
+
+    /// Closes the books on one completed probe part: its fan-out entry is
+    /// consumed here, and what the collector needs travels in the report.
+    #[lint(hot_path)]
+    fn probe_done(&mut self, tuple: &Tuple, matches: u64) -> Result<ProbeReport, ProtocolError> {
+        let fanout = self
+            .probe_fanout
+            .remove(&tuple.seq)
+            .ok_or(ProtocolError::MissingFanout { instance: self.inst.id(), seq: tuple.seq })?;
+        Ok(ProbeReport { seq: tuple.seq, fanout, matches, ts: tuple.ts })
+    }
+
+    /// Moves the effect buffer into `out`, in the order the effects leave:
+    /// peer sends, route requests, completions.
+    fn flush(&mut self, out: &mut VecDeque<InstOut>) {
+        for (to, msg) in self.fx.sends.drain(..) {
+            if let InstanceMsg::MigForward { tuples, .. } = &msg {
+                // Probe-side tuples in the forwarded buffer take their
+                // fan-out entries with them; the hand-off goes first on
+                // the same channel, so the target owns the entries before
+                // the tuples arrive (per-channel FIFO). Store-side tuples
+                // have no entry and are skipped by the lookup.
+                let entries: Vec<(u64, u32)> = tuples
+                    .iter()
+                    .filter_map(|t| self.probe_fanout.remove(&t.seq).map(|f| (t.seq, f)))
+                    .collect();
+                if !entries.is_empty() {
+                    out.push_back(InstOut::Peer { to, msg: RtMsg::ProbeHandoff(entries) });
+                }
+            }
+            out.push_back(InstOut::Peer { to, msg: RtMsg::Inst(msg) });
+        }
+        out.extend(self.fx.route_requests.drain(..).map(InstOut::Route));
+        out.extend(self.fx.migration_done.drain(..).map(InstOut::Done));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::selection::GreedyFit;
+    use crate::trace::{Actor, TraceConfig};
+    use crate::tuple::Side;
+
+    /// R-group instance 0 checkpointing every `every` messages, and what
+    /// it handed to the outside: outputs per call, pairs overall.
+    struct Rig {
+        stage: InstanceStage,
+        ring: TraceRing,
+        pairs: Vec<(u64, u64)>,
+    }
+
+    impl Rig {
+        fn new(every: u64) -> Self {
+            let inst = JoinInstance::new(0, Side::R, None);
+            Rig {
+                stage: InstanceStage::new(inst, Box::new(GreedyFit::new()), 0.0, every),
+                ring: TraceRing::new(Actor::instance(0, 0), &TraceConfig::disabled()),
+                pairs: Vec::new(),
+            }
+        }
+
+        /// Accepts, steps and commits `msg`; its outputs.
+        fn feed(&mut self, msg: RtMsg) -> Vec<InstOut> {
+            self.stage.accept(msg);
+            let out = self.call(false);
+            self.stage.commit();
+            out
+        }
+
+        fn call(&mut self, recover: bool) -> Vec<InstOut> {
+            let mut out = VecDeque::new();
+            let mut sink = |p: JoinedPair| self.pairs.push((p.left.seq, p.right.seq));
+            let stage = &mut self.stage;
+            if recover {
+                stage.recover(0, &mut self.ring, &mut sink, &mut out).expect("recovers");
+            } else {
+                stage.step(0, &mut self.ring, &mut sink, &mut out).expect("steps");
+            }
+            out.into()
+        }
+    }
+
+    fn item(side: Side, key: u64, seq: u64) -> DataItem {
+        let t = Tuple { seq, ..Tuple::new(side, key, seq, 0) };
+        match side {
+            Side::R => DataItem::Store(t),
+            Side::S => DataItem::Probe(t, 2),
+        }
+    }
+
+    fn report(seq: u64, matches: u64) -> ProbeReport {
+        ProbeReport { seq, fanout: 2, matches, ts: seq }
+    }
+
+    /// One message in, one report batch out: every probe the step
+    /// completed, in completion order, with the fan-out it arrived with —
+    /// and the pairs went to the sink.
+    #[test]
+    fn a_step_reports_its_probes_in_one_batch_and_sinks_its_pairs() {
+        let mut rig = Rig::new(64);
+        let msg = RtMsg::Data(vec![item(Side::S, 7, 1), item(Side::R, 7, 2), item(Side::S, 7, 3)]);
+        let out = rig.feed(msg);
+        // The second probe sees the tuple stored between the two.
+        assert_eq!(out, [InstOut::Reports(vec![report(1, 0), report(3, 1)])]);
+        assert_eq!(rig.pairs, [(2, 3)]);
+        assert_eq!(rig.stage.fanout_outstanding(), 0);
+        assert!(rig.feed(RtMsg::Data(vec![item(Side::R, 7, 4)])).is_empty(), "no probe, no batch");
+    }
+
+    /// A source's flip leaves in protocol order: the fan-out entries of
+    /// the buffered probes ahead of the `MigForward` carrying them.
+    #[test]
+    fn a_flip_hands_the_buffered_probes_fanout_off_ahead_of_the_forward() {
+        let mut rig = Rig::new(64);
+        // A hot and a cold key with probe pressure on both, one period
+        // frozen: GreedyFit finds something to move.
+        let stores = (0..54).map(|seq| item(Side::R, if seq < 50 { 1 } else { 2 }, seq));
+        let probes = (60..80).map(|seq| item(Side::S, 1 + seq % 2, seq));
+        rig.feed(RtMsg::Data(stores.chain(probes).collect()));
+        rig.feed(RtMsg::ReportRequest);
+        let target_load = InstanceLoad::new(0, 0);
+        let cmd = InstanceMsg::MigrateCmd { epoch: 4, target: 1, target_load };
+        let out = rig.feed(RtMsg::Inst(cmd));
+        assert_eq!(out[0], InstOut::Event(InstEvent::BecameSource(4)));
+        assert!(matches!(&out[1..], [InstOut::Peer { to: 1, .. }, InstOut::Peer { to: 1, .. }]));
+        // A probe and a store of a departing key arrive before the flip.
+        let MigrationState::Source { keys, .. } = rig.stage.instance().migration_state() else {
+            panic!("the command engaged")
+        };
+        let key = *keys.iter().next().expect("a key was selected");
+        let late = [item(Side::S, key, 90), item(Side::R, key, 91)];
+        assert!(rig.feed(RtMsg::Data(late.to_vec())).is_empty(), "buffered, not processed");
+        let out = rig.feed(RtMsg::Inst(InstanceMsg::RouteUpdated { epoch: 4 }));
+        let tuples = late.iter().map(|i| *i.tuple()).collect();
+        let peer = |msg| InstOut::Peer { to: 1, msg };
+        assert_eq!(
+            out,
+            [
+                InstOut::Event(InstEvent::RouteFlipped(4)),
+                peer(RtMsg::ProbeHandoff(vec![(90, 2)])),
+                peer(RtMsg::Inst(InstanceMsg::MigForward { epoch: 4, tuples })),
+                peer(RtMsg::Inst(InstanceMsg::MigEnd { epoch: 4, from: 0 })),
+            ]
+        );
+        assert_eq!(rig.stage.fanout_outstanding(), 0, "the entry left with the probe");
+    }
+
+    /// Recovery replays the log silently — no output, no pair — and
+    /// applies the in-flight message with its outputs kept, so each of
+    /// its probes is reported once whatever the torn step had computed.
+    #[test]
+    fn recovery_replays_silently_and_reapplies_the_inflight_message() {
+        let mut rig = Rig::new(64);
+        rig.feed(RtMsg::Data(vec![item(Side::R, 7, 1), item(Side::S, 7, 2)]));
+        assert_eq!((rig.stage.log_len(), rig.pairs.len()), (1, 1));
+        // Idle: a recovery has nothing to say.
+        assert!(rig.call(true).is_empty());
+        assert_eq!(rig.pairs.len(), 1, "a replayed pair left before the crash");
+        // Mid-step: whatever the torn step computed is the caller's to
+        // drop; the re-application reports the message's probes itself.
+        rig.stage.accept(RtMsg::Data(vec![item(Side::S, 7, 3), item(Side::S, 7, 4)]));
+        let torn = rig.call(false);
+        rig.pairs.truncate(1);
+        assert_eq!(rig.call(true), torn);
+        assert_eq!(torn, [InstOut::Reports(vec![report(3, 1), report(4, 1)])]);
+        assert_eq!(rig.pairs, [(1, 2), (1, 3), (1, 4)]);
+        rig.stage.commit();
+        assert_eq!((rig.stage.log_len(), rig.stage.fanout_outstanding()), (2, 0));
+    }
+
+    /// A probe without a fan-out entry is a lost hand-off, reported as
+    /// such instead of guessed at.
+    #[test]
+    fn a_probe_without_a_fanout_entry_is_a_protocol_error() {
+        let mut rig = Rig::new(64);
+        rig.feed(RtMsg::Inst(InstanceMsg::MigStart { epoch: 1, from: 1, keys: vec![7] }));
+        let tuples = vec![*item(Side::S, 7, 9).tuple()];
+        rig.stage.accept(RtMsg::Inst(InstanceMsg::MigForward { epoch: 1, tuples }));
+        let err = rig.stage.step(0, &mut rig.ring, &mut |_| {}, &mut VecDeque::new());
+        assert_eq!(err, Err(ProtocolError::MissingFanout { instance: 0, seq: 9 }));
+    }
+}

@@ -283,7 +283,7 @@ impl Iterator for Matches<'_> {
 }
 
 /// The inverse of one store mutation, as recorded by the undo journal.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Undo {
     /// `insert` appended a tuple of this key: pop the bucket's and the
     /// FIFO's back.
@@ -334,6 +334,14 @@ impl TupleStore {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Makes `self`, a clone of `original`, keep `original`'s mark and the
+    /// journal since it, so it rolls back exactly as `original` would —
+    /// what forking a whole checkpointed stage needs, where [`Clone`]
+    /// alone forks the tuples.
+    pub(crate) fn keep_mark_of(&mut self, original: &TupleStore) {
+        self.journal.clone_from(&original.journal);
     }
 
     /// Total stored tuples, `|R_i|`.

@@ -13,14 +13,13 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod accounting;
 pub mod fault;
 pub mod introspect;
 pub mod msg;
 pub mod report;
 pub mod topology;
 
-pub use accounting::{AccountingError, ProbeAccountant};
+pub use fastjoin_core::accounting::{AccountingError, ProbeAccountant};
 pub use fault::{ChaosPolicy, CrashFault, CrashPhase, FaultPlan};
 pub use introspect::{Introspection, IntrospectionHub};
 pub use report::RuntimeReport;

@@ -19,43 +19,14 @@
 //! once with the time the step that completed them finished.
 
 use fastjoin_core::load::InstanceLoad;
-use fastjoin_core::protocol::{InstanceMsg, MigrationDone};
+use fastjoin_core::protocol::MigrationDone;
 use fastjoin_core::tuple::Tuple;
 
-// The dispatcher stage's own vocabulary lives with its state machines in
-// `fastjoin_core` (`shard`, `sequencer`); the channels here carry it as is.
-pub use fastjoin_core::protocol::{DispatcherMsg, ShardCtrl, ShardNote};
+// The dispatcher and instance stages' own vocabulary lives with their
+// state machines in `fastjoin_core` (`shard`, `sequencer`, `stage`); the
+// channels here carry it as is.
+pub use fastjoin_core::protocol::{DispatcherMsg, ProbeReport, RtMsg, ShardCtrl, ShardNote};
 pub use fastjoin_core::shard::DataItem;
-
-/// Input to a join-instance executor.
-///
-/// `Clone` because the fault-injection plane's `ChaosReceiver` can
-/// duplicate a message. The executor itself never copies one: the owned
-/// message is parked while its step borrows it, then moves into the replay
-/// log that recovery re-feeds (see `topology::instance`).
-#[derive(Debug, Clone)]
-pub enum RtMsg {
-    /// A migration-protocol message from a peer instance or the sequencer.
-    Inst(InstanceMsg),
-    /// One flush of a shard's pending queue for this instance: up to
-    /// `RuntimeConfig::batch_size` store and probe tuples in the order the
-    /// shard routed them. The queue itself is the message body, so
-    /// batching cannot reorder a channel and is invisible to the protocol.
-    Data(Vec<DataItem>),
-    /// Fan-out entries `(seq, fanout)` for probe tuples a migration source
-    /// is about to forward in a `MigForward`. Sent on the same
-    /// source → target channel *immediately before* the `MigForward`, so
-    /// FIFO ordering guarantees the target owns each probe's fan-out
-    /// before the probe itself arrives. Without this hand-off the source
-    /// leaked the entries and the target had to guess a fan-out of 1 —
-    /// the accounting bug this variant fixes.
-    ProbeHandoff(Vec<(u64, u32)>),
-    /// Monitor request: report the period's load statistics.
-    ReportRequest,
-    /// End of stream: process everything pending, then acknowledge and
-    /// stop. Sent by the dispatcher after the last data tuple.
-    Eos,
-}
 
 /// A dispatcher shard's data-channel input. Each shard has its own
 /// bounded channel of these, fed by the spout (which picks the shard by
@@ -101,28 +72,6 @@ pub enum MonitorMsg {
         /// Whether the abort was accepted.
         aborted: bool,
     },
-}
-
-/// One completed probe part, as its instance reports it to the collector.
-/// An instance collects the reports of the probes one input message
-/// completes and ships them together (`CollectorMsg::Probes` in
-/// `topology`), so the collector edge carries one message per instance
-/// message, not one per probe. What is the same for every report of a
-/// message — when the step finished — travels once, in that message; a
-/// report carries only what differs per probe.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeReport {
-    /// Dispatch seq of the probing tuple (the collector's ledger key).
-    pub seq: u64,
-    /// How many instances received a copy of this probe; the probe is
-    /// complete when that many parts have reported.
-    pub fanout: u32,
-    /// Result pairs this part emitted.
-    pub matches: u64,
-    /// The probing tuple's spout stamp (its event time, and the origin of
-    /// its latency): the collector books `done_us − ts` for this part,
-    /// `done_us` being the message's.
-    pub ts: u64,
 }
 
 #[cfg(test)]

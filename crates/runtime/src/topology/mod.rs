@@ -62,9 +62,11 @@
 //!
 //! * **Join instances** restore their last checkpoint in place (the
 //!   tuple store rolls back along its undo journal; the small rest is
-//!   overwritten from a copy), replay the message log with outbound
-//!   effects suppressed, and re-process the in-flight message live
-//!   (`instance`).
+//!   overwritten from a copy), replay the message log with its outputs
+//!   discarded, and re-apply the in-flight message with its outputs kept
+//!   — all inside `fastjoin_core::stage::InstanceStage`, which `xtask
+//!   check-protocol --variant instance-restart` crashes at every point
+//!   of a migration round (`instance` is its shell).
 //! * **Dispatcher shards** salvage-flush their pending batches, rebuild
 //!   the routing replica behind its *epoch fence*, defer new data until
 //!   the sequencer's re-publication rebuilds the table to the fence, and
@@ -120,6 +122,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
 use fastjoin_baselines::{build_partitioners, SystemKind};
+use fastjoin_core::accounting::ProbeAccountant;
 use fastjoin_core::config::FastJoinConfig;
 use fastjoin_core::hash::mix64;
 use fastjoin_core::instance::InstanceCounters;
@@ -129,7 +132,6 @@ use fastjoin_core::trace::{TraceConfig, TraceJournal};
 use fastjoin_core::tuple::{JoinedPair, Tuple};
 use lintmarks::lint;
 
-use crate::accounting::ProbeAccountant;
 use crate::fault::{ChaosPolicy, ChaosReceiver, FaultPlan};
 use crate::introspect::{Introspection, IntrospectionHub};
 use crate::msg::{DispatcherMsg, MonitorMsg, ProbeReport, RtMsg, ShardCtrl, ShardNote, SpoutMsg};

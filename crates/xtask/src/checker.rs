@@ -2,11 +2,12 @@
 //! dispatcher stage that carries it.
 //!
 //! Nothing protocol-bearing is modeled by hand: the explorer drives the
-//! **real** [`JoinInstance`], dispatcher [`Shard`]s and control
+//! **real** [`InstanceStage`]s, dispatcher [`Shard`]s and control
 //! [`Sequencer`] of `fastjoin-core` — the structs the threaded runtime's
 //! executors own — through a bounded scenario, enumerates every order in
 //! which their messages can be sent and received, and checks join
-//! completeness, exactly-once and epoch order on each one.
+//! completeness, exactly-once (pairs, and probe reports through the real
+//! [`ProbeAccountant`]) and epoch order on each one.
 //!
 //! ## The model
 //!
@@ -22,15 +23,19 @@
 //! publication queue per shard, one inbox for the monitor. A transition is
 //! the spout handing a shard its next message, a node receiving the head
 //! of one of its queues, a node sending the head of its output sequence, a
-//! shard crashing (restart variants) or the monitor's round deadline
-//! passing (abort variant). The S group is not modeled: flushes to it are
-//! dropped.
+//! shard crashing (restart variants), an instance crashing — idle before a
+//! receive, or inside a step whose outputs were computed and never sent —
+//! and recovering through [`InstanceStage::recover`] (instance-restart
+//! variants), or the monitor's round deadline passing (abort variant). The
+//! collector is a sink: an instance's report batch lands in the state when
+//! it is sent. The S group is not modeled: flushes to it are dropped.
 //!
 //! **Known-bad variants are mutations of this shell**, never switches in
 //! `fastjoin-core`: they change what *this file* does with the real
 //! structs' outputs — sends them in another order, sends one early,
 //! replaces a crashed shard by a fresh one instead of calling
-//! [`Shard::restart`] (see [`Variant`]).
+//! [`Shard::restart`], keeps a torn step's report batch across an
+//! instance's recovery (see [`Variant`]).
 //!
 //! ## Search
 //!
@@ -42,7 +47,10 @@
 //! monitor outside its deadline window; the sequencer inside a barrier)
 //! commutes with every step of every other node, and so does a send into a
 //! queue with a single sender — when one is enabled it is the only
-//! transition explored. What is left to branch on is what can matter: the
+//! transition explored (an instance that may still crash branches there
+//! three ways: receive, crash first, crash inside the step — all its own
+//! steps, so the set still commutes with everyone else's). What is left to
+//! branch on is what can matter: the
 //! order of sends into shared queues, which input a multi-input node takes
 //! next, crash and deadline timing.
 //!
@@ -54,20 +62,22 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+use fastjoin_core::accounting::ProbeAccountant;
 use fastjoin_core::config::MigrationMode;
 use fastjoin_core::dispatcher::Dispatcher;
-use fastjoin_core::instance::{JoinInstance, Work};
+use fastjoin_core::instance::JoinInstance;
 use fastjoin_core::load::{InstanceLoad, KeyStat};
 use fastjoin_core::partition::{HashPartitioner, Partitioner};
 use fastjoin_core::protocol::{
-    DispatcherMsg, Effects, InstanceMsg, MigrationDone, MigrationState, ShardNote,
+    DispatcherMsg, InstanceMsg, MigrationDone, MigrationState, ProbeReport, RtMsg, ShardNote,
 };
 use fastjoin_core::routing::RouteSnapshot;
 use fastjoin_core::selection::{KeySelector, MigrationPlan};
 use fastjoin_core::sequencer::{Did, SeqEvent, SeqOut, Sequencer};
 use fastjoin_core::shard::{DataItem, Shard, ShardOut};
+use fastjoin_core::stage::{InstOut, InstanceStage};
 use fastjoin_core::trace::{Actor, TraceConfig, TraceRing};
-use fastjoin_core::tuple::{Key, Side, Tuple};
+use fastjoin_core::tuple::{JoinedPair, Key, Side, Tuple};
 
 /// Number of join instances in the modeled R group.
 const INSTANCES: usize = 2;
@@ -112,6 +122,16 @@ pub enum Variant {
     /// Known-bad: a shard's acknowledgement is sent ahead of the flushes
     /// that precede it in its output sequence.
     ShardedAckBeforeFlush,
+    /// One round behind one shard, stores and probes straddling it, and
+    /// one instance crash per schedule — of the source or the target,
+    /// before any receive or inside any step — recovered through
+    /// [`InstanceStage::recover`] from a checkpoint at most two messages
+    /// old.
+    InstanceRestart,
+    /// Known-bad: the shell drops a torn step's outputs on recovery, all
+    /// but its report batch — which then leaves next to the one the
+    /// re-applied message computes.
+    InstanceRestartKeepsReports,
 }
 
 /// Every variant: its CLI name, and whether it must pass.
@@ -125,6 +145,8 @@ pub const VARIANTS: &[(&str, Variant, bool)] = &[
     ("sharded-restart-no-fence", Variant::ShardedRestartNoFence, false),
     ("sharded-abort", Variant::ShardedAbort, true),
     ("sharded-ack-before-flush", Variant::ShardedAckBeforeFlush, false),
+    ("instance-restart", Variant::InstanceRestart, true),
+    ("instance-restart-keeps-reports", Variant::InstanceRestartKeepsReports, false),
 ];
 
 impl Variant {
@@ -167,6 +189,10 @@ struct Scenario {
     rounds: &'static [(u64, usize, usize)],
     /// Shard crashes allowed in one schedule.
     crashes: u8,
+    /// Instance crashes allowed in one schedule.
+    inst_crashes: u8,
+    /// Messages between two checkpoints of an instance.
+    checkpoint_every: u64,
     /// Whether the monitor's deadline for round 1 may pass.
     deadline: bool,
 }
@@ -174,8 +200,12 @@ struct Scenario {
 /// Scenario bounds are tuned so the slowest search stays near two minutes
 /// with the real structs: the restart and abort variants carry one cold
 /// tuple instead of two, and a schedule has one shard crash, not one per
-/// shard.
+/// shard. The instance-restart variants checkpoint every second message,
+/// so a crash finds zero or one message to replay besides the one in
+/// flight.
 fn scenario(variant: Variant) -> Scenario {
+    let inst_crashes =
+        matches!(variant, Variant::InstanceRestart | Variant::InstanceRestartKeepsReports);
     let (scripts, batch_size, rounds, crashes, deadline): (&[&str], _, &[_], _, _) = match variant {
         // Stores race probes race migration control.
         Variant::Safe | Variant::NaiveNotifyFirst | Variant::ForwardBeforeStore => {
@@ -190,8 +220,20 @@ fn scenario(variant: Variant) -> Scenario {
             (&["RSRS", "r"], 2, &[(1, 0, 1)], 1, false)
         }
         Variant::ShardedAbort => (&["RSRS", "r"], 2, &[(1, 0, 1), (2, 0, 1)], 0, true),
+        // A store and a probe on either side of the flip, and a cold pair.
+        Variant::InstanceRestart | Variant::InstanceRestartKeepsReports => {
+            (&["RSrsRS"], 1, &[(1, 0, 1)], 0, false)
+        }
     };
-    Scenario { scripts, batch_size, rounds, crashes, deadline }
+    Scenario {
+        scripts,
+        batch_size,
+        rounds,
+        crashes,
+        inst_crashes: u8::from(inst_crashes),
+        checkpoint_every: if inst_crashes { 2 } else { 64 },
+        deadline,
+    }
 }
 
 /// A shard's input: `R` / `S` are hot-key tuples, `r` / `s` cold-key ones;
@@ -242,15 +284,18 @@ const MONITOR: Port = INSTANCES + 2;
 /// Shard `k`'s publications are port `SHARD_CTRL + k` (the sequencer is the
 /// only sender).
 const SHARD_CTRL: Port = INSTANCES + 3;
+/// The collector: a sink with no queue — a send to it lands in
+/// [`State::reports`] (see [`Explorer::sent`]).
+const COLLECTOR: Port = Port::MAX;
 
 /// Everything the model's queues carry.
 #[derive(Debug, Clone)]
 enum Msg {
-    /// One shard flush.
-    Data(Vec<DataItem>),
-    Inst(InstanceMsg),
-    /// The sequencer's end-of-stream broadcast.
-    Eos,
+    /// Into an instance's inbox: a shard flush, migration control, a
+    /// fan-out hand-off, the sequencer's end-of-stream broadcast.
+    Rt(RtMsg),
+    /// One step's report batch.
+    Reports(Vec<ProbeReport>),
     Ctrl(DispatcherMsg),
     Note(ShardNote),
     Publish(RouteSnapshot),
@@ -305,13 +350,20 @@ struct ShardNode {
 
 #[derive(Clone)]
 struct InstNode {
-    inst: JoinInstance,
-    eos: bool,
+    stage: InstanceStage,
     /// Keys whose store this instance handed to a migration target (it
     /// processed the round's `RouteUpdated`) and did not get back.
     handed_off: Vec<Key>,
     /// A `MigStore` held back by [`Variant::ForwardBeforeStore`].
-    deferred_store: Option<(usize, InstanceMsg)>,
+    deferred_store: Option<InstOut>,
+}
+
+/// An instance after one more input, with what the step handed out: the
+/// pairs, and the outputs as the queue entries they are sent as.
+struct Stepped {
+    node: Rc<InstNode>,
+    pairs: Vec<(u64, u64)>,
+    out: Vec<(Port, Queued)>,
 }
 
 /// One global state of the model.
@@ -325,12 +377,15 @@ struct State {
     rounds_closed: usize,
     abort_requested: bool,
     crashes_left: u8,
+    inst_crashes_left: u8,
     /// Per node: outputs of its last step not yet sent.
     outbox: Vec<VecDeque<(Port, Queued)>>,
     /// Per [`Port`].
     queues: Vec<VecDeque<Queued>>,
     /// Joined `(r_seq, s_seq)` pairs in emission order.
-    joined: Vec<(u64, u64)>,
+    joined: Rc<Vec<(u64, u64)>>,
+    /// Every probe report the collector was sent, in arrival order.
+    reports: Rc<Vec<ProbeReport>>,
     /// Per node: the id of the sequence of inputs it has consumed (see
     /// [`Explorer::consume`]).
     histories: Vec<u32>,
@@ -347,6 +402,10 @@ enum Action {
     Send(usize),
     /// Shard `k` crashes and is restarted by its supervisor.
     Crash(usize),
+    /// Instance `i` crashes and recovers: while idle, before it receives
+    /// the head of its inbox (`false`), or inside the step on that message,
+    /// its outputs computed and none of them sent (`true`).
+    CrashInst(usize, bool),
     /// The monitor's deadline for round 1 passes.
     Deadline,
 }
@@ -361,11 +420,16 @@ struct Explorer {
     scripts: Vec<Vec<Tuple>>,
     /// `(r_seq, s_seq)` pairs every complete schedule must join.
     expected: Vec<(u64, u64)>,
+    /// Scripted S tuples: each probes the R group once.
+    probes: u64,
     /// Interning table: message summary → compact id.
     intern: HashMap<String, u16>,
     /// Hash-consed input histories: `(history, next input)` → the longer
     /// history's id. 0 is the empty history.
     histories: HashMap<(u32, u16), u32>,
+    /// Instance steps already taken, by instance and the history the step
+    /// completes (see [`Explorer::instance_step`]).
+    stepped: HashMap<(usize, u32), Rc<Stepped>>,
     /// Protocol paths taken by some explored transition.
     covered: BTreeSet<&'static str>,
     /// The shards' (disabled) trace ring.
@@ -381,6 +445,9 @@ struct Explorer {
 const EV_SPOUT: u16 = u16::MAX - 1;
 const EV_CRASH: u16 = u16::MAX - 2;
 const EV_DEADLINE: u16 = u16::MAX - 3;
+/// An instance crash inside the step on the input before it ([`EV_CRASH`]
+/// is its crash while idle).
+const EV_CRASH_STEP: u16 = u16::MAX - 4;
 
 impl Explorer {
     fn new(variant: Variant) -> Self {
@@ -404,13 +471,16 @@ impl Explorer {
             }
         }
         expected.sort_unstable();
+        let probes = scripts.iter().flatten().filter(|t| t.side == Side::S).count() as u64;
         Explorer {
             variant,
             sc,
             scripts,
             expected,
+            probes,
             intern: HashMap::new(),
             histories: HashMap::new(),
+            stepped: HashMap::new(),
             covered: BTreeSet::new(),
             ring: TraceRing::new(Actor::dispatcher(), &TraceConfig::disabled()),
             seq_node: n,
@@ -449,7 +519,9 @@ impl Explorer {
             if self.variant == Variant::NaiveNotifyFirst {
                 inst.set_migration_mode(MigrationMode::NaiveNotifyFirst);
             }
-            Rc::new(InstNode { inst, eos: false, handed_off: Vec::new(), deferred_store: None })
+            let sel = Box::new(HotKeySelector { only_if_stored: self.sc.deadline });
+            let stage = InstanceStage::new(inst, sel, 0.0, self.sc.checkpoint_every);
+            Rc::new(InstNode { stage, handed_off: Vec::new(), deferred_store: None })
         };
         let nodes = self.mon_node + 1;
         let mut state = State {
@@ -459,9 +531,11 @@ impl Explorer {
             rounds_closed: 0,
             abort_requested: false,
             crashes_left: self.sc.crashes,
+            inst_crashes_left: self.sc.inst_crashes,
             outbox: vec![VecDeque::new(); nodes],
             queues: vec![VecDeque::new(); SHARD_CTRL + n],
-            joined: Vec::new(),
+            joined: Rc::default(),
+            reports: Rc::default(),
             histories: vec![0; nodes],
         };
         // The monitor's first command is ready at time zero.
@@ -469,12 +543,18 @@ impl Explorer {
         state
     }
 
-    /// Appends `msg` for `port` to `node`'s output sequence.
-    fn emit(&mut self, s: &mut State, node: usize, port: Port, msg: Msg) {
+    /// `msg` with its interned summary id.
+    fn queued(&mut self, msg: Msg) -> Queued {
         let next = u16::try_from(self.intern.len()).expect("message table overflow");
         let id = *self.intern.entry(msg_summary(&msg)).or_insert(next);
-        assert!(id < EV_DEADLINE, "message table overflow");
-        s.outbox[node].push_back((port, (id, Rc::new(msg))));
+        assert!(id < EV_CRASH_STEP, "message table overflow");
+        (id, Rc::new(msg))
+    }
+
+    /// Appends `msg` for `port` to `node`'s output sequence.
+    fn emit(&mut self, s: &mut State, node: usize, port: Port, msg: Msg) {
+        let queued = self.queued(msg);
+        s.outbox[node].push_back((port, queued));
     }
 
     /// Records that `node` consumed input `event`. A node is a
@@ -495,22 +575,23 @@ impl Explorer {
         if let Some(&(epoch, source, target)) = self.sc.rounds.get(s.rounds_closed) {
             let cmd =
                 InstanceMsg::MigrateCmd { epoch, target, target_load: InstanceLoad::default() };
-            self.emit(s, self.mon_node, source, Msg::Inst(cmd));
+            self.emit(s, self.mon_node, source, Msg::Rt(RtMsg::Inst(cmd)));
         }
     }
 
     fn enabled(&self, s: &State) -> Vec<Action> {
         let mut acts = Vec::new();
         // A step that commutes with every step of every other node, and
-        // whose node has no alternative: explore it alone.
-        let mut solo = None;
+        // whose node has no alternative but steps of its own that do too:
+        // explore those alone.
+        let mut solo: Option<Vec<Action>> = None;
         let has = |port: Port| !s.queues[port].is_empty();
         for node in 0..=self.mon_node {
             if let Some((port, _)) = s.outbox[node].front() {
                 let single_sender =
                     *port >= SHARD_CTRL || (*port == SEQ_NOTES && self.shards() == 1);
                 if single_sender {
-                    solo = solo.or(Some(Action::Send(node)));
+                    solo = solo.or(Some(vec![Action::Send(node)]));
                 }
                 acts.push(Action::Send(node));
             } else if node < self.shards() {
@@ -531,7 +612,7 @@ impl Explorer {
                 }
                 if has(SEQ_NOTES) {
                     acts.push(Action::Recv(node, SEQ_NOTES));
-                    solo = solo.or(acts.last().copied().filter(|_| barrier));
+                    solo = solo.or(barrier.then(|| vec![Action::Recv(node, SEQ_NOTES)]));
                 }
             } else if node == self.mon_node {
                 // Round 1 is in flight and its abort was not requested yet.
@@ -541,14 +622,19 @@ impl Explorer {
                 }
                 if has(MONITOR) {
                     acts.push(Action::Recv(node, MONITOR));
-                    solo = solo.or(acts.last().copied().filter(|_| !deadline));
+                    solo = solo.or((!deadline).then(|| vec![Action::Recv(node, MONITOR)]));
                 }
             } else if has(node - self.inst0) {
-                acts.push(Action::Recv(node, node - self.inst0));
-                solo = solo.or(acts.last().copied());
+                let i = node - self.inst0;
+                let mut own = vec![Action::Recv(node, i)];
+                if s.inst_crashes_left > 0 {
+                    own.extend([Action::CrashInst(i, false), Action::CrashInst(i, true)]);
+                }
+                acts.extend(&own);
+                solo = solo.or(Some(own));
             }
         }
-        solo.map_or(acts, |a| vec![a])
+        solo.unwrap_or(acts)
     }
 
     /// Applies `action` to a copy of `s`: the successor, or the invariant
@@ -559,6 +645,7 @@ impl Explorer {
             Action::Send(node) => {
                 let (port, queued) = n.outbox[node].pop_front().expect("enabled ⇒ non-empty");
                 n.queues[port].push_back(queued);
+                self.sent(&mut n, node)?;
             }
             Action::Spout(k) => {
                 self.consume(&mut n, k, EV_SPOUT);
@@ -599,13 +686,53 @@ impl Explorer {
                 self.emit(&mut n, mon, SEQ_CTRL, Msg::Ctrl(abort));
             }
             Action::Recv(node, port) => {
-                let (id, msg) = n.queues[port].pop_front().expect("enabled ⇒ non-empty");
-                self.consume(&mut n, node, id);
-                let msg = Rc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
+                let msg = self.take_head(&mut n, node, port);
                 self.receive(&mut n, node, msg)?;
+            }
+            Action::CrashInst(i, in_step) => {
+                let node = self.inst0 + i;
+                n.inst_crashes_left -= 1;
+                let msg = in_step.then(|| match self.take_head(&mut n, node, i) {
+                    Msg::Rt(msg) => msg,
+                    _ => unreachable!("an instance's inbox carries RtMsgs only"),
+                });
+                self.consume(&mut n, node, if in_step { EV_CRASH_STEP } else { EV_CRASH });
+                self.instance_step(&mut n, i, msg, true)?;
             }
         }
         Ok(n)
+    }
+
+    /// `node` takes the head of `port` (and its history records it).
+    fn take_head(&mut self, n: &mut State, node: usize, port: Port) -> Msg {
+        let (id, msg) = n.queues[port].pop_front().expect("enabled ⇒ non-empty");
+        self.consume(n, node, id);
+        Rc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// `node` has sent an output (or computed a step's). A report batch
+    /// next in line goes out with it: the collector is a sink, so that
+    /// send commutes with every other step and needs no state of its own.
+    /// The real ledger cannot see a one-part probe reported twice (it
+    /// opens no entry for one), so that is checked here, as the batch
+    /// arrives.
+    fn sent(&mut self, n: &mut State, node: usize) -> Result<(), Bad> {
+        while let Some((COLLECTOR, (_, msg))) = n.outbox[node].front() {
+            let Msg::Reports(reports) = &**msg else { unreachable!("the collector's port") };
+            for r in reports {
+                let parts = n.reports.iter().filter(|seen| seen.seq == r.seq).count();
+                if parts >= r.fanout as usize {
+                    return Err(format!(
+                        "probe {} reported twice: the collector already holds all {} part(s) of \
+                         it — a torn step's report batch survived its instance's recovery",
+                        r.seq, r.fanout
+                    ));
+                }
+                Rc::make_mut(&mut n.reports).push(*r);
+            }
+            n.outbox[node].pop_front();
+        }
+        Ok(())
     }
 
     /// `node` consumes `msg`; what it answers joins its output sequence.
@@ -623,29 +750,8 @@ impl Explorer {
             Msg::Done(done) => self.monitor_done(n, done)?,
             // The verdict only updates the real monitor's bookkeeping.
             Msg::AbortOutcome { .. } => {}
-            Msg::Data(_) if n.insts[inst].eos => {
-                return Err(format!("inst{inst} received shard data behind the EOS broadcast"));
-            }
-            Msg::Data(items) => {
-                for item in items {
-                    let t = *item.tuple();
-                    if n.insts[inst].handed_off.contains(&t.key) {
-                        // The invariant the barrier exists for: no data
-                        // for a migrated-away key may arrive after the
-                        // store left. (The tuple would be stored where no
-                        // probe looks, or probe where nothing is stored.)
-                        return Err(format!(
-                            "stale delivery: {} reached inst{inst} after it handed the key's \
-                             store away — {}",
-                            tuple_summary(&t),
-                            self.variant.stale_cause()
-                        ));
-                    }
-                    self.instance_step(n, inst, InstanceMsg::Data(t))?;
-                }
-            }
-            Msg::Inst(m) => self.instance_step(n, inst, m)?,
-            Msg::Eos => Rc::make_mut(&mut n.insts[inst]).eos = true,
+            Msg::Rt(msg) => self.instance_step(n, inst, Some(msg), false)?,
+            Msg::Reports(_) => unreachable!("the collector is a sink, not a queue"),
         }
         self.seq_outputs(n, seq_out);
         Ok(())
@@ -660,7 +766,7 @@ impl Explorer {
         for o in out {
             match o {
                 ShardOut::Flush { group: 0, dest, items } => {
-                    self.emit(n, k, dest, Msg::Data(items));
+                    self.emit(n, k, dest, Msg::Rt(RtMsg::Data(items)));
                 }
                 ShardOut::Flush { .. } => {} // the S group is not modeled
                 ShardOut::Note(note) => self.emit(n, k, SEQ_NOTES, Msg::Note(note)),
@@ -679,7 +785,7 @@ impl Explorer {
                 }
                 SeqOut::ToInstance { msg: InstanceMsg::RouteUpdated { .. }, .. } if no_barrier => {}
                 SeqOut::ToInstance { dest, msg, .. } => {
-                    self.emit(n, node, dest, Msg::Inst(msg));
+                    self.emit(n, node, dest, Msg::Rt(RtMsg::Inst(msg)));
                 }
                 SeqOut::ToMonitor { epoch, aborted, .. } => {
                     self.saw(if aborted { "abort accepted" } else { "abort refused" });
@@ -687,7 +793,7 @@ impl Explorer {
                 }
                 SeqOut::BroadcastEos => {
                     for i in 0..INSTANCES {
-                        self.emit(n, node, i, Msg::Eos);
+                        self.emit(n, node, i, Msg::Rt(RtMsg::Eos));
                     }
                 }
                 SeqOut::Event(SeqEvent { did: Did::Reverted, .. }) => self.saw("stage reverted"),
@@ -697,7 +803,7 @@ impl Explorer {
                     let round = self.sc.rounds.iter().find(|r| r.0 == epoch);
                     let source = round.expect("a scripted round").1;
                     let msg = InstanceMsg::RouteUpdated { epoch };
-                    self.emit(n, node, source, Msg::Inst(msg));
+                    self.emit(n, node, source, Msg::Rt(RtMsg::Inst(msg)));
                 }
                 SeqOut::Event(_) => {}
             }
@@ -729,88 +835,175 @@ impl Explorer {
         Ok(())
     }
 
-    /// Instance `i` handles one message and drains its pending queue
-    /// (processing order relative to other nodes' steps does not affect
-    /// which pairs join — the pending queue itself is FIFO).
-    fn instance_step(&mut self, n: &mut State, i: usize, msg: InstanceMsg) -> Result<(), Bad> {
-        let node = Rc::make_mut(&mut n.insts[i]);
-        match (&msg, node.inst.migration_state()) {
-            (InstanceMsg::RouteUpdated { .. }, MigrationState::Source { keys, .. }) => {
-                node.handed_off.extend(keys.iter().copied());
+    /// Instance `i` consumes `msg` (its history already says so) and what
+    /// it answers joins its output sequence. A node is a function of the
+    /// inputs it consumed, so each history is stepped once
+    /// ([`Explorer::step`]) and every state that reaches it shares the
+    /// result.
+    fn instance_step(
+        &mut self,
+        n: &mut State,
+        i: usize,
+        msg: Option<RtMsg>,
+        crash: bool,
+    ) -> Result<(), Bad> {
+        let from = self.inst0 + i;
+        let history = (i, n.histories[from]);
+        let stepped = match self.stepped.get(&history) {
+            Some(known) => Rc::clone(known),
+            None => {
+                let new = Rc::new(self.step(&n.insts[i], i, msg, crash)?);
+                self.stepped.insert(history, Rc::clone(&new));
+                new
             }
-            (InstanceMsg::MigStart { keys, .. }, _) => {
-                node.handed_off.retain(|k| !keys.contains(k))
+        };
+        n.insts[i] = Rc::clone(&stepped.node);
+        for key in &stepped.pairs {
+            if n.joined.contains(key) || !self.expected.contains(key) {
+                return Err(format!("pair (r_seq, s_seq) = {key:?} joined twice, or is no match"));
             }
-            (
-                InstanceMsg::MigAbort { epoch },
-                MigrationState::Source { epoch: e, .. } | MigrationState::Target { epoch: e, .. },
-            ) if epoch < e => self.saw("MigAbort older than the engaged round"),
-            (InstanceMsg::MigAbort { .. }, MigrationState::Idle) => self.saw("MigAbort while idle"),
-            _ => {}
+            Rc::make_mut(&mut n.joined).push(*key);
         }
-        let mut fx = Effects::new();
-        let mut sel = HotKeySelector { only_if_stored: self.sc.deadline };
-        node.inst
-            .handle(msg, &mut sel, 0.0, &mut fx)
-            .map_err(|e| format!("protocol violation: {e}"))?;
-        while let Some(work) = node.inst.process_next(&mut fx) {
-            // A probe is served once, at one instance: every match it will
-            // ever find, it finds now.
-            if let Work::Probe { tuple, matches, .. } = work {
-                let due = self.expected.iter().filter(|(_, s)| *s == tuple.seq).count() as u64;
-                if matches < due {
+        n.outbox[from].extend(stepped.out.iter().cloned());
+        self.sent(n, from)
+    }
+
+    /// Takes a copy of instance `i` through its stage — commit, accept,
+    /// step. With `crash`, it crashes first: idle (`msg` is `None`), or
+    /// inside the step, whose outputs the shell drops before
+    /// [`InstanceStage::recover`] computes them anew.
+    fn step(
+        &mut self,
+        before: &InstNode,
+        i: usize,
+        msg: Option<RtMsg>,
+        crash: bool,
+    ) -> Result<Stepped, Bad> {
+        let mut node = before.clone();
+        // An instance takes its next step (or crashes idle) only once the
+        // outputs of its last one are all sent: that message is committed
+        // — logged, checkpointed when due — now.
+        node.stage.commit();
+        let round = node.stage.instance().migration_state();
+        if crash {
+            if node.stage.log_len() > 0 {
+                self.saw("an instance crashed with a message to replay");
+            }
+            self.saw(match round {
+                MigrationState::Source { .. } => "an instance crashed as the round's source",
+                MigrationState::Target { .. } => "an instance crashed as the round's target",
+                MigrationState::Idle | MigrationState::Aborting { .. } => {
+                    "an instance crashed outside the round"
+                }
+            });
+        }
+        match (&msg, round) {
+            (Some(RtMsg::Data(_)), _) if node.stage.saw_eos() => {
+                return Err(format!("inst{i} received shard data behind the EOS broadcast"));
+            }
+            (Some(RtMsg::Data(items)), _) => {
+                let stale = items.iter().find(|item| node.handed_off.contains(&item.tuple().key));
+                if let Some(item) = stale {
+                    // The invariant the barrier exists for: no data for a
+                    // migrated-away key may arrive after the store left.
+                    // (The tuple would be stored where no probe looks, or
+                    // probe where nothing is stored.)
                     return Err(format!(
-                        "join incomplete: probe {} found {matches} of its {due} matches at \
-                         inst{i} — the stored tuples it must meet were not there",
-                        tuple_summary(&tuple)
+                        "stale delivery: {} reached inst{i} after it handed the key's store \
+                         away — {}",
+                        tuple_summary(item.tuple()),
+                        self.variant.stale_cause()
                     ));
                 }
             }
-        }
-        for pair in fx.joined.drain(..) {
-            let key = (pair.left.seq, pair.right.seq);
-            if n.joined.contains(&key) || !self.expected.contains(&key) {
-                return Err(format!("pair (r_seq, s_seq) = {key:?} joined twice, or is no match"));
+            (
+                Some(RtMsg::Inst(InstanceMsg::RouteUpdated { .. })),
+                MigrationState::Source { keys, .. },
+            ) => node.handed_off.extend(keys.iter().copied()),
+            (Some(RtMsg::Inst(InstanceMsg::MigStart { keys, .. })), _) => {
+                node.handed_off.retain(|k| !keys.contains(k))
             }
-            n.joined.push(key);
-        }
-        // The order the runtime's instance sends its effects in.
-        let from = self.inst0 + i;
-        for (to, m) in fx.sends.drain(..) {
-            self.peer_send(n, i, to, m);
-        }
-        for req in fx.route_requests.drain(..) {
-            self.emit(n, from, SEQ_CTRL, Msg::Ctrl(DispatcherMsg::Route { group: 0, req }));
-        }
-        for done in fx.migration_done.drain(..) {
-            if done.keys_moved == 0 {
-                self.saw("round closed without moving anything");
+            (
+                Some(RtMsg::Inst(InstanceMsg::MigAbort { epoch })),
+                MigrationState::Source { epoch: e, .. } | MigrationState::Target { epoch: e, .. },
+            ) if epoch < e => self.saw("MigAbort older than the engaged round"),
+            (Some(RtMsg::Inst(InstanceMsg::MigAbort { .. })), MigrationState::Idle) => {
+                self.saw("MigAbort while idle")
             }
-            self.emit(n, from, MONITOR, Msg::Done(done));
+            _ => {}
         }
-        Ok(())
-    }
-
-    /// Queues one instance → instance send, applying the
-    /// [`Variant::ForwardBeforeStore`] reordering when selected.
-    fn peer_send(&mut self, n: &mut State, from: usize, to: usize, m: InstanceMsg) {
-        let node = self.inst0 + from;
-        let reorder = self.variant == Variant::ForwardBeforeStore;
-        if reorder && matches!(m, InstanceMsg::MigStore { .. }) {
-            // The bug under test: hold the store payload back until after
-            // MigForward.
-            Rc::make_mut(&mut n.insts[from]).deferred_store = Some((to, m));
-            return;
+        let violation = |e| format!("protocol violation: {e}");
+        let mut out = VecDeque::new();
+        let mut pairs = Vec::new();
+        let mut sink = |p: JoinedPair| pairs.push((p.left.seq, p.right.seq));
+        let stepping = msg.is_some();
+        if let Some(msg) = msg {
+            node.stage.accept(msg);
         }
-        let held = if reorder && matches!(m, InstanceMsg::MigForward { .. }) {
-            Rc::make_mut(&mut n.insts[from]).deferred_store.take()
+        if crash {
+            if stepping {
+                // The torn step: its pairs never left, and of its outputs
+                // the shell keeps nothing — or, the bug under test, the
+                // report batch.
+                node.stage.step(0, &mut self.ring, &mut |_| {}, &mut out).map_err(violation)?;
+                let keep = self.variant == Variant::InstanceRestartKeepsReports;
+                out.retain(|o| keep && matches!(o, InstOut::Reports(_)));
+            }
+            node.stage.recover(0, &mut self.ring, &mut sink, &mut out).map_err(violation)?;
         } else {
-            None
-        };
-        self.emit(n, node, to, Msg::Inst(m));
-        if let Some((to, store)) = held {
-            self.emit(n, node, to, Msg::Inst(store));
+            node.stage.step(0, &mut self.ring, &mut sink, &mut out).map_err(violation)?;
         }
+        let mut out = Vec::from(out);
+        if self.variant == Variant::ForwardBeforeStore {
+            // The bug under test: the store payload is held back until
+            // after MigForward.
+            let is = |o: &InstOut, store: bool| match o {
+                InstOut::Peer { msg: RtMsg::Inst(InstanceMsg::MigStore { .. }), .. } => store,
+                InstOut::Peer { msg: RtMsg::Inst(InstanceMsg::MigForward { .. }), .. } => !store,
+                _ => false,
+            };
+            if let Some(at) = out.iter().position(|o| is(o, true)) {
+                node.deferred_store = Some(out.remove(at));
+            }
+            if let Some(at) = out.iter().position(|o| is(o, false)) {
+                out.splice(at + 1..at + 1, node.deferred_store.take());
+            }
+        }
+        // Front to back: the order the stage computed is the order sent.
+        let mut sends = Vec::with_capacity(out.len());
+        for o in out {
+            let (port, msg) = match o {
+                InstOut::Peer { to, msg } => (to, Msg::Rt(msg)),
+                InstOut::Route(req) => {
+                    (SEQ_CTRL, Msg::Ctrl(DispatcherMsg::Route { group: 0, req }))
+                }
+                InstOut::Done(done) => {
+                    if done.keys_moved == 0 {
+                        self.saw("round closed without moving anything");
+                    }
+                    (MONITOR, Msg::Done(done))
+                }
+                InstOut::Reports(reports) => {
+                    // A probe is served once, at one instance: every match
+                    // it will ever find, it has found.
+                    for r in &reports {
+                        let due = self.expected.iter().filter(|(_, s)| *s == r.seq).count() as u64;
+                        if r.matches < due {
+                            return Err(format!(
+                                "join incomplete: probe seq {} found {} of its {due} matches at \
+                                 inst{i} — the stored tuples it must meet were not there",
+                                r.seq, r.matches
+                            ));
+                        }
+                    }
+                    (COLLECTOR, Msg::Reports(reports))
+                }
+                // No monitor period in the model; events are bookkeeping.
+                InstOut::Load(_) | InstOut::Event(_) => continue,
+            };
+            sends.push((port, self.queued(msg)));
+        }
+        Ok(Stepped { node: Rc::new(node), pairs, out: sends })
     }
 
     /// Checks the invariants that must hold once no transition is enabled.
@@ -827,11 +1020,14 @@ impl Explorer {
         if let Some(port) = s.queues.iter().position(|q| !q.is_empty()) {
             return stuck(format!("queue {port} never drained"));
         }
-        for InstNode { inst, eos, .. } in s.insts.iter().map(Rc::as_ref) {
-            if !inst.migration_state().is_idle() || !eos {
+        for InstNode { stage, .. } in s.insts.iter().map(Rc::as_ref) {
+            let (inst, eos) = (stage.instance(), stage.saw_eos());
+            if !inst.migration_state().is_idle() || !eos || stage.fanout_outstanding() > 0 {
                 return Err(format!(
-                    "instance {} at quiescence: saw EOS = {eos}, migration state {:?}",
+                    "instance {} at quiescence: saw EOS = {eos}, {} fan-out entries left, \
+                     migration state {:?}",
                     inst.id(),
+                    stage.fanout_outstanding(),
                     inst.migration_state()
                 ));
             }
@@ -843,11 +1039,26 @@ impl Explorer {
                 self.sc.rounds.len()
             ));
         }
-        let mut joined = s.joined.clone();
+        let mut joined = (*s.joined).clone();
         joined.sort_unstable();
         if joined != self.expected {
             let missing: Vec<_> = self.expected.iter().filter(|p| !joined.contains(p)).collect();
             return Err(format!("join incomplete: joined {joined:?}, missing {missing:?}"));
+        }
+        // The collector's fold: every part through the real ledger.
+        let mut ledger = ProbeAccountant::new();
+        for r in s.reports.iter() {
+            ledger.on_probe(r.seq, r.fanout, 0).map_err(|e| format!("probe accounting: {e}"))?;
+        }
+        let (probes, _) = ledger.finish().map_err(|e| format!("probe accounting: {e}"))?;
+        let matches: u64 = s.reports.iter().map(|r| r.matches).sum();
+        if (probes, matches) != (self.probes, self.expected.len() as u64) {
+            return Err(format!(
+                "the collector counted {probes} probes and {matches} matches; {} probes were \
+                 scripted and {} pairs expected — a probe was never reported, or reported twice",
+                self.probes,
+                self.expected.len()
+            ));
         }
         Ok(())
     }
@@ -907,6 +1118,19 @@ impl Explorer {
                 }
             }
             Action::Deadline => "monitor: round 1's deadline passes".to_string(),
+            Action::CrashInst(i, in_step) => {
+                let head = s.queues[i].front().map(|(_, m)| msg_summary(m)).unwrap_or_default();
+                let keeps = self.variant == Variant::InstanceRestartKeepsReports;
+                let kept = if keeps { "all but its report batch" } else { "all" };
+                if in_step {
+                    format!(
+                        "inst{i} ← {head}, and crashes inside the step; the shell drops {kept} of \
+                         the step's unsent outputs and the stage recovers"
+                    )
+                } else {
+                    format!("inst{i} crashes idle, ahead of {head}; the stage recovers")
+                }
+            }
         }
     }
 }
@@ -919,20 +1143,26 @@ fn tuple_summary(t: &Tuple) -> String {
 /// fingerprints compare (so it leaves out nothing a receiver reads).
 fn msg_summary(m: &Msg) -> String {
     match m {
-        Msg::Data(items) => items.iter().fold("Data".to_string(), |mut out, item| {
+        Msg::Rt(RtMsg::Data(items)) => items.iter().fold("Data".to_string(), |mut out, item| {
             let what = if matches!(item, DataItem::Store(_)) { "store" } else { "probe" };
             let _ = write!(out, " [{what} {}]", tuple_summary(item.tuple()));
+            out
+        }),
+        Msg::Rt(RtMsg::Inst(m)) => format!("{m:?}"),
+        Msg::Rt(m @ (RtMsg::ProbeHandoff(_) | RtMsg::ReportRequest | RtMsg::Eos)) => {
+            format!("{m:?}")
+        }
+        Msg::Reports(reports) => reports.iter().fold("Reports".to_string(), |mut out, r| {
+            let _ = write!(out, " [probe seq {}: {} matches]", r.seq, r.matches);
             out
         }),
         Msg::Publish(snap) => {
             let mut r_group = snap.parts[0].clone();
             format!("Publish epoch={} hot→inst{}", snap.epoch, r_group.store_route(HOT_KEY))
         }
-        Msg::Inst(m) => format!("{m:?}"),
         Msg::Ctrl(m) => format!("{m:?}"),
         Msg::Note(n) => format!("{n:?}"),
         Msg::Done(d) => format!("{d:?}"),
-        Msg::Eos => "Eos".to_string(),
         Msg::AbortOutcome { epoch, aborted } => format!("AbortOutcome {epoch} aborted={aborted}"),
     }
 }
@@ -1050,7 +1280,7 @@ pub fn report(outcome: &CheckOutcome, variant: Variant) -> bool {
             println!(
                 "check-protocol [{name}]: OK — {schedules} schedules over {states} distinct \
                  states ({bounds}); every schedule joined all {expected_pairs} expected pairs \
-                 exactly once with monotone epochs"
+                 exactly once and reported every probe once, with monotone epochs"
             );
             if !covered.is_empty() {
                 let paths: Vec<&str> = covered.iter().copied().collect();
@@ -1135,6 +1365,8 @@ mod tests {
             (Variant::ShardedNoBarrier, "stale delivery", "after RouteUpdated left"),
             (Variant::ShardedRestartNoFence, "stale delivery", "stale ack"),
             (Variant::ShardedAckBeforeFlush, "stale delivery", "ahead of data"),
+            // The collector is told of one probe twice.
+            (Variant::InstanceRestartKeepsReports, "reported twice", "survived its instance's"),
         ] {
             let why = violation(variant);
             assert!(why.contains(what) && why.contains(cause), "{}: {why}", variant.name());
@@ -1147,6 +1379,24 @@ mod tests {
     #[ignore = "exhaustive (minutes); CI runs it via the protocol job"]
     fn sharded_shard_restart_with_fence_passes_exhaustively() {
         assert_eq!(pass(Variant::ShardedShardRestart).2, 3);
+    }
+
+    /// One crash per schedule, before any receive of either instance or
+    /// inside any of its steps: each of the four pairs still joins once
+    /// and each of the three probes is reported once — and the crash did
+    /// fall on the round's source and target, with a message to replay.
+    #[test]
+    fn instance_restart_passes_with_a_crash_at_every_point_of_the_round() {
+        let (.., pairs, covered) = pass(Variant::InstanceRestart);
+        assert_eq!(pairs, 4);
+        for path in [
+            "an instance crashed as the round's source",
+            "an instance crashed as the round's target",
+            "an instance crashed outside the round",
+            "an instance crashed with a message to replay",
+        ] {
+            assert!(covered.contains(path), "no schedule took `{path}`: {covered:?}");
+        }
     }
 
     #[test]

@@ -70,6 +70,7 @@ const DATA_PLANE_FILES: &[&str] = &[
     "crates/core/src/partition.rs",
     "crates/core/src/shard.rs",
     "crates/core/src/sequencer.rs",
+    "crates/core/src/stage.rs",
     "crates/runtime/src/msg.rs",
     "crates/runtime/src/topology/mod.rs",
     "crates/runtime/src/topology/dispatch.rs",

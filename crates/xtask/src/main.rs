@@ -6,7 +6,8 @@
 //!   `crates/runtime` (no-panic data plane, no wildcard protocol matches,
 //!   doc coverage on `fastjoin-core`). See [`lint`].
 //! * `check-protocol [--variant <name> | --all]` — exhaustive model check
-//!   of the migration protocol and the dispatcher stage. See [`checker`].
+//!   of the migration protocol, the dispatcher stage and instance
+//!   recovery. See [`checker`].
 
 mod checker;
 mod lint;
@@ -21,9 +22,10 @@ commands:
                               crates/core and crates/runtime
   check-protocol [--variant <v> | --all]
                               exhaustively model-check the migration
-                              protocol and the dispatcher stage (the real
-                              fastjoin-core structs) over every send /
-                              receive order; <v> defaults to safe. --all
+                              protocol, the dispatcher stage and instance
+                              recovery (the real fastjoin-core structs)
+                              over every send / receive order and crash
+                              point; <v> defaults to safe. --all
                               runs every variant and fails unless each
                               verdict is the expected one
   help                        show this message

@@ -317,3 +317,9 @@ proptest! {
 /// the same fixed slice on every `cargo test`.
 #[path = "../crates/core/tests/store_journal_props.rs"]
 mod store_journal_props;
+
+/// The `InstanceStage` crash-recovery tests of `crates/core`, compiled into
+/// tier-1 the same way: a scripted migration round crashed at every
+/// message, and the crashed-equals-uncrashed property.
+#[path = "../crates/core/tests/stage_recovery.rs"]
+mod stage_recovery;

@@ -81,6 +81,11 @@ fn run_checked(cfg: &RuntimeConfig, tuples: Vec<Tuple>, label: &str) -> RuntimeR
     assert_eq!(report.probes_total, n, "{label}: every tuple probes exactly once");
     assert_eq!(report.latency.count(), n, "{label}: one latency sample per probe");
     assert_eq!(report.registry.counter_sum("probe_fanout_leaked"), 0, "{label}: fan-out leak");
+    assert_eq!(
+        report.registry.counter_sum("probe_handoffs_out"),
+        report.registry.counter_sum("probe_handoffs_in"),
+        "{label}: handed-off fan-out entries must all arrive"
+    );
     report
 }
 
