@@ -398,7 +398,11 @@ impl MetricsRegistry {
 
     /// Sets the gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.metrics.insert(name.to_string(), MetricValue::Gauge(value));
+        // Owners re-set their gauges every tick: no key allocation then.
+        match self.metrics.get_mut(name) {
+            Some(slot) => *slot = MetricValue::Gauge(value),
+            None => drop(self.metrics.insert(name.to_string(), MetricValue::Gauge(value))),
+        }
     }
 
     /// Records `value` into the histogram `name` (creating it if needed).
@@ -504,43 +508,26 @@ impl MetricsRegistry {
         }
     }
 
+    /// A copy without the time series — what an executor publishes to the
+    /// live plane: a series grows with the run and no live surface renders
+    /// one (see [`crate::telemetry`]).
+    #[must_use]
+    pub fn without_series(&self) -> MetricsRegistry {
+        let scalar = |(_, v): &(&String, &MetricValue)| !matches!(v, MetricValue::Series(_));
+        MetricsRegistry {
+            metrics: self
+                .metrics
+                .iter()
+                .filter(scalar)
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
+        }
+    }
+
     /// The registry as one JSON object, keyed by metric name.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::Obj(self.metrics.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-/// Aggregate run report for one experiment: throughput series, latency
-/// histogram and series, and the imbalance (`LI`) series.
-#[derive(Debug, Clone)]
-pub struct RunMetrics {
-    /// Joined results per period (sum per bucket = throughput).
-    pub throughput: TimeSeries,
-    /// Per-result processing latency observations.
-    pub latency: TimeSeries,
-    /// Latency histogram across the whole run.
-    pub latency_hist: LogHistogram,
-    /// Degree of load imbalance sampled by the monitor.
-    pub imbalance: TimeSeries,
-    /// Count of migrations performed.
-    pub migrations: u64,
-    /// Total tuples migrated.
-    pub tuples_migrated: u64,
-}
-
-impl RunMetrics {
-    /// Creates an empty report with the given series period.
-    #[must_use]
-    pub fn new(period: u64) -> Self {
-        RunMetrics {
-            throughput: TimeSeries::new(period),
-            latency: TimeSeries::new(period),
-            latency_hist: LogHistogram::new(),
-            imbalance: TimeSeries::new(period),
-            migrations: 0,
-            tuples_migrated: 0,
-        }
     }
 }
 

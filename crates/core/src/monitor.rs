@@ -40,6 +40,22 @@ pub struct MonitorStats {
     pub keys_moved: u64,
 }
 
+impl MonitorStats {
+    /// The statistics as a JSON object (a report's `groups[].monitor`).
+    #[must_use]
+    pub fn to_json(&self) -> crate::json::Json {
+        use crate::json::Json;
+        Json::obj([
+            ("triggered", Json::uint(self.triggered)),
+            ("effective", Json::uint(self.effective)),
+            ("abandoned", Json::uint(self.abandoned)),
+            ("aborted", Json::uint(self.aborted)),
+            ("tuples_moved", Json::uint(self.tuples_moved)),
+            ("keys_moved", Json::uint(self.keys_moved)),
+        ])
+    }
+}
+
 /// Why a trigger evaluation with `LI > Θ` ended the way it did — the
 /// decision-audit vocabulary. Evaluations where `LI <= Θ` (steady state)
 /// are not decisions and are never recorded.

@@ -10,8 +10,10 @@
 //! `_sum`/`_count`); [`TimeSeries`] metrics are *skipped* — they are
 //! per-run traces, not instantaneous scrape values, and belong in the
 //! trace journal instead. Non-finite gauges are skipped too: a NaN sample
-//! poisons Prometheus range queries.
+//! poisons Prometheus range queries. [`snapshot_json`] is the live plane's
+//! other rendering of the same registry, by its own names.
 
+use crate::json::Json;
 use crate::metrics::{MetricValue, MetricsRegistry};
 
 /// Sanitizes a registry metric name into the Prometheus name charset
@@ -148,23 +150,20 @@ fn is_valid_metric_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-// ---------------------------------------------------------------------
-// Live introspection: mid-run runtime snapshots
-// ---------------------------------------------------------------------
-
-/// The migration-round phase a group is in at snapshot time.
+/// The migration-round phase a monitor publishes as its `phase` gauge:
+/// the gauge holds the variant's discriminant, `top` prints its name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationPhase {
     /// No round in flight.
-    Idle,
+    Idle = 0,
     /// A round is in flight (trigger sent, not yet done).
-    Migrating,
+    Migrating = 1,
     /// An abort has been requested or accepted for the in-flight round.
-    Aborting,
+    Aborting = 2,
 }
 
 impl MigrationPhase {
-    /// Stable lowercase name used in snapshot JSON.
+    /// Stable lowercase name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -173,210 +172,44 @@ impl MigrationPhase {
             MigrationPhase::Aborting => "aborting",
         }
     }
-}
 
-/// One join instance's live state as published to the introspection hub
-/// on each report tick: load, inbox depth, and its hottest keys (the
-/// skew-heatmap row).
-#[derive(Debug, Clone)]
-pub struct InstanceProbe {
-    /// Group index (0 = R, 1 = S).
-    pub group: u8,
-    /// Instance index within the group.
-    pub id: u16,
-    /// Effective load `(stored + 1) · (queue + 1)` (Eq. 2 input).
-    pub load: u64,
-    /// Bounded-inbox depth when the probe was taken.
-    pub queue_depth: u64,
-    /// Top-K keys by effective weight, heaviest first: `(key, weight)`.
-    pub hot_keys: Vec<(u64, u64)>,
-    /// Whether the instance is mid-migration (source, target, or abort).
-    pub migrating: bool,
-}
-
-/// One group's monitor view at snapshot time: imbalance, per-instance
-/// loads, and the migration-round phase.
-#[derive(Debug, Clone)]
-pub struct GroupProbe {
-    /// Group index (0 = R, 1 = S).
-    pub group: u8,
-    /// Degree of load imbalance `LI = L_max / L_min` (Eq. 2).
-    pub imbalance: f64,
-    /// Effective load per instance index.
-    pub loads: Vec<u64>,
-    /// Phase of the current migration round.
-    pub phase: MigrationPhase,
-    /// Epoch of the in-flight round (0 when idle).
-    pub epoch: u64,
-    /// Rounds triggered so far.
-    pub triggered: u64,
-    /// Rounds that moved at least one key.
-    pub effective: u64,
-}
-
-/// Supervisor health surfaced in snapshots: restart totals and whether
-/// any monitor is permanently degraded.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SupervisorHealth {
-    /// Executor failures observed (one per restart attempt).
-    pub executor_failures: u64,
-    /// Control-plane recoveries (shards, sequencer, monitors).
-    pub control_restarts: u64,
-    /// True once a monitor's restart budget is spent (no more migrations).
-    pub degraded: bool,
-}
-
-/// One counter's value in a snapshot: the lifetime total plus the delta
-/// since the previous snapshot from the same [`SnapshotCollector`].
-#[derive(Debug, Clone)]
-pub struct CounterDelta {
-    /// Registry counter name.
-    pub name: String,
-    /// Lifetime total at snapshot time.
-    pub total: u64,
-    /// Increase since the previous snapshot (clamped at 0).
-    pub delta: u64,
-}
-
-/// A consistent point-in-time view of a running topology, assembled by a
-/// [`SnapshotCollector`] from the introspection hub's latest probes.
-#[derive(Debug, Clone)]
-pub struct RuntimeSnapshot {
-    /// Monotone snapshot sequence number (1-based).
-    pub seq: u64,
-    /// Capture time, microseconds since run start.
-    pub at_us: u64,
-    /// Per-instance probes, ordered (group, id).
-    pub instances: Vec<InstanceProbe>,
-    /// Per-group monitor probes (absent for static systems).
-    pub groups: Vec<GroupProbe>,
-    /// Bounded-channel depth high-watermarks by queue name.
-    pub queues: Vec<(String, u64)>,
-    /// Counter totals + deltas since the previous snapshot.
-    pub counters: Vec<CounterDelta>,
-    /// Supervisor health at snapshot time.
-    pub supervisor: SupervisorHealth,
-}
-
-impl RuntimeSnapshot {
-    /// The snapshot as a JSON tree (the `/snapshot` endpoint body and the
-    /// `--snapshot-out` JSONL record).
+    /// The phase a `phase` gauge value stands for.
     #[must_use]
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        let instances = self.instances.iter().map(|p| {
-            Json::obj(vec![
-                ("group", Json::uint(u64::from(p.group))),
-                ("id", Json::uint(u64::from(p.id))),
-                ("load", Json::uint(p.load)),
-                ("queue_depth", Json::uint(p.queue_depth)),
-                (
-                    "hot_keys",
-                    Json::arr(p.hot_keys.iter().map(|(k, w)| {
-                        Json::obj(vec![("key", Json::uint(*k)), ("weight", Json::uint(*w))])
-                    })),
-                ),
-                ("migrating", Json::Bool(p.migrating)),
-            ])
-        });
-        let groups = self.groups.iter().map(|g| {
-            Json::obj(vec![
-                ("group", Json::uint(u64::from(g.group))),
-                ("imbalance", g.imbalance.into()),
-                ("loads", Json::arr(g.loads.iter().map(|l| Json::uint(*l)))),
-                ("phase", Json::str(g.phase.name())),
-                ("epoch", Json::uint(g.epoch)),
-                ("triggered", Json::uint(g.triggered)),
-                ("effective", Json::uint(g.effective)),
-            ])
-        });
-        let queues = self
-            .queues
-            .iter()
-            .map(|(name, depth)| (name.clone(), Json::uint(*depth)))
-            .collect::<Vec<_>>();
-        let counters = self.counters.iter().map(|c| {
-            Json::obj(vec![
-                ("name", Json::str(&c.name)),
-                ("total", Json::uint(c.total)),
-                ("delta", Json::uint(c.delta)),
-            ])
-        });
-        Json::obj(vec![
-            ("seq", Json::uint(self.seq)),
-            ("at_us", Json::uint(self.at_us)),
-            ("instances", Json::arr(instances)),
-            ("groups", Json::arr(groups)),
-            ("queues", Json::obj(queues)),
-            ("counters", Json::arr(counters)),
-            (
-                "supervisor",
-                Json::obj(vec![
-                    ("executor_failures", Json::uint(self.supervisor.executor_failures)),
-                    ("control_restarts", Json::uint(self.supervisor.control_restarts)),
-                    ("degraded", Json::Bool(self.supervisor.degraded)),
-                ]),
-            ),
-        ])
+    pub fn from_gauge(value: f64) -> Option<MigrationPhase> {
+        [MigrationPhase::Idle, MigrationPhase::Migrating, MigrationPhase::Aborting]
+            .into_iter()
+            .find(|p| f64::from(*p as u8) == value)
     }
 }
 
-/// Assembles [`RuntimeSnapshot`]s from live probe data, tracking counter
-/// values across snapshots so each snapshot carries per-counter deltas.
-/// One collector per introspection plane; `collect` is called from the
-/// snapshot thread (periodic) and the HTTP `/snapshot` handler (on
-/// demand), serialized by the caller.
-#[derive(Debug, Default)]
-pub struct SnapshotCollector {
+/// One live snapshot — the `/snapshot` body and each `--snapshot-out`
+/// line: `{seq, at_us, registry, hot_keys}`. `registry` is
+/// [`MetricsRegistry::to_json`] of the registry given — the fold of
+/// published parts, which carry no series, or the finished run's
+/// [`MetricsRegistry::without_series`] (skipped for the reason
+/// `to_prometheus` skips them); `hot_keys` maps an instance's label
+/// (`inst.r3`) to its hottest `(key, weight)` pairs, heaviest first — the
+/// one live fact that is not a scalar. Any two snapshots of a run give the
+/// growth of every counter between them.
+#[must_use]
+pub fn snapshot_json(
     seq: u64,
-    prev: std::collections::BTreeMap<String, u64>,
-}
-
-impl SnapshotCollector {
-    /// A fresh collector (first snapshot will be `seq` 1 with deltas
-    /// equal to totals).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the next snapshot. Counter deltas are computed against the
-    /// previous `collect` call and clamped at zero (an executor restart
-    /// can legitimately re-merge a lower total mid-run).
-    pub fn collect(
-        &mut self,
-        at_us: u64,
-        instances: Vec<InstanceProbe>,
-        groups: Vec<GroupProbe>,
-        queues: Vec<(String, u64)>,
-        counters: &[(String, u64)],
-        supervisor: SupervisorHealth,
-    ) -> RuntimeSnapshot {
-        self.seq += 1;
-        let deltas = counters
+    at_us: u64,
+    registry: &MetricsRegistry,
+    hot_keys: &[(String, Vec<(u64, u64)>)],
+) -> Json {
+    let hot = hot_keys.iter().map(|(label, keys)| {
+        let keys = keys
             .iter()
-            .map(|(name, total)| {
-                let prev = self.prev.get(name).copied().unwrap_or(0);
-                CounterDelta {
-                    name: name.clone(),
-                    total: *total,
-                    delta: total.saturating_sub(prev),
-                }
-            })
-            .collect();
-        for (name, total) in counters {
-            self.prev.insert(name.clone(), *total);
-        }
-        RuntimeSnapshot {
-            seq: self.seq,
-            at_us,
-            instances,
-            groups,
-            queues,
-            counters: deltas,
-            supervisor,
-        }
-    }
+            .map(|(k, w)| Json::obj([("key", Json::uint(*k)), ("weight", Json::uint(*w))]));
+        (label.clone(), Json::arr(keys))
+    });
+    Json::obj([
+        ("seq", Json::uint(seq)),
+        ("at_us", Json::uint(at_us)),
+        ("registry", registry.to_json()),
+        ("hot_keys", Json::Obj(hot.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -462,83 +295,36 @@ mod tests {
         }
     }
 
-    fn probe(load: u64) -> InstanceProbe {
-        InstanceProbe {
-            group: 0,
-            id: 3,
-            load,
-            queue_depth: 2,
-            hot_keys: vec![(999, load)],
-            migrating: false,
-        }
-    }
-
     #[test]
-    fn snapshot_collector_tracks_counter_deltas_and_seq() {
-        let mut c = SnapshotCollector::new();
-        let counters = vec![("tuples_ingested".to_string(), 100u64)];
-        let s1 =
-            c.collect(10, vec![probe(5)], Vec::new(), Vec::new(), &counters, Default::default());
-        assert_eq!(s1.seq, 1);
-        assert_eq!(s1.counters[0].total, 100);
-        assert_eq!(s1.counters[0].delta, 100, "first snapshot: delta == total");
-        let counters = vec![("tuples_ingested".to_string(), 140u64)];
-        let s2 =
-            c.collect(20, vec![probe(7)], Vec::new(), Vec::new(), &counters, Default::default());
-        assert_eq!(s2.seq, 2);
-        assert_eq!(s2.counters[0].total, 140);
-        assert_eq!(s2.counters[0].delta, 40);
-        // A counter that re-merged lower (executor restart) clamps at 0
-        // instead of wrapping.
-        let counters = vec![("tuples_ingested".to_string(), 130u64)];
-        let s3 = c.collect(30, Vec::new(), Vec::new(), Vec::new(), &counters, Default::default());
-        assert_eq!(s3.counters[0].delta, 0);
-        assert!(s1.counters[0].total <= s2.counters[0].total, "totals monotone across snapshots");
-    }
-
-    #[test]
-    fn snapshot_json_carries_instances_groups_queues_and_phase() {
-        let mut c = SnapshotCollector::new();
-        let group = GroupProbe {
-            group: 0,
-            imbalance: 3.5,
-            loads: vec![100, 10],
-            phase: MigrationPhase::Migrating,
-            epoch: 7,
-            triggered: 1,
-            effective: 0,
-        };
-        let snap = c.collect(
-            42,
-            vec![probe(100)],
-            vec![group],
-            vec![("queue.spout.depth".to_string(), 12)],
-            &[("results".to_string(), 9)],
-            SupervisorHealth { executor_failures: 1, control_restarts: 0, degraded: false },
-        );
-        let rendered = snap.to_json().to_string_compact();
+    fn snapshot_json_carries_the_scalars_and_the_hot_keys() {
+        let hot = vec![("inst.r3".to_string(), vec![(999, 100), (7, 2)])];
+        let registry = sample_registry().without_series();
+        let rendered = snapshot_json(4, 42, &registry, &hot).to_string_compact();
         for key in [
-            "\"seq\":1",
+            "\"seq\":4",
             "\"at_us\":42",
-            "\"load\":100",
-            "\"hot_keys\"",
-            "\"key\":999",
-            "\"phase\":\"migrating\"",
-            "\"epoch\":7",
-            "\"queue.spout.depth\":12",
-            "\"delta\":9",
-            "\"executor_failures\":1",
+            "\"inst.r0.probes_handled\":7",
+            "\"queue_depth\":3.5",
+            "\"stage.probe_us\":{\"count\":100",
+            "\"inst.r3\":[{\"key\":999,\"weight\":100},{\"key\":7,\"weight\":2}]",
         ] {
             assert!(rendered.contains(key), "missing {key} in {rendered}");
         }
+        assert!(!rendered.contains("\"li\""), "series stay out of snapshots: {rendered}");
         // The JSON round-trips through our parser.
-        crate::json::Json::parse(&rendered).unwrap();
+        Json::parse(&rendered).unwrap();
     }
 
     #[test]
-    fn migration_phase_names_are_stable() {
-        assert_eq!(MigrationPhase::Idle.name(), "idle");
-        assert_eq!(MigrationPhase::Migrating.name(), "migrating");
-        assert_eq!(MigrationPhase::Aborting.name(), "aborting");
+    fn migration_phase_round_trips_through_its_gauge() {
+        for (phase, name) in [
+            (MigrationPhase::Idle, "idle"),
+            (MigrationPhase::Migrating, "migrating"),
+            (MigrationPhase::Aborting, "aborting"),
+        ] {
+            assert_eq!(phase.name(), name);
+            assert_eq!(MigrationPhase::from_gauge(f64::from(phase as u8)), Some(phase));
+        }
+        assert_eq!(MigrationPhase::from_gauge(3.0), None);
     }
 }

@@ -1,16 +1,22 @@
 //! Live introspection plane: the in-run side channel that makes a
 //! running topology observable without perturbing it.
 //!
-//! Executors publish cheap probes to an [`IntrospectionHub`] (one mutex
-//! lock per monitor tick / batch flush — never on the per-tuple hot
-//! path). The hub assembles [`RuntimeSnapshot`]s on demand; an optional
-//! periodic thread streams them as JSONL to a file sink, and an optional
-//! blocking HTTP server (std `TcpListener`, no dependencies) serves
-//! `/metrics` (Prometheus text, via `to_prometheus`) and `/snapshot`
-//! (JSON) from the same hub. Everything here is gated: with
-//! `snapshot_interval_ms = 0` and no `--serve-metrics`, no hub is
-//! created and runs are bit-for-bit identical to a build without this
-//! module.
+//! There is one metric vocabulary: every executor writes what it knows
+//! into its own [`MetricsRegistry`], and the run registry of the report
+//! is those registries folded under the executors' prefixes
+//! ([`Part::fold_into`]). The live plane shows the same fold early: an
+//! executor publishes a copy of its registry to the [`IntrospectionHub`]
+//! at a tick it already has (one mutex lock per monitor period or per
+//! [`PUBLISH_EVERY`] loop turns — never per tuple) and once more when it
+//! finishes, so `/metrics` and `/snapshot` render, mid-run, the registry
+//! the report would end with if the run stopped there. An optional
+//! periodic thread streams snapshots as JSONL to a file sink, and an
+//! optional blocking HTTP server (std `TcpListener`, no dependencies)
+//! serves `/metrics` (Prometheus text, via `to_prometheus`) and
+//! `/snapshot` (JSON) from the same hub. Everything here is gated: with
+//! `snapshot_interval_ms = 0` and no `--serve-metrics`, no hub exists and
+//! nothing is published — the executors write the same registry entries
+//! either way.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -20,10 +26,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use fastjoin_core::json::Json;
 use fastjoin_core::metrics::MetricsRegistry;
-use fastjoin_core::telemetry::{
-    GroupProbe, InstanceProbe, RuntimeSnapshot, SnapshotCollector, SupervisorHealth,
-};
+use fastjoin_core::telemetry::snapshot_json;
+use fastjoin_core::trace::Actor;
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_IDLE: Duration = Duration::from_millis(5);
@@ -32,30 +38,76 @@ const SOCKET_TIMEOUT: Duration = Duration::from_millis(500);
 /// Largest request head we bother reading (method + path is all we use).
 const MAX_REQUEST_BYTES: usize = 4096;
 
-/// Latest-value store behind the hub mutex. Publishers overwrite their
-/// own slots; snapshot assembly reads a consistent view under the lock.
-#[derive(Debug, Default)]
-struct HubState {
-    /// Latest probe per instance, keyed `(group, id)`.
-    instances: BTreeMap<(u8, u16), InstanceProbe>,
-    /// Latest monitor probe per group.
-    groups: [Option<GroupProbe>; 2],
-    /// Bounded-channel depth high-watermarks by queue name.
-    queues: BTreeMap<String, u64>,
-    /// Absolute counter values by name (publisher owns the total).
-    counters: BTreeMap<String, u64>,
-    /// Supervisor health aggregates.
-    supervisor: SupervisorHealth,
+/// Turns of its own loop between two publications of an executor that
+/// has no periodic tick (shards, the spout thread).
+pub(crate) const PUBLISH_EVERY: u64 = 64;
+
+/// Whose registry a published part is. The variant decides the prefix
+/// the part's names get in the run registry — here and nowhere else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Part {
+    /// The spout/collector thread (`stage.emit_us`, `supervisor.*`,
+    /// `collector.*`), unprefixed.
+    Collector,
+    /// Dispatcher shard `k`, under `dispatcher.`; counters add across
+    /// shards.
+    Shard(usize),
+    /// The control sequencer, under `dispatcher.` too.
+    Sequencer,
+    /// Join instance `id` of `group`, under its trace label: `inst.r3.`.
+    Instance {
+        /// 0 = R-storing, 1 = S-storing.
+        group: usize,
+        /// Index within the group.
+        id: usize,
+    },
+    /// The monitor of a group, unprefixed: its names carry the group
+    /// (`monitor.r.imbalance`), the supervision counters add.
+    Monitor(usize),
 }
 
-/// The shared mailbox of the introspection plane. One per run; executors
-/// hold an `Arc` and publish latest-value probes, the snapshot thread and
-/// HTTP handlers read them. All methods are cheap (one short mutex lock)
-/// and none are called on the per-tuple hot path.
+impl Part {
+    /// What this part's names are prefixed with in the run registry.
+    fn prefix(self) -> String {
+        match self {
+            Part::Collector | Part::Monitor(_) => String::new(),
+            Part::Shard(_) | Part::Sequencer => "dispatcher.".to_string(),
+            Part::Instance { group, id } => {
+                format!("{}.", Actor::instance(group as u8, id as u16).label())
+            }
+        }
+    }
+
+    /// Folds this part's registry into the run registry `run` (counters
+    /// add, gauges overwrite, histograms merge). The collector calls it
+    /// with each executor's final registry, the hub with the latest
+    /// published ones.
+    pub fn fold_into(self, run: &mut MetricsRegistry, part: &MetricsRegistry) {
+        run.merge_prefixed(&self.prefix(), part);
+    }
+}
+
+/// What one executor last published.
+#[derive(Debug)]
+struct Published {
+    registry: MetricsRegistry,
+    /// An instance's hottest `(key, weight)` pairs; empty for the rest.
+    hot_keys: Vec<(u64, u64)>,
+}
+
+/// The shared mailbox of the introspection plane: the latest published
+/// registry per executor. One per run; executors publish through their
+/// `Pulse`, the snapshot thread and HTTP handlers read the fold.
 #[derive(Debug, Default)]
 pub struct IntrospectionHub {
     state: Mutex<HubState>,
-    collector: Mutex<SnapshotCollector>,
+}
+
+#[derive(Debug, Default)]
+struct HubState {
+    parts: BTreeMap<Part, Published>,
+    /// Snapshots rendered so far (the next one's `seq` minus one).
+    seq: u64,
 }
 
 impl IntrospectionHub {
@@ -67,111 +119,55 @@ impl IntrospectionHub {
 
     /// Ignore mutex poisoning: the hub holds plain latest-value data, and
     /// a publisher that panicked mid-update leaves at worst one stale
-    /// probe. Observability must not take the data plane down with it.
+    /// part. Observability must not take the data plane down with it.
     fn state(&self) -> MutexGuard<'_, HubState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Publishes an instance's latest probe (called on report ticks).
-    pub fn publish_instance(&self, probe: InstanceProbe) {
-        self.state().instances.insert((probe.group, probe.id), probe);
+    /// Replaces `part`'s published registry (and hot keys) with a copy of
+    /// `registry`, its time series aside: a series grows with the run and
+    /// no live surface renders one.
+    pub fn publish(&self, part: Part, registry: &MetricsRegistry, hot_keys: Vec<(u64, u64)>) {
+        let registry = registry.without_series();
+        self.state().parts.insert(part, Published { registry, hot_keys });
     }
 
-    /// Publishes a group's latest monitor probe (called on monitor ticks).
-    pub fn publish_group(&self, probe: GroupProbe) {
-        let mut s = self.state();
-        if let Some(slot) = s.groups.get_mut(usize::from(probe.group)) {
-            *slot = Some(probe);
-        }
-    }
-
-    /// Records a bounded-channel depth observation; the hub keeps the
-    /// high-watermark per queue name.
-    pub fn publish_queue(&self, name: &str, depth: u64) {
-        let mut s = self.state();
-        match s.queues.get_mut(name) {
-            Some(hwm) => *hwm = (*hwm).max(depth),
-            None => {
-                s.queues.insert(name.to_string(), depth);
-            }
-        }
-    }
-
-    /// Sets a counter to its current lifetime total (publisher owns the
-    /// value; the snapshot collector derives deltas).
-    pub fn set_counter(&self, name: &str, total: u64) {
-        self.state().counters.insert(name.to_string(), total);
-    }
-
-    /// Records one executor failure (crash caught by a supervisor).
-    pub fn record_executor_failure(&self) {
-        self.state().supervisor.executor_failures += 1;
-    }
-
-    /// Records one control-plane recovery (shard/sequencer/monitor).
-    pub fn record_control_restart(&self) {
-        self.state().supervisor.control_restarts += 1;
-    }
-
-    /// Marks the run degraded (a monitor's restart budget is spent).
-    pub fn set_degraded(&self, degraded: bool) {
-        self.state().supervisor.degraded = degraded;
-    }
-
-    /// Assembles the next consistent snapshot (monotone `seq`, counter
-    /// deltas against the previous snapshot from this hub).
-    pub fn snapshot(&self, at_us: u64) -> RuntimeSnapshot {
-        let (instances, groups, queues, counters, supervisor) = {
-            let s = self.state();
-            let instances: Vec<InstanceProbe> = s.instances.values().cloned().collect();
-            let groups: Vec<GroupProbe> = s.groups.iter().flatten().cloned().collect();
-            let queues: Vec<(String, u64)> =
-                s.queues.iter().map(|(k, v)| (k.clone(), *v)).collect();
-            let counters: Vec<(String, u64)> =
-                s.counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
-            (instances, groups, queues, counters, s.supervisor)
-        };
-        let mut collector =
-            self.collector.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        collector.collect(at_us, instances, groups, queues, &counters, supervisor)
-    }
-
-    /// Renders the hub as a [`MetricsRegistry`] — the `/metrics` endpoint
-    /// reuses the registry's Prometheus rendering instead of a second
-    /// exposition-format writer.
+    /// The run registry as of the latest publications: `/metrics` renders
+    /// it with `to_prometheus`.
     #[must_use]
-    pub fn registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        let s = self.state();
-        for (name, total) in &s.counters {
-            reg.counter_add(name, *total);
+    pub fn fold(&self) -> MetricsRegistry {
+        let mut run = MetricsRegistry::new();
+        for (part, published) in &self.state().parts {
+            part.fold_into(&mut run, &published.registry);
         }
-        for (name, depth) in &s.queues {
-            reg.gauge_set(name, *depth as f64);
-        }
-        for probe in s.instances.values() {
-            let side = if probe.group == 0 { 'r' } else { 's' };
-            reg.gauge_set(&format!("inst.{side}{}.load", probe.id), probe.load as f64);
-            reg.gauge_set(
-                &format!("inst.{side}{}.queue.depth", probe.id),
-                probe.queue_depth as f64,
-            );
-        }
-        for probe in s.groups.iter().flatten() {
-            reg.gauge_set(&format!("monitor.{}.imbalance", probe.group), probe.imbalance);
-            reg.counter_add(&format!("monitor.{}.triggered", probe.group), probe.triggered);
-            reg.counter_add(&format!("monitor.{}.effective", probe.group), probe.effective);
-        }
-        reg.counter_add("supervisor.executor_failures", s.supervisor.executor_failures);
-        reg.counter_add("supervisor.control_restarts", s.supervisor.control_restarts);
-        reg.gauge_set("supervisor.degraded", if s.supervisor.degraded { 1.0 } else { 0.0 });
-        reg
+        run
+    }
+
+    /// The next snapshot (monotone `seq`) of the published parts.
+    pub fn snapshot(&self, at_us: u64) -> Json {
+        self.snapshot_of(at_us, &self.fold())
+    }
+
+    /// The next snapshot, with `registry` for its registry: the finished
+    /// run's, for the stream's last line — which therefore cannot differ
+    /// from the report.
+    pub fn snapshot_of(&self, at_us: u64, registry: &MetricsRegistry) -> Json {
+        let mut s = self.state();
+        s.seq += 1;
+        let hot_keys: Vec<(String, Vec<(u64, u64)>)> = s
+            .parts
+            .iter()
+            .filter(|(_, p)| !p.hot_keys.is_empty())
+            .map(|(part, p)| (part.prefix().trim_end_matches('.').to_string(), p.hot_keys.clone()))
+            .collect();
+        snapshot_json(s.seq, at_us, registry, &hot_keys)
     }
 }
 
 /// The running introspection plane: the hub plus its service threads
 /// (periodic snapshot streamer, HTTP server). Built by [`Introspection::start`],
 /// torn down by [`Introspection::shutdown`].
+#[derive(Debug)]
 pub struct Introspection {
     hub: Arc<IntrospectionHub>,
     stop: Arc<AtomicBool>,
@@ -236,10 +232,10 @@ impl Introspection {
         self.port
     }
 
-    /// Stops the service threads and writes one final snapshot to the
-    /// stream sink, so even runs shorter than the interval leave a
-    /// record.
-    pub fn shutdown(mut self) {
+    /// Stops the service threads and writes one final snapshot — of
+    /// `registry`, the finished run's — to the stream sink, so even runs
+    /// shorter than the interval leave a record.
+    pub fn shutdown(mut self, registry: &MetricsRegistry) {
         self.stop.store(true, Ordering::Relaxed);
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -247,7 +243,7 @@ impl Introspection {
         if self.interval_ms > 0 {
             if let Some(path) = &self.stream_path {
                 let at_us = self.started.elapsed().as_micros() as u64;
-                append_snapshot(path, &self.hub.snapshot(at_us));
+                append_snapshot(path, &self.hub.snapshot_of(at_us, &registry.without_series()));
             }
         }
     }
@@ -265,19 +261,10 @@ impl Drop for Introspection {
     }
 }
 
-impl std::fmt::Debug for Introspection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Introspection")
-            .field("port", &self.port)
-            .field("interval_ms", &self.interval_ms)
-            .finish()
-    }
-}
-
 /// Appends one snapshot as a JSONL line; errors are swallowed (the sink
 /// is diagnostics — a full disk must not fail the run).
-fn append_snapshot(path: &str, snap: &RuntimeSnapshot) {
-    let line = snap.to_json().to_string_compact();
+fn append_snapshot(path: &str, snap: &Json) {
+    let line = snap.to_string_compact();
     if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
         let _ = writeln!(f, "{line}");
     }
@@ -351,11 +338,9 @@ fn serve_one(mut stream: TcpStream, hub: &IntrospectionHub, at_us: u64) -> std::
         .to_string();
     let (status, content_type, body) = match path.split('?').next().unwrap_or("") {
         "/metrics" => {
-            ("200 OK", "text/plain; version=0.0.4; charset=utf-8", hub.registry().to_prometheus())
+            ("200 OK", "text/plain; version=0.0.4; charset=utf-8", hub.fold().to_prometheus())
         }
-        "/snapshot" => {
-            ("200 OK", "application/json", hub.snapshot(at_us).to_json().to_string_compact())
-        }
+        "/snapshot" => ("200 OK", "application/json", hub.snapshot(at_us).to_string_compact()),
         _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_string()),
     };
     let response = format!(
@@ -368,77 +353,56 @@ fn serve_one(mut stream: TcpStream, hub: &IntrospectionHub, at_us: u64) -> std::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastjoin_core::json::Json;
-    use fastjoin_core::telemetry::{validate_prometheus, MigrationPhase};
+    use fastjoin_core::metrics::MetricValue;
+    use fastjoin_core::telemetry::validate_prometheus;
 
-    fn probe(group: u8, id: u16, load: u64) -> InstanceProbe {
-        InstanceProbe {
-            group,
-            id,
-            load,
-            queue_depth: 3,
-            hot_keys: vec![(999, load)],
-            migrating: false,
-        }
+    fn registry(load: f64, ingested: u64) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        reg.gauge_set("load", load);
+        reg.counter_add("tuples_ingested", ingested);
+        reg.series_record("queue_depth", 1_000, 0, 1.0);
+        reg
     }
 
     #[test]
-    fn hub_snapshot_reports_probes_queues_and_counter_deltas() {
+    fn hub_folds_the_latest_part_per_executor_under_its_prefix() {
         let hub = IntrospectionHub::new();
-        hub.publish_instance(probe(0, 0, 10));
-        hub.publish_instance(probe(0, 1, 40));
-        hub.publish_group(GroupProbe {
-            group: 0,
-            imbalance: 4.0,
-            loads: vec![10, 40],
-            phase: MigrationPhase::Migrating,
-            epoch: 7,
-            triggered: 1,
-            effective: 0,
-        });
-        hub.publish_queue("queue.spout.depth", 5);
-        hub.publish_queue("queue.spout.depth", 2); // HWM keeps 5
-        hub.set_counter("spout.tuples_ingested", 100);
+        hub.publish(Part::Instance { group: 0, id: 1 }, &registry(10.0, 0), vec![(999, 10)]);
+        hub.publish(Part::Instance { group: 0, id: 1 }, &registry(40.0, 0), vec![(999, 40)]);
+        hub.publish(Part::Shard(0), &registry(0.0, 100), Vec::new());
+        hub.publish(Part::Shard(1), &registry(0.0, 30), Vec::new());
+        hub.publish(Part::Monitor(1), &registry(7.0, 0), Vec::new());
+        let run = hub.fold();
+        // Re-publishing overwrites; shards add under one prefix; monitors
+        // and the collector stay unprefixed.
+        assert!(matches!(run.get("inst.r1.load"), Some(MetricValue::Gauge(v)) if *v == 40.0));
+        assert_eq!(run.counter("dispatcher.tuples_ingested"), 130);
+        assert!(matches!(run.get("load"), Some(MetricValue::Gauge(v)) if *v == 7.0));
         let s1 = hub.snapshot(1_000);
-        assert_eq!(s1.seq, 1);
-        assert_eq!(s1.instances.len(), 2);
-        assert_eq!(s1.groups.len(), 1);
-        assert_eq!(s1.queues, vec![("queue.spout.depth".to_string(), 5)]);
-        assert_eq!(s1.counters.len(), 1);
-        let c = s1.counters.first().expect("one counter");
-        assert_eq!((c.total, c.delta), (100, 100));
-        hub.set_counter("spout.tuples_ingested", 130);
         let s2 = hub.snapshot(2_000);
-        assert_eq!(s2.seq, 2);
-        let c = s2.counters.first().expect("one counter");
-        assert_eq!((c.total, c.delta), (130, 30));
-        // Re-publishing an instance overwrites, never duplicates.
-        hub.publish_instance(probe(0, 1, 50));
-        assert_eq!(hub.snapshot(3_000).instances.len(), 2);
+        assert_eq!(s1.get("seq").and_then(Json::as_u64), Some(1));
+        assert_eq!(s2.get("seq").and_then(Json::as_u64), Some(2));
+        let rendered = s2.to_string_compact();
+        assert!(rendered.contains("\"inst.r1\":[{\"key\":999,\"weight\":40}]"), "{rendered}");
+        assert!(rendered.contains("\"dispatcher.tuples_ingested\":130"), "{rendered}");
     }
 
     #[test]
     fn hub_registry_renders_valid_prometheus() {
         let hub = IntrospectionHub::new();
-        hub.publish_instance(probe(1, 2, 17));
-        hub.publish_queue("queue.shard0.depth", 9);
-        hub.set_counter("spout.tuples_ingested", 42);
-        hub.record_executor_failure();
-        hub.set_degraded(true);
-        let text = hub.registry().to_prometheus();
+        hub.publish(Part::Instance { group: 1, id: 2 }, &registry(17.0, 0), Vec::new());
+        hub.publish(Part::Sequencer, &registry(0.0, 42), Vec::new());
+        let text = hub.fold().to_prometheus();
         validate_prometheus(&text).expect("hub registry must render cleanly");
         assert!(text.contains("fastjoin_inst_s2_load 17"), "{text}");
-        assert!(text.contains("fastjoin_queue_shard0_depth 9"), "{text}");
-        assert!(text.contains("fastjoin_supervisor_degraded 1"), "{text}");
+        assert!(text.contains("fastjoin_dispatcher_tuples_ingested 42"), "{text}");
     }
 
     #[test]
     fn http_server_serves_metrics_snapshot_and_404() {
         let intro = Introspection::start(0, Some(0), None).expect("bind ephemeral port");
         let port = intro.port().expect("server advertises its port");
-        let hub = intro.hub();
-        hub.publish_instance(probe(0, 3, 21));
-        hub.set_counter("spout.tuples_ingested", 5);
+        intro.hub().publish(Part::Instance { group: 0, id: 3 }, &registry(21.0, 5), vec![(7, 1)]);
 
         let get = |path: &str| -> (String, String) {
             let mut conn = TcpStream::connect(("127.0.0.1", port)).expect("connect");
@@ -461,12 +425,13 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         let json = Json::parse(&body).expect("/snapshot must be JSON");
         assert_eq!(json.get("seq").and_then(Json::as_u64), Some(1));
-        let insts = json.get("instances").and_then(Json::as_arr).expect("instances");
-        assert_eq!(insts.len(), 1);
+        let reg = json.get("registry").expect("registry");
+        assert_eq!(reg.get("inst.r3.tuples_ingested").and_then(Json::as_u64), Some(5));
+        assert!(reg.get("inst.r3.queue_depth").is_none(), "series stay out of snapshots");
 
         let (head, _) = get("/other");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-        intro.shutdown();
+        intro.shutdown(&MetricsRegistry::new());
     }
 
     #[test]
@@ -476,19 +441,23 @@ mod tests {
         let path_str = path.to_string_lossy().to_string();
         let _ = std::fs::remove_file(&path);
         let intro = Introspection::start(10, None, Some(path_str.clone())).expect("start");
-        intro.hub().set_counter("spout.tuples_ingested", 1);
+        intro.hub().publish(Part::Collector, &registry(0.0, 1), Vec::new());
         thread::sleep(Duration::from_millis(60));
-        intro.shutdown();
+        intro.shutdown(&registry(0.0, 9));
         let text = std::fs::read_to_string(&path).expect("stream file exists");
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines.len() >= 2, "periodic + final snapshots expected: {}", lines.len());
         let mut prev_seq = 0;
+        let mut ingested = Vec::new();
         for line in &lines {
             let json = Json::parse(line).expect("every line is a snapshot");
             let seq = json.get("seq").and_then(Json::as_u64).expect("seq");
             assert!(seq > prev_seq, "snapshot seq must be monotone");
             prev_seq = seq;
+            ingested.push(json.get("registry").and_then(|r| r.get("tuples_ingested")?.as_u64()));
         }
+        assert_eq!(ingested.first(), Some(&Some(1)), "periodic lines fold the published parts");
+        assert_eq!(ingested.last(), Some(&Some(9)), "the last line is the finished registry");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -21,7 +21,7 @@ pub mod topology;
 
 pub use fastjoin_core::accounting::{AccountingError, ProbeAccountant};
 pub use fault::{ChaosPolicy, CrashFault, CrashPhase, FaultPlan};
-pub use introspect::{Introspection, IntrospectionHub};
+pub use introspect::{Introspection, IntrospectionHub, Part};
 pub use report::RuntimeReport;
 pub use topology::{
     run_topology, run_topology_with_results, try_run_topology, try_run_topology_with_results,

@@ -37,10 +37,11 @@ pub struct RuntimeReport {
     pub migration_spans: [Vec<MigrationSpan>; 2],
     /// Migration decision audit per group, oldest first: every candidate
     /// round the monitor considered — committed plans and rejections with
-    /// reasons (see `docs/ARCHITECTURE.md`, "Live introspection").
+    /// reasons (see `docs/ARCHITECTURE.md`, "Migration decision audit").
     pub decisions: [Vec<MigrationDecision>; 2],
-    /// Merged executor metrics, namespaced `dispatcher.*` / `inst.r3.*` /
-    /// `inst.s0.*` (see `docs/ARCHITECTURE.md`, "Observability").
+    /// The run registry: every executor's metrics, namespaced
+    /// `dispatcher.*` / `inst.r3.*` / `inst.s0.*` — the one table every
+    /// surface renders (see `docs/ARCHITECTURE.md`, "Observability").
     pub registry: MetricsRegistry,
     /// The merged causal trace journal: every executor's ring drained and
     /// sorted into one timeline (see `docs/ARCHITECTURE.md`, "Tracing &
@@ -82,16 +83,7 @@ impl RuntimeReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         let group = |g: usize| -> Json {
-            let stats = self.monitor_stats[g].as_ref().map(|s| {
-                Json::obj(vec![
-                    ("triggered", Json::uint(s.triggered)),
-                    ("effective", Json::uint(s.effective)),
-                    ("abandoned", Json::uint(s.abandoned)),
-                    ("aborted", Json::uint(s.aborted)),
-                    ("tuples_moved", Json::uint(s.tuples_moved)),
-                    ("keys_moved", Json::uint(s.keys_moved)),
-                ])
-            });
+            let stats = self.monitor_stats[g].as_ref().map(MonitorStats::to_json);
             Json::obj(vec![
                 ("monitor", stats.into()),
                 ("imbalance", self.imbalance[g].as_ref().map(TimeSeries::to_json).into()),

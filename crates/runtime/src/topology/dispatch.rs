@@ -32,6 +32,7 @@ use fastjoin_core::trace::{Actor, TraceEvent, TraceKind, TraceRing};
 use super::supervise::{Executor, Pulse};
 use super::{CollectorMsg, RuntimeConfig, CTRL_TICK, DISPATCH_TICK, EXECUTOR_TICK};
 use crate::fault::ControlKillSwitch;
+use crate::introspect::Part;
 use crate::msg::{DispatcherMsg, MonitorMsg, RtMsg, ShardCtrl, ShardNote, SpoutMsg};
 
 /// Senders to every instance inbox: `[R group, S group]`.
@@ -80,12 +81,17 @@ pub(super) struct Shard {
     /// fence, because the sequencer may already be waiting in that
     /// publication's barrier.
     switch: ControlKillSwitch,
-    /// Times a bounded send parked on a full inbox (backpressure);
-    /// reported as `sends_parked`.
+    /// Times a bounded send parked on a full inbox (backpressure) since
+    /// [`Shard::publish`] last folded them into `sends_parked`.
     sends_parked: u64,
     /// High-watermark of this shard's spout → shard data channel: the
     /// backpressure depth an operator sees live and in the report.
     q_hwm: u64,
+    /// Turns of the data loop, for the publishing cadence.
+    turns: u64,
+    /// A message was handled since the last publication: an idle shard
+    /// has nothing new to publish.
+    stale: bool,
 }
 
 /// A shard's channel ends.
@@ -114,7 +120,23 @@ impl Shard {
             switch: ControlKillSwitch::new(cfg.faults.shard_crash(id)),
             sends_parked: 0,
             q_hwm: 0,
+            turns: 0,
+            stale: false,
         }
+    }
+
+    /// Brings the registry's counters up to what the shard has counted
+    /// elsewhere, and publishes it.
+    fn publish(&mut self) {
+        self.reg.counter_add("sends_parked", std::mem::take(&mut self.sends_parked));
+        let (tuples_ingested, probe_copies) = self.core.counts();
+        for (name, total) in [("tuples_ingested", tuples_ingested), ("probe_copies", probe_copies)]
+        {
+            // The stage owns the lifetime total; the counter catches up.
+            self.reg.counter_add(name, total.saturating_sub(self.reg.counter(name)));
+        }
+        self.pulse.publish(Part::Shard(self.id), &self.reg, Vec::new);
+        self.stale = false;
     }
 
     /// Performs the pending outputs in order. An output leaves the queue
@@ -146,6 +168,7 @@ impl Shard {
 
     /// Applies one spout message.
     fn on_data(&mut self, msg: SpoutMsg) {
+        self.stale = true;
         match msg {
             SpoutMsg::Data(tuples) => {
                 // The message changed hands now: one clock read stamps all
@@ -173,6 +196,7 @@ impl Shard {
                 self.id
             );
         }
+        self.stale = true;
         let counter = match self.core.publish(snap, &mut self.out) {
             InstallVerdict::Installed => "snapshot_installs",
             InstallVerdict::Reinstalled => "snapshot_reinstalls",
@@ -188,6 +212,9 @@ impl Executor for Shard {
         while !self.core.saw_eos() {
             if !self.pulse.beat() {
                 return;
+            }
+            if self.pulse.publish_due(&mut self.turns) && self.stale {
+                self.publish();
             }
             let depth = self.links.data_rx.len() as u64;
             if depth > self.q_hwm {
@@ -223,6 +250,7 @@ impl Executor for Shard {
         // the sequencer has been told (it broadcasts RtMsg::Eos once every
         // shard has reported); keep serving publications until the
         // sequencer drops our channel.
+        self.publish();
         while self.pulse.beat() {
             match self.links.ctrl_rx.recv_timeout(DISPATCH_TICK) {
                 Ok(ShardCtrl::Publish(snap)) => self.install_snapshot(snap),
@@ -245,11 +273,9 @@ impl Executor for Shard {
     }
 
     fn finish(mut self, collector: &Sender<CollectorMsg>) {
-        self.reg.counter_add("sends_parked", self.sends_parked);
-        let (tuples_ingested, probe_copies) = self.core.counts();
-        self.reg.counter_add("tuples_ingested", tuples_ingested);
-        self.reg.counter_add("probe_copies", probe_copies);
+        self.publish();
         let _ = collector.send(CollectorMsg::DispatcherDone {
+            part: Part::Shard(self.id),
             registry: Box::new(self.reg),
             journal: Box::new(self.ring.into_journal()),
         });
@@ -282,7 +308,13 @@ pub(super) struct Sequencer {
     /// publish a flip twice.)
     switch: ControlKillSwitch,
     inflight: Option<DispatcherMsg>,
+    /// Parked sends since [`Sequencer::publish`] last folded them into
+    /// `sends_parked`.
     sends_parked: u64,
+    /// A message was handled since the last publication. Control
+    /// messages are a few per migration round, so each turn that handled
+    /// one publishes.
+    stale: bool,
 }
 
 /// The sequencer's channel ends.
@@ -313,7 +345,14 @@ impl Sequencer {
             switch: ControlKillSwitch::new(cfg.faults.sequencer_crash()),
             inflight: None,
             sends_parked: 0,
+            stale: false,
         }
+    }
+
+    fn publish(&mut self) {
+        self.reg.counter_add("sends_parked", std::mem::take(&mut self.sends_parked));
+        self.pulse.publish(Part::Sequencer, &self.reg, Vec::new);
+        self.stale = false;
     }
 
     /// Journals and counts one thing the sequencer did.
@@ -333,8 +372,10 @@ impl Sequencer {
         self.ring.push(control_event(&self.pulse, kind, e.epoch, e.aux, e.aux2));
     }
 
-    /// Performs the pending outputs in order.
+    /// Performs the pending outputs in order. It follows every message
+    /// handled, so it is also where the registry goes stale.
     fn perform(&mut self) {
+        self.stale = true;
         while let Some(o) = self.out.pop_front() {
             match o {
                 SeqOut::Publish { shard, snapshot } => {
@@ -374,6 +415,9 @@ impl Sequencer {
 impl Executor for Sequencer {
     fn run(&mut self) {
         while self.pulse.beat() {
+            if self.stale {
+                self.publish();
+            }
             if !self.core.wants_ctrl() {
                 // A publication barrier is open: acks only, until the
                 // last one releases the flip's `RouteUpdated`.
@@ -434,8 +478,9 @@ impl Executor for Sequencer {
     }
 
     fn finish(mut self, collector: &Sender<CollectorMsg>) {
-        self.reg.counter_add("sends_parked", self.sends_parked);
+        self.publish();
         let _ = collector.send(CollectorMsg::DispatcherDone {
+            part: Part::Sequencer,
             registry: Box::new(self.reg),
             journal: Box::new(self.ring.into_journal()),
         });
@@ -494,6 +539,7 @@ mod tests {
             clock,
             hb: Arc::new(AtomicU64::new(0)),
             kill: Arc::new(AtomicBool::new(false)),
+            hub: None,
         };
         fn start<E: Executor>(
             name: String,

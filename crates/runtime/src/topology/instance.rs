@@ -6,8 +6,8 @@
 //! transition that the model checker drives too (`cargo xtask
 //! check-protocol --variant instance-restart`). This file keeps only what
 //! is imperative: the receive loop and its kill switch, the heartbeat and
-//! parked sends, the two clock reads around a step, the metrics registry,
-//! hub publishing and the end-of-run report.
+//! parked sends, the two clock reads around a step, the metrics registry
+//! (published live each report tick) and the end-of-run report.
 //!
 //! A step reads the clock where its message changes hands and nowhere
 //! else: `received`, as the message is taken, and `finished`, once its
@@ -24,7 +24,6 @@
 //! and recovery's re-application of the message sends each exactly once.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use crossbeam::channel::{RecvTimeoutError, Sender};
 
@@ -35,19 +34,18 @@ use fastjoin_core::metrics::MetricsRegistry;
 use fastjoin_core::protocol::MigrationState;
 use fastjoin_core::selection::make_selector;
 use fastjoin_core::stage::{InstEvent, InstOut, InstanceStage};
-use fastjoin_core::telemetry::InstanceProbe;
 use fastjoin_core::trace::{Actor, TraceEvent, TraceKind, TraceRing};
 use fastjoin_core::tuple::{JoinedPair, Side};
 
 use super::supervise::{Executor, Pulse};
 use super::{executor_seed, CollectorMsg, RuntimeConfig, EXECUTOR_TICK, SEED_ROLE_SELECTOR};
 use crate::fault::{ChaosReceiver, KillSwitch};
-use crate::introspect::IntrospectionHub;
+use crate::introspect::Part;
 use crate::msg::{DispatcherMsg, MonitorMsg, RtMsg};
 
-/// Hottest keys each instance publishes per introspection probe (the
-/// width of one skew-heatmap row).
-const HOT_KEYS_PER_PROBE: usize = 5;
+/// Hottest keys each instance publishes with its registry (the width of
+/// one skew-heatmap row).
+const HOT_KEYS_PUBLISHED: usize = 5;
 
 /// A join-instance executor's identity, configuration and outbound
 /// channels.
@@ -69,9 +67,6 @@ pub(super) struct InstanceIo {
     /// waits on backpressure so the stall watchdog never mistakes a full
     /// channel for a hung executor (see [`Pulse::send`]).
     pub pulse: Pulse,
-    /// Live introspection hub, present only when the plane is enabled;
-    /// published to on report ticks, never on the per-tuple hot path.
-    pub hub: Option<Arc<IntrospectionHub>>,
 }
 
 impl InstanceIo {
@@ -123,8 +118,9 @@ pub(super) struct InstanceExecutor {
     /// out by the round's flip or abort (`stage.mig_pause_us`). Stamped by
     /// the live step alone, so a recovery in between keeps the stamp.
     flip_started: HashMap<u64, u64>,
-    /// Times a bounded peer send parked on a full inbox (backpressure);
-    /// folded into the registry as `sends_parked` at end-of-stream.
+    /// Times a bounded peer send parked on a full inbox (backpressure)
+    /// since [`InstanceExecutor::publish`] last folded them into the
+    /// registry's `sends_parked`.
     sends_parked: u64,
     /// Inbox depth as the current message was taken, and its high
     /// watermark (properties of the channel, not of the stage).
@@ -238,14 +234,12 @@ impl InstanceExecutor {
         }
     }
 
-    /// Answers a monitor `ReportRequest`: samples the local series and
-    /// ships the period's load to the monitor and the hub.
+    /// Answers a monitor `ReportRequest`: samples the local series, ships
+    /// the period's load to the monitor and publishes the registry.
     fn publish_load(&mut self, load: InstanceLoad, now: u64) {
-        let io = &self.io;
-        let inst = self.stage.instance();
-        let period = io.sample_period_us;
+        let period = self.io.sample_period_us;
         self.reg.series_record("queue_depth", period, now, self.qlen as f64);
-        let buffered = match inst.migration_state() {
+        let buffered = match self.stage.instance().migration_state() {
             MigrationState::Idle => 0,
             MigrationState::Source { buffer, .. } | MigrationState::Aborting { buffer, .. } => {
                 buffer.len()
@@ -254,26 +248,29 @@ impl InstanceExecutor {
         };
         self.reg.gauge_set("mig_buffered_tuples", buffered as f64);
         self.reg.series_record("mig_buffered", period, now, buffered as f64);
-        if let Some(mon) = &io.to_monitor {
-            let _ = mon.send(MonitorMsg::Report { id: io.id, load });
+        if let Some(mon) = &self.io.to_monitor {
+            let _ = mon.send(MonitorMsg::Report { id: self.io.id, load });
         }
-        if let Some(hub) = io.hub.as_deref() {
-            // The skew-heatmap row: current effective load, inbox depth,
-            // and this instance's hottest keys.
-            hub.publish_instance(InstanceProbe {
-                group: io.group as u8,
-                id: io.id as u16,
-                load: inst.load().effective_load() as u64,
-                queue_depth: self.qlen as u64,
-                hot_keys: inst.top_keys(HOT_KEYS_PER_PROBE),
-                migrating: !inst.migration_state().is_idle(),
-            });
-            let side = if io.group == 0 { 'r' } else { 's' };
-            let c = inst.counters();
-            hub.set_counter(&format!("inst.{side}{}.stored", io.id), c.stored);
-            hub.set_counter(&format!("inst.{side}{}.probed", io.id), c.probed);
-            hub.set_counter(&format!("inst.{side}{}.joined", io.id), c.joined);
-        }
+        self.publish();
+    }
+
+    /// Brings the registry up to the instance's present state — what a
+    /// reader of the run registry sees of it, mid-run or in the report —
+    /// and publishes it with the hottest keys (the skew-heatmap row).
+    fn publish(&mut self) {
+        let (reg, inst) = (&mut self.reg, self.stage.instance());
+        let counters = inst.counters();
+        reg.gauge_set("load", inst.load().effective_load());
+        reg.gauge_set("migrating", f64::from(u8::from(!inst.migration_state().is_idle())));
+        reg.gauge_set("stored", counters.stored as f64);
+        reg.gauge_set("probed", counters.probed as f64);
+        reg.gauge_set("joined", counters.joined as f64);
+        // The inbox as the last message was taken, and its high-water mark.
+        reg.gauge_set("inbox.depth", self.qlen as f64);
+        reg.gauge_set("queue.depth", self.q_hwm as f64);
+        reg.counter_add("sends_parked", std::mem::take(&mut self.sends_parked));
+        let part = Part::Instance { group: self.io.group, id: self.io.id };
+        self.io.pulse.publish(part, reg, || inst.top_keys(HOT_KEYS_PUBLISHED));
     }
 
     fn crash_event(&mut self, kind: TraceKind, restarts: u32) {
@@ -330,13 +327,13 @@ impl Executor for InstanceExecutor {
         // been handed off; the collector asserts the sum stays zero.
         reg.counter_add("probe_fanout_leaked", self.stage.fanout_outstanding() as u64);
         reg.counter_add("trace.dropped", self.ring.dropped());
-        reg.counter_add("sends_parked", self.sends_parked);
-        reg.gauge_set("queue.depth", self.q_hwm as f64);
         let (delays, drops, dups, reorders) = self.rx.perturbations();
         reg.counter_add("chaos.delays", delays);
         reg.counter_add("chaos.drops", drops);
         reg.counter_add("chaos.dups", dups);
         reg.counter_add("chaos.reorders", reorders);
+        self.publish();
+        let reg = &mut self.reg;
         let _ = collector.send(CollectorMsg::InstanceDone {
             group: self.io.group,
             id: self.io.id,
@@ -357,6 +354,7 @@ mod tests {
     use fastjoin_core::protocol::InstanceMsg;
     use fastjoin_core::tuple::Tuple;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     /// S-group instance 0 wired by hand, `peer` being its inbox-side view
@@ -380,8 +378,8 @@ mod tests {
                 clock: Clock(Instant::now()),
                 hb: Arc::new(AtomicU64::new(0)),
                 kill: Arc::new(AtomicBool::new(false)),
+                hub: None,
             },
-            hub: None,
         };
         let rx =
             ChaosReceiver::new(inbox_rx, ChaosPolicy::default(), cfg.faults.rng_for(0), |_| false);

@@ -114,7 +114,7 @@ mod instance;
 mod monitor;
 mod supervise;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -133,15 +133,15 @@ use fastjoin_core::tuple::{JoinedPair, Tuple};
 use lintmarks::lint;
 
 use crate::fault::{ChaosPolicy, ChaosReceiver, FaultPlan};
-use crate::introspect::{Introspection, IntrospectionHub};
+use crate::introspect::{Introspection, Part};
 use crate::msg::{DispatcherMsg, MonitorMsg, ProbeReport, RtMsg, ShardCtrl, ShardNote, SpoutMsg};
 use crate::report::RuntimeReport;
 use dispatch::{InstanceTxs, Sequencer, SequencerLinks, Shard, ShardLinks};
 use instance::{InstanceExecutor, InstanceIo};
 use monitor::{MonitorExecutor, MonitorLinks};
 use supervise::{
-    bounded_join, drain_fatal, quiet_injected_panics, stalled_executors, Clock, Heartbeat, Role,
-    Spawner,
+    bounded_join, drain_fatal, quiet_injected_panics, stalled_executors, Clock, Heartbeat, Pulse,
+    Role, Spawner,
 };
 
 /// How often blocked executors wake to refresh their heartbeat and check
@@ -247,7 +247,7 @@ pub struct RuntimeConfig {
     pub trace: TraceConfig,
     /// Live-introspection snapshot period in milliseconds. 0 (the
     /// default) disables the snapshot thread entirely — no extra threads,
-    /// messages, or allocations, keeping seed behavior bit-for-bit.
+    /// messages, or allocations.
     pub snapshot_interval_ms: u64,
     /// Serve `/metrics` (Prometheus text) and `/snapshot` (JSON) over
     /// HTTP on `127.0.0.1:<port>` for the duration of the run. Port 0
@@ -424,8 +424,7 @@ fn run_topology_inner(
         quiet_injected_panics();
     }
     // Live introspection plane, strictly gated: with snapshots off and no
-    // metrics port, no hub is created, every `hub` Option downstream is
-    // `None`, and the run is identical to one built before it existed.
+    // metrics port, no hub is created and no executor publishes.
     let introspection = if cfg.snapshot_interval_ms > 0 || cfg.serve_metrics.is_some() {
         let started = Introspection::start(
             cfg.snapshot_interval_ms,
@@ -439,19 +438,25 @@ fn run_topology_inner(
     } else {
         None
     };
-    let hub = introspection.as_ref().map(Introspection::hub);
+    // This thread's pulse — spout and collector — and the pattern of
+    // every executor's.
+    let pulse = Pulse {
+        clock,
+        hb: Arc::default(),
+        kill: Arc::default(),
+        hub: introspection.as_ref().map(Introspection::hub),
+    };
 
-    let topo = wire(cfg, clock, hub.clone(), results);
-    let mut collector = Collector::new(clock, topo.n, topo.handles.len());
-    let ingested = topo.run_spout(cfg, workload, hub.as_deref(), &mut collector);
+    let topo = wire(cfg, pulse.clone(), results);
+    let mut collector = Collector::new(pulse, topo.n, topo.handles.len());
+    let ingested = topo.run_spout(cfg, workload, &mut collector);
     let mut report = topo.shut_down_and_collect(ingested, collector)?;
 
     // Orderly teardown: stop the snapshot/HTTP threads and write the
-    // final snapshot. (Failure paths above drop the plane instead, which
-    // stops the threads without the final snapshot.)
-    drop(hub);
+    // final snapshot, the finished registry's. (Failure paths above drop
+    // the plane instead, which stops the threads without it.)
     if let Some(intro) = introspection {
-        intro.shutdown();
+        intro.shutdown(&report.registry);
     }
     report.duration_us = clock.now_us();
     Ok(report)
@@ -460,8 +465,7 @@ fn run_topology_inner(
 /// The running topology as the spout/collector thread sees it: the
 /// channel ends it feeds and drains, plus the executor handles.
 struct Topology {
-    clock: Clock,
-    kill: Arc<AtomicBool>,
+    pulse: Pulse,
     /// One bounded spout → shard data channel per shard: backpressure
     /// propagates to the spout per shard.
     shard_txs: Vec<Sender<SpoutMsg>>,
@@ -478,12 +482,7 @@ struct Topology {
 
 /// Builds every channel and spawns every executor: N shards, the
 /// sequencer, 2·n instances and (for dynamic systems) two monitors.
-fn wire(
-    cfg: &RuntimeConfig,
-    clock: Clock,
-    hub: Option<Arc<IntrospectionHub>>,
-    results: Option<Sender<JoinedPair>>,
-) -> Topology {
+fn wire(cfg: &RuntimeConfig, pulse: Pulse, results: Option<Sender<JoinedPair>>) -> Topology {
     let n = cfg.fastjoin.instances_per_group;
     let (_, _, dynamic) = build_partitioners(cfg.system, &cfg.fastjoin);
     let (collector_tx, collector_rx) = unbounded::<CollectorMsg>();
@@ -511,10 +510,8 @@ fn wire(
         }
     }
     let mut spawner = Spawner {
-        clock,
-        kill: Arc::new(AtomicBool::new(false)),
+        pulse,
         collector: collector_tx.clone(),
-        hub: hub.clone(),
         max_restarts: cfg.supervision.max_restarts,
         handles: Vec::new(),
         heartbeats: Vec::new(),
@@ -583,7 +580,6 @@ fn wire(
                     collector: collector_tx.clone(),
                     results: results.clone(),
                     pulse,
-                    hub: hub.clone(),
                 };
                 InstanceExecutor::new(io, rx, cfg)
             });
@@ -596,7 +592,6 @@ fn wire(
             to_instances: inst_txs[g].clone(), // lint:allow(g ranges over the two fixed groups)
             disp_ctrl: disp_ctrl_tx.clone(),
             quiesce_ack: quiesce_ack_tx.clone(),
-            hub: hub.clone(),
         };
         spawner.spawn_executor(format!("monitor-{g}"), Role::Monitor, |pulse| {
             MonitorExecutor::new(g, cfg, links, pulse)
@@ -605,10 +600,9 @@ fn wire(
     // Every sender this thread does not itself feed (collector, instance
     // and control senders) is dropped on return, so channels disconnect
     // once their executors are done with theirs.
-    let Spawner { kill, handles, heartbeats, .. } = spawner;
+    let Spawner { pulse, handles, heartbeats, .. } = spawner;
     Topology {
-        clock,
-        kill,
+        pulse,
         shard_txs,
         mon_txs: mon_txs.into_iter().flatten().collect(),
         quiesce_ack_rx,
@@ -631,7 +625,6 @@ impl Topology {
         &self,
         cfg: &RuntimeConfig,
         workload: impl IntoIterator<Item = Tuple>,
-        hub: Option<&IntrospectionHub>,
         collector: &mut Collector,
     ) -> u64 {
         // Pacing is hybrid: sleep off the bulk of the inter-tuple gap, then
@@ -645,12 +638,10 @@ impl Topology {
         // the shard assignment below is also the batch assignment.
         let mut bufs: Vec<Vec<Tuple>> = (0..shards).map(|_| Vec::with_capacity(batch)).collect();
         let gap = cfg.rate_limit.map(|r| Duration::from_secs_f64(1.0 / r));
-        // Precomputed hub queue names (no allocation on the spout path).
-        let queue_names: Vec<String> =
-            (0..shards).map(|sh| format!("queue.shard{sh}.depth")).collect();
+        let mut batches_sent = 0u64;
         let mut next_send = Instant::now();
         for mut t in workload {
-            if self.kill.load(Ordering::Relaxed) {
+            if self.pulse.kill.load(Ordering::Relaxed) {
                 break;
             }
             if let Some(gap) = gap {
@@ -671,7 +662,7 @@ impl Topology {
             // Event time is stamped here, at pacing time and before any
             // batching, so inter-tuple gaps survive into the stream's event
             // time (a batch stamped at dispatch would compress them).
-            t.ts = self.clock.now_us();
+            t.ts = self.pulse.now_us();
             // Shard by key hash: both sides of a matching pair share a key,
             // so they cross the same shard — per-shard ordering plus
             // per-channel FIFO is all the migration protocol ever relied on.
@@ -689,17 +680,12 @@ impl Topology {
                 break;
             }
             ingested += batch as u64;
-            let backlog = collector.absorb_ready(&self.collector_rx);
+            collector.absorb_ready(&self.collector_rx);
             if collector.error.is_some() {
                 break; // an executor failed for good: stop feeding
             }
-            if let Some(h) = hub {
-                // Spout-side backpressure view: ingest progress, the depth
-                // of the channel it just fed, and the reports this visit
-                // found waiting on the way back.
-                h.set_counter("spout.tuples_ingested", ingested);
-                h.publish_queue(&queue_names[sh], tx.len() as u64); // lint:allow(sh is mix64 % len by construction)
-                h.publish_queue("queue.collector.depth", backlog);
+            if self.pulse.publish_due(&mut batches_sent) {
+                collector.publish();
             }
         }
         for (tx, buf) in self.shard_txs.iter().zip(bufs) {
@@ -708,13 +694,14 @@ impl Topology {
                 ingested += len;
             }
         }
+        collector.publish();
         ingested
     }
 
     /// Raises the emergency stop, reaps what can be reaped, and hands the
     /// error back.
     fn fail(self, e: RunError) -> RunError {
-        self.kill.store(true, Ordering::Relaxed);
+        self.pulse.kill.store(true, Ordering::Relaxed);
         let _ = bounded_join(self.handles, JOIN_GRACE);
         e
     }
@@ -760,9 +747,10 @@ impl Topology {
             match self.collector_rx.recv_timeout(COLLECT_TICK) {
                 Ok(msg) => collector.absorb(msg),
                 Err(RecvTimeoutError::Timeout) => {
+                    collector.publish();
                     let stalled = stalled_executors(
                         &self.heartbeats,
-                        self.clock.now_us(),
+                        self.pulse.now_us(),
                         STALL.as_millis() as u64,
                     );
                     if !stalled.is_empty() {
@@ -777,25 +765,16 @@ impl Topology {
                 }
             }
         }
-        let Collector {
-            mut report,
-            accountant,
-            route_flips,
-            backlog_hwm,
-            report_batches,
-            error,
-            ..
-        } = collector;
-        report.tuples_ingested = ingested;
-        report.registry.gauge_set("collector.backlog_hwm", backlog_hwm as f64);
-        report.registry.counter_add("collector.report_batches", report_batches);
-        if let Some(e) = error {
+        if let Some(e) = collector.error.take() {
             return Err(self.fail(e));
         }
         if let Some(e) = bounded_join(self.handles, JOIN_GRACE) {
-            self.kill.store(true, Ordering::Relaxed);
+            self.pulse.kill.store(true, Ordering::Relaxed);
             return Err(e);
         }
+        collector.sync_own();
+        let Collector { mut report, mut own, accountant, route_flips, .. } = collector;
+        report.tuples_ingested = ingested;
 
         // Shutdown invariant: every probe's fan-out parts drained to zero.
         (report.probes_total, report.latency) = accountant
@@ -820,8 +799,9 @@ impl Topology {
         // and the run-level registry records the drop counter the
         // acceptance gate checks (0 at default ring sizes).
         report.trace.sort();
-        report.registry.counter_add("trace.dropped", report.trace.dropped());
-        report.registry.counter_add("trace.events", report.trace.len() as u64);
+        own.counter_add("trace.dropped", report.trace.dropped());
+        own.counter_add("trace.events", report.trace.len() as u64);
+        Part::Collector.fold_into(&mut report.registry, &own);
         Ok(report)
     }
 }
@@ -831,8 +811,15 @@ impl Topology {
 /// executor, every failure — into the [`RuntimeReport`]. It runs on the
 /// spout thread, between batches while the input lasts and alone after it.
 struct Collector {
-    clock: Clock,
+    /// The spout/collector thread's pulse: the run clock, and the hub
+    /// `own` is published to.
+    pulse: Pulse,
+    /// The report under construction. Its registry is the fold of the
+    /// executors' final registries and, last, of `own`.
     report: RuntimeReport,
+    /// This thread's own registry — `stage.emit_us`, `supervisor.*`,
+    /// `collector.*` — one [`Part`] like every executor's.
+    own: MetricsRegistry,
     accountant: ProbeAccountant,
     /// Route-flip latencies arrive from instances keyed by (group, epoch)
     /// and are patched into the matching monitor span after `MonitorDone`.
@@ -841,9 +828,10 @@ struct Collector {
     /// (`collector.backlog_hwm` in the run registry): bounded by what the
     /// bounded data channels hold in flight, not by the input.
     backlog_hwm: u64,
-    /// [`CollectorMsg::Probes`] messages folded
-    /// (`collector.report_batches`): probe parts ÷ this is how many
-    /// reports a message carried.
+    /// [`CollectorMsg::Probes`] messages folded since
+    /// [`Collector::sync_own`] last added them to
+    /// `collector.report_batches`: probe parts ÷ that is how many reports
+    /// a message carried.
     report_batches: u64,
     /// Executors that have not sent their final report yet.
     reports_left: usize,
@@ -852,9 +840,9 @@ struct Collector {
 }
 
 impl Collector {
-    fn new(clock: Clock, n: usize, executors: usize) -> Self {
+    fn new(pulse: Pulse, n: usize, executors: usize) -> Self {
         Collector {
-            clock,
+            pulse,
             report: RuntimeReport {
                 duration_us: 0,
                 tuples_ingested: 0,
@@ -870,6 +858,7 @@ impl Collector {
                 registry: MetricsRegistry::new(),
                 trace: TraceJournal::new(),
             },
+            own: MetricsRegistry::new(),
             accountant: ProbeAccountant::new(),
             route_flips: Vec::new(),
             backlog_hwm: 0,
@@ -879,9 +868,21 @@ impl Collector {
         }
     }
 
-    /// Absorbs everything queued right now, without waiting. Returns how
-    /// many reports (probe reports, plus one per other message) it found.
-    fn absorb_ready(&mut self, rx: &Receiver<CollectorMsg>) -> u64 {
+    /// Writes what this thread counts in fields into `own`.
+    fn sync_own(&mut self) {
+        self.own.gauge_set("collector.backlog_hwm", self.backlog_hwm as f64);
+        self.own.counter_add("collector.report_batches", std::mem::take(&mut self.report_batches));
+    }
+
+    fn publish(&mut self) {
+        self.sync_own();
+        self.pulse.publish(Part::Collector, &self.own, Vec::new);
+    }
+
+    /// Absorbs everything queued right now, without waiting, and keeps the
+    /// high-water mark of how many reports (probe reports, plus one per
+    /// other message) one visit found.
+    fn absorb_ready(&mut self, rx: &Receiver<CollectorMsg>) {
         let mut found = 0;
         while self.error.is_none() {
             let Ok(msg) = rx.try_recv() else { break };
@@ -893,7 +894,6 @@ impl Collector {
             self.absorb(msg);
         }
         self.backlog_hwm = self.backlog_hwm.max(found);
-        found
     }
 
     /// Folds the probe reports of one instance message at `now`, the
@@ -904,9 +904,9 @@ impl Collector {
     /// `now − ts`.
     #[lint(hot_path)]
     fn fold_probes(&mut self, now: u64, done_us: u64, reports: &[ProbeReport]) {
-        let RuntimeReport { results_total, throughput, registry, .. } = &mut self.report;
+        let RuntimeReport { results_total, throughput, .. } = &mut self.report;
         // Emit-stage latency: step finished → results visible here.
-        registry
+        self.own
             .histogram_mut("stage.emit_us")
             .record_n(now.saturating_sub(done_us), reports.len() as u64);
         let mut matches = 0;
@@ -925,17 +925,17 @@ impl Collector {
     fn absorb(&mut self, msg: CollectorMsg) {
         let report = &mut self.report;
         let reg = &mut report.registry;
+        let own = &mut self.own;
         match msg {
             CollectorMsg::Probes { done_us, reports } => {
-                self.fold_probes(self.clock.now_us(), done_us, &reports);
+                self.fold_probes(self.pulse.now_us(), done_us, &reports);
             }
             CollectorMsg::RouteFlip { group, epoch, us } => {
                 self.route_flips.push((group, epoch, us));
             }
             CollectorMsg::InstanceDone { group, id, counters, registry, journal } => {
                 report.counters[group][id] = counters; // lint:allow(group and id come from our own spawned executors)
-                let prefix = format!("inst.{}{id}.", if group == 0 { 'r' } else { 's' });
-                reg.merge_prefixed(&prefix, &registry);
+                Part::Instance { group, id }.fold_into(reg, &registry);
                 report.trace.absorb(*journal);
                 self.reports_left -= 1;
             }
@@ -944,32 +944,34 @@ impl Collector {
                 report.migration_spans[group] = spans; // lint:allow(group is 0 or 1 by construction)
                 report.decisions[group] = decisions; // lint:allow(group is 0 or 1 by construction)
                 report.imbalance[group] = Some(*li); // lint:allow(group is 0 or 1 by construction)
-                reg.merge_prefixed("", &registry);
+                Part::Monitor(group).fold_into(reg, &registry);
                 report.trace.absorb(*journal);
                 self.reports_left -= 1;
             }
-            CollectorMsg::DispatcherDone { registry, journal } => {
+            CollectorMsg::DispatcherDone { part, registry, journal } => {
                 // Counter merges ADD, so per-shard counts (tuples_ingested,
                 // probe_copies, snapshot_installs, …) sum across reports.
-                reg.merge_prefixed("dispatcher.", &registry);
+                part.fold_into(reg, &registry);
                 report.trace.absorb(*journal);
                 self.reports_left -= 1;
             }
             CollectorMsg::ExecutorFailure { name, error: text, fatal, control } => {
-                reg.counter_add("supervisor.executor_failures", 1);
+                own.counter_add("supervisor.executor_failures", 1);
                 // One ExecutorFailure event is sent per restart attempt,
                 // so counting events yields the cumulative per-executor
                 // restart count.
-                reg.counter_add(&format!("supervisor.restarts.{name}"), 1);
+                own.counter_add(&format!("supervisor.restarts.{name}"), 1);
                 // Control-plane recoveries (dispatcher shards, the
                 // sequencer, monitors) get their own aggregate, the
                 // headline number for control-plane chaos runs.
                 if control && !fatal {
-                    reg.counter_add("supervisor.control_restarts", 1);
+                    own.counter_add("supervisor.control_restarts", 1);
                 }
                 if fatal {
                     self.error = Some(RunError::ExecutorFailed { name, error: text });
                 }
+                // Rare, and what an operator is watching for: show it now.
+                self.publish();
             }
         }
     }
@@ -1006,7 +1008,7 @@ enum CollectorMsg {
         journal: Box<TraceJournal>,
     },
     /// End-of-run report of one dispatcher shard or of the sequencer.
-    DispatcherDone { registry: Box<MetricsRegistry>, journal: Box<TraceJournal> },
+    DispatcherDone { part: Part, registry: Box<MetricsRegistry>, journal: Box<TraceJournal> },
     /// An executor panicked. `fatal` means it will not recover (the run
     /// must fail); otherwise `supervise` ran its recovery and re-entered
     /// it. `control` marks control-plane executors (shards, sequencer,
@@ -1040,7 +1042,13 @@ mod tests {
     /// And what is booked once per message equals the per-report sums.
     #[test]
     fn fold_probes_tiles_the_stages_and_books_the_message_once() {
-        let collector = || Collector::new(Clock(Instant::now()), 1, 1);
+        let pulse = Pulse {
+            clock: Clock(Instant::now()),
+            hb: Arc::default(),
+            kill: Arc::default(),
+            hub: None,
+        };
+        let collector = || Collector::new(pulse.clone(), 1, 1);
         let (now, done_us) = (2_010_000, 2_009_400);
         let reports = [
             ProbeReport { seq: 1, fanout: 1, matches: 3, ts: 100 },
@@ -1050,7 +1058,7 @@ mod tests {
         for r in &reports {
             let mut c = collector();
             c.fold_probes(now, done_us, std::slice::from_ref(r));
-            let emit = c.report.registry.histogram_mut("stage.emit_us").max();
+            let emit = c.own.histogram_mut("stage.emit_us").max();
             let (_, latency) = c.accountant.finish().expect("one-part probes all complete");
             assert_eq!(latency.max() + emit, now - r.ts, "probe {}", r.seq);
         }
@@ -1061,7 +1069,7 @@ mod tests {
         assert_eq!(c.report.results_total, matches);
         assert_eq!(c.report.throughput.sums(), &[0.0, 0.0, matches as f64]);
         assert_eq!(c.report_batches, 1);
-        let emit = c.report.registry.histogram_mut("stage.emit_us");
+        let emit = c.own.histogram_mut("stage.emit_us");
         assert_eq!((emit.count(), emit.max()), (3, now - done_us), "n samples at one value");
         let (probes, latency) = c.accountant.finish().expect("one-part probes all complete");
         assert_eq!((probes, latency.count()), (3, 3));

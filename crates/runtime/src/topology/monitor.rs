@@ -10,7 +10,6 @@
 //! permanently: the in-flight round is tombstoned through the existing
 //! abort path and a minimal drain keeps the shutdown handshake alive.
 
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -22,13 +21,13 @@ use fastjoin_core::config::FastJoinConfig;
 use fastjoin_core::metrics::{MetricsRegistry, TimeSeries};
 use fastjoin_core::monitor::Monitor;
 use fastjoin_core::protocol::InstanceMsg;
-use fastjoin_core::telemetry::{GroupProbe, MigrationPhase};
+use fastjoin_core::telemetry::MigrationPhase;
 use fastjoin_core::trace::{Actor, TraceEvent, TraceKind, TraceRing};
 
 use super::supervise::{Executor, Pulse};
 use super::{CollectorMsg, RuntimeConfig, EXECUTOR_TICK};
 use crate::fault::{ChaosReceiver, ControlKillSwitch};
-use crate::introspect::IntrospectionHub;
+use crate::introspect::Part;
 use crate::msg::{DispatcherMsg, MonitorMsg, RtMsg};
 
 /// One group's monitor executor. Everything here survives a panic of
@@ -56,7 +55,6 @@ pub(super) struct MonitorExecutor {
     disp_ctrl: Sender<DispatcherMsg>,
     quiesce_ack: Sender<usize>,
     pulse: Pulse,
-    hub: Option<Arc<IntrospectionHub>>,
     quiescing: bool,
     acked: bool,
     /// Set once the restart budget is spent: `run` becomes the degraded
@@ -70,7 +68,8 @@ pub(super) struct MonitorExecutor {
     /// (dropped triggers do not advance the switch — no round starts).
     switch: ControlKillSwitch,
     backoff_rng: StdRng,
-    /// Times a bounded instance send parked on a full inbox; reported as
+    /// Times a bounded instance send parked on a full inbox since
+    /// [`MonitorExecutor::publish`] last folded them into
     /// `monitor.sends_parked`.
     sends_parked: u64,
     /// How many of the monitor's audited decisions already have trace
@@ -85,7 +84,6 @@ pub(super) struct MonitorLinks {
     pub to_instances: Vec<Sender<RtMsg>>,
     pub disp_ctrl: Sender<DispatcherMsg>,
     pub quiesce_ack: Sender<usize>,
-    pub hub: Option<Arc<IntrospectionHub>>,
 }
 
 /// A monitor with no history. The runtime's monitor clock is wall-clock
@@ -126,7 +124,6 @@ impl MonitorExecutor {
             disp_ctrl: links.disp_ctrl,
             quiesce_ack: links.quiesce_ack,
             pulse,
-            hub: links.hub,
             quiescing: false,
             acked: false,
             degraded: false,
@@ -231,28 +228,31 @@ impl MonitorExecutor {
             }
             self.decisions_seen = recorded;
         }
-        if let Some(hub) = self.hub.as_deref() {
-            let (phase, epoch) = match self.monitor.in_flight_round() {
-                Some((e, _, _)) if self.monitor.abort_pending() => (MigrationPhase::Aborting, e),
-                Some((e, _, _)) => (MigrationPhase::Migrating, e),
-                None => (MigrationPhase::Idle, 0),
-            };
-            let stats = self.monitor.stats();
-            hub.publish_group(GroupProbe {
-                group: self.group as u8,
-                imbalance: self.monitor.imbalance(),
-                loads: self
-                    .monitor
-                    .load_snapshot()
-                    .iter()
-                    .map(|l| l.effective_load() as u64)
-                    .collect(),
-                phase,
-                epoch,
-                triggered: stats.triggered,
-                effective: stats.effective,
-            });
+        self.publish();
+    }
+
+    /// Brings the registry up to the monitor's present view of its group
+    /// (`monitor.r.*` / `monitor.s.*`) and publishes it.
+    fn publish(&mut self) {
+        let (phase, epoch) = match self.monitor.in_flight_round() {
+            Some((e, _, _)) if self.monitor.abort_pending() => (MigrationPhase::Aborting, e),
+            Some((e, _, _)) => (MigrationPhase::Migrating, e),
+            None => (MigrationPhase::Idle, 0),
+        };
+        let stats = self.monitor.stats();
+        let group = self.actor().label();
+        let mut set =
+            |name: &str, value: f64| self.reg.gauge_set(&format!("{group}.{name}"), value);
+        set("imbalance", self.monitor.imbalance());
+        set("phase", f64::from(phase as u8));
+        set("epoch", epoch as f64);
+        set("triggered", stats.triggered as f64);
+        set("effective", stats.effective as f64);
+        for (id, load) in self.monitor.load_snapshot().iter().enumerate() {
+            set(&format!("load.{id}"), load.effective_load());
         }
+        self.reg.counter_add("monitor.sends_parked", std::mem::take(&mut self.sends_parked));
+        self.pulse.publish(Part::Monitor(self.group), &self.reg, Vec::new);
     }
 
     /// Asks the sequencer — the serialization point for routing — to
@@ -341,10 +341,8 @@ impl Executor for MonitorExecutor {
                 self.request_abort(epoch, source);
             }
             self.reg.counter_add("monitor.permanent_degraded", 1);
-            if let Some(h) = self.hub.as_deref() {
-                h.set_degraded(true);
-            }
             self.degraded = true;
+            self.publish();
             return;
         }
         let loads = self.monitor.load_snapshot();
@@ -388,7 +386,7 @@ impl Executor for MonitorExecutor {
         // Close the LI trace with a final sample so even runs shorter
         // than one monitor period report a (possibly single-point) series.
         self.li.record(self.pulse.now_us(), self.monitor.imbalance());
-        self.reg.counter_add("monitor.sends_parked", self.sends_parked);
+        self.publish();
         let _ = collector.send(CollectorMsg::MonitorDone {
             group: self.group,
             stats: self.monitor.stats(),

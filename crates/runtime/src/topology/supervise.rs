@@ -3,11 +3,12 @@
 //!
 //! [`supervise`] owns everything that is the same for every role: the
 //! `catch_unwind` around the executor body, restart counting, the
-//! [`CollectorMsg::ExecutorFailure`] report, introspection-hub
-//! bookkeeping, the decision whether a failure is fatal to the run, and
-//! the final heartbeat sentinel. What differs per role — how to rebuild
-//! state after a panic — is the [`Executor::recover`] implementation in
-//! `dispatch`, `instance` and `monitor`.
+//! [`CollectorMsg::ExecutorFailure`] report (the collector counts the
+//! `supervisor.*` metrics from it), the decision whether a failure is
+//! fatal to the run, and the final heartbeat sentinel. What differs per
+//! role — how to rebuild state after a panic — is the
+//! [`Executor::recover`] implementation in `dispatch`, `instance` and
+//! `monitor`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -17,8 +18,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, SendTimeoutError, Sender};
 
+use fastjoin_core::metrics::MetricsRegistry;
+
 use super::{CollectorMsg, RunError, EXECUTOR_TICK};
-use crate::introspect::IntrospectionHub;
+use crate::introspect::{IntrospectionHub, Part, PUBLISH_EVERY};
 
 /// The run's clock: microseconds since the topology started.
 #[derive(Debug, Clone, Copy)]
@@ -38,12 +41,14 @@ pub(super) type Heartbeat = (String, Arc<AtomicU64>);
 pub(super) const HB_FINISHED: u64 = u64::MAX;
 
 /// What every executor carries to stay observable: the run clock, its
-/// heartbeat, and the emergency-stop flag raised when the run has failed.
+/// heartbeat, the emergency-stop flag raised when the run has failed, and
+/// the live plane's hub when there is one.
 #[derive(Debug, Clone)]
 pub(super) struct Pulse {
     pub clock: Clock,
     pub hb: Arc<AtomicU64>,
     pub kill: Arc<AtomicBool>,
+    pub hub: Option<Arc<IntrospectionHub>>,
 }
 
 impl Pulse {
@@ -56,6 +61,30 @@ impl Pulse {
     pub fn beat(&self) -> bool {
         self.hb.store(self.now_us(), Ordering::Relaxed);
         !self.kill.load(Ordering::Relaxed)
+    }
+
+    /// Publishes `reg` (its time series aside) as `part`'s registry when
+    /// the live plane is on; `hot_keys` is computed only then.
+    pub fn publish(
+        &self,
+        part: Part,
+        reg: &MetricsRegistry,
+        hot_keys: impl FnOnce() -> Vec<(u64, u64)>,
+    ) {
+        if let Some(hub) = &self.hub {
+            hub.publish(part, reg, hot_keys());
+        }
+    }
+
+    /// The publishing cadence of an executor without a periodic tick:
+    /// counts one turn of its loop in `turns`, and says whether a
+    /// publication is due — every [`PUBLISH_EVERY`] turns with the live
+    /// plane on, never with it off.
+    pub fn publish_due(&self, turns: &mut u64) -> bool {
+        self.hub.is_some() && {
+            *turns += 1;
+            turns.is_multiple_of(PUBLISH_EVERY)
+        }
     }
 
     /// Sends on a (possibly bounded) channel, refreshing the heartbeat
@@ -121,26 +150,18 @@ pub(super) struct Shell {
     pub role: Role,
     pub max_restarts: u32,
     pub collector: Sender<CollectorMsg>,
-    pub hub: Option<Arc<IntrospectionHub>>,
     pub pulse: Pulse,
 }
 
 impl Shell {
-    /// Reports one caught panic to the collector and the hub.
+    /// Reports one caught panic to the collector.
     fn report(&self, error: String, fatal: bool) {
-        let control = self.role != Role::Instance;
         let _ = self.collector.send(CollectorMsg::ExecutorFailure {
             name: self.name.clone(),
             error,
             fatal,
-            control,
+            control: self.role != Role::Instance,
         });
-        if let Some(h) = self.hub.as_deref() {
-            h.record_executor_failure();
-            if control && !fatal {
-                h.record_control_restart();
-            }
-        }
     }
 }
 
@@ -170,10 +191,10 @@ pub(super) fn supervise<E: Executor>(shell: Shell, mut exec: E) {
 /// Registers and starts supervised executor threads; the handles and
 /// heartbeats it accumulates are what the collector watches and joins.
 pub(super) struct Spawner {
-    pub clock: Clock,
-    pub kill: Arc<AtomicBool>,
+    /// The spawning thread's own pulse: every executor's is a copy of it
+    /// with a heartbeat of its own.
+    pub pulse: Pulse,
     pub collector: Sender<CollectorMsg>,
-    pub hub: Option<Arc<IntrospectionHub>>,
     pub max_restarts: u32,
     pub handles: Vec<(String, thread::JoinHandle<()>)>,
     pub heartbeats: Vec<Heartbeat>,
@@ -188,16 +209,15 @@ impl Spawner {
         role: Role,
         build: impl FnOnce(Pulse) -> E,
     ) {
-        let hb = Arc::new(AtomicU64::new(self.clock.now_us()));
+        let hb = Arc::new(AtomicU64::new(self.pulse.now_us()));
         self.heartbeats.push((name.clone(), hb.clone()));
-        let pulse = Pulse { clock: self.clock, hb, kill: self.kill.clone() };
+        let pulse = Pulse { hb, ..self.pulse.clone() };
         let exec = build(pulse.clone());
         let shell = Shell {
             name: name.clone(),
             role,
             max_restarts: self.max_restarts,
             collector: self.collector.clone(),
-            hub: self.hub.clone(),
             pulse,
         };
         let handle = thread::Builder::new()
@@ -321,7 +341,12 @@ mod tests {
         let heartbeats: Vec<Heartbeat> = vec![("parked".to_string(), hb.clone())];
         let start = Instant::now();
         let sender = {
-            let pulse = Pulse { clock: Clock(start), hb, kill: Arc::new(AtomicBool::new(false)) };
+            let pulse = Pulse {
+                clock: Clock(start),
+                hb,
+                kill: Arc::new(AtomicBool::new(false)),
+                hub: None,
+            };
             thread::spawn(move || {
                 let mut parked = 0u64;
                 assert!(pulse.send(&tx, RtMsg::Eos, &mut parked), "receiver stays alive");

@@ -27,7 +27,7 @@ use fastjoin_baselines::{build_partitioners, SystemKind};
 use fastjoin_core::config::FastJoinConfig;
 use fastjoin_core::dispatcher::{Dispatch, Dispatcher};
 use fastjoin_core::instance::{JoinInstance, Work};
-use fastjoin_core::metrics::{MetricsRegistry, RunMetrics};
+use fastjoin_core::metrics::{LogHistogram, MetricsRegistry, TimeSeries};
 use fastjoin_core::monitor::{Monitor, MonitorStats};
 use fastjoin_core::protocol::{Effects, InstanceMsg};
 use fastjoin_core::selection::{make_selector, KeySelector};
@@ -90,11 +90,43 @@ impl Default for SimConfig {
     }
 }
 
+/// Aggregate run report for one experiment: throughput series, latency
+/// histogram and series, and the imbalance (`LI`) series.
+#[derive(Debug, Clone)]
+pub struct RunMetrics {
+    /// Joined results per period (sum per bucket = throughput).
+    pub throughput: TimeSeries,
+    /// Per-result processing latency observations.
+    pub latency: TimeSeries,
+    /// Latency histogram across the whole run.
+    pub latency_hist: LogHistogram,
+    /// Degree of load imbalance sampled by the monitor.
+    pub imbalance: TimeSeries,
+    /// Count of migrations performed.
+    pub migrations: u64,
+    /// Total tuples migrated.
+    pub tuples_migrated: u64,
+}
+
+impl RunMetrics {
+    /// Creates an empty report with the given series period.
+    #[must_use]
+    pub fn new(period: u64) -> Self {
+        RunMetrics {
+            throughput: TimeSeries::new(period),
+            latency: TimeSeries::new(period),
+            latency_hist: LogHistogram::new(),
+            imbalance: TimeSeries::new(period),
+            migrations: 0,
+            tuples_migrated: 0,
+        }
+    }
+}
+
 /// Everything measured during a run.
 #[derive(Debug)]
 pub struct SimReport {
-    /// Throughput/latency/imbalance series (see
-    /// [`fastjoin_core::metrics::RunMetrics`]).
+    /// Throughput/latency/imbalance series.
     pub metrics: RunMetrics,
     /// Total join result pairs emitted.
     pub results_total: u64,
@@ -106,13 +138,13 @@ pub struct SimReport {
     pub monitor_stats: [Option<MonitorStats>; 2],
     /// Per-instance load series of the R group (only when
     /// `record_instance_loads`).
-    pub instance_loads: Vec<fastjoin_core::metrics::TimeSeries>,
+    pub instance_loads: Vec<TimeSeries>,
     /// Tuples ingested per report period.
-    pub ingest_series: fastjoin_core::metrics::TimeSeries,
+    pub ingest_series: TimeSeries,
     /// Total stored tuples (R group) sampled at monitor ticks.
-    pub stored_series: fastjoin_core::metrics::TimeSeries,
+    pub stored_series: TimeSeries,
     /// Total pending tuples (both groups) sampled at monitor ticks.
-    pub pending_series: fastjoin_core::metrics::TimeSeries,
+    pub pending_series: TimeSeries,
     /// Per-instance stored-tuple counts at termination (R group).
     pub final_stored_r: Vec<u64>,
     /// Per-instance total busy time, µs: `[R group, S group]`.
@@ -171,16 +203,7 @@ impl SimReport {
         use fastjoin_core::json::Json;
         use fastjoin_core::metrics::MigrationSpan;
         let group = |g: usize| -> Json {
-            let stats = self.monitor_stats[g].as_ref().map(|s| {
-                Json::obj(vec![
-                    ("triggered", Json::uint(s.triggered)),
-                    ("effective", Json::uint(s.effective)),
-                    ("abandoned", Json::uint(s.abandoned)),
-                    ("aborted", Json::uint(s.aborted)),
-                    ("tuples_moved", Json::uint(s.tuples_moved)),
-                    ("keys_moved", Json::uint(s.keys_moved)),
-                ])
-            });
+            let stats = self.monitor_stats[g].as_ref().map(MonitorStats::to_json);
             let li = (g == 0).then(|| self.metrics.imbalance.to_json());
             Json::obj(vec![
                 ("monitor", stats.into()),
@@ -242,10 +265,10 @@ pub struct Simulation<W: Iterator<Item = Tuple>> {
     /// was fanned out to has processed it (the straggler penalty of
     /// broadcast-style strategies).
     probe_fanout: std::collections::HashMap<u64, u32>,
-    instance_loads: Vec<fastjoin_core::metrics::TimeSeries>,
-    ingest_series: fastjoin_core::metrics::TimeSeries,
-    stored_series: fastjoin_core::metrics::TimeSeries,
-    pending_series: fastjoin_core::metrics::TimeSeries,
+    instance_loads: Vec<TimeSeries>,
+    ingest_series: TimeSeries,
+    stored_series: TimeSeries,
+    pending_series: TimeSeries,
     /// Epochs whose route flip reached the dispatcher, per group. An
     /// abort request for such an epoch is refused — the round is past its
     /// point of no return and must complete forward.
@@ -308,7 +331,7 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
         }
         queue.push(cfg.fastjoin.monitor_period, Event::MonitorTick);
         let instance_loads = if cfg.record_instance_loads {
-            (0..n).map(|_| fastjoin_core::metrics::TimeSeries::new(cfg.report_period)).collect()
+            (0..n).map(|_| TimeSeries::new(cfg.report_period)).collect()
         } else {
             Vec::new()
         };
@@ -326,9 +349,9 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
             tuples_ingested: 0,
             probe_fanout: std::collections::HashMap::new(),
             instance_loads,
-            ingest_series: fastjoin_core::metrics::TimeSeries::new(cfg.report_period),
-            stored_series: fastjoin_core::metrics::TimeSeries::new(cfg.report_period),
-            pending_series: fastjoin_core::metrics::TimeSeries::new(cfg.report_period),
+            ingest_series: TimeSeries::new(cfg.report_period),
+            stored_series: TimeSeries::new(cfg.report_period),
+            pending_series: TimeSeries::new(cfg.report_period),
             next_tuple,
             workload,
             cfg,

@@ -21,5 +21,5 @@ pub mod experiment;
 
 pub use cost::{CostKind, CostModel};
 pub use csv::{write_instance_loads_csv, write_report_csv};
-pub use driver::{SimConfig, SimReport, Simulation};
+pub use driver::{RunMetrics, SimConfig, SimReport, Simulation};
 pub use experiment::{run_headline, run_ridehail, run_synthetic, ExperimentParams, Summary};

@@ -12,9 +12,10 @@
 //!                       [--rate N] [--theta F]
 //!                       [--snapshot-ms N] [--snapshot-out PATH]
 //!                       [--serve-metrics PORT]
-//!                       # introspection plane: periodic RuntimeSnapshots
-//!                       # to a JSONL sink and/or a live /metrics +
-//!                       # /snapshot HTTP endpoint (all off by default)
+//!                       # introspection plane: periodic snapshots of the
+//!                       # run's metrics registry to a JSONL sink and/or a
+//!                       # live /metrics + /snapshot HTTP endpoint (all off
+//!                       # by default)
 //!                       [--trace-out PATH]       # the run's trace journal
 //! fastjoin-cli census   [--locations N] [--orders N] [--tracks N]
 //! fastjoin-cli gen      --out PATH [--workload ridehail|gxy] [--x ..] [--y ..]
@@ -270,9 +271,19 @@ fn cmd_topology(argv: &[String]) -> Result<(), String> {
         std::fs::write(path, report.trace.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
         println!("trace journal  : {path} ({} events)", report.trace.len());
     }
-    let audited: usize = report.decisions.iter().map(Vec::len).sum();
-    if audited > 0 {
-        println!("decisions      : {audited} audited (see the report's per-group decisions)");
+    let mut tally = std::collections::BTreeMap::new();
+    for d in report.decisions.iter().flatten() {
+        *tally.entry((d.reason.name(), d.outcome.name())).or_insert(0u64) += 1;
+    }
+    if !tally.is_empty() {
+        let audited: u64 = tally.values().sum();
+        let by_kind: Vec<String> =
+            tally.iter().map(|((reason, outcome), n)| format!("{reason}/{outcome} {n}")).collect();
+        println!("decisions      : {audited} audited — {}", by_kind.join(", "));
+        println!(
+            "                 (each is a MigDecision event of the journal: --trace-out PATH, \
+             then `trace --journal PATH --round N`)"
+        );
     }
     Ok(())
 }
@@ -762,64 +773,73 @@ fn http_get(port: u16, path: &str) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-/// Renders one `/snapshot` JSON document as a compact live table:
-/// per-group monitor state, instances × load/queue/hot-keys, channel
-/// depths, and supervisor health. Tolerates missing fields (zeros/blanks)
-/// so a `top` built against a newer schema still renders older streams.
+/// Renders one snapshot (`{seq, at_us, registry, hot_keys}`) as a compact
+/// table read off the registry's names: per-group monitor state,
+/// instances × load/queue/hot-keys, channel depths, supervisor counts. A
+/// name that is absent (a static system has no monitors) prints as zero or
+/// not at all.
 fn render_snapshot(snap: &fastjoin::core::json::Json) {
     use fastjoin::core::json::Json;
-    let num = |j: &Json, key: &str| j.get(key).and_then(Json::as_u64).unwrap_or(0);
-    println!("snapshot #{} at {} µs", num(snap, "seq"), num(snap, "at_us"));
-    if let Some(groups) = snap.get("groups").and_then(Json::as_arr) {
-        for g in groups {
-            let side = if num(g, "group") == 0 { "r" } else { "s" };
-            println!(
-                "  group {side}: LI={:.2} phase={} epoch={} triggered={} effective={}",
-                g.get("imbalance").and_then(Json::as_num).unwrap_or(0.0),
-                g.get("phase").and_then(Json::as_str).unwrap_or("?"),
-                num(g, "epoch"),
-                num(g, "triggered"),
-                num(g, "effective"),
-            );
-        }
-    }
-    println!("  {:<6} {:>10} {:>7} {:<4} hot keys (key x weight)", "inst", "load", "queue", "mig");
-    if let Some(instances) = snap.get("instances").and_then(Json::as_arr) {
-        for p in instances {
-            let side = if num(p, "group") == 0 { "r" } else { "s" };
-            let hot = p.get("hot_keys").and_then(Json::as_arr).map_or_else(String::new, |ks| {
-                ks.iter()
-                    .map(|k| format!("{}x{}", num(k, "key"), num(k, "weight")))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            });
-            let migrating = matches!(p.get("migrating"), Some(Json::Bool(true)));
-            println!(
-                "  {:<6} {:>10} {:>7} {:<4} {hot}",
-                format!("{side}{}", num(p, "id")),
-                num(p, "load"),
-                num(p, "queue_depth"),
-                if migrating { "yes" } else { "-" },
-            );
-        }
-    }
-    if let Some(Json::Obj(queues)) = snap.get("queues") {
-        if !queues.is_empty() {
-            let depths: Vec<String> = queues
-                .iter()
-                .map(|(name, depth)| format!("{name}={}", depth.as_u64().unwrap_or(0)))
-                .collect();
-            println!("  queues: {}", depths.join(" "));
-        }
-    }
-    if let Some(sup) = snap.get("supervisor") {
+    use fastjoin::core::telemetry::MigrationPhase;
+    let top = |key: &str| snap.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let metric = |name: &str| snap.get("registry")?.get(name)?.as_num();
+    let count = |name: &str| metric(name).unwrap_or(0.0) as u64;
+    println!("snapshot #{} at {} µs", top("seq"), top("at_us"));
+    for side in ["r", "s"] {
+        let Some(li) = metric(&format!("monitor.{side}.imbalance")) else { continue };
+        let phase = metric(&format!("monitor.{side}.phase"))
+            .and_then(MigrationPhase::from_gauge)
+            .map_or("?", MigrationPhase::name);
         println!(
-            "  supervisor: failures={} restarts={} degraded={}",
-            num(sup, "executor_failures"),
-            num(sup, "control_restarts"),
-            matches!(sup.get("degraded"), Some(Json::Bool(true))),
+            "  group {side}: LI={li:.2} phase={phase} epoch={} triggered={} effective={}",
+            count(&format!("monitor.{side}.epoch")),
+            count(&format!("monitor.{side}.triggered")),
+            count(&format!("monitor.{side}.effective")),
         );
     }
+    println!("  {:<6} {:>10} {:>7} {:<4} hot keys (key x weight)", "inst", "load", "queue", "mig");
+    let Some(Json::Obj(registry)) = snap.get("registry") else { return };
+    let mut queues = Vec::new();
+    // Registry names sort as text (`inst.r10` before `inst.r2`); the table
+    // is in (group, numeric id) order.
+    let mut instances: Vec<(&str, u64, u64)> = Vec::new();
+    for (name, value) in registry {
+        if name.starts_with("dispatcher.queue.") || name == "collector.backlog_hwm" {
+            queues.push(format!("{name}={}", value.as_u64().unwrap_or(0)));
+        }
+        let inst = name.strip_suffix(".load").and_then(|l| l.strip_prefix("inst."));
+        if let Some((inst, id)) = inst.and_then(|i| Some((i, i.get(1..)?.parse().ok()?))) {
+            instances.push((inst, id, value.as_u64().unwrap_or(0)));
+        }
+    }
+    instances.sort_by_key(|&(inst, id, _)| (inst.as_bytes()[0], id));
+    for (inst, _, load) in instances {
+        let hot = snap.get("hot_keys").and_then(|h| h.get(&format!("inst.{inst}")));
+        let hot: Vec<String> = hot
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .map(|k| {
+                let field = |f: &str| k.get(f).and_then(Json::as_u64).unwrap_or(0);
+                format!("{}x{}", field("key"), field("weight"))
+            })
+            .collect();
+        println!(
+            "  {inst:<6} {load:>10} {:>7} {:<4} {}",
+            count(&format!("inst.{inst}.inbox.depth")),
+            if count(&format!("inst.{inst}.migrating")) > 0 { "yes" } else { "-" },
+            hot.join(" "),
+        );
+    }
+    if !queues.is_empty() {
+        println!("  queues: {}", queues.join(" "));
+    }
+    println!(
+        "  supervisor: failures={} restarts={} degraded={}",
+        count("supervisor.executor_failures"),
+        count("supervisor.control_restarts"),
+        count("monitor.permanent_degraded") > 0,
+    );
 }
 
 /// Live view of a running topology: polls `/snapshot` from a runtime
@@ -894,7 +914,7 @@ fn usage() -> String {
            --allow-drops true  analyse a journal that dropped events instead\n\
                                of exiting non-zero\n\
          topology introspection (all off by default):\n\
-           --snapshot-ms N     periodic RuntimeSnapshot interval (0 = off)\n\
+           --snapshot-ms N     periodic registry-snapshot interval (0 = off)\n\
            --snapshot-out PATH append each snapshot as one JSON line\n\
            --serve-metrics N   serve /metrics and /snapshot on 127.0.0.1:N\n\
            --trace-out PATH    write the run's trace journal (JSONL) for `trace`\n\

@@ -117,27 +117,48 @@ fn unknown_command_usage_lists_every_subcommand() {
     assert!(stderr.contains("unknown command \"bench\""), "{stderr}");
 }
 
-/// A journal the runtime wrote parses through the `trace` verb. Whether a
-/// migration happened in so short a run is timing, so nothing here asks.
+/// A journal and a snapshot stream the runtime wrote parse through the
+/// `trace` and `top` verbs. Whether a migration happened in so short a
+/// run is timing, so nothing here asks.
 #[test]
 fn topology_journal_round_trips_through_the_trace_verb() {
     let dir = std::env::temp_dir().join(format!("fjcli-journal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let journal = dir.join("journal.jsonl");
+    let snapshots = dir.join("snapshots.jsonl");
     let (ok, stdout, stderr) = run(&[
         "topology",
+        "--instances",
+        "12",
         "--orders",
         "2000",
         "--tracks",
         "2000",
         "--trace-out",
         journal.to_str().unwrap(),
+        "--snapshot-ms",
+        "20",
+        "--snapshot-out",
+        snapshots.to_str().unwrap(),
     ]);
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     let (ok, summary, stderr) = run(&["trace", "--journal", journal.to_str().unwrap()]);
     assert!(ok, "stderr: {stderr}");
     assert!(summary.contains("0 dropped"), "{summary}");
     assert!(summary.contains("\n  dispatcher "), "{summary}");
+    // `top` reads its table off the names of the last snapshot's registry.
+    let (ok, table, stderr) = run(&["top", "--file", snapshots.to_str().unwrap()]);
+    assert!(ok, "stderr: {stderr}");
+    for row in ["group r: LI=", "group s: LI=", " phase=idle epoch=0 "] {
+        assert!(table.contains(row), "no {row:?} in:\n{table}");
+    }
+    // Instance rows come in (group, numeric id) order, not in the
+    // registry's text order (`inst.r10` before `inst.r2`).
+    let at = |row: &str| table.find(row).unwrap_or_else(|| panic!("no {row:?} in:\n{table}"));
+    let rows = ["\n  r0 ", "\n  r2 ", "\n  r10 ", "\n  r11 ", "\n  s0 ", "\n  s9 ", "\n  s11 "];
+    assert!(rows.windows(2).all(|w| at(w[0]) < at(w[1])), "rows out of order:\n{table}");
+    assert!(table.contains("queues: collector.backlog_hwm="), "{table}");
+    assert!(table.contains("supervisor: failures=0 restarts=0 degraded=false"), "{table}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

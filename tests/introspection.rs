@@ -1,13 +1,14 @@
-//! Tier-1 e2e of the live introspection plane: the periodic
-//! `RuntimeSnapshot` stream (consistency across snapshots), the
-//! `/metrics` + `/snapshot` HTTP endpoint under load, and the migration
-//! decision audit in the run report.
+//! Tier-1 e2e of the live introspection plane: the periodic snapshot
+//! stream and the `/metrics` + `/snapshot` HTTP endpoint under load — both
+//! views of the registry the report ends with — and the migration decision
+//! audit in the run report.
 
 use fastjoin::baselines::SystemKind;
 use fastjoin::core::config::FastJoinConfig;
 use fastjoin::core::json::Json;
+use fastjoin::core::metrics::MetricValue;
 use fastjoin::core::monitor::{DecisionOutcome, DecisionReason};
-use fastjoin::core::telemetry::validate_prometheus;
+use fastjoin::core::telemetry::{prometheus_name, validate_prometheus};
 use fastjoin::core::tuple::Tuple;
 use fastjoin::runtime::{run_topology, RuntimeConfig};
 
@@ -64,8 +65,14 @@ fn snapshot_stream_is_consistent_across_a_skewed_run() {
         .collect();
     assert!(snaps.len() >= 2, "a ~200 ms run at 25 ms interval yields several snapshots");
 
+    // The last line is the finished registry, entry for entry.
+    let last = snaps.last().and_then(|s| s.get("registry")).expect("last line has a registry");
+    let finished = report.registry.without_series().to_json().to_string_compact();
+    assert_eq!(last, &Json::parse(&finished).expect("registry JSON"));
+
     let mut prev_seq = 0;
     let mut prev_at = 0;
+    let mut seen = 0;
     let mut prev_counters: Vec<(String, u64)> = Vec::new();
     for snap in &snaps {
         let seq = u(snap, "seq");
@@ -75,43 +82,54 @@ fn snapshot_stream_is_consistent_across_a_skewed_run() {
         prev_seq = seq;
         prev_at = at;
 
-        // Counters are monotone across snapshots, and each delta accounts
-        // exactly for the growth since the previous snapshot.
-        let counters = snap.get("counters").and_then(Json::as_arr).expect("counters array");
-        for c in counters {
-            let name = c.get("name").and_then(Json::as_str).expect("counter name").to_string();
-            let total = u(c, "total");
-            let delta = u(c, "delta");
-            let before =
-                prev_counters.iter().find(|(n, _)| *n == name).map(|(_, t)| *t).unwrap_or(0);
-            assert!(total >= before, "counter {name} went backwards: {before} -> {total}");
-            assert_eq!(delta, total - before, "counter {name} delta mismatch");
-            match prev_counters.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, t)) => *t = total,
-                None => prev_counters.push((name, total)),
+        let registry = snap.get("registry").expect("every snapshot has a registry");
+        let Json::Obj(entries) = registry else { panic!("a snapshot's registry is an object") };
+        for (name, value) in entries {
+            // One vocabulary: a name on a mid-run snapshot is a name of the
+            // finished registry.
+            let fin = report.registry.get(name);
+            assert!(fin.is_some(), "snapshot {seq} has {name}, the report does not");
+            seen += 1;
+            // Counters are monotone across snapshots (any two lines of the
+            // stream give a counter's growth between them).
+            if matches!(fin, Some(MetricValue::Counter(_))) {
+                let total = value.as_u64().expect("a counter renders as an integer");
+                let before = prev_counters.iter_mut().find(|(n, _)| n == name);
+                match before {
+                    Some((_, t)) => {
+                        assert!(total >= *t, "counter {name} went backwards: {t} -> {total}");
+                        *t = total;
+                    }
+                    None => prev_counters.push((name.clone(), total)),
+                }
+            }
+            // `queue.depth` has one meaning, live and final: the inbox's
+            // high-water mark.
+            if let (true, Some(MetricValue::Gauge(hwm))) = (name.ends_with(".queue.depth"), fin) {
+                let live = value.as_num().expect("a gauge renders as a number");
+                assert!(live <= *hwm, "{name} is {live} mid-run and {hwm} in the report");
             }
         }
-
-        // The skew heatmap rows: every instance reports a load and its
-        // hottest keys; groups report a valid migration phase.
-        let instances = snap.get("instances").and_then(Json::as_arr).expect("instances");
-        assert_eq!(instances.len(), 8, "4 R + 4 S instances probed");
-        for p in instances {
-            assert!(u(p, "load") != u64::MAX, "instance load present");
-            assert!(u(p, "queue_depth") != u64::MAX, "queue depth present");
-            assert!(p.get("hot_keys").and_then(Json::as_arr).is_some(), "hot keys present");
-        }
-        let groups = snap.get("groups").and_then(Json::as_arr).expect("groups");
-        assert_eq!(groups.len(), 2);
-        for g in groups {
-            let phase = g.get("phase").and_then(Json::as_str).expect("phase");
+        // The skew-heatmap rows ride along, keyed by instance label.
+        let Some(Json::Obj(hot)) = snap.get("hot_keys") else { panic!("hot_keys object") };
+        for (label, keys) in hot {
             assert!(
-                ["idle", "migrating", "aborting"].contains(&phase),
-                "snapshot during a run reports a valid phase, got {phase:?}"
+                report.registry.get(&format!("{label}.load")).is_some(),
+                "{label} is no instance"
             );
-            assert!(g.get("imbalance").and_then(Json::as_num).is_some(), "LI present");
+            assert!(keys.as_arr().is_some_and(|k| !k.is_empty()), "{label} has hot keys");
         }
     }
+    assert!(seen > 0 && !prev_counters.is_empty(), "the stream carried metrics");
+}
+
+/// The `# TYPE` lines of a Prometheus exposition: `(name, kind)`.
+fn typed_names(text: &str) -> Vec<(String, String)> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_once(' '))
+        .map(|(name, kind)| (name.to_string(), kind.to_string()))
+        .collect()
 }
 
 #[test]
@@ -142,13 +160,19 @@ fn metrics_endpoint_serves_valid_prometheus_under_load() {
     // Poll mid-run until the server answers (it binds before the spout
     // starts, but this test must not race the bind).
     let mut polled = 0;
-    let mut saw_probes = false;
+    let mut scraped: Vec<(String, String)> = Vec::new();
+    let mut saw_hot_keys = false;
     for _ in 0..100 {
         if runner.is_finished() {
             break;
         }
         if let Some(text) = get("/metrics") {
             validate_prometheus(&text).expect("mid-run /metrics is valid Prometheus text");
+            for typed in typed_names(&text) {
+                if !scraped.contains(&typed) {
+                    scraped.push(typed);
+                }
+            }
             // The run may end between the two requests; only a server that
             // stops answering while the run is live is a failure. The server
             // is stopped a moment before `run_topology` returns, so give
@@ -164,9 +188,8 @@ fn metrics_endpoint_serves_valid_prometheus_under_load() {
             let snap = Json::parse(&snap).expect("mid-run /snapshot is valid JSON");
             assert!(u(&snap, "seq") >= 1, "on-demand snapshots allocate sequence numbers");
             // The very first poll can land before the first report tick
-            // fills the hub, so probe presence is asserted cumulatively.
-            saw_probes |=
-                snap.get("instances").and_then(Json::as_arr).is_some_and(|a| !a.is_empty());
+            // fills the hub, so presence is asserted cumulatively.
+            saw_hot_keys |= matches!(snap.get("hot_keys"), Some(Json::Obj(h)) if !h.is_empty());
             polled += 1;
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -174,7 +197,80 @@ fn metrics_endpoint_serves_valid_prometheus_under_load() {
     let report = runner.join().expect("topology run panicked");
     assert!(report.results_total > 0);
     assert!(polled > 0, "at least one successful mid-run /metrics + /snapshot poll");
-    assert!(saw_probes, "some mid-run snapshot carries instance probes");
+    assert!(saw_hot_keys, "some mid-run snapshot carries the instances' hot keys");
+
+    // Every name the live scrape exposed is a name of the finished
+    // registry, of the same kind.
+    let finished: Vec<(String, &str)> = report
+        .registry
+        .iter()
+        .filter_map(|(name, value)| {
+            let kind = match value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "summary",
+                MetricValue::Series(_) => return None, // never exposed
+            };
+            Some((prometheus_name(name), kind))
+        })
+        .collect();
+    for (name, kind) in &scraped {
+        assert!(
+            finished.iter().any(|(n, k)| n == name && k == kind),
+            "/metrics exposed {name} ({kind}), which the report's registry does not have"
+        );
+    }
+    // And the stage histograms and backpressure counters are among them:
+    // which layer is the bottleneck can be read while the run is alive.
+    for live in [
+        "fastjoin_dispatcher_stage_dispatch_us",
+        "fastjoin_inst_s0_stage_queue_wait_us",
+        "fastjoin_inst_s0_stage_probe_us",
+        "fastjoin_stage_emit_us",
+        "fastjoin_dispatcher_sends_parked",
+        "fastjoin_inst_r0_sends_parked",
+        "fastjoin_monitor_r_imbalance",
+    ] {
+        assert!(scraped.iter().any(|(n, _)| n == live), "{live} was not on /metrics mid-run");
+    }
+}
+
+/// `fjbench/src/phases.rs` selects registry entries by suffix — gauges
+/// ending in `.queue.depth` for `runtime.queue_depth_hwm`, counters ending
+/// in `sends_parked` for `runtime.sends_parked`, histograms ending in a
+/// `stage.*_us` name for the `runtime.stage_*_us_mean`s — so a new entry
+/// ending in one of them silently changes a benchmark number. With every
+/// instance fed (the histograms appear with their first sample) the
+/// selected sets are exactly these.
+#[test]
+fn report_entries_the_benchmark_selects_by_suffix_are_a_fixed_set() {
+    let report = run_topology(&base_cfg(), skewed_workload(6_000));
+    let n = base_cfg().fastjoin.instances_per_group;
+    let instances = || (0..2 * n).map(|i| format!("inst.{}{}", ["r", "s"][i / n], i % n));
+    let selected = |suffix: &str, kind: fn(&MetricValue) -> bool| -> Vec<String> {
+        let names = report.registry.iter().filter(|(name, v)| name.ends_with(suffix) && kind(v));
+        names.map(|(name, _)| name.to_string()).collect()
+    };
+    let sorted = |mut names: Vec<String>| {
+        names.sort();
+        names
+    };
+    let per_instance = |what: &str| instances().map(|i| format!("{i}.{what}")).collect::<Vec<_>>();
+    let is_gauge = |v: &MetricValue| matches!(v, MetricValue::Gauge(_));
+    let is_counter = |v: &MetricValue| matches!(v, MetricValue::Counter(_));
+    let is_histogram = |v: &MetricValue| matches!(v, MetricValue::Histogram(_));
+
+    assert_eq!(selected(".queue.depth", is_gauge), sorted(per_instance("queue.depth")));
+    let mut parked = per_instance("sends_parked");
+    parked.extend(["dispatcher.sends_parked".to_string(), "monitor.sends_parked".to_string()]);
+    assert_eq!(selected("sends_parked", is_counter), sorted(parked));
+    assert_eq!(selected("stage.dispatch_us", is_histogram), ["dispatcher.stage.dispatch_us"]);
+    assert_eq!(
+        selected("stage.queue_wait_us", is_histogram),
+        sorted(per_instance("stage.queue_wait_us"))
+    );
+    assert_eq!(selected("stage.probe_us", is_histogram), sorted(per_instance("stage.probe_us")));
+    assert_eq!(selected("stage.emit_us", is_histogram), ["stage.emit_us"]);
 }
 
 #[test]
