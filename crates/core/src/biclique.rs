@@ -158,7 +158,7 @@ impl JoinCluster {
         self.groups[group.index()].monitor.as_ref()
     }
 
-    /// The dispatcher (read access — routing state, dispatch counts).
+    /// The dispatcher (read access to the routing state).
     #[must_use]
     pub fn dispatcher(&self) -> &Dispatcher {
         &self.dispatcher

@@ -33,23 +33,12 @@ impl Default for Dispatch {
     }
 }
 
-/// Per-group dispatch counters (how many deliveries went to each instance),
-/// used by tests and load accounting.
-#[derive(Debug, Clone)]
-pub struct DispatchCounts {
-    /// Deliveries to each instance of the R-storing group.
-    pub r_group: Vec<u64>,
-    /// Deliveries to each instance of the S-storing group.
-    pub s_group: Vec<u64>,
-}
-
 /// The dispatcher: one partitioner per group plus the sequence counter.
 #[derive(Clone)]
 pub struct Dispatcher {
     /// Partitioners indexed by storing side (`Side::index`).
     parts: [Box<dyn Partitioner + Send>; 2],
     next_seq: Seq,
-    counts: DispatchCounts,
 }
 
 impl Dispatcher {
@@ -57,23 +46,13 @@ impl Dispatcher {
     /// (`[R-group, S-group]`).
     #[must_use]
     pub fn new(r_group: Box<dyn Partitioner + Send>, s_group: Box<dyn Partitioner + Send>) -> Self {
-        let counts = DispatchCounts {
-            r_group: vec![0; r_group.instances()],
-            s_group: vec![0; s_group.instances()],
-        };
-        Dispatcher { parts: [r_group, s_group], next_seq: 1, counts }
+        Dispatcher { parts: [r_group, s_group], next_seq: 1 }
     }
 
     /// The partitioner of the group storing `side`.
     #[must_use]
     pub fn partitioner(&self, side: Side) -> &(dyn Partitioner + Send) {
         self.parts[side.index()].as_ref() // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
-    }
-
-    /// Delivery counters so far.
-    #[must_use]
-    pub fn counts(&self) -> &DispatchCounts {
-        &self.counts
     }
 
     /// Routes one tuple, assigning its sequence number. The result is
@@ -98,19 +77,6 @@ impl Dispatcher {
         out.store_dest = self.parts[own.index()].store_route(tuple.key); // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
         self.parts[opp.index()].probe_route(tuple.key, &mut out.probe_dests); // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
         out.tuple = tuple;
-
-        let own_counts = match own {
-            Side::R => &mut self.counts.r_group,
-            Side::S => &mut self.counts.s_group,
-        };
-        own_counts[out.store_dest] += 1; // lint:allow(partitioner contract: store_route() < instances())
-        let opp_counts = match opp {
-            Side::R => &mut self.counts.r_group,
-            Side::S => &mut self.counts.s_group,
-        };
-        for &d in &out.probe_dests {
-            opp_counts[d] += 1; // lint:allow(partitioner contract: probe_route() yields < instances())
-        }
     }
 
     /// Convenience wrapper allocating a fresh [`Dispatch`].
@@ -124,16 +90,7 @@ impl Dispatcher {
     /// Grows the group storing `group_side` by `additional` instances.
     /// Returns `false` if the partitioner cannot grow online.
     pub fn grow(&mut self, group_side: Side, additional: usize) -> bool {
-        // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
-        if !self.parts[group_side.index()].grow(additional) {
-            return false;
-        }
-        let counts = match group_side {
-            Side::R => &mut self.counts.r_group,
-            Side::S => &mut self.counts.s_group,
-        };
-        counts.extend(std::iter::repeat_n(0, additional));
-        true
+        self.parts[group_side.index()].grow(additional) // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
     }
 
     /// Applies a routing update for the group storing `group_side`.
@@ -142,29 +99,6 @@ impl Dispatcher {
     /// `req.source`).
     pub fn apply_route(&mut self, group_side: Side, req: &RouteRequest) -> bool {
         self.parts[group_side.index()].apply_migration(&req.keys, req.target) // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
-    }
-
-    /// Stages a routing update for the group storing `group_side`: routes
-    /// flip immediately, but [`Dispatcher::revert_route`] can still roll
-    /// them back until [`Dispatcher::commit_route`] (or a later stage)
-    /// makes them permanent. Returns `true` if the partitioner supports
-    /// migration.
-    pub fn stage_route(&mut self, group_side: Side, req: &RouteRequest) -> bool {
-        // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
-        self.parts[group_side.index()].stage_migration(req.epoch, &req.keys, req.target)
-    }
-
-    /// Commits the staged routing update for `epoch` in the group storing
-    /// `group_side`. Returns whether a stage was committed.
-    pub fn commit_route(&mut self, group_side: Side, epoch: u64) -> bool {
-        self.parts[group_side.index()].commit_migration(epoch) // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
-    }
-
-    /// Rolls back the staged routing update for `epoch` in the group
-    /// storing `group_side`, restoring the last committed routes. Returns
-    /// whether anything was reverted.
-    pub fn revert_route(&mut self, group_side: Side, epoch: u64) -> bool {
-        self.parts[group_side.index()].revert_migration(epoch) // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
     }
 
     /// Monotonic routing version of the group storing `group_side`
@@ -177,7 +111,7 @@ impl Dispatcher {
     /// Captures the current routing state of both groups as an
     /// epoch-versioned [`RouteSnapshot`] (partitioner clones plus the
     /// per-group table versions). The control sequencer publishes these to
-    /// dispatcher shards after staging a route flip.
+    /// dispatcher shards after applying a route flip.
     #[must_use]
     pub fn route_snapshot(&self, epoch: u64) -> RouteSnapshot {
         RouteSnapshot {
@@ -188,14 +122,10 @@ impl Dispatcher {
     }
 
     /// Replaces this dispatcher's partitioners with a published snapshot's
-    /// clones (shard side of the snapshot protocol). Delivery counters are
-    /// resized if the snapshot saw a group grow; the sequence counter is
-    /// untouched (sharded dispatchers draw seqs externally anyway).
+    /// clones (shard side of the snapshot protocol). The sequence counter
+    /// is untouched (sharded dispatchers draw seqs externally anyway).
     pub fn install_routes(&mut self, snap: RouteSnapshot) {
-        let [r, s] = snap.parts;
-        self.counts.r_group.resize(r.instances().max(self.counts.r_group.len()), 0);
-        self.counts.s_group.resize(s.instances().max(self.counts.s_group.len()), 0);
-        self.parts = [r, s];
+        self.parts = snap.parts;
     }
 }
 
@@ -242,17 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_track_deliveries() {
-        let mut d = hash_dispatcher(4);
-        for k in 0..100 {
-            let _ = d.dispatch(Tuple::r(k, 0, 0));
-        }
-        let c = d.counts();
-        assert_eq!(c.r_group.iter().sum::<u64>(), 100, "100 stores in R group");
-        assert_eq!(c.s_group.iter().sum::<u64>(), 100, "100 probes in S group");
-    }
-
-    #[test]
     fn route_update_redirects_both_roles() {
         let mut d = hash_dispatcher(4);
         let key = 7;
@@ -274,11 +193,11 @@ mod tests {
     }
 
     #[test]
-    fn grow_extends_counts_and_routing() {
+    fn grow_extends_routing() {
         let mut d = hash_dispatcher(4);
         assert!(d.grow(Side::R, 2));
-        assert_eq!(d.counts().r_group.len(), 6);
-        assert_eq!(d.counts().s_group.len(), 4, "groups grow independently");
+        assert_eq!(d.partitioner(Side::R).instances(), 6);
+        assert_eq!(d.partitioner(Side::S).instances(), 4, "groups grow independently");
         // Routes stay in the home range until a migration targets 4 or 5.
         for k in 0..100 {
             assert!(d.dispatch(Tuple::r(k, 0, 0)).store_dest < 4);
@@ -287,26 +206,6 @@ mod tests {
             d.apply_route(Side::R, &RouteRequest { epoch: 1, keys: vec![7], target: 5, source: 0 });
         assert!(applied);
         assert_eq!(d.dispatch(Tuple::r(7, 0, 0)).store_dest, 5);
-    }
-
-    #[test]
-    fn staged_route_reverts_to_last_committed_table() {
-        let mut d = hash_dispatcher(4);
-        let key = 7;
-        let before = d.dispatch(Tuple::r(key, 0, 0));
-        let target = (before.store_dest + 1) % 4;
-        let req = RouteRequest { epoch: 3, keys: vec![key], target, source: before.store_dest };
-        let v0 = d.route_version(Side::R);
-        assert!(d.stage_route(Side::R, &req));
-        assert_eq!(d.dispatch(Tuple::r(key, 1, 0)).store_dest, target);
-        assert!(d.revert_route(Side::R, 3));
-        assert_eq!(d.dispatch(Tuple::r(key, 2, 0)).store_dest, before.store_dest);
-        assert!(d.route_version(Side::R) >= v0 + 2, "stage + revert bump the version twice");
-        // Committed stages are final.
-        assert!(d.stage_route(Side::R, &RouteRequest { epoch: 4, ..req.clone() }));
-        assert!(d.commit_route(Side::R, 4));
-        assert!(!d.revert_route(Side::R, 4));
-        assert_eq!(d.dispatch(Tuple::r(key, 3, 0)).store_dest, target);
     }
 
     #[test]
@@ -326,7 +225,7 @@ mod tests {
         let key = 7;
         let home = d.dispatch(Tuple::r(key, 0, 0)).store_dest;
         let target = (home + 1) % 4;
-        assert!(d.stage_route(
+        assert!(d.apply_route(
             Side::R,
             &RouteRequest { epoch: 1, keys: vec![key], target, source: home }
         ));
@@ -340,7 +239,10 @@ mod tests {
         assert_eq!(shard.dispatch(Tuple::r(key, 2, 0)).store_dest, target, "post-install");
         // Snapshots clone deeply: mutating the original does not leak into
         // an installed clone.
-        assert!(d.revert_route(Side::R, 1));
+        assert!(d.apply_route(
+            Side::R,
+            &RouteRequest { epoch: 2, keys: vec![key], target: home, source: target }
+        ));
         assert_eq!(d.dispatch(Tuple::r(key, 3, 0)).store_dest, home);
         assert_eq!(shard.dispatch(Tuple::r(key, 4, 0)).store_dest, target);
         assert!(format!("{snap:?}").contains("epoch"));

@@ -533,25 +533,7 @@ impl Monitor {
         self.decisions_recorded
     }
 
-    /// The highest epoch this monitor has allocated (0 = none yet).
-    /// A restarted monitor must be floored past this so epochs stay
-    /// strictly sequential across incarnations.
-    #[must_use]
-    pub fn last_allocated_epoch(&self) -> Epoch {
-        self.next_epoch - 1
-    }
-
-    /// Raises the epoch allocator to continue after `floor` (never lowers
-    /// it). Part of the restart seed: the fresh monitor's first round must
-    /// use `floor + 1`, or [`Monitor::on_migration_done`] for a pre-crash
-    /// round would collide with a newly allocated epoch.
-    pub fn set_epoch_floor(&mut self, floor: Epoch) {
-        self.next_epoch = self.next_epoch.max(floor + 1);
-    }
-
-    /// The in-flight round as `(epoch, source, target)`, if any — the part
-    /// of the restart seed that lets a fresh monitor adopt a round its dead
-    /// incarnation left open.
+    /// The in-flight round as `(epoch, source, target)`, if any.
     #[must_use]
     pub fn in_flight_round(&self) -> Option<(Epoch, usize, usize)> {
         let epoch = self.in_flight?;
@@ -559,66 +541,10 @@ impl Monitor {
         Some((epoch, span.source, span.target))
     }
 
-    /// Current per-instance loads, for seeding a restarted monitor.
+    /// Current per-instance loads.
     #[must_use]
     pub fn load_snapshot(&self) -> Vec<InstanceLoad> {
         (0..self.history.len()).map(|i| self.table.get(i)).collect()
-    }
-
-    /// Adopts a round left in flight by a dead incarnation: re-opens it at
-    /// time `now` with a freshly armed deadline (when the watchdog is on),
-    /// so the round either completes normally (`MigrationDone` accepted) or
-    /// times out into the existing abort path. Does **not** count a new
-    /// trigger — the dead incarnation already did, and its stats arrive via
-    /// [`Monitor::absorb_history`]. Call after [`Monitor::set_round_timeout`].
-    ///
-    /// # Panics
-    /// Panics if a round is already in flight.
-    pub fn restore_round(&mut self, epoch: Epoch, source: usize, target: usize, now: u64) {
-        assert!(self.in_flight.is_none(), "restore_round with a round already in flight"); // lint:allow(documented panic contract)
-        self.set_epoch_floor(epoch);
-        self.in_flight = Some(epoch);
-        self.deadline = (self.round_timeout > 0).then(|| now.saturating_add(self.round_timeout));
-        self.abort_state = AbortState::None;
-        self.open_span = Some(MigrationSpan {
-            epoch,
-            source,
-            target,
-            imbalance_at_trigger: self.table.imbalance(),
-            triggered_at: now,
-            completed_at: 0,
-            keys_moved: 0,
-            tuples_moved: 0,
-            effective: false,
-            route_flip_us: None,
-        });
-    }
-
-    /// Folds a dead incarnation's lifetime statistics, completed spans,
-    /// and decision-audit log into this monitor, so supervised restarts
-    /// don't erase the group's migration history from the final report.
-    pub fn absorb_history(
-        &mut self,
-        stats: MonitorStats,
-        spans: Vec<MigrationSpan>,
-        decisions: Vec<MigrationDecision>,
-    ) {
-        self.stats.triggered += stats.triggered;
-        self.stats.effective += stats.effective;
-        self.stats.abandoned += stats.abandoned;
-        self.stats.aborted += stats.aborted;
-        self.stats.tuples_moved += stats.tuples_moved;
-        self.stats.keys_moved += stats.keys_moved;
-        let mut prior = spans;
-        prior.append(&mut self.spans);
-        self.spans = prior;
-        self.decisions_recorded += decisions.len() as u64;
-        let mut prior = decisions;
-        prior.append(&mut self.decisions);
-        while prior.len() > DECISION_LOG_CAP {
-            prior.remove(0);
-        }
-        self.decisions = prior;
     }
 
     /// Records the completion (or abandonment) of the in-flight round.
@@ -801,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn decision_log_is_bounded_and_absorbed_across_restarts() {
+    fn decision_log_is_bounded() {
         let mut m = loaded_monitor();
         // Alternate heaviest/lightest so rejections never collapse.
         for i in 0..600u64 {
@@ -814,10 +740,6 @@ mod tests {
         }
         assert_eq!(m.decisions().len(), 512, "log bounded at the cap");
         assert_eq!(m.decisions_recorded(), 600, "lifetime count survives eviction");
-        let mut fresh = Monitor::new(4, 2.2, 100);
-        fresh.absorb_history(m.stats(), m.spans().to_vec(), m.decisions().to_vec());
-        assert_eq!(fresh.decisions().len(), 512);
-        assert_eq!(fresh.decisions_recorded(), 512, "absorbed entries count as recorded");
     }
 
     #[test]
@@ -1033,62 +955,6 @@ mod tests {
         let mut m = loaded_monitor();
         let _ = trigger_epoch(&mut m, 100);
         assert!(m.check_deadline(u64::MAX).is_none());
-    }
-
-    #[test]
-    fn restart_seed_round_trips_through_a_fresh_monitor() {
-        // The dead incarnation: one completed round, one in flight.
-        let mut old = loaded_monitor();
-        old.set_round_timeout(50);
-        let e1 = trigger_epoch(&mut old, 100);
-        old.on_migration_done(MigrationDone { epoch: e1, tuples_moved: 9, keys_moved: 2 }, 150);
-        let e2 = trigger_epoch(&mut old, 300);
-        assert_eq!(old.last_allocated_epoch(), e2);
-        let (epoch, source, target) = old.in_flight_round().expect("round open");
-        assert_eq!(epoch, e2);
-        let loads = old.load_snapshot();
-        assert_eq!(loads.len(), 4);
-        assert_eq!(loads[0], InstanceLoad::new(1000, 100));
-
-        // The fresh incarnation, rebuilt from the seed.
-        let mut fresh = Monitor::new(4, 2.2, 100);
-        fresh.set_round_timeout(50);
-        for (i, l) in loads.into_iter().enumerate() {
-            fresh.on_report(i, l);
-        }
-        fresh.absorb_history(old.stats(), old.spans().to_vec(), old.decisions().to_vec());
-        fresh.restore_round(epoch, source, target, 400);
-        assert!(fresh.migration_in_flight());
-        assert_eq!(fresh.stats().triggered, 2, "restore must not double-count the trigger");
-        // The adopted round completes normally…
-        fresh.on_migration_done(MigrationDone { epoch: e2, tuples_moved: 3, keys_moved: 1 }, 420);
-        assert_eq!(fresh.stats().effective, 2);
-        assert_eq!(fresh.spans().len(), 2, "prior spans absorbed ahead of the adopted round's");
-        assert_eq!(fresh.spans()[0].epoch, e1);
-        // …and the next allocation continues the sequence.
-        let e3 = trigger_epoch(&mut fresh, 600);
-        assert_eq!(e3, e2 + 1);
-    }
-
-    #[test]
-    fn restored_round_times_out_into_the_abort_path() {
-        let mut fresh = Monitor::new(4, 2.2, 100);
-        fresh.set_round_timeout(50);
-        fresh.restore_round(7, 0, 2, 400);
-        assert!(fresh.check_deadline(420).is_none(), "deadline re-armed at restore time");
-        let req = fresh.check_deadline(460).expect("adopted round overdue");
-        assert_eq!((req.epoch, req.source, req.target), (7, 0, 2));
-    }
-
-    #[test]
-    fn epoch_floor_never_lowers_the_allocator() {
-        let mut m = loaded_monitor();
-        m.set_epoch_floor(9);
-        let e = trigger_epoch(&mut m, 100);
-        assert_eq!(e, 10);
-        m.set_epoch_floor(3);
-        m.on_migration_done(MigrationDone { epoch: e, tuples_moved: 0, keys_moved: 0 }, 150);
-        assert_eq!(trigger_epoch(&mut m, 400), 11);
     }
 
     #[test]

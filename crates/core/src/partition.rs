@@ -28,28 +28,6 @@ pub trait Partitioner: ClonePartitioner {
     /// (baselines without dynamic load balancing).
     fn apply_migration(&mut self, keys: &[Key], target: usize) -> bool;
 
-    /// Stages epoch `epoch`'s migration: the new routes take effect
-    /// immediately but can still be rolled back with
-    /// [`Partitioner::revert_migration`] until committed. The default
-    /// (strategies with no rollback machinery) just applies directly.
-    fn stage_migration(&mut self, _epoch: u64, keys: &[Key], target: usize) -> bool {
-        self.apply_migration(keys, target)
-    }
-
-    /// Commits a previously staged migration. Returns `false` when there
-    /// is nothing to commit (also the default for strategies that apply
-    /// directly — their stages need no commit).
-    fn commit_migration(&mut self, _epoch: u64) -> bool {
-        false
-    }
-
-    /// Rolls back a previously staged migration, restoring the prior
-    /// routes. Returns `false` when nothing matching is staged (always,
-    /// for strategies without staging support).
-    fn revert_migration(&mut self, _epoch: u64) -> bool {
-        false
-    }
-
     /// Monotonic routing version, when the strategy tracks one (0 = not
     /// versioned).
     fn route_version(&self) -> u64 {
@@ -102,12 +80,6 @@ impl HashPartitioner {
     pub fn new(n: usize, salt: u64) -> Self {
         HashPartitioner { table: RoutingTable::new(n, salt) }
     }
-
-    /// Read access to the routing table.
-    #[must_use]
-    pub fn table(&self) -> &RoutingTable {
-        &self.table
-    }
 }
 
 impl Partitioner for HashPartitioner {
@@ -123,19 +95,6 @@ impl Partitioner for HashPartitioner {
     fn apply_migration(&mut self, keys: &[Key], target: usize) -> bool {
         self.table.apply_migration(keys, target);
         true
-    }
-
-    fn stage_migration(&mut self, epoch: u64, keys: &[Key], target: usize) -> bool {
-        self.table.stage_migration(epoch, keys, target);
-        true
-    }
-
-    fn commit_migration(&mut self, epoch: u64) -> bool {
-        self.table.commit_staged(epoch)
-    }
-
-    fn revert_migration(&mut self, epoch: u64) -> bool {
-        self.table.revert_staged(epoch)
     }
 
     fn route_version(&self) -> u64 {
@@ -195,25 +154,6 @@ mod tests {
             p.probe_route(key, &mut probes);
             assert!(probes[0] < 4, "unmigrated keys stay on home instances");
         }
-    }
-
-    #[test]
-    fn staged_migration_can_be_reverted() {
-        let mut p = HashPartitioner::new(8, 0);
-        let key = 42;
-        let home = p.store_route(key);
-        let target = (home + 3) % 8;
-        let v0 = p.route_version();
-        assert!(p.stage_migration(5, &[key], target));
-        assert_eq!(p.store_route(key), target);
-        assert!(p.revert_migration(5));
-        assert_eq!(p.store_route(key), home);
-        assert!(p.route_version() > v0 + 1, "stage and revert each bump the version");
-        // Commit path: a committed stage cannot revert.
-        assert!(p.stage_migration(6, &[key], target));
-        assert!(p.commit_migration(6));
-        assert!(!p.revert_migration(6));
-        assert_eq!(p.store_route(key), target);
     }
 
     #[test]

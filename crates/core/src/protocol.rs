@@ -297,7 +297,8 @@ pub struct MigrationDone {
 /// ([`crate::sequencer::Sequencer`]) — the serialization point for routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DispatcherMsg {
-    /// A routing update from a migration target.
+    /// A routing update from a migration target: applied once, or dropped
+    /// when the round's abort got there first.
     Route {
         /// Which group's table to update (0 = R, 1 = S).
         group: usize,
@@ -315,14 +316,6 @@ pub enum DispatcherMsg {
         epoch: Epoch,
         /// The round's source instance (receives `MigAbort` on acceptance).
         source: usize,
-    },
-    /// Monitor notification: round `epoch` of `group` closed normally, so
-    /// the routing-table entries it staged are now permanent.
-    Commit {
-        /// Which group's table to commit (0 = R, 1 = S).
-        group: usize,
-        /// The completed migration round.
-        epoch: Epoch,
     },
 }
 

@@ -24,9 +24,8 @@ use crate::tuple::Key;
 /// keeps per-channel FIFO meaningful when routing changes mid-stream.
 pub struct RouteSnapshot {
     /// Publication epoch: strictly increasing across publications, one
-    /// per route flip the sequencer stages. Independent of the per-group
-    /// table versions below (aborted rounds bump versions twice without
-    /// a publication).
+    /// per route flip the sequencer applies, in either group. The
+    /// per-group table versions below count only that group's flips.
     pub epoch: u64,
     /// The per-group routing-table versions captured at snapshot time
     /// (`[R-storing, S-storing]`), for tracing and debugging.
@@ -58,16 +57,6 @@ impl std::fmt::Debug for RouteSnapshot {
     }
 }
 
-/// The override values a staged migration replaced, kept so the stage can
-/// be reverted if the round aborts before its route flip is acknowledged.
-#[derive(Debug, Clone)]
-struct StagedMigration {
-    /// Migration epoch the stage belongs to.
-    epoch: u64,
-    /// Prior override per staged key (`None` = key had no override).
-    prior: Vec<(Key, Option<usize>)>,
-}
-
 /// Routing table of one join group: default hash placement plus the
 /// override map for migrated keys.
 #[derive(Debug, Clone)]
@@ -80,12 +69,8 @@ pub struct RoutingTable {
     /// Salt so the two groups don't co-locate the same hot keys.
     salt: u64,
     overrides: HashMap<Key, usize>,
-    /// Monotonic table version, bumped on every visible routing change
-    /// (stage and revert alike — a rollback is a *new* version, never a
-    /// reuse of an old number).
+    /// Monotonic table version, bumped by every applied migration.
     version: u64,
-    /// The one migration staged but not yet committed, if any.
-    staged: Option<StagedMigration>,
 }
 
 impl RoutingTable {
@@ -96,14 +81,7 @@ impl RoutingTable {
     #[must_use]
     pub fn new(n: usize, salt: u64) -> Self {
         assert!(n > 0, "a join group needs at least one instance"); // lint:allow(constructor argument validation)
-        RoutingTable {
-            instances: n,
-            home: n,
-            salt,
-            overrides: HashMap::new(),
-            version: 1,
-            staged: None,
-        }
+        RoutingTable { instances: n, home: n, salt, overrides: HashMap::new(), version: 1 }
     }
 
     /// Adds `additional` instances to the group. Hash placement keeps
@@ -139,94 +117,26 @@ impl RoutingTable {
         partition_salted(key, self.salt, self.home)
     }
 
-    /// Records that `keys` now live on `target`. Overrides that would be
-    /// identical to the hash placement are stored anyway: a later migration
-    /// away and back must not be distinguishable from never migrating.
-    ///
-    /// Equivalent to staging the migration and committing it immediately —
-    /// callers that may need to roll back should use
-    /// [`RoutingTable::stage_migration`] instead.
+    /// Records that `keys` now live on `target` and bumps the table
+    /// version. Overrides that would be identical to the hash placement
+    /// are stored anyway: a later migration away and back must not be
+    /// distinguishable from never migrating.
     ///
     /// # Panics
     /// Panics if `target` is out of range.
     pub fn apply_migration(&mut self, keys: &[Key], target: usize) {
-        self.stage_migration(0, keys, target);
-        self.commit_staged(0);
-    }
-
-    /// Stages epoch `epoch`'s migration of `keys` to `target`: the routes
-    /// become visible immediately (the dispatcher flips traffic the moment
-    /// it applies a route request), but the prior placements are retained
-    /// so [`RoutingTable::revert_staged`] can undo the flip if the round
-    /// aborts. Any previously staged migration is auto-committed first —
-    /// the monitor serialises rounds, so a new stage proves the previous
-    /// round got past its point of no return.
-    ///
-    /// Bumps the table version.
-    ///
-    /// # Panics
-    /// Panics if `target` is out of range.
-    pub fn stage_migration(&mut self, epoch: u64, keys: &[Key], target: usize) {
         assert!(target < self.instances, "migration target {target} out of range"); // lint:allow(documented panic contract: target must be in range)
-        self.staged = None; // auto-commit whatever was staged before
-        let mut prior = Vec::with_capacity(keys.len());
         for &k in keys {
-            prior.push((k, self.overrides.insert(k, target)));
+            self.overrides.insert(k, target);
         }
-        self.staged = Some(StagedMigration { epoch, prior });
         self.version += 1;
     }
 
-    /// Commits the staged migration for `epoch`, making it permanent. A
-    /// no-op when nothing is staged or the staged epoch differs (a later
-    /// stage already auto-committed it). Returns whether a stage was
-    /// committed. The version does not change: the routes were already
-    /// visible from the stage.
-    pub fn commit_staged(&mut self, epoch: u64) -> bool {
-        match &self.staged {
-            Some(s) if s.epoch == epoch => {
-                self.staged = None;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Reverts the staged migration for `epoch`, restoring every key's
-    /// prior placement and bumping the version again — the rollback is a
-    /// new table state, so version numbers stay strictly monotonic.
-    /// Returns `false` (leaving the table untouched) when nothing matching
-    /// is staged.
-    pub fn revert_staged(&mut self, epoch: u64) -> bool {
-        match self.staged.take() {
-            Some(s) if s.epoch == epoch => {
-                for (k, prior) in s.prior.into_iter().rev() {
-                    match prior {
-                        Some(dest) => self.overrides.insert(k, dest),
-                        None => self.overrides.remove(&k),
-                    };
-                }
-                self.version += 1;
-                true
-            }
-            other => {
-                self.staged = other;
-                false
-            }
-        }
-    }
-
-    /// Monotonic table version. Starts at 1; every stage and every revert
-    /// bumps it.
+    /// Monotonic table version. Starts at 1; every applied migration bumps
+    /// it by one.
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Whether a staged (uncommitted) migration is pending.
-    #[must_use]
-    pub fn has_staged(&self) -> bool {
-        self.staged.is_some()
     }
 
     /// Number of keys currently routed away from their hash placement
@@ -236,19 +146,6 @@ impl RoutingTable {
     #[must_use]
     pub fn override_count(&self) -> usize {
         self.overrides.len()
-    }
-
-    /// Iterates over `(key, instance)` overrides.
-    pub fn overrides(&self) -> impl Iterator<Item = (Key, usize)> + '_ {
-        self.overrides.iter().map(|(k, i)| (*k, *i))
-    }
-
-    /// Drops overrides that match the default placement again (periodic
-    /// compaction; routing results are unchanged).
-    pub fn compact(&mut self) {
-        let home = self.home;
-        let salt = self.salt;
-        self.overrides.retain(|&k, &mut i| partition_salted(k, salt, home) != i);
     }
 }
 
@@ -283,20 +180,11 @@ mod tests {
         t.apply_migration(&[7], 1);
         t.apply_migration(&[7], 3);
         assert_eq!(t.route(7), 3);
+        // Migrated back home: still one override, routing to home.
+        let home = t.default_route(7);
+        t.apply_migration(&[7], home);
+        assert_eq!(t.route(7), home);
         assert_eq!(t.override_count(), 1);
-    }
-
-    #[test]
-    fn compact_removes_round_trips() {
-        let mut t = RoutingTable::new(4, 0);
-        let k = 5;
-        let home = t.default_route(k);
-        t.apply_migration(&[k], (home + 1) % 4);
-        t.apply_migration(&[k], home); // migrated back
-        assert_eq!(t.override_count(), 1);
-        t.compact();
-        assert_eq!(t.override_count(), 0);
-        assert_eq!(t.route(k), home);
     }
 
     #[test]
@@ -321,66 +209,13 @@ mod tests {
     }
 
     #[test]
-    fn stage_flips_routes_and_revert_restores_them() {
+    fn every_apply_bumps_the_version_by_one() {
         let mut t = RoutingTable::new(4, 0);
-        let k = 42;
-        let home = t.default_route(k);
-        let target = (home + 1) % 4;
-        let v0 = t.version();
-        t.stage_migration(7, &[k], target);
-        assert_eq!(t.route(k), target, "staged routes are live immediately");
-        assert!(t.has_staged());
-        assert_eq!(t.version(), v0 + 1);
-        assert!(t.revert_staged(7));
-        assert_eq!(t.route(k), home, "revert restores the prior placement");
-        assert_eq!(t.override_count(), 0);
-        assert!(!t.has_staged());
-        assert_eq!(t.version(), v0 + 2, "a revert is a new version, not a reuse");
-    }
-
-    #[test]
-    fn revert_restores_prior_override_not_just_default() {
-        let mut t = RoutingTable::new(4, 0);
-        t.apply_migration(&[9], 2);
-        t.stage_migration(3, &[9], 1);
-        assert_eq!(t.route(9), 1);
-        assert!(t.revert_staged(3));
-        assert_eq!(t.route(9), 2, "revert must restore the previous override");
-    }
-
-    #[test]
-    fn commit_makes_the_stage_permanent() {
-        let mut t = RoutingTable::new(4, 0);
-        let target = (t.default_route(5) + 1) % 4;
-        t.stage_migration(1, &[5], target);
-        assert!(t.commit_staged(1));
-        assert!(!t.has_staged());
-        assert!(!t.revert_staged(1), "committed rounds can no longer revert");
-        assert_eq!(t.route(5), target);
-    }
-
-    #[test]
-    fn mismatched_epoch_neither_commits_nor_reverts() {
-        let mut t = RoutingTable::new(4, 0);
-        let target = (t.default_route(5) + 1) % 4;
-        t.stage_migration(2, &[5], target);
-        assert!(!t.commit_staged(9));
-        assert!(!t.revert_staged(9));
-        assert!(t.has_staged(), "the stage must survive mismatched epochs");
-        assert_eq!(t.route(5), target);
-    }
-
-    #[test]
-    fn new_stage_auto_commits_the_previous_one() {
-        let mut t = RoutingTable::new(4, 0);
-        let a = (t.default_route(5) + 1) % 4;
-        let b = (t.default_route(6) + 1) % 4;
-        t.stage_migration(1, &[5], a);
-        t.stage_migration(2, &[6], b);
-        assert!(!t.revert_staged(1), "epoch 1 was auto-committed by the later stage");
-        assert_eq!(t.route(5), a);
-        assert!(t.revert_staged(2));
-        assert_eq!(t.route(6), t.default_route(6));
+        assert_eq!(t.version(), 1);
+        for (i, keys) in [&[1u64][..], &[], &[2, 3], &[1]].into_iter().enumerate() {
+            t.apply_migration(keys, 2);
+            assert_eq!(t.version(), i as u64 + 2, "apply #{} bumps by exactly one", i + 1);
+        }
     }
 
     #[test]

@@ -1,26 +1,33 @@
 //! The dispatcher stage's control sequencer as a pure transition: the
-//! authoritative routing table, route / abort / commit, and the
-//! publication barrier as *state*.
+//! authoritative routing table, route / abort, and the publication barrier
+//! as *state*.
 //!
-//! A [`Sequencer`] serializes every route flip, abort and commit of both
-//! groups and never touches data. Like [`crate::shard::Shard`] it has no
-//! channel, clock or thread: inputs ([`Sequencer::ctrl`],
-//! [`Sequencer::note`], [`Sequencer::shard_gone`], [`Sequencer::restart`])
-//! append to a caller-owned ordered sequence of [`SeqOut`]s that the
-//! embedding shell performs in order.
+//! A [`Sequencer`] serializes every route flip and abort of both groups
+//! and never touches data. Like [`crate::shard::Shard`] it has no channel,
+//! clock or thread: inputs ([`Sequencer::ctrl`], [`Sequencer::note`],
+//! [`Sequencer::shard_gone`], [`Sequencer::restart`]) append to a
+//! caller-owned ordered sequence of [`SeqOut`]s that the embedding shell
+//! performs in order.
 //!
-//! A flip stages the route, publishes the post-stage table to every shard
-//! and opens a barrier; the source's `RouteUpdated` is emitted by —
-//! and only by — the transition that records the last missing
-//! acknowledgement. A shard acknowledges only behind the flushes of
-//! everything it routed under older snapshots, so by then all data any
-//! shard routed under the old table is already in the instances' inboxes
-//! and `RouteUpdated` cannot overtake an old-routed tuple. While a barrier
-//! is open the sequencer takes notes only ([`Sequencer::wants_ctrl`]).
+//! Of a round's `Route` and `Abort`, the first to arrive wins. A `Route`
+//! is applied to the table once — there is nothing to commit or undo
+//! later — and an `Abort` after it is refused (the round must finish
+//! forward). An accepted `Abort` sends the source `MigAbort`, and a
+//! `Route` after it is dropped: the table never sees the round.
+//!
+//! An applied flip publishes the new table to every shard and opens a
+//! barrier; the source's `RouteUpdated` is emitted by — and only by — the
+//! transition that records the last missing acknowledgement. A shard
+//! acknowledges only behind the flushes of everything it routed under
+//! older snapshots, so by then all data any shard routed under the old
+//! table is already in the instances' inboxes and `RouteUpdated` cannot
+//! overtake an old-routed tuple. While a barrier is open the sequencer
+//! takes notes only ([`Sequencer::wants_ctrl`]).
 //!
 //! (The simulator keeps its own `routed_epochs` / `aborted_epochs` arms in
-//! `crates/sim/src/driver.rs`: its links have latency, so its tombstones
-//! must outlive `Commit` where these need not.)
+//! `crates/sim/src/driver.rs`: its links have latency but its monitor's
+//! verdicts do not, so a round's late `Route` can land after the next
+//! round's abort, and one slot per group would have forgotten it.)
 
 use std::collections::VecDeque;
 
@@ -62,18 +69,15 @@ pub struct SeqEvent {
 /// The kinds of [`SeqEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Did {
-    /// A `Route` was staged, and is being published (`aux` = the group's
-    /// route version now, `aux2` = group).
-    Staged,
-    /// A `Route` was staged and rolled back at once — the round's abort
-    /// had won, the source already got `MigAbort`, nothing is published
-    /// (`aux` = route version, bumped twice; `aux2` = group).
-    Reverted,
+    /// A `Route` was applied, and is being published (`aux` = the group's
+    /// route version after it, `aux2` = group).
+    Applied,
+    /// A `Route` was dropped: the round's abort had won, the source
+    /// already got `MigAbort`, and the table is untouched (`aux2` =
+    /// group).
+    Dropped,
     /// An abort was accepted (`aux` = the round's source, `aux2` = group).
     AbortAccepted,
-    /// A round's staged routes were made permanent (`aux` = route version,
-    /// `aux2` = group).
-    Committed,
     /// The current publication was re-sent to shard `aux` — in answer to
     /// its `Restarted` note (`aux2` = the fence it reported), or to every
     /// shard after a sequencer restart (`aux2` = 0).
@@ -121,17 +125,25 @@ pub enum SeqOut {
     Event(SeqEvent),
 }
 
+/// Which of a round's `Route` and `Abort` reached the sequencer first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Won {
+    /// The flip was applied: an abort of the round is refused.
+    Route(Epoch),
+    /// The abort was accepted: the round's late `Route` is dropped.
+    Abort(Epoch),
+}
+
 /// The control sequencer. The struct is what survives a crash of the
 /// thread driving it: a sequencer crash loses the thread, never the
 /// table, the publication epoch or an open barrier.
 #[derive(Debug, Clone)]
 pub struct Sequencer {
     dispatcher: Dispatcher,
-    /// Rounds whose flip was applied (abort refused from then on) and
-    /// rounds whose abort won (their late `Route` is reverted), per group.
-    /// Entries retire when the monitor's `Commit` closes the round.
-    routed: [Vec<Epoch>; 2],
-    aborted: [Vec<Epoch>; 2],
+    /// Per group, who won its latest round. One slot is enough: a group's
+    /// monitor runs one round at a time and epochs only grow, so every
+    /// `Route` / `Abort` of round `e` arrives before any of round `e + 1`.
+    last: [Option<Won>; 2],
     /// Last published epoch; publication epochs start at 1.
     epoch: u64,
     barrier: Option<Barrier>,
@@ -154,8 +166,7 @@ impl Sequencer {
     pub fn new(dispatcher: Dispatcher, shards: usize) -> Self {
         Sequencer {
             dispatcher,
-            routed: [Vec::new(), Vec::new()],
-            aborted: [Vec::new(), Vec::new()],
+            last: [None, None],
             epoch: 0,
             barrier: None,
             eos_shards: vec![false; shards],
@@ -177,55 +188,37 @@ impl Sequencer {
         debug_assert!(self.wants_ctrl(), "control served inside a publication barrier");
         match msg {
             DispatcherMsg::Route { group, req } => {
+                let last = &mut self.last[group]; // lint:allow(group is 0 or 1: monitors and targets send their own group id)
+                if *last == Some(Won::Abort(req.epoch)) {
+                    out.push_back(event(Did::Dropped, req.epoch, 0, group as u64));
+                    return;
+                }
+                *last = Some(Won::Route(req.epoch));
                 let side = if group == 0 { Side::R } else { Side::S };
-                let ok = self.dispatcher.stage_route(side, &req);
+                let ok = self.dispatcher.apply_route(side, &req);
                 assert!(ok, "route update on non-migratable partitioner"); // lint:allow(config contract: dynamic mode implies a migratable partitioner)
-                let reverted = self.aborted[group].contains(&req.epoch); // lint:allow(group is 0 or 1: monitors and targets send their own group id)
-                if reverted {
-                    // Stage-and-revert leaves the table at its last
-                    // committed contents.
-                    let undone = self.dispatcher.revert_route(side, req.epoch);
-                    debug_assert!(undone);
-                } else {
-                    self.routed[group].push(req.epoch); // lint:allow(group is 0 or 1: monitors and targets send their own group id)
-                }
-                let did = if reverted { Did::Reverted } else { Did::Staged };
                 let version = self.dispatcher.route_version(side);
-                out.push_back(event(did, req.epoch, version, group as u64));
-                if !reverted {
-                    self.open_barrier((group, req.source, req.epoch), out);
-                }
+                out.push_back(event(Did::Applied, req.epoch, version, group as u64));
+                self.open_barrier((group, req.source, req.epoch), out);
             }
             DispatcherMsg::Abort { group, epoch, source } => {
-                let accept = !self.routed[group].contains(&epoch); // lint:allow(group is 0 or 1: the monitor sends its own group id)
+                let last = &mut self.last[group]; // lint:allow(group is 0 or 1: the monitor sends its own group id)
+                let accept = *last != Some(Won::Route(epoch));
                 out.push_back(SeqOut::ToMonitor { group, epoch, aborted: accept });
                 if accept {
-                    let aborted = &mut self.aborted[group]; // lint:allow(group is 0 or 1: the monitor sends its own group id)
-                    if !aborted.contains(&epoch) {
-                        aborted.push(epoch);
-                    }
+                    *last = Some(Won::Abort(epoch));
                     out.push_back(event(Did::AbortAccepted, epoch, source as u64, group as u64));
-                    // An abort leaves the committed table unchanged, so
-                    // there is nothing to publish.
+                    // The table never saw the round: nothing to publish.
                     let msg = InstanceMsg::MigAbort { epoch };
                     out.push_back(SeqOut::ToInstance { group, dest: source, msg });
                 }
             }
-            DispatcherMsg::Commit { group, epoch } => {
-                let side = if group == 0 { Side::R } else { Side::S };
-                if self.dispatcher.commit_route(side, epoch) {
-                    let version = self.dispatcher.route_version(side);
-                    out.push_back(event(Did::Committed, epoch, version, group as u64));
-                }
-                self.routed[group].retain(|e| *e != epoch); // lint:allow(group is 0 or 1: the monitor sends its own group id)
-                self.aborted[group].retain(|e| *e != epoch); // lint:allow(group is 0 or 1: the monitor sends its own group id)
-            }
         }
     }
 
-    /// Publishes the post-stage table to every live shard and opens the
-    /// barrier that withholds `release`'s `RouteUpdated`. Post-EOS shards
-    /// still install and ack (nothing is pending there).
+    /// Publishes the table to every live shard and opens the barrier that
+    /// withholds `release`'s `RouteUpdated`. Post-EOS shards still install
+    /// and ack (nothing is pending there).
     fn open_barrier(&mut self, release: (usize, usize, Epoch), out: &mut VecDeque<SeqOut>) {
         self.epoch += 1;
         let snapshot = self.dispatcher.route_snapshot(self.epoch);
@@ -410,7 +403,7 @@ mod tests {
 
         assert_eq!(
             rig.route(5, &[k_a]),
-            ["Staged 5: 2 0", "publish 1 -> shard0", "publish 1 -> shard1"]
+            ["Applied 5: 2 0", "publish 1 -> shard0", "publish 1 -> shard1"]
         );
         assert!(!rig.seq.wants_ctrl(), "nothing leaves before the acks");
         // Shard 0 (nothing pending) installs and acks: still withheld.
@@ -506,21 +499,23 @@ mod tests {
     fn an_abort_wins_before_the_route_and_loses_after_it() {
         let mut rig = Rig::new(1);
         let abort = |epoch| DispatcherMsg::Abort { group: 0, epoch, source: 0 };
-        let commit = |epoch| DispatcherMsg::Commit { group: 0, epoch };
         // Round 1: the abort reaches the serialization point first; the
-        // verdict precedes the MigAbort it causes.
+        // verdict precedes the MigAbort it causes, and the late route is
+        // dropped without touching the table.
         assert_eq!(
             rig.ctrl(abort(1)),
             ["verdict 1: true", "AbortAccepted 1: 0 0", "MigAbort { epoch: 1 } -> inst0.0"]
         );
-        assert_eq!(rig.route(1, &[7]), ["Reverted 1: 3 0"], "version 1, bumped twice");
-        assert!(rig.seq.wants_ctrl(), "a reverted stage publishes nothing");
-        assert!(rig.ctrl(commit(1)).is_empty(), "nothing was left staged to commit");
+        assert_eq!(rig.route(1, &[7]), ["Dropped 1: 0 0"]);
+        assert!(rig.seq.wants_ctrl(), "a dropped route publishes nothing");
+        assert_eq!(rig.seq.dispatcher.route_version(Side::R), 1, "the table is untouched");
         // Round 2: the route is applied first, so the abort is refused.
-        assert_eq!(rig.route(2, &[7]), ["Staged 2: 4 0", "publish 1 -> shard0"]);
+        assert_eq!(rig.route(2, &[7]), ["Applied 2: 2 0", "publish 1 -> shard0"]);
         assert_eq!(rig.note(live(0, 1)), [updated(2)]);
         assert_eq!(rig.ctrl(abort(2)), ["verdict 2: false"]);
-        assert!(rig.ctrl(commit(2))[0].starts_with("Committed 2: "));
+        // The other group's rounds are its own.
+        let abort_s = DispatcherMsg::Abort { group: 1, epoch: 2, source: 0 };
+        assert_eq!(rig.ctrl(abort_s)[0], "verdict 2: true");
     }
 
     #[test]

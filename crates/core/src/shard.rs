@@ -364,7 +364,7 @@ mod tests {
     fn flipped(epoch: u64, key: u64) -> RouteSnapshot {
         let mut table = table(2);
         let req = RouteRequest { epoch, keys: vec![key], target: 1, source: 0 };
-        assert!(table.stage_route(Side::R, &req));
+        assert!(table.apply_route(Side::R, &req));
         table.route_snapshot(epoch)
     }
 

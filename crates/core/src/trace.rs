@@ -19,9 +19,10 @@
 //!   every phase of one round (`MigTrigger` → `MigCmd` → `MigStart` →
 //!   `RouteUpdated` → `MigForward` → `MigEnd`/`MigAbort`/`MigReturn` →
 //!   `MigDone`/`AbortOutcome`);
-//! * the routing `epoch` doubles as the route-version correlator: the
-//!   dispatcher journals `RouteStaged`/`RouteUpdated` with the same id the
-//!   instances see, so a journal reader can check flips are monotone.
+//! * the route version: the dispatcher journals each applied flip as
+//!   `RouteStaged` under the round's `epoch` (the id the instances see)
+//!   with its group's route version after the flip, so a journal reader
+//!   can check flips are strictly monotone per group.
 
 use lintmarks::lint;
 
@@ -138,16 +139,15 @@ pub enum TraceKind {
     MigStart,
     /// Target received the store payload; `aux` = tuples installed.
     MigStore,
-    /// Dispatcher staged the routing update for round `epoch`;
-    /// `aux` = current route version, `aux2` = group whose table was
-    /// staged (round ids are only unique per group). A stage that was
-    /// immediately reverted (the abort won the race) is recognizable by
-    /// the dispatcher `MigAbort` event journaled for the same round.
+    /// Dispatcher applied the routing update for round `epoch`;
+    /// `aux` = the group's route version after it (every applied flip
+    /// bumps it by one), `aux2` = group whose table changed (round ids are
+    /// only unique per group). A `Route` that arrives after the round's
+    /// abort won is dropped and journals nothing: such a round shows the
+    /// dispatcher `MigAbort` and no `RouteStaged`.
     RouteStaged,
-    /// Route flip confirmed: the dispatcher committed (actor = dispatcher,
-    /// `aux` = route version after commit, `aux2` = group) or the source
-    /// observed `RouteUpdated` (actor = instance, `aux` = buffered tuples
-    /// flushed to the target).
+    /// The source observed `RouteUpdated` (actor = instance, `aux` =
+    /// buffered tuples flushed to the target).
     RouteUpdated,
     /// Target received forwarded in-flight tuples; `aux` = count.
     MigForward,
@@ -176,11 +176,12 @@ pub enum TraceKind {
     /// A dispatcher shard was respawned by its supervisor; `aux` = shard
     /// index, `aux2` = its epoch fence at restart.
     ShardRestart,
-    /// The group's monitor died; routing freezes at the last committed
-    /// table until it recovers. `aux` = restart count so far.
+    /// The group's monitor died; no round starts until it recovers.
+    /// `aux` = restart count so far.
     MonitorDown,
-    /// The group's monitor recovered from its load-stats seed; migrations
-    /// may resume. `aux` = milliseconds spent degraded.
+    /// The group's monitor resumed after its back-off with its state
+    /// intact (in-flight round, load table, epochs); migrations may
+    /// resume. `aux` = milliseconds spent degraded.
     MonitorUp,
     /// The sequencer re-published its current snapshot (epoch in `epoch`)
     /// to a restarted shard; `aux` = the target shard.

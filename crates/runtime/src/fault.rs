@@ -54,8 +54,8 @@ pub enum CrashPhase {
         after_msgs: u64,
     },
     /// Control plane: the sequencer crashes immediately before processing
-    /// its `at_publish`-th `Route` request — i.e. before staging the route
-    /// and opening the publication barrier. The supervisor restarts it,
+    /// its `at_publish`-th `Route` request — i.e. before applying the
+    /// route and opening the publication barrier. The supervisor restarts it,
     /// re-publishes the current snapshot, and replays the in-flight
     /// message. Ignored by instance executors.
     SequencerBarrier {
@@ -74,10 +74,11 @@ pub enum CrashPhase {
     },
     /// Control plane: the monitor of group `CrashFault::group` crashes
     /// immediately after sending its `at_round`-th `MigrateCmd` — a round
-    /// is in flight with nobody watching its deadline. The supervisor
-    /// reseeds a fresh monitor from the survivor's harvested state (or the
-    /// run degrades to frozen routing when restarts are exhausted).
-    /// Ignored by instance executors.
+    /// is in flight with nobody watching its deadline, and the tick's
+    /// decision is not journaled yet. The supervisor restarts the executor
+    /// with its `Monitor` kept, round and deadline included (or, restarts
+    /// exhausted, aborts the round and the run degrades to frozen
+    /// routing). Ignored by instance executors.
     MonitorMidRound {
         /// 1-based index of the triggered round to die after.
         at_round: u64,

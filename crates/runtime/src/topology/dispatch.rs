@@ -1,17 +1,18 @@
 //! The dispatcher stage's shell: N data-plane [`Shard`] threads routing
 //! disjoint key ranges under published snapshots, and one control
-//! [`Sequencer`] thread that serializes every route flip, abort and
-//! commit. `dispatcher_shards = 1` is simply N = 1.
+//! [`Sequencer`] thread that serializes every route flip and abort.
+//! `dispatcher_shards = 1` is simply N = 1.
 //!
 //! What the stage *decides* — batching, flush-before-install, the epoch
-//! fence, the publication barrier, abort / revert / commit — lives in
-//! `fastjoin_core::{shard, sequencer}` as pure transitions that the model
-//! checker drives too (`cargo xtask check-protocol`). Each hands back an
-//! ordered sequence of outputs; this file performs them **in that order**
-//! (the order is the protocol) and keeps only what is imperative: the
-//! receive loops and their priorities, heartbeats and parked sends, fault
-//! switches and the parked control message, the `stage.dispatch_us`
-//! attribution, counters, the trace journal and the end-of-run report.
+//! fence, the publication barrier, which of a round's route and abort
+//! wins — lives in `fastjoin_core::{shard, sequencer}` as pure transitions
+//! that the model checker drives too (`cargo xtask check-protocol`). Each
+//! hands back an ordered sequence of outputs; this file performs them **in
+//! that order** (the order is the protocol) and keeps only what is
+//! imperative: the receive loops and their priorities, heartbeats and
+//! parked sends, fault switches and the parked control message, the
+//! `stage.dispatch_us` attribution, counters, the trace journal and the
+//! end-of-run report.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -355,21 +356,23 @@ impl Sequencer {
         self.stale = false;
     }
 
-    /// Journals and counts one thing the sequencer did.
+    /// Counts one thing the sequencer did, and journals what changed
+    /// routing or a round (a dropped `Route` changed neither).
     fn record(&mut self, e: SeqEvent) {
         let (counter, kind) = match e.did {
-            Did::Staged => ("route_updates", TraceKind::RouteStaged),
-            Did::Reverted => ("route_reverts", TraceKind::RouteStaged),
-            Did::AbortAccepted => ("migration_aborts", TraceKind::MigAbort),
-            Did::Committed => ("route_commits", TraceKind::RouteUpdated),
-            Did::Republished => ("snapshot_republishes", TraceKind::SnapshotRepublish),
+            Did::Applied => ("route_updates", Some(TraceKind::RouteStaged)),
+            Did::Dropped => ("routes_dropped", None),
+            Did::AbortAccepted => ("migration_aborts", Some(TraceKind::MigAbort)),
+            Did::Republished => ("snapshot_republishes", Some(TraceKind::SnapshotRepublish)),
         };
-        if e.did == Did::Staged {
-            // A stage that stands is published, once, at once.
+        if e.did == Did::Applied {
+            // An applied flip is published, once, at once.
             self.reg.counter_add("route_publishes", 1);
         }
         self.reg.counter_add(counter, 1);
-        self.ring.push(control_event(&self.pulse, kind, e.epoch, e.aux, e.aux2));
+        if let Some(kind) = kind {
+            self.ring.push(control_event(&self.pulse, kind, e.epoch, e.aux, e.aux2));
+        }
     }
 
     /// Performs the pending outputs in order. It follows every message
@@ -675,7 +678,7 @@ mod tests {
         let mut table = new_dispatcher(SystemKind::FastJoin, &fj);
         for (epoch, key) in [(1, k_a), (2, k_b)] {
             let req = RouteRequest { epoch, keys: vec![key], target: 1, source: 0 };
-            assert!(table.stage_route(Side::R, &req));
+            assert!(table.apply_route(Side::R, &req));
             h.publish_txs[0].send(ShardCtrl::Publish(table.route_snapshot(epoch))).expect("flip");
         }
         h.data_txs[0].send(SpoutMsg::Data(vec![Tuple::r(k_b, 0, 200)])).expect("t2");

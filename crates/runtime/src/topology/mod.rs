@@ -80,18 +80,18 @@
 //!   injected crash fires, and re-publishes the current snapshot to every
 //!   shard before resuming — so an interrupted barrier still releases on
 //!   the remaining acks.
-//! * **Monitors** are a *degradable* dependency: harvest, backoff, reseed;
-//!   past the restart budget the run continues on the last committed
-//!   routing table without migrations (`monitor`).
+//! * **Monitors** are a *degradable* dependency: the `Monitor` is kept
+//!   across a panic, as the sequencer keeps its table, and recovery only
+//!   backs off; past the restart budget the run continues on the routing
+//!   table as it stands, without migrations (`monitor`).
 //!
 //! Migration rounds are abortable while their route flip is still
 //! pending: the per-group monitor arms a deadline per round
 //! ([`SupervisionConfig::round_timeout_ms`]) and on breach asks the
 //! sequencer to abort. The sequencer either already applied the round's
 //! `Route` (abort refused, the round finishes normally) or guarantees it
-//! never will: the staged routing-table entries are reverted to the last
-//! committed version and the source rolls the migration back (see
-//! `core::instance`).
+//! never will: the late `Route` is dropped, the table never sees the
+//! round, and the source rolls the migration back (see `core::instance`).
 //!
 //! Whole-run liveness is watched from the collector: every executor
 //! maintains a heartbeat, and a silent stall (or a hung shutdown) surfaces

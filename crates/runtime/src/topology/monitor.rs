@@ -1,14 +1,15 @@
 //! Per-group monitor executors: the periodic report/trigger/deadline
-//! loop, and recovery by harvest + reseed.
+//! loop, and recovery by back-off.
 //!
-//! Monitors are a *degradable* dependency. On a crash the recovery
-//! harvests the dead incarnation's durable summary (epoch allocator,
-//! in-flight round, last load report per instance, stats history), backs
-//! off deterministically, and reseeds a fresh monitor; while down,
-//! routing is frozen at the last committed table and the run continues
-//! without migrations. Past the restart budget the monitor degrades
-//! permanently: the in-flight round is tombstoned through the existing
-//! abort path and a minimal drain keeps the shutdown handshake alive.
+//! Monitors are a *degradable* dependency. A crash loses the thread, never
+//! the [`Monitor`]: its epoch allocator, in-flight round and deadline,
+//! load table, stats and decision audit are all in the executor, so the
+//! recovery backs off deterministically and the next incarnation carries
+//! on where the last one stopped; while down, routing stays as it is and
+//! the run continues without migrations. Past the restart budget the
+//! monitor degrades permanently: the in-flight round is ended through the
+//! sequencer's abort path and a minimal drain keeps the shutdown handshake
+//! alive.
 
 use std::thread;
 use std::time::{Duration, Instant};
@@ -17,7 +18,6 @@ use crossbeam::channel::{RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use fastjoin_core::config::FastJoinConfig;
 use fastjoin_core::metrics::{MetricsRegistry, TimeSeries};
 use fastjoin_core::monitor::Monitor;
 use fastjoin_core::protocol::InstanceMsg;
@@ -31,17 +31,13 @@ use crate::introspect::Part;
 use crate::msg::{DispatcherMsg, MonitorMsg, RtMsg};
 
 /// One group's monitor executor. Everything here survives a panic of
-/// [`Executor::run`] — the journal, telemetry, LI trace and
-/// quiesce-handshake state are never lost. The [`Monitor`] itself is
-/// deliberately *rebuilt* after a crash rather than reused: a panic
-/// mid-method may have left it torn, so recovery harvests its durable
-/// summary and reseeds a fresh one — modelling a real monitor process
-/// restarting from persisted load statistics.
+/// [`Executor::run`] — the [`Monitor`], journal, telemetry, LI trace and
+/// quiesce-handshake state are never lost. (Every injected monitor crash
+/// fires between two `Monitor` calls, so there is nothing torn to
+/// rebuild.)
 pub(super) struct MonitorExecutor {
     group: usize,
     period: Duration,
-    fj: FastJoinConfig,
-    round_timeout_ms: u64,
     /// The monitor's own restart budget: the shell never rules a monitor
     /// failure fatal, so degrading past the budget is decided here.
     max_restarts: u32,
@@ -73,8 +69,8 @@ pub(super) struct MonitorExecutor {
     /// `monitor.sends_parked`.
     sends_parked: u64,
     /// How many of the monitor's audited decisions already have trace
-    /// events, so each incarnation journals only the new tail (resynced
-    /// on reseed — absorbed history was journaled by its incarnation).
+    /// events, so only the new tail is journaled — including the decision
+    /// of a tick that crashed before it got that far.
     decisions_seen: u64,
 }
 
@@ -86,31 +82,22 @@ pub(super) struct MonitorLinks {
     pub quiesce_ack: Sender<usize>,
 }
 
-/// A monitor with no history. The runtime's monitor clock is wall-clock
-/// milliseconds; the µs cooldown goes through the one sanctioned
-/// conversion (rounds up, so a sub-millisecond cooldown can never
-/// truncate to "disabled").
-fn fresh_monitor(n: usize, fj: &FastJoinConfig, round_timeout_ms: u64) -> Monitor {
-    let mut m = Monitor::new(n, fj.theta, fj.migration_cooldown_ms());
-    m.set_round_timeout(round_timeout_ms);
-    m
-}
-
 impl MonitorExecutor {
     pub fn new(group: usize, cfg: &RuntimeConfig, links: MonitorLinks, pulse: Pulse) -> Self {
         let plan = &cfg.faults;
         let period = Duration::from_millis(cfg.monitor_period_ms);
+        // The runtime's monitor clock is wall-clock milliseconds; the µs
+        // cooldown goes through the one sanctioned conversion (rounds up,
+        // so a sub-millisecond cooldown can never truncate to "disabled").
+        let fj = &cfg.fastjoin;
+        let mut monitor =
+            Monitor::new(links.to_instances.len(), fj.theta, fj.migration_cooldown_ms());
+        monitor.set_round_timeout(cfg.supervision.round_timeout_ms);
         MonitorExecutor {
             group,
             period,
-            fj: cfg.fastjoin.clone(),
-            round_timeout_ms: cfg.supervision.round_timeout_ms,
             max_restarts: cfg.supervision.max_restarts,
-            monitor: fresh_monitor(
-                links.to_instances.len(),
-                &cfg.fastjoin,
-                cfg.supervision.round_timeout_ms,
-            ),
+            monitor,
             li: TimeSeries::new((period.as_micros() as u64).max(1)),
             ring: TraceRing::new(Actor::monitor(group as u8), &cfg.trace),
             reg: MetricsRegistry::new(),
@@ -207,9 +194,14 @@ impl MonitorExecutor {
         if let Some(req) = self.monitor.check_deadline(self.now_ms()) {
             self.request_abort(req.epoch, req.source);
         }
-        // Decision audit, trace half: journal every decision the monitor
-        // recorded this tick (committed plans and rejections alike) so
-        // `trace --round` can explain them.
+        self.journal_decisions();
+        self.publish();
+    }
+
+    /// Decision audit, trace half: journals every decision the monitor
+    /// recorded since the last call (triggered rounds and rejections
+    /// alike) so `trace --round` can explain them.
+    fn journal_decisions(&mut self) {
         let recorded = self.monitor.decisions_recorded();
         if recorded > self.decisions_seen {
             let fresh = (recorded - self.decisions_seen) as usize;
@@ -228,7 +220,6 @@ impl MonitorExecutor {
             }
             self.decisions_seen = recorded;
         }
-        self.publish();
     }
 
     /// Brings the registry up to the monitor's present view of its group
@@ -264,11 +255,11 @@ impl MonitorExecutor {
 
     /// Terminal degraded mode, entered when the restart budget is spent:
     /// the run continues *without* migrations — routing is frozen at the
-    /// last table the sequencer committed — rather than failing. This
-    /// loop keeps the shutdown handshake alive: `Quiesce` is acknowledged
-    /// immediately (no round can be in flight — recovery tombstoned any
-    /// in-flight round through the abort path before entering), and every
-    /// other message is discarded until the inbox disconnects.
+    /// table the sequencer holds — rather than failing. This loop keeps
+    /// the shutdown handshake alive: `Quiesce` is acknowledged immediately
+    /// (recovery already asked the sequencer to abort any in-flight
+    /// round), and every other message is discarded until the inbox
+    /// disconnects.
     fn degraded_drain(&mut self) {
         while self.pulse.beat() {
             // A Quiesce that arrived before the final crash still needs
@@ -297,11 +288,6 @@ impl Executor for MonitorExecutor {
                 Ok(MonitorMsg::Done(done)) => {
                     self.monitor.on_migration_done(done, self.now_ms());
                     self.trace(TraceKind::MigDone, done.epoch, done.tuples_moved, 0);
-                    // Whatever the round staged at the sequencer is now
-                    // permanent (no-op for aborted/abandoned rounds, whose
-                    // stage was already reverted or never existed).
-                    let commit = DispatcherMsg::Commit { group: self.group, epoch: done.epoch };
-                    let _ = self.disp_ctrl.send(commit);
                 }
                 Ok(MonitorMsg::AbortOutcome { epoch, aborted }) => {
                     self.monitor.on_abort_outcome(epoch, aborted, self.now_ms());
@@ -318,26 +304,23 @@ impl Executor for MonitorExecutor {
         }
     }
 
-    /// Monitor recovery: harvest the dead incarnation's durable summary —
-    /// the load-stats seed a real monitor would restart from — then
-    /// either reseed a fresh monitor after a backoff, or (budget spent)
-    /// tombstone the in-flight round and degrade.
+    /// Monitor recovery: the `Monitor` is intact, so a recovery either
+    /// backs off before the next incarnation carries on — its in-flight
+    /// round still under its deadline — or (budget spent) ends the
+    /// in-flight round through the abort path and degrades.
     fn recover(&mut self, restarts: u32) {
         if self.degraded {
-            // A panic inside the degraded drain: the round is already
-            // tombstoned and nothing is left to rebuild.
+            // A panic inside the degraded drain: the round's abort was
+            // already requested and nothing is left to do.
             return;
         }
         let down_at = self.pulse.now_us();
         self.trace(TraceKind::MonitorDown, 0, u64::from(restarts), 0);
-        let floor = self.monitor.last_allocated_epoch();
-        let inflight = self.monitor.in_flight_round();
         if restarts > self.max_restarts {
-            // Tombstone the in-flight round through the sequencer's
-            // existing abort path, then freeze: the run continues
-            // correctly on the last committed routing table, without
-            // migrations.
-            if let Some((epoch, source, _)) = inflight {
+            // Abort the in-flight round through the sequencer's existing
+            // path, then freeze: the run continues correctly on the
+            // routing table as it stands, without migrations.
+            if let Some((epoch, source, _)) = self.monitor.in_flight_round() {
                 self.request_abort(epoch, source);
             }
             self.reg.counter_add("monitor.permanent_degraded", 1);
@@ -345,10 +328,6 @@ impl Executor for MonitorExecutor {
             self.publish();
             return;
         }
-        let loads = self.monitor.load_snapshot();
-        let stats = self.monitor.stats();
-        let spans = self.monitor.spans().to_vec();
-        let decisions = self.monitor.decisions().to_vec();
         // Bounded, seed-deterministic exponential backoff before the next
         // incarnation, heartbeat-refreshing so the stall watchdog sees a
         // live (if degraded) executor.
@@ -358,24 +337,6 @@ impl Executor for MonitorExecutor {
         while Instant::now() < wake && self.pulse.beat() {
             thread::sleep(Duration::from_millis(1));
         }
-        // Reseed a fresh monitor from the harvest. The epoch floor keeps
-        // round ids monotonic across incarnations; a restored in-flight
-        // round gets a fresh deadline, so the bounded retry path (timeout
-        // → abort → backoff → retrigger) closes it if its instances died
-        // with the answer.
-        let mut m = fresh_monitor(self.to_instances.len(), &self.fj, self.round_timeout_ms);
-        m.set_epoch_floor(floor);
-        for (id, load) in loads.into_iter().enumerate() {
-            m.on_report(id, load);
-        }
-        m.absorb_history(stats, spans, decisions);
-        if let Some((epoch, source, target)) = inflight {
-            m.restore_round(epoch, source, target, self.now_ms());
-        }
-        // The absorbed decisions were journaled by the dead incarnation;
-        // only genuinely new ones get trace events from here on.
-        self.decisions_seen = m.decisions_recorded();
-        self.monitor = m;
         let degraded_ms = self.pulse.now_us().saturating_sub(down_at) / 1000;
         self.reg.counter_add("monitor.degraded_ms", degraded_ms);
         self.reg.counter_add("monitor_restarts", 1);
@@ -386,6 +347,9 @@ impl Executor for MonitorExecutor {
         // Close the LI trace with a final sample so even runs shorter
         // than one monitor period report a (possibly single-point) series.
         self.li.record(self.pulse.now_us(), self.monitor.imbalance());
+        // A crash after the last tick (or a degraded end) may have left
+        // decisions unjournaled.
+        self.journal_decisions();
         self.publish();
         let _ = collector.send(CollectorMsg::MonitorDone {
             group: self.group,

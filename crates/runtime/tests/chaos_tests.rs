@@ -350,10 +350,9 @@ fn control_plane_crashes_recover_exactly_once() {
 #[test]
 fn monitor_death_degrades_routing_and_matches_the_oracle_exactly() {
     // With monitor restarts exhausted (max_restarts = 0) a monitor kill
-    // must permanently degrade the run — routing frozen at the last
-    // committed table, the in-flight round tombstoned through the abort
-    // path — and the join output must still equal the oracle exactly, at
-    // one shard and at two.
+    // must permanently degrade the run — routing frozen where it stands,
+    // the in-flight round ended through the abort path — and the join
+    // output must still equal the oracle exactly, at one shard and at two.
     for shards in [1usize, 2] {
         let mut degraded_seen = false;
         for seed in 0..8u64 {
@@ -417,9 +416,9 @@ fn supervisor_restart_counters_are_exported_per_executor() {
 fn sharded_stalled_round_is_aborted_by_the_watchdog_and_the_run_completes() {
     // The watchdog abort path must work when the abort verdict comes from
     // the control sequencer while several shards route data: the
-    // round's staged routes are reverted at the sequencer only (no net
-    // route change, so no snapshot publication), and shutdown must not
-    // hang on the publication barrier.
+    // aborted round never reaches the table (no route change, so no
+    // snapshot publication), and shutdown must not hang on the
+    // publication barrier.
     let tuples = skewed_workload(3, 12_000);
     let expected = oracle(&tuples);
     let plan = fault_class("stalled-round", 3);

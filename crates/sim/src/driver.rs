@@ -57,8 +57,9 @@ pub struct SimConfig {
     /// Record per-instance load time series of the R group (Fig. 1c).
     pub record_instance_loads: bool,
     /// Migration-round deadline, simulated µs. A round in flight longer
-    /// than this is aborted by the monitor watchdog and rolled back
-    /// (routes reverted, moved tuples returned). 0 disables the watchdog.
+    /// than this is aborted by the monitor watchdog and rolled back (its
+    /// route never applied, moved tuples returned). 0 disables the
+    /// watchdog.
     pub round_timeout: SimTime,
     /// Fault injection: silently discard the first N `MigrateCmd`
     /// triggers, leaving the monitor with a round in flight that no
@@ -274,9 +275,9 @@ pub struct Simulation<W: Iterator<Item = Tuple>> {
     /// point of no return and must complete forward.
     routed_epochs: [std::collections::HashSet<u64>; 2],
     /// Epochs aborted before their route flip arrived, per group. A late
-    /// `RouteAtDispatcher` for one of these is staged and immediately
-    /// reverted (the version still advances) and no `RouteUpdated` is
-    /// sent — the source instance sees `MigAbort` instead.
+    /// `RouteAtDispatcher` for one of these is dropped and no
+    /// `RouteUpdated` is sent — the source instance sees `MigAbort`
+    /// instead.
     aborted_epochs: [std::collections::HashSet<u64>; 2],
     /// Remaining `MigrateCmd` triggers to drop (fault injection).
     drop_triggers: u64,
@@ -376,17 +377,15 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
                 Event::Arrival => self.on_arrival(),
                 Event::Delivery { group, dest, msg } => self.on_delivery(group, dest, msg),
                 Event::RouteAtDispatcher { group, req } => {
-                    let side = if group == 0 { Side::R } else { Side::S };
-                    let supported = self.dispatcher.stage_route(side, &req);
-                    assert!(supported, "migration on a non-migratable partitioner");
                     if self.aborted_epochs[group].contains(&req.epoch) {
                         // The round was aborted before its flip arrived:
-                        // advance the version past the stage, restore the
-                        // committed routes, and send no RouteUpdated — the
-                        // source already holds (or will hold) MigAbort.
-                        self.dispatcher.revert_route(side, req.epoch);
+                        // drop it and send no RouteUpdated — the source
+                        // already holds (or will hold) MigAbort.
                         continue;
                     }
+                    let side = if group == 0 { Side::R } else { Side::S };
+                    let supported = self.dispatcher.apply_route(side, &req);
+                    assert!(supported, "migration on a non-migratable partitioner");
                     self.routed_epochs[group].insert(req.epoch);
                     let delivery = self.channels.send(
                         Endpoint::Dispatcher,
@@ -566,13 +565,10 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
                 .as_mut()
                 .expect("migration completed in a static group")
                 .on_migration_done(done, self.now);
-            // The round is closed either way: commit the staged flip (a
-            // no-op for aborted/abandoned rounds) and retire the epoch.
-            // Aborted epochs stay tombstoned: the rollback ack is
-            // delivered instantly here while the stale RouteRequest may
-            // still be in flight, and it must find the tombstone.
-            let side = if group == 0 { Side::R } else { Side::S };
-            self.dispatcher.commit_route(side, epoch);
+            // The round is closed either way: retire its epoch. Aborted
+            // epochs stay tombstoned: the rollback ack is delivered
+            // instantly here while the stale RouteRequest may still be in
+            // flight, and it must find the tombstone.
             self.routed_epochs[group].remove(&epoch);
         }
     }

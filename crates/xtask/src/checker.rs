@@ -102,8 +102,9 @@ pub enum Variant {
     /// Two shards with `batch_size` 2 (so pending batches exist) and the
     /// sequencer's publication barrier; one flip.
     Sharded,
-    /// Known-bad: `RouteUpdated` is sent at stage time and the barrier's
-    /// own is dropped, racing shards that still route under the old table.
+    /// Known-bad: `RouteUpdated` is sent when the flip is applied and the
+    /// barrier's own is dropped, racing shards that still route under the
+    /// old table.
     ShardedNoBarrier,
     /// [`Variant::Sharded`] where a shard may crash whenever it is not
     /// mid-send and is restarted through [`Shard::restart`] (salvage
@@ -115,9 +116,10 @@ pub enum Variant {
     ShardedRestartNoFence,
     /// Two rounds with the monitor's deadline for round 1 free to pass at
     /// any time: the abort races the target's `Route` (accepted or
-    /// refused, stage-and-revert), and a round whose source had nothing to
-    /// move closes on its own while its abort is still under way, so a
-    /// `MigAbort` older than the engaged round is met too.
+    /// refused; a `Route` behind an accepted abort is dropped), and a
+    /// round whose source had nothing to move closes on its own while its
+    /// abort is still under way, so a `MigAbort` older than the engaged
+    /// round is met too.
     ShardedAbort,
     /// Known-bad: a shard's acknowledgement is sent ahead of the flushes
     /// that precede it in its output sequence.
@@ -275,7 +277,7 @@ pub enum CheckOutcome {
 /// A queue of the model, named by who reads it: instance `i`'s one inbox
 /// (shards, sequencer, monitor and peer all write to it) is port `i`.
 type Port = usize;
-/// Instances' `Route`s and the monitor's `Abort` / `Commit`.
+/// Instances' `Route`s and the monitor's `Abort`s.
 const SEQ_CTRL: Port = INSTANCES;
 /// The shards' acks, EOS reports and restart notices.
 const SEQ_NOTES: Port = INSTANCES + 1;
@@ -796,10 +798,10 @@ impl Explorer {
                         self.emit(n, node, i, Msg::Rt(RtMsg::Eos));
                     }
                 }
-                SeqOut::Event(SeqEvent { did: Did::Reverted, .. }) => self.saw("stage reverted"),
-                SeqOut::Event(SeqEvent { did: Did::Staged, epoch, .. }) if no_barrier => {
+                SeqOut::Event(SeqEvent { did: Did::Dropped, .. }) => self.saw("late route dropped"),
+                SeqOut::Event(SeqEvent { did: Did::Applied, epoch, .. }) if no_barrier => {
                     // The bug under test: the source hears of the flip when
-                    // it is staged, not when every shard acked.
+                    // it is applied, not when every shard acked.
                     let round = self.sc.rounds.iter().find(|r| r.0 == epoch);
                     let source = round.expect("a scripted round").1;
                     let msg = InstanceMsg::RouteUpdated { epoch };
@@ -827,10 +829,6 @@ impl Explorer {
             ));
         }
         n.rounds_closed += 1;
-        // Whatever the round staged is now permanent (a no-op for an
-        // aborted or abandoned round), then the next round starts.
-        let commit = DispatcherMsg::Commit { group: 0, epoch: done.epoch };
-        self.emit(n, self.mon_node, SEQ_CTRL, Msg::Ctrl(commit));
         self.start_round(n);
         Ok(())
     }
@@ -1406,7 +1404,7 @@ mod tests {
         for path in [
             "abort accepted",
             "abort refused",
-            "stage reverted",
+            "late route dropped",
             "round closed without moving anything",
             "MigAbort while idle",
             "MigAbort older than the engaged round",

@@ -516,8 +516,9 @@ fn cmd_chaos(argv: &[String]) -> Result<(), String> {
 /// summarizes it or reconstructs one migration round's phase timeline
 /// (§III-D: trigger → buffer → forward → route flip → drain/abort). The
 /// round view exits non-zero when the timeline is causally inconsistent —
-/// phases out of order or committed route versions not monotone — so CI
-/// can assert a journal tells a coherent story.
+/// phases out of order, a flipped round without an applied route, or route
+/// versions not monotone — so CI can assert a journal tells a coherent
+/// story.
 fn cmd_trace(argv: &[String]) -> Result<(), String> {
     use fastjoin::core::monitor::DecisionReason;
     use fastjoin::core::trace::{ActorKind, TraceJournal, TraceKind};
@@ -586,13 +587,7 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
                 TraceKind::MigStart => format!("from={} keys={}", e.aux, e.aux2),
                 TraceKind::MigStore | TraceKind::MigForward => format!("tuples={}", e.aux),
                 TraceKind::RouteStaged => format!("version={}", e.aux),
-                TraceKind::RouteUpdated => {
-                    if e.actor.kind == ActorKind::Dispatcher {
-                        format!("committed version={}", e.aux)
-                    } else {
-                        format!("buffered-flushed={}", e.aux)
-                    }
-                }
+                TraceKind::RouteUpdated => format!("buffered-flushed={}", e.aux),
                 TraceKind::MigEnd => format!("from={}", e.aux),
                 TraceKind::MigAbort => {
                     if e.actor.kind == ActorKind::Dispatcher {
@@ -633,8 +628,8 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
                 e.kind.name()
             );
         }
-        // Causal checks: the §III-D phase order, and monotone committed
-        // route versions across the whole journal for this group.
+        // Causal checks: the §III-D phase order, and strictly monotone
+        // applied route versions across the whole journal for this group.
         let mut problems = Vec::new();
         let first = |k: TraceKind| events.iter().position(|e| e.kind == k);
         let order = [
@@ -657,18 +652,21 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
                 }
             }
         }
+        if first(TraceKind::MigEnd).is_some() && first(TraceKind::RouteStaged).is_none() {
+            problems.push("MigEnd without an applied route (no RouteStaged)".to_string());
+        }
         let versions: Vec<u64> = journal
             .events()
             .iter()
             .filter(|e| {
-                e.kind == TraceKind::RouteUpdated
+                e.kind == TraceKind::RouteStaged
                     && e.actor.kind == ActorKind::Dispatcher
                     && e.aux2 == u64::from(group)
             })
             .map(|e| e.aux)
             .collect();
         if versions.windows(2).any(|w| w[0] >= w[1]) {
-            problems.push(format!("committed route versions not monotone: {versions:?}"));
+            problems.push(format!("route versions not monotone: {versions:?}"));
         }
         if problems.is_empty() {
             println!("timeline OK: phases in causal order, route versions monotone");

@@ -240,6 +240,51 @@ fn trace_round_orders_the_flip_and_the_store_against_mig_end_only() {
     let (ok, _, stderr) = check(&[(disp, TraceKind::RouteStaged), (tgt, TraceKind::MigStart)]);
     assert!(!ok);
     assert!(stderr.contains("MigStart appears after RouteStaged"), "{stderr}");
+
+    // A round that flipped must have had its route applied.
+    let (ok, _, stderr) = check(&[(tgt, TraceKind::MigStart), (tgt, TraceKind::MigEnd)]);
+    assert!(!ok);
+    assert!(stderr.contains("MigEnd without an applied route"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every applied flip bumps its group's route version: two `RouteStaged`
+/// events of one group carrying the same version are rejected, whichever
+/// round is asked for — and the other group's versions are its own.
+#[test]
+fn trace_round_rejects_a_repeated_route_version() {
+    use fastjoin::core::trace::{Actor, TraceEvent, TraceKind};
+
+    let staged = |at: u64, epoch: u64, version: u64, group: u64| TraceEvent {
+        aux2: group,
+        ..TraceEvent::control(at, Actor::dispatcher(), TraceKind::RouteStaged, epoch, version)
+    };
+    let journal_of = |events: &[TraceEvent]| {
+        let mut text = String::from("{\"schema\":\"fastjoin-trace-v1\",\"dropped\":0}\n");
+        for ev in events {
+            text.push_str(&ev.to_json().to_string());
+            text.push('\n');
+        }
+        text
+    };
+    let dir = std::env::temp_dir().join(format!("fjcli-traceversion-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("j.jsonl");
+    let check = |events: &[TraceEvent], round: &str| {
+        std::fs::write(&journal, journal_of(events)).unwrap();
+        run(&["trace", "--journal", journal.to_str().unwrap(), "--round", round, "--group", "r"])
+    };
+
+    let (ok, timeline, stderr) = check(&[staged(10, 1, 2, 0), staged(20, 2, 3, 0)], "1");
+    assert!(ok, "stderr: {stderr}");
+    assert!(timeline.contains("timeline OK"), "{timeline}");
+
+    let repeated = [staged(10, 1, 2, 0), staged(15, 1, 2, 1), staged(20, 2, 2, 0)];
+    for round in ["1", "2"] {
+        let (ok, _, stderr) = check(&repeated, round);
+        assert!(!ok, "round {round} passed with a repeated version");
+        assert!(stderr.contains("route versions not monotone: [2, 2]"), "{stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

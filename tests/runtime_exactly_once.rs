@@ -111,12 +111,12 @@ fn group_totals(r: &RuntimeReport) -> [[u64; 3]; 2] {
 /// equal the crash-free run's (a recovery that rolled a store back wrong
 /// — a source's `extract_keys`, a target's `install` — shows up there
 /// even when the pair count happens to survive), and the fault must fire
-/// somewhere.
+/// somewhere. Returns the run it fired in.
 fn run_until_fired(
     label: &str,
     plan_for: impl Fn(u64) -> FaultPlan,
     fired: impl Fn(&RuntimeReport) -> u64,
-) {
+) -> RuntimeReport {
     for seed in 0..12u64 {
         let label = format!("{label} seed {seed}");
         let clean = cfg(SystemKind::FastJoin, 1, 1, FaultPlan::default());
@@ -125,7 +125,7 @@ fn run_until_fired(
         let report = run_exactly_once(&c, seed, &label);
         assert_eq!(group_totals(&report), group_totals(&clean), "{label}: instance counters");
         if fired(&report) > 0 {
-            return;
+            return report;
         }
     }
     panic!("{label}: the scheduled fault never fired in 12 seeds; tune the workload");
@@ -281,6 +281,47 @@ fn shard_and_sequencer_kills_recover_exactly_once_at_one_shard() {
                 ..FaultPlan::default()
             },
             |r| r.registry.counter_sum("supervisor.control_restarts"),
+        );
+    }
+}
+
+/// The first two `MigrateCmd`s vanish in flight, so only the round
+/// watchdog can close those rounds: the monitor asks the sequencer to
+/// abort, the sequencer accepts (no route was ever applied) and the idle
+/// source acknowledges the rollback.
+#[test]
+fn a_stalled_round_is_aborted_and_the_run_matches_the_oracle() {
+    run_until_fired(
+        "stalled-round",
+        |seed| FaultPlan::class("stalled-round", seed).expect("a chaos class"),
+        |r| r.registry.counter_sum("migration_aborts"),
+    );
+}
+
+/// A monitor killed right after it sent a round's `MigrateCmd` keeps its
+/// `Monitor`, so the round's audited decision is still journaled: every
+/// `MigTrigger` a monitor journaled has the `MigDecision` of its round.
+#[test]
+fn a_monitor_killed_mid_round_still_journals_the_rounds_decision() {
+    use fastjoin::core::trace::{ActorKind, TraceKind};
+
+    let report = run_until_fired(
+        "kill-monitor",
+        |seed| FaultPlan::class("kill-monitor", seed).expect("a chaos class"),
+        |r| r.registry.counter_sum("supervisor.control_restarts"),
+    );
+    let events = report.trace.events();
+    let of_monitor = |kind: TraceKind| {
+        events.iter().filter(move |e| e.kind == kind && e.actor.kind == ActorKind::Monitor)
+    };
+    let triggers: Vec<_> = of_monitor(TraceKind::MigTrigger).collect();
+    assert!(!triggers.is_empty(), "the killed monitor had triggered a round");
+    for t in triggers {
+        assert!(
+            of_monitor(TraceKind::MigDecision).any(|d| d.actor == t.actor && d.epoch == t.epoch),
+            "{} round {} was triggered but its decision never journaled",
+            t.actor.label(),
+            t.epoch
         );
     }
 }
