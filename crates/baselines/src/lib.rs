@@ -215,6 +215,32 @@ mod tests {
         assert_eq!(cluster.drain_results().len(), 4);
     }
 
+    /// Every system's dispatcher stamps each tuple with its probe fan-out
+    /// — the count the collector completes the probe at — alongside its
+    /// seq: one for hash routing, the subgroup or the whole group for the
+    /// strategies that fan probes out.
+    #[test]
+    fn dispatch_stamps_each_tuple_with_its_fanout() {
+        use fastjoin_core::dispatcher::{Dispatch, Dispatcher};
+        let expected = [
+            (SystemKind::FastJoin, 1),
+            (SystemKind::BiStream, 1),
+            (SystemKind::BiStreamContRand, DEFAULT_SUBGROUP),
+            (SystemKind::Broadcast, 8),
+        ];
+        for (kind, fanout) in expected {
+            let (r, s, _) = build_partitioners(kind, &cfg(8));
+            let mut dispatcher = Dispatcher::new(r, s);
+            let mut out = Dispatch::default();
+            for t in workload() {
+                dispatcher.dispatch_into(t, &mut out);
+                let label = format!("{} {:?}", kind.label(), out.tuple);
+                assert_eq!(out.tuple.fanout as usize, out.probe_dests.len(), "{label}");
+                assert_eq!(out.probe_dests.len(), fanout, "{label}");
+            }
+        }
+    }
+
     #[test]
     fn subgroup_always_divides() {
         for n in 1..=64 {

@@ -1,16 +1,19 @@
 //! Checked probe fan-out accounting for the collector.
 //!
-//! Every probe-side tuple is dispatched to `fanout` instances; the join of
-//! the original tuple completes when all fan-out parts have completed, and
-//! exactly one latency sample (the max across parts) must be recorded per
-//! probe. The old collector decremented an unchecked counter and silently
-//! trusted whatever fan-out each part claimed — a part arriving with a
-//! mismatched fan-out (the pre-fix behaviour for probes handed off across a
-//! migration, which defaulted to 1) either underflowed the counter or
-//! leaked the entry forever. [`ProbeAccountant`] makes both states
-//! impossible to miss: mismatches and over-completion are hard errors, and
-//! [`ProbeAccountant::finish`] refuses to report while entries are still
-//! outstanding.
+//! Every probe-side tuple is dispatched to `fanout` instances — the count
+//! the dispatcher stamps on the tuple, which every part reports; the join
+//! of the original tuple completes when all fan-out parts have completed,
+//! and exactly one latency sample (the max across parts) must be recorded
+//! per probe. The old collector decremented an unchecked counter and
+//! silently trusted whatever fan-out each part claimed — a part arriving
+//! with a mismatched fan-out (the behaviour, before the fan-out travelled
+//! in the tuple, of probes forwarded across a migration, which defaulted
+//! to 1) either underflowed the counter or leaked the entry forever.
+//! [`ProbeAccountant`] makes both states impossible to miss: mismatches,
+//! over-completion and a zero fan-out (a tuple that never passed the
+//! dispatcher) are hard errors, and [`ProbeAccountant::finish`] refuses to
+//! report while entries are still outstanding. It is the runtime's one
+//! check on probe accounting; instances keep no per-probe state to audit.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -24,9 +27,9 @@ use crate::metrics::LogHistogram;
 pub enum AccountingError {
     /// A part arrived declaring a different fan-out than the first part of
     /// the same probe. This is exactly what the collector saw before the
-    /// hand-off fix: the migration target, having no fan-out entry for a
-    /// forwarded probe, guessed `1` while the source-side parts had
-    /// declared the true fan-out.
+    /// fan-out travelled with the probe: the migration target, knowing no
+    /// fan-out for a forwarded probe, guessed `1` while the source-side
+    /// parts had declared the true fan-out.
     FanoutMismatch {
         /// Dispatch sequence number of the probe.
         seq: u64,

@@ -3,8 +3,9 @@
 //! The dispatcher receives pre-processed tuples, assigns dispatch sequence
 //! numbers, and routes each tuple twice: once to its *storing* group (the
 //! group holding its own stream) and once to the opposite group for
-//! *probing*. After a migration it applies the routing-table update and
-//! confirms back to the source instance.
+//! *probing* — to as many instances as the tuple's `fanout`, which it
+//! stamps on the tuple with the seq. After a migration it applies the
+//! routing-table update and confirms back to the source instance.
 //!
 //! Exactly-once joining relies on the dispatcher emitting destinations in
 //! sequence order and the engine preserving per-channel FIFO delivery; see
@@ -65,17 +66,18 @@ impl Dispatcher {
     }
 
     /// Routes one tuple under an externally assigned sequence number,
-    /// bypassing the internal counter. The sharded dispatch plane draws
-    /// seqs from one shared atomic counter so they stay globally unique
-    /// across shards; per-key ordering is preserved because every tuple of
-    /// a key flows through the same shard.
+    /// bypassing the internal counter, and stamps it with its probe
+    /// fan-out. The sharded dispatch plane draws seqs from one shared
+    /// atomic counter so they stay globally unique across shards; per-key
+    /// ordering is preserved because every tuple of a key flows through
+    /// the same shard.
     pub fn dispatch_into_with_seq(&mut self, mut tuple: Tuple, seq: Seq, out: &mut Dispatch) {
-        tuple.seq = seq;
-
         let own = tuple.side;
         let opp = own.opposite();
         out.store_dest = self.parts[own.index()].store_route(tuple.key); // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
         self.parts[opp.index()].probe_route(tuple.key, &mut out.probe_dests); // lint:allow(Side::index is 0 or 1; parts is a [_; 2])
+        tuple.seq = seq;
+        tuple.fanout = out.probe_dests.len() as u32;
         out.tuple = tuple;
     }
 

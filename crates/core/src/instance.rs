@@ -8,7 +8,7 @@
 //! assumption the migration protocol preserves per-key tuple order, which
 //! is what makes the join exactly-once (see `tests/completeness.rs`).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::config::{MigrationMode, WindowConfig};
 use crate::load::{InstanceLoad, KeyStat};
@@ -69,10 +69,14 @@ pub struct JoinInstance {
     /// Largest event time seen (watermark for GC).
     watermark: Timestamp,
     mig: MigrationState,
-    /// Epochs whose abort reached this instance before (or instead of) the
-    /// `MigrateCmd` that would have opened them — such a command must be
-    /// dropped silently, the round is already closed at the monitor.
-    aborted_epochs: HashSet<u64>,
+    /// The highest epoch whose abort reached this instance outside the
+    /// round it is engaged in (0 = none; the monitor numbers rounds from
+    /// 1). A `MigrateCmd` at or below it is stale and dropped silently: a
+    /// group runs one round at a time and epochs only grow, so by the time
+    /// a round above one of those epochs triggered, every round up to it
+    /// was closed — its command processed here already, or its abort
+    /// recorded here first.
+    aborted_through: u64,
     /// When false, probes count matches but do not materialize
     /// [`JoinedPair`]s into the effects (used by the simulator, which only
     /// needs counts — materializing billions of pairs would dominate the
@@ -96,7 +100,7 @@ pub struct InstanceCheckpoint {
     last_probe_arrivals_by_key: HashMap<Key, u64>,
     watermark: Timestamp,
     mig: MigrationState,
-    aborted_epochs: HashSet<u64>,
+    aborted_through: u64,
     stats: InstanceCounters,
 }
 
@@ -134,7 +138,7 @@ impl JoinInstance {
             last_probe_arrivals_by_key: HashMap::new(),
             watermark: 0,
             mig: MigrationState::Idle,
-            aborted_epochs: HashSet::new(),
+            aborted_through: 0,
             emit_pairs: true,
             stats: InstanceCounters::default(),
         }
@@ -162,7 +166,7 @@ impl JoinInstance {
             last_probe_arrivals_by_key,
             watermark,
             mig,
-            aborted_epochs,
+            aborted_through,
             stats,
         } = self;
         store.mark();
@@ -174,7 +178,7 @@ impl JoinInstance {
             last_probe_arrivals_by_key: last_probe_arrivals_by_key.clone(),
             watermark: *watermark,
             mig: mig.clone(),
-            aborted_epochs: aborted_epochs.clone(),
+            aborted_through: *aborted_through,
             stats: *stats,
         }
     }
@@ -193,7 +197,7 @@ impl JoinInstance {
             last_probe_arrivals_by_key,
             watermark,
             mig,
-            aborted_epochs,
+            aborted_through,
             stats,
         } = cp;
         self.store.rollback();
@@ -204,7 +208,7 @@ impl JoinInstance {
         self.last_probe_arrivals_by_key.clone_from(last_probe_arrivals_by_key);
         self.watermark = *watermark;
         self.mig.clone_from(mig);
-        self.aborted_epochs.clone_from(aborted_epochs);
+        self.aborted_through = *aborted_through;
         self.stats = *stats;
     }
 
@@ -353,7 +357,7 @@ impl JoinInstance {
         match msg {
             InstanceMsg::Data(t) => self.on_data(t),
             InstanceMsg::MigrateCmd { epoch, target, target_load } => {
-                if self.aborted_epochs.remove(&epoch) {
+                if epoch <= self.aborted_through {
                     // The monitor aborted this round before the command
                     // arrived (abort and command travel different
                     // channels); the round is already closed — drop it.
@@ -530,11 +534,11 @@ impl JoinInstance {
             Some(e) if epoch == e => {}
             Some(_) | None => {
                 // The round never engaged here (MigrateCmd dropped, still in
-                // flight, or answered without a migration). Remember the
-                // epoch so a late command is ignored, and acknowledge so the
-                // monitor can close the round; a later round this instance
-                // is engaged in is left alone.
-                self.aborted_epochs.insert(epoch);
+                // flight, or answered without a migration). Raise the
+                // watermark so a late command is ignored, and acknowledge so
+                // the monitor can close the round; a later round this
+                // instance is engaged in is left alone.
+                self.aborted_through = self.aborted_through.max(epoch);
                 fx.migration_done.push(MigrationDone { epoch, tuples_moved: 0, keys_moved: 0 });
                 return Ok(());
             }
@@ -1137,7 +1141,7 @@ mod tests {
         assert_eq!(a.last_probe_arrivals_by_key, b.last_probe_arrivals_by_key);
         assert_eq!(a.watermark, b.watermark);
         assert_eq!(a.mig, b.mig);
-        assert_eq!(a.aborted_epochs, b.aborted_epochs);
+        assert_eq!(a.aborted_through, b.aborted_through);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.store.len(), b.store.len());
         assert_eq!(a.key_stats(), b.key_stats());
@@ -1177,7 +1181,7 @@ mod tests {
         // extraction, then buffering of a selected key's data).
         let after = |inst: &mut JoinInstance, sel: &mut GreedyFit| -> Effects {
             let mut fx = Effects::new();
-            inst.handle(InstanceMsg::MigAbort { epoch: 9 }, sel, 0.0, &mut fx).unwrap();
+            inst.handle(InstanceMsg::MigAbort { epoch: 1 }, sel, 0.0, &mut fx).unwrap();
             for seq in 70..90 {
                 inst.handle(data(Side::R, 1 + seq % 3, seq, seq), sel, 0.0, &mut fx).unwrap();
                 inst.handle(data(Side::S, 1, seq, 100 + seq), sel, 0.0, &mut fx).unwrap();
@@ -1187,17 +1191,7 @@ mod tests {
             while inst.process_next(&mut fx).is_some() {}
             assert!(inst.collect_expired() > 0, "the watermark jump must expire old tuples");
             let _ = inst.take_load_report();
-            inst.handle(
-                InstanceMsg::MigrateCmd {
-                    epoch: 1,
-                    target: 3,
-                    target_load: InstanceLoad::new(0, 0),
-                },
-                sel,
-                0.0,
-                &mut fx,
-            )
-            .unwrap();
+            inst.handle(migrate_cmd(2), sel, 0.0, &mut fx).unwrap();
             assert!(matches!(inst.migration_state(), MigrationState::Source { .. }));
             inst.handle(data(Side::S, 1, 131, 300), sel, 0.0, &mut fx).unwrap();
             fx
@@ -1255,6 +1249,31 @@ mod tests {
         assert!(matches!(inst.migration_state(), MigrationState::Source { epoch: 6, .. }));
     }
 
+    fn migrate_cmd(epoch: u64) -> InstanceMsg {
+        InstanceMsg::MigrateCmd { epoch, target: 3, target_load: InstanceLoad::new(0, 0) }
+    }
+
+    /// Aborts raise one watermark, never lower it: every command at or
+    /// below the highest aborted epoch is stale and dropped, the first
+    /// one above it engages.
+    #[test]
+    fn a_command_at_or_below_the_abort_watermark_is_dropped_and_one_above_engages() {
+        let mut inst = skewed_source();
+        let mut sel = GreedyFit::new();
+        let mut fx = Effects::new();
+        for epoch in [3, 5, 4] {
+            inst.handle(InstanceMsg::MigAbort { epoch }, &mut sel, 0.0, &mut fx).unwrap();
+        }
+        assert_eq!(inst.aborted_through, 5, "an older abort does not lower the watermark");
+        fx.clear();
+        for epoch in [4, 5] {
+            inst.handle(migrate_cmd(epoch), &mut sel, 0.0, &mut fx).unwrap();
+            assert!(inst.migration_state().is_idle() && fx.is_empty(), "MigrateCmd{{{epoch}}}");
+        }
+        inst.handle(migrate_cmd(6), &mut sel, 0.0, &mut fx).unwrap();
+        assert!(matches!(inst.migration_state(), MigrationState::Source { epoch: 6, .. }));
+    }
+
     /// A source and its target, both engaged in round 6.
     fn engaged_pair() -> (JoinInstance, JoinInstance, GreedyFit) {
         let mut src = skewed_source();
@@ -1293,9 +1312,11 @@ mod tests {
             assert!(fx.sends.is_empty() && fx.route_requests.is_empty(), "no relay, no return");
             assert_eq!(inst.mig, before.mig, "the engaged round is untouched");
             assert_eq!(inst.store.len(), before.store.len());
-            assert!(inst.aborted_epochs.contains(&5), "a late MigrateCmd{{5}} must be dropped");
-            // The engaged round can still be aborted on its own epoch.
+            // A late MigrateCmd{5} is dropped, not refused as overlapping.
             fx.clear();
+            inst.handle(migrate_cmd(5), &mut sel, 0.0, &mut fx).unwrap();
+            assert!(fx.is_empty() && inst.mig == before.mig, "a stale command has no effect");
+            // The engaged round can still be aborted on its own epoch.
             inst.handle(InstanceMsg::MigAbort { epoch: 6 }, &mut sel, 0.0, &mut fx).unwrap();
             assert_eq!(fx.sends.len(), 1, "round 6's own abort still relays / returns");
         }
@@ -1341,7 +1362,7 @@ mod tests {
         let err = inst
             .handle(
                 InstanceMsg::MigrateCmd {
-                    epoch: 0,
+                    epoch: 1,
                     target: 2,
                     target_load: InstanceLoad::default(),
                 },

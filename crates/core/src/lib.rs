@@ -25,8 +25,9 @@
 //!   flush-before-install, the publication barrier) as pure transitions
 //!   that the threaded runtime and the model checker both drive.
 //! * [`stage`] / [`accounting`] — the instance stage (message step,
-//!   checkpoint + replay recovery, one report batch per step) as a pure
-//!   transition likewise, and the collector's probe fan-out ledger.
+//!   checkpoint + replay recovery, one report batch per step, each report
+//!   carrying its tuple's fan-out) as a pure transition likewise, and the
+//!   collector's probe fan-out ledger.
 //! * [`biclique`] — [`biclique::JoinCluster`], a synchronous reference
 //!   cluster wiring all components together.
 //! * [`metrics`] — throughput/latency/imbalance collection.

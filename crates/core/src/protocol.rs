@@ -12,7 +12,6 @@ use std::collections::HashSet;
 
 use crate::load::InstanceLoad;
 use crate::routing::RouteSnapshot;
-use crate::shard::DataItem;
 use crate::tuple::{JoinedPair, Key, Tuple};
 
 /// Identifies one migration round within a group; assigned by the monitor,
@@ -170,16 +169,6 @@ pub enum ProtocolError {
         /// Name of the offending message variant.
         msg: &'static str,
     },
-    /// A probe completed at an instance stage that holds no fan-out entry
-    /// for it: the entry arrives with the probe ([`DataItem::Probe`]) or
-    /// ahead of it ([`RtMsg::ProbeHandoff`]), so its absence means a
-    /// hand-off was lost or reordered.
-    MissingFanout {
-        /// Completing instance.
-        instance: usize,
-        /// Dispatch seq of the probe.
-        seq: u64,
-    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -206,9 +195,6 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::UnexpectedAbort { instance, msg } => {
                 write!(f, "instance {instance} got {msg} outside an abortable round")
             }
-            ProtocolError::MissingFanout { instance, seq } => {
-                write!(f, "instance {instance}: probe {seq} has no fan-out entry")
-            }
         }
     }
 }
@@ -227,18 +213,10 @@ pub enum RtMsg {
     /// A migration-protocol message from a peer instance or the sequencer.
     Inst(InstanceMsg),
     /// One flush of a shard's pending queue for this instance: store and
-    /// probe tuples in the order the shard routed them. The queue itself
-    /// is the message body, so batching cannot reorder a channel and is
-    /// invisible to the protocol.
-    Data(Vec<DataItem>),
-    /// Fan-out entries `(seq, fanout)` for probe tuples a migration source
-    /// is about to forward in a `MigForward`. Sent on the same
-    /// source → target channel *immediately before* the `MigForward`, so
-    /// FIFO ordering guarantees the target owns each probe's fan-out
-    /// before the probe itself arrives. Without this hand-off the source
-    /// leaked the entries and the target had to guess a fan-out of 1 —
-    /// the accounting bug this variant fixes.
-    ProbeHandoff(Vec<(u64, u32)>),
+    /// probe tuples in the order the shard routed them, each carrying its
+    /// seq and probe fan-out. The queue itself is the message body, so
+    /// batching cannot reorder a channel and is invisible to the protocol.
+    Data(Vec<Tuple>),
     /// Monitor request: report the period's load statistics.
     ReportRequest,
     /// End of stream: process everything pending, then acknowledge and

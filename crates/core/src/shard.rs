@@ -32,34 +32,13 @@ use crate::routing::RouteSnapshot;
 use crate::trace::{Actor, TraceEvent, TraceKind, TraceRing};
 use crate::tuple::{Seq, Tuple};
 
-/// One data-plane tuple on the shard → instance edge: what a shard queues
-/// per destination and what a flush carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataItem {
-    /// A tuple stored at the destination.
-    Store(Tuple),
-    /// A tuple probing the destination, with its dispatch fan-out (how
-    /// many instances received it). The join of the original tuple
-    /// completes when all fan-out parts complete — the straggler penalty
-    /// of broadcast-style strategies.
-    Probe(Tuple, u32),
-}
-
-impl DataItem {
-    /// The tuple, whichever way it is headed.
-    #[must_use]
-    pub fn tuple(&self) -> &Tuple {
-        match self {
-            DataItem::Store(t) | DataItem::Probe(t, _) => t,
-        }
-    }
-}
-
 /// A destination's accumulation buffer. Store and probe tuples share one
-/// ordered queue so their relative arrival order survives batching.
+/// ordered queue so their relative arrival order survives batching; the
+/// destination tells them apart by `side` (its group stores one side and
+/// probes with the other).
 #[derive(Debug, Clone, Default)]
 struct PendingBatch {
-    items: Vec<DataItem>,
+    items: Vec<Tuple>,
     /// `now` of the input message that brought the oldest queued item
     /// (deadline flush).
     oldest_us: u64,
@@ -95,7 +74,7 @@ pub enum ShardOut {
         /// Destination instance within the group.
         dest: usize,
         /// The queue, in routing order.
-        items: Vec<DataItem>,
+        items: Vec<Tuple>,
     },
     /// Tell the sequencer.
     Note(ShardNote),
@@ -212,14 +191,13 @@ impl Shard {
         let t = self.scratch.tuple;
         let own = t.side.index();
         let opp = t.side.opposite().index();
-        let fanout = self.scratch.probe_dests.len() as u32;
         self.tuples_ingested += 1;
-        self.probe_copies += u64::from(fanout);
+        self.probe_copies += u64::from(t.fanout);
         let store_dest = self.scratch.store_dest;
-        self.enqueue(own, store_dest, DataItem::Store(t), now, out);
+        self.enqueue(own, store_dest, t, now, out);
         let dests = std::mem::take(&mut self.scratch.probe_dests);
         for &d in &dests {
-            self.enqueue(opp, d, DataItem::Probe(t, fanout), now, out);
+            self.enqueue(opp, d, t, now, out);
         }
         self.scratch.probe_dests = dests;
         ring.push_sampled(TraceEvent {
@@ -228,7 +206,7 @@ impl Shard {
             kind: TraceKind::Ingest,
             seq: t.seq,
             epoch: 0,
-            aux: u64::from(fanout),
+            aux: u64::from(t.fanout),
             aux2: 0,
         });
     }
@@ -238,7 +216,7 @@ impl Shard {
         &mut self,
         group: usize,
         dest: usize,
-        item: DataItem,
+        item: Tuple,
         now: u64,
         out: &mut VecDeque<ShardOut>,
     ) {
@@ -379,9 +357,12 @@ mod tests {
             input(&mut self.0, &mut out);
             let line = |o| match o {
                 ShardOut::Flush { group, dest, items } => {
-                    items.iter().fold(format!("g{group}.{dest}"), |line, item| match item {
-                        DataItem::Store(t) => format!("{line} s{}@{}", t.payload, t.seq),
-                        DataItem::Probe(t, n) => format!("{line} p{}/{n}@{}", t.payload, t.seq),
+                    items.iter().fold(format!("g{group}.{dest}"), |line, t| {
+                        if t.side.index() == group {
+                            format!("{line} s{}@{}", t.payload, t.seq)
+                        } else {
+                            format!("{line} p{}/{}@{}", t.payload, t.fanout, t.seq)
+                        }
                     })
                 }
                 ShardOut::Note(note) => format!("{note:?}"),

@@ -1,5 +1,5 @@
-//! One join-instance stage as a pure transition: the message step, the
-//! probe fan-out ledger, and crash recovery by checkpoint + replay.
+//! One join-instance stage as a pure transition: the message step and
+//! crash recovery by checkpoint + replay.
 //!
 //! An [`InstanceStage`] is what of a join instance must survive a crash of
 //! the thread driving it, and nothing else: no channel, clock, thread or
@@ -12,12 +12,14 @@
 //! 1. [`InstanceStage::accept`] parks the owned message in the in-flight
 //!    slot, where a crash cannot lose it;
 //! 2. [`InstanceStage::step`] applies it and computes its outputs: peer
-//!    sends with each [`RtMsg::ProbeHandoff`] ahead of the `MigForward` it
-//!    justifies, route requests, completions, the load report, and **one**
-//!    [`InstOut::Reports`] for every probe the step completed. Joined
-//!    pairs alone do not wait for the step to end: they go to the caller's
-//!    sink as their probe completes, so a long bucket never materialises a
-//!    whole message's pairs;
+//!    sends, route requests, completions, the load report, and **one**
+//!    [`InstOut::Reports`] for every probe the step completed, each report
+//!    carrying the fan-out its tuple arrived with (the stage keeps no
+//!    per-probe state: a buffered probe crosses a migration inside the
+//!    `MigForward` with its fan-out). Joined pairs alone do not wait for
+//!    the step to end: they go to the caller's sink as their probe
+//!    completes, so a long bucket never materialises a whole message's
+//!    pairs;
 //! 3. the shell performs the outputs;
 //! 4. [`InstanceStage::commit`] logs the message and, every
 //!    `checkpoint_every` messages, checkpoints: it marks the tuple store's
@@ -34,7 +36,7 @@
 //! give that: a report that escaped a mid-step panic would be sent again
 //! by the re-application and count twice at the collector.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use lintmarks::lint;
 
@@ -45,7 +47,6 @@ use crate::protocol::{
     RouteRequest, RtMsg,
 };
 use crate::selection::KeySelector;
-use crate::shard::DataItem;
 use crate::trace::{TraceEvent, TraceKind, TraceRing};
 use crate::tuple::{JoinedPair, Tuple};
 
@@ -56,8 +57,8 @@ pub enum InstOut {
     Peer {
         /// Destination instance within the group.
         to: usize,
-        /// `RtMsg::Inst` or the `RtMsg::ProbeHandoff` ahead of one.
-        msg: RtMsg,
+        /// A migration-protocol message (it travels as `RtMsg::Inst`).
+        msg: InstanceMsg,
     },
     /// Ask the sequencer for a route flip (sent by a migration target).
     Route(RouteRequest),
@@ -91,10 +92,6 @@ struct Replayable {
     selector: Box<dyn KeySelector + Send>,
     /// Minimum per-key benefit worth migrating (configuration).
     theta_gap: f64,
-    /// Fan-out of every probe received but not yet completed, keyed by
-    /// seq. Entries of probes forwarded to a migration target are handed
-    /// off with the tuples; at end of stream the map must be empty.
-    probe_fanout: HashMap<u64, u32>,
     eos: bool,
     /// The instance's effect buffer; empty between steps.
     fx: Effects,
@@ -107,7 +104,6 @@ struct Replayable {
 struct Checkpoint {
     inst: InstanceCheckpoint,
     selector: Box<dyn KeySelector + Send>,
-    probe_fanout: HashMap<u64, u32>,
     eos: bool,
 }
 
@@ -134,7 +130,6 @@ impl Clone for InstanceStage {
             state: Replayable {
                 inst: state.inst.fork(),
                 selector: state.selector.clone(),
-                probe_fanout: state.probe_fanout.clone(),
                 fx: Effects::new(),
                 ..*state
             },
@@ -157,14 +152,7 @@ impl InstanceStage {
         theta_gap: f64,
         checkpoint_every: u64,
     ) -> Self {
-        let mut state = Replayable {
-            inst,
-            selector,
-            theta_gap,
-            probe_fanout: HashMap::new(),
-            eos: false,
-            fx: Effects::new(),
-        };
+        let mut state = Replayable { inst, selector, theta_gap, eos: false, fx: Effects::new() };
         InstanceStage {
             checkpoint: state.checkpoint(),
             state,
@@ -185,13 +173,6 @@ impl InstanceStage {
     #[must_use]
     pub fn saw_eos(&self) -> bool {
         self.state.eos
-    }
-
-    /// Probes received (or handed over) and not completed or handed on;
-    /// 0 at a clean end of stream.
-    #[must_use]
-    pub fn fanout_outstanding(&self) -> usize {
-        self.state.probe_fanout.len()
     }
 
     /// The accepted message whose outputs have not been committed.
@@ -221,8 +202,8 @@ impl InstanceStage {
     /// # Errors
     ///
     /// A [`ProtocolError`] when the message violates the migration
-    /// protocol or a probe has no fan-out entry; the stage may be torn
-    /// then (fatal to the runtime, a counterexample to the checker).
+    /// protocol; the stage may be torn then (fatal to the runtime, a
+    /// counterexample to the checker).
     pub fn step(
         &mut self,
         now: u64,
@@ -275,22 +256,16 @@ impl InstanceStage {
 
 impl Replayable {
     fn checkpoint(&mut self) -> Checkpoint {
-        let Replayable { inst, selector, theta_gap: _, probe_fanout, eos, fx: _ } = self;
-        Checkpoint {
-            inst: inst.checkpoint(),
-            selector: selector.clone(),
-            probe_fanout: probe_fanout.clone(),
-            eos: *eos,
-        }
+        let Replayable { inst, selector, theta_gap: _, eos, fx: _ } = self;
+        Checkpoint { inst: inst.checkpoint(), selector: selector.clone(), eos: *eos }
     }
 
     /// Returns to the state `cp` captured, whatever a panic left behind.
     /// `cp` must be the latest checkpoint taken of this state.
     fn restore(&mut self, cp: &Checkpoint) {
-        let Checkpoint { inst, selector, probe_fanout, eos } = cp;
+        let Checkpoint { inst, selector, eos } = cp;
         self.inst.restore(inst);
         self.selector.clone_from(selector);
-        self.probe_fanout.clone_from(probe_fanout);
         self.eos = *eos;
         self.fx.clear();
     }
@@ -311,16 +286,13 @@ impl Replayable {
             // One allocation for the step's report vector, not a growth
             // series: these probes complete in the work loop that follows.
             RtMsg::Data(items) => reports.reserve(self.absorb_items(items)?),
-            // Fan-outs of probes a migration source is about to forward
-            // to us; FIFO guarantees they precede the MigForward.
-            RtMsg::ProbeHandoff(entries) => self.probe_fanout.extend(entries.iter().copied()),
             RtMsg::ReportRequest => {
                 self.inst.collect_expired();
                 out.push_back(InstOut::Load(self.inst.take_load_report()));
             }
             RtMsg::Eos => self.eos = true,
         }
-        self.drain_work(now, ring, pairs, &mut reports)?;
+        self.drain_work(now, ring, pairs, &mut reports);
         self.flush(out);
         if !reports.is_empty() {
             out.push_back(InstOut::Reports(reports));
@@ -336,14 +308,12 @@ impl Replayable {
     /// instance tells store from probe by `tuple.side`); returns how many
     /// probes it carried.
     #[lint(hot_path)]
-    fn absorb_items(&mut self, items: &[DataItem]) -> Result<usize, ProtocolError> {
+    fn absorb_items(&mut self, items: &[Tuple]) -> Result<usize, ProtocolError> {
+        let store_side = self.inst.store_side();
         let mut probes = 0;
-        for item in items {
-            if let DataItem::Probe(t, fanout) = item {
-                self.probe_fanout.insert(t.seq, *fanout);
-                probes += 1;
-            }
-            self.handle(InstanceMsg::Data(*item.tuple()))?;
+        for &t in items {
+            probes += usize::from(t.side != store_side);
+            self.handle(InstanceMsg::Data(t))?;
         }
         Ok(probes)
     }
@@ -438,8 +408,8 @@ impl Replayable {
         ring.push(TraceEvent { at_us, actor: ring.actor(), kind, seq: 0, epoch, aux, aux2 });
     }
 
-    /// Processes everything pending before new input is taken. Completed
-    /// probes are closed out per tuple ([`Replayable::probe_done`]);
+    /// Processes everything pending before new input is taken. Each
+    /// completed probe is reported with the fan-out its tuple carries;
     /// sampled events carry `now`, their message's stamp. Joined pairs —
     /// produced only when a consumer wants them materialised — leave as
     /// their probe completes (latency and memory stay per probe);
@@ -451,11 +421,12 @@ impl Replayable {
         mut ring: Option<&mut TraceRing>,
         pairs: &mut impl FnMut(JoinedPair),
         reports: &mut Vec<ProbeReport>,
-    ) -> Result<(), ProtocolError> {
+    ) {
         while let Some(work) = self.inst.process_next(&mut self.fx) {
             let (kind, tuple, matches) = match work {
                 Work::Probe { tuple, matches, .. } => {
-                    reports.push(self.probe_done(&tuple, matches)?);
+                    let Tuple { seq, fanout, ts, .. } = tuple;
+                    reports.push(ProbeReport { seq, fanout, matches, ts });
                     (TraceKind::ProbeDone, tuple, matches)
                 }
                 Work::Store { tuple } => (TraceKind::StoreDone, tuple, 0),
@@ -475,40 +446,12 @@ impl Replayable {
                 self.fx.joined.drain(..).for_each(&mut *pairs);
             }
         }
-        Ok(())
-    }
-
-    /// Closes the books on one completed probe part: its fan-out entry is
-    /// consumed here, and what the collector needs travels in the report.
-    #[lint(hot_path)]
-    fn probe_done(&mut self, tuple: &Tuple, matches: u64) -> Result<ProbeReport, ProtocolError> {
-        let fanout = self
-            .probe_fanout
-            .remove(&tuple.seq)
-            .ok_or(ProtocolError::MissingFanout { instance: self.inst.id(), seq: tuple.seq })?;
-        Ok(ProbeReport { seq: tuple.seq, fanout, matches, ts: tuple.ts })
     }
 
     /// Moves the effect buffer into `out`, in the order the effects leave:
     /// peer sends, route requests, completions.
     fn flush(&mut self, out: &mut VecDeque<InstOut>) {
-        for (to, msg) in self.fx.sends.drain(..) {
-            if let InstanceMsg::MigForward { tuples, .. } = &msg {
-                // Probe-side tuples in the forwarded buffer take their
-                // fan-out entries with them; the hand-off goes first on
-                // the same channel, so the target owns the entries before
-                // the tuples arrive (per-channel FIFO). Store-side tuples
-                // have no entry and are skipped by the lookup.
-                let entries: Vec<(u64, u32)> = tuples
-                    .iter()
-                    .filter_map(|t| self.probe_fanout.remove(&t.seq).map(|f| (t.seq, f)))
-                    .collect();
-                if !entries.is_empty() {
-                    out.push_back(InstOut::Peer { to, msg: RtMsg::ProbeHandoff(entries) });
-                }
-            }
-            out.push_back(InstOut::Peer { to, msg: RtMsg::Inst(msg) });
-        }
+        out.extend(self.fx.sends.drain(..).map(|(to, msg)| InstOut::Peer { to, msg }));
         out.extend(self.fx.route_requests.drain(..).map(InstOut::Route));
         out.extend(self.fx.migration_done.drain(..).map(InstOut::Done));
     }
@@ -560,12 +503,9 @@ mod tests {
         }
     }
 
-    fn item(side: Side, key: u64, seq: u64) -> DataItem {
-        let t = Tuple { seq, ..Tuple::new(side, key, seq, 0) };
-        match side {
-            Side::R => DataItem::Store(t),
-            Side::S => DataItem::Probe(t, 2),
-        }
+    /// A dispatched tuple: every probe fans out to two instances.
+    fn item(side: Side, key: u64, seq: u64) -> Tuple {
+        Tuple { seq, fanout: 2, ..Tuple::new(side, key, seq, 0) }
     }
 
     fn report(seq: u64, matches: u64) -> ProbeReport {
@@ -583,14 +523,14 @@ mod tests {
         // The second probe sees the tuple stored between the two.
         assert_eq!(out, [InstOut::Reports(vec![report(1, 0), report(3, 1)])]);
         assert_eq!(rig.pairs, [(2, 3)]);
-        assert_eq!(rig.stage.fanout_outstanding(), 0);
         assert!(rig.feed(RtMsg::Data(vec![item(Side::R, 7, 4)])).is_empty(), "no probe, no batch");
     }
 
-    /// A source's flip leaves in protocol order: the fan-out entries of
-    /// the buffered probes ahead of the `MigForward` carrying them.
+    /// A source's flip leaves in protocol order — the `MigForward` of the
+    /// buffered tuples, then `MigEnd` — and a buffered probe crosses with
+    /// the fan-out it was dispatched with, inside the tuple.
     #[test]
-    fn a_flip_hands_the_buffered_probes_fanout_off_ahead_of_the_forward() {
+    fn a_flip_forwards_the_buffered_probes_with_their_fanout() {
         let mut rig = Rig::new(64);
         // A hot and a cold key with probe pressure on both, one period
         // frozen: GreedyFit finds something to move.
@@ -611,18 +551,15 @@ mod tests {
         let late = [item(Side::S, key, 90), item(Side::R, key, 91)];
         assert!(rig.feed(RtMsg::Data(late.to_vec())).is_empty(), "buffered, not processed");
         let out = rig.feed(RtMsg::Inst(InstanceMsg::RouteUpdated { epoch: 4 }));
-        let tuples = late.iter().map(|i| *i.tuple()).collect();
         let peer = |msg| InstOut::Peer { to: 1, msg };
         assert_eq!(
             out,
             [
                 InstOut::Event(InstEvent::RouteFlipped(4)),
-                peer(RtMsg::ProbeHandoff(vec![(90, 2)])),
-                peer(RtMsg::Inst(InstanceMsg::MigForward { epoch: 4, tuples })),
-                peer(RtMsg::Inst(InstanceMsg::MigEnd { epoch: 4, from: 0 })),
+                peer(InstanceMsg::MigForward { epoch: 4, tuples: late.to_vec() }),
+                peer(InstanceMsg::MigEnd { epoch: 4, from: 0 }),
             ]
         );
-        assert_eq!(rig.stage.fanout_outstanding(), 0, "the entry left with the probe");
     }
 
     /// Recovery replays the log silently — no output, no pair — and
@@ -645,18 +582,19 @@ mod tests {
         assert_eq!(torn, [InstOut::Reports(vec![report(3, 1), report(4, 1)])]);
         assert_eq!(rig.pairs, [(1, 2), (1, 3), (1, 4)]);
         rig.stage.commit();
-        assert_eq!((rig.stage.log_len(), rig.stage.fanout_outstanding()), (2, 0));
+        assert_eq!(rig.stage.log_len(), 2);
     }
 
-    /// A probe without a fan-out entry is a lost hand-off, reported as
-    /// such instead of guessed at.
+    /// A probe forwarded by a migration source is reported by the target
+    /// with the fan-out it was dispatched with: the part the source's
+    /// peers complete and the part the target completes agree at the
+    /// collector.
     #[test]
-    fn a_probe_without_a_fanout_entry_is_a_protocol_error() {
+    fn a_forwarded_probe_reports_its_dispatch_fanout() {
         let mut rig = Rig::new(64);
         rig.feed(RtMsg::Inst(InstanceMsg::MigStart { epoch: 1, from: 1, keys: vec![7] }));
-        let tuples = vec![*item(Side::S, 7, 9).tuple()];
-        rig.stage.accept(RtMsg::Inst(InstanceMsg::MigForward { epoch: 1, tuples }));
-        let err = rig.stage.step(0, &mut rig.ring, &mut |_| {}, &mut VecDeque::new());
-        assert_eq!(err, Err(ProtocolError::MissingFanout { instance: 0, seq: 9 }));
+        let tuples = vec![item(Side::S, 7, 9)];
+        let out = rig.feed(RtMsg::Inst(InstanceMsg::MigForward { epoch: 1, tuples }));
+        assert_eq!(out, [InstOut::Reports(vec![report(9, 0)])]);
     }
 }

@@ -18,12 +18,12 @@
 //! one field, `seq` — two inside a window. So a key's tuples are stored as
 //! columns, not as `Tuple`s: one allocation per key holding a `seq`, a
 //! `ts`, a `payload` and a `side` column of `cap` words each (`key` is the
-//! map key). A probe that only counts walks the `seq` column — 8
-//! contiguous bytes per stored tuple where an array of `Tuple`s costs 40 —
-//! plus the `ts` column when `min_ts > 0`; `payload` and `side` are read
-//! only for a match that is handed out as a `Tuple`. The scan stays linear
-//! in the bucket on purpose: it is the cost the load model and the monitor
-//! balance.
+//! map key; a `side` word holds the side bit and the fan-out above it). A
+//! probe that only counts walks the `seq` column — 8 contiguous bytes per
+//! stored tuple where an array of `Tuple`s costs 40 — plus the `ts` column
+//! when `min_ts > 0`; `payload` and `side` are read only for a match that
+//! is handed out as a `Tuple`. The scan stays linear in the bucket on
+//! purpose: it is the cost the load model and the monitor balance.
 //!
 //! The columns are rings sharing one `head`, because a bucket is a FIFO
 //! (`insert` appends, `expire` pops the oldest) whose both ends move back
@@ -101,9 +101,10 @@ impl Tuples<'_> {
             self.left -= 1;
             let (seq, ts) = (*self.seq.get(slot)?, *self.ts.get(slot)?);
             if keep(seq, ts) {
-                let side = if *self.side.get(slot)? == 0 { Side::R } else { Side::S };
+                let word = *self.side.get(slot)?;
                 return Some(Tuple {
-                    side,
+                    side: if word & 1 == 0 { Side::R } else { Side::S },
+                    fanout: (word >> 1) as u32,
                     key: self.key,
                     ts,
                     seq,
@@ -171,7 +172,9 @@ impl Bucket {
     /// Writes `t` into physical slot `slot` of every column.
     fn write(&mut self, slot: usize, t: &Tuple) {
         let cap = self.cap();
-        let words = [t.seq, t.ts, t.payload, t.side.index() as u64];
+        // The side index in bit 0 of its word, the fan-out above it.
+        let side = t.side.index() as u64 | u64::from(t.fanout) << 1;
+        let words = [t.seq, t.ts, t.payload, side];
         for (column, word) in words.into_iter().enumerate() {
             if let Some(w) = self.buf.get_mut(column * cap + slot) {
                 *w = word;

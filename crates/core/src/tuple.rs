@@ -1,8 +1,12 @@
 //! Stream tuples and stream-side tags.
 //!
 //! FastJoin joins two streams, conventionally named `R` and `S` (Table I of
-//! the paper). Every tuple carries the join key, an event timestamp, a
-//! globally unique dispatch sequence number, and an opaque payload word.
+//! the paper). Every tuple carries the join key, an event timestamp, an
+//! opaque payload word, and two fields the dispatcher assigns when it routes
+//! the tuple: a globally unique sequence number and the probe fan-out (how
+//! many instances of the opposite group the tuple probes). Both travel with
+//! the tuple wherever it goes — a shard flush, a migration's `MigForward` —
+//! so no stage keeps a side table of them.
 //!
 //! Tuples are fixed-size `Copy` PODs: the hot path of a stream join system
 //! moves millions of them per second through queues, so they must not own
@@ -73,6 +77,11 @@ impl std::fmt::Display for Side {
 pub struct Tuple {
     /// Stream this tuple belongs to.
     pub side: Side,
+    /// How many instances of the opposite group received this tuple as a
+    /// probe; the probe's join completes when that many parts have. Set by
+    /// the dispatcher with `seq` (0 = not dispatched yet), it fills padding
+    /// after `side`, so it costs no space.
+    pub fanout: u32,
     /// Join key (already hashed to 64 bits).
     pub key: Key,
     /// Event timestamp.
@@ -84,12 +93,12 @@ pub struct Tuple {
 }
 
 impl Tuple {
-    /// Creates a tuple with `seq = 0`; the dispatcher assigns the real
-    /// sequence number at dispatch time.
+    /// Creates a tuple with `seq = 0` and `fanout = 0`; the dispatcher
+    /// assigns both at dispatch time.
     #[inline]
     #[must_use]
     pub fn new(side: Side, key: Key, ts: Timestamp, payload: u64) -> Self {
-        Tuple { side, key, ts, seq: 0, payload }
+        Tuple { side, fanout: 0, key, ts, seq: 0, payload }
     }
 
     /// Convenience constructor for an `R` tuple.
@@ -106,6 +115,11 @@ impl Tuple {
         Tuple::new(Side::S, key, ts, payload)
     }
 }
+
+// A tuple is what every queue, batch and store slot holds: a field that
+// grows it grows `store.bytes_per_tuple` and every channel message with it.
+// lint:allow(evaluated at compile time: a layout change fails the build)
+const _: () = assert!(std::mem::size_of::<Tuple>() == 40);
 
 /// A joined result pair. `left` is always the `R`-side tuple and `right` the
 /// `S`-side tuple regardless of which side probed.
@@ -167,7 +181,7 @@ mod tests {
         assert_eq!(r.side, Side::R);
         assert_eq!(s.side, Side::S);
         assert_eq!(r.key, s.key);
-        assert_eq!(r.seq, 0, "seq is assigned by the dispatcher");
+        assert_eq!((r.seq, r.fanout), (0, 0), "seq and fan-out are assigned by the dispatcher");
     }
 
     #[test]

@@ -22,7 +22,6 @@ use fastjoin_core::instance::JoinInstance;
 use fastjoin_core::load::{InstanceLoad, KeyStat};
 use fastjoin_core::protocol::{InstanceMsg, MigrationState, RouteRequest, RtMsg};
 use fastjoin_core::selection::{KeySelector, MigrationPlan};
-use fastjoin_core::shard::DataItem;
 use fastjoin_core::stage::{InstOut, InstanceStage};
 use fastjoin_core::trace::{Actor, TraceConfig, TraceRing};
 use fastjoin_core::tuple::{JoinedPair, Key, Side, Tuple};
@@ -60,8 +59,9 @@ fn stage(id: usize, window: Option<WindowConfig>, checkpoint_every: u64) -> Inst
     InstanceStage::new(inst, Box::new(MoveTheBiggest), 0.0, checkpoint_every)
 }
 
-fn tuple(side: Side, key: Key, seq: u64) -> Tuple {
-    Tuple { seq, ..Tuple::new(side, key, seq, 0) }
+/// A dispatched tuple: it probes `fanout` instances.
+fn tuple(side: Side, key: Key, seq: u64, fanout: u32) -> Tuple {
+    Tuple { seq, fanout, ..Tuple::new(side, key, seq, 0) }
 }
 
 /// Where in a message's life the stage is crashed.
@@ -145,15 +145,16 @@ fn digest(stage: &InstanceStage) -> String {
     let stats = inst.key_stats();
     let buckets: Vec<Vec<u64>> = stats
         .iter()
-        .map(|k| inst.store().probe(&tuple(Side::S, k.key, u64::MAX), 0).map(|t| t.seq).collect())
+        .map(|k| {
+            inst.store().probe(&tuple(Side::S, k.key, u64::MAX, 1), 0).map(|t| t.seq).collect()
+        })
         .collect();
     format!(
-        "{round} | {:?} {:?} {:?} pending {} fanout {} eos {} | {stats:?} {buckets:?}",
+        "{round} | {:?} {:?} {:?} pending {} eos {} | {stats:?} {buckets:?}",
         inst.counters(),
         inst.load(),
         inst.reported_load(),
         inst.pending_len(),
-        stage.fanout_outstanding(),
         stage.saw_eos(),
     )
 }
@@ -237,10 +238,9 @@ impl Round {
             let fed = feed.next();
             match fed {
                 Some(Data(side, key)) => {
-                    let t = tuple(*side, *key, tick as u64);
-                    let item = if *side == R { DataItem::Store(t) } else { DataItem::Probe(t, 1) };
+                    let t = tuple(*side, *key, tick as u64, 1);
                     let dest = if *key == HOT { round.hot_route } else { 1 };
-                    round.inbox[dest].push_back(RtMsg::Data(vec![item]));
+                    round.inbox[dest].push_back(RtMsg::Data(vec![t]));
                 }
                 Some(Report) => {
                     round.inbox.iter_mut().for_each(|q| q.push_back(RtMsg::ReportRequest))
@@ -284,7 +284,6 @@ impl Round {
         let kind = match &msg {
             RtMsg::Inst(m) => format!("{m:?}").split([' ', '{']).next().unwrap_or("").to_string(),
             RtMsg::Data(_) => "Data".to_string(),
-            RtMsg::ProbeHandoff(_) => "ProbeHandoff".to_string(),
             RtMsg::ReportRequest => "ReportRequest".to_string(),
             RtMsg::Eos => "Eos".to_string(),
         };
@@ -292,7 +291,7 @@ impl Round {
         let crash = self.crash.filter(|c| (c.0, c.1) == (i, index)).map(|c| c.2);
         for o in deliver(&mut self.stages[i], msg, crash, &mut self.sent[i]) {
             match o {
-                InstOut::Peer { to, msg } => self.inbox[to].push_back(msg),
+                InstOut::Peer { to, msg } => self.inbox[to].push_back(RtMsg::Inst(msg)),
                 InstOut::Route(req) => self.routes.push_back((tick + ROUTE_DELAY, req)),
                 InstOut::Done(_) | InstOut::Load(_) | InstOut::Reports(_) | InstOut::Event(_) => {}
             }
@@ -314,10 +313,7 @@ fn a_migration_round_crashed_at_every_message_ends_like_the_crash_free_one() {
             let (src, tgt): (&[&str], &[&str]) = if abort {
                 (&["MigrateCmd", "MigAbort", "MigReturn"], &["MigStart", "MigStore", "MigAbort"])
             } else {
-                (
-                    &["MigrateCmd", "RouteUpdated"],
-                    &["MigStart", "MigStore", "ProbeHandoff", "MigForward", "MigEnd"],
-                )
+                (&["MigrateCmd", "RouteUpdated"], &["MigStart", "MigStore", "MigForward", "MigEnd"])
             };
             for (i, kinds) in [src, tgt].into_iter().enumerate() {
                 for kind in kinds {
@@ -362,7 +358,7 @@ fn a_migration_round_crashed_at_every_message_ends_like_the_crash_free_one() {
 // ---------------------------------------------------------------------
 
 /// One generated step `(kind, a, b)`, decoded against the stage's
-/// migration state by [`next_messages`].
+/// migration state by [`Script::next_message`].
 type Op = (u8, u64, u64);
 
 /// Builds the sequence as it is consumed, so every message is one the
@@ -373,31 +369,28 @@ struct Script {
 }
 
 impl Script {
-    fn tuple(&mut self, side: Side, key: Key) -> Tuple {
+    /// The next tuple; a probe (an S tuple) fans out to 1–3 instances.
+    fn tuple(&mut self, side: Side, key: Key, b: u64) -> Tuple {
         self.seq += 1;
-        tuple(side, key, self.seq)
+        tuple(side, key, self.seq, 1 + (b % 3) as u32)
     }
 
     fn data(&mut self, a: u64, b: u64) -> RtMsg {
         let items = (0..1 + a % 4).map(|i| {
             let key = (a / 4 + i * b) % 4;
-            if (b >> i) & 1 == 0 {
-                DataItem::Store(self.tuple(Side::R, key))
-            } else {
-                DataItem::Probe(self.tuple(Side::S, key), 1 + (b % 3) as u32)
-            }
+            self.tuple(if (b >> i) & 1 == 0 { Side::R } else { Side::S }, key, b)
         });
         RtMsg::Data(items.collect())
     }
 
-    /// The messages `op` stands for while the stage is in `state`.
-    fn next_messages(&mut self, state: &MigrationState, (kind, a, b): Op) -> Vec<RtMsg> {
-        let inst = |m| vec![RtMsg::Inst(m)];
+    /// The message `op` stands for while the stage is in `state`.
+    fn next_message(&mut self, state: &MigrationState, (kind, a, b): Op) -> RtMsg {
+        let inst = RtMsg::Inst;
         if kind < 5 {
-            return vec![self.data(a, b)];
+            return self.data(a, b);
         }
         if kind == 5 {
-            return vec![RtMsg::ReportRequest];
+            return RtMsg::ReportRequest;
         }
         match state {
             MigrationState::Idle => {
@@ -418,7 +411,7 @@ impl Script {
             },
             MigrationState::Aborting { epoch, keys, .. } => {
                 let key = keys.iter().copied().min().unwrap_or(0);
-                let stored = (0..a % 3).map(|_| self.tuple(Side::R, key)).collect();
+                let stored = (0..a % 3).map(|_| self.tuple(Side::R, key, b)).collect();
                 inst(InstanceMsg::MigReturn { epoch: *epoch, stored, inflight: Vec::new() })
             }
             MigrationState::Target { epoch, keys, .. } => {
@@ -426,26 +419,18 @@ impl Script {
                 let key = keys.iter().copied().min().unwrap_or(0);
                 match kind {
                     6 => {
-                        let tuples = (0..1 + a % 3).map(|_| self.tuple(Side::R, key)).collect();
+                        let tuples = (0..1 + a % 3).map(|_| self.tuple(Side::R, key, b)).collect();
                         inst(InstanceMsg::MigStore { epoch, tuples })
                     }
+                    // A source's buffer, its probes carrying their fan-out.
                     7 => {
-                        let tuples: Vec<Tuple> = (0..1 + a % 3)
+                        let tuples = (0..1 + a % 3)
                             .map(|i| {
-                                self.tuple(if (b >> i) & 1 == 0 { Side::R } else { Side::S }, key)
+                                let side = if (b >> i) & 1 == 0 { Side::R } else { Side::S };
+                                self.tuple(side, key, b)
                             })
                             .collect();
-                        let entries: Vec<(u64, u32)> = tuples
-                            .iter()
-                            .filter(|t| t.side == Side::S)
-                            .map(|t| (t.seq, 2))
-                            .collect();
-                        let forward = RtMsg::Inst(InstanceMsg::MigForward { epoch, tuples });
-                        if entries.is_empty() {
-                            vec![forward]
-                        } else {
-                            vec![RtMsg::ProbeHandoff(entries), forward]
-                        }
+                        inst(InstanceMsg::MigForward { epoch, tuples })
                     }
                     8 => inst(InstanceMsg::MigEnd { epoch, from: 1 }),
                     _ => inst(InstanceMsg::MigAbort { epoch }),
@@ -476,10 +461,9 @@ proptest! {
         let mut script = Script { seq: 0, epoch: 0 };
         let mut messages = Vec::new();
         for op in ops {
-            for msg in script.next_messages(clean.instance().migration_state(), op) {
-                messages.push(msg.clone());
-                deliver(&mut clean, msg, None, &mut clean_sent);
-            }
+            let msg = script.next_message(clean.instance().migration_state(), op);
+            messages.push(msg.clone());
+            deliver(&mut clean, msg, None, &mut clean_sent);
         }
         let crash_at = crash_at % messages.len();
         let mut crashed = stage(0, window, checkpoint_every);

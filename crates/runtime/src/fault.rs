@@ -40,10 +40,11 @@ pub enum CrashPhase {
     /// The migration target crashes just before processing `MigStart` —
     /// the round is announced but no store payload has been installed.
     PreMigStart,
-    /// The migration target crashes after a `ProbeHandoff` arrived but
-    /// before the matching `MigForward` — the exact window where fan-out
-    /// entries have changed hands but their probes have not.
-    BetweenHandoffAndForward,
+    /// The migration target crashes just before processing `MigForward` —
+    /// the store payload is installed, the route has flipped, and the
+    /// source's buffered tuples (probes with their fan-out) are in its
+    /// inbox.
+    PreMigForward,
     /// The migration source crashes just before processing `RouteUpdated`
     /// — keys are buffered, the dispatcher already flipped the route.
     PreRouteFlip,
@@ -222,14 +223,13 @@ impl FaultPlan {
 pub struct KillSwitch {
     phase: Option<CrashPhase>,
     msgs_seen: u64,
-    handoff_seen: bool,
 }
 
 impl KillSwitch {
     /// A switch that will fire at `phase` (or never, for `None`).
     #[must_use]
     pub fn new(phase: Option<CrashPhase>) -> Self {
-        KillSwitch { phase, msgs_seen: 0, handoff_seen: false }
+        KillSwitch { phase, msgs_seen: 0 }
     }
 
     /// Returns `true` exactly once, immediately before the message that
@@ -241,17 +241,12 @@ impl KillSwitch {
         // fail-stop at a message boundary retries the whole batch).
         self.msgs_seen += match msg {
             RtMsg::Data(items) => items.len() as u64,
-            RtMsg::Inst(_) | RtMsg::ProbeHandoff(_) | RtMsg::ReportRequest | RtMsg::Eos => 1,
+            RtMsg::Inst(_) | RtMsg::ReportRequest | RtMsg::Eos => 1,
         };
         let Some(phase) = self.phase else { return false };
         let fire = match phase {
             CrashPhase::PreMigStart => matches!(msg, RtMsg::Inst(InstanceMsg::MigStart { .. })),
-            CrashPhase::BetweenHandoffAndForward => {
-                if matches!(msg, RtMsg::ProbeHandoff(_)) {
-                    self.handoff_seen = true;
-                }
-                self.handoff_seen && matches!(msg, RtMsg::Inst(InstanceMsg::MigForward { .. }))
-            }
+            CrashPhase::PreMigForward => matches!(msg, RtMsg::Inst(InstanceMsg::MigForward { .. })),
             CrashPhase::PreRouteFlip => {
                 matches!(msg, RtMsg::Inst(InstanceMsg::RouteUpdated { .. }))
             }
@@ -317,11 +312,7 @@ pub fn split_rt_batches(msg: RtMsg) -> Result<Vec<RtMsg>, RtMsg> {
         RtMsg::Data(items) if items.len() > 1 => {
             Ok(items.into_iter().map(|item| RtMsg::Data(vec![item])).collect())
         }
-        RtMsg::Data(_)
-        | RtMsg::Inst(_)
-        | RtMsg::ProbeHandoff(_)
-        | RtMsg::ReportRequest
-        | RtMsg::Eos => Err(msg),
+        RtMsg::Data(_) | RtMsg::Inst(_) | RtMsg::ReportRequest | RtMsg::Eos => Err(msg),
     }
 }
 
@@ -490,7 +481,7 @@ impl FaultPlan {
     /// stalled rounds, and the kills of the supervised control executors.
     pub const CLASSES: [&'static str; 9] = [
         "crash-pre-migstart",
-        "crash-handoff-forward",
+        "crash-pre-migforward",
         "crash-pre-route-flip",
         "crash-steady-state",
         "channel-chaos",
@@ -520,7 +511,7 @@ impl FaultPlan {
         };
         let plan = match name {
             "crash-pre-migstart" => everywhere(CrashPhase::PreMigStart),
-            "crash-handoff-forward" => everywhere(CrashPhase::BetweenHandoffAndForward),
+            "crash-pre-migforward" => everywhere(CrashPhase::PreMigForward),
             "crash-pre-route-flip" => everywhere(CrashPhase::PreRouteFlip),
             "crash-steady-state" => everywhere(CrashPhase::SteadyState { after_msgs: 400 }),
             // Delay on the (FIFO, lossless) data plane; drop/dup/reorder on
@@ -578,8 +569,8 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::DataItem;
     use crossbeam::channel::unbounded;
+    use fastjoin_core::tuple::{Side, Tuple};
 
     fn plan_with_seed(seed: u64) -> FaultPlan {
         FaultPlan { seed, ..FaultPlan::default() }
@@ -635,12 +626,16 @@ mod tests {
     }
 
     #[test]
-    fn handoff_phase_requires_handoff_then_forward() {
-        let mut ks = KillSwitch::new(Some(CrashPhase::BetweenHandoffAndForward));
+    fn pre_migforward_fires_on_the_forward_only() {
+        let mut ks = KillSwitch::new(Some(CrashPhase::PreMigForward));
+        let start = RtMsg::Inst(InstanceMsg::MigStart { epoch: 1, from: 0, keys: vec![7] });
         let fwd = RtMsg::Inst(InstanceMsg::MigForward { epoch: 1, tuples: Vec::new() });
-        assert!(!ks.should_crash(&fwd), "no handoff yet");
-        assert!(!ks.should_crash(&RtMsg::ProbeHandoff(vec![(1, 2)])));
+        assert!(!ks.should_crash(&start));
+        assert!(!ks.should_crash(&mixed_msg(2)));
         assert!(ks.should_crash(&fwd));
+        assert!(!ks.should_crash(&fwd), "single fire");
+        let plan = FaultPlan::class("crash-pre-migforward", 1).expect("a listed class");
+        assert_eq!(plan.crash_for(1, 3), Some(CrashPhase::PreMigForward));
     }
 
     #[test]
@@ -703,14 +698,14 @@ mod tests {
         assert!(ks.should_crash(&RtMsg::ReportRequest));
     }
 
-    /// A mixed store/probe message, payloads `0..n` in order.
+    /// A mixed store/probe message for an R-storing instance, payloads
+    /// `0..n` in order; each probe fans out to two instances.
     fn mixed_msg(n: u64) -> RtMsg {
-        use fastjoin_core::tuple::Tuple;
         RtMsg::Data(
             (0..n)
                 .map(|i| match i % 2 {
-                    0 => DataItem::Store(Tuple::r(i, 0, i)),
-                    _ => DataItem::Probe(Tuple::s(i, 0, i), 2),
+                    0 => Tuple::r(i, 0, i),
+                    _ => Tuple { fanout: 2, ..Tuple::s(i, 0, i) },
                 })
                 .collect(),
         )
@@ -719,7 +714,7 @@ mod tests {
     /// The payloads a data message carries, in order.
     fn payloads(msg: &RtMsg) -> Vec<u64> {
         match msg {
-            RtMsg::Data(items) => items.iter().map(|item| item.tuple().payload).collect(),
+            RtMsg::Data(items) => items.iter().map(|t| t.payload).collect(),
             other => panic!("not a data message: {other:?}"),
         }
     }
@@ -742,9 +737,9 @@ mod tests {
         }
         assert!(
             matches!(parts.as_slice(), [RtMsg::Data(a), RtMsg::Data(b), ..]
-                if matches!(a.as_slice(), [DataItem::Store(_)])
-                    && matches!(b.as_slice(), [DataItem::Probe(_, 2)])),
-            "items keep their kind and fan-out: {parts:?}"
+                if matches!(a.as_slice(), [Tuple { side: Side::R, .. }])
+                    && matches!(b.as_slice(), [Tuple { side: Side::S, fanout: 2, .. }])),
+            "items keep their side and fan-out: {parts:?}"
         );
         // Nothing to split: a part of a split, and any non-data message.
         assert!(split_rt_batches(mixed_msg(1)).is_err(), "a one-item message must not re-split");

@@ -7,12 +7,14 @@
 //!
 //! Each data hop has one message form: [`SpoutMsg::Data`] carries a run of
 //! spout tuples to a shard, [`RtMsg::Data`] carries a destination's pending
-//! queue — store and probe tuples interleaved in arrival order
-//! ([`DataItem`]) — to an instance. A message of n items *means* n
-//! consecutive one-item messages on the same channel; every consumer
-//! (executors, kill switches, chaos receivers, checkpoints) preserves that
-//! equivalence, which is what lets the migration protocol ignore batching
-//! entirely.
+//! queue — store and probe tuples interleaved in arrival order, each
+//! stamped with its dispatch seq and probe fan-out — to an instance. The
+//! instance tells a store from a probe by the tuple's side, and a probe's
+//! fan-out stays in its tuple however far a migration forwards it. A
+//! message of n items *means* n consecutive one-item messages on the same
+//! channel; every consumer (executors, kill switches, chaos receivers,
+//! checkpoints) preserves that equivalence, which is what lets the
+//! migration protocol ignore batching entirely.
 //!
 //! The result hop follows the same unit: an instance reports the probes
 //! one input message completed as one vector of [`ProbeReport`]s, stamped
@@ -26,7 +28,6 @@ use fastjoin_core::tuple::Tuple;
 // state machines in `fastjoin_core` (`shard`, `sequencer`, `stage`); the
 // channels here carry it as is.
 pub use fastjoin_core::protocol::{DispatcherMsg, ProbeReport, RtMsg, ShardCtrl, ShardNote};
-pub use fastjoin_core::shard::DataItem;
 
 /// A dispatcher shard's data-channel input. Each shard has its own
 /// bounded channel of these, fed by the spout (which picks the shard by
@@ -80,11 +81,8 @@ mod tests {
 
     #[test]
     fn messages_are_constructible_and_debuggable() {
-        let m = RtMsg::Data(vec![
-            DataItem::Store(Tuple::r(1, 2, 3)),
-            DataItem::Probe(Tuple::s(1, 2, 4), 2),
-        ]);
-        assert!(format!("{m:?}").contains("Probe"));
+        let m = RtMsg::Data(vec![Tuple::r(1, 2, 3), Tuple::s(1, 2, 4)]);
+        assert!(format!("{m:?}").contains("fanout"));
         let d = SpoutMsg::Eos;
         assert!(format!("{d:?}").contains("Eos"));
         let r = ProbeReport { seq: 1, fanout: 2, matches: 3, ts: 10 };

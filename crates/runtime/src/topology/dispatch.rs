@@ -151,8 +151,8 @@ impl Shard {
                     // (covers spout-batch residency, queue wait, and
                     // batching delay), under one name lookup per flush.
                     let dispatch_us = self.reg.histogram_mut("stage.dispatch_us");
-                    for item in &items {
-                        dispatch_us.record(flushed_at.saturating_sub(item.tuple().ts));
+                    for t in &items {
+                        dispatch_us.record(flushed_at.saturating_sub(t.ts));
                     }
                     // One per flush: (tuples_ingested + probe_copies) /
                     // batches_flushed is the batch fill.
@@ -493,7 +493,6 @@ impl Executor for Sequencer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::DataItem;
     use crate::topology::supervise::Clock;
     use crossbeam::channel::{bounded, unbounded};
     use fastjoin_core::protocol::{InstanceMsg, RouteRequest};
@@ -688,12 +687,8 @@ mod tests {
             loop {
                 match recv(rx, "group-0 stream") {
                     RtMsg::Eos => return payloads,
-                    RtMsg::Data(items) => payloads.extend(
-                        items
-                            .iter()
-                            .filter(|i| matches!(i, DataItem::Store(_)))
-                            .map(|i| i.tuple().payload),
-                    ),
+                    RtMsg::Data(items) => payloads
+                        .extend(items.iter().filter(|t| t.side == Side::R).map(|t| t.payload)),
                     _ => {}
                 }
             }

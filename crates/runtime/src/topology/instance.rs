@@ -1,27 +1,27 @@
 //! The join-instance stage's shell: one executor thread per instance.
 //!
-//! What an instance *decides* — the message step, the probe fan-out
-//! ledger, the order its outputs leave in, when to checkpoint and how to
-//! recover — lives in [`fastjoin_core::stage::InstanceStage`] as a pure
-//! transition that the model checker drives too (`cargo xtask
-//! check-protocol --variant instance-restart`). This file keeps only what
-//! is imperative: the receive loop and its kill switch, the heartbeat and
-//! parked sends, the two clock reads around a step, the metrics registry
-//! (published live each report tick) and the end-of-run report.
+//! What an instance *decides* — the message step, the order its outputs
+//! leave in, when to checkpoint and how to recover — lives in
+//! [`fastjoin_core::stage::InstanceStage`] as a pure transition that the
+//! model checker drives too (`cargo xtask check-protocol --variant
+//! instance-restart`). This file keeps only what is imperative: the
+//! receive loop and its kill switch, the heartbeat and parked sends, the
+//! two clock reads around a step, the metrics registry (published live
+//! each report tick) and the end-of-run report.
 //!
 //! A step reads the clock where its message changes hands and nowhere
 //! else: `received`, as the message is taken, and `finished`, once its
 //! outputs have left and its probe reports are about to. The stage hands
 //! back an ordered sequence of outputs, performed here **in that order,
 //! after the step returned** — and everything this file counts
-//! (`stage.*`, the hand-off counters, `sends_parked`, the route-flip
-//! stamps) it counts then, from the message it owns and from those
-//! outputs. None of it is replayable state: the registry is not
-//! checkpointed and a recovery neither rolls it back nor re-counts, so a
-//! torn step counts nothing and a replayed one nothing twice. An injected
-//! crash fires between `accept` and `step`, so nothing of its message was
-//! counted or sent; an organic panic mid-step loses the unsent outputs,
-//! and recovery's re-application of the message sends each exactly once.
+//! (`stage.*`, `sends_parked`, the route-flip stamps) it counts then, from
+//! the message it owns and from those outputs. None of it is replayable
+//! state: the registry is not checkpointed and a recovery neither rolls it
+//! back nor re-counts, so a torn step counts nothing and a replayed one
+//! nothing twice. An injected crash fires between `accept` and `step`, so
+//! nothing of its message was counted or sent; an organic panic mid-step
+//! loses the unsent outputs, and recovery's re-application of the message
+//! sends each exactly once.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -163,20 +163,14 @@ impl InstanceExecutor {
         };
         // lint:allow(a protocol violation in the threaded runtime is unrecoverable)
         stepped.unwrap_or_else(|e| panic!("protocol violation: {e}"));
-        match self.stage.inflight() {
-            // Queue-wait attribution stays per tuple (`ts` is the spout
-            // stamp; the whole message left the inbox at `received`),
-            // under one name lookup.
-            Some(RtMsg::Data(items)) => {
-                let queue_wait = self.reg.histogram_mut("stage.queue_wait_us");
-                for item in items {
-                    queue_wait.record(received.saturating_sub(item.tuple().ts));
-                }
+        // Queue-wait attribution stays per tuple (`ts` is the spout stamp;
+        // the whole message left the inbox at `received`), under one name
+        // lookup.
+        if let Some(RtMsg::Data(items)) = self.stage.inflight() {
+            let queue_wait = self.reg.histogram_mut("stage.queue_wait_us");
+            for t in items {
+                queue_wait.record(received.saturating_sub(t.ts));
             }
-            Some(RtMsg::ProbeHandoff(entries)) => {
-                self.reg.counter_add("probe_handoffs_in", entries.len() as u64);
-            }
-            Some(RtMsg::Inst(_) | RtMsg::ReportRequest | RtMsg::Eos) | None => {}
         }
         self.perform(received);
         self.stage.commit();
@@ -187,12 +181,9 @@ impl InstanceExecutor {
         while let Some(o) = self.out.pop_front() {
             match o {
                 InstOut::Peer { to, msg } => {
-                    if let RtMsg::ProbeHandoff(entries) = &msg {
-                        self.reg.counter_add("probe_handoffs_out", entries.len() as u64);
-                    }
                     // lint:allow(protocol contract: peer ids are valid instance indices)
                     let peer = &self.io.to_instances[to];
-                    let _ = self.io.pulse.send(peer, msg, &mut self.sends_parked);
+                    let _ = self.io.pulse.send(peer, RtMsg::Inst(msg), &mut self.sends_parked);
                 }
                 InstOut::Route(req) => {
                     let _ =
@@ -323,9 +314,6 @@ impl Executor for InstanceExecutor {
 
     fn finish(mut self, collector: &Sender<CollectorMsg>) {
         let reg = &mut self.reg;
-        // All probes this instance received must have completed here or
-        // been handed off; the collector asserts the sum stays zero.
-        reg.counter_add("probe_fanout_leaked", self.stage.fanout_outstanding() as u64);
         reg.counter_add("trace.dropped", self.ring.dropped());
         let (delays, drops, dups, reorders) = self.rx.perturbations();
         reg.counter_add("chaos.delays", delays);
@@ -348,7 +336,7 @@ impl Executor for InstanceExecutor {
 mod tests {
     use super::*;
     use crate::fault::ChaosPolicy;
-    use crate::msg::{DataItem, ProbeReport};
+    use crate::msg::ProbeReport;
     use crate::topology::supervise::Clock;
     use crossbeam::channel::{bounded, unbounded, Receiver};
     use fastjoin_core::protocol::InstanceMsg;
@@ -403,13 +391,10 @@ mod tests {
             .collect()
     }
 
-    fn item(side: Side, key: u64, seq: u64, ts: u64) -> DataItem {
-        let mut t = Tuple::new(side, key, ts, 0);
-        t.seq = seq;
-        match side {
-            Side::S => DataItem::Store(t), // `executor()` is an S-group instance
-            Side::R => DataItem::Probe(t, 1),
-        }
+    /// A dispatched tuple (hash routing: fan-out 1). `executor()` is an
+    /// S-group instance, so an R tuple probes it.
+    fn item(side: Side, key: u64, seq: u64, ts: u64) -> Tuple {
+        Tuple { seq, fanout: 1, ..Tuple::new(side, key, ts, 0) }
     }
 
     fn samples(exec: &mut InstanceExecutor, stage: &str) -> u64 {
@@ -480,7 +465,6 @@ mod tests {
         assert_eq!(reported_seqs(&collector_rx), vec![vec![3, 4]], "one report per probe");
         assert_eq!(samples(&mut exec, "stage.probe_us"), 4, "one sample per probe part");
         assert_eq!(samples(&mut exec, "stage.queue_wait_us"), 4);
-        assert_eq!(exec.stage.fanout_outstanding(), 0);
     }
 
     /// `sends_parked` counts parks that happened on a channel; restoring a

@@ -781,10 +781,6 @@ impl Topology {
             .finish()
             // lint:allow(shutdown invariant: leaked fan-out entries mean lost latency samples; fail loudly)
             .unwrap_or_else(|e| panic!("probe accounting corrupted at shutdown: {e}"));
-        // And no instance abandoned fan-out entries on its side either.
-        let leaked = report.registry.counter_sum("probe_fanout_leaked");
-        // lint:allow(shutdown invariant: a leak here is the exact bug the hand-off protocol fixes)
-        assert_eq!(leaked, 0, "{leaked} probe fan-out entrie(s) leaked in instances");
 
         for (group, epoch, us) in route_flips {
             if let Some(span) = report.migration_spans[group] // lint:allow(group is 0 or 1 by construction)

@@ -236,8 +236,8 @@ struct Server {
     /// Join results produced by the in-service tuple, emitted at
     /// completion.
     in_service_matches: u64,
-    /// `(seq, ingest ts)` of the in-service tuple if it was a probe.
-    in_service_probe: Option<(u64, u64)>,
+    /// The in-service tuple if it was a probe.
+    in_service_probe: Option<Tuple>,
 }
 
 struct SimGroup {
@@ -261,11 +261,12 @@ pub struct Simulation<W: Iterator<Item = Tuple>> {
     metrics: RunMetrics,
     results_total: u64,
     tuples_ingested: u64,
-    /// Outstanding probe fan-out counts by dispatch seq. A probe's join is
-    /// complete — and its latency measured — only when every instance it
-    /// was fanned out to has processed it (the straggler penalty of
-    /// broadcast-style strategies).
-    probe_fanout: std::collections::HashMap<u64, u32>,
+    /// Parts still in service of the probes fanned out to several
+    /// instances, by dispatch seq (opened by a probe's first completed
+    /// part). A probe's join is complete — and its latency measured — only
+    /// when every instance it was fanned out to has processed it (the
+    /// straggler penalty of broadcast-style strategies).
+    probe_parts_left: std::collections::HashMap<u64, u32>,
     instance_loads: Vec<TimeSeries>,
     ingest_series: TimeSeries,
     stored_series: TimeSeries,
@@ -348,7 +349,7 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
             scratch: Dispatch::default(),
             results_total: 0,
             tuples_ingested: 0,
-            probe_fanout: std::collections::HashMap::new(),
+            probe_parts_left: std::collections::HashMap::new(),
             instance_loads,
             ingest_series: TimeSeries::new(cfg.report_period),
             stored_series: TimeSeries::new(cfg.report_period),
@@ -473,7 +474,6 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
             Event::Delivery { group: own, dest: store_dest, msg: InstanceMsg::Data(t) },
         );
         let probe_dests = std::mem::take(&mut self.scratch.probe_dests);
-        self.probe_fanout.insert(t.seq, probe_dests.len() as u32);
         for &dest in &probe_dests {
             let delivery = self.channels.send(
                 Endpoint::Dispatcher,
@@ -602,7 +602,7 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
                 self.stages.histogram_record("stage.queue_wait_us", wait);
                 self.stages.histogram_record("stage.probe_us", cost.max(1));
                 server.in_service_matches = matches;
-                server.in_service_probe = Some((tuple.seq, tuple.ts));
+                server.in_service_probe = Some(tuple);
             }
         }
         server.busy = true;
@@ -621,18 +621,14 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
             self.metrics.throughput.record(self.now, matches as f64);
             self.results_total += matches;
         }
-        if let Some((seq, ts)) = probe {
+        if let Some(Tuple { seq, fanout, ts, .. }) = probe {
             // The probe's join completes when its last fan-out part does.
-            let done = {
-                let left = self
-                    .probe_fanout
-                    .get_mut(&seq)
-                    .expect("probe completion without fan-out record");
+            let done = fanout == 1 || {
+                let left = self.probe_parts_left.entry(seq).or_insert(fanout);
                 *left -= 1;
-                *left == 0
+                *left == 0 && self.probe_parts_left.remove(&seq).is_some()
             };
             if done {
-                self.probe_fanout.remove(&seq);
                 let lat = self.now.saturating_sub(ts);
                 self.metrics.latency.record(self.now, lat as f64);
                 self.metrics.latency_hist.record(lat);

