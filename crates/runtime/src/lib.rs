@@ -24,6 +24,6 @@ pub use fault::{ChaosPolicy, CrashFault, CrashPhase, FaultPlan};
 pub use introspect::{Introspection, IntrospectionHub, Part};
 pub use report::RuntimeReport;
 pub use topology::{
-    run_topology, run_topology_with_results, try_run_topology, try_run_topology_with_results,
-    RunError, RuntimeConfig, SupervisionConfig,
+    run_topology, try_run_topology, try_run_topology_with_results, RunError, RuntimeConfig,
+    SupervisionConfig,
 };

@@ -365,23 +365,6 @@ pub fn run_topology(
     try_run_topology(cfg, workload).unwrap_or_else(|e| panic!("topology run failed: {e}"))
 }
 
-/// Like [`run_topology`], but additionally streams every joined pair to
-/// `results` as it is produced (unordered across instances; exactly once).
-/// Dropping the receiver mid-run is safe — emission is best-effort.
-///
-/// # Panics
-/// Panics if the configuration is invalid or the run fails — use
-/// [`try_run_topology_with_results`] to handle failures as values.
-pub fn run_topology_with_results(
-    cfg: &RuntimeConfig,
-    workload: impl IntoIterator<Item = Tuple>,
-    results: Sender<JoinedPair>,
-) -> RuntimeReport {
-    try_run_topology_with_results(cfg, workload, results)
-        // lint:allow(thin compatibility wrapper: callers that want errors use the try_ variant)
-        .unwrap_or_else(|e| panic!("topology run failed: {e}"))
-}
-
 /// Runs a complete topology, surfacing executor failures and stalls as
 /// [`RunError`] instead of panicking.
 ///
@@ -400,8 +383,9 @@ pub fn try_run_topology(
     run_topology_inner(cfg, workload, None)
 }
 
-/// [`try_run_topology`] with a live stream of joined pairs, as in
-/// [`run_topology_with_results`].
+/// [`try_run_topology`] that additionally streams every joined pair to
+/// `results` as it is produced (unordered across instances; exactly once).
+/// Dropping the receiver mid-run is safe — emission is best-effort.
 ///
 /// # Errors
 /// As for [`try_run_topology`].

@@ -299,11 +299,12 @@ fn result_stream_carries_every_pair_exactly_once() {
         }
         pairs
     });
-    let report = fastjoin_runtime::run_topology_with_results(
+    let report = fastjoin_runtime::try_run_topology_with_results(
         &cfg(SystemKind::FastJoin, 4),
         uniform_workload(6, 15),
         tx,
-    );
+    )
+    .expect("topology run");
     let pairs = handle.join().unwrap();
     assert_eq!(pairs.len() as u64, report.results_total);
     assert_eq!(pairs.len(), 6 * 15 * 15);
@@ -320,11 +321,12 @@ fn result_stream_carries_every_pair_exactly_once() {
 fn dropping_the_result_receiver_is_harmless() {
     let (tx, rx) = crossbeam::channel::unbounded();
     drop(rx); // consumer went away before the run
-    let report = fastjoin_runtime::run_topology_with_results(
+    let report = fastjoin_runtime::try_run_topology_with_results(
         &cfg(SystemKind::BiStream, 2),
         uniform_workload(3, 10),
         tx,
-    );
+    )
+    .expect("topology run");
     assert_eq!(report.results_total, 3 * 10 * 10);
 }
 

@@ -48,19 +48,6 @@ pub struct CostModel {
     /// Key-selection pause per key examined, µs (`O(K log K)` is modeled
     /// linearly; the log factor is far below the noise floor).
     pub selection_per_key: f64,
-    /// Fixed per-message channel overhead, µs, amortized across the
-    /// message's batch (see [`CostModel::message_overhead_us`]). Zero by
-    /// default so unbatched simulations reproduce the historical numbers
-    /// bit-for-bit.
-    pub per_message: f64,
-    /// Modeled dispatcher shard count, mirroring the runtime's
-    /// `RuntimeConfig::dispatcher_shards`: `N` shard threads drain the
-    /// spout → dispatcher channel concurrently, so the fixed per-message
-    /// overhead is further amortized `N` ways (see
-    /// [`CostModel::message_overhead_us`]). 1 — the default, matching the
-    /// single-threaded dispatcher — reproduces the historical numbers
-    /// bit-for-bit.
-    pub dispatch_shards: u64,
 }
 
 impl Default for CostModel {
@@ -74,8 +61,6 @@ impl Default for CostModel {
             network_latency: 200.0,
             migration_per_tuple: 0.2,
             selection_per_key: 0.05,
-            per_message: 0.0,
-            dispatch_shards: 1,
         }
     }
 }
@@ -117,23 +102,6 @@ impl CostModel {
     #[must_use]
     pub fn migration_us(&self, tuples: u64) -> f64 {
         self.migration_per_tuple * tuples as f64
-    }
-
-    /// Per-tuple share of the fixed per-message channel overhead when
-    /// tuples ride in batches of `batch_size`: the whole message costs
-    /// `per_message` µs once, so each of its tuples carries
-    /// `per_message / batch_size`. With `batch_size = 1` the tuple pays
-    /// the full overhead. The threaded runtime matches this model: a shard
-    /// ships a destination's whole pending queue, stores and probes mixed,
-    /// as one channel message, so on an interleaved stream a message does
-    /// carry ≈ `batch_size` tuples. Sharding the dispatcher
-    /// ([`CostModel::dispatch_shards`]) amortizes the same overhead a
-    /// second way: `N` shard threads pay for messages concurrently, so the
-    /// serialized per-tuple share every tuple observes drops to
-    /// `per_message / (batch_size · N)`.
-    #[must_use]
-    pub fn message_overhead_us(&self, batch_size: u64) -> f64 {
-        self.per_message / (batch_size.max(1) * self.dispatch_shards.max(1)) as f64
     }
 }
 
@@ -177,31 +145,6 @@ mod tests {
         let without = m.service_us(&probe_work(100, 5, 0));
         let with = m.service_us(&probe_work(100, 5, 20));
         assert!((with - without - 20.0 * m.per_match).abs() < 1e-9);
-    }
-
-    #[test]
-    fn message_overhead_amortizes_across_the_batch() {
-        let m = CostModel { per_message: 50.0, ..CostModel::default() };
-        assert_eq!(m.message_overhead_us(1), 50.0);
-        assert_eq!(m.message_overhead_us(10), 5.0);
-        assert_eq!(m.message_overhead_us(0), 50.0, "degenerate batch size clamps to 1");
-        let free = CostModel::default();
-        assert_eq!(free.message_overhead_us(1), 0.0, "overhead is off by default");
-    }
-
-    #[test]
-    fn message_overhead_amortizes_across_dispatcher_shards() {
-        let m = CostModel { per_message: 50.0, dispatch_shards: 2, ..CostModel::default() };
-        assert_eq!(m.message_overhead_us(1), 25.0, "2 shards halve the serialized share");
-        assert_eq!(m.message_overhead_us(10), 2.5, "batching and sharding compose");
-        let degenerate =
-            CostModel { per_message: 50.0, dispatch_shards: 0, ..CostModel::default() };
-        assert_eq!(degenerate.message_overhead_us(1), 50.0, "shard count clamps to 1");
-        assert_eq!(
-            CostModel::default().dispatch_shards,
-            1,
-            "default is the single-threaded dispatcher"
-        );
     }
 
     #[test]

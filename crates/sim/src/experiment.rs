@@ -84,7 +84,6 @@ impl ExperimentParams {
             queue_cap: 512,
             backpressure_retry: 1_000,
             record_instance_loads: false,
-            ..SimConfig::default()
         }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A deterministic discrete-event simulator for the FastJoin reproduction.
 //! Join instances are single-server queues driven by the cost model of
-//! [`cost`] (the paper's nested-loop load model by default); messages
+//! [`cost`] (bucket-proportional hash-probe costs by default, the paper's
+//! nested-loop model as an ablation); messages
 //! travel over FIFO channels with network latency ([`event`]); the driver
 //! ([`driver`]) collects per-second throughput, latency, and imbalance
 //! series — the quantities every figure of the paper's evaluation plots.

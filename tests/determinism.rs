@@ -56,6 +56,27 @@ fn simulator_runs_are_bit_stable() {
     assert_eq!(run(SelectorKind::SaFit), run(SelectorKind::SaFit));
 }
 
+/// Pins one run's output across builds: a change that must not move the
+/// simulator (the figure benches read exactly these quantities) has to
+/// reproduce these numbers bit for bit.
+#[test]
+fn simulator_output_is_pinned() {
+    let report = Simulation::new(
+        sim_cfg(SystemKind::FastJoin, SelectorKind::GreedyFit),
+        workload().into_iter(),
+    )
+    .run();
+    assert_eq!(report.results_total, 562_751);
+    assert_eq!(report.duration, 600_000);
+    assert_eq!(report.migrations(), 2);
+    let moved = report.monitor_stats.map(|s| s.expect("FastJoin has monitors").tuples_moved);
+    assert_eq!(moved, [44, 410], "tuples moved per group (R, S)");
+    let hist = &report.metrics.latency_hist;
+    assert_eq!(hist.count(), 25_000);
+    let mean = hist.mean().expect("probes were served");
+    assert!((mean - 204.06288).abs() < 1e-5, "mean latency {mean} µs");
+}
+
 #[test]
 fn greedy_and_safit_agree_on_result_counts() {
     let greedy = Simulation::new(
