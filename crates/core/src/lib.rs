@@ -79,8 +79,8 @@ pub mod protocol;
 pub mod routing;
 /// Migration key-selection policies (greedy, DP, exact; §III-C).
 pub mod selection;
-/// The dispatcher stage's control sequencer: route / abort / commit and
-/// the publication barrier, as a pure transition.
+/// The dispatcher stage's control sequencer: route flips and the
+/// publication barrier, as a pure transition.
 pub mod sequencer;
 /// One dispatcher shard: pending batches, flush, fenced snapshot install,
 /// as a pure transition.
@@ -90,7 +90,7 @@ pub mod shard;
 pub mod stage;
 /// The per-instance tuple store indexed by key.
 pub mod state;
-/// Telemetry export: Prometheus text rendering and sink abstraction.
+/// Telemetry export: Prometheus text and live-snapshot rendering.
 pub mod telemetry;
 /// Causal trace journal: events, per-executor rings, JSONL rendering.
 pub mod trace;

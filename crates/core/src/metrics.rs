@@ -320,24 +320,6 @@ impl MigrationSpan {
     pub fn duration(&self) -> u64 {
         self.completed_at.saturating_sub(self.triggered_at)
     }
-
-    /// The span as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("epoch", Json::uint(self.epoch)),
-            ("source", self.source.into()),
-            ("target", self.target.into()),
-            ("imbalance_at_trigger", Json::Num(self.imbalance_at_trigger)),
-            ("triggered_at", Json::uint(self.triggered_at)),
-            ("completed_at", Json::uint(self.completed_at)),
-            ("duration", Json::uint(self.duration())),
-            ("keys_moved", Json::uint(self.keys_moved)),
-            ("tuples_moved", Json::uint(self.tuples_moved)),
-            ("effective", Json::Bool(self.effective)),
-            ("route_flip_us", self.route_flip_us.into()),
-        ])
-    }
 }
 
 /// One named metric in a [`MetricsRegistry`].
@@ -833,7 +815,7 @@ mod tests {
     }
 
     #[test]
-    fn span_duration_and_json() {
+    fn span_duration() {
         let span = MigrationSpan {
             epoch: 3,
             source: 1,
@@ -847,10 +829,6 @@ mod tests {
             route_flip_us: Some(250),
         };
         assert_eq!(span.duration(), 30);
-        let s = span.to_json().to_string();
-        assert!(s.contains("\"epoch\":3"));
-        assert!(s.contains("\"duration\":30"));
-        assert!(s.contains("\"route_flip_us\":250"));
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! group is in flight at a time, and a cooldown keeps rounds apart (the
 //! paper: "the migration can never take place frequently").
 
-use std::collections::{HashSet, VecDeque};
-
 use crate::load::{InstanceLoad, LoadTable};
 use crate::metrics::MigrationSpan;
 use crate::protocol::{Epoch, InstanceMsg, MigrationDone};
@@ -32,28 +30,14 @@ pub struct MonitorStats {
     pub effective: u64,
     /// Rounds abandoned by selection (nothing worth moving).
     pub abandoned: u64,
-    /// Rounds aborted by the round-timeout watchdog and rolled back.
+    /// Rounds whose deadline passed, so the watchdog sent their source
+    /// `MigAbort`, and whose one completion moved no key (their command was
+    /// lost, or found nothing to move).
     pub aborted: u64,
     /// Total stored tuples physically migrated.
     pub tuples_moved: u64,
     /// Total keys migrated.
     pub keys_moved: u64,
-}
-
-impl MonitorStats {
-    /// The statistics as a JSON object (a report's `groups[].monitor`).
-    #[must_use]
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        Json::obj([
-            ("triggered", Json::uint(self.triggered)),
-            ("effective", Json::uint(self.effective)),
-            ("abandoned", Json::uint(self.abandoned)),
-            ("aborted", Json::uint(self.aborted)),
-            ("tuples_moved", Json::uint(self.tuples_moved)),
-            ("keys_moved", Json::uint(self.keys_moved)),
-        ])
-    }
 }
 
 /// Why a trigger evaluation with `LI > Θ` ended the way it did — the
@@ -72,7 +56,7 @@ pub enum DecisionReason {
 }
 
 impl DecisionReason {
-    /// Stable lowercase name used in report JSON.
+    /// Stable lowercase name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -117,12 +101,13 @@ pub enum DecisionOutcome {
     Effective,
     /// Triggered; the source abandoned (zero-benefit selection).
     Abandoned,
-    /// Triggered; the watchdog aborted and rolled the round back.
+    /// Triggered; the watchdog sent the source `MigAbort` and the round
+    /// closed without moving a key.
     Aborted,
 }
 
 impl DecisionOutcome {
-    /// Stable lowercase name used in report JSON.
+    /// Stable lowercase name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -163,62 +148,21 @@ pub struct MigrationDecision {
     pub outcome: DecisionOutcome,
 }
 
-impl MigrationDecision {
-    /// The decision as a JSON tree (the report's `decisions` entries).
-    #[must_use]
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        let loads = self.loads.iter().enumerate().map(|(i, l)| {
-            Json::obj(vec![
-                ("instance", Json::uint(i as u64)),
-                ("stored", Json::uint(l.stored)),
-                ("queue", Json::uint(l.queue)),
-                ("load", l.effective_load().into()),
-            ])
-        });
-        Json::obj(vec![
-            ("at", Json::uint(self.at)),
-            ("last_at", Json::uint(self.last_at)),
-            ("repeats", Json::uint(self.repeats)),
-            ("epoch", self.epoch.map(Json::uint).unwrap_or(Json::Null)),
-            ("imbalance", self.imbalance.into()),
-            ("source", Json::uint(self.source as u64)),
-            ("target", Json::uint(self.target as u64)),
-            ("reason", Json::str(self.reason.name())),
-            ("outcome", Json::str(self.outcome.name())),
-            ("loads", Json::arr(loads)),
-        ])
-    }
-}
-
 /// Bound on the per-monitor decision log; oldest entries are evicted.
 const DECISION_LOG_CAP: usize = 512;
 
-/// A request, produced by [`Monitor::check_deadline`], to abort the
-/// in-flight round: the engine must ask the dispatcher whether the round's
-/// route flip already happened and report back with
-/// [`Monitor::on_abort_outcome`].
+/// A request, produced by [`Monitor::check_deadline`], to send
+/// `MigAbort { epoch }` to the overdue round's source — on the edge that
+/// carried its `MigrateCmd`, so the command, if it was sent, is received
+/// first. The round then closes with its one `MigrationDone`: the
+/// source's `{0, 0}` acknowledgement if the command was lost, the round's
+/// own completion otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbortRequest {
     /// The overdue round.
     pub epoch: Epoch,
-    /// The round's source instance (receives `MigAbort` if the dispatcher
-    /// accepts the abort).
+    /// The round's source instance.
     pub source: usize,
-    /// The round's target instance.
-    pub target: usize,
-}
-
-/// Where the in-flight round stands with respect to the abort watchdog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AbortState {
-    /// No abort in progress.
-    None,
-    /// The deadline fired; waiting for the dispatcher's verdict.
-    Requested,
-    /// The dispatcher accepted the abort; waiting for the source's
-    /// rollback acknowledgement (a `MigrationDone` for the epoch).
-    Accepted,
 }
 
 /// The per-group monitor.
@@ -232,24 +176,16 @@ pub struct Monitor {
     in_flight: Option<Epoch>,
     /// Round timeout in the caller's clock units (0 = watchdog disabled).
     round_timeout: u64,
-    /// Deadline of the in-flight round, when the watchdog is armed.
+    /// Deadline of the in-flight round, until the watchdog fires.
     deadline: Option<u64>,
-    abort_state: AbortState,
-    /// Epochs whose abort was requested — `MigrationDone`s for these may
-    /// legitimately arrive after the round already closed (e.g. an
-    /// abandoned round's completion racing the abort acknowledgement) and
-    /// are ignored instead of tripping the protocol panic.
-    aborted_epochs: HashSet<Epoch>,
+    /// The in-flight round's abort went out.
+    abort_sent: bool,
     next_epoch: Epoch,
     stats: MonitorStats,
     /// The span of the in-flight round, opened at trigger time.
     open_span: Option<MigrationSpan>,
     /// Completed round spans, oldest first (observability trace).
     spans: Vec<MigrationSpan>,
-    /// Reports kept per instance for smoothing (§III-E's fixed-size
-    /// vector of recent sub-window statistics). Depth 1 = no smoothing.
-    history_depth: usize,
-    history: Vec<VecDeque<InstanceLoad>>,
     /// Bounded decision-audit log, oldest first (see [`MigrationDecision`]).
     decisions: Vec<MigrationDecision>,
     /// Lifetime count of distinct decisions recorded (repeats collapse and
@@ -276,33 +212,13 @@ impl Monitor {
             in_flight: None,
             round_timeout: 0,
             deadline: None,
-            abort_state: AbortState::None,
-            aborted_epochs: HashSet::new(),
+            abort_sent: false,
             next_epoch: 1,
             stats: MonitorStats::default(),
             open_span: None,
             spans: Vec::new(),
-            history_depth: 1,
-            history: vec![VecDeque::new(); n],
             decisions: Vec::new(),
             decisions_recorded: 0,
-        }
-    }
-
-    /// Keeps the last `depth` reports per instance and feeds the load
-    /// table their mean — the paper's §III-E fixed-size vector of
-    /// sub-window statistics, used here to damp report noise. Depth 1
-    /// (the default) disables smoothing.
-    ///
-    /// # Panics
-    /// Panics if `depth == 0`.
-    pub fn set_history_depth(&mut self, depth: usize) {
-        assert!(depth > 0, "history depth must be at least 1"); // lint:allow(documented panic contract)
-        self.history_depth = depth;
-        for h in &mut self.history {
-            while h.len() > depth {
-                h.pop_front();
-            }
         }
     }
 
@@ -331,13 +247,12 @@ impl Monitor {
         self.in_flight.is_some()
     }
 
-    /// True while an abort of the in-flight round has been requested (or
-    /// accepted) but the round has not yet closed. Used by the live
-    /// introspection plane to distinguish an aborting round from a
-    /// healthy migration.
+    /// True once the in-flight round's abort went out, until the round
+    /// closes. Used by the live introspection plane to tell an overdue
+    /// round from a healthy migration.
     #[must_use]
     pub fn abort_pending(&self) -> bool {
-        self.abort_state != AbortState::None
+        self.abort_sent
     }
 
     /// Arms the round-timeout watchdog: a round in flight longer than
@@ -349,59 +264,20 @@ impl Monitor {
     }
 
     /// Checks the in-flight round against its deadline at time `now`.
-    /// Fires at most once per deadline: the returned request must be
-    /// answered via [`Monitor::on_abort_outcome`] before the watchdog can
-    /// fire again.
+    /// Fires once per round; the round then waits for its one completion.
     pub fn check_deadline(&mut self, now: u64) -> Option<AbortRequest> {
-        let epoch = self.in_flight?;
-        if self.abort_state != AbortState::None {
+        let (epoch, source, _) = self.in_flight_round()?;
+        if now < self.deadline? {
             return None;
         }
-        let deadline = self.deadline?;
-        if now < deadline {
-            return None;
-        }
-        self.abort_state = AbortState::Requested;
-        self.aborted_epochs.insert(epoch);
-        let span = self.open_span.as_ref()?;
-        Some(AbortRequest { epoch, source: span.source, target: span.target })
+        self.deadline = None;
+        self.abort_sent = true;
+        Some(AbortRequest { epoch, source })
     }
 
-    /// Records the dispatcher's verdict on an [`AbortRequest`]. A refusal
-    /// (`aborted == false`, the route already flipped so the round is past
-    /// its point of no return) re-arms the deadline and lets the round
-    /// finish normally; an acceptance leaves the round open until the
-    /// source acknowledges the rollback with a `MigrationDone`. Verdicts
-    /// for rounds no longer in flight are ignored.
-    pub fn on_abort_outcome(&mut self, epoch: Epoch, aborted: bool, now: u64) {
-        if self.in_flight != Some(epoch) {
-            return;
-        }
-        if aborted {
-            self.abort_state = AbortState::Accepted;
-        } else {
-            self.abort_state = AbortState::None;
-            self.deadline = Some(now.saturating_add(self.round_timeout.max(1)));
-        }
-    }
-
-    /// Records a periodic load report from instance `i`. With a history
-    /// depth above 1, the load table holds the mean of the retained
-    /// reports (oldest popped like the paper's sub-window vector head).
+    /// Records a periodic load report from instance `i`.
     pub fn on_report(&mut self, i: usize, load: InstanceLoad) {
-        if self.history_depth == 1 {
-            self.table.update(i, load);
-            return;
-        }
-        let h = &mut self.history[i];
-        h.push_back(load);
-        while h.len() > self.history_depth {
-            h.pop_front();
-        }
-        let n = h.len() as u64;
-        let stored = h.iter().map(|l| l.stored).sum::<u64>() / n;
-        let queue = h.iter().map(|l| l.queue).sum::<u64>() / n;
-        self.table.update(i, InstanceLoad::new(stored, queue));
+        self.table.update(i, load);
     }
 
     /// Registers `additional` new (idle) instances. They are immediately
@@ -409,10 +285,9 @@ impl Monitor {
     /// join-biclique fills new capacity (§IV-C).
     pub fn grow(&mut self, additional: usize) {
         self.table.grow(additional);
-        self.history.extend(std::iter::repeat_with(VecDeque::new).take(additional));
     }
 
-    /// Current degree of load imbalance `LI` (Eq. 2, smoothed).
+    /// Current degree of load imbalance `LI` (Eq. 2).
     #[must_use]
     pub fn imbalance(&self) -> f64 {
         self.table.imbalance()
@@ -448,7 +323,6 @@ impl Monitor {
         self.next_epoch += 1;
         self.in_flight = Some(epoch);
         self.deadline = (self.round_timeout > 0).then(|| now.saturating_add(self.round_timeout));
-        self.abort_state = AbortState::None;
         self.stats.triggered += 1;
         self.open_span = Some(MigrationSpan {
             epoch,
@@ -544,41 +418,34 @@ impl Monitor {
     /// Current per-instance loads.
     #[must_use]
     pub fn load_snapshot(&self) -> Vec<InstanceLoad> {
-        (0..self.history.len()).map(|i| self.table.get(i)).collect()
+        self.table.loads().to_vec()
     }
 
-    /// Records the completion (or abandonment) of the in-flight round.
+    /// Records the one completion of the in-flight round.
     ///
     /// A round is *effective* only when it actually moved keys. Selection
     /// and the source instance guarantee every completed (non-abandoned)
     /// round had strictly positive total benefit — zero-benefit plans
     /// (`F_k = 0` keys under `θ_gap = 0`) are abandoned at the source and
     /// report `keys_moved == 0`, so they land in the `abandoned` bucket
-    /// here rather than inflating `effective`.
+    /// here rather than inflating `effective`. A round that moved nothing
+    /// after its abort went out is booked `aborted` instead.
     ///
     /// # Panics
     /// Panics on an epoch mismatch — that is a protocol bug.
     pub fn on_migration_done(&mut self, done: MigrationDone, now: u64) {
-        if self.in_flight != Some(done.epoch) && self.aborted_epochs.contains(&done.epoch) {
-            // A stray acknowledgement for a round that already closed —
-            // e.g. the abandoned-round completion and the idle source's
-            // abort ack racing each other. Either one closes the round;
-            // the loser is dropped here.
-            return;
-        }
         let expected = self.in_flight.take().expect("MigrationDone with no round in flight"); // lint:allow(documented panic contract: an epoch mismatch is a protocol bug)
         assert_eq!(expected, done.epoch, "MigrationDone epoch mismatch"); // lint:allow(documented panic contract: an epoch mismatch is a protocol bug)
         self.last_round_end = now;
         self.deadline = None;
-        let aborted = self.abort_state == AbortState::Accepted;
-        self.abort_state = AbortState::None;
-        let effective = !aborted && done.keys_moved > 0;
-        if aborted {
-            self.stats.aborted += 1;
-        } else if effective {
+        let effective = done.keys_moved > 0;
+        let aborted = std::mem::take(&mut self.abort_sent) && !effective;
+        if effective {
             self.stats.effective += 1;
             self.stats.tuples_moved += done.tuples_moved;
             self.stats.keys_moved += done.keys_moved as u64;
+        } else if aborted {
+            self.stats.aborted += 1;
         } else {
             self.stats.abandoned += 1;
         }
@@ -589,10 +456,10 @@ impl Monitor {
             span.effective = effective;
             self.spans.push(span);
         }
-        let outcome = if aborted {
-            DecisionOutcome::Aborted
-        } else if effective {
+        let outcome = if effective {
             DecisionOutcome::Effective
+        } else if aborted {
+            DecisionOutcome::Aborted
         } else {
             DecisionOutcome::Abandoned
         };
@@ -701,9 +568,6 @@ mod tests {
             .find(|d| d.epoch == Some(epoch))
             .expect("triggered decision survives");
         assert_eq!(patched.outcome, DecisionOutcome::Effective);
-        let json = patched.to_json().to_string_compact();
-        assert!(json.contains("\"outcome\":\"effective\""), "json outcome: {json}");
-        assert!(json.contains("\"reason\":\"triggered\""), "json reason: {json}");
     }
 
     #[test]
@@ -717,8 +581,7 @@ mod tests {
         );
         m.set_round_timeout(50);
         let e2 = trigger_epoch(&mut m, 300);
-        let req = m.check_deadline(400).expect("watchdog fires");
-        m.on_abort_outcome(req.epoch, true, 400);
+        assert!(m.check_deadline(400).is_some(), "watchdog fires");
         m.on_migration_done(MigrationDone { epoch: e2, tuples_moved: 0, keys_moved: 0 }, 410);
         assert_eq!(
             m.decisions().iter().find(|d| d.epoch == Some(e2)).map(|d| d.outcome),
@@ -782,44 +645,6 @@ mod tests {
         assert_eq!(s.effective, 1);
         assert_eq!(s.tuples_moved, 42);
         assert_eq!(s.keys_moved, 3);
-    }
-
-    #[test]
-    fn history_smoothing_damps_report_spikes() {
-        let mut m = Monitor::new(2, 2.2, 0);
-        m.set_history_depth(4);
-        // Instance 0 reports a steady 100/10; instance 1 spikes once.
-        for _ in 0..4 {
-            m.on_report(0, InstanceLoad::new(100, 10));
-        }
-        for _ in 0..3 {
-            m.on_report(1, InstanceLoad::new(100, 10));
-        }
-        m.on_report(1, InstanceLoad::new(1_000, 100)); // one spike
-                                                       // Unsmoothed LI would be ~(1001·101)/(101·11) ≈ 91; smoothed mean
-                                                       // of instance 1 is (100·3+1000)/4 = 325, (10·3+100)/4 = 32.
-        let li = m.imbalance();
-        assert!(li < 15.0, "spike must be damped, LI = {li}");
-        assert!(li > 1.0);
-    }
-
-    #[test]
-    fn history_depth_one_is_unsmoothed() {
-        let mut m = Monitor::new(2, 2.2, 0);
-        m.on_report(0, InstanceLoad::new(100, 10));
-        m.on_report(1, InstanceLoad::new(1_000, 100));
-        let unsmoothed = m.imbalance();
-        let mut s = Monitor::new(2, 2.2, 0);
-        s.set_history_depth(1);
-        s.on_report(0, InstanceLoad::new(100, 10));
-        s.on_report(1, InstanceLoad::new(1_000, 100));
-        assert_eq!(unsmoothed, s.imbalance());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn rejects_zero_history_depth() {
-        Monitor::new(2, 2.2, 0).set_history_depth(0);
     }
 
     #[test]
@@ -889,65 +714,63 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_fires_once_after_the_deadline() {
+    fn the_deadline_fires_once() {
         let mut m = loaded_monitor();
         m.set_round_timeout(50);
         let e = trigger_epoch(&mut m, 100);
         assert!(m.check_deadline(120).is_none(), "not overdue yet");
+        assert!(!m.abort_pending());
         let req = m.check_deadline(160).expect("deadline passed");
-        assert_eq!((req.epoch, req.source, req.target), (e, 0, 2));
-        assert!(m.check_deadline(500).is_none(), "fires once until answered");
+        assert_eq!((req.epoch, req.source), (e, 0));
+        assert!(m.abort_pending() && m.migration_in_flight(), "the round waits for its completion");
+        for now in [161, 500, u64::MAX] {
+            assert!(m.check_deadline(now).is_none(), "fires once per round");
+        }
     }
 
+    /// The source acknowledged a lost command (or its command found
+    /// nothing to move): after the abort went out, that is `aborted`.
     #[test]
-    fn accepted_abort_closes_on_rollback_ack() {
+    fn a_completion_that_moved_nothing_after_the_abort_books_aborted() {
         let mut m = loaded_monitor();
         m.set_round_timeout(50);
         let e = trigger_epoch(&mut m, 100);
-        let _ = m.check_deadline(200).unwrap();
-        m.on_abort_outcome(e, true, 210);
-        assert!(m.migration_in_flight(), "round stays open until the rollback ack");
+        let _ = m.check_deadline(200).expect("deadline passed");
         m.on_migration_done(MigrationDone { epoch: e, tuples_moved: 0, keys_moved: 0 }, 230);
-        assert!(!m.migration_in_flight());
-        assert_eq!(m.stats().aborted, 1);
-        assert_eq!(m.stats().abandoned, 0);
-        assert_eq!(m.stats().effective, 0);
-        let span = m.spans().last().unwrap();
-        assert!(!span.effective);
-        assert_eq!(span.completed_at, 230);
+        assert!(!m.migration_in_flight() && !m.abort_pending());
+        let s = m.stats();
+        assert_eq!((s.aborted, s.abandoned, s.effective), (1, 0, 0));
+        let span = m.spans().last().expect("the round closed");
+        assert_eq!((span.effective, span.completed_at), (false, 230));
     }
 
+    /// An abort behind a command that arrived is ignored and the round
+    /// finishes forward: a completion that moved keys is `effective`.
     #[test]
-    fn refused_abort_rearms_and_the_round_completes_normally() {
+    fn a_completion_that_moved_keys_after_the_abort_books_effective() {
         let mut m = loaded_monitor();
         m.set_round_timeout(50);
         let e = trigger_epoch(&mut m, 100);
-        let _ = m.check_deadline(200).unwrap();
-        m.on_abort_outcome(e, false, 210); // route already flipped
-        assert!(m.check_deadline(220).is_none(), "deadline was extended");
-        assert!(m.check_deadline(300).is_some(), "…but re-arms eventually");
-        m.on_abort_outcome(e, false, 300);
+        let _ = m.check_deadline(200).expect("deadline passed");
         m.on_migration_done(MigrationDone { epoch: e, tuples_moved: 5, keys_moved: 1 }, 320);
-        assert_eq!(m.stats().effective, 1);
-        assert_eq!(m.stats().aborted, 0);
+        let s = m.stats();
+        assert_eq!((s.effective, s.aborted, s.tuples_moved), (1, 0, 5));
+        // The next round starts with the watchdog armed afresh.
+        let e2 = trigger_epoch(&mut m, 500);
+        assert!(!m.abort_pending());
+        assert_eq!(m.check_deadline(550).map(|r| r.epoch), Some(e2));
     }
 
+    /// Every round closes with exactly one `MigrationDone`, so one for any
+    /// other epoch is a protocol bug.
     #[test]
-    fn stray_done_for_aborted_epoch_is_ignored() {
+    #[should_panic(expected = "epoch mismatch")]
+    fn a_completion_for_a_foreign_epoch_panics() {
         let mut m = loaded_monitor();
         m.set_round_timeout(50);
         let e = trigger_epoch(&mut m, 100);
-        let _ = m.check_deadline(200).unwrap();
-        // The abandoned-round completion wins the race…
-        m.on_migration_done(MigrationDone { epoch: e, tuples_moved: 0, keys_moved: 0 }, 205);
-        assert_eq!(m.stats().abandoned, 1);
-        // …and the idle source's abort ack arrives after the round closed.
-        m.on_migration_done(MigrationDone { epoch: e, tuples_moved: 0, keys_moved: 0 }, 230);
-        assert_eq!(m.stats().abandoned, 1, "the duplicate must not double-book");
-        // A fresh round still works.
-        let e2 = trigger_epoch(&mut m, 400);
-        m.on_migration_done(MigrationDone { epoch: e2, tuples_moved: 1, keys_moved: 1 }, 420);
-        assert_eq!(m.stats().effective, 1);
+        let _ = m.check_deadline(200).expect("deadline passed");
+        m.on_migration_done(MigrationDone { epoch: e + 1, tuples_moved: 0, keys_moved: 0 }, 230);
     }
 
     #[test]

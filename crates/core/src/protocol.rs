@@ -72,26 +72,14 @@ pub enum InstanceMsg {
         /// Source instance index.
         from: usize,
     },
-    /// Abort of a migration round that has not yet flipped routes. The
-    /// dispatcher sends it to the round's source (instead of
-    /// [`InstanceMsg::RouteUpdated`] — a source sees exactly one of the
-    /// two per epoch), and an engaged source relays it to its target over
-    /// the same FIFO channel that carried `MigStart`/`MigStore`, so the
-    /// target is always fully engaged when the abort arrives.
+    /// Monitor → source, once a round is overdue: close the round if its
+    /// `MigrateCmd` never arrived. It travels the FIFO edge that carried
+    /// the command, so a source that got the command has processed it
+    /// first and ignores the abort (the round finishes forward); one that
+    /// did not acknowledges with a `{0, 0}` [`MigrationDone`].
     MigAbort {
-        /// Migration round id being rolled back.
+        /// The overdue migration round.
         epoch: Epoch,
-    },
-    /// Target → source: everything the target accumulated for the aborted
-    /// round, handed back so the source can restore its pre-round state.
-    MigReturn {
-        /// Migration round id being rolled back.
-        epoch: Epoch,
-        /// Stored tuples the target had installed via `MigStore`.
-        stored: Vec<Tuple>,
-        /// Dispatcher data the target was holding for the migrating keys
-        /// (always empty pre-flip; kept for completeness).
-        inflight: Vec<Tuple>,
     },
 }
 
@@ -108,8 +96,7 @@ impl InstanceMsg {
             | InstanceMsg::RouteUpdated { epoch }
             | InstanceMsg::MigForward { epoch, .. }
             | InstanceMsg::MigEnd { epoch, .. }
-            | InstanceMsg::MigAbort { epoch }
-            | InstanceMsg::MigReturn { epoch, .. } => Some(*epoch),
+            | InstanceMsg::MigAbort { epoch } => Some(*epoch),
         }
     }
 }
@@ -160,15 +147,6 @@ pub enum ProtocolError {
         /// Receiving instance.
         instance: usize,
     },
-    /// An abort-protocol message (`MigAbort`/`MigReturn`) arrived at an
-    /// instance whose state cannot process it — e.g. `MigReturn` at an
-    /// instance that never started rolling back.
-    UnexpectedAbort {
-        /// Receiving instance.
-        instance: usize,
-        /// Name of the offending message variant.
-        msg: &'static str,
-    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -192,9 +170,6 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::SelfMigration { instance } => {
                 write!(f, "instance {instance}: cannot migrate to self")
             }
-            ProtocolError::UnexpectedAbort { instance, msg } => {
-                write!(f, "instance {instance} got {msg} outside an abortable round")
-            }
         }
     }
 }
@@ -210,7 +185,8 @@ impl std::error::Error for ProtocolError {}
 /// step borrows it, then moves into the replay log that recovery re-feeds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RtMsg {
-    /// A migration-protocol message from a peer instance or the sequencer.
+    /// A migration-protocol message from the monitor, a peer instance or
+    /// the sequencer.
     Inst(InstanceMsg),
     /// One flush of a shard's pending queue for this instance: store and
     /// probe tuples in the order the shard routed them, each carrying its
@@ -260,7 +236,8 @@ pub struct RouteRequest {
 }
 
 /// Notification to the monitor that a migration round finished (or was
-/// abandoned because selection found nothing worth moving).
+/// abandoned because selection found nothing worth moving, or closed by
+/// its abort because the command was lost) — exactly one per round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationDone {
     /// Migration round id.
@@ -275,25 +252,12 @@ pub struct MigrationDone {
 /// ([`crate::sequencer::Sequencer`]) — the serialization point for routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DispatcherMsg {
-    /// A routing update from a migration target: applied once, or dropped
-    /// when the round's abort got there first.
+    /// A routing update from a migration target, applied once.
     Route {
         /// Which group's table to update (0 = R, 1 = S).
         group: usize,
         /// The update.
         req: RouteRequest,
-    },
-    /// Monitor request: abort migration round `epoch` of `group` if its
-    /// route flip has not been applied yet. Accepted or refused, the
-    /// verdict goes back ([`crate::sequencer::SeqOut::ToMonitor`]); an
-    /// accepted abort sends [`InstanceMsg::MigAbort`] to `source`.
-    Abort {
-        /// Which group's round to abort (0 = R, 1 = S).
-        group: usize,
-        /// The overdue migration round.
-        epoch: Epoch,
-        /// The round's source instance (receives `MigAbort` on acceptance).
-        source: usize,
     },
 }
 
@@ -416,19 +380,6 @@ pub enum MigrationState {
         /// report — the target emits [`MigrationDone`], proving both
         /// endpoints are idle before the monitor can start a new round).
         received: u64,
-    },
-    /// This instance is a migration source rolling an aborted round back:
-    /// it relayed [`InstanceMsg::MigAbort`] to the target and waits for
-    /// [`InstanceMsg::MigReturn`] before resuming normal service for the
-    /// selected keys.
-    Aborting {
-        /// Migration round id being rolled back.
-        epoch: Epoch,
-        /// Selected key set of the aborted round.
-        keys: HashSet<Key>,
-        /// Data buffered while the round was (and still is) in limbo
-        /// (arrival order) — replayed after the rollback completes.
-        buffer: Vec<Tuple>,
     },
 }
 

@@ -1,33 +1,23 @@
 //! The dispatcher stage's control sequencer as a pure transition: the
-//! authoritative routing table, route / abort, and the publication barrier
+//! authoritative routing table, route flips, and the publication barrier
 //! as *state*.
 //!
-//! A [`Sequencer`] serializes every route flip and abort of both groups
-//! and never touches data. Like [`crate::shard::Shard`] it has no channel,
+//! A [`Sequencer`] serializes every route flip of both groups and never
+//! touches data. Like [`crate::shard::Shard`] it has no channel,
 //! clock or thread: inputs ([`Sequencer::ctrl`], [`Sequencer::note`],
 //! [`Sequencer::shard_gone`], [`Sequencer::restart`]) append to a
 //! caller-owned ordered sequence of [`SeqOut`]s that the embedding shell
 //! performs in order.
 //!
-//! Of a round's `Route` and `Abort`, the first to arrive wins. A `Route`
-//! is applied to the table once — there is nothing to commit or undo
-//! later — and an `Abort` after it is refused (the round must finish
-//! forward). An accepted `Abort` sends the source `MigAbort`, and a
-//! `Route` after it is dropped: the table never sees the round.
-//!
-//! An applied flip publishes the new table to every shard and opens a
-//! barrier; the source's `RouteUpdated` is emitted by — and only by — the
+//! A `Route` is applied to the table once — there is nothing to commit or
+//! undo later — and publishes the new table to every shard behind a
+//! barrier: the source's `RouteUpdated` is emitted by — and only by — the
 //! transition that records the last missing acknowledgement. A shard
 //! acknowledges only behind the flushes of everything it routed under
 //! older snapshots, so by then all data any shard routed under the old
 //! table is already in the instances' inboxes and `RouteUpdated` cannot
 //! overtake an old-routed tuple. While a barrier is open the sequencer
 //! takes notes only ([`Sequencer::wants_ctrl`]).
-//!
-//! (The simulator keeps its own `routed_epochs` / `aborted_epochs` arms in
-//! `crates/sim/src/driver.rs`: its links have latency but its monitor's
-//! verdicts do not, so a round's late `Route` can land after the next
-//! round's abort, and one slot per group would have forgotten it.)
 
 use std::collections::VecDeque;
 
@@ -72,12 +62,6 @@ pub enum Did {
     /// A `Route` was applied, and is being published (`aux` = the group's
     /// route version after it, `aux2` = group).
     Applied,
-    /// A `Route` was dropped: the round's abort had won, the source
-    /// already got `MigAbort`, and the table is untouched (`aux2` =
-    /// group).
-    Dropped,
-    /// An abort was accepted (`aux` = the round's source, `aux2` = group).
-    AbortAccepted,
     /// The current publication was re-sent to shard `aux` — in answer to
     /// its `Restarted` note (`aux2` = the fence it reported), or to every
     /// shard after a sequencer restart (`aux2` = 0).
@@ -95,8 +79,7 @@ pub enum SeqOut {
         /// The table to install.
         snapshot: RouteSnapshot,
     },
-    /// Send `msg` (`RouteUpdated` or `MigAbort`) to instance `dest` of
-    /// `group`.
+    /// Send `msg` (`RouteUpdated`) to instance `dest` of `group`.
     ToInstance {
         /// Destination group.
         group: usize,
@@ -104,18 +87,6 @@ pub enum SeqOut {
         dest: usize,
         /// The message.
         msg: InstanceMsg,
-    },
-    /// Tell `group`'s monitor the verdict on its abort request. It
-    /// precedes the `MigAbort` it may cause: the source's rollback ack
-    /// races the verdict on the monitor's inbox, and if the ack won the
-    /// monitor would close the round as abandoned instead of aborted.
-    ToMonitor {
-        /// The requesting monitor's group.
-        group: usize,
-        /// The round the verdict is for.
-        epoch: Epoch,
-        /// Whether the abort was accepted.
-        aborted: bool,
     },
     /// Every shard has flushed and reported end-of-stream: send EOS to
     /// every instance (it lands after all shard data on each FIFO inbox)
@@ -125,25 +96,12 @@ pub enum SeqOut {
     Event(SeqEvent),
 }
 
-/// Which of a round's `Route` and `Abort` reached the sequencer first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Won {
-    /// The flip was applied: an abort of the round is refused.
-    Route(Epoch),
-    /// The abort was accepted: the round's late `Route` is dropped.
-    Abort(Epoch),
-}
-
 /// The control sequencer. The struct is what survives a crash of the
 /// thread driving it: a sequencer crash loses the thread, never the
 /// table, the publication epoch or an open barrier.
 #[derive(Debug, Clone)]
 pub struct Sequencer {
     dispatcher: Dispatcher,
-    /// Per group, who won its latest round. One slot is enough: a group's
-    /// monitor runs one round at a time and epochs only grow, so every
-    /// `Route` / `Abort` of round `e` arrives before any of round `e + 1`.
-    last: [Option<Won>; 2],
     /// Last published epoch; publication epochs start at 1.
     epoch: u64,
     barrier: Option<Barrier>,
@@ -166,7 +124,6 @@ impl Sequencer {
     pub fn new(dispatcher: Dispatcher, shards: usize) -> Self {
         Sequencer {
             dispatcher,
-            last: [None, None],
             epoch: 0,
             barrier: None,
             eos_shards: vec![false; shards],
@@ -186,34 +143,13 @@ impl Sequencer {
     /// open (see [`Sequencer::wants_ctrl`]).
     pub fn ctrl(&mut self, msg: DispatcherMsg, out: &mut VecDeque<SeqOut>) {
         debug_assert!(self.wants_ctrl(), "control served inside a publication barrier");
-        match msg {
-            DispatcherMsg::Route { group, req } => {
-                let last = &mut self.last[group]; // lint:allow(group is 0 or 1: monitors and targets send their own group id)
-                if *last == Some(Won::Abort(req.epoch)) {
-                    out.push_back(event(Did::Dropped, req.epoch, 0, group as u64));
-                    return;
-                }
-                *last = Some(Won::Route(req.epoch));
-                let side = if group == 0 { Side::R } else { Side::S };
-                let ok = self.dispatcher.apply_route(side, &req);
-                assert!(ok, "route update on non-migratable partitioner"); // lint:allow(config contract: dynamic mode implies a migratable partitioner)
-                let version = self.dispatcher.route_version(side);
-                out.push_back(event(Did::Applied, req.epoch, version, group as u64));
-                self.open_barrier((group, req.source, req.epoch), out);
-            }
-            DispatcherMsg::Abort { group, epoch, source } => {
-                let last = &mut self.last[group]; // lint:allow(group is 0 or 1: the monitor sends its own group id)
-                let accept = *last != Some(Won::Route(epoch));
-                out.push_back(SeqOut::ToMonitor { group, epoch, aborted: accept });
-                if accept {
-                    *last = Some(Won::Abort(epoch));
-                    out.push_back(event(Did::AbortAccepted, epoch, source as u64, group as u64));
-                    // The table never saw the round: nothing to publish.
-                    let msg = InstanceMsg::MigAbort { epoch };
-                    out.push_back(SeqOut::ToInstance { group, dest: source, msg });
-                }
-            }
-        }
+        let DispatcherMsg::Route { group, req } = msg;
+        let side = if group == 0 { Side::R } else { Side::S };
+        let ok = self.dispatcher.apply_route(side, &req);
+        assert!(ok, "route update on non-migratable partitioner"); // lint:allow(config contract: dynamic mode implies a migratable partitioner)
+        let version = self.dispatcher.route_version(side);
+        out.push_back(event(Did::Applied, req.epoch, version, group as u64));
+        self.open_barrier((group, req.source, req.epoch), out);
     }
 
     /// Publishes the table to every live shard and opens the barrier that
@@ -354,7 +290,6 @@ mod tests {
                     line
                 }
                 SeqOut::ToInstance { group, dest, msg } => format!("{msg:?} -> inst{group}.{dest}"),
-                SeqOut::ToMonitor { epoch, aborted, .. } => format!("verdict {epoch}: {aborted}"),
                 SeqOut::BroadcastEos => "eos".to_string(),
                 SeqOut::Event(e) => format!("{:?} {}: {} {}", e.did, e.epoch, e.aux, e.aux2),
             };
@@ -493,29 +428,6 @@ mod tests {
         assert_eq!(rig.note(restarted(1, 1)), [event(1), "publish 1 -> shard1".into(), updated(1)]);
         // Outside a barrier the note's fence is still what is recorded.
         assert_eq!(rig.note(restarted(0, 1)), [event(0), "publish 1 -> shard0".into()]);
-    }
-
-    #[test]
-    fn an_abort_wins_before_the_route_and_loses_after_it() {
-        let mut rig = Rig::new(1);
-        let abort = |epoch| DispatcherMsg::Abort { group: 0, epoch, source: 0 };
-        // Round 1: the abort reaches the serialization point first; the
-        // verdict precedes the MigAbort it causes, and the late route is
-        // dropped without touching the table.
-        assert_eq!(
-            rig.ctrl(abort(1)),
-            ["verdict 1: true", "AbortAccepted 1: 0 0", "MigAbort { epoch: 1 } -> inst0.0"]
-        );
-        assert_eq!(rig.route(1, &[7]), ["Dropped 1: 0 0"]);
-        assert!(rig.seq.wants_ctrl(), "a dropped route publishes nothing");
-        assert_eq!(rig.seq.dispatcher.route_version(Side::R), 1, "the table is untouched");
-        // Round 2: the route is applied first, so the abort is refused.
-        assert_eq!(rig.route(2, &[7]), ["Applied 2: 2 0", "publish 1 -> shard0"]);
-        assert_eq!(rig.note(live(0, 1)), [updated(2)]);
-        assert_eq!(rig.ctrl(abort(2)), ["verdict 2: false"]);
-        // The other group's rounds are its own.
-        let abort_s = DispatcherMsg::Abort { group: 1, epoch: 2, source: 0 };
-        assert_eq!(rig.ctrl(abort_s)[0], "verdict 2: true");
     }
 
     #[test]

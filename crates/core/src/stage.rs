@@ -81,8 +81,6 @@ pub enum InstEvent {
     BecameSource(Epoch),
     /// `RouteUpdated` ended the buffering; the buffer went to the target.
     RouteFlipped(Epoch),
-    /// `MigAbort` ended it instead; the round is being rolled back.
-    AbortClosed(Epoch),
 }
 
 /// The replayable state: what a message can change, and so what a
@@ -337,22 +335,16 @@ impl Replayable {
                 plan_ctx = Some((self.inst.load(), *target_load, self.inst.key_stats()));
             }
         }
-        let sourcing =
-            |inst: &JoinInstance| matches!(inst.migration_state(), MigrationState::Source { .. });
-        let was_source = sourcing(&self.inst);
         // The instance consumes its message; the owned original stays
         // parked for the replay log. Only rare migration messages carry a
         // payload to copy.
         self.handle(m.clone())?;
-        // A command engages only an idle instance, and an abort ends only
-        // the round the source is engaged in (an older one is just acked).
-        let is_source = sourcing(&self.inst);
+        // A command engages only if selection found something to move.
         let event = if let InstanceMsg::MigrateCmd { epoch, .. } = m {
-            is_source.then_some(InstEvent::BecameSource(*epoch))
+            let engaged = matches!(self.inst.migration_state(), MigrationState::Source { .. });
+            engaged.then_some(InstEvent::BecameSource(*epoch))
         } else if let InstanceMsg::RouteUpdated { epoch } = m {
             Some(InstEvent::RouteFlipped(*epoch))
-        } else if let InstanceMsg::MigAbort { epoch } = m {
-            (was_source && !is_source).then_some(InstEvent::AbortClosed(*epoch))
         } else {
             None
         };
@@ -396,14 +388,9 @@ impl Replayable {
             }
             InstanceMsg::RouteUpdated { .. } => match self.inst.migration_state() {
                 MigrationState::Source { buffer, .. } => (buffer.len() as u64, 0),
-                MigrationState::Idle
-                | MigrationState::Target { .. }
-                | MigrationState::Aborting { .. } => (0, 0),
+                MigrationState::Idle | MigrationState::Target { .. } => (0, 0),
             },
             InstanceMsg::MigEnd { from, .. } => (*from as u64, 0),
-            InstanceMsg::MigReturn { stored, inflight, .. } => {
-                (stored.len() as u64, inflight.len() as u64)
-            }
         };
         ring.push(TraceEvent { at_us, actor: ring.actor(), kind, seq: 0, epoch, aux, aux2 });
     }

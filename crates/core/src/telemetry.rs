@@ -78,8 +78,8 @@ fn render_metric(out: &mut String, name: &str, value: &MetricValue) {
             let _ = writeln!(out, "{name}_sum {sum}");
             let _ = writeln!(out, "{name}_count {}", h.count());
         }
-        // Per-run traces, not scrape values — exported via the trace
-        // journal / JSON report instead.
+        // Per-run traces, not scrape values — they stay in the run
+        // report's registry.
         MetricValue::Series(_) => {}
     }
 }
@@ -158,7 +158,8 @@ pub enum MigrationPhase {
     Idle = 0,
     /// A round is in flight (trigger sent, not yet done).
     Migrating = 1,
-    /// An abort has been requested or accepted for the in-flight round.
+    /// The in-flight round is overdue: its `MigAbort` went to the source
+    /// and its completion has not arrived.
     Aborting = 2,
 }
 

@@ -17,8 +17,8 @@
 //!   ingest → store/probe → emit for one tuple;
 //! * `epoch` — the migration round id assigned by the monitor, correlating
 //!   every phase of one round (`MigTrigger` → `MigCmd` → `MigStart` →
-//!   `RouteUpdated` → `MigForward` → `MigEnd`/`MigAbort`/`MigReturn` →
-//!   `MigDone`/`AbortOutcome`);
+//!   `RouteUpdated` → `MigForward` → `MigEnd` → `MigDone`, and for an
+//!   overdue round `AbortRequest` → `MigAbort`);
 //! * the route version: the dispatcher journals each applied flip as
 //!   `RouteStaged` under the round's `epoch` (the id the instances see)
 //!   with its group's route version after the flip, so a journal reader
@@ -142,9 +142,7 @@ pub enum TraceKind {
     /// Dispatcher applied the routing update for round `epoch`;
     /// `aux` = the group's route version after it (every applied flip
     /// bumps it by one), `aux2` = group whose table changed (round ids are
-    /// only unique per group). A `Route` that arrives after the round's
-    /// abort won is dropped and journals nothing: such a round shows the
-    /// dispatcher `MigAbort` and no `RouteStaged`.
+    /// only unique per group).
     RouteStaged,
     /// The source observed `RouteUpdated` (actor = instance, `aux` =
     /// buffered tuples flushed to the target).
@@ -153,19 +151,13 @@ pub enum TraceKind {
     MigForward,
     /// Target received `MigEnd` and released held data for round `epoch`.
     MigEnd,
-    /// An abort was accepted for round `epoch`: journaled by the
-    /// dispatcher when it intercepts the flip (`aux` = source instance,
-    /// `aux2` = group) and by instances when they receive the message.
+    /// The source received the monitor's `MigAbort` for round `epoch`.
     MigAbort,
-    /// Source received `MigReturn`; `aux` = stored tuples handed back.
-    MigReturn,
     /// Monitor recorded round `epoch` complete; `aux` = tuples moved.
     MigDone,
-    /// Monitor watchdog requested an abort of round `epoch`.
+    /// Monitor watchdog sent round `epoch`'s source `MigAbort`; `aux` =
+    /// the source instance.
     AbortRequest,
-    /// Monitor learned the abort outcome; `aux` = 1 if the round was
-    /// aborted, 0 if the dispatcher refused (round already routed).
-    AbortOutcome,
     /// A fault-plan kill switch fired in this executor.
     FaultCrash,
     /// The supervisor restarted this executor; `aux` = restart count.
@@ -216,10 +208,8 @@ impl TraceKind {
             TraceKind::MigForward => "MigForward",
             TraceKind::MigEnd => "MigEnd",
             TraceKind::MigAbort => "MigAbort",
-            TraceKind::MigReturn => "MigReturn",
             TraceKind::MigDone => "MigDone",
             TraceKind::AbortRequest => "AbortRequest",
-            TraceKind::AbortOutcome => "AbortOutcome",
             TraceKind::FaultCrash => "FaultCrash",
             TraceKind::FaultRestart => "FaultRestart",
             TraceKind::FaultDropTrigger => "FaultDropTrigger",
@@ -249,10 +239,8 @@ impl TraceKind {
             "MigForward" => TraceKind::MigForward,
             "MigEnd" => TraceKind::MigEnd,
             "MigAbort" => TraceKind::MigAbort,
-            "MigReturn" => TraceKind::MigReturn,
             "MigDone" => TraceKind::MigDone,
             "AbortRequest" => TraceKind::AbortRequest,
-            "AbortOutcome" => TraceKind::AbortOutcome,
             "FaultCrash" => TraceKind::FaultCrash,
             "FaultRestart" => TraceKind::FaultRestart,
             "FaultDropTrigger" => TraceKind::FaultDropTrigger,
@@ -280,7 +268,6 @@ impl TraceKind {
             InstanceMsg::MigForward { .. } => Some(TraceKind::MigForward),
             InstanceMsg::MigEnd { .. } => Some(TraceKind::MigEnd),
             InstanceMsg::MigAbort { .. } => Some(TraceKind::MigAbort),
-            InstanceMsg::MigReturn { .. } => Some(TraceKind::MigReturn),
         }
     }
 }
@@ -553,7 +540,7 @@ impl TraceJournal {
 
     /// Only the events of migration round `epoch` of `group` (0 = R,
     /// 1 = S). Instance and monitor events locate their group in the
-    /// actor; dispatcher route/abort events record it in `aux2`.
+    /// actor; the dispatcher's `RouteStaged` records it in `aux2`.
     #[must_use]
     pub fn round_in(&self, group: u8, epoch: u64) -> Vec<TraceEvent> {
         self.events
@@ -656,10 +643,8 @@ mod tests {
             TraceKind::MigForward,
             TraceKind::MigEnd,
             TraceKind::MigAbort,
-            TraceKind::MigReturn,
             TraceKind::MigDone,
             TraceKind::AbortRequest,
-            TraceKind::AbortOutcome,
             TraceKind::FaultCrash,
             TraceKind::FaultRestart,
             TraceKind::FaultDropTrigger,

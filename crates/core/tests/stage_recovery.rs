@@ -8,7 +8,8 @@
 //!
 //! * A scripted migration round between two stages and a scripted
 //!   dispatcher, crashed at every message index of the source and of the
-//!   target, on the flip path and on the abort path.
+//!   target, on the flip path and on the lost-command path (the command
+//!   never arrives and the monitor's abort closes the round).
 //! * A property: any message sequence the protocol allows, any
 //!   `checkpoint_every` in 1..=8, any crash point.
 //!
@@ -20,7 +21,7 @@ use std::collections::VecDeque;
 use fastjoin_core::config::WindowConfig;
 use fastjoin_core::instance::JoinInstance;
 use fastjoin_core::load::{InstanceLoad, KeyStat};
-use fastjoin_core::protocol::{InstanceMsg, MigrationState, RouteRequest, RtMsg};
+use fastjoin_core::protocol::{InstanceMsg, MigrationDone, MigrationState, RouteRequest, RtMsg};
 use fastjoin_core::selection::{KeySelector, MigrationPlan};
 use fastjoin_core::stage::{InstOut, InstanceStage};
 use fastjoin_core::trace::{Actor, TraceConfig, TraceRing};
@@ -138,9 +139,6 @@ fn digest(stage: &InstanceStage) -> String {
         MigrationState::Target { epoch, from, keys, held, received } => {
             format!("target {epoch} ← {from} {:?} {:?} {received}", sorted(keys), seqs(held))
         }
-        MigrationState::Aborting { epoch, keys, buffer } => {
-            format!("aborting {epoch} {:?} {:?}", sorted(keys), seqs(buffer))
-        }
     };
     let stats = inst.key_stats();
     let buckets: Vec<Vec<u64>> = stats
@@ -166,7 +164,8 @@ fn digest(stage: &InstanceStage) -> String {
 const HOT: Key = 0;
 const COLD: Key = 1;
 /// Ticks a `Route` waits at the scripted dispatcher, so data routed under
-/// the old table reaches the source while it buffers.
+/// the old table reaches the source while it buffers — and ticks a lost
+/// command's round waits for its deadline.
 const ROUTE_DELAY: usize = 3;
 
 /// One tick of scripted input.
@@ -181,7 +180,8 @@ enum Feed {
 
 /// Two R-group stages, their FIFO inboxes, and a dispatcher that routes
 /// one scripted tuple per tick and answers a `Route` `ROUTE_DELAY` ticks
-/// later — with the flip, or (`abort`) with `MigAbort` to the source.
+/// later with the flip. With `lose_command`, the monitor's command is
+/// lost and its `MigAbort` reaches the source `ROUTE_DELAY` ticks later.
 struct Round {
     stages: Vec<InstanceStage>,
     inbox: Vec<VecDeque<RtMsg>>,
@@ -190,13 +190,19 @@ struct Round {
     sent: Vec<Sent>,
     hot_route: usize,
     routes: VecDeque<(usize, RouteRequest)>,
-    abort: bool,
+    lose_command: bool,
+    /// When the lost command's abort is due.
+    abort_due: Option<usize>,
     /// `(stage, message index, how)`.
     crash: Option<(usize, usize, Crash)>,
 }
 
 impl Round {
-    fn run(checkpoint_every: u64, abort: bool, crash: Option<(usize, usize, Crash)>) -> Round {
+    fn run(
+        checkpoint_every: u64,
+        lose_command: bool,
+        crash: Option<(usize, usize, Crash)>,
+    ) -> Round {
         use Feed::{Data, Migrate, Report};
         use Side::{R, S};
         let script = [
@@ -228,7 +234,8 @@ impl Round {
             sent: vec![Sent::default(), Sent::default()],
             hot_route: 0,
             routes: VecDeque::new(),
-            abort,
+            lose_command,
+            abort_due: None,
             crash,
         };
         let mut feed = script.iter();
@@ -245,6 +252,7 @@ impl Round {
                 Some(Report) => {
                     round.inbox.iter_mut().for_each(|q| q.push_back(RtMsg::ReportRequest))
                 }
+                Some(Migrate) if round.lose_command => round.abort_due = Some(tick + ROUTE_DELAY),
                 Some(Migrate) => {
                     let target_load = InstanceLoad::default();
                     let cmd = InstanceMsg::MigrateCmd { epoch: 1, target: 1, target_load };
@@ -252,22 +260,24 @@ impl Round {
                 }
                 None => {}
             }
+            if round.abort_due.is_some_and(|due| due <= tick) {
+                round.abort_due = None;
+                round.inbox[0].push_back(RtMsg::Inst(InstanceMsg::MigAbort { epoch: 1 }));
+            }
             if round.routes.front().is_some_and(|(due, _)| *due <= tick) {
                 let (_, req) = round.routes.pop_front().expect("checked");
-                let answer = if round.abort {
-                    InstanceMsg::MigAbort { epoch: req.epoch }
-                } else {
-                    round.hot_route = req.target;
-                    InstanceMsg::RouteUpdated { epoch: req.epoch }
-                };
-                round.inbox[req.source].push_back(RtMsg::Inst(answer));
+                round.hot_route = req.target;
+                let flipped = InstanceMsg::RouteUpdated { epoch: req.epoch };
+                round.inbox[req.source].push_back(RtMsg::Inst(flipped));
             }
             for i in 0..2 {
                 if let Some(msg) = round.inbox[i].pop_front() {
                     round.take(i, msg, tick);
                 }
             }
-            let quiet = round.inbox.iter().all(VecDeque::is_empty) && round.routes.is_empty();
+            let quiet = round.inbox.iter().all(VecDeque::is_empty)
+                && round.routes.is_empty()
+                && round.abort_due.is_none();
             if fed.is_none() && quiet {
                 break;
             }
@@ -305,13 +315,13 @@ impl Round {
 
 #[test]
 fn a_migration_round_crashed_at_every_message_ends_like_the_crash_free_one() {
-    for abort in [false, true] {
+    for lose_command in [false, true] {
         for checkpoint_every in [1, 2, 3, 64] {
-            let clean = Round::run(checkpoint_every, abort, None);
+            let clean = Round::run(checkpoint_every, lose_command, None);
             assert!(clean.stages.iter().all(InstanceStage::saw_eos));
             // The script reaches every message of its path, on both ends.
-            let (src, tgt): (&[&str], &[&str]) = if abort {
-                (&["MigrateCmd", "MigAbort", "MigReturn"], &["MigStart", "MigStore", "MigAbort"])
+            let (src, tgt): (&[&str], &[&str]) = if lose_command {
+                (&["MigAbort"], &[])
             } else {
                 (&["MigrateCmd", "RouteUpdated"], &["MigStart", "MigStore", "MigForward", "MigEnd"])
             };
@@ -319,6 +329,23 @@ fn a_migration_round_crashed_at_every_message_ends_like_the_crash_free_one() {
                 for kind in kinds {
                     assert!(clean.took[i].iter().any(|k| k == kind), "stage {i} never took {kind}");
                 }
+            }
+            // The round closes with exactly one completion: the source's
+            // `{0, 0}` acknowledgement of the lost command, or the target's
+            // report of what moved. A crash anywhere changes none of it
+            // (`sent` is compared below).
+            let done: Vec<(usize, MigrationDone)> = (0..2)
+                .flat_map(|i| {
+                    clean.sent[i].out.iter().filter_map(move |o| match o {
+                        InstOut::Done(d) => Some((i, *d)),
+                        _ => None,
+                    })
+                })
+                .collect();
+            if lose_command {
+                assert_eq!(done, [(0, MigrationDone { epoch: 1, tuples_moved: 0, keys_moved: 0 })]);
+            } else {
+                assert!(matches!(done.as_slice(), [(1, d)] if d.epoch == 1 && d.keys_moved == 1));
             }
             // Every probe of the script was reported, by one stage, once.
             let mut reported: Vec<u64> = clean
@@ -337,10 +364,11 @@ fn a_migration_round_crashed_at_every_message_ends_like_the_crash_free_one() {
             for i in 0..2 {
                 for index in 0..clean.took[i].len() {
                     for how in CRASHES {
-                        let crashed = Round::run(checkpoint_every, abort, Some((i, index, how)));
+                        let crashed =
+                            Round::run(checkpoint_every, lose_command, Some((i, index, how)));
                         let label = format!(
-                            "abort={abort} checkpoint_every={checkpoint_every}: stage {i} crashed \
-                             {how:?} at message {index} ({})",
+                            "lose_command={lose_command} checkpoint_every={checkpoint_every}: \
+                             stage {i} crashed {how:?} at message {index} ({})",
                             clean.took[i][index]
                         );
                         assert_eq!(crashed.took, clean.took, "{label}: messages taken");
@@ -393,6 +421,10 @@ impl Script {
             return RtMsg::ReportRequest;
         }
         match state {
+            // The overdue last round's abort, behind its command.
+            MigrationState::Idle if kind == 9 && a % 2 == 0 => {
+                inst(InstanceMsg::MigAbort { epoch: self.epoch })
+            }
             MigrationState::Idle => {
                 self.epoch += 1;
                 let epoch = self.epoch;
@@ -402,6 +434,7 @@ impl Script {
                         inst(InstanceMsg::MigrateCmd { epoch, target: 1, target_load })
                     }
                     8 => inst(InstanceMsg::MigStart { epoch, from: 1, keys: vec![a % 4, 4] }),
+                    // A round whose command was lost.
                     _ => inst(InstanceMsg::MigAbort { epoch }),
                 }
             }
@@ -409,11 +442,6 @@ impl Script {
                 6..=8 => inst(InstanceMsg::RouteUpdated { epoch: *epoch }),
                 _ => inst(InstanceMsg::MigAbort { epoch: *epoch }),
             },
-            MigrationState::Aborting { epoch, keys, .. } => {
-                let key = keys.iter().copied().min().unwrap_or(0);
-                let stored = (0..a % 3).map(|_| self.tuple(Side::R, key, b)).collect();
-                inst(InstanceMsg::MigReturn { epoch: *epoch, stored, inflight: Vec::new() })
-            }
             MigrationState::Target { epoch, keys, .. } => {
                 let epoch = *epoch;
                 let key = keys.iter().copied().min().unwrap_or(0);
@@ -432,8 +460,7 @@ impl Script {
                             .collect();
                         inst(InstanceMsg::MigForward { epoch, tuples })
                     }
-                    8 => inst(InstanceMsg::MigEnd { epoch, from: 1 }),
-                    _ => inst(InstanceMsg::MigAbort { epoch }),
+                    _ => inst(InstanceMsg::MigEnd { epoch, from: 1 }),
                 }
             }
         }

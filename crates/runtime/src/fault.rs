@@ -3,7 +3,8 @@
 //! A [`FaultPlan`] describes every fault a run will experience: executor
 //! crashes pinned to migration-protocol phases ([`CrashFault`]), perturbed
 //! report delivery into the monitors ([`ChaosPolicy`]), and dropped
-//! migration triggers (a stalled round the abort watchdog must clean up).
+//! migration triggers (a stalled round that only the watchdog's `MigAbort`
+//! to its source closes — the one fault that stalls a round).
 //! Everything is derived from a single seed through the deterministic
 //! `rand` generator, so a failing chaos schedule replays exactly from its
 //! seed alone.
@@ -16,9 +17,9 @@
 //!   reshuffles thread interleavings without breaking the contract the
 //!   protocol is entitled to.
 //! * **Monitor reports are best-effort by design.** Load reports may be
-//!   dropped, duplicated, or reordered freely; `MigrationDone`, `Quiesce`,
-//!   and `AbortOutcome` are never touched (losing them wedges shutdown,
-//!   which is a harness bug, not an interesting fault).
+//!   dropped, duplicated, or reordered freely; `MigrationDone` and
+//!   `Quiesce` are never touched (losing them wedges shutdown, which is a
+//!   harness bug, not an interesting fault).
 //!
 //! Crashes are *fail-stop at a message boundary*: the kill switch fires
 //! immediately before the victim processes the matching message, inside
@@ -78,8 +79,8 @@ pub enum CrashPhase {
     /// is in flight with nobody watching its deadline, and the tick's
     /// decision is not journaled yet. The supervisor restarts the executor
     /// with its `Monitor` kept, round and deadline included (or, restarts
-    /// exhausted, aborts the round and the run degrades to frozen
-    /// routing). Ignored by instance executors.
+    /// exhausted, the run degrades to frozen routing while the round
+    /// completes at the instances). Ignored by instance executors.
     MonitorMidRound {
         /// 1-based index of the triggered round to die after.
         at_round: u64,
@@ -150,8 +151,9 @@ pub struct FaultPlan {
     pub monitor_chaos: ChaosPolicy,
     /// Each monitor silently discards its first N migration triggers —
     /// from the instances' perspective nothing happened; from the
-    /// monitor's, a round is in flight that will never complete. Exercises
-    /// the round-timeout abort path end to end.
+    /// monitor's, a round is in flight that will never complete until its
+    /// deadline sends the source `MigAbort`. Exercises the watchdog end to
+    /// end.
     pub drop_migrate_cmds: u64,
 }
 

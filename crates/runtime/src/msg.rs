@@ -63,16 +63,6 @@ pub enum MonitorMsg {
     Done(MigrationDone),
     /// Stop triggering new migrations and shut down once idle.
     Quiesce,
-    /// Dispatcher verdict on a [`DispatcherMsg::Abort`] request:
-    /// `aborted = true` means the epoch's route flip was intercepted and
-    /// the source has been told to roll back; `false` means the flip had
-    /// already been applied and the round will finish normally.
-    AbortOutcome {
-        /// The round the verdict is for.
-        epoch: u64,
-        /// Whether the abort was accepted.
-        aborted: bool,
-    },
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! The dispatcher stage's shell: N data-plane [`Shard`] threads routing
 //! disjoint key ranges under published snapshots, and one control
-//! [`Sequencer`] thread that serializes every route flip and abort.
+//! [`Sequencer`] thread that serializes every route flip.
 //! `dispatcher_shards = 1` is simply N = 1.
 //!
 //! What the stage *decides* — batching, flush-before-install, the epoch
-//! fence, the publication barrier, which of a round's route and abort
-//! wins — lives in `fastjoin_core::{shard, sequencer}` as pure transitions
-//! that the model checker drives too (`cargo xtask check-protocol`). Each
+//! fence, the publication barrier — lives in
+//! `fastjoin_core::{shard, sequencer}` as pure transitions that the model
+//! checker drives too (`cargo xtask check-protocol`). Each
 //! hands back an ordered sequence of outputs; this file performs them **in
 //! that order** (the order is the protocol) and keeps only what is
 //! imperative: the receive loops and their priorities, heartbeats and
@@ -34,7 +34,7 @@ use super::supervise::{Executor, Pulse};
 use super::{CollectorMsg, RuntimeConfig, CTRL_TICK, DISPATCH_TICK, EXECUTOR_TICK};
 use crate::fault::ControlKillSwitch;
 use crate::introspect::Part;
-use crate::msg::{DispatcherMsg, MonitorMsg, RtMsg, ShardCtrl, ShardNote, SpoutMsg};
+use crate::msg::{DispatcherMsg, RtMsg, ShardCtrl, ShardNote, SpoutMsg};
 
 /// Senders to every instance inbox: `[R group, S group]`.
 pub(super) type InstanceTxs = [Vec<Sender<RtMsg>>; 2];
@@ -290,9 +290,9 @@ impl Executor for Shard {
 /// The control sequencer's thread. It never touches data.
 ///
 /// The struct — and with it the [`sequencer::Sequencer`] (authoritative
-/// table, publication epoch, an open barrier, `eos_broadcast`) and the
-/// monitor senders — survives a panic of [`Executor::run`]: a sequencer
-/// crash loses the thread, never the table.
+/// table, publication epoch, an open barrier, `eos_broadcast`) — survives
+/// a panic of [`Executor::run`]: a sequencer crash loses the thread, never
+/// the table.
 pub(super) struct Sequencer {
     core: sequencer::Sequencer,
     /// Outputs of the last transition, performed front to back.
@@ -321,10 +321,6 @@ pub(super) struct Sequencer {
 /// The sequencer's channel ends.
 pub(super) struct SequencerLinks {
     pub inst_txs: InstanceTxs,
-    /// Owned so the EOS broadcast can drop them: the monitors exit on
-    /// inbox disconnect, which requires every sender — including the
-    /// sequencer's — to be gone.
-    pub mon_txs: [Option<Sender<MonitorMsg>>; 2],
     pub ctrl_rx: Receiver<DispatcherMsg>,
     /// Per-shard publish channels.
     pub shard_txs: Vec<Sender<ShardCtrl>>,
@@ -356,23 +352,18 @@ impl Sequencer {
         self.stale = false;
     }
 
-    /// Counts one thing the sequencer did, and journals what changed
-    /// routing or a round (a dropped `Route` changed neither).
+    /// Counts and journals one thing the sequencer did.
     fn record(&mut self, e: SeqEvent) {
         let (counter, kind) = match e.did {
-            Did::Applied => ("route_updates", Some(TraceKind::RouteStaged)),
-            Did::Dropped => ("routes_dropped", None),
-            Did::AbortAccepted => ("migration_aborts", Some(TraceKind::MigAbort)),
-            Did::Republished => ("snapshot_republishes", Some(TraceKind::SnapshotRepublish)),
+            Did::Applied => ("route_updates", TraceKind::RouteStaged),
+            Did::Republished => ("snapshot_republishes", TraceKind::SnapshotRepublish),
         };
         if e.did == Did::Applied {
             // An applied flip is published, once, at once.
             self.reg.counter_add("route_publishes", 1);
         }
         self.reg.counter_add(counter, 1);
-        if let Some(kind) = kind {
-            self.ring.push(control_event(&self.pulse, kind, e.epoch, e.aux, e.aux2));
-        }
+        self.ring.push(control_event(&self.pulse, kind, e.epoch, e.aux, e.aux2));
     }
 
     /// Performs the pending outputs in order. It follows every message
@@ -394,20 +385,11 @@ impl Sequencer {
                     let tx = &self.links.inst_txs[group][dest];
                     let _ = self.pulse.send(tx, RtMsg::Inst(msg), &mut self.sends_parked);
                 }
-                SeqOut::ToMonitor { group, epoch, aborted } => {
-                    // lint:allow(group is 0 or 1: the monitor sends its own group id)
-                    if let Some(mon) = &self.links.mon_txs[group] {
-                        let _ = mon.send(MonitorMsg::AbortOutcome { epoch, aborted });
-                    }
-                }
                 SeqOut::BroadcastEos => {
                     self.ring.push(control_event(&self.pulse, TraceKind::Eos, 0, 0, 0));
                     for tx in self.links.inst_txs.iter().flatten() {
                         let _ = self.pulse.send(tx, RtMsg::Eos, &mut self.sends_parked);
                     }
-                    // The monitors exit on inbox disconnect (and in turn
-                    // release `ctrl_rx`, ending `run`).
-                    self.links.mon_txs = [None, None];
                 }
                 SeqOut::Event(event) => self.record(event),
             }
@@ -451,7 +433,7 @@ impl Executor for Sequencer {
                 },
             };
             if let Some(m) = next {
-                if matches!(m, DispatcherMsg::Route { .. }) && self.switch.should_crash() {
+                if self.switch.should_crash() {
                     self.inflight = Some(m);
                     // lint:allow(the injected fail-stop crash IS the fault under test; supervise catches, restarts, and the parked message replays)
                     panic!(
@@ -577,7 +559,6 @@ mod tests {
         drop(note_tx);
         let links = SequencerLinks {
             inst_txs: txs.clone(),
-            mon_txs: [None, None],
             ctrl_rx,
             shard_txs: publish_txs.clone(),
             note_rx,

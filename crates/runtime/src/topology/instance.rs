@@ -23,7 +23,7 @@
 //! loses the unsent outputs, and recovery's re-application of the message
 //! sends each exactly once.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crossbeam::channel::{RecvTimeoutError, Sender};
 
@@ -114,10 +114,10 @@ pub(super) struct InstanceExecutor {
     /// `FaultCrash` event marks exactly where to distrust.
     ring: TraceRing,
     reg: MetricsRegistry,
-    /// When this instance became the source of a round, by epoch; closed
-    /// out by the round's flip or abort (`stage.mig_pause_us`). Stamped by
-    /// the live step alone, so a recovery in between keeps the stamp.
-    flip_started: HashMap<u64, u64>,
+    /// When this instance became the source of the round it sources (one
+    /// at a time), closed out by the round's flip (`stage.mig_pause_us`).
+    /// Stamped by the live step alone, so a recovery in between keeps it.
+    flip_started: Option<u64>,
     /// Times a bounded peer send parked on a full inbox (backpressure)
     /// since [`InstanceExecutor::publish`] last folded them into the
     /// registry's `sends_parked`.
@@ -138,7 +138,7 @@ impl InstanceExecutor {
             rx,
             out: VecDeque::new(),
             reg: MetricsRegistry::new(),
-            flip_started: HashMap::new(),
+            flip_started: None,
             sends_parked: 0,
             qlen: 0,
             q_hwm: 0,
@@ -205,21 +205,15 @@ impl InstanceExecutor {
                     let _ =
                         self.io.collector.send(CollectorMsg::Probes { done_us: finished, reports });
                 }
-                InstOut::Event(InstEvent::BecameSource(epoch)) => {
-                    self.flip_started.insert(epoch, received);
-                }
-                InstOut::Event(
-                    e @ (InstEvent::RouteFlipped(epoch) | InstEvent::AbortClosed(epoch)),
-                ) => {
-                    let Some(t0) = self.flip_started.remove(&epoch) else { continue };
+                InstOut::Event(InstEvent::BecameSource(_)) => self.flip_started = Some(received),
+                InstOut::Event(InstEvent::RouteFlipped(epoch)) => {
+                    let Some(t0) = self.flip_started.take() else { continue };
                     // Migration pause attribution: how long this source ran
-                    // in buffering mode before the flip (or the abort).
+                    // in buffering mode before the flip.
                     let us = received.saturating_sub(t0);
                     self.reg.histogram_record("stage.mig_pause_us", us);
-                    if matches!(e, InstEvent::RouteFlipped(_)) {
-                        let flip = CollectorMsg::RouteFlip { group: self.io.group, epoch, us };
-                        let _ = self.io.collector.send(flip);
-                    }
+                    let flip = CollectorMsg::RouteFlip { group: self.io.group, epoch, us };
+                    let _ = self.io.collector.send(flip);
                 }
             }
         }
@@ -232,9 +226,7 @@ impl InstanceExecutor {
         self.reg.series_record("queue_depth", period, now, self.qlen as f64);
         let buffered = match self.stage.instance().migration_state() {
             MigrationState::Idle => 0,
-            MigrationState::Source { buffer, .. } | MigrationState::Aborting { buffer, .. } => {
-                buffer.len()
-            }
+            MigrationState::Source { buffer, .. } => buffer.len(),
             MigrationState::Target { held, .. } => held.len(),
         };
         self.reg.gauge_set("mig_buffered_tuples", buffered as f64);

@@ -13,9 +13,9 @@
 //! and sequencer ↔ shard is unbounded, which breaks the shard-side
 //! wait-for cycle (a shard blocked on a full instance queue while that
 //! instance publishes a routing update). The bounded instance → instance
-//! edge cannot close one either: a group runs one migration round at a
-//! time and the two directions of its source ↔ target edge are never in
-//! use together (ARCHITECTURE.md, "Backpressure").
+//! edge cannot close one either: a migration round only sends source →
+//! target, and a group runs one round at a time (ARCHITECTURE.md,
+//! "Backpressure").
 //!
 //! There is one dispatcher path: the spout shards tuples by key hash over
 //! [`RuntimeConfig::dispatcher_shards`] shard threads (one by default),
@@ -85,13 +85,13 @@
 //!   backs off; past the restart budget the run continues on the routing
 //!   table as it stands, without migrations (`monitor`).
 //!
-//! Migration rounds are abortable while their route flip is still
-//! pending: the per-group monitor arms a deadline per round
-//! ([`SupervisionConfig::round_timeout_ms`]) and on breach asks the
-//! sequencer to abort. The sequencer either already applied the round's
-//! `Route` (abort refused, the round finishes normally) or guarantees it
-//! never will: the late `Route` is dropped, the table never sees the
-//! round, and the source rolls the migration back (see `core::instance`).
+//! A round whose `MigrateCmd` was lost cannot close by itself: the
+//! per-group monitor arms a deadline per round
+//! ([`SupervisionConfig::round_timeout_ms`]) and on breach sends the
+//! round's source `MigAbort` on the edge the command took. A source that
+//! got the command ignores it and the round finishes forward; one that
+//! did not closes the round with a `{0, 0}` `MigrationDone` (see
+//! `core::instance`).
 //!
 //! Whole-run liveness is watched from the collector: every executor
 //! maintains a heartbeat, and a silent stall (or a hung shutdown) surfaces
@@ -197,9 +197,9 @@ pub struct SupervisionConfig {
     /// up to 4,096 tuples — a replay log of ≈ 200 KB per instance — lie
     /// between two checkpoints.
     pub checkpoint_every: u64,
-    /// Migration-round deadline in milliseconds; a round still awaiting
-    /// its route flip past the deadline is aborted. 0 disables the
-    /// watchdog.
+    /// Migration-round deadline in milliseconds; past it the monitor sends
+    /// the round's source `MigAbort`, which closes a round whose command
+    /// was lost (any other finishes forward). 0 disables the watchdog.
     pub round_timeout_ms: u64,
 }
 
@@ -526,7 +526,6 @@ fn wire(cfg: &RuntimeConfig, pulse: Pulse, results: Option<Sender<JoinedPair>>) 
     drop(note_tx);
     let links = SequencerLinks {
         inst_txs: inst_txs.clone(),
-        mon_txs: mon_txs.clone(),
         ctrl_rx: disp_ctrl_rx,
         shard_txs: shard_ctrl_txs,
         note_rx,
@@ -574,7 +573,6 @@ fn wire(cfg: &RuntimeConfig, pulse: Pulse, results: Option<Sender<JoinedPair>>) 
         let links = MonitorLinks {
             rx,
             to_instances: inst_txs[g].clone(), // lint:allow(g ranges over the two fixed groups)
-            disp_ctrl: disp_ctrl_tx.clone(),
             quiesce_ack: quiesce_ack_tx.clone(),
         };
         spawner.spawn_executor(format!("monitor-{g}"), Role::Monitor, |pulse| {
@@ -721,11 +719,11 @@ impl Topology {
         }
 
         // What the last batches left queued, then one loop for the rest:
-        // instances exit first (on Eos), then the monitors (their inboxes
-        // disconnect), and the dispatcher last — the sequencer keeps
+        // instances exit first (on Eos), then the monitors and the
+        // sequencer (their inboxes disconnect) — the sequencer keeps
         // serving late control messages after broadcasting Eos and only
-        // reports once every control sender is gone. Every executor
-        // reports exactly once.
+        // reports once every instance is gone. Every executor reports
+        // exactly once.
         collector.absorb_ready(&self.collector_rx);
         while collector.reports_left > 0 && collector.error.is_none() {
             match self.collector_rx.recv_timeout(COLLECT_TICK) {

@@ -7,9 +7,8 @@
 //! recovery backs off deterministically and the next incarnation carries
 //! on where the last one stopped; while down, routing stays as it is and
 //! the run continues without migrations. Past the restart budget the
-//! monitor degrades permanently: the in-flight round is ended through the
-//! sequencer's abort path and a minimal drain keeps the shutdown handshake
-//! alive.
+//! monitor degrades permanently: a round whose command arrived completes
+//! without it, and a minimal drain keeps the shutdown handshake alive.
 
 use std::thread;
 use std::time::{Duration, Instant};
@@ -28,7 +27,7 @@ use super::supervise::{Executor, Pulse};
 use super::{CollectorMsg, RuntimeConfig, EXECUTOR_TICK};
 use crate::fault::{ChaosReceiver, ControlKillSwitch};
 use crate::introspect::Part;
-use crate::msg::{DispatcherMsg, MonitorMsg, RtMsg};
+use crate::msg::{MonitorMsg, RtMsg};
 
 /// One group's monitor executor. Everything here survives a panic of
 /// [`Executor::run`] — the [`Monitor`], journal, telemetry, LI trace and
@@ -48,7 +47,6 @@ pub(super) struct MonitorExecutor {
     reg: MetricsRegistry,
     rx: ChaosReceiver<MonitorMsg>,
     to_instances: Vec<Sender<RtMsg>>,
-    disp_ctrl: Sender<DispatcherMsg>,
     quiesce_ack: Sender<usize>,
     pulse: Pulse,
     quiescing: bool,
@@ -78,7 +76,6 @@ pub(super) struct MonitorExecutor {
 pub(super) struct MonitorLinks {
     pub rx: crossbeam::channel::Receiver<MonitorMsg>,
     pub to_instances: Vec<Sender<RtMsg>>,
-    pub disp_ctrl: Sender<DispatcherMsg>,
     pub quiesce_ack: Sender<usize>,
 }
 
@@ -108,7 +105,6 @@ impl MonitorExecutor {
                 |m| matches!(m, MonitorMsg::Report { .. }),
             ),
             to_instances: links.to_instances,
-            disp_ctrl: links.disp_ctrl,
             quiesce_ack: links.quiesce_ack,
             pulse,
             quiescing: false,
@@ -162,8 +158,7 @@ impl MonitorExecutor {
                     | InstanceMsg::RouteUpdated { .. }
                     | InstanceMsg::MigForward { .. }
                     | InstanceMsg::MigEnd { .. }
-                    | InstanceMsg::MigAbort { .. }
-                    | InstanceMsg::MigReturn { .. } => 0,
+                    | InstanceMsg::MigAbort { .. } => 0,
                 };
                 let source = trigger.source;
                 if self.drop_triggers > 0 {
@@ -192,7 +187,11 @@ impl MonitorExecutor {
             }
         }
         if let Some(req) = self.monitor.check_deadline(self.now_ms()) {
-            self.request_abort(req.epoch, req.source);
+            // The edge the round's `MigrateCmd` took: a command that was
+            // sent is received first, and the source ignores the abort.
+            self.trace(TraceKind::AbortRequest, req.epoch, req.source as u64, 0);
+            let abort = RtMsg::Inst(InstanceMsg::MigAbort { epoch: req.epoch });
+            let _ = self.pulse.send(&self.to_instances[req.source], abort, &mut self.sends_parked);
         }
         self.journal_decisions();
         self.publish();
@@ -246,20 +245,12 @@ impl MonitorExecutor {
         self.pulse.publish(Part::Monitor(self.group), &self.reg, Vec::new);
     }
 
-    /// Asks the sequencer — the serialization point for routing — to
-    /// abort round `epoch`.
-    fn request_abort(&mut self, epoch: u64, source: usize) {
-        self.trace(TraceKind::AbortRequest, epoch, source as u64, 0);
-        let _ = self.disp_ctrl.send(DispatcherMsg::Abort { group: self.group, epoch, source });
-    }
-
     /// Terminal degraded mode, entered when the restart budget is spent:
     /// the run continues *without* migrations — routing is frozen at the
     /// table the sequencer holds — rather than failing. This loop keeps
     /// the shutdown handshake alive: `Quiesce` is acknowledged immediately
-    /// (recovery already asked the sequencer to abort any in-flight
-    /// round), and every other message is discarded until the inbox
-    /// disconnects.
+    /// (a round whose command arrived completes without its monitor), and
+    /// every other message is discarded until the inbox disconnects.
     fn degraded_drain(&mut self) {
         while self.pulse.beat() {
             // A Quiesce that arrived before the final crash still needs
@@ -289,10 +280,6 @@ impl Executor for MonitorExecutor {
                     self.monitor.on_migration_done(done, self.now_ms());
                     self.trace(TraceKind::MigDone, done.epoch, done.tuples_moved, 0);
                 }
-                Ok(MonitorMsg::AbortOutcome { epoch, aborted }) => {
-                    self.monitor.on_abort_outcome(epoch, aborted, self.now_ms());
-                    self.trace(TraceKind::AbortOutcome, epoch, u64::from(aborted), 0);
-                }
                 Ok(MonitorMsg::Quiesce) => self.quiescing = true,
                 Err(RecvTimeoutError::Timeout) => {
                     next_tick += self.period;
@@ -306,23 +293,18 @@ impl Executor for MonitorExecutor {
 
     /// Monitor recovery: the `Monitor` is intact, so a recovery either
     /// backs off before the next incarnation carries on — its in-flight
-    /// round still under its deadline — or (budget spent) ends the
-    /// in-flight round through the abort path and degrades.
+    /// round still under its deadline — or (budget spent) degrades.
     fn recover(&mut self, restarts: u32) {
         if self.degraded {
-            // A panic inside the degraded drain: the round's abort was
-            // already requested and nothing is left to do.
+            // A panic inside the degraded drain: nothing is left to do.
             return;
         }
         let down_at = self.pulse.now_us();
         self.trace(TraceKind::MonitorDown, 0, u64::from(restarts), 0);
         if restarts > self.max_restarts {
-            // Abort the in-flight round through the sequencer's existing
-            // path, then freeze: the run continues correctly on the
-            // routing table as it stands, without migrations.
-            if let Some((epoch, source, _)) = self.monitor.in_flight_round() {
-                self.request_abort(epoch, source);
-            }
+            // Freeze: the run continues correctly on the routing table as
+            // it stands, without migrations. A round in flight whose
+            // command arrived completes at the instances on its own.
             self.reg.counter_add("monitor.permanent_degraded", 1);
             self.degraded = true;
             self.publish();

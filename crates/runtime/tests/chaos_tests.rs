@@ -173,9 +173,9 @@ fn channel_chaos_matrix_preserves_exactly_once() {
 fn stalled_round_is_aborted_by_the_watchdog_and_the_run_completes() {
     // The first two MigrateCmds vanish in flight: the monitor has a round
     // in flight that no instance will ever run. Only the round-timeout
-    // watchdog (abort at the dispatcher, rollback ack from the idle
-    // source) can unwedge it — shutdown must not hang, results must be
-    // untouched (the lost rounds moved nothing).
+    // watchdog (`MigAbort` to the source, a `{0, 0}` ack from the source
+    // that never saw the command) can close it — shutdown must not hang,
+    // results must be untouched (the lost rounds moved nothing).
     let tuples = skewed_workload(3, 12_000);
     let expected = oracle(&tuples);
     let plan = fault_class("stalled-round", 3);
@@ -185,7 +185,6 @@ fn stalled_round_is_aborted_by_the_watchdog_and_the_run_completes() {
     assert_exactly_once(&report, expected, 12_000, "stalled round");
     let aborted: u64 = report.monitor_stats.iter().flatten().map(|s| s.aborted).sum();
     assert!(aborted >= 1, "the watchdog must abort the stalled round: {:?}", report.monitor_stats);
-    assert!(report.registry.counter_sum("migration_aborts") >= 1, "dispatcher saw no abort");
 }
 
 #[test]
@@ -338,7 +337,7 @@ fn control_plane_crashes_recover_exactly_once() {
 fn monitor_death_degrades_routing_and_matches_the_oracle_exactly() {
     // With monitor restarts exhausted (max_restarts = 0) a monitor kill
     // must permanently degrade the run — routing frozen where it stands,
-    // the in-flight round ended through the abort path — and the join
+    // the in-flight round completing at the instances without it — and the join
     // output must still equal the oracle exactly, at one shard and at two.
     for shards in [1usize, 2] {
         let mut degraded_seen = false;
@@ -401,9 +400,8 @@ fn supervisor_restart_counters_are_exported_per_executor() {
 
 #[test]
 fn sharded_stalled_round_is_aborted_by_the_watchdog_and_the_run_completes() {
-    // The watchdog abort path must work when the abort verdict comes from
-    // the control sequencer while several shards route data: the
-    // aborted round never reaches the table (no route change, so no
+    // The watchdog abort path must work while several shards route data:
+    // the aborted round never reaches the table (no route change, so no
     // snapshot publication), and shutdown must not hang on the
     // publication barrier.
     let tuples = skewed_workload(3, 12_000);
@@ -416,5 +414,4 @@ fn sharded_stalled_round_is_aborted_by_the_watchdog_and_the_run_completes() {
     assert_exactly_once(&report, expected, 12_000, "sharded stalled round");
     let aborted: u64 = report.monitor_stats.iter().flatten().map(|s| s.aborted).sum();
     assert!(aborted >= 1, "the watchdog must abort the stalled round: {:?}", report.monitor_stats);
-    assert!(report.registry.counter_sum("migration_aborts") >= 1, "sequencer saw no abort");
 }

@@ -26,7 +26,8 @@
 //! shard crashing (restart variants), an instance crashing — idle before a
 //! receive, or inside a step whose outputs were computed and never sent —
 //! and recovering through [`InstanceStage::recover`] (instance-restart
-//! variants), or the monitor's round deadline passing (abort variant). The
+//! variants), or the monitor losing round 1's command or passing its
+//! deadline (abort variants). The
 //! collector is a sink: an instance's report batch lands in the state when
 //! it is sent. The S group is not modeled: flushes to it are dropped.
 //!
@@ -35,7 +36,8 @@
 //! structs' outputs — sends them in another order, sends one early,
 //! replaces a crashed shard by a fresh one instead of calling
 //! [`Shard::restart`], keeps a torn step's report batch across an
-//! instance's recovery (see [`Variant`]).
+//! instance's recovery, sends the monitor's abort on a queue of its own
+//! (see [`Variant`]).
 //!
 //! ## Search
 //!
@@ -114,13 +116,18 @@ pub enum Variant {
     /// no resync — so it routes under the initial table at once while the
     /// dead incarnation's acknowledgement still releases the barrier.
     ShardedRestartNoFence,
-    /// Two rounds with the monitor's deadline for round 1 free to pass at
-    /// any time: the abort races the target's `Route` (accepted or
-    /// refused; a `Route` behind an accepted abort is dropped), and a
-    /// round whose source had nothing to move closes on its own while its
-    /// abort is still under way, so a `MigAbort` older than the engaged
-    /// round is met too.
+    /// Two rounds; the monitor may lose round 1's command, and its
+    /// deadline for round 1 may pass at any time, sending the source
+    /// `MigAbort` behind the command on the monitor's edge. The abort meets
+    /// a source that lost the command (it acknowledges), one engaged in
+    /// the round (it ignores it and the round finishes forward), one whose
+    /// command found nothing to move, and one whose round already flipped.
     ShardedAbort,
+    /// Known-bad: [`Variant::ShardedAbort`] with the monitor's abort sent
+    /// on a queue of its own, so it can overtake the `MigrateCmd`: the
+    /// source acknowledges a command it has not seen yet, and the command
+    /// then engages a round the monitor has closed.
+    AbortOvertakesCommand,
     /// Known-bad: a shard's acknowledgement is sent ahead of the flushes
     /// that precede it in its output sequence.
     ShardedAckBeforeFlush,
@@ -146,6 +153,7 @@ pub const VARIANTS: &[(&str, Variant, bool)] = &[
     ("sharded-shard-restart", Variant::ShardedShardRestart, true),
     ("sharded-restart-no-fence", Variant::ShardedRestartNoFence, false),
     ("sharded-abort", Variant::ShardedAbort, true),
+    ("abort-overtakes-command", Variant::AbortOvertakesCommand, false),
     ("sharded-ack-before-flush", Variant::ShardedAckBeforeFlush, false),
     ("instance-restart", Variant::InstanceRestart, true),
     ("instance-restart-keeps-reports", Variant::InstanceRestartKeepsReports, false),
@@ -199,7 +207,7 @@ struct Scenario {
     deadline: bool,
 }
 
-/// Scenario bounds are tuned so the slowest search stays near two minutes
+/// Scenario bounds are tuned so the slowest search stays near a minute
 /// with the real structs: the restart and abort variants carry one cold
 /// tuple instead of two, and a schedule has one shard crash, not one per
 /// shard. The instance-restart variants checkpoint every second message,
@@ -221,7 +229,9 @@ fn scenario(variant: Variant) -> Scenario {
         Variant::ShardedShardRestart | Variant::ShardedRestartNoFence => {
             (&["RSRS", "r"], 2, &[(1, 0, 1)], 1, false)
         }
-        Variant::ShardedAbort => (&["RSRS", "r"], 2, &[(1, 0, 1), (2, 0, 1)], 0, true),
+        Variant::ShardedAbort | Variant::AbortOvertakesCommand => {
+            (&["RSRS", "r"], 2, &[(1, 0, 1), (2, 0, 1)], 0, true)
+        }
         // A store and a probe on either side of the flip, and a cold pair.
         Variant::InstanceRestart | Variant::InstanceRestartKeepsReports => {
             (&["RSrsRS"], 1, &[(1, 0, 1)], 0, false)
@@ -277,11 +287,11 @@ pub enum CheckOutcome {
 /// A queue of the model, named by who reads it: instance `i`'s one inbox
 /// (shards, sequencer, monitor and peer all write to it) is port `i`.
 type Port = usize;
-/// Instances' `Route`s and the monitor's `Abort`s.
+/// Instances' `Route`s.
 const SEQ_CTRL: Port = INSTANCES;
 /// The shards' acks, EOS reports and restart notices.
 const SEQ_NOTES: Port = INSTANCES + 1;
-/// `MigrationDone`s and abort verdicts.
+/// `MigrationDone`s.
 const MONITOR: Port = INSTANCES + 2;
 /// Shard `k`'s publications are port `SHARD_CTRL + k` (the sequencer is the
 /// only sender).
@@ -302,10 +312,6 @@ enum Msg {
     Note(ShardNote),
     Publish(RouteSnapshot),
     Done(MigrationDone),
-    AbortOutcome {
-        epoch: u64,
-        aborted: bool,
-    },
 }
 
 /// A message with its interned summary id (what fingerprints compare).
@@ -375,9 +381,9 @@ struct State {
     seq: Rc<Sequencer>,
     insts: Vec<Rc<InstNode>>,
     /// The scripted monitor: rounds closed so far (round `closed` is in
-    /// flight if there is one), and whether round 1's abort was requested.
+    /// flight if there is one), and whether round 1's abort was sent.
     rounds_closed: usize,
-    abort_requested: bool,
+    abort_sent: bool,
     crashes_left: u8,
     inst_crashes_left: u8,
     /// Per node: outputs of its last step not yet sent.
@@ -410,6 +416,8 @@ enum Action {
     CrashInst(usize, bool),
     /// The monitor's deadline for round 1 passes.
     Deadline,
+    /// The monitor loses round 1's command instead of sending it.
+    Lose,
 }
 
 /// Why a schedule is invalid, raised during or at the end of exploration.
@@ -531,7 +539,7 @@ impl Explorer {
             seq: Rc::new(Sequencer::new(Self::initial_table(), n)),
             insts: (0..INSTANCES).map(inst).collect(),
             rounds_closed: 0,
-            abort_requested: false,
+            abort_sent: false,
             crashes_left: self.sc.crashes,
             inst_crashes_left: self.sc.inst_crashes,
             outbox: vec![VecDeque::new(); nodes],
@@ -588,14 +596,27 @@ impl Explorer {
         // explore those alone.
         let mut solo: Option<Vec<Action>> = None;
         let has = |port: Port| !s.queues[port].is_empty();
+        // Round 1 is in flight and its abort was not sent yet: the
+        // deadline may pass whatever else the monitor is doing.
+        let deadline = self.sc.deadline && s.rounds_closed == 0 && !s.abort_sent;
+        if deadline {
+            acts.push(Action::Deadline);
+        }
         for node in 0..=self.mon_node {
-            if let Some((port, _)) = s.outbox[node].front() {
+            if let Some((port, (_, msg))) = s.outbox[node].front() {
                 let single_sender =
                     *port >= SHARD_CTRL || (*port == SEQ_NOTES && self.shards() == 1);
                 if single_sender {
                     solo = solo.or(Some(vec![Action::Send(node)]));
                 }
                 acts.push(Action::Send(node));
+                let round_1_cmd = matches!(
+                    &**msg,
+                    Msg::Rt(RtMsg::Inst(InstanceMsg::MigrateCmd { epoch: 1, .. }))
+                );
+                if self.sc.deadline && round_1_cmd {
+                    acts.push(Action::Lose);
+                }
             } else if node < self.shards() {
                 let shard = &s.shards[node];
                 if has(SHARD_CTRL + node) {
@@ -617,11 +638,6 @@ impl Explorer {
                     solo = solo.or(barrier.then(|| vec![Action::Recv(node, SEQ_NOTES)]));
                 }
             } else if node == self.mon_node {
-                // Round 1 is in flight and its abort was not requested yet.
-                let deadline = self.sc.deadline && s.rounds_closed == 0 && !s.abort_requested;
-                if deadline {
-                    acts.push(Action::Deadline);
-                }
                 if has(MONITOR) {
                     acts.push(Action::Recv(node, MONITOR));
                     solo = solo.or((!deadline).then(|| vec![Action::Recv(node, MONITOR)]));
@@ -682,10 +698,20 @@ impl Explorer {
             Action::Deadline => {
                 let mon = self.mon_node;
                 self.consume(&mut n, mon, EV_DEADLINE);
-                n.abort_requested = true;
+                n.abort_sent = true;
                 let (epoch, source, _) = self.sc.rounds[0];
-                let abort = DispatcherMsg::Abort { group: 0, epoch, source };
-                self.emit(&mut n, mon, SEQ_CTRL, Msg::Ctrl(abort));
+                let abort = Msg::Rt(RtMsg::Inst(InstanceMsg::MigAbort { epoch }));
+                if self.variant == Variant::AbortOvertakesCommand {
+                    // The bug under test: the abort does not queue behind
+                    // the monitor's command, it reaches the source at once.
+                    let queued = self.queued(abort);
+                    n.queues[source].push_back(queued);
+                } else {
+                    self.emit(&mut n, mon, source, abort);
+                }
+            }
+            Action::Lose => {
+                n.outbox[self.mon_node].pop_front();
             }
             Action::Recv(node, port) => {
                 let msg = self.take_head(&mut n, node, port);
@@ -750,8 +776,6 @@ impl Explorer {
             Msg::Ctrl(m) => Rc::make_mut(&mut n.seq).ctrl(m, &mut seq_out),
             Msg::Note(note) => Rc::make_mut(&mut n.seq).note(note, &mut seq_out),
             Msg::Done(done) => self.monitor_done(n, done)?,
-            // The verdict only updates the real monitor's bookkeeping.
-            Msg::AbortOutcome { .. } => {}
             Msg::Rt(msg) => self.instance_step(n, inst, Some(msg), false)?,
             Msg::Reports(_) => unreachable!("the collector is a sink, not a queue"),
         }
@@ -789,16 +813,11 @@ impl Explorer {
                 SeqOut::ToInstance { dest, msg, .. } => {
                     self.emit(n, node, dest, Msg::Rt(RtMsg::Inst(msg)));
                 }
-                SeqOut::ToMonitor { epoch, aborted, .. } => {
-                    self.saw(if aborted { "abort accepted" } else { "abort refused" });
-                    self.emit(n, node, MONITOR, Msg::AbortOutcome { epoch, aborted });
-                }
                 SeqOut::BroadcastEos => {
                     for i in 0..INSTANCES {
                         self.emit(n, node, i, Msg::Rt(RtMsg::Eos));
                     }
                 }
-                SeqOut::Event(SeqEvent { did: Did::Dropped, .. }) => self.saw("late route dropped"),
                 SeqOut::Event(SeqEvent { did: Did::Applied, epoch, .. }) if no_barrier => {
                     // The bug under test: the source hears of the flip when
                     // it is applied, not when every shard acked.
@@ -813,20 +832,26 @@ impl Explorer {
     }
 
     /// The monitor closes the round `done` reports and starts the next.
+    /// Every round closes with exactly one `MigrationDone`, and only once
+    /// no instance is engaged in it.
     fn monitor_done(&mut self, n: &mut State, done: MigrationDone) -> Result<(), Bad> {
         let expected = n.rounds_closed as u64 + 1;
-        if done.epoch < expected && self.sc.deadline {
-            // A second acknowledgement of a round whose abort was
-            // requested (the abandoned-round completion and the idle
-            // source's abort ack race each other); the loser is dropped.
-            return Ok(());
-        }
         if done.epoch != expected {
             return Err(format!(
                 "monitor saw MigrationDone epoch {}, expected {expected} — epochs must be \
-                 strictly sequential",
+                 strictly sequential, one completion per round",
                 done.epoch
             ));
+        }
+        for (i, node) in n.insts.iter().enumerate() {
+            if let MigrationState::Source { epoch, .. } | MigrationState::Target { epoch, .. } =
+                node.stage.instance().migration_state()
+            {
+                return Err(format!(
+                    "round {} opens while round {epoch} is still engaged at inst{i}",
+                    done.epoch + 1
+                ));
+            }
         }
         n.rounds_closed += 1;
         self.start_round(n);
@@ -883,6 +908,12 @@ impl Explorer {
         // — logged, checkpointed when due — now.
         node.stage.commit();
         let round = node.stage.instance().migration_state();
+        let abort_met =
+            matches!(msg, Some(RtMsg::Inst(InstanceMsg::MigAbort { .. }))).then(|| match round {
+                MigrationState::Source { .. } => "abort ignored by an engaged source",
+                _ if node.handed_off.is_empty() => "abort after the command was abandoned",
+                _ => "abort after the round flipped",
+            });
         if crash {
             if node.stage.log_len() > 0 {
                 self.saw("an instance crashed with a message to replay");
@@ -890,9 +921,7 @@ impl Explorer {
             self.saw(match round {
                 MigrationState::Source { .. } => "an instance crashed as the round's source",
                 MigrationState::Target { .. } => "an instance crashed as the round's target",
-                MigrationState::Idle | MigrationState::Aborting { .. } => {
-                    "an instance crashed outside the round"
-                }
+                MigrationState::Idle => "an instance crashed outside the round",
             });
         }
         match (&msg, round) {
@@ -921,13 +950,6 @@ impl Explorer {
             (Some(RtMsg::Inst(InstanceMsg::MigStart { keys, .. })), _) => {
                 node.handed_off.retain(|k| !keys.contains(k))
             }
-            (
-                Some(RtMsg::Inst(InstanceMsg::MigAbort { epoch })),
-                MigrationState::Source { epoch: e, .. } | MigrationState::Target { epoch: e, .. },
-            ) if epoch < e => self.saw("MigAbort older than the engaged round"),
-            (Some(RtMsg::Inst(InstanceMsg::MigAbort { .. })), MigrationState::Idle) => {
-                self.saw("MigAbort while idle")
-            }
             _ => {}
         }
         let violation = |e| format!("protocol violation: {e}");
@@ -952,6 +974,11 @@ impl Explorer {
             node.stage.step(0, &mut self.ring, &mut sink, &mut out).map_err(violation)?;
         }
         let mut out = Vec::from(out);
+        if let Some(path) = abort_met {
+            // A source that acknowledges never saw the command.
+            let acked = out.iter().any(|o| matches!(o, InstOut::Done(_)));
+            self.saw(if acked { "abort acknowledged for a lost command" } else { path });
+        }
         if self.variant == Variant::ForwardBeforeStore {
             // The bug under test: the store payload is held back until
             // after MigForward.
@@ -1113,7 +1140,12 @@ impl Explorer {
                     format!("shard{k} crashes; supervisor restarts it behind fence {fence}")
                 }
             }
+            Action::Deadline if self.variant == Variant::AbortOvertakesCommand => {
+                "monitor: round 1's deadline passes; its MigAbort bypasses the monitor's queue"
+                    .to_string()
+            }
             Action::Deadline => "monitor: round 1's deadline passes".to_string(),
+            Action::Lose => "monitor: round 1's MigrateCmd is lost".to_string(),
             Action::CrashInst(i, in_step) => {
                 let head = s.queues[i].front().map(|(_, m)| msg_summary(m)).unwrap_or_default();
                 let keeps = self.variant == Variant::InstanceRestartKeepsReports;
@@ -1161,7 +1193,6 @@ fn msg_summary(m: &Msg) -> String {
         Msg::Ctrl(m) => format!("{m:?}"),
         Msg::Note(n) => format!("{n:?}"),
         Msg::Done(d) => format!("{d:?}"),
-        Msg::AbortOutcome { epoch, aborted } => format!("AbortOutcome {epoch} aborted={aborted}"),
     }
 }
 
@@ -1365,6 +1396,8 @@ mod tests {
             (Variant::ShardedAckBeforeFlush, "stale delivery", "ahead of data"),
             // The collector is told of one probe twice.
             (Variant::InstanceRestartKeepsReports, "reported twice", "survived its instance's"),
+            // The abort is acknowledged ahead of the command it closes.
+            (Variant::AbortOvertakesCommand, "round 2 opens", "still engaged"),
         ] {
             let why = violation(variant);
             assert!(why.contains(what) && why.contains(cause), "{}: {why}", variant.name());
@@ -1402,12 +1435,11 @@ mod tests {
         let (.., pairs, covered) = pass(Variant::ShardedAbort);
         assert_eq!(pairs, 3);
         for path in [
-            "abort accepted",
-            "abort refused",
-            "late route dropped",
+            "abort ignored by an engaged source",
+            "abort after the command was abandoned",
+            "abort acknowledged for a lost command",
+            "abort after the round flipped",
             "round closed without moving anything",
-            "MigAbort while idle",
-            "MigAbort older than the engaged round",
         ] {
             assert!(covered.contains(path), "no schedule took `{path}`: {covered:?}");
         }

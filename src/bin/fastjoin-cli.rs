@@ -44,7 +44,7 @@
 //! the runtime's [`FaultPlan`]: executor kill-switches pinned to protocol
 //! phases, per-channel delay on the (FIFO, lossless) data plane,
 //! drop/dup/reorder on best-effort monitor reports, and swallowed
-//! `MigrateCmd`s that only the round-timeout watchdog can clean up.
+//! `MigrateCmd`s whose rounds only the watchdog's `MigAbort` closes.
 //!
 //! Argument parsing is hand-rolled (no CLI dependency); every flag has a
 //! sensible default matching the paper's setup.
@@ -503,7 +503,8 @@ fn cmd_chaos(argv: &[String]) -> Result<(), String> {
 
 /// Reads a trace journal (the JSONL written by `--trace-out`) and either
 /// summarizes it or reconstructs one migration round's phase timeline
-/// (§III-D: trigger → buffer → forward → route flip → drain/abort). The
+/// (§III-D: trigger → buffer → forward → route flip → drain, and an
+/// overdue round's abort). The
 /// round view exits non-zero when the timeline is causally inconsistent —
 /// phases out of order, a flipped round without an applied route, or route
 /// versions not monotone — so CI can assert a journal tells a coherent
@@ -578,19 +579,8 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
                 TraceKind::RouteStaged => format!("version={}", e.aux),
                 TraceKind::RouteUpdated => format!("buffered-flushed={}", e.aux),
                 TraceKind::MigEnd => format!("from={}", e.aux),
-                TraceKind::MigAbort => {
-                    if e.actor.kind == ActorKind::Dispatcher {
-                        format!("accepted, source={}", e.aux)
-                    } else {
-                        String::new()
-                    }
-                }
-                TraceKind::MigReturn => format!("stored={} inflight={}", e.aux, e.aux2),
                 TraceKind::MigDone => format!("tuples_moved={}", e.aux),
                 TraceKind::AbortRequest => format!("source={}", e.aux),
-                TraceKind::AbortOutcome => {
-                    format!("aborted={}", if e.aux == 1 { "yes" } else { "refused" })
-                }
                 TraceKind::FaultDropTrigger => format!("source={} target={}", e.aux, e.aux2),
                 TraceKind::FaultRestart => format!("restarts={}", e.aux),
                 TraceKind::ShardRestart => format!("shard={} fence={}", e.aux, e.aux2),
@@ -608,6 +598,7 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
                 | TraceKind::StoreDone
                 | TraceKind::ProbeDone
                 | TraceKind::Eos
+                | TraceKind::MigAbort
                 | TraceKind::FaultCrash => String::new(),
             };
             println!(
@@ -631,8 +622,8 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
             (TraceKind::MigStore, TraceKind::MigEnd),
             (TraceKind::RouteStaged, TraceKind::MigEnd),
             (TraceKind::MigEnd, TraceKind::MigDone),
-            (TraceKind::AbortRequest, TraceKind::AbortOutcome),
-            (TraceKind::MigAbort, TraceKind::MigReturn),
+            // The monitor sends the source its abort.
+            (TraceKind::AbortRequest, TraceKind::MigAbort),
         ];
         for (a, b) in order {
             if let (Some(ia), Some(ib)) = (first(a), first(b)) {
@@ -710,8 +701,7 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
         epochs.dedup();
         for epoch in epochs {
             let evs = journal.round_in(group, epoch);
-            let done =
-                evs.iter().any(|e| matches!(e.kind, TraceKind::MigDone | TraceKind::AbortOutcome));
+            let done = evs.iter().any(|e| e.kind == TraceKind::MigDone);
             rounds.push((group, epoch, evs.len(), done));
         }
     }

@@ -300,10 +300,6 @@ fn decision_audit_explains_every_committed_round() {
         }
         assert!(d.imbalance > 1.0, "decisions are only recorded when LI is meaningful");
     }
-    // The report JSON exposes the audit under groups[].decisions.
-    let rendered = report.to_json().to_string_compact();
-    assert!(rendered.contains("\"decisions\""));
-    assert!(rendered.contains("\"reason\""));
 }
 
 #[test]

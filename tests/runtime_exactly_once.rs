@@ -280,15 +280,15 @@ fn shard_and_sequencer_kills_recover_exactly_once_at_one_shard() {
 }
 
 /// The first two `MigrateCmd`s vanish in flight, so only the round
-/// watchdog can close those rounds: the monitor asks the sequencer to
-/// abort, the sequencer accepts (no route was ever applied) and the idle
-/// source acknowledges the rollback.
+/// watchdog can close those rounds: the monitor sends the source
+/// `MigAbort` and the idle source, which never saw the command,
+/// acknowledges with a `{0, 0}` completion the monitor books `aborted`.
 #[test]
 fn a_stalled_round_is_aborted_and_the_run_matches_the_oracle() {
     run_until_fired(
         "stalled-round",
         |seed| FaultPlan::class("stalled-round", seed).expect("a chaos class"),
-        |r| r.registry.counter_sum("migration_aborts"),
+        |r| r.monitor_stats.iter().flatten().map(|s| s.aborted).sum(),
     );
 }
 
