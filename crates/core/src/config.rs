@@ -60,8 +60,9 @@ impl SaFitParams {
 /// instance completes the GreedyFit algorithm": newly routed joining-stream
 /// tuples could reach the target before the migrated store does, producing
 /// an incomplete join. [`MigrationMode::NaiveNotifyFirst`] implements that
-/// rejected variant so the `ablation_migration` experiment can measure the
-/// loss; production code must use [`MigrationMode::Safe`].
+/// rejected variant so `tests/migration_mode.rs` and `check-protocol
+/// --variant naive-notify-first` can show the loss; production code must use
+/// [`MigrationMode::Safe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MigrationMode {
     /// Algorithm 2: the target holds newly routed data for migrated keys
@@ -125,7 +126,7 @@ pub struct FastJoinConfig {
     /// SAFit parameters (ignored unless `selector == SaFit`).
     pub safit: SaFitParams,
     /// Migration in-flight data handling; keep [`MigrationMode::Safe`]
-    /// outside of the `ablation_migration` experiment.
+    /// outside of tests that show the naive variant's loss.
     pub migration_mode: MigrationMode,
     /// Optional sliding window; `None` means full-history join.
     pub window: Option<WindowConfig>,

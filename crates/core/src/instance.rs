@@ -69,12 +69,6 @@ pub struct JoinInstance {
     /// Largest event time seen (watermark for GC).
     watermark: Timestamp,
     mig: MigrationState,
-    /// The highest round this instance has answered, by processing its
-    /// `MigrateCmd` (engaged or abandoned) or by acknowledging its
-    /// `MigAbort` (0 = none; the monitor numbers rounds from 1). An abort
-    /// at or below it is ignored: the command arrived — the abort rides
-    /// behind it on the same FIFO edge — so the round finishes forward.
-    answered_through: u64,
     /// When false, probes count matches but do not materialize
     /// [`JoinedPair`]s into the effects (used by the simulator, which only
     /// needs counts — materializing billions of pairs would dominate the
@@ -98,7 +92,6 @@ pub struct InstanceCheckpoint {
     last_probe_arrivals_by_key: HashMap<Key, u64>,
     watermark: Timestamp,
     mig: MigrationState,
-    answered_through: u64,
     stats: InstanceCounters,
 }
 
@@ -136,7 +129,6 @@ impl JoinInstance {
             last_probe_arrivals_by_key: HashMap::new(),
             watermark: 0,
             mig: MigrationState::Idle,
-            answered_through: 0,
             emit_pairs: true,
             stats: InstanceCounters::default(),
         }
@@ -164,7 +156,6 @@ impl JoinInstance {
             last_probe_arrivals_by_key,
             watermark,
             mig,
-            answered_through,
             stats,
         } = self;
         store.mark();
@@ -176,7 +167,6 @@ impl JoinInstance {
             last_probe_arrivals_by_key: last_probe_arrivals_by_key.clone(),
             watermark: *watermark,
             mig: mig.clone(),
-            answered_through: *answered_through,
             stats: *stats,
         }
     }
@@ -195,7 +185,6 @@ impl JoinInstance {
             last_probe_arrivals_by_key,
             watermark,
             mig,
-            answered_through,
             stats,
         } = cp;
         self.store.rollback();
@@ -206,7 +195,6 @@ impl JoinInstance {
         self.last_probe_arrivals_by_key.clone_from(last_probe_arrivals_by_key);
         self.watermark = *watermark;
         self.mig.clone_from(mig);
-        self.answered_through = *answered_through;
         self.stats = *stats;
     }
 
@@ -225,8 +213,9 @@ impl JoinInstance {
         self.emit_pairs = emit;
     }
 
-    /// Selects the migration in-flight data handling. Only the
-    /// `ablation_migration` experiment should ever pass
+    /// Selects the migration in-flight data handling. Only tests of the
+    /// incompleteness the paper warns about (`tests/migration_mode.rs`,
+    /// `check-protocol --variant naive-notify-first`) should ever pass
     /// [`MigrationMode::NaiveNotifyFirst`].
     pub fn set_migration_mode(&mut self, mode: MigrationMode) {
         self.migration_mode = mode;
@@ -452,15 +441,6 @@ impl JoinInstance {
                     keys_moved: keys.len(),
                 });
             }
-            InstanceMsg::MigAbort { epoch } => {
-                // At or below the watermark the command got here and the
-                // round finishes forward. Above it the command was lost:
-                // close the round with the one completion it will get.
-                if epoch > self.answered_through {
-                    self.answered_through = epoch;
-                    fx.migration_done.push(MigrationDone { epoch, tuples_moved: 0, keys_moved: 0 });
-                }
-            }
         }
         Ok(())
     }
@@ -507,7 +487,6 @@ impl JoinInstance {
         if target == self.id {
             return Err(ProtocolError::SelfMigration { instance: self.id });
         }
-        self.answered_through = self.answered_through.max(epoch);
         let stats = self.key_stats();
         let plan = selector.select(self.reported_load(), target_load, &stats, theta_gap);
         if plan.is_empty() || plan.total_benefit <= 0.0 {
@@ -935,82 +914,6 @@ mod tests {
         assert_eq!(seqs, vec![8, 9], "forwarded data must be processed before held data");
     }
 
-    /// Builds a skewed source instance (hot key 1, cold key 2) with frozen
-    /// probe statistics, ready to act on a `MigrateCmd`.
-    fn skewed_source() -> JoinInstance {
-        let mut inst = JoinInstance::new(0, Side::R, None);
-        let mut fx = Effects::new();
-        let mut sel = GreedyFit::new();
-        for seq in 0..50 {
-            inst.handle(data(Side::R, 1, seq, seq), &mut sel, 0.0, &mut fx).unwrap();
-        }
-        for seq in 50..54 {
-            inst.handle(data(Side::R, 2, seq, seq), &mut sel, 0.0, &mut fx).unwrap();
-        }
-        while inst.process_next(&mut fx).is_some() {}
-        for seq in 60..70 {
-            inst.handle(data(Side::S, 1, seq, seq), &mut sel, 0.0, &mut fx).unwrap();
-            inst.handle(data(Side::S, 2, seq + 100, seq + 100), &mut sel, 0.0, &mut fx).unwrap();
-        }
-        while inst.process_next(&mut fx).is_some() {}
-        let _ = inst.take_load_report();
-        inst
-    }
-
-    /// The monitor's abort rides behind the command it follows: a source
-    /// that got its command ignores it, and the round finishes forward.
-    #[test]
-    fn an_abort_at_an_engaged_source_changes_nothing_and_the_round_completes_exactly_once() {
-        let mut src = skewed_source();
-        let mut tgt = JoinInstance::new(3, Side::R, None);
-        let mut sel = GreedyFit::new();
-        let mut fx = Effects::new();
-        src.handle(migrate_cmd(1), &mut sel, 0.0, &mut fx).unwrap();
-        let sends = std::mem::take(&mut fx.sends);
-        let migrated_key = sends
-            .iter()
-            .find_map(|(_, m)| match m {
-                InstanceMsg::MigStart { keys, .. } => Some(keys[0]),
-                _ => None,
-            })
-            .expect("the command engaged");
-        for (_, m) in sends {
-            tgt.handle(m, &mut sel, 0.0, &mut fx).unwrap();
-        }
-        // A probe of the migrated key reaches the source before the flip.
-        src.handle(data(Side::S, migrated_key, 999, 999), &mut sel, 0.0, &mut fx).unwrap();
-
-        let before = src.clone();
-        fx.clear();
-        src.handle(InstanceMsg::MigAbort { epoch: 1 }, &mut sel, 0.0, &mut fx).unwrap();
-        assert!(fx.is_empty(), "an abort behind its command has no effect");
-        assert_same_state(&src, &before);
-
-        // The flip: the buffer goes to the target, which also holds a
-        // probe the dispatcher routed to it after the flip.
-        src.handle(InstanceMsg::RouteUpdated { epoch: 1 }, &mut sel, 0.0, &mut fx).unwrap();
-        assert!(src.migration_state().is_idle());
-        tgt.handle(data(Side::S, migrated_key, 1000, 1000), &mut sel, 0.0, &mut fx).unwrap();
-        for (to, m) in std::mem::take(&mut fx.sends) {
-            assert_eq!(to, 3);
-            tgt.handle(m, &mut sel, 0.0, &mut fx).unwrap();
-        }
-        assert!(tgt.migration_state().is_idle());
-        let [done] = fx.migration_done.as_slice() else {
-            panic!("one completion for the round: {:?}", fx.migration_done)
-        };
-        assert_eq!((done.epoch, done.keys_moved), (1, 1));
-        // Both probes join the migrated bucket at the target, each pair once.
-        let hot_bucket = tgt.store().key_count(migrated_key);
-        while tgt.process_next(&mut fx).is_some() {}
-        let mut pairs: Vec<(u64, u64)> =
-            fx.joined.iter().map(|p| (p.left.seq, p.right.seq)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        assert_eq!(pairs.len() as u64, 2 * hot_bucket);
-        assert_eq!(fx.joined.len(), pairs.len(), "no pair twice");
-    }
-
     /// Asserts two instances are in the same state, store contents (per
     /// key, in order) included.
     fn assert_same_state(a: &JoinInstance, b: &JoinInstance) {
@@ -1021,7 +924,6 @@ mod tests {
         assert_eq!(a.last_probe_arrivals_by_key, b.last_probe_arrivals_by_key);
         assert_eq!(a.watermark, b.watermark);
         assert_eq!(a.mig, b.mig);
-        assert_eq!(a.answered_through, b.answered_through);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.store.len(), b.store.len());
         assert_eq!(a.key_stats(), b.key_stats());
@@ -1055,13 +957,11 @@ mod tests {
         // The O(store) checkpoint the journal replaces, kept as the model.
         let model = inst.clone();
 
-        // After it, every kind of change a message can make: an
-        // acknowledged abort, stores and probes, a watermark jump with window GC, a
-        // period rollover, and a migration round sourced here (store
+        // After it, every kind of change a message can make: stores and
+        // probes, a watermark jump with window GC, a period rollover, and a migration round sourced here (store
         // extraction, then buffering of a selected key's data).
         let after = |inst: &mut JoinInstance, sel: &mut GreedyFit| -> Effects {
             let mut fx = Effects::new();
-            inst.handle(InstanceMsg::MigAbort { epoch: 1 }, sel, 0.0, &mut fx).unwrap();
             for seq in 70..90 {
                 inst.handle(data(Side::R, 1 + seq % 3, seq, seq), sel, 0.0, &mut fx).unwrap();
                 inst.handle(data(Side::S, 1, seq, 100 + seq), sel, 0.0, &mut fx).unwrap();
@@ -1098,46 +998,6 @@ mod tests {
 
     fn migrate_cmd(epoch: u64) -> InstanceMsg {
         InstanceMsg::MigrateCmd { epoch, target: 3, target_load: InstanceLoad::new(0, 0) }
-    }
-
-    /// An abort above the watermark is for a command that never arrived:
-    /// it closes the round with one `{0, 0}` completion and raises the
-    /// watermark, so a repeat is ignored; the next round engages.
-    #[test]
-    fn an_abort_at_a_source_that_never_saw_its_command_acks_once_and_a_repeat_is_ignored() {
-        let mut inst = skewed_source();
-        let mut sel = GreedyFit::new();
-        let mut fx = Effects::new();
-        let before = inst.clone();
-        for _ in 0..2 {
-            inst.handle(InstanceMsg::MigAbort { epoch: 5 }, &mut sel, 0.0, &mut fx).unwrap();
-        }
-        assert_eq!(
-            fx.migration_done.as_slice(),
-            &[MigrationDone { epoch: 5, tuples_moved: 0, keys_moved: 0 }]
-        );
-        assert!(fx.sends.is_empty() && fx.route_requests.is_empty());
-        assert_eq!(inst.answered_through, 5);
-        assert_eq!(inst.mig, before.mig);
-        assert_eq!(inst.store.len(), before.store.len());
-        inst.handle(migrate_cmd(6), &mut sel, 0.0, &mut fx).unwrap();
-        assert!(matches!(inst.migration_state(), MigrationState::Source { epoch: 6, .. }));
-    }
-
-    /// A command that found nothing to move closed its round itself; the
-    /// abort that follows it is ignored.
-    #[test]
-    fn an_abort_after_an_abandoned_command_is_ignored_so_the_round_has_one_completion() {
-        let mut inst = JoinInstance::new(0, Side::R, None);
-        let mut sel = GreedyFit::new();
-        let mut fx = Effects::new();
-        inst.handle(migrate_cmd(7), &mut sel, 0.0, &mut fx).unwrap();
-        inst.handle(InstanceMsg::MigAbort { epoch: 7 }, &mut sel, 0.0, &mut fx).unwrap();
-        assert_eq!(
-            fx.migration_done.as_slice(),
-            &[MigrationDone { epoch: 7, tuples_moved: 0, keys_moved: 0 }]
-        );
-        assert!(inst.migration_state().is_idle());
     }
 
     #[test]

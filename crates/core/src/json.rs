@@ -1,10 +1,10 @@
 //! A minimal JSON value tree and writer.
 //!
 //! The offline build environment ships no `serde`/`serde_json`, so every
-//! machine-readable report in this workspace — `RuntimeReport::to_json`,
-//! the `fastjoin-cli chaos` failure report, the simulator's report dump —
-//! serializes through this module instead. It is deliberately tiny: construct a
-//! [`Json`] tree, `Display` it. Object keys keep insertion order so report
+//! machine-readable output in this workspace — the trace journal, the
+//! metrics registry and its live snapshots, the `fastjoin-cli chaos`
+//! failure report — serializes through this module instead. It is
+//! deliberately tiny: construct a [`Json`] tree, `Display` it. Object keys keep insertion order so report
 //! schemas are stable and diffable.
 
 use std::fmt;

@@ -30,10 +30,6 @@ pub struct MonitorStats {
     pub effective: u64,
     /// Rounds abandoned by selection (nothing worth moving).
     pub abandoned: u64,
-    /// Rounds whose deadline passed, so the watchdog sent their source
-    /// `MigAbort`, and whose one completion moved no key (their command was
-    /// lost, or found nothing to move).
-    pub aborted: u64,
     /// Total stored tuples physically migrated.
     pub tuples_moved: u64,
     /// Total keys migrated.
@@ -101,9 +97,6 @@ pub enum DecisionOutcome {
     Effective,
     /// Triggered; the source abandoned (zero-benefit selection).
     Abandoned,
-    /// Triggered; the watchdog sent the source `MigAbort` and the round
-    /// closed without moving a key.
-    Aborted,
 }
 
 impl DecisionOutcome {
@@ -115,7 +108,6 @@ impl DecisionOutcome {
             DecisionOutcome::Pending => "pending",
             DecisionOutcome::Effective => "effective",
             DecisionOutcome::Abandoned => "abandoned",
-            DecisionOutcome::Aborted => "aborted",
         }
     }
 }
@@ -151,20 +143,6 @@ pub struct MigrationDecision {
 /// Bound on the per-monitor decision log; oldest entries are evicted.
 const DECISION_LOG_CAP: usize = 512;
 
-/// A request, produced by [`Monitor::check_deadline`], to send
-/// `MigAbort { epoch }` to the overdue round's source — on the edge that
-/// carried its `MigrateCmd`, so the command, if it was sent, is received
-/// first. The round then closes with its one `MigrationDone`: the
-/// source's `{0, 0}` acknowledgement if the command was lost, the round's
-/// own completion otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AbortRequest {
-    /// The overdue round.
-    pub epoch: Epoch,
-    /// The round's source instance.
-    pub source: usize,
-}
-
 /// The per-group monitor.
 #[derive(Debug)]
 pub struct Monitor {
@@ -174,12 +152,6 @@ pub struct Monitor {
     /// End time of the last completed round (or of creation).
     last_round_end: u64,
     in_flight: Option<Epoch>,
-    /// Round timeout in the caller's clock units (0 = watchdog disabled).
-    round_timeout: u64,
-    /// Deadline of the in-flight round, until the watchdog fires.
-    deadline: Option<u64>,
-    /// The in-flight round's abort went out.
-    abort_sent: bool,
     next_epoch: Epoch,
     stats: MonitorStats,
     /// The span of the in-flight round, opened at trigger time.
@@ -210,9 +182,6 @@ impl Monitor {
             cooldown,
             last_round_end: 0,
             in_flight: None,
-            round_timeout: 0,
-            deadline: None,
-            abort_sent: false,
             next_epoch: 1,
             stats: MonitorStats::default(),
             open_span: None,
@@ -245,34 +214,6 @@ impl Monitor {
     #[must_use]
     pub fn migration_in_flight(&self) -> bool {
         self.in_flight.is_some()
-    }
-
-    /// True once the in-flight round's abort went out, until the round
-    /// closes. Used by the live introspection plane to tell an overdue
-    /// round from a healthy migration.
-    #[must_use]
-    pub fn abort_pending(&self) -> bool {
-        self.abort_sent
-    }
-
-    /// Arms the round-timeout watchdog: a round in flight longer than
-    /// `timeout` (same clock units as `now` in [`Monitor::maybe_trigger`])
-    /// produces an [`AbortRequest`] from [`Monitor::check_deadline`].
-    /// 0 disables the watchdog (the default).
-    pub fn set_round_timeout(&mut self, timeout: u64) {
-        self.round_timeout = timeout;
-    }
-
-    /// Checks the in-flight round against its deadline at time `now`.
-    /// Fires once per round; the round then waits for its one completion.
-    pub fn check_deadline(&mut self, now: u64) -> Option<AbortRequest> {
-        let (epoch, source, _) = self.in_flight_round()?;
-        if now < self.deadline? {
-            return None;
-        }
-        self.deadline = None;
-        self.abort_sent = true;
-        Some(AbortRequest { epoch, source })
     }
 
     /// Records a periodic load report from instance `i`.
@@ -322,7 +263,6 @@ impl Monitor {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
         self.in_flight = Some(epoch);
-        self.deadline = (self.round_timeout > 0).then(|| now.saturating_add(self.round_timeout));
         self.stats.triggered += 1;
         self.open_span = Some(MigrationSpan {
             epoch,
@@ -428,8 +368,7 @@ impl Monitor {
     /// round had strictly positive total benefit — zero-benefit plans
     /// (`F_k = 0` keys under `θ_gap = 0`) are abandoned at the source and
     /// report `keys_moved == 0`, so they land in the `abandoned` bucket
-    /// here rather than inflating `effective`. A round that moved nothing
-    /// after its abort went out is booked `aborted` instead.
+    /// here rather than inflating `effective`.
     ///
     /// # Panics
     /// Panics on an epoch mismatch — that is a protocol bug.
@@ -437,15 +376,11 @@ impl Monitor {
         let expected = self.in_flight.take().expect("MigrationDone with no round in flight"); // lint:allow(documented panic contract: an epoch mismatch is a protocol bug)
         assert_eq!(expected, done.epoch, "MigrationDone epoch mismatch"); // lint:allow(documented panic contract: an epoch mismatch is a protocol bug)
         self.last_round_end = now;
-        self.deadline = None;
         let effective = done.keys_moved > 0;
-        let aborted = std::mem::take(&mut self.abort_sent) && !effective;
         if effective {
             self.stats.effective += 1;
             self.stats.tuples_moved += done.tuples_moved;
             self.stats.keys_moved += done.keys_moved as u64;
-        } else if aborted {
-            self.stats.aborted += 1;
         } else {
             self.stats.abandoned += 1;
         }
@@ -456,13 +391,8 @@ impl Monitor {
             span.effective = effective;
             self.spans.push(span);
         }
-        let outcome = if effective {
-            DecisionOutcome::Effective
-        } else if aborted {
-            DecisionOutcome::Aborted
-        } else {
-            DecisionOutcome::Abandoned
-        };
+        let outcome =
+            if effective { DecisionOutcome::Effective } else { DecisionOutcome::Abandoned };
         if let Some(d) = self.decisions.iter_mut().rev().find(|d| d.epoch == Some(done.epoch)) {
             d.outcome = outcome;
         }
@@ -571,21 +501,13 @@ mod tests {
     }
 
     #[test]
-    fn decision_audit_marks_abandoned_and_aborted_rounds() {
+    fn decision_audit_marks_abandoned_rounds() {
         let mut m = loaded_monitor();
         let e1 = trigger_epoch(&mut m, 100);
         m.on_migration_done(MigrationDone { epoch: e1, tuples_moved: 0, keys_moved: 0 }, 150);
         assert_eq!(
             m.decisions().iter().find(|d| d.epoch == Some(e1)).map(|d| d.outcome),
             Some(DecisionOutcome::Abandoned)
-        );
-        m.set_round_timeout(50);
-        let e2 = trigger_epoch(&mut m, 300);
-        assert!(m.check_deadline(400).is_some(), "watchdog fires");
-        m.on_migration_done(MigrationDone { epoch: e2, tuples_moved: 0, keys_moved: 0 }, 410);
-        assert_eq!(
-            m.decisions().iter().find(|d| d.epoch == Some(e2)).map(|d| d.outcome),
-            Some(DecisionOutcome::Aborted)
         );
     }
 
@@ -713,71 +635,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_deadline_fires_once() {
-        let mut m = loaded_monitor();
-        m.set_round_timeout(50);
-        let e = trigger_epoch(&mut m, 100);
-        assert!(m.check_deadline(120).is_none(), "not overdue yet");
-        assert!(!m.abort_pending());
-        let req = m.check_deadline(160).expect("deadline passed");
-        assert_eq!((req.epoch, req.source), (e, 0));
-        assert!(m.abort_pending() && m.migration_in_flight(), "the round waits for its completion");
-        for now in [161, 500, u64::MAX] {
-            assert!(m.check_deadline(now).is_none(), "fires once per round");
-        }
-    }
-
-    /// The source acknowledged a lost command (or its command found
-    /// nothing to move): after the abort went out, that is `aborted`.
-    #[test]
-    fn a_completion_that_moved_nothing_after_the_abort_books_aborted() {
-        let mut m = loaded_monitor();
-        m.set_round_timeout(50);
-        let e = trigger_epoch(&mut m, 100);
-        let _ = m.check_deadline(200).expect("deadline passed");
-        m.on_migration_done(MigrationDone { epoch: e, tuples_moved: 0, keys_moved: 0 }, 230);
-        assert!(!m.migration_in_flight() && !m.abort_pending());
-        let s = m.stats();
-        assert_eq!((s.aborted, s.abandoned, s.effective), (1, 0, 0));
-        let span = m.spans().last().expect("the round closed");
-        assert_eq!((span.effective, span.completed_at), (false, 230));
-    }
-
-    /// An abort behind a command that arrived is ignored and the round
-    /// finishes forward: a completion that moved keys is `effective`.
-    #[test]
-    fn a_completion_that_moved_keys_after_the_abort_books_effective() {
-        let mut m = loaded_monitor();
-        m.set_round_timeout(50);
-        let e = trigger_epoch(&mut m, 100);
-        let _ = m.check_deadline(200).expect("deadline passed");
-        m.on_migration_done(MigrationDone { epoch: e, tuples_moved: 5, keys_moved: 1 }, 320);
-        let s = m.stats();
-        assert_eq!((s.effective, s.aborted, s.tuples_moved), (1, 0, 5));
-        // The next round starts with the watchdog armed afresh.
-        let e2 = trigger_epoch(&mut m, 500);
-        assert!(!m.abort_pending());
-        assert_eq!(m.check_deadline(550).map(|r| r.epoch), Some(e2));
-    }
-
     /// Every round closes with exactly one `MigrationDone`, so one for any
     /// other epoch is a protocol bug.
     #[test]
     #[should_panic(expected = "epoch mismatch")]
     fn a_completion_for_a_foreign_epoch_panics() {
         let mut m = loaded_monitor();
-        m.set_round_timeout(50);
         let e = trigger_epoch(&mut m, 100);
-        let _ = m.check_deadline(200).expect("deadline passed");
         m.on_migration_done(MigrationDone { epoch: e + 1, tuples_moved: 0, keys_moved: 0 }, 230);
-    }
-
-    #[test]
-    fn watchdog_disabled_by_default() {
-        let mut m = loaded_monitor();
-        let _ = trigger_epoch(&mut m, 100);
-        assert!(m.check_deadline(u64::MAX).is_none());
     }
 
     #[test]

@@ -72,15 +72,6 @@ pub enum InstanceMsg {
         /// Source instance index.
         from: usize,
     },
-    /// Monitor → source, once a round is overdue: close the round if its
-    /// `MigrateCmd` never arrived. It travels the FIFO edge that carried
-    /// the command, so a source that got the command has processed it
-    /// first and ignores the abort (the round finishes forward); one that
-    /// did not acknowledges with a `{0, 0}` [`MigrationDone`].
-    MigAbort {
-        /// The overdue migration round.
-        epoch: Epoch,
-    },
 }
 
 impl InstanceMsg {
@@ -95,8 +86,7 @@ impl InstanceMsg {
             | InstanceMsg::MigStore { epoch, .. }
             | InstanceMsg::RouteUpdated { epoch }
             | InstanceMsg::MigForward { epoch, .. }
-            | InstanceMsg::MigEnd { epoch, .. }
-            | InstanceMsg::MigAbort { epoch } => Some(*epoch),
+            | InstanceMsg::MigEnd { epoch, .. } => Some(*epoch),
         }
     }
 }
@@ -236,8 +226,8 @@ pub struct RouteRequest {
 }
 
 /// Notification to the monitor that a migration round finished (or was
-/// abandoned because selection found nothing worth moving, or closed by
-/// its abort because the command was lost) — exactly one per round.
+/// abandoned because selection found nothing worth moving) — exactly one
+/// per round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationDone {
     /// Migration round id.

@@ -380,7 +380,7 @@ impl Replayable {
         // reserved) genuine round 0 in `fastjoin-cli trace --round`.
         let epoch = m.round_id().unwrap_or(TraceEvent::NO_ROUND);
         let (aux, aux2) = match m {
-            InstanceMsg::Data(_) | InstanceMsg::MigAbort { .. } => (0, 0),
+            InstanceMsg::Data(_) => (0, 0),
             InstanceMsg::MigrateCmd { target, .. } => (*target as u64, 0),
             InstanceMsg::MigStart { from, keys, .. } => (*from as u64, keys.len() as u64),
             InstanceMsg::MigStore { tuples, .. } | InstanceMsg::MigForward { tuples, .. } => {

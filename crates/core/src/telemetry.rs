@@ -158,9 +158,6 @@ pub enum MigrationPhase {
     Idle = 0,
     /// A round is in flight (trigger sent, not yet done).
     Migrating = 1,
-    /// The in-flight round is overdue: its `MigAbort` went to the source
-    /// and its completion has not arrived.
-    Aborting = 2,
 }
 
 impl MigrationPhase {
@@ -170,14 +167,13 @@ impl MigrationPhase {
         match self {
             MigrationPhase::Idle => "idle",
             MigrationPhase::Migrating => "migrating",
-            MigrationPhase::Aborting => "aborting",
         }
     }
 
     /// The phase a `phase` gauge value stands for.
     #[must_use]
     pub fn from_gauge(value: f64) -> Option<MigrationPhase> {
-        [MigrationPhase::Idle, MigrationPhase::Migrating, MigrationPhase::Aborting]
+        [MigrationPhase::Idle, MigrationPhase::Migrating]
             .into_iter()
             .find(|p| f64::from(*p as u8) == value)
     }
@@ -318,11 +314,9 @@ mod tests {
 
     #[test]
     fn migration_phase_round_trips_through_its_gauge() {
-        for (phase, name) in [
-            (MigrationPhase::Idle, "idle"),
-            (MigrationPhase::Migrating, "migrating"),
-            (MigrationPhase::Aborting, "aborting"),
-        ] {
+        for (phase, name) in
+            [(MigrationPhase::Idle, "idle"), (MigrationPhase::Migrating, "migrating")]
+        {
             assert_eq!(phase.name(), name);
             assert_eq!(MigrationPhase::from_gauge(f64::from(phase as u8)), Some(phase));
         }

@@ -17,8 +17,7 @@
 //!   ingest → store/probe → emit for one tuple;
 //! * `epoch` — the migration round id assigned by the monitor, correlating
 //!   every phase of one round (`MigTrigger` → `MigCmd` → `MigStart` →
-//!   `RouteUpdated` → `MigForward` → `MigEnd` → `MigDone`, and for an
-//!   overdue round `AbortRequest` → `MigAbort`);
+//!   `RouteUpdated` → `MigForward` → `MigEnd` → `MigDone`);
 //! * the route version: the dispatcher journals each applied flip as
 //!   `RouteStaged` under the round's `epoch` (the id the instances see)
 //!   with its group's route version after the flip, so a journal reader
@@ -151,20 +150,12 @@ pub enum TraceKind {
     MigForward,
     /// Target received `MigEnd` and released held data for round `epoch`.
     MigEnd,
-    /// The source received the monitor's `MigAbort` for round `epoch`.
-    MigAbort,
     /// Monitor recorded round `epoch` complete; `aux` = tuples moved.
     MigDone,
-    /// Monitor watchdog sent round `epoch`'s source `MigAbort`; `aux` =
-    /// the source instance.
-    AbortRequest,
     /// A fault-plan kill switch fired in this executor.
     FaultCrash,
     /// The supervisor restarted this executor; `aux` = restart count.
     FaultRestart,
-    /// The fault plan swallowed this monitor's `MigrateCmd` for round
-    /// `epoch`.
-    FaultDropTrigger,
     /// A dispatcher shard was respawned by its supervisor; `aux` = shard
     /// index, `aux2` = its epoch fence at restart.
     ShardRestart,
@@ -207,12 +198,9 @@ impl TraceKind {
             TraceKind::RouteUpdated => "RouteUpdated",
             TraceKind::MigForward => "MigForward",
             TraceKind::MigEnd => "MigEnd",
-            TraceKind::MigAbort => "MigAbort",
             TraceKind::MigDone => "MigDone",
-            TraceKind::AbortRequest => "AbortRequest",
             TraceKind::FaultCrash => "FaultCrash",
             TraceKind::FaultRestart => "FaultRestart",
-            TraceKind::FaultDropTrigger => "FaultDropTrigger",
             TraceKind::ShardRestart => "ShardRestart",
             TraceKind::MonitorDown => "MonitorDown",
             TraceKind::MonitorUp => "MonitorUp",
@@ -238,12 +226,9 @@ impl TraceKind {
             "RouteUpdated" => TraceKind::RouteUpdated,
             "MigForward" => TraceKind::MigForward,
             "MigEnd" => TraceKind::MigEnd,
-            "MigAbort" => TraceKind::MigAbort,
             "MigDone" => TraceKind::MigDone,
-            "AbortRequest" => TraceKind::AbortRequest,
             "FaultCrash" => TraceKind::FaultCrash,
             "FaultRestart" => TraceKind::FaultRestart,
-            "FaultDropTrigger" => TraceKind::FaultDropTrigger,
             "ShardRestart" => TraceKind::ShardRestart,
             "MonitorDown" => TraceKind::MonitorDown,
             "MonitorUp" => TraceKind::MonitorUp,
@@ -267,7 +252,6 @@ impl TraceKind {
             InstanceMsg::RouteUpdated { .. } => Some(TraceKind::RouteUpdated),
             InstanceMsg::MigForward { .. } => Some(TraceKind::MigForward),
             InstanceMsg::MigEnd { .. } => Some(TraceKind::MigEnd),
-            InstanceMsg::MigAbort { .. } => Some(TraceKind::MigAbort),
         }
     }
 }
@@ -642,12 +626,9 @@ mod tests {
             TraceKind::RouteUpdated,
             TraceKind::MigForward,
             TraceKind::MigEnd,
-            TraceKind::MigAbort,
             TraceKind::MigDone,
-            TraceKind::AbortRequest,
             TraceKind::FaultCrash,
             TraceKind::FaultRestart,
-            TraceKind::FaultDropTrigger,
             TraceKind::ShardRestart,
             TraceKind::MonitorDown,
             TraceKind::MonitorUp,
@@ -668,10 +649,6 @@ mod tests {
         assert_eq!(
             TraceKind::of_instance_msg(&InstanceMsg::RouteUpdated { epoch: 3 }),
             Some(TraceKind::RouteUpdated)
-        );
-        assert_eq!(
-            TraceKind::of_instance_msg(&InstanceMsg::MigAbort { epoch: 3 }),
-            Some(TraceKind::MigAbort)
         );
     }
 

@@ -8,8 +8,7 @@
 //!
 //! * A scripted migration round between two stages and a scripted
 //!   dispatcher, crashed at every message index of the source and of the
-//!   target, on the flip path and on the lost-command path (the command
-//!   never arrives and the monitor's abort closes the round).
+//!   target.
 //! * A property: any message sequence the protocol allows, any
 //!   `checkpoint_every` in 1..=8, any crash point.
 //!
@@ -164,8 +163,7 @@ fn digest(stage: &InstanceStage) -> String {
 const HOT: Key = 0;
 const COLD: Key = 1;
 /// Ticks a `Route` waits at the scripted dispatcher, so data routed under
-/// the old table reaches the source while it buffers — and ticks a lost
-/// command's round waits for its deadline.
+/// the old table reaches the source while it buffers.
 const ROUTE_DELAY: usize = 3;
 
 /// One tick of scripted input.
@@ -180,8 +178,7 @@ enum Feed {
 
 /// Two R-group stages, their FIFO inboxes, and a dispatcher that routes
 /// one scripted tuple per tick and answers a `Route` `ROUTE_DELAY` ticks
-/// later with the flip. With `lose_command`, the monitor's command is
-/// lost and its `MigAbort` reaches the source `ROUTE_DELAY` ticks later.
+/// later with the flip.
 struct Round {
     stages: Vec<InstanceStage>,
     inbox: Vec<VecDeque<RtMsg>>,
@@ -190,19 +187,12 @@ struct Round {
     sent: Vec<Sent>,
     hot_route: usize,
     routes: VecDeque<(usize, RouteRequest)>,
-    lose_command: bool,
-    /// When the lost command's abort is due.
-    abort_due: Option<usize>,
     /// `(stage, message index, how)`.
     crash: Option<(usize, usize, Crash)>,
 }
 
 impl Round {
-    fn run(
-        checkpoint_every: u64,
-        lose_command: bool,
-        crash: Option<(usize, usize, Crash)>,
-    ) -> Round {
+    fn run(checkpoint_every: u64, crash: Option<(usize, usize, Crash)>) -> Round {
         use Feed::{Data, Migrate, Report};
         use Side::{R, S};
         let script = [
@@ -234,8 +224,6 @@ impl Round {
             sent: vec![Sent::default(), Sent::default()],
             hot_route: 0,
             routes: VecDeque::new(),
-            lose_command,
-            abort_due: None,
             crash,
         };
         let mut feed = script.iter();
@@ -252,17 +240,12 @@ impl Round {
                 Some(Report) => {
                     round.inbox.iter_mut().for_each(|q| q.push_back(RtMsg::ReportRequest))
                 }
-                Some(Migrate) if round.lose_command => round.abort_due = Some(tick + ROUTE_DELAY),
                 Some(Migrate) => {
                     let target_load = InstanceLoad::default();
                     let cmd = InstanceMsg::MigrateCmd { epoch: 1, target: 1, target_load };
                     round.inbox[0].push_back(RtMsg::Inst(cmd));
                 }
                 None => {}
-            }
-            if round.abort_due.is_some_and(|due| due <= tick) {
-                round.abort_due = None;
-                round.inbox[0].push_back(RtMsg::Inst(InstanceMsg::MigAbort { epoch: 1 }));
             }
             if round.routes.front().is_some_and(|(due, _)| *due <= tick) {
                 let (_, req) = round.routes.pop_front().expect("checked");
@@ -275,9 +258,7 @@ impl Round {
                     round.take(i, msg, tick);
                 }
             }
-            let quiet = round.inbox.iter().all(VecDeque::is_empty)
-                && round.routes.is_empty()
-                && round.abort_due.is_none();
+            let quiet = round.inbox.iter().all(VecDeque::is_empty) && round.routes.is_empty();
             if fed.is_none() && quiet {
                 break;
             }
@@ -315,66 +296,55 @@ impl Round {
 
 #[test]
 fn a_migration_round_crashed_at_every_message_ends_like_the_crash_free_one() {
-    for lose_command in [false, true] {
-        for checkpoint_every in [1, 2, 3, 64] {
-            let clean = Round::run(checkpoint_every, lose_command, None);
-            assert!(clean.stages.iter().all(InstanceStage::saw_eos));
-            // The script reaches every message of its path, on both ends.
-            let (src, tgt): (&[&str], &[&str]) = if lose_command {
-                (&["MigAbort"], &[])
-            } else {
-                (&["MigrateCmd", "RouteUpdated"], &["MigStart", "MigStore", "MigForward", "MigEnd"])
-            };
-            for (i, kinds) in [src, tgt].into_iter().enumerate() {
-                for kind in kinds {
-                    assert!(clean.took[i].iter().any(|k| k == kind), "stage {i} never took {kind}");
-                }
+    for checkpoint_every in [1, 2, 3, 64] {
+        let clean = Round::run(checkpoint_every, None);
+        assert!(clean.stages.iter().all(InstanceStage::saw_eos));
+        // The script reaches every message of the round, on both ends.
+        let src = ["MigrateCmd", "RouteUpdated"];
+        let tgt = ["MigStart", "MigStore", "MigForward", "MigEnd"];
+        for (i, kinds) in [&src[..], &tgt[..]].into_iter().enumerate() {
+            for kind in kinds {
+                assert!(clean.took[i].iter().any(|k| k == kind), "stage {i} never took {kind}");
             }
-            // The round closes with exactly one completion: the source's
-            // `{0, 0}` acknowledgement of the lost command, or the target's
-            // report of what moved. A crash anywhere changes none of it
-            // (`sent` is compared below).
-            let done: Vec<(usize, MigrationDone)> = (0..2)
-                .flat_map(|i| {
-                    clean.sent[i].out.iter().filter_map(move |o| match o {
-                        InstOut::Done(d) => Some((i, *d)),
-                        _ => None,
-                    })
-                })
-                .collect();
-            if lose_command {
-                assert_eq!(done, [(0, MigrationDone { epoch: 1, tuples_moved: 0, keys_moved: 0 })]);
-            } else {
-                assert!(matches!(done.as_slice(), [(1, d)] if d.epoch == 1 && d.keys_moved == 1));
-            }
-            // Every probe of the script was reported, by one stage, once.
-            let mut reported: Vec<u64> = clean
-                .sent
-                .iter()
-                .flat_map(|s| &s.out)
-                .filter_map(|o| match o {
-                    InstOut::Reports(r) => Some(r.iter().map(|r| r.seq)),
+        }
+        // The round closes with exactly one completion: the target's
+        // report of what moved. A crash anywhere changes none of it
+        // (`sent` is compared below).
+        let done: Vec<(usize, MigrationDone)> = (0..2)
+            .flat_map(|i| {
+                clean.sent[i].out.iter().filter_map(move |o| match o {
+                    InstOut::Done(d) => Some((i, *d)),
                     _ => None,
                 })
-                .flatten()
-                .collect();
-            reported.sort_unstable();
-            assert_eq!(reported, [3, 5, 8, 10, 11, 13, 14, 17, 18]);
+            })
+            .collect();
+        assert!(matches!(done.as_slice(), [(1, d)] if d.epoch == 1 && d.keys_moved == 1));
+        // Every probe of the script was reported, by one stage, once.
+        let mut reported: Vec<u64> = clean
+            .sent
+            .iter()
+            .flat_map(|s| &s.out)
+            .filter_map(|o| match o {
+                InstOut::Reports(r) => Some(r.iter().map(|r| r.seq)),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        reported.sort_unstable();
+        assert_eq!(reported, [3, 5, 8, 10, 11, 13, 14, 17, 18]);
 
-            for i in 0..2 {
-                for index in 0..clean.took[i].len() {
-                    for how in CRASHES {
-                        let crashed =
-                            Round::run(checkpoint_every, lose_command, Some((i, index, how)));
-                        let label = format!(
-                            "lose_command={lose_command} checkpoint_every={checkpoint_every}: \
-                             stage {i} crashed {how:?} at message {index} ({})",
-                            clean.took[i][index]
-                        );
-                        assert_eq!(crashed.took, clean.took, "{label}: messages taken");
-                        assert_eq!(crashed.sent, clean.sent, "{label}: sends, reports, pairs");
-                        assert_eq!(crashed.digests(), clean.digests(), "{label}: final state");
-                    }
+        for i in 0..2 {
+            for index in 0..clean.took[i].len() {
+                for how in CRASHES {
+                    let crashed = Round::run(checkpoint_every, Some((i, index, how)));
+                    let label = format!(
+                        "checkpoint_every={checkpoint_every}: stage {i} crashed {how:?} at \
+                         message {index} ({})",
+                        clean.took[i][index]
+                    );
+                    assert_eq!(crashed.took, clean.took, "{label}: messages taken");
+                    assert_eq!(crashed.sent, clean.sent, "{label}: sends, reports, pairs");
+                    assert_eq!(crashed.digests(), clean.digests(), "{label}: final state");
                 }
             }
         }
@@ -421,27 +391,20 @@ impl Script {
             return RtMsg::ReportRequest;
         }
         match state {
-            // The overdue last round's abort, behind its command.
-            MigrationState::Idle if kind == 9 && a % 2 == 0 => {
-                inst(InstanceMsg::MigAbort { epoch: self.epoch })
-            }
             MigrationState::Idle => {
                 self.epoch += 1;
                 let epoch = self.epoch;
                 match kind {
-                    6 | 7 => {
+                    8 => inst(InstanceMsg::MigStart { epoch, from: 1, keys: vec![a % 4, 4] }),
+                    _ => {
                         let target_load = InstanceLoad::default();
                         inst(InstanceMsg::MigrateCmd { epoch, target: 1, target_load })
                     }
-                    8 => inst(InstanceMsg::MigStart { epoch, from: 1, keys: vec![a % 4, 4] }),
-                    // A round whose command was lost.
-                    _ => inst(InstanceMsg::MigAbort { epoch }),
                 }
             }
-            MigrationState::Source { epoch, .. } => match kind {
-                6..=8 => inst(InstanceMsg::RouteUpdated { epoch: *epoch }),
-                _ => inst(InstanceMsg::MigAbort { epoch: *epoch }),
-            },
+            MigrationState::Source { epoch, .. } => {
+                inst(InstanceMsg::RouteUpdated { epoch: *epoch })
+            }
             MigrationState::Target { epoch, keys, .. } => {
                 let epoch = *epoch;
                 let key = keys.iter().copied().min().unwrap_or(0);
@@ -476,7 +439,7 @@ proptest! {
     /// checkpoint was.
     #[test]
     fn a_crashed_stage_equals_the_uncrashed_one_in_state_and_total_output(
-        ops in prop::collection::vec((0u8..10, 0u64..64, 0u64..64), 1..60),
+        ops in prop::collection::vec((0u8..9, 0u64..64, 0u64..64), 1..60),
         checkpoint_every in 1u64..9,
         windowed in prop::bool::ANY,
         crash_at in 0usize..80,

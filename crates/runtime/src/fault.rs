@@ -1,10 +1,9 @@
 //! Deterministic, seed-driven fault injection for the threaded runtime.
 //!
 //! A [`FaultPlan`] describes every fault a run will experience: executor
-//! crashes pinned to migration-protocol phases ([`CrashFault`]), perturbed
-//! report delivery into the monitors ([`ChaosPolicy`]), and dropped
-//! migration triggers (a stalled round that only the watchdog's `MigAbort`
-//! to its source closes — the one fault that stalls a round).
+//! crashes pinned to migration-protocol phases ([`CrashFault`]) and
+//! perturbed report delivery into the monitors ([`ChaosPolicy`]). No fault
+//! loses a migration-protocol message, so every triggered round completes.
 //! Everything is derived from a single seed through the deterministic
 //! `rand` generator, so a failing chaos schedule replays exactly from its
 //! seed alone.
@@ -76,11 +75,11 @@ pub enum CrashPhase {
     },
     /// Control plane: the monitor of group `CrashFault::group` crashes
     /// immediately after sending its `at_round`-th `MigrateCmd` — a round
-    /// is in flight with nobody watching its deadline, and the tick's
-    /// decision is not journaled yet. The supervisor restarts the executor
-    /// with its `Monitor` kept, round and deadline included (or, restarts
-    /// exhausted, the run degrades to frozen routing while the round
-    /// completes at the instances). Ignored by instance executors.
+    /// is in flight while its monitor is down, and the tick's decision is
+    /// not journaled yet. The supervisor restarts the executor with its
+    /// `Monitor` kept, in-flight round included (or, restarts exhausted,
+    /// the run degrades to frozen routing while the round completes at
+    /// the instances). Ignored by instance executors.
     MonitorMidRound {
         /// 1-based index of the triggered round to die after.
         at_round: u64,
@@ -149,22 +148,13 @@ pub struct FaultPlan {
     /// Perturbation of monitor inboxes (all knobs honoured, but only load
     /// reports are eligible for drop/dup/reorder).
     pub monitor_chaos: ChaosPolicy,
-    /// Each monitor silently discards its first N migration triggers —
-    /// from the instances' perspective nothing happened; from the
-    /// monitor's, a round is in flight that will never complete until its
-    /// deadline sends the source `MigAbort`. Exercises the watchdog end to
-    /// end.
-    pub drop_migrate_cmds: u64,
 }
 
 impl FaultPlan {
     /// True if the plan injects nothing at all.
     #[must_use]
     pub fn is_noop(&self) -> bool {
-        self.crashes.is_empty()
-            && self.instance_chaos.is_noop()
-            && self.monitor_chaos.is_noop()
-            && self.drop_migrate_cmds == 0
+        self.crashes.is_empty() && self.instance_chaos.is_noop() && self.monitor_chaos.is_noop()
     }
 
     /// A generator for one chaos consumer, decorrelated from every other
@@ -479,15 +469,14 @@ impl<T: Clone> ChaosReceiver<T> {
 /// The named schedules `fastjoin-cli chaos` and the in-tree chaos suite run.
 impl FaultPlan {
     /// The fault classes of the chaos matrix, in the order it runs them:
-    /// instance crashes at the four protocol phases, channel chaos,
-    /// stalled rounds, and the kills of the supervised control executors.
-    pub const CLASSES: [&'static str; 9] = [
+    /// instance crashes at the four protocol phases, channel chaos, and
+    /// the kills of the supervised control executors.
+    pub const CLASSES: [&'static str; 8] = [
         "crash-pre-migstart",
         "crash-pre-migforward",
         "crash-pre-route-flip",
         "crash-steady-state",
         "channel-chaos",
-        "stalled-round",
         "kill-sequencer",
         "kill-shard",
         "kill-monitor",
@@ -533,7 +522,6 @@ impl FaultPlan {
                 },
                 ..FaultPlan::default()
             },
-            "stalled-round" => FaultPlan { drop_migrate_cmds: 2, ..FaultPlan::default() },
             // The sequencer dies as it receives its first route publication
             // (the parked message is replayed on restart).
             "kill-sequencer" => crashing(vec![CrashFault {

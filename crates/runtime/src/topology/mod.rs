@@ -85,13 +85,10 @@
 //!   backs off; past the restart budget the run continues on the routing
 //!   table as it stands, without migrations (`monitor`).
 //!
-//! A round whose `MigrateCmd` was lost cannot close by itself: the
-//! per-group monitor arms a deadline per round
-//! ([`SupervisionConfig::round_timeout_ms`]) and on breach sends the
-//! round's source `MigAbort` on the edge the command took. A source that
-//! got the command ignores it and the round finishes forward; one that
-//! did not closes the round with a `{0, 0}` `MigrationDone` (see
-//! `core::instance`).
+//! Every triggered round closes: its `MigrateCmd` travels a lossless FIFO
+//! edge, and a round whose command arrived completes (restarts replay or
+//! re-publish what a crash interrupted). A round that still wedges is a
+//! bug and fails the shutdown with `ExecutorHung { "monitor (quiesce)" }`.
 //!
 //! Whole-run liveness is watched from the collector: every executor
 //! maintains a heartbeat, and a silent stall (or a hung shutdown) surfaces
@@ -184,7 +181,7 @@ fn executor_seed(base: u64, group: u64, id: u64, role: u64) -> u64 {
 
 /// Supervision knobs. The defaults preserve the pre-supervision
 /// semantics: no restarts (any executor panic fails the run; a monitor
-/// panic degrades it) and no round timeouts.
+/// panic degrades it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionConfig {
     /// Restarts allowed per executor before its failure is fatal to the
@@ -197,15 +194,11 @@ pub struct SupervisionConfig {
     /// up to 4,096 tuples — a replay log of ≈ 200 KB per instance — lie
     /// between two checkpoints.
     pub checkpoint_every: u64,
-    /// Migration-round deadline in milliseconds; past it the monitor sends
-    /// the round's source `MigAbort`, which closes a round whose command
-    /// was lost (any other finishes forward). 0 disables the watchdog.
-    pub round_timeout_ms: u64,
 }
 
 impl Default for SupervisionConfig {
     fn default() -> Self {
-        SupervisionConfig { max_restarts: 0, checkpoint_every: 64, round_timeout_ms: 0 }
+        SupervisionConfig { max_restarts: 0, checkpoint_every: 64 }
     }
 }
 

@@ -1,11 +1,11 @@
-//! Per-group monitor executors: the periodic report/trigger/deadline
-//! loop, and recovery by back-off.
+//! Per-group monitor executors: the periodic report/trigger loop, and
+//! recovery by back-off.
 //!
 //! Monitors are a *degradable* dependency. A crash loses the thread, never
-//! the [`Monitor`]: its epoch allocator, in-flight round and deadline,
-//! load table, stats and decision audit are all in the executor, so the
-//! recovery backs off deterministically and the next incarnation carries
-//! on where the last one stopped; while down, routing stays as it is and
+//! the [`Monitor`]: its epoch allocator, in-flight round, load table,
+//! stats and decision audit are all in the executor, so the recovery
+//! backs off deterministically and the next incarnation carries on where
+//! the last one stopped; while down, routing stays as it is and
 //! the run continues without migrations. Past the restart budget the
 //! monitor degrades permanently: a round whose command arrived completes
 //! without it, and a minimal drain keeps the shutdown handshake alive.
@@ -54,12 +54,9 @@ pub(super) struct MonitorExecutor {
     /// Set once the restart budget is spent: `run` becomes the degraded
     /// drain and no migration is ever triggered again.
     degraded: bool,
-    /// Remaining injected `MigrateCmd` losses (see `FaultPlan`).
-    drop_triggers: u64,
     /// Injects `CrashPhase::MonitorMidRound`: a panic immediately *after*
     /// a `MigrateCmd` goes out, so the round is in flight at the
-    /// instances while the monitor that owns its deadline is dead
-    /// (dropped triggers do not advance the switch — no round starts).
+    /// instances while the monitor that awaits its completion is dead.
     switch: ControlKillSwitch,
     backoff_rng: StdRng,
     /// Times a bounded instance send parked on a full inbox since
@@ -87,9 +84,7 @@ impl MonitorExecutor {
         // cooldown goes through the one sanctioned conversion (rounds up,
         // so a sub-millisecond cooldown can never truncate to "disabled").
         let fj = &cfg.fastjoin;
-        let mut monitor =
-            Monitor::new(links.to_instances.len(), fj.theta, fj.migration_cooldown_ms());
-        monitor.set_round_timeout(cfg.supervision.round_timeout_ms);
+        let monitor = Monitor::new(links.to_instances.len(), fj.theta, fj.migration_cooldown_ms());
         MonitorExecutor {
             group,
             period,
@@ -110,7 +105,6 @@ impl MonitorExecutor {
             quiescing: false,
             acked: false,
             degraded: false,
-            drop_triggers: plan.drop_migrate_cmds,
             switch: ControlKillSwitch::new(plan.monitor_crash(group)),
             backoff_rng: plan.rng_for(0x4D4F_4E53 + group as u64), // "MONS"
             sends_parked: 0,
@@ -140,7 +134,7 @@ impl MonitorExecutor {
     }
 
     /// One monitor period: sample LI, poll the instances, maybe trigger a
-    /// round, check the round deadline, journal and publish.
+    /// round, journal and publish.
     fn tick(&mut self) {
         self.li.record(self.pulse.now_us(), self.monitor.imbalance());
         // Ask every instance for its period statistics.
@@ -157,41 +151,24 @@ impl MonitorExecutor {
                     | InstanceMsg::MigStore { .. }
                     | InstanceMsg::RouteUpdated { .. }
                     | InstanceMsg::MigForward { .. }
-                    | InstanceMsg::MigEnd { .. }
-                    | InstanceMsg::MigAbort { .. } => 0,
+                    | InstanceMsg::MigEnd { .. } => 0,
                 };
                 let source = trigger.source;
-                if self.drop_triggers > 0 {
-                    // Injected fault: the command is lost in flight. The
-                    // monitor now believes a round is in flight that no
-                    // instance ever heard of — only the abort watchdog
-                    // can close it.
-                    self.drop_triggers -= 1;
-                    self.trace(TraceKind::FaultDropTrigger, epoch, source as u64, target);
-                } else {
-                    self.trace(TraceKind::MigTrigger, epoch, source as u64, target);
-                    let _ = self.pulse.send(
-                        // The monitor only triggers sources it was built to watch.
-                        &self.to_instances[source],
-                        RtMsg::Inst(trigger.msg),
-                        &mut self.sends_parked,
-                    );
-                    if self.switch.should_crash() {
-                        // lint:allow(the injected fail-stop crash IS the fault under test; supervise catches and restarts)
-                        panic!(
-                            "fault injection: scheduled crash of monitor-{} mid-round",
-                            self.group
-                        );
-                    }
+                self.trace(TraceKind::MigTrigger, epoch, source as u64, target);
+                // The one send of a `MigrateCmd`. It fails only on a
+                // disconnected inbox, which the instance leaves behind only
+                // after the monitors quiesced or once the run is failing.
+                let _ = self.pulse.send(
+                    // The monitor only triggers sources it was built to watch.
+                    &self.to_instances[source],
+                    RtMsg::Inst(trigger.msg),
+                    &mut self.sends_parked,
+                );
+                if self.switch.should_crash() {
+                    // lint:allow(the injected fail-stop crash IS the fault under test; supervise catches and restarts)
+                    panic!("fault injection: scheduled crash of monitor-{} mid-round", self.group);
                 }
             }
-        }
-        if let Some(req) = self.monitor.check_deadline(self.now_ms()) {
-            // The edge the round's `MigrateCmd` took: a command that was
-            // sent is received first, and the source ignores the abort.
-            self.trace(TraceKind::AbortRequest, req.epoch, req.source as u64, 0);
-            let abort = RtMsg::Inst(InstanceMsg::MigAbort { epoch: req.epoch });
-            let _ = self.pulse.send(&self.to_instances[req.source], abort, &mut self.sends_parked);
         }
         self.journal_decisions();
         self.publish();
@@ -225,7 +202,6 @@ impl MonitorExecutor {
     /// (`monitor.r.*` / `monitor.s.*`) and publishes it.
     fn publish(&mut self) {
         let (phase, epoch) = match self.monitor.in_flight_round() {
-            Some((e, _, _)) if self.monitor.abort_pending() => (MigrationPhase::Aborting, e),
             Some((e, _, _)) => (MigrationPhase::Migrating, e),
             None => (MigrationPhase::Idle, 0),
         };
@@ -293,7 +269,7 @@ impl Executor for MonitorExecutor {
 
     /// Monitor recovery: the `Monitor` is intact, so a recovery either
     /// backs off before the next incarnation carries on — its in-flight
-    /// round still under its deadline — or (budget spent) degrades.
+    /// round still awaiting its completion — or (budget spent) degrades.
     fn recover(&mut self, restarts: u32) {
         if self.degraded {
             // A panic inside the degraded drain: nothing is left to do.

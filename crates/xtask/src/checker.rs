@@ -26,18 +26,15 @@
 //! shard crashing (restart variants), an instance crashing — idle before a
 //! receive, or inside a step whose outputs were computed and never sent —
 //! and recovering through [`InstanceStage::recover`] (instance-restart
-//! variants), or the monitor losing round 1's command or passing its
-//! deadline (abort variants). The
-//! collector is a sink: an instance's report batch lands in the state when
-//! it is sent. The S group is not modeled: flushes to it are dropped.
+//! variants). The collector is a sink: an instance's report batch lands in
+//! the state when it is sent. The S group is not modeled: flushes to it are dropped.
 //!
 //! **Known-bad variants are mutations of this shell**, never switches in
 //! `fastjoin-core`: they change what *this file* does with the real
 //! structs' outputs — sends them in another order, sends one early,
 //! replaces a crashed shard by a fresh one instead of calling
 //! [`Shard::restart`], keeps a torn step's report batch across an
-//! instance's recovery, sends the monitor's abort on a queue of its own
-//! (see [`Variant`]).
+//! instance's recovery (see [`Variant`]).
 //!
 //! ## Search
 //!
@@ -46,7 +43,7 @@
 //! and output sequence are a complete state fingerprint. Two reductions
 //! keep the search closed without losing a behaviour: a receive by a node
 //! that has a single input and no alternative step (an instance; the
-//! monitor outside its deadline window; the sequencer inside a barrier)
+//! monitor; the sequencer inside a barrier)
 //! commutes with every step of every other node, and so does a send into a
 //! queue with a single sender — when one is enabled it is the only
 //! transition explored (an instance that may still crash branches there
@@ -54,7 +51,7 @@
 //! steps, so the set still commutes with everyone else's). What is left to
 //! branch on is what can matter: the
 //! order of sends into shared queues, which input a multi-input node takes
-//! next, crash and deadline timing.
+//! next, crash timing.
 //!
 //! BFS order means the first violation found has a minimal-length trace.
 //! The number of distinct schedules (maximal paths in the deduplicated
@@ -116,18 +113,11 @@ pub enum Variant {
     /// no resync — so it routes under the initial table at once while the
     /// dead incarnation's acknowledgement still releases the barrier.
     ShardedRestartNoFence,
-    /// Two rounds; the monitor may lose round 1's command, and its
-    /// deadline for round 1 may pass at any time, sending the source
-    /// `MigAbort` behind the command on the monitor's edge. The abort meets
-    /// a source that lost the command (it acknowledges), one engaged in
-    /// the round (it ignores it and the round finishes forward), one whose
-    /// command found nothing to move, and one whose round already flipped.
-    ShardedAbort,
-    /// Known-bad: [`Variant::ShardedAbort`] with the monitor's abort sent
-    /// on a queue of its own, so it can overtake the `MigrateCmd`: the
-    /// source acknowledges a command it has not seen yet, and the command
-    /// then engages a round the monitor has closed.
-    AbortOvertakesCommand,
+    /// Two rounds from instance 0 behind two shards, and a source that
+    /// stores nothing of the hot key abandons its command: a round closes
+    /// with a `{0, 0}` `MigrationDone` and no instance engaged, and the
+    /// next one starts behind it.
+    ShardedAbandon,
     /// Known-bad: a shard's acknowledgement is sent ahead of the flushes
     /// that precede it in its output sequence.
     ShardedAckBeforeFlush,
@@ -152,8 +142,7 @@ pub const VARIANTS: &[(&str, Variant, bool)] = &[
     ("sharded-no-barrier", Variant::ShardedNoBarrier, false),
     ("sharded-shard-restart", Variant::ShardedShardRestart, true),
     ("sharded-restart-no-fence", Variant::ShardedRestartNoFence, false),
-    ("sharded-abort", Variant::ShardedAbort, true),
-    ("abort-overtakes-command", Variant::AbortOvertakesCommand, false),
+    ("sharded-abandon", Variant::ShardedAbandon, true),
     ("sharded-ack-before-flush", Variant::ShardedAckBeforeFlush, false),
     ("instance-restart", Variant::InstanceRestart, true),
     ("instance-restart-keeps-reports", Variant::InstanceRestartKeepsReports, false),
@@ -203,12 +192,13 @@ struct Scenario {
     inst_crashes: u8,
     /// Messages between two checkpoints of an instance.
     checkpoint_every: u64,
-    /// Whether the monitor's deadline for round 1 may pass.
-    deadline: bool,
+    /// Whether a source that stores nothing of the hot key abandons its
+    /// round (see [`HotKeySelector`]).
+    abandons: bool,
 }
 
 /// Scenario bounds are tuned so the slowest search stays near a minute
-/// with the real structs: the restart and abort variants carry one cold
+/// with the real structs: the restart and abandon variants carry one cold
 /// tuple instead of two, and a schedule has one shard crash, not one per
 /// shard. The instance-restart variants checkpoint every second message,
 /// so a crash finds zero or one message to replay besides the one in
@@ -216,7 +206,7 @@ struct Scenario {
 fn scenario(variant: Variant) -> Scenario {
     let inst_crashes =
         matches!(variant, Variant::InstanceRestart | Variant::InstanceRestartKeepsReports);
-    let (scripts, batch_size, rounds, crashes, deadline): (&[&str], _, &[_], _, _) = match variant {
+    let (scripts, batch_size, rounds, crashes, abandons): (&[&str], _, &[_], _, _) = match variant {
         // Stores race probes race migration control.
         Variant::Safe | Variant::NaiveNotifyFirst | Variant::ForwardBeforeStore => {
             (&["RSrSRs"], 1, &[(1, 0, 1), (2, 1, 0)], 0, false)
@@ -229,9 +219,7 @@ fn scenario(variant: Variant) -> Scenario {
         Variant::ShardedShardRestart | Variant::ShardedRestartNoFence => {
             (&["RSRS", "r"], 2, &[(1, 0, 1)], 1, false)
         }
-        Variant::ShardedAbort | Variant::AbortOvertakesCommand => {
-            (&["RSRS", "r"], 2, &[(1, 0, 1), (2, 0, 1)], 0, true)
-        }
+        Variant::ShardedAbandon => (&["RSRS", "r"], 2, &[(1, 0, 1), (2, 0, 1)], 0, true),
         // A store and a probe on either side of the flip, and a cold pair.
         Variant::InstanceRestart | Variant::InstanceRestartKeepsReports => {
             (&["RSrsRS"], 1, &[(1, 0, 1)], 0, false)
@@ -244,7 +232,7 @@ fn scenario(variant: Variant) -> Scenario {
         crashes,
         inst_crashes: u8::from(inst_crashes),
         checkpoint_every: if inst_crashes { 2 } else { 64 },
-        deadline,
+        abandons,
     }
 }
 
@@ -381,9 +369,8 @@ struct State {
     seq: Rc<Sequencer>,
     insts: Vec<Rc<InstNode>>,
     /// The scripted monitor: rounds closed so far (round `closed` is in
-    /// flight if there is one), and whether round 1's abort was sent.
+    /// flight if there is one).
     rounds_closed: usize,
-    abort_sent: bool,
     crashes_left: u8,
     inst_crashes_left: u8,
     /// Per node: outputs of its last step not yet sent.
@@ -414,10 +401,6 @@ enum Action {
     /// the head of its inbox (`false`), or inside the step on that message,
     /// its outputs computed and none of them sent (`true`).
     CrashInst(usize, bool),
-    /// The monitor's deadline for round 1 passes.
-    Deadline,
-    /// The monitor loses round 1's command instead of sending it.
-    Lose,
 }
 
 /// Why a schedule is invalid, raised during or at the end of exploration.
@@ -454,10 +437,9 @@ struct Explorer {
 /// History entries for the inputs that are not messages.
 const EV_SPOUT: u16 = u16::MAX - 1;
 const EV_CRASH: u16 = u16::MAX - 2;
-const EV_DEADLINE: u16 = u16::MAX - 3;
 /// An instance crash inside the step on the input before it ([`EV_CRASH`]
 /// is its crash while idle).
-const EV_CRASH_STEP: u16 = u16::MAX - 4;
+const EV_CRASH_STEP: u16 = u16::MAX - 3;
 
 impl Explorer {
     fn new(variant: Variant) -> Self {
@@ -529,7 +511,7 @@ impl Explorer {
             if self.variant == Variant::NaiveNotifyFirst {
                 inst.set_migration_mode(MigrationMode::NaiveNotifyFirst);
             }
-            let sel = Box::new(HotKeySelector { only_if_stored: self.sc.deadline });
+            let sel = Box::new(HotKeySelector { only_if_stored: self.sc.abandons });
             let stage = InstanceStage::new(inst, sel, 0.0, self.sc.checkpoint_every);
             Rc::new(InstNode { stage, handed_off: Vec::new(), deferred_store: None })
         };
@@ -539,7 +521,6 @@ impl Explorer {
             seq: Rc::new(Sequencer::new(Self::initial_table(), n)),
             insts: (0..INSTANCES).map(inst).collect(),
             rounds_closed: 0,
-            abort_sent: false,
             crashes_left: self.sc.crashes,
             inst_crashes_left: self.sc.inst_crashes,
             outbox: vec![VecDeque::new(); nodes],
@@ -596,27 +577,14 @@ impl Explorer {
         // explore those alone.
         let mut solo: Option<Vec<Action>> = None;
         let has = |port: Port| !s.queues[port].is_empty();
-        // Round 1 is in flight and its abort was not sent yet: the
-        // deadline may pass whatever else the monitor is doing.
-        let deadline = self.sc.deadline && s.rounds_closed == 0 && !s.abort_sent;
-        if deadline {
-            acts.push(Action::Deadline);
-        }
         for node in 0..=self.mon_node {
-            if let Some((port, (_, msg))) = s.outbox[node].front() {
+            if let Some((port, _)) = s.outbox[node].front() {
                 let single_sender =
                     *port >= SHARD_CTRL || (*port == SEQ_NOTES && self.shards() == 1);
                 if single_sender {
                     solo = solo.or(Some(vec![Action::Send(node)]));
                 }
                 acts.push(Action::Send(node));
-                let round_1_cmd = matches!(
-                    &**msg,
-                    Msg::Rt(RtMsg::Inst(InstanceMsg::MigrateCmd { epoch: 1, .. }))
-                );
-                if self.sc.deadline && round_1_cmd {
-                    acts.push(Action::Lose);
-                }
             } else if node < self.shards() {
                 let shard = &s.shards[node];
                 if has(SHARD_CTRL + node) {
@@ -640,7 +608,7 @@ impl Explorer {
             } else if node == self.mon_node {
                 if has(MONITOR) {
                     acts.push(Action::Recv(node, MONITOR));
-                    solo = solo.or((!deadline).then(|| vec![Action::Recv(node, MONITOR)]));
+                    solo = solo.or(Some(vec![Action::Recv(node, MONITOR)]));
                 }
             } else if has(node - self.inst0) {
                 let i = node - self.inst0;
@@ -694,24 +662,6 @@ impl Explorer {
                     shard.core.restart(Self::initial_table(), &mut out);
                 }
                 self.shard_outputs(&mut n, k, out);
-            }
-            Action::Deadline => {
-                let mon = self.mon_node;
-                self.consume(&mut n, mon, EV_DEADLINE);
-                n.abort_sent = true;
-                let (epoch, source, _) = self.sc.rounds[0];
-                let abort = Msg::Rt(RtMsg::Inst(InstanceMsg::MigAbort { epoch }));
-                if self.variant == Variant::AbortOvertakesCommand {
-                    // The bug under test: the abort does not queue behind
-                    // the monitor's command, it reaches the source at once.
-                    let queued = self.queued(abort);
-                    n.queues[source].push_back(queued);
-                } else {
-                    self.emit(&mut n, mon, source, abort);
-                }
-            }
-            Action::Lose => {
-                n.outbox[self.mon_node].pop_front();
             }
             Action::Recv(node, port) => {
                 let msg = self.take_head(&mut n, node, port);
@@ -908,12 +858,6 @@ impl Explorer {
         // — logged, checkpointed when due — now.
         node.stage.commit();
         let round = node.stage.instance().migration_state();
-        let abort_met =
-            matches!(msg, Some(RtMsg::Inst(InstanceMsg::MigAbort { .. }))).then(|| match round {
-                MigrationState::Source { .. } => "abort ignored by an engaged source",
-                _ if node.handed_off.is_empty() => "abort after the command was abandoned",
-                _ => "abort after the round flipped",
-            });
         if crash {
             if node.stage.log_len() > 0 {
                 self.saw("an instance crashed with a message to replay");
@@ -974,11 +918,6 @@ impl Explorer {
             node.stage.step(0, &mut self.ring, &mut sink, &mut out).map_err(violation)?;
         }
         let mut out = Vec::from(out);
-        if let Some(path) = abort_met {
-            // A source that acknowledges never saw the command.
-            let acked = out.iter().any(|o| matches!(o, InstOut::Done(_)));
-            self.saw(if acked { "abort acknowledged for a lost command" } else { path });
-        }
         if self.variant == Variant::ForwardBeforeStore {
             // The bug under test: the store payload is held back until
             // after MigForward.
@@ -1140,12 +1079,6 @@ impl Explorer {
                     format!("shard{k} crashes; supervisor restarts it behind fence {fence}")
                 }
             }
-            Action::Deadline if self.variant == Variant::AbortOvertakesCommand => {
-                "monitor: round 1's deadline passes; its MigAbort bypasses the monitor's queue"
-                    .to_string()
-            }
-            Action::Deadline => "monitor: round 1's deadline passes".to_string(),
-            Action::Lose => "monitor: round 1's MigrateCmd is lost".to_string(),
             Action::CrashInst(i, in_step) => {
                 let head = s.queues[i].front().map(|(_, m)| msg_summary(m)).unwrap_or_default();
                 let keeps = self.variant == Variant::InstanceRestartKeepsReports;
@@ -1240,7 +1173,7 @@ pub fn check(variant: Variant) -> CheckOutcome {
     // BFS over deduplicated states. States are expanded in index order, so
     // state i's successors are `edges[first_edge[i]..first_edge[i + 1]]`.
     let mut visited: HashMap<Box<[u16]>, u32> = HashMap::new();
-    let mut parents: Vec<(u32, Action)> = vec![(0, Action::Deadline)]; // [0] unused
+    let mut parents: Vec<(u32, Action)> = vec![(0, Action::Spout(0))]; // [0] unused
     let mut edges: Vec<u32> = Vec::new();
     let mut first_edge: Vec<usize> = Vec::new();
     let mut frontier: Vec<(u32, State)> = vec![(0, initial)];
@@ -1396,8 +1329,6 @@ mod tests {
             (Variant::ShardedAckBeforeFlush, "stale delivery", "ahead of data"),
             // The collector is told of one probe twice.
             (Variant::InstanceRestartKeepsReports, "reported twice", "survived its instance's"),
-            // The abort is acknowledged ahead of the command it closes.
-            (Variant::AbortOvertakesCommand, "round 2 opens", "still engaged"),
         ] {
             let why = violation(variant);
             assert!(why.contains(what) && why.contains(cause), "{}: {why}", variant.name());
@@ -1430,18 +1361,13 @@ mod tests {
         }
     }
 
+    /// The checker's one scenario where a command finds nothing to move:
+    /// the abandoned round closes and the next one starts behind it.
     #[test]
-    fn sharded_abort_passes_and_takes_every_abort_path() {
-        let (.., pairs, covered) = pass(Variant::ShardedAbort);
+    fn sharded_abandon_passes_and_closes_a_round_that_moved_nothing() {
+        let (.., pairs, covered) = pass(Variant::ShardedAbandon);
         assert_eq!(pairs, 3);
-        for path in [
-            "abort ignored by an engaged source",
-            "abort after the command was abandoned",
-            "abort acknowledged for a lost command",
-            "abort after the round flipped",
-            "round closed without moving anything",
-        ] {
-            assert!(covered.contains(path), "no schedule took `{path}`: {covered:?}");
-        }
+        let path = "round closed without moving anything";
+        assert!(covered.contains(path), "no schedule took `{path}`: {covered:?}");
     }
 }

@@ -37,14 +37,13 @@
 //! ```
 //!
 //! The `chaos` command replays the fault classes of the in-tree chaos
-//! suite — executor crashes at each migration-protocol phase, message
-//! delay/drop/duplicate/reorder, and stalled (dropped-trigger) rounds —
-//! across `--seeds` distinct seeds per class, asserting exactly-once
-//! output against a single-threaded oracle on every run. Faults come from
-//! the runtime's [`FaultPlan`]: executor kill-switches pinned to protocol
-//! phases, per-channel delay on the (FIFO, lossless) data plane,
-//! drop/dup/reorder on best-effort monitor reports, and swallowed
-//! `MigrateCmd`s whose rounds only the watchdog's `MigAbort` closes.
+//! suite — executor crashes at each migration-protocol phase and message
+//! delay/drop/duplicate/reorder — across `--seeds` distinct seeds per
+//! class, asserting exactly-once output against a single-threaded oracle
+//! on every run. Faults come from the runtime's [`FaultPlan`]: executor
+//! kill-switches pinned to protocol phases, per-channel delay on the
+//! (FIFO, lossless) data plane, and drop/dup/reorder on best-effort
+//! monitor reports.
 //!
 //! Argument parsing is hand-rolled (no CLI dependency); every flag has a
 //! sensible default matching the paper's setup.
@@ -410,11 +409,7 @@ fn cmd_chaos(argv: &[String]) -> Result<(), String> {
                 dispatcher_shards,
                 monitor_period_ms: 2,
                 rate_limit: Some(120_000.0),
-                supervision: SupervisionConfig {
-                    max_restarts: 16,
-                    checkpoint_every: 32,
-                    round_timeout_ms: 25,
-                },
+                supervision: SupervisionConfig { max_restarts: 16, checkpoint_every: 32 },
                 faults: FaultPlan::class(name, seed).expect("every listed class has a plan"),
                 trace: fastjoin::core::trace::TraceConfig::default(),
                 snapshot_interval_ms: 0,
@@ -503,10 +498,9 @@ fn cmd_chaos(argv: &[String]) -> Result<(), String> {
 
 /// Reads a trace journal (the JSONL written by `--trace-out`) and either
 /// summarizes it or reconstructs one migration round's phase timeline
-/// (§III-D: trigger → buffer → forward → route flip → drain, and an
-/// overdue round's abort). The
-/// round view exits non-zero when the timeline is causally inconsistent —
-/// phases out of order, a flipped round without an applied route, or route
+/// (§III-D: trigger → buffer → forward → route flip → drain). The round
+/// view exits non-zero when the timeline is causally inconsistent — phases
+/// out of order, a flipped round without an applied route, or route
 /// versions not monotone — so CI can assert a journal tells a coherent
 /// story.
 fn cmd_trace(argv: &[String]) -> Result<(), String> {
@@ -580,8 +574,6 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
                 TraceKind::RouteUpdated => format!("buffered-flushed={}", e.aux),
                 TraceKind::MigEnd => format!("from={}", e.aux),
                 TraceKind::MigDone => format!("tuples_moved={}", e.aux),
-                TraceKind::AbortRequest => format!("source={}", e.aux),
-                TraceKind::FaultDropTrigger => format!("source={} target={}", e.aux, e.aux2),
                 TraceKind::FaultRestart => format!("restarts={}", e.aux),
                 TraceKind::ShardRestart => format!("shard={} fence={}", e.aux, e.aux2),
                 TraceKind::MonitorDown => format!("restarts={}", e.aux),
@@ -598,7 +590,6 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
                 | TraceKind::StoreDone
                 | TraceKind::ProbeDone
                 | TraceKind::Eos
-                | TraceKind::MigAbort
                 | TraceKind::FaultCrash => String::new(),
             };
             println!(
@@ -622,8 +613,6 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
             (TraceKind::MigStore, TraceKind::MigEnd),
             (TraceKind::RouteStaged, TraceKind::MigEnd),
             (TraceKind::MigEnd, TraceKind::MigDone),
-            // The monitor sends the source its abort.
-            (TraceKind::AbortRequest, TraceKind::MigAbort),
         ];
         for (a, b) in order {
             if let (Some(ia), Some(ib)) = (first(a), first(b)) {

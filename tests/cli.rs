@@ -248,52 +248,6 @@ fn trace_round_orders_the_flip_and_the_store_against_mig_end_only() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An overdue round's `MigAbort` is the monitor's, sent after its
-/// `AbortRequest`: a source that journals the abort first is rejected by
-/// name.
-#[test]
-fn trace_round_rejects_a_mig_abort_before_its_abort_request() {
-    use fastjoin::core::trace::{Actor, TraceEvent, TraceKind};
-
-    let (mon, src) = (Actor::monitor(0), Actor::instance(0, 0));
-    let journal_of = |order: &[(Actor, TraceKind)]| {
-        let mut text = String::from("{\"schema\":\"fastjoin-trace-v1\",\"dropped\":0}\n");
-        for (i, &(actor, kind)) in order.iter().enumerate() {
-            let ev = TraceEvent::control(10 * (i as u64 + 1), actor, kind, 3, 0);
-            text.push_str(&ev.to_json().to_string());
-            text.push('\n');
-        }
-        text
-    };
-    let dir = std::env::temp_dir().join(format!("fjcli-traceabort-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal = dir.join("j.jsonl");
-    let check = |order: &[(Actor, TraceKind)]| {
-        std::fs::write(&journal, journal_of(order)).unwrap();
-        run(&["trace", "--journal", journal.to_str().unwrap(), "--round", "3", "--group", "r"])
-    };
-
-    // A lost command: the watchdog's abort closes the round.
-    let (ok, timeline, stderr) = check(&[
-        (mon, TraceKind::FaultDropTrigger),
-        (mon, TraceKind::AbortRequest),
-        (src, TraceKind::MigAbort),
-        (mon, TraceKind::MigDone),
-    ]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(timeline.contains("timeline OK"), "{timeline}");
-
-    let (ok, _, stderr) = check(&[
-        (mon, TraceKind::FaultDropTrigger),
-        (src, TraceKind::MigAbort),
-        (mon, TraceKind::AbortRequest),
-        (mon, TraceKind::MigDone),
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("AbortRequest appears after MigAbort"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Every applied flip bumps its group's route version: two `RouteStaged`
 /// events of one group carrying the same version are rejected, whichever
 /// round is asked for — and the other group's versions are its own.

@@ -290,10 +290,7 @@ fn decision_audit_explains_every_committed_round() {
                 assert!(d.epoch.is_none(), "rejections allocate no epoch");
                 assert_ne!(d.reason, DecisionReason::Triggered, "rejections carry a reason");
             }
-            DecisionOutcome::Pending
-            | DecisionOutcome::Effective
-            | DecisionOutcome::Abandoned
-            | DecisionOutcome::Aborted => {
+            DecisionOutcome::Pending | DecisionOutcome::Effective | DecisionOutcome::Abandoned => {
                 assert!(d.epoch.is_some(), "committed rounds carry their epoch");
                 assert_eq!(d.reason, DecisionReason::Triggered);
             }

@@ -59,18 +59,15 @@ fn cfg(system: SystemKind, shards: usize, batch: usize, faults: FaultPlan) -> Ru
         dispatcher_shards: shards,
         monitor_period_ms: 2,
         rate_limit: Some(120_000.0),
-        supervision: SupervisionConfig {
-            max_restarts: 2,
-            checkpoint_every: 32,
-            round_timeout_ms: 25,
-        },
+        supervision: SupervisionConfig { max_restarts: 2, checkpoint_every: 32 },
         faults,
         ..RuntimeConfig::default()
     }
 }
 
 /// Runs `tuples` through the topology and checks the report against the
-/// oracle.
+/// oracle, and that every triggered round closed exactly once: it moved
+/// keys, or its source found nothing worth moving.
 fn run_checked(cfg: &RuntimeConfig, tuples: Vec<Tuple>, label: &str) -> RuntimeReport {
     let n = tuples.len() as u64;
     let expected = oracle(&tuples);
@@ -80,6 +77,15 @@ fn run_checked(cfg: &RuntimeConfig, tuples: Vec<Tuple>, label: &str) -> RuntimeR
     assert_eq!(report.results_total, expected, "{label}: lost or duplicated join results");
     assert_eq!(report.probes_total, n, "{label}: every tuple probes exactly once");
     assert_eq!(report.latency.count(), n, "{label}: one latency sample per probe");
+    for (g, stats) in report.monitor_stats.iter().enumerate() {
+        if let Some(s) = stats {
+            assert_eq!(
+                s.triggered,
+                s.effective + s.abandoned,
+                "{label}: group {g}'s triggered rounds did not each close once: {s:?}"
+            );
+        }
+    }
     report
 }
 
@@ -277,19 +283,6 @@ fn shard_and_sequencer_kills_recover_exactly_once_at_one_shard() {
             |r| r.registry.counter_sum("supervisor.control_restarts"),
         );
     }
-}
-
-/// The first two `MigrateCmd`s vanish in flight, so only the round
-/// watchdog can close those rounds: the monitor sends the source
-/// `MigAbort` and the idle source, which never saw the command,
-/// acknowledges with a `{0, 0}` completion the monitor books `aborted`.
-#[test]
-fn a_stalled_round_is_aborted_and_the_run_matches_the_oracle() {
-    run_until_fired(
-        "stalled-round",
-        |seed| FaultPlan::class("stalled-round", seed).expect("a chaos class"),
-        |r| r.monitor_stats.iter().flatten().map(|s| s.aborted).sum(),
-    );
 }
 
 /// A monitor killed right after it sent a round's `MigrateCmd` keeps its
