@@ -25,6 +25,16 @@
 //! is handed out as a `Tuple`. The scan stays linear in the bucket on
 //! purpose: it is the cost the load model and the monitor balance.
 //!
+//! That count, [`Matches::count`], is one branch-free loop body compiled
+//! twice. Baseline x86-64 (SSE2) has no 64-bit compare, so its copy
+//! compares one slot at a time; a second copy compiled for AVX2 compares
+//! four per instruction. `count` takes the AVX2 copy for a ring run of at
+//! least `VECTOR_MIN` slots when the CPU reports the feature at run time
+//! (`is_x86_feature_detected!`, one cached load), so the binary stays
+//! portable and a short run — nearly every bucket of a uniform workload —
+//! stays in the inlined portable loop. Both copies compare every slot, so
+//! they count the same; other targets compile the portable copy only.
+//!
 //! The columns are rings sharing one `head`, because a bucket is a FIFO
 //! (`insert` appends, `expire` pops the oldest) whose both ends move back
 //! under [`TupleStore::rollback`]. A full ring doubles into a fresh
@@ -268,21 +278,57 @@ impl Iterator for Matches<'_> {
     }
 
     /// The probe kernel: same comparisons as `next`, over the columns they
-    /// read and nothing else.
+    /// read and nothing else (module docs, "Layout").
     #[lint(hot_path)]
     fn count(self) -> usize {
         let (before, min_ts) = (self.before, self.min_ts);
         let in_run = |slots: Range<usize>| {
-            let seqs = self.scan.seq.get(slots.clone()).unwrap_or_default();
-            if min_ts == 0 {
-                seqs.iter().filter(|&&seq| seq < before).count()
-            } else {
-                let pairs = seqs.iter().zip(self.scan.ts.get(slots).unwrap_or_default());
-                pairs.filter(|&(&seq, &ts)| seq < before && ts >= min_ts).count()
+            let seq = self.scan.seq.get(slots.clone()).unwrap_or_default();
+            let ts = (min_ts > 0).then(|| self.scan.ts.get(slots).unwrap_or_default());
+            #[cfg(target_arch = "x86_64")]
+            if seq.len() >= VECTOR_MIN && std::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2, detected on the line above.
+                return unsafe { count_run_avx2(seq, ts, before, min_ts) };
             }
+            count_run(seq, ts, before, min_ts)
         };
         self.scan.runs().into_iter().map(in_run).sum()
     }
+}
+
+/// Shortest ring run [`Matches::count`] hands to the AVX2 copy of the
+/// kernel; shorter runs stay in the inlined portable loop, where a call
+/// and the vector loop's set-up would cost more than they save.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const VECTOR_MIN: usize = 16;
+
+/// The slots of one ring run a probe matches: `seq < before`, and
+/// `ts >= min_ts` when the window's `ts` column is given. Every slot is
+/// compared, without branches, so the loop vectorises wherever the target
+/// has an unsigned 64-bit compare.
+#[inline(always)]
+fn count_run(seq: &[u64], ts: Option<&[u64]>, before: Seq, min_ts: Timestamp) -> usize {
+    match ts {
+        None => seq.iter().filter(|&&seq| seq < before).count(),
+        Some(ts) => {
+            let pairs = seq.iter().zip(ts);
+            pairs.filter(|&(&seq, &ts)| (seq < before) & (ts >= min_ts)).count()
+        }
+    }
+}
+
+/// [`count_run`] compiled for AVX2: 4-lane compare-and-subtract code for
+/// the same comparisons, which baseline x86-64 (SSE2, no 64-bit compare)
+/// cannot emit.
+///
+/// # Safety
+///
+/// Calling it from code not compiled for AVX2 is `unsafe`: the CPU must
+/// have AVX2, which `count` checks with `is_x86_feature_detected!` first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn count_run_avx2(seq: &[u64], ts: Option<&[u64]>, before: Seq, min_ts: Timestamp) -> usize {
+    count_run(seq, ts, before, min_ts)
 }
 
 /// The inverse of one store mutation, as recorded by the undo journal.
@@ -690,5 +736,83 @@ mod tests {
         s.insert(t(1, 1, 9));
         assert_eq!(s.max_seq(1), Some(9));
         assert_eq!(s.max_seq(2), None);
+    }
+
+    /// A store holding one bucket (key 1) of `len` tuples, and the
+    /// `(seq, ts)` pairs it holds, oldest first. Sequence numbers are
+    /// scrambled over all of `u64` and event times straddle 2^63, so both
+    /// compares see operands on either side of the sign bit. With `wrap`,
+    /// the bucket is filled to its capacity, expired from the front and
+    /// inserted into past the end, so its live slots are two ring runs.
+    fn kernel_bucket(len: usize, wrap: bool) -> (TupleStore, Vec<(Seq, Timestamp)>) {
+        let (mut store, mut model) = (TupleStore::new(), Vec::new());
+        let ts0 = (1 << 63) - 40;
+        let mut insert = |store: &mut TupleStore, i: u64| {
+            let seq = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            store.insert(t(1, ts0 + i, seq));
+            model.push((seq, ts0 + i));
+        };
+        let (fill, refill) = if wrap && len >= 2 {
+            let cap = len.next_power_of_two().max(FIRST_CAP);
+            (cap, len / 2)
+        } else {
+            (len, 0)
+        };
+        for i in 0..fill {
+            insert(&mut store, i as u64);
+        }
+        let expired = (fill + refill - len) as u64;
+        assert_eq!(store.expire(ts0 + expired), expired);
+        for i in fill..fill + refill {
+            insert(&mut store, i as u64);
+        }
+        model.drain(..expired as usize);
+        let runs = store.buckets.get(&1).map(|b| b.tuples(1).runs());
+        assert_eq!(runs.is_some_and(|[_, second]| !second.is_empty()), refill > 0);
+        (store, model)
+    }
+
+    #[test]
+    fn count_kernel_is_exact_on_every_run_length_and_every_u64() {
+        let mut avx2_checked = false;
+        for len in 0..=3 * VECTOR_MIN {
+            for wrap in [false, true] {
+                let (store, model) = kernel_bucket(len, wrap);
+                let (mid, mid_ts) = model.get(len / 2).copied().unwrap_or_default();
+                let max = model.iter().map(|p| p.0).max().unwrap_or(0);
+                let befores = [0, 1, mid, max, max.wrapping_add(1), 1 << 63, u64::MAX];
+                let min_tss = [0, 1, mid_ts, 1 << 63, u64::MAX];
+                for (before, min_ts) in befores.into_iter().flat_map(|b| min_tss.map(|m| (b, m))) {
+                    let expected =
+                        model.iter().filter(|&&(seq, ts)| seq < before && ts >= min_ts).count();
+                    let probe = t(1, 0, before);
+                    let case = format!("len {len}, wrap {wrap}, before {before}, min_ts {min_ts}");
+                    assert_eq!(store.probe(&probe, min_ts).count(), expected, "{case}");
+                    assert_eq!(store.probe(&probe, min_ts).collect::<Vec<_>>().len(), expected);
+
+                    // The run counters, called directly on the ring runs.
+                    let Some(bucket) = store.buckets.get(&1) else { continue };
+                    let [seq, ts, ..] = columns(&bucket.buf);
+                    let mut summed = 0;
+                    for run in bucket.tuples(1).runs() {
+                        let (seq, ts) = (&seq[run.clone()], &ts[run]);
+                        let ts = (min_ts > 0).then_some(ts);
+                        let portable = count_run(seq, ts, before, min_ts);
+                        summed += portable;
+                        #[cfg(target_arch = "x86_64")]
+                        if std::is_x86_feature_detected!("avx2") {
+                            // SAFETY: the CPU has AVX2, detected on the line above.
+                            let avx2 = unsafe { count_run_avx2(seq, ts, before, min_ts) };
+                            assert_eq!(avx2, portable, "{case}");
+                            avx2_checked = true;
+                        }
+                    }
+                    assert_eq!(summed, expected, "{case}");
+                }
+            }
+        }
+        if !avx2_checked {
+            eprintln!("skipped: this CPU has no AVX2, only the portable kernel was checked");
+        }
     }
 }

@@ -21,6 +21,9 @@ use proptest::prelude::*;
 /// Keys are drawn from `0..KEYS`: few enough that buckets grow, empty out
 /// and come back within one case.
 const KEYS: u64 = 12;
+/// The key of half the draws, like a Zipf head: its bucket grows past the
+/// run length at which `count()` switches to the vectorised kernel.
+const HEAD: Key = 0;
 /// Window span of the windowed mode, in the ops' own time unit.
 const SPAN: Timestamp = 40;
 
@@ -148,9 +151,16 @@ impl Store for TupleStore {
 /// One generated step: `(kind, key, dt, keys)`, decoded by [`Driver::apply`].
 type Op = (u8, Key, Timestamp, Vec<Key>);
 
+/// A key: [`HEAD`] half the time, else uniform over `0..KEYS`.
+fn key() -> impl Strategy<Value = Key> {
+    (0..2 * KEYS).prop_map(|k| if k < KEYS { k } else { HEAD })
+}
+
+/// Steps whose inserts are skewed to [`HEAD`]; an extraction draws its
+/// keys uniformly, so the head bucket is moved now and then, long.
 fn ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        (0u8..10, 0..KEYS, 0u64..8, prop::collection::vec(0..KEYS, 1..4)),
+        (0u8..10, key(), 0u64..8, prop::collection::vec(0..KEYS, 1..4)),
         0..max_len,
     )
 }

@@ -39,6 +39,11 @@
 //!    data plane promises no allocator round-trip, no registry lookup and
 //!    no clock read per tuple; this rule keeps that promise honest as the
 //!    code evolves.
+//! 7. **unsafe-code** — `unsafe` appears only in the files of
+//!    [`UNSAFE_FILES`] (the store's probe kernel, which calls its AVX2
+//!    copy once the CPU feature is detected), and each use there carries a
+//!    `// SAFETY:` comment on the same line or the line directly above,
+//!    saying why the call is sound. `lint:allow` does not excuse it.
 //!
 //! Sites that are genuinely unreachable or deliberately fatal are excused
 //! with a `// lint:allow(reason)` comment on the same line or the line
@@ -77,6 +82,10 @@ const DATA_PLANE_FILES: &[&str] = &[
     "crates/runtime/src/topology/instance.rs",
 ];
 
+/// The only files where `unsafe` may appear (rule 7). Paths are relative
+/// to the repo root.
+const UNSAFE_FILES: &[&str] = &["crates/core/src/state.rs"];
+
 /// One lint finding, printed as `file:line: [rule] message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -103,16 +112,19 @@ struct MaskedSource {
     masked: String,
     /// Lines (1-based) carrying a `// lint:allow(reason)` annotation.
     allow_lines: Vec<usize>,
+    /// Lines (1-based) carrying a `// SAFETY:` comment.
+    safety_lines: Vec<usize>,
     /// Lines that are doc comments (`///` or `//!`).
     doc_lines: Vec<usize>,
 }
 
 /// Blanks comments, string literals, and char literals while recording
-/// `lint:allow` annotations and doc-comment lines.
+/// `lint:allow` annotations, `SAFETY:` comments and doc-comment lines.
 fn mask_source(src: &str) -> MaskedSource {
     let bytes = src.as_bytes();
     let mut masked = Vec::with_capacity(bytes.len());
     let mut allow_lines = Vec::new();
+    let mut safety_lines = Vec::new();
     let mut doc_lines = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
@@ -138,6 +150,9 @@ fn mask_source(src: &str) -> MaskedSource {
             }
             if text.contains("lint:allow(") {
                 allow_lines.push(line);
+            }
+            if text.contains("SAFETY:") {
+                safety_lines.push(line);
             }
             for &c in &bytes[i..end] {
                 blank(&mut masked, c);
@@ -256,7 +271,12 @@ fn mask_source(src: &str) -> MaskedSource {
         }
     }
 
-    MaskedSource { masked: String::from_utf8(masked).unwrap_or_default(), allow_lines, doc_lines }
+    MaskedSource {
+        masked: String::from_utf8(masked).unwrap_or_default(),
+        allow_lines,
+        safety_lines,
+        doc_lines,
+    }
 }
 
 /// Returns, for each line (1-based), whether it is inside test code: a
@@ -742,6 +762,40 @@ fn check_hot_path(file: &str, src: &MaskedSource, in_test: &[bool], out: &mut Ve
     }
 }
 
+/// Rule 7: `unsafe` only in [`UNSAFE_FILES`], each use under a
+/// `// SAFETY:` comment.
+fn check_unsafe(file: &str, src: &MaskedSource, in_test: &[bool], out: &mut Vec<Diagnostic>) {
+    let listed = UNSAFE_FILES.contains(&file);
+    for (lineno, line) in src.masked.lines().enumerate() {
+        let lineno = lineno + 1;
+        if in_test.get(lineno).copied().unwrap_or(false) {
+            continue;
+        }
+        // The keyword, not `unsafe_code` or `is_unsafe`.
+        let keyword = line.match_indices("unsafe").any(|(pos, word)| {
+            let after = line.as_bytes().get(pos + word.len());
+            boundary_before(line, pos)
+                && !after.is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
+        });
+        if !keyword {
+            continue;
+        }
+        let msg = if !listed {
+            "`unsafe` outside the allow-listed files (UNSAFE_FILES in crates/xtask/src/lint.rs)"
+        } else if allowed(&src.safety_lines, lineno) {
+            continue;
+        } else {
+            "`unsafe` needs a `// SAFETY:` comment on the same line or the line above"
+        };
+        out.push(Diagnostic {
+            file: file.to_string(),
+            line: lineno,
+            rule: "unsafe-code",
+            msg: msg.to_string(),
+        });
+    }
+}
+
 /// Lints one file's source text. `repo_rel` is the path relative to the
 /// repo root (used to decide which rules apply).
 #[must_use]
@@ -761,6 +815,7 @@ pub fn lint_source(repo_rel: &str, source: &str) -> Vec<Diagnostic> {
         check_no_channel_unwrap(repo_rel, &masked, &in_test, &mut out);
     }
     check_hot_path(repo_rel, &masked, &in_test, &mut out);
+    check_unsafe(repo_rel, &masked, &in_test, &mut out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
@@ -1041,6 +1096,52 @@ mod tests {
     }
 
     #[test]
+    fn unsafe_is_flagged_outside_the_allow_listed_files() {
+        let src = "fn f(p: *const u64) -> u64 {\n    \
+                   // SAFETY: p is valid.\n    \
+                   unsafe { *p }\n}\n";
+        for file in ["crates/core/src/instance.rs", "crates/runtime/src/fake.rs"] {
+            let d = lint_source(file, src);
+            assert_eq!(rules(&d), vec!["unsafe-code"], "{d:?}");
+            assert_eq!(d[0].line, 3);
+            assert!(d[0].msg.contains("allow-listed"), "{d:?}");
+        }
+        assert!(lint_source("crates/core/src/state.rs", src).is_empty());
+    }
+
+    #[test]
+    fn unsafe_in_an_allow_listed_file_needs_a_safety_comment() {
+        // Same line and line above pass; two lines above, a plain comment
+        // and a `lint:allow` do not.
+        let src = "fn f(p: *const u64) -> u64 {\n    \
+                   unsafe { *p } // SAFETY: p is valid.\n}\n\
+                   fn g(p: *const u64) -> u64 {\n    \
+                   // SAFETY: p is valid.\n    unsafe { *p }\n}\n\
+                   fn h(p: *const u64) -> u64 {\n    \
+                   // SAFETY: p is valid.\n    let q = p;\n    unsafe { *q }\n}\n\
+                   fn i(p: *const u64) -> u64 {\n    \
+                   // p is valid.\n    unsafe { *p }\n}\n\
+                   fn j(p: *const u64) -> u64 {\n    \
+                   // lint:allow(p is valid)\n    unsafe { *p }\n}\n";
+        let d = lint_source("crates/core/src/state.rs", src);
+        assert_eq!(rules(&d), vec!["unsafe-code"; 3], "{d:?}");
+        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![11, 15, 19], "{d:?}");
+        assert!(d[0].msg.contains("SAFETY"), "{d:?}");
+    }
+
+    #[test]
+    fn unsafe_in_test_code_strings_comments_and_identifiers_is_not_flagged() {
+        let src = "#![forbid(unsafe_code)]\n\
+                   fn f() -> &'static str {\n    \
+                   // an unsafe block would be wrong here\n    \
+                   let is_unsafe = false;\n    \
+                   \"unsafe\"\n}\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+                   unsafe { std::hint::unreachable_unchecked() }\n    }\n}\n";
+        assert!(lint_source("crates/runtime/src/fake.rs", src).is_empty());
+    }
+
+    #[test]
     fn repo_lint_is_clean() {
         // The acceptance gate: the shipped tree must pass its own lint.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -1059,6 +1160,9 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         for file in DATA_PLANE_FILES {
             assert!(root.join(file).is_file(), "DATA_PLANE_FILES lists a missing file: {file}");
+        }
+        for file in UNSAFE_FILES {
+            assert!(root.join(file).is_file(), "UNSAFE_FILES lists a missing file: {file}");
         }
     }
 
