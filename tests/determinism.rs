@@ -77,6 +77,46 @@ fn simulator_output_is_pinned() {
     assert!((mean - 204.06288).abs() < 1e-5, "mean latency {mean} µs");
 }
 
+/// Pins BiStream's LI series: a static group has no monitor, so the
+/// simulator computes its imbalance from the period's load reports itself.
+#[test]
+fn static_imbalance_series_is_pinned() {
+    let report = Simulation::new(
+        sim_cfg(SystemKind::BiStream, SelectorKind::GreedyFit),
+        workload().into_iter(),
+    )
+    .run();
+    assert_eq!(report.metrics.imbalance.means(), [Some(1.714252588686731)]);
+}
+
+/// Pins ContRand's latency histogram: its probes fan out to several
+/// instances, and a probe's one latency sample is taken when its last
+/// part completes.
+#[test]
+fn fanned_out_probe_latency_is_pinned() {
+    let report = Simulation::new(
+        sim_cfg(SystemKind::BiStreamContRand, SelectorKind::GreedyFit),
+        workload().into_iter(),
+    )
+    .run();
+    let hist = &report.metrics.latency_hist;
+    assert_eq!(hist.count(), 25_000);
+    let mean = hist.mean().expect("probes were served");
+    assert!((mean - 203.08424).abs() < 1e-5, "mean latency {mean} µs");
+}
+
+/// Pins SAFit's migrations: its seeded RNG carries over from round to
+/// round within a group, so where the selector lives decides its plans.
+#[test]
+fn safit_migrations_are_pinned() {
+    let report =
+        Simulation::new(sim_cfg(SystemKind::FastJoin, SelectorKind::SaFit), workload().into_iter())
+            .run();
+    assert_eq!(report.migrations(), 2);
+    let moved = report.monitor_stats.map(|s| s.expect("FastJoin has monitors").tuples_moved);
+    assert_eq!(moved, [0, 4], "tuples moved per group (R, S)");
+}
+
 #[test]
 fn greedy_and_safit_agree_on_result_counts() {
     let greedy = Simulation::new(
