@@ -12,8 +12,10 @@
 //! [`ProbeAccountant`] makes both states impossible to miss: mismatches,
 //! over-completion and a zero fan-out (a tuple that never passed the
 //! dispatcher) are hard errors, and [`ProbeAccountant::finish`] refuses to
-//! report while entries are still outstanding. It is the runtime's one
-//! check on probe accounting; instances keep no per-probe state to audit.
+//! report while entries are still outstanding. It is the one check on
+//! probe accounting — the runtime's collector, the simulator and the
+//! synchronous cluster each book every part in one; instances keep no
+//! per-probe state to audit.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -107,29 +109,35 @@ impl ProbeAccountant {
         Self::default()
     }
 
-    /// Books one completed fan-out part of probe `seq`. Returns an error —
-    /// without mutating the counts — when the part contradicts what the
-    /// ledger already knows about the probe.
+    /// Books one completed fan-out part of probe `seq`; returns the
+    /// probe's latency (the max across its parts) when this part closed
+    /// it. Returns an error — without mutating the counts — when the part
+    /// contradicts what the ledger already knows about the probe.
     pub fn on_probe(
         &mut self,
         seq: u64,
         fanout: u32,
         latency_us: u64,
-    ) -> Result<(), AccountingError> {
+    ) -> Result<Option<u64>, AccountingError> {
         // A one-part probe arriving while nothing is outstanding — every
         // probe of a hash-partitioned run — would open its entry and close
         // it again: same counts, same sample, without hashing `seq` twice.
         if fanout == 1 && self.outstanding.is_empty() {
             self.probes_total += 1;
             self.latency.record(latency_us);
-            return Ok(());
+            return Ok(Some(latency_us));
         }
         self.book_part(seq, fanout, latency_us)
     }
 
     /// The ledger proper: finds or opens the probe's entry, checks the
     /// part against it and closes the entry on its last part.
-    fn book_part(&mut self, seq: u64, fanout: u32, latency_us: u64) -> Result<(), AccountingError> {
+    fn book_part(
+        &mut self,
+        seq: u64,
+        fanout: u32,
+        latency_us: u64,
+    ) -> Result<Option<u64>, AccountingError> {
         if fanout == 0 {
             return Err(AccountingError::ZeroFanout { seq });
         }
@@ -150,13 +158,14 @@ impl ProbeAccountant {
             None => return Err(AccountingError::Overcomplete { seq }),
         };
         entry.max_latency_us = entry.max_latency_us.max(latency_us);
-        if entry.left == 0 {
-            let max = entry.max_latency_us;
-            self.outstanding.remove(&seq);
-            self.probes_total += 1;
-            self.latency.record(max);
+        if entry.left > 0 {
+            return Ok(None);
         }
-        Ok(())
+        let max = entry.max_latency_us;
+        self.outstanding.remove(&seq);
+        self.probes_total += 1;
+        self.latency.record(max);
+        Ok(Some(max))
     }
 
     /// Probes fully completed so far.
@@ -203,10 +212,10 @@ mod tests {
     #[test]
     fn fanout_parts_record_one_sample_at_max_latency() {
         let mut a = ProbeAccountant::new();
-        a.on_probe(7, 3, 10).unwrap();
-        a.on_probe(7, 3, 90).unwrap();
+        assert_eq!(a.on_probe(7, 3, 10), Ok(None));
+        assert_eq!(a.on_probe(7, 3, 90), Ok(None));
         assert_eq!(a.probes_total(), 0, "two of three parts: not complete yet");
-        a.on_probe(7, 3, 40).unwrap();
+        assert_eq!(a.on_probe(7, 3, 40), Ok(Some(90)), "the closing part returns the max");
         assert_eq!(a.probes_total(), 1);
         let (_, hist) = a.finish().unwrap();
         assert_eq!(hist.count(), 1, "exactly one latency sample per probe");

@@ -3,10 +3,11 @@
 //! [`JoinCluster`] assembles the three components of Fig. 2 — dispatching,
 //! joining, monitoring — into one in-memory structure with immediate FIFO
 //! message delivery. It is the *reference implementation* of FastJoin's
-//! semantics: examples and correctness tests run against it, the
-//! discrete-event simulator (`fastjoin-sim`) reuses the same instances and
-//! monitors but delivers messages with simulated latency, and the threaded
-//! runtime (`fastjoin-runtime`) maps each component onto an executor.
+//! semantics: examples and correctness tests run against it. Its joining
+//! component is [`crate::stage`]'s instance step, which the discrete-event
+//! simulator (`fastjoin-sim`) drives with simulated latency and the
+//! threaded runtime (`fastjoin-runtime`) wraps in crash recovery. Each
+//! served probe part is booked in a [`ProbeAccountant`].
 //!
 //! Baselines plug in through the [`Partitioner`] abstraction: plain
 //! BiStream is this cluster with monitors disabled; ContRand and broadcast
@@ -14,20 +15,22 @@
 
 use std::collections::VecDeque;
 
+use crate::accounting::ProbeAccountant;
 use crate::config::FastJoinConfig;
 use crate::dispatcher::{Dispatch, Dispatcher};
 use crate::instance::JoinInstance;
 use crate::monitor::Monitor;
 use crate::partition::{HashPartitioner, Partitioner};
-use crate::protocol::{Effects, InstanceMsg};
+use crate::protocol::InstanceMsg;
 use crate::selection::{make_selector, KeySelector};
+use crate::stage::{InstOut, InstanceCore};
 use crate::tuple::{JoinedPair, Side, Timestamp, Tuple};
 
 /// One join group: the instances storing one stream, plus (for dynamic
 /// systems) its monitor and key selector.
 struct Group {
     side: Side,
-    instances: Vec<JoinInstance>,
+    instances: Vec<InstanceCore>,
     monitor: Option<Monitor>,
     selector: Box<dyn KeySelector + Send>,
 }
@@ -54,8 +57,10 @@ pub struct JoinCluster {
     results: Vec<JoinedPair>,
     /// Control messages awaiting delivery: `(group index, instance, msg)`.
     ctrl: VecDeque<(usize, usize, InstanceMsg)>,
-    /// Scratch effect buffer.
-    fx: Effects,
+    /// Scratch output buffer of the instance steps.
+    out: VecDeque<InstOut>,
+    /// Every served probe part, checked against its fan-out.
+    probes: ProbeAccountant,
 }
 
 impl JoinCluster {
@@ -107,13 +112,7 @@ impl JoinCluster {
 
         let make_group = |side: Side, seed_offset: u64| Group {
             side,
-            instances: (0..n)
-                .map(|i| {
-                    let mut inst = JoinInstance::new(i, side, cfg.window);
-                    inst.set_migration_mode(cfg.migration_mode);
-                    inst
-                })
-                .collect(),
+            instances: (0..n).map(|i| new_instance(&cfg, i, side)).collect(),
             monitor: dynamic.then(|| Monitor::new(n, cfg.theta, cfg.migration_cooldown)),
             selector: make_selector(&FastJoinConfig {
                 seed: cfg.seed.wrapping_add(seed_offset),
@@ -126,7 +125,8 @@ impl JoinCluster {
             now: 0,
             results: Vec::new(),
             ctrl: VecDeque::new(),
-            fx: Effects::new(),
+            out: VecDeque::new(),
+            probes: ProbeAccountant::new(),
             cfg,
         }
     }
@@ -149,7 +149,7 @@ impl JoinCluster {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn instance(&self, group: Side, i: usize) -> &JoinInstance {
-        &self.groups[group.index()].instances[i]
+        self.groups[group.index()].instances[i].instance()
     }
 
     /// Read access to a group's monitor, if dynamic balancing is enabled.
@@ -180,9 +180,7 @@ impl JoinCluster {
             // lint:allow(scale-out is an explicit operator action, not data plane)
             assert!(self.dispatcher.grow(side, 1), "partitioner cannot grow online");
             let group = &mut self.groups[g];
-            let mut inst = JoinInstance::new(n, side, self.cfg.window);
-            inst.set_migration_mode(self.cfg.migration_mode);
-            group.instances.push(inst);
+            group.instances.push(new_instance(&self.cfg, n, side));
             group
                 .monitor
                 .as_mut()
@@ -215,57 +213,55 @@ impl JoinCluster {
         self.drain_ctrl();
     }
 
+    /// Delivers the queued control messages one by one, routing each
+    /// instance's outputs as they come: peer sends and route confirmations
+    /// join the queue, completions go to the monitor.
     fn drain_ctrl(&mut self) {
         while let Some((g, dest, msg)) = self.ctrl.pop_front() {
             let group = &mut self.groups[g];
-            group.instances[dest]
-                .handle(msg, group.selector.as_mut(), self.cfg.theta_gap, &mut self.fx)
+            let (inst, selector) = (&mut group.instances[dest], group.selector.as_mut());
+            inst.receive(msg, selector, self.now, None, &mut self.out)
                 // lint:allow(single-threaded cluster delivers in order; a violation is a bug)
                 .unwrap_or_else(|e| panic!("protocol violation: {e}"));
-            self.flush_effects(g);
-        }
-    }
-
-    /// Moves effects produced by group `g` into the appropriate queues.
-    fn flush_effects(&mut self, g: usize) {
-        let side = self.groups[g].side;
-        self.results.append(&mut self.fx.joined);
-        for (to, msg) in self.fx.sends.drain(..) {
-            self.ctrl.push_back((g, to, msg));
-        }
-        let route_requests: Vec<_> = self.fx.route_requests.drain(..).collect();
-        for req in route_requests {
-            let supported = self.dispatcher.apply_route(side, &req);
-            assert!(supported, "dynamic cluster requires a migratable partitioner"); // lint:allow(dynamic clusters are built with migratable partitioners)
-            self.ctrl.push_back((g, req.source, InstanceMsg::RouteUpdated { epoch: req.epoch }));
-        }
-        let now = self.now;
-        for done in self.fx.migration_done.drain(..) {
-            self.groups[g]
-                .monitor
-                .as_mut()
-                .expect("migration completed in a static group") // lint:allow(migrations only start when a monitor exists)
-                .on_migration_done(done, now);
+            while let Some(o) = self.out.pop_front() {
+                match o {
+                    InstOut::Peer { to, msg } => self.ctrl.push_back((g, to, msg)),
+                    InstOut::Route(req) => {
+                        let supported = self.dispatcher.apply_route(group.side, &req);
+                        assert!(supported, "dynamic cluster requires a migratable partitioner"); // lint:allow(dynamic clusters are built with migratable partitioners)
+                        let confirm = InstanceMsg::RouteUpdated { epoch: req.epoch };
+                        self.ctrl.push_back((g, req.source, confirm));
+                    }
+                    InstOut::Done(done) => group
+                        .monitor
+                        .as_mut()
+                        .expect("migration completed in a static group") // lint:allow(migrations only start when a monitor exists)
+                        .on_migration_done(done, self.now),
+                    InstOut::Load(_) | InstOut::Reports(_) | InstOut::Event(_) => {}
+                }
+            }
         }
     }
 
     /// Processes all queued work on every instance until the cluster is
-    /// idle. Returns the number of tuples processed.
+    /// idle. Returns the number of tuples processed. Panics if a probe
+    /// part contradicts its fan-out or is left unserved: a round closes
+    /// inside one delivery, so an idle cluster served every part.
     pub fn pump(&mut self) -> u64 {
         let mut processed = 0;
         loop {
             let mut progressed = false;
-            for g in 0..2 {
-                for i in 0..self.cfg.instances_per_group {
-                    loop {
-                        let group = &mut self.groups[g];
-                        if group.instances[i].process_next(&mut self.fx).is_none() {
-                            break;
-                        }
+            for group in &mut self.groups {
+                for inst in &mut group.instances {
+                    let results = &mut self.results;
+                    while let Some(work) = inst.serve(self.now, None, &mut |p| results.push(p)) {
                         processed += 1;
                         progressed = true;
-                        self.flush_effects(g);
-                        self.drain_ctrl();
+                        let Some(r) = work.report() else { continue };
+                        self.probes
+                            .on_probe(r.seq, r.fanout, 0)
+                            // lint:allow(a mis-counted probe is a bug in the instance step)
+                            .unwrap_or_else(|e| panic!("probe accounting violated: {e}"));
                     }
                 }
             }
@@ -273,6 +269,8 @@ impl JoinCluster {
                 break;
             }
         }
+        let open = self.probes.outstanding();
+        assert_eq!(open, 0, "{open} probe(s) left with parts unserved"); // lint:allow(an idle cluster has served every part)
         processed
     }
 
@@ -284,13 +282,13 @@ impl JoinCluster {
         let mut report = TickReport { li_r: 1.0, li_s: 1.0, migrations_triggered: 0 };
         for g in 0..2 {
             let group = &mut self.groups[g];
-            for inst in &mut group.instances {
-                inst.collect_expired();
+            for (i, inst) in group.instances.iter_mut().enumerate() {
+                let load = inst.report();
+                if let Some(monitor) = group.monitor.as_mut() {
+                    monitor.on_report(i, load);
+                }
             }
             let Some(monitor) = group.monitor.as_mut() else { continue };
-            for (i, inst) in group.instances.iter_mut().enumerate() {
-                monitor.on_report(i, inst.take_load_report());
-            }
             let li = monitor.imbalance();
             match group.side {
                 Side::R => report.li_r = li,
@@ -336,6 +334,13 @@ impl JoinCluster {
         self.pump();
         self.drain_results()
     }
+}
+
+/// Instance `i` of the group storing `side`, as `cfg` configures it.
+fn new_instance(cfg: &FastJoinConfig, i: usize, side: Side) -> InstanceCore {
+    let mut inst = JoinInstance::new(i, side, cfg.window);
+    inst.set_migration_mode(cfg.migration_mode);
+    InstanceCore::new(inst, cfg.theta_gap)
 }
 
 impl std::fmt::Debug for JoinCluster {

@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use crate::config::{MigrationMode, WindowConfig};
 use crate::load::{InstanceLoad, KeyStat};
 use crate::protocol::{
-    Effects, InstanceMsg, MigrationDone, MigrationState, ProtocolError, RouteRequest,
+    Effects, InstanceMsg, MigrationDone, MigrationState, ProbeReport, ProtocolError, RouteRequest,
 };
 use crate::selection::KeySelector;
 use crate::state::TupleStore;
@@ -40,6 +40,18 @@ pub enum Work {
         /// Result pairs emitted.
         matches: u64,
     },
+}
+
+impl Work {
+    /// A completed probe's report (its tuple's seq, fan-out and stamp, and
+    /// its matches); `None` for a store.
+    #[must_use]
+    pub fn report(&self) -> Option<ProbeReport> {
+        let Work::Probe { tuple: Tuple { seq, fanout, ts, .. }, matches, .. } = *self else {
+            return None;
+        };
+        Some(ProbeReport { seq, fanout, matches, ts })
+    }
 }
 
 /// A join instance of one group.

@@ -1,40 +1,38 @@
-//! One join-instance stage as a pure transition: the message step and
-//! crash recovery by checkpoint + replay.
+//! One join instance as a pure transition, in two layers: the instance
+//! step every engine runs, and the crash recovery only the threaded
+//! runtime adds around it. Like [`crate::shard::Shard`] and
+//! [`crate::sequencer::Sequencer`], both append to a caller-owned
+//! **ordered** sequence of [`InstOut`]s that the engine sends *in that
+//! order*, after the call returned. Joined pairs alone go straight to the
+//! caller's sink as their probe completes.
 //!
-//! An [`InstanceStage`] is what of a join instance must survive a crash of
-//! the thread driving it, and nothing else: no channel, clock, thread or
-//! metric. Like [`crate::shard::Shard`] and
-//! [`crate::sequencer::Sequencer`], every input appends to a caller-owned
-//! **ordered** sequence of [`InstOut`]s, and the embedding shell — the
-//! threaded runtime, the model checker — sends them *in that order*, after
-//! the call returned. A message passes through four calls:
-//!
-//! 1. [`InstanceStage::accept`] parks the owned message in the in-flight
-//!    slot, where a crash cannot lose it;
-//! 2. [`InstanceStage::step`] applies it and computes its outputs: peer
-//!    sends, route requests, completions, the load report, and **one**
-//!    [`InstOut::Reports`] for every probe the step completed, each report
-//!    carrying the fan-out its tuple arrived with (the stage keeps no
-//!    per-probe state: a buffered probe crosses a migration inside the
-//!    `MigForward` with its fan-out). Joined pairs alone do not wait for
-//!    the step to end: they go to the caller's sink as their probe
-//!    completes, so a long bucket never materialises a whole message's
-//!    pairs;
-//! 3. the shell performs the outputs;
-//! 4. [`InstanceStage::commit`] logs the message and, every
-//!    `checkpoint_every` messages, checkpoints: it marks the tuple store's
-//!    undo journal and copies the small rest, at O(mutations since the
-//!    previous one), and the process holds one copy of each store.
+//! * **The step, [`InstanceCore`]**: a [`JoinInstance`] and its effect
+//!   buffer. [`InstanceCore::receive`] applies one message and emits what
+//!   it did to a round sourced here, then its peer sends, route requests
+//!   and completions; [`InstanceCore::serve`] serves one queued tuple, whose
+//!   [`Work::report`] is a completed probe's report;
+//!   [`InstanceCore::report`] answers the monitor. The key selector stays
+//!   with the engine: the simulator and the synchronous
+//!   [`crate::biclique::JoinCluster`] keep one per group and drive the step.
+//! * **The recovering stage, [`InstanceStage`]**: the step plus its own
+//!   selector, the log and the in-flight slot — what must survive a crash
+//!   of the thread driving it. [`InstanceStage::accept`] parks a message
+//!   where a crash cannot lose it; [`InstanceStage::step`] receives it,
+//!   serves until idle and ends with **one** [`InstOut::Reports`] for the
+//!   probes it completed, each with the fan-out its tuple arrived with;
+//!   the shell performs the outputs; [`InstanceStage::commit`] logs the
+//!   message and, every `checkpoint_every` messages, checkpoints: it marks
+//!   the store's undo journal and copies the small rest, at O(mutations
+//!   since the previous one). The runtime and the model checker drive it.
 //!
 //! After a crash [`InstanceStage::recover`] rolls the store back along its
 //! journal, overwrites the rest from the checkpoint, replays the log with
 //! every output discarded *here* (they left before the crash), then
-//! re-applies the in-flight message, if any, with its outputs kept. What a
-//! torn step computed never left — outputs leave only after `step`
-//! returned, and the shell drops what it still holds of them before it
-//! calls `recover`. Sending each probe's report as it completes would not
-//! give that: a report that escaped a mid-step panic would be sent again
-//! by the re-application and count twice at the collector.
+//! re-applies the in-flight message with its outputs kept. What a torn step
+//! computed never left: outputs leave only after `step` returned, and the
+//! shell drops what it still holds of them before it calls `recover`. A
+//! report sent as its probe completed could escape a mid-step panic and be
+//! sent again by the re-application, counting twice at the collector.
 
 use std::collections::VecDeque;
 
@@ -50,30 +48,30 @@ use crate::selection::KeySelector;
 use crate::trace::{TraceEvent, TraceKind, TraceRing};
 use crate::tuple::{JoinedPair, Tuple};
 
-/// One element of an instance stage's ordered output sequence.
+/// One element of an instance's ordered output sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InstOut {
-    /// Send `msg` to instance `to` of this stage's group.
+    /// Send `msg` to instance `to` of this instance's group.
     Peer {
         /// Destination instance within the group.
         to: usize,
         /// A migration-protocol message (it travels as `RtMsg::Inst`).
         msg: InstanceMsg,
     },
-    /// Ask the sequencer for a route flip (sent by a migration target).
+    /// Ask the dispatcher for a route flip (sent by a migration target).
     Route(RouteRequest),
     /// Tell the group's monitor a round closed.
     Done(MigrationDone),
     /// The period's load, answering [`RtMsg::ReportRequest`].
     Load(InstanceLoad),
-    /// The probes this step completed, in completion order (never empty;
-    /// at most one per step, and its last output).
+    /// The probes a stage step completed, in completion order (never
+    /// empty; at most one per step, and its last output).
     Reports(Vec<ProbeReport>),
     /// Bookkeeping only.
     Event(InstEvent),
 }
 
-/// What a step did to a migration round this instance sources, for the
+/// What a message did to a migration round this instance sources, for the
 /// shell's pause attribution. Carries no instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstEvent {
@@ -83,16 +81,168 @@ pub enum InstEvent {
     RouteFlipped(Epoch),
 }
 
-/// The replayable state: what a message can change, and so what a
-/// checkpoint captures and a replay rebuilds.
-struct Replayable {
+/// The instance step: a join instance and its effect buffer, the one
+/// transition every engine runs.
+pub struct InstanceCore {
     inst: JoinInstance,
-    selector: Box<dyn KeySelector + Send>,
     /// Minimum per-key benefit worth migrating (configuration).
     theta_gap: f64,
-    eos: bool,
-    /// The instance's effect buffer; empty between steps.
+    /// The instance's effect buffer; empty between calls.
     fx: Effects,
+}
+
+impl InstanceCore {
+    /// A step around `inst` (fresh, configured), selecting migration keys
+    /// above `theta_gap`.
+    #[must_use]
+    pub fn new(inst: JoinInstance, theta_gap: f64) -> Self {
+        InstanceCore { inst, theta_gap, fx: Effects::new() }
+    }
+
+    /// The wrapped instance (load, counters, migration state, store).
+    #[must_use]
+    pub fn instance(&self) -> &JoinInstance {
+        &self.inst
+    }
+
+    /// Applies `msg` without serving the queued work, and appends what it
+    /// did to a round sourced here, then its peer sends, route requests
+    /// and completions. A data tuple is only queued (or held by a round):
+    /// it has no output. `selector` picks the keys a `MigrateCmd` moves;
+    /// `now` stamps what the call journals into `ring`.
+    ///
+    /// # Errors
+    ///
+    /// A [`ProtocolError`] when `msg` violates the migration protocol.
+    #[inline]
+    pub fn receive(
+        &mut self,
+        msg: InstanceMsg,
+        selector: &mut dyn KeySelector,
+        now: u64,
+        mut ring: Option<&mut TraceRing>,
+        out: &mut VecDeque<InstOut>,
+    ) -> Result<(), ProtocolError> {
+        if let InstanceMsg::Data(_) = msg {
+            return self.inst.handle(msg, selector, self.theta_gap, &mut self.fx);
+        }
+        // Decision audit, per-key half: a MigrateCmd is about to run key
+        // selection, so capture the loads the benefit formula (Eq. 8) will
+        // see — before handling ships the selected keys' tuples away.
+        let mut plan_ctx = None;
+        if let Some(ring) = ring.as_deref_mut() {
+            self.trace_receipt(&msg, now, ring);
+            if let InstanceMsg::MigrateCmd { target_load, .. } = msg {
+                plan_ctx = Some((self.inst.load(), target_load, self.inst.key_stats()));
+            }
+        }
+        let event = if let InstanceMsg::MigrateCmd { epoch, .. } = msg {
+            Some(InstEvent::BecameSource(epoch))
+        } else if let InstanceMsg::RouteUpdated { epoch } = msg {
+            Some(InstEvent::RouteFlipped(epoch))
+        } else {
+            None
+        };
+        self.inst.handle(msg, selector, self.theta_gap, &mut self.fx)?;
+        // A command engages only if selection found something to move.
+        let source = matches!(self.inst.migration_state(), MigrationState::Source { .. });
+        let event = event.filter(|e| source || !matches!(e, InstEvent::BecameSource(_)));
+        out.extend(event.map(InstOut::Event));
+        if let (Some(ring), Some((src_load, dst_load, stats))) = (ring, plan_ctx) {
+            if let MigrationState::Source { epoch, keys, .. } = self.inst.migration_state() {
+                for stat in stats.iter().filter(|s| keys.contains(&s.key)) {
+                    // MigrateCmds are rare (one per round): push unsampled
+                    // so `trace --round` can always explain the plan.
+                    ring.push(TraceEvent {
+                        at_us: now,
+                        actor: ring.actor(),
+                        kind: TraceKind::MigPlanKey,
+                        seq: stat.key,
+                        epoch: *epoch,
+                        aux: (stat.benefit(src_load, dst_load) * 1000.0) as u64,
+                        aux2: stat.stored + stat.queue,
+                    });
+                }
+            }
+        }
+        out.extend(self.fx.sends.drain(..).map(|(to, msg)| InstOut::Peer { to, msg }));
+        out.extend(self.fx.route_requests.drain(..).map(InstOut::Route));
+        out.extend(self.fx.migration_done.drain(..).map(InstOut::Done));
+        Ok(())
+    }
+
+    /// Journals the receipt of a migration-protocol message. The event's
+    /// `aux`/`aux2` payloads are kind-specific (see `core::trace`); data
+    /// tuples are journaled after processing instead (`StoreDone` /
+    /// `ProbeDone`, sampled).
+    fn trace_receipt(&self, m: &InstanceMsg, at_us: u64, ring: &mut TraceRing) {
+        let Some(kind) = TraceKind::of_instance_msg(m) else { return };
+        // Messages outside any migration round journal under the explicit
+        // sentinel — epoch 0 would be indistinguishable from a (therefore
+        // reserved) genuine round 0 in `fastjoin-cli trace --round`.
+        let epoch = m.round_id().unwrap_or(TraceEvent::NO_ROUND);
+        let (aux, aux2) = match m {
+            InstanceMsg::Data(_) => (0, 0),
+            InstanceMsg::MigrateCmd { target, .. } => (*target as u64, 0),
+            InstanceMsg::MigStart { from, keys, .. } => (*from as u64, keys.len() as u64),
+            InstanceMsg::MigStore { tuples, .. } | InstanceMsg::MigForward { tuples, .. } => {
+                (tuples.len() as u64, 0)
+            }
+            InstanceMsg::RouteUpdated { .. } => match self.inst.migration_state() {
+                MigrationState::Source { buffer, .. } => (buffer.len() as u64, 0),
+                MigrationState::Idle | MigrationState::Target { .. } => (0, 0),
+            },
+            InstanceMsg::MigEnd { from, .. } => (*from as u64, 0),
+        };
+        ring.push(TraceEvent { at_us, actor: ring.actor(), kind, seq: 0, epoch, aux, aux2 });
+    }
+
+    /// Serves the oldest queued tuple, if any. Its joined pairs — produced
+    /// only when a consumer wants them materialised — go to `pairs`; its
+    /// sampled event carries `now`, the stamp of the message it came in.
+    #[lint(hot_path)]
+    pub fn serve(
+        &mut self,
+        now: u64,
+        ring: Option<&mut TraceRing>,
+        pairs: &mut impl FnMut(JoinedPair),
+    ) -> Option<Work> {
+        let work = self.inst.process_next(&mut self.fx)?;
+        let (kind, tuple, matches) = match work {
+            Work::Probe { tuple, matches, .. } => (TraceKind::ProbeDone, tuple, matches),
+            Work::Store { tuple } => (TraceKind::StoreDone, tuple, 0),
+        };
+        if let Some(ring) = ring {
+            ring.push_sampled(TraceEvent {
+                at_us: now,
+                actor: ring.actor(),
+                kind,
+                seq: tuple.seq,
+                epoch: 0,
+                aux: matches,
+                aux2: 0,
+            });
+        }
+        if !self.fx.joined.is_empty() {
+            self.fx.joined.drain(..).for_each(pairs);
+        }
+        Some(work)
+    }
+
+    /// The period's load for the monitor: collects expired tuples, then
+    /// takes the load report.
+    pub fn report(&mut self) -> InstanceLoad {
+        self.inst.collect_expired();
+        self.inst.take_load_report()
+    }
+}
+
+/// What a message can change, and so what a checkpoint captures and a
+/// replay rebuilds.
+struct Replayable {
+    core: InstanceCore,
+    selector: Box<dyn KeySelector + Send>,
+    eos: bool,
 }
 
 /// A [`Replayable`] as of its last checkpoint: the instance's own
@@ -123,14 +273,10 @@ pub struct InstanceStage {
 /// journal is copied with it) — what lets the model checker branch.
 impl Clone for InstanceStage {
     fn clone(&self) -> Self {
-        let state = &self.state;
+        let Replayable { core, selector, eos } = &self.state;
+        let core = InstanceCore::new(core.inst.fork(), core.theta_gap);
         InstanceStage {
-            state: Replayable {
-                inst: state.inst.fork(),
-                selector: state.selector.clone(),
-                fx: Effects::new(),
-                ..*state
-            },
+            state: Replayable { core, selector: selector.clone(), eos: *eos },
             checkpoint: self.checkpoint.clone(),
             log: self.log.clone(),
             inflight: self.inflight.clone(),
@@ -150,7 +296,8 @@ impl InstanceStage {
         theta_gap: f64,
         checkpoint_every: u64,
     ) -> Self {
-        let mut state = Replayable { inst, selector, theta_gap, eos: false, fx: Effects::new() };
+        let mut state =
+            Replayable { core: InstanceCore::new(inst, theta_gap), selector, eos: false };
         InstanceStage {
             checkpoint: state.checkpoint(),
             state,
@@ -163,9 +310,8 @@ impl InstanceStage {
     /// The wrapped instance (load, counters, migration state, store).
     #[must_use]
     pub fn instance(&self) -> &JoinInstance {
-        &self.state.inst
+        self.state.core.instance()
     }
-
     /// True once [`RtMsg::Eos`] was applied. The instance is done when,
     /// besides, no migration is in flight.
     #[must_use]
@@ -254,22 +400,22 @@ impl InstanceStage {
 
 impl Replayable {
     fn checkpoint(&mut self) -> Checkpoint {
-        let Replayable { inst, selector, theta_gap: _, eos, fx: _ } = self;
-        Checkpoint { inst: inst.checkpoint(), selector: selector.clone(), eos: *eos }
+        let Replayable { core, selector, eos } = self;
+        Checkpoint { inst: core.inst.checkpoint(), selector: selector.clone(), eos: *eos }
     }
 
     /// Returns to the state `cp` captured, whatever a panic left behind.
     /// `cp` must be the latest checkpoint taken of this state.
     fn restore(&mut self, cp: &Checkpoint) {
         let Checkpoint { inst, selector, eos } = cp;
-        self.inst.restore(inst);
+        self.core.inst.restore(inst);
+        self.core.fx.clear();
         self.selector.clone_from(selector);
         self.eos = *eos;
-        self.fx.clear();
     }
 
-    /// One message end to end: message, pending work, effects, reports.
-    /// Without a `ring` (a replay) nothing is journaled.
+    /// One message end to end: receive, serve until idle, one report
+    /// batch. Without a `ring` (a replay) nothing is journaled.
     fn apply(
         &mut self,
         msg: &RtMsg,
@@ -280,167 +426,45 @@ impl Replayable {
     ) -> Result<(), ProtocolError> {
         let mut reports = Vec::new();
         match msg {
-            RtMsg::Inst(m) => self.control(m, now, ring.as_deref_mut(), out)?,
-            // One allocation for the step's report vector, not a growth
-            // series: these probes complete in the work loop that follows.
-            RtMsg::Data(items) => reports.reserve(self.absorb_items(items)?),
-            RtMsg::ReportRequest => {
-                self.inst.collect_expired();
-                out.push_back(InstOut::Load(self.inst.take_load_report()));
+            // The instance consumes its message; the owned original stays
+            // parked for the replay log. Only rare migration messages carry
+            // a payload to copy.
+            RtMsg::Inst(m) => {
+                let selector = self.selector.as_mut();
+                self.core.receive(m.clone(), selector, now, ring.as_deref_mut(), out)?;
             }
+            // One allocation for the step's report vector, not a growth
+            // series: these probes complete in the serve loop that follows.
+            RtMsg::Data(items) => reports.reserve(self.absorb_items(items, now, out)?),
+            RtMsg::ReportRequest => out.push_back(InstOut::Load(self.core.report())),
             RtMsg::Eos => self.eos = true,
         }
-        self.drain_work(now, ring, pairs, &mut reports);
-        self.flush(out);
+        while let Some(work) = self.core.serve(now, ring.as_deref_mut(), pairs) {
+            reports.extend(work.report());
+        }
         if !reports.is_empty() {
             out.push_back(InstOut::Reports(reports));
         }
         Ok(())
     }
 
-    fn handle(&mut self, m: InstanceMsg) -> Result<(), ProtocolError> {
-        self.inst.handle(m, self.selector.as_mut(), self.theta_gap, &mut self.fx)
-    }
-
-    /// Absorbs one data message whole, in the shard's routing order (the
+    /// Receives one data message whole, in the shard's routing order (the
     /// instance tells store from probe by `tuple.side`); returns how many
     /// probes it carried.
     #[lint(hot_path)]
-    fn absorb_items(&mut self, items: &[Tuple]) -> Result<usize, ProtocolError> {
-        let store_side = self.inst.store_side();
+    fn absorb_items(
+        &mut self,
+        items: &[Tuple],
+        now: u64,
+        out: &mut VecDeque<InstOut>,
+    ) -> Result<usize, ProtocolError> {
+        let store_side = self.core.inst.store_side();
         let mut probes = 0;
         for &t in items {
             probes += usize::from(t.side != store_side);
-            self.handle(InstanceMsg::Data(t))?;
+            self.core.receive(InstanceMsg::Data(t), self.selector.as_mut(), now, None, out)?;
         }
         Ok(probes)
-    }
-
-    /// One migration-protocol message: journals its receipt, hands it to
-    /// the instance, and reports what it did to a round sourced here.
-    fn control(
-        &mut self,
-        m: &InstanceMsg,
-        now: u64,
-        mut ring: Option<&mut TraceRing>,
-        out: &mut VecDeque<InstOut>,
-    ) -> Result<(), ProtocolError> {
-        // Decision audit, per-key half: a MigrateCmd is about to run key
-        // selection, so capture the loads the benefit formula (Eq. 8) will
-        // see — before handling ships the selected keys' tuples away.
-        let mut plan_ctx = None;
-        if let Some(ring) = ring.as_deref_mut() {
-            self.trace_receipt(m, now, ring);
-            if let InstanceMsg::MigrateCmd { target_load, .. } = m {
-                plan_ctx = Some((self.inst.load(), *target_load, self.inst.key_stats()));
-            }
-        }
-        // The instance consumes its message; the owned original stays
-        // parked for the replay log. Only rare migration messages carry a
-        // payload to copy.
-        self.handle(m.clone())?;
-        // A command engages only if selection found something to move.
-        let event = if let InstanceMsg::MigrateCmd { epoch, .. } = m {
-            let engaged = matches!(self.inst.migration_state(), MigrationState::Source { .. });
-            engaged.then_some(InstEvent::BecameSource(*epoch))
-        } else if let InstanceMsg::RouteUpdated { epoch } = m {
-            Some(InstEvent::RouteFlipped(*epoch))
-        } else {
-            None
-        };
-        out.extend(event.map(InstOut::Event));
-        if let (Some(ring), Some((src_load, dst_load, stats))) = (ring, plan_ctx) {
-            if let MigrationState::Source { epoch, keys, .. } = self.inst.migration_state() {
-                for stat in stats.iter().filter(|s| keys.contains(&s.key)) {
-                    // MigrateCmds are rare (one per round): push unsampled
-                    // so `trace --round` can always explain the plan.
-                    ring.push(TraceEvent {
-                        at_us: now,
-                        actor: ring.actor(),
-                        kind: TraceKind::MigPlanKey,
-                        seq: stat.key,
-                        epoch: *epoch,
-                        aux: (stat.benefit(src_load, dst_load) * 1000.0) as u64,
-                        aux2: stat.stored + stat.queue,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Journals the receipt of a migration-protocol message. The event's
-    /// `aux`/`aux2` payloads are kind-specific (see `core::trace`); data
-    /// tuples are journaled after processing instead (`StoreDone` /
-    /// `ProbeDone`, sampled).
-    fn trace_receipt(&self, m: &InstanceMsg, at_us: u64, ring: &mut TraceRing) {
-        let Some(kind) = TraceKind::of_instance_msg(m) else { return };
-        // Messages outside any migration round journal under the explicit
-        // sentinel — epoch 0 would be indistinguishable from a (therefore
-        // reserved) genuine round 0 in `fastjoin-cli trace --round`.
-        let epoch = m.round_id().unwrap_or(TraceEvent::NO_ROUND);
-        let (aux, aux2) = match m {
-            InstanceMsg::Data(_) => (0, 0),
-            InstanceMsg::MigrateCmd { target, .. } => (*target as u64, 0),
-            InstanceMsg::MigStart { from, keys, .. } => (*from as u64, keys.len() as u64),
-            InstanceMsg::MigStore { tuples, .. } | InstanceMsg::MigForward { tuples, .. } => {
-                (tuples.len() as u64, 0)
-            }
-            InstanceMsg::RouteUpdated { .. } => match self.inst.migration_state() {
-                MigrationState::Source { buffer, .. } => (buffer.len() as u64, 0),
-                MigrationState::Idle | MigrationState::Target { .. } => (0, 0),
-            },
-            InstanceMsg::MigEnd { from, .. } => (*from as u64, 0),
-        };
-        ring.push(TraceEvent { at_us, actor: ring.actor(), kind, seq: 0, epoch, aux, aux2 });
-    }
-
-    /// Processes everything pending before new input is taken. Each
-    /// completed probe is reported with the fan-out its tuple carries;
-    /// sampled events carry `now`, their message's stamp. Joined pairs —
-    /// produced only when a consumer wants them materialised — leave as
-    /// their probe completes (latency and memory stay per probe);
-    /// everything else waits for the step's one flush after the loop.
-    #[lint(hot_path)]
-    fn drain_work(
-        &mut self,
-        now: u64,
-        mut ring: Option<&mut TraceRing>,
-        pairs: &mut impl FnMut(JoinedPair),
-        reports: &mut Vec<ProbeReport>,
-    ) {
-        while let Some(work) = self.inst.process_next(&mut self.fx) {
-            let (kind, tuple, matches) = match work {
-                Work::Probe { tuple, matches, .. } => {
-                    let Tuple { seq, fanout, ts, .. } = tuple;
-                    reports.push(ProbeReport { seq, fanout, matches, ts });
-                    (TraceKind::ProbeDone, tuple, matches)
-                }
-                Work::Store { tuple } => (TraceKind::StoreDone, tuple, 0),
-            };
-            if let Some(ring) = ring.as_deref_mut() {
-                ring.push_sampled(TraceEvent {
-                    at_us: now,
-                    actor: ring.actor(),
-                    kind,
-                    seq: tuple.seq,
-                    epoch: 0,
-                    aux: matches,
-                    aux2: 0,
-                });
-            }
-            if !self.fx.joined.is_empty() {
-                self.fx.joined.drain(..).for_each(&mut *pairs);
-            }
-        }
-    }
-
-    /// Moves the effect buffer into `out`, in the order the effects leave:
-    /// peer sends, route requests, completions.
-    fn flush(&mut self, out: &mut VecDeque<InstOut>) {
-        out.extend(self.fx.sends.drain(..).map(|(to, msg)| InstOut::Peer { to, msg }));
-        out.extend(self.fx.route_requests.drain(..).map(InstOut::Route));
-        out.extend(self.fx.migration_done.drain(..).map(InstOut::Done));
     }
 }
 

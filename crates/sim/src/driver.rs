@@ -2,10 +2,16 @@
 //!
 //! [`Simulation`] wires the FastJoin core components (dispatcher, join
 //! instances, monitors) to the event queue of [`crate::event`] with the
-//! service/network costs of [`crate::cost`]. Each join instance is a
-//! single-server queue: it serves one tuple at a time, its service time is
-//! given by the cost model, and its input queue is the instance's own
-//! pending queue.
+//! service/network costs of [`crate::cost`]. Each join instance is the
+//! instance step of `fastjoin_core::stage` as a single-server queue: a
+//! delivery is [`InstanceCore::receive`]d and its outputs travel as events
+//! (a peer send after link latency plus the migration payload's cost, a
+//! route request to the dispatcher, a completion straight to the monitor);
+//! [`InstanceCore::serve`] serves one queued tuple at a time, for the
+//! service time the cost model gives. Every served probe part is booked in
+//! a [`ProbeAccountant`], which yields the probe's one latency sample when
+//! its last part completes; a group without a monitor reads its LI off a
+//! [`LoadTable`] of the period's reports.
 //!
 //! Two Storm-realistic behaviours matter for reproducing the paper's
 //! curves:
@@ -23,14 +29,19 @@
 //!
 //! The simulation is fully deterministic for a given workload and seed.
 
+use std::collections::VecDeque;
+
 use fastjoin_baselines::{build_partitioners, SystemKind};
+use fastjoin_core::accounting::ProbeAccountant;
 use fastjoin_core::config::FastJoinConfig;
 use fastjoin_core::dispatcher::{Dispatch, Dispatcher};
-use fastjoin_core::instance::{JoinInstance, Work};
+use fastjoin_core::instance::JoinInstance;
+use fastjoin_core::load::LoadTable;
 use fastjoin_core::metrics::{LogHistogram, TimeSeries};
 use fastjoin_core::monitor::{Monitor, MonitorStats};
-use fastjoin_core::protocol::{Effects, InstanceMsg};
+use fastjoin_core::protocol::{InstanceMsg, ProbeReport};
 use fastjoin_core::selection::{make_selector, KeySelector};
+use fastjoin_core::stage::{InstOut, InstanceCore};
 use fastjoin_core::tuple::{Side, Tuple};
 
 use crate::cost::CostModel;
@@ -158,16 +169,14 @@ impl SimReport {
 }
 
 struct Server {
-    inst: JoinInstance,
+    core: InstanceCore,
     busy: bool,
     /// Total service time accumulated, µs (utilization diagnostics).
     busy_us: u64,
     pause_until: SimTime,
-    /// Join results produced by the in-service tuple, emitted at
-    /// completion.
-    in_service_matches: u64,
-    /// The in-service tuple if it was a probe.
-    in_service_probe: Option<Tuple>,
+    /// The report of the in-service tuple if it is a probe, booked (and
+    /// its matches emitted) at completion.
+    in_service: Option<ProbeReport>,
 }
 
 struct SimGroup {
@@ -186,17 +195,16 @@ pub struct Simulation<W: Iterator<Item = Tuple>> {
     queue: EventQueue,
     channels: ChannelClock,
     now: SimTime,
-    fx: Effects,
+    /// Scratch output buffer of the instance steps.
+    out: VecDeque<InstOut>,
     scratch: Dispatch,
     metrics: RunMetrics,
     results_total: u64,
     tuples_ingested: u64,
-    /// Parts still in service of the probes fanned out to several
-    /// instances, by dispatch seq (opened by a probe's first completed
-    /// part). A probe's join is complete — and its latency measured — only
-    /// when every instance it was fanned out to has processed it (the
-    /// straggler penalty of broadcast-style strategies).
-    probe_parts_left: std::collections::HashMap<u64, u32>,
+    /// Every completed probe part. A probe's join is complete — and its
+    /// latency measured — only when every instance it was fanned out to
+    /// has served it (the straggler penalty of broadcast-style strategies).
+    probes: ProbeAccountant,
     instance_loads: Vec<TimeSeries>,
     ingest_series: TimeSeries,
     stored_series: TimeSeries,
@@ -220,12 +228,11 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
                     inst.set_emit_pairs(false);
                     inst.set_migration_mode(cfg.fastjoin.migration_mode);
                     Server {
-                        inst,
+                        core: InstanceCore::new(inst, cfg.fastjoin.theta_gap),
                         busy: false,
                         busy_us: 0,
                         pause_until: 0,
-                        in_service_matches: 0,
-                        in_service_probe: None,
+                        in_service: None,
                     }
                 })
                 .collect(),
@@ -255,11 +262,11 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
             queue,
             channels: ChannelClock::new(),
             now: 0,
-            fx: Effects::new(),
+            out: VecDeque::new(),
             scratch: Dispatch::default(),
             results_total: 0,
             tuples_ingested: 0,
-            probe_parts_left: std::collections::HashMap::new(),
+            probes: ProbeAccountant::new(),
             instance_loads,
             ingest_series: TimeSeries::new(cfg.report_period),
             stored_series: TimeSeries::new(cfg.report_period),
@@ -270,13 +277,14 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
     }
 
     /// Runs to completion (workload exhausted and system drained, or
-    /// `max_time` reached) and returns the report.
+    /// `max_time` reached) and returns the report. Panics if a probe part
+    /// contradicts its fan-out, or a drained run left one unserved.
     #[must_use]
     pub fn run(mut self) -> SimReport {
         while let Some((time, event)) = self.queue.pop() {
             if time > self.cfg.max_time {
                 self.now = self.cfg.max_time;
-                break;
+                return self.finish();
             }
             self.now = time;
             match event {
@@ -286,25 +294,16 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
                     let side = if group == 0 { Side::R } else { Side::S };
                     let supported = self.dispatcher.apply_route(side, &req);
                     assert!(supported, "migration on a non-migratable partitioner");
-                    let delivery = self.channels.send(
-                        Endpoint::Dispatcher,
-                        Endpoint::Instance(group, req.source),
-                        self.now + self.cfg.cost.network_latency as SimTime,
-                    );
-                    self.queue.push(
-                        delivery,
-                        Event::Delivery {
-                            group,
-                            dest: req.source,
-                            msg: InstanceMsg::RouteUpdated { epoch: req.epoch },
-                        },
-                    );
+                    let confirm = InstanceMsg::RouteUpdated { epoch: req.epoch };
+                    self.send_to(Endpoint::Dispatcher, group, req.source, confirm, 0);
                 }
                 Event::ServiceDone { group, dest } => self.on_service_done(group, dest),
                 Event::Wake { group, dest } => self.try_start(group, dest),
                 Event::MonitorTick => self.on_monitor_tick(),
             }
         }
+        let open = self.probes.outstanding();
+        assert_eq!(open, 0, "a drained run left {open} probe(s) with parts unserved");
         self.finish()
     }
 
@@ -346,28 +345,12 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
         self.ingest_series.record(self.now, 1.0);
         self.dispatcher.dispatch_into(tuple, &mut self.scratch);
         let t = self.scratch.tuple;
-        let own = t.side.index();
-        let opp = t.side.opposite().index();
-        let latency = self.cfg.cost.network_latency as SimTime;
+        let (own, opp) = (t.side.index(), t.side.opposite().index());
         let store_dest = self.scratch.store_dest;
-        let delivery = self.channels.send(
-            Endpoint::Dispatcher,
-            Endpoint::Instance(own, store_dest),
-            self.now + latency,
-        );
-        self.queue.push(
-            delivery,
-            Event::Delivery { group: own, dest: store_dest, msg: InstanceMsg::Data(t) },
-        );
+        self.send_to(Endpoint::Dispatcher, own, store_dest, InstanceMsg::Data(t), 0);
         let probe_dests = std::mem::take(&mut self.scratch.probe_dests);
         for &dest in &probe_dests {
-            let delivery = self.channels.send(
-                Endpoint::Dispatcher,
-                Endpoint::Instance(opp, dest),
-                self.now + latency,
-            );
-            self.queue
-                .push(delivery, Event::Delivery { group: opp, dest, msg: InstanceMsg::Data(t) });
+            self.send_to(Endpoint::Dispatcher, opp, dest, InstanceMsg::Data(t), 0);
         }
         self.scratch.probe_dests = probe_dests;
 
@@ -383,119 +366,110 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
         }
     }
 
+    /// Sends `msg` from `from` to instance `dest` of `group`: it arrives
+    /// after the link latency plus `extra`, behind what `from` sent there
+    /// before.
+    fn send_to(
+        &mut self,
+        from: Endpoint,
+        group: usize,
+        dest: usize,
+        msg: InstanceMsg,
+        extra: SimTime,
+    ) {
+        let at = self.now + self.cfg.cost.network_latency as SimTime + extra;
+        let delivery = self.channels.send(from, Endpoint::Instance(group, dest), at);
+        self.queue.push(delivery, Event::Delivery { group, dest, msg });
+    }
+
     fn on_delivery(&mut self, group: usize, dest: usize, msg: InstanceMsg) {
         // Key-selection work pauses the source (§III-C: "an instance must
         // stop executing the store and join operations").
+        let g = &mut self.groups[group];
+        let server = &mut g.servers[dest];
         let selection_pause = if matches!(msg, InstanceMsg::MigrateCmd { .. }) {
-            let keys = self.groups[group].servers[dest].inst.key_stats().len();
+            let keys = server.core.instance().key_stats().len();
             self.cfg.cost.selection_us(keys) as SimTime
         } else {
             0
         };
-        {
-            let g = &mut self.groups[group];
-            // The simulator delivers in event-time order per channel, so a
-            // protocol violation means the protocol itself is broken.
-            #[allow(clippy::panic)]
-            g.servers[dest]
-                .inst
-                .handle(msg, g.selector.as_mut(), self.cfg.fastjoin.theta_gap, &mut self.fx)
-                .unwrap_or_else(|e| panic!("protocol violation: {e}"));
-            if selection_pause > 0 {
-                let server = &mut g.servers[dest];
-                server.pause_until = server.pause_until.max(self.now + selection_pause);
+        // The simulator delivers in event-time order per channel, so a
+        // protocol violation means the protocol itself is broken.
+        #[allow(clippy::panic)]
+        server
+            .core
+            .receive(msg, g.selector.as_mut(), self.now, None, &mut self.out)
+            .unwrap_or_else(|e| panic!("protocol violation: {e}"));
+        server.pause_until = server.pause_until.max(self.now + selection_pause);
+        let latency = self.cfg.cost.network_latency as SimTime;
+        let from = Endpoint::Instance(group, dest);
+        while let Some(o) = self.out.pop_front() {
+            match o {
+                InstOut::Peer { to, msg } => {
+                    // Migration payloads take longer to transfer.
+                    let extra = match &msg {
+                        InstanceMsg::MigStore { tuples, .. }
+                        | InstanceMsg::MigForward { tuples, .. } => {
+                            self.cfg.cost.migration_us(tuples.len() as u64) as SimTime
+                        }
+                        _ => 0,
+                    };
+                    self.send_to(from, group, to, msg, extra);
+                }
+                InstOut::Route(req) => {
+                    let delivery =
+                        self.channels.send(from, Endpoint::Dispatcher, self.now + latency);
+                    self.queue.push(delivery, Event::RouteAtDispatcher { group, req });
+                }
+                // Completion notifications matter only for round
+                // bookkeeping; deliver them to the monitor immediately (a
+                // latency here only lengthens the cooldown).
+                InstOut::Done(done) => self.groups[group]
+                    .monitor
+                    .as_mut()
+                    .expect("migration completed in a static group")
+                    .on_migration_done(done, self.now),
+                InstOut::Load(_) | InstOut::Reports(_) | InstOut::Event(_) => {}
             }
         }
-        self.flush_effects(group, dest);
         self.try_start(group, dest);
-    }
-
-    /// Routes the effects produced by instance `(group, src)`.
-    fn flush_effects(&mut self, group: usize, src: usize) {
-        debug_assert!(self.fx.joined.is_empty(), "join results only appear in service");
-        let latency = self.cfg.cost.network_latency as SimTime;
-        for (to, msg) in self.fx.sends.drain(..) {
-            // Migration payloads take longer to transfer.
-            let extra = match &msg {
-                InstanceMsg::MigStore { tuples, .. } | InstanceMsg::MigForward { tuples, .. } => {
-                    self.cfg.cost.migration_us(tuples.len() as u64) as SimTime
-                }
-                _ => 0,
-            };
-            let delivery = self.channels.send(
-                Endpoint::Instance(group, src),
-                Endpoint::Instance(group, to),
-                self.now + latency + extra,
-            );
-            self.queue.push(delivery, Event::Delivery { group, dest: to, msg });
-        }
-        for req in self.fx.route_requests.drain(..) {
-            let delivery = self.channels.send(
-                Endpoint::Instance(group, src),
-                Endpoint::Dispatcher,
-                self.now + latency,
-            );
-            self.queue.push(delivery, Event::RouteAtDispatcher { group, req });
-        }
-        for done in self.fx.migration_done.drain(..) {
-            // Completion notifications matter only for round bookkeeping;
-            // deliver them to the monitor immediately (a latency here only
-            // lengthens the cooldown).
-            self.groups[group]
-                .monitor
-                .as_mut()
-                .expect("migration completed in a static group")
-                .on_migration_done(done, self.now);
-        }
     }
 
     /// Starts service on the next pending tuple if the instance is free.
     fn try_start(&mut self, group: usize, dest: usize) {
         let server = &mut self.groups[group].servers[dest];
-        if server.busy || server.inst.pending_len() == 0 {
+        if server.busy || server.core.instance().pending_len() == 0 {
             return;
         }
         if self.now < server.pause_until {
             self.queue.push(server.pause_until, Event::Wake { group, dest });
             return;
         }
-        let work = server.inst.process_next(&mut self.fx).expect("pending_len > 0 implies work");
+        // Sim instances do not materialize pairs.
+        let work = server.core.serve(self.now, None, &mut |_| {});
+        let work = work.expect("pending_len > 0 implies work");
         let cost = self.cfg.cost.service_us(&work).max(0.01) as SimTime;
-        match work {
-            Work::Store { .. } => {
-                server.in_service_matches = 0;
-                server.in_service_probe = None;
-            }
-            Work::Probe { tuple, matches, .. } => {
-                server.in_service_matches = matches;
-                server.in_service_probe = Some(tuple);
-            }
-        }
+        server.in_service = work.report();
         server.busy = true;
         server.busy_us += cost.max(1);
-        debug_assert!(self.fx.joined.is_empty(), "sim instances do not materialize pairs");
         self.queue.push(self.now + cost.max(1), Event::ServiceDone { group, dest });
     }
 
     fn on_service_done(&mut self, group: usize, dest: usize) {
         let server = &mut self.groups[group].servers[dest];
         server.busy = false;
-        let matches = server.in_service_matches;
-        let probe = server.in_service_probe.take();
-        server.in_service_matches = 0;
-        if matches > 0 {
-            self.metrics.throughput.record(self.now, matches as f64);
-            self.results_total += matches;
-        }
-        if let Some(Tuple { seq, fanout, ts, .. }) = probe {
+        if let Some(ProbeReport { seq, fanout, matches, ts }) = server.in_service.take() {
+            if matches > 0 {
+                self.metrics.throughput.record(self.now, matches as f64);
+                self.results_total += matches;
+            }
             // The probe's join completes when its last fan-out part does.
-            let done = fanout == 1 || {
-                let left = self.probe_parts_left.entry(seq).or_insert(fanout);
-                *left -= 1;
-                *left == 0 && self.probe_parts_left.remove(&seq).is_some()
-            };
-            if done {
-                let lat = self.now.saturating_sub(ts);
+            #[allow(clippy::panic)]
+            let closed = self
+                .probes
+                .on_probe(seq, fanout, self.now.saturating_sub(ts))
+                .unwrap_or_else(|e| panic!("probe accounting violated: {e}"));
+            if let Some(lat) = closed {
                 self.metrics.latency.record(self.now, lat as f64);
                 self.metrics.latency_hist.record(lat);
             }
@@ -508,47 +482,36 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
         // resets the period counters.
         if self.cfg.record_instance_loads {
             for (i, series) in self.instance_loads.iter_mut().enumerate() {
-                series.record(self.now, self.groups[0].servers[i].inst.load().load());
+                series.record(self.now, self.groups[0].servers[i].core.instance().load().load());
             }
         }
         let mut triggers = Vec::new();
         for (gi, g) in self.groups.iter_mut().enumerate() {
-            for server in &mut g.servers {
-                server.inst.collect_expired();
-            }
-            let Some(monitor) = g.monitor.as_mut() else { continue };
+            // Static systems still report an imbalance series (Fig. 11
+            // plots BiStream's LI): their reports fill a table of their own.
+            let mut table = LoadTable::new(g.servers.len());
             for (i, server) in g.servers.iter_mut().enumerate() {
-                monitor.on_report(i, server.inst.take_load_report());
+                let load = server.core.report();
+                match g.monitor.as_mut() {
+                    Some(monitor) => monitor.on_report(i, load),
+                    None => table.update(i, load),
+                }
             }
+            let li = g.monitor.as_ref().map_or_else(|| table.imbalance(), Monitor::imbalance);
             // The LI series plots the R group only, for a like-for-like
             // comparison across systems (Fig. 11 shows one line each).
             if gi == 0 {
-                self.metrics.imbalance.record(self.now, monitor.imbalance());
+                self.metrics.imbalance.record(self.now, li);
             }
-            if let Some(trigger) = monitor.maybe_trigger(self.now) {
+            if let Some(trigger) = g.monitor.as_mut().and_then(|m| m.maybe_trigger(self.now)) {
                 triggers.push((gi, trigger));
             }
         }
-        // Static systems still report an imbalance series (Fig. 11 plots
-        // BiStream's LI): compute it from a shadow load table, consuming
-        // the period counters exactly like a monitor would.
-        if self.groups[0].monitor.is_none() {
-            let li = self.shadow_imbalance();
-            self.metrics.imbalance.record(self.now, li);
-        }
-        let stored_r: u64 = self.groups[0].servers.iter().map(|s| s.inst.store().len()).sum();
+        let stored_r: u64 =
+            self.groups[0].servers.iter().map(|s| s.core.instance().store().len()).sum();
         self.stored_series.record(self.now, stored_r as f64);
-        let latency = self.cfg.cost.network_latency as SimTime;
         for (gi, trigger) in triggers {
-            let delivery = self.channels.send(
-                Endpoint::Monitor(gi),
-                Endpoint::Instance(gi, trigger.source),
-                self.now + latency,
-            );
-            self.queue.push(
-                delivery,
-                Event::Delivery { group: gi, dest: trigger.source, msg: trigger.msg },
-            );
+            self.send_to(Endpoint::Monitor(gi), gi, trigger.source, trigger.msg, 0);
         }
         // Keep ticking while there is anything left to do.
         if self.next_tuple.is_some() || !self.queue.is_empty() {
@@ -558,21 +521,7 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
 
     fn is_congested(&self) -> bool {
         let cap = self.cfg.queue_cap;
-        self.groups.iter().any(|g| g.servers.iter().any(|s| s.inst.pending_len() > cap))
-    }
-
-    /// Imbalance of the R group computed directly from instance state (for
-    /// systems without a monitor). Consumes the period counters exactly
-    /// like a monitor report collection would.
-    fn shadow_imbalance(&mut self) -> f64 {
-        let loads: Vec<f64> = self.groups[0]
-            .servers
-            .iter_mut()
-            .map(|s| s.inst.take_load_report().effective_load())
-            .collect();
-        let max = loads.iter().cloned().fold(f64::MIN, f64::max);
-        let min = loads.iter().cloned().fold(f64::MAX, f64::min);
-        max / min
+        self.groups.iter().any(|g| g.servers.iter().any(|s| s.core.instance().pending_len() > cap))
     }
 }
 
@@ -675,7 +624,7 @@ mod tests {
         let report = Simulation::new(cfg, uniform_workload(500, 3, 2000).into_iter()).run();
         assert_eq!(report.migrations(), 0);
         assert!(report.monitor_stats[0].is_none());
-        assert!(!report.metrics.imbalance.is_empty(), "shadow LI must be recorded");
+        assert!(!report.metrics.imbalance.is_empty(), "a static group's LI must be recorded");
     }
 
     #[test]

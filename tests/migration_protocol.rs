@@ -5,7 +5,9 @@
 //! scheduler interleaves *every* channel's deliveries arbitrarily (only
 //! per-channel FIFO is preserved — the same guarantee a TCP connection or
 //! Storm gives), while data keeps flowing and a migration runs. The join
-//! must remain exactly-once under every interleaving.
+//! must remain exactly-once under every interleaving. The instances are
+//! the instance step every engine runs (`fastjoin_core::stage`), and their
+//! outputs leave in the order the step emits them, as in the runtime.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -13,8 +15,9 @@ use proptest::prelude::*;
 
 use fastjoin::core::instance::JoinInstance;
 use fastjoin::core::load::InstanceLoad;
-use fastjoin::core::protocol::{Effects, InstanceMsg, RouteRequest};
+use fastjoin::core::protocol::{InstanceMsg, RouteRequest};
 use fastjoin::core::selection::GreedyFit;
+use fastjoin::core::stage::{InstOut, InstanceCore};
 use fastjoin::core::tuple::{JoinedPair, Side, Tuple};
 
 /// Channel endpoints of the two-instance mini-cluster.
@@ -27,7 +30,7 @@ enum Node {
 /// A mini-harness: one dispatcher stub, two R-group instances, FIFO
 /// channels, and an externally chosen delivery schedule.
 struct Harness {
-    instances: Vec<JoinInstance>,
+    instances: Vec<InstanceCore>,
     /// FIFO queues per (from, to) channel.
     channels: HashMap<(Node, Node), VecDeque<InstanceMsg>>,
     /// Routing override for the R group: key → instance.
@@ -42,10 +45,9 @@ struct Harness {
 impl Harness {
     fn new() -> Self {
         Harness {
-            instances: vec![
-                JoinInstance::new(0, Side::R, None),
-                JoinInstance::new(1, Side::R, None),
-            ],
+            instances: (0..2)
+                .map(|i| InstanceCore::new(JoinInstance::new(i, Side::R, None), 0.0))
+                .collect(),
             channels: HashMap::new(),
             route: HashMap::new(),
             pending_routes: VecDeque::new(),
@@ -93,23 +95,28 @@ impl Harness {
     }
 
     fn handle_at(&mut self, i: usize, msg: InstanceMsg) {
-        let mut fx = Effects::new();
+        let mut out = VecDeque::new();
         self.instances[i]
-            .handle(msg, &mut self.selector, 0.0, &mut fx)
+            .receive(msg, &mut self.selector, 0, None, &mut out)
             .expect("FIFO schedules must never produce a protocol violation");
-        // Process everything pending right away (processing order relative
-        // to deliveries does not matter for completeness; interleaving is
+        // Serve everything pending right away (serving order relative to
+        // deliveries does not matter for completeness; interleaving is
         // already covered by the delivery schedule).
-        while self.instances[i].process_next(&mut fx).is_some() {}
-        self.results.append(&mut fx.joined);
-        for (to, m) in fx.sends.drain(..) {
-            self.channels.entry((Node::Inst(i), Node::Inst(to))).or_default().push_back(m);
+        let results = &mut self.results;
+        while self.instances[i].serve(0, None, &mut |p| results.push(p)).is_some() {}
+        for o in out {
+            match o {
+                InstOut::Peer { to, msg } => {
+                    self.channels
+                        .entry((Node::Inst(i), Node::Inst(to)))
+                        .or_default()
+                        .push_back(msg);
+                }
+                InstOut::Route(req) => self.pending_routes.push_back(req),
+                // Completions only matter for the monitor; ignored here.
+                InstOut::Done(_) | InstOut::Load(_) | InstOut::Reports(_) | InstOut::Event(_) => {}
+            }
         }
-        for req in fx.route_requests.drain(..) {
-            self.pending_routes.push_back(req);
-        }
-        // migration_done only matters for the monitor; ignored here.
-        fx.migration_done.clear();
     }
 
     /// Dispatcher applies the oldest pending route update and confirms to
@@ -182,8 +189,8 @@ proptest! {
                 // Deliver everything already queued to the source first so
                 // it has state worth migrating; the schedule has already
                 // created plenty of in-flight chaos elsewhere.
-                let load = h.instances[target].load();
-                let _ = h.instances[source].take_load_report();
+                let load = h.instances[target].instance().load();
+                let _ = h.instances[source].report();
                 let msg = InstanceMsg::MigrateCmd {
                     epoch: 1,
                     target,
@@ -198,7 +205,7 @@ proptest! {
         h.drain_everything();
 
         // Both instances idle, all channels empty.
-        prop_assert!(h.instances.iter().all(|i| i.migration_state().is_idle()));
+        prop_assert!(h.instances.iter().all(|i| i.instance().migration_state().is_idle()));
         prop_assert!(h.live_channels().is_empty());
 
         // Exactly-once: the R group joins every (r, s) pair with
