@@ -8,9 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use fastjoin_core::config::SaFitParams;
 use fastjoin_core::load::{InstanceLoad, KeyStat};
-use fastjoin_core::selection::{DpFit, ExhaustiveFit, GreedyFit, KeySelector, SaFit};
+use fastjoin_core::selection::{DpFit, ExhaustiveFit, GreedyFit, KeySelector, SaFit, SaFitParams};
 
 fn stats(n: u64) -> (InstanceLoad, InstanceLoad, Vec<KeyStat>) {
     let keys: Vec<KeyStat> =

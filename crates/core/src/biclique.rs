@@ -338,9 +338,7 @@ impl JoinCluster {
 
 /// Instance `i` of the group storing `side`, as `cfg` configures it.
 fn new_instance(cfg: &FastJoinConfig, i: usize, side: Side) -> InstanceCore {
-    let mut inst = JoinInstance::new(i, side, cfg.window);
-    inst.set_migration_mode(cfg.migration_mode);
-    InstanceCore::new(inst, cfg.theta_gap)
+    InstanceCore::new(JoinInstance::new(i, side, cfg.window))
 }
 
 impl std::fmt::Debug for JoinCluster {

@@ -1,9 +1,12 @@
 //! System configuration.
 //!
-//! Gathers every tunable the paper exposes: the number of join instances per
-//! group, the load-imbalance threshold `Θ`, the GreedyFit gap threshold
-//! `θ_gap`, the monitor sampling period, the key-selection algorithm, and
-//! the optional join window.
+//! Holds the values a caller chooses per run: the number of join instances
+//! per group, the load-imbalance threshold `Θ`, the monitor sampling period,
+//! the migration cooldown, the key-selection algorithm, the optional join
+//! window and the seed of the randomized components. The paper's other
+//! tunables are fixed at its defaults: GreedyFit's gap threshold `θ_gap` is
+//! 0 (see `stage::THETA_GAP`) and SAFit anneals on the default schedule of
+//! [`SaFitParams`](crate::selection::SaFitParams).
 
 /// Which key-selection algorithm the migration planner runs (§III-C, §IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -15,64 +18,6 @@ pub enum SelectorKind {
     SaFit,
     /// The §IV-A dynamic program over a discretized capacity, `O(K·B)`.
     Dp,
-    /// Exact 0-1 knapsack by exhaustive search. Exponential in the number of
-    /// keys; only usable for small instances and as a test oracle.
-    ExactDp,
-}
-
-/// Parameters of the SAFit simulated-annealing selector (Algorithm 3):
-/// initial temperature `T`, per-temperature iterations `L`, attenuation
-/// coefficient `a`, and termination temperature `T_min`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SaFitParams {
-    /// Initial temperature `T`.
-    pub initial_temp: f64,
-    /// Iterations per temperature step `L`.
-    pub iters_per_temp: u32,
-    /// Temperature attenuation coefficient `a` (`0 < a < 1`).
-    pub attenuation: f64,
-    /// Termination temperature `T_min`.
-    pub min_temp: f64,
-}
-
-impl Default for SaFitParams {
-    fn default() -> Self {
-        SaFitParams { initial_temp: 1.0, iters_per_temp: 64, attenuation: 0.9, min_temp: 1e-3 }
-    }
-}
-
-impl SaFitParams {
-    /// Number of annealing iterations this schedule performs.
-    #[must_use]
-    pub fn total_iterations(&self) -> u64 {
-        if !(self.attenuation > 0.0 && self.attenuation < 1.0) || self.initial_temp <= self.min_temp
-        {
-            return 0;
-        }
-        let steps = ((self.min_temp / self.initial_temp).ln() / self.attenuation.ln()).ceil();
-        steps as u64 * u64::from(self.iters_per_temp)
-    }
-}
-
-/// How the migration protocol treats in-flight data (§III-D).
-///
-/// The paper explicitly rejects updating the routing table "as soon as the
-/// instance completes the GreedyFit algorithm": newly routed joining-stream
-/// tuples could reach the target before the migrated store does, producing
-/// an incomplete join. [`MigrationMode::NaiveNotifyFirst`] implements that
-/// rejected variant so `tests/migration_mode.rs` and `check-protocol
-/// --variant naive-notify-first` can show the loss; production code must use
-/// [`MigrationMode::Safe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MigrationMode {
-    /// Algorithm 2: the target holds newly routed data for migrated keys
-    /// until the source's `MigEnd` confirms the store and the buffered
-    /// backlog have been installed. Exactly-once.
-    #[default]
-    Safe,
-    /// The rejected variant: the target processes newly routed data
-    /// immediately, racing the store transfer. Loses joins.
-    NaiveNotifyFirst,
 }
 
 /// Sliding-window configuration for window-based joins (§III-E).
@@ -105,9 +50,6 @@ pub struct FastJoinConfig {
     /// Load-imbalance threshold `Θ`; migration triggers when `LI > Θ`.
     /// Must be `> 1.0` (an `LI` of exactly 1 means perfect balance).
     pub theta: f64,
-    /// GreedyFit's minimum per-key benefit `θ_gap` (Algorithm 1 line 12);
-    /// keys whose migration benefit falls below it are not worth moving.
-    pub theta_gap: f64,
     /// Monitor sampling period in event-time units.
     pub monitor_period: u64,
     /// Minimum spacing between consecutive migrations in **microseconds**,
@@ -123,11 +65,6 @@ pub struct FastJoinConfig {
     pub migration_cooldown: u64,
     /// Key-selection algorithm.
     pub selector: SelectorKind,
-    /// SAFit parameters (ignored unless `selector == SaFit`).
-    pub safit: SaFitParams,
-    /// Migration in-flight data handling; keep [`MigrationMode::Safe`]
-    /// outside of tests that show the naive variant's loss.
-    pub migration_mode: MigrationMode,
     /// Optional sliding window; `None` means full-history join.
     pub window: Option<WindowConfig>,
     /// RNG seed for any randomized component (SAFit, ContRand).
@@ -139,12 +76,9 @@ impl Default for FastJoinConfig {
         FastJoinConfig {
             instances_per_group: 48,
             theta: 2.2,
-            theta_gap: 0.0,
             monitor_period: 1_000_000, // 1 sim-second at µs resolution
             migration_cooldown: 2_000_000,
             selector: SelectorKind::GreedyFit,
-            safit: SaFitParams::default(),
-            migration_mode: MigrationMode::default(),
             window: None,
             seed: 0xFA57_301E,
         }
@@ -171,9 +105,6 @@ impl FastJoinConfig {
         if self.theta <= 1.0 || self.theta.is_nan() {
             return Err(format!("theta must be > 1.0, got {}", self.theta));
         }
-        if self.theta_gap < 0.0 {
-            return Err(format!("theta_gap must be >= 0, got {}", self.theta_gap));
-        }
         if self.monitor_period == 0 {
             return Err("monitor_period must be > 0".into());
         }
@@ -188,12 +119,6 @@ impl FastJoinConfig {
             if w.sub_windows == 0 || w.sub_window_len == 0 {
                 return Err("window sub_windows and sub_window_len must be > 0".into());
             }
-        }
-        if !(self.safit.attenuation > 0.0 && self.safit.attenuation < 1.0) {
-            return Err(format!(
-                "safit.attenuation must be in (0,1), got {}",
-                self.safit.attenuation
-            ));
         }
         Ok(())
     }
@@ -218,16 +143,11 @@ mod tests {
             FastJoinConfig { instances_per_group: 0, ..Default::default() },
             FastJoinConfig { theta: 1.0, ..Default::default() }, // strictly > 1
             FastJoinConfig { theta: f64::NAN, ..Default::default() },
-            FastJoinConfig { theta_gap: -1.0, ..Default::default() },
             FastJoinConfig { monitor_period: 0, ..Default::default() },
             // Sub-millisecond cooldowns are a µs/ms unit mix-up.
             FastJoinConfig { migration_cooldown: 500, ..Default::default() },
             FastJoinConfig {
                 window: Some(WindowConfig { sub_windows: 0, sub_window_len: 5 }),
-                ..Default::default()
-            },
-            FastJoinConfig {
-                safit: SaFitParams { attenuation: 1.5, ..Default::default() },
                 ..Default::default()
             },
         ];
@@ -268,21 +188,5 @@ mod tests {
     fn window_span_is_product() {
         let w = WindowConfig { sub_windows: 10, sub_window_len: 500 };
         assert_eq!(w.span(), 5000);
-    }
-
-    #[test]
-    fn safit_schedule_length_is_finite_and_positive() {
-        let p = SaFitParams::default();
-        let iters = p.total_iterations();
-        assert!(iters > 0);
-        // T=1.0, a=0.9, Tmin=1e-3 → ceil(ln(1e-3)/ln(0.9)) = 66 steps.
-        assert_eq!(iters, 66 * 64);
-    }
-
-    #[test]
-    fn safit_degenerate_schedules_are_empty() {
-        // Already below min_temp → empty schedule.
-        let p = SaFitParams { initial_temp: 1e-4, ..Default::default() };
-        assert_eq!(p.total_iterations(), 0);
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::config::{MigrationMode, WindowConfig};
+use crate::config::WindowConfig;
 use crate::load::{InstanceLoad, KeyStat};
 use crate::protocol::{
     Effects, InstanceMsg, MigrationDone, MigrationState, ProbeReport, ProtocolError, RouteRequest,
@@ -63,8 +63,6 @@ pub struct JoinInstance {
     store_side: Side,
     /// Sliding window, if any.
     window: Option<WindowConfig>,
-    /// Migration in-flight data handling (see [`MigrationMode`]).
-    migration_mode: MigrationMode,
     store: TupleStore,
     /// Unprocessed data tuples in arrival order.
     pending: VecDeque<Tuple>,
@@ -132,7 +130,6 @@ impl JoinInstance {
             id,
             store_side,
             window,
-            migration_mode: MigrationMode::Safe,
             store: TupleStore::new(),
             pending: VecDeque::new(),
             probe_arrivals: 0,
@@ -158,7 +155,6 @@ impl JoinInstance {
             id: _,
             store_side: _,
             window: _,
-            migration_mode: _,
             emit_pairs: _,
             store,
             pending,
@@ -223,14 +219,6 @@ impl JoinInstance {
     /// matches in [`Work::Probe`] and the lifetime counters.
     pub fn set_emit_pairs(&mut self, emit: bool) {
         self.emit_pairs = emit;
-    }
-
-    /// Selects the migration in-flight data handling. Only tests of the
-    /// incompleteness the paper warns about (`tests/migration_mode.rs`,
-    /// `check-protocol --variant naive-notify-first`) should ever pass
-    /// [`MigrationMode::NaiveNotifyFirst`].
-    pub fn set_migration_mode(&mut self, mode: MigrationMode) {
-        self.migration_mode = mode;
     }
 
     /// This instance's index within its group.
@@ -469,13 +457,9 @@ impl JoinInstance {
             MigrationState::Source { keys, buffer, .. } if keys.contains(&t.key) => {
                 buffer.push(t);
             }
-            MigrationState::Target { keys, held, .. }
-                if keys.contains(&t.key) && self.migration_mode == MigrationMode::Safe =>
-            {
+            MigrationState::Target { keys, held, .. } if keys.contains(&t.key) => {
                 held.push(t);
             }
-            // In NaiveNotifyFirst mode newly routed data races the store
-            // transfer — the incompleteness the paper warns about.
             _ => self.push_pending(t),
         }
     }

@@ -4,7 +4,7 @@
 //! set of keys `SK` whose tuples migrate to the lightest instance. The
 //! selection problem is a 0-1 knapsack: fill the load gap `L_i − L_j` with
 //! key benefits `F_k` as much as possible while migrating as few tuples as
-//! possible. Three implementations are provided:
+//! possible. Four implementations are provided:
 //!
 //! * [`GreedyFit`] — the paper's Algorithm 1, `O(K log K)`.
 //! * [`SaFit`] — the paper's Algorithm 3, simulated annealing.
@@ -20,7 +20,7 @@ mod safit;
 pub use dp::{DpFit, DEFAULT_BUCKETS, MAX_DP_KEYS};
 pub use exact::{ExhaustiveFit, MAX_EXACT_KEYS};
 pub use greedy::GreedyFit;
-pub use safit::SaFit;
+pub use safit::{SaFit, SaFitParams};
 
 use crate::config::{FastJoinConfig, SelectorKind};
 use crate::load::{InstanceLoad, KeyStat};
@@ -130,9 +130,8 @@ impl Clone for Box<dyn KeySelector + Send> {
 pub fn make_selector(cfg: &FastJoinConfig) -> Box<dyn KeySelector + Send> {
     match cfg.selector {
         SelectorKind::GreedyFit => Box::new(GreedyFit::new()),
-        SelectorKind::SaFit => Box::new(SaFit::new(cfg.safit, cfg.seed)),
+        SelectorKind::SaFit => Box::new(SaFit::new(SaFitParams::default(), cfg.seed)),
         SelectorKind::Dp => Box::new(DpFit::new()),
-        SelectorKind::ExactDp => Box::new(ExhaustiveFit::new()),
     }
 }
 
@@ -146,7 +145,7 @@ pub fn plan_is_feasible(plan: &MigrationPlan) -> bool {
 
 /// The shared candidate filter every selector applies before considering a
 /// key: its migration benefit `F_k` must be strictly positive *and* clear
-/// the configured floor `θ_gap`. The strict-positive half is the F_k floor —
+/// the floor `θ_gap`. The strict-positive half is the F_k floor —
 /// under `θ_gap = 0` the `>= theta_gap` test alone admits keys with no
 /// stored tuples and no probe arrivals, whose migration rebalances nothing
 /// yet makes the round look effective.
@@ -204,7 +203,5 @@ mod tests {
         assert_eq!(make_selector(&cfg).name(), "SAFit");
         cfg.selector = SelectorKind::Dp;
         assert_eq!(make_selector(&cfg).name(), "DpFit");
-        cfg.selector = SelectorKind::ExactDp;
-        assert_eq!(make_selector(&cfg).name(), "ExhaustiveFit");
     }
 }

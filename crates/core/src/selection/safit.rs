@@ -15,8 +15,41 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::{positive_benefit, KeySelector, MigrationPlan};
-use crate::config::SaFitParams;
 use crate::load::{InstanceLoad, KeyStat};
+
+/// Parameters of the SAFit simulated-annealing selector (Algorithm 3):
+/// initial temperature `T`, per-temperature iterations `L`, attenuation
+/// coefficient `a`, and termination temperature `T_min`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SaFitParams {
+    /// Initial temperature `T`.
+    pub initial_temp: f64,
+    /// Iterations per temperature step `L`.
+    pub iters_per_temp: u32,
+    /// Temperature attenuation coefficient `a` (`0 < a < 1`).
+    pub attenuation: f64,
+    /// Termination temperature `T_min`.
+    pub min_temp: f64,
+}
+
+impl Default for SaFitParams {
+    fn default() -> Self {
+        SaFitParams { initial_temp: 1.0, iters_per_temp: 64, attenuation: 0.9, min_temp: 1e-3 }
+    }
+}
+
+impl SaFitParams {
+    /// Number of annealing iterations this schedule performs.
+    #[must_use]
+    pub fn total_iterations(&self) -> u64 {
+        if !(self.attenuation > 0.0 && self.attenuation < 1.0) || self.initial_temp <= self.min_temp
+        {
+            return 0;
+        }
+        let steps = ((self.min_temp / self.initial_temp).ln() / self.attenuation.ln()).ceil();
+        steps as u64 * u64::from(self.iters_per_temp)
+    }
+}
 
 /// Simulated-annealing key selector.
 #[derive(Debug, Clone)]
@@ -280,5 +313,21 @@ mod tests {
             plan_density >= mean_density * 0.9,
             "plan density {plan_density} vs mean singleton {mean_density}"
         );
+    }
+
+    #[test]
+    fn safit_schedule_length_is_finite_and_positive() {
+        let p = SaFitParams::default();
+        let iters = p.total_iterations();
+        assert!(iters > 0);
+        // T=1.0, a=0.9, Tmin=1e-3 → ceil(ln(1e-3)/ln(0.9)) = 66 steps.
+        assert_eq!(iters, 66 * 64);
+    }
+
+    #[test]
+    fn safit_degenerate_schedules_are_empty() {
+        // Already below min_temp → empty schedule.
+        let p = SaFitParams { initial_temp: 1e-4, ..Default::default() };
+        assert_eq!(p.total_iterations(), 0);
     }
 }

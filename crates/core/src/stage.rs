@@ -81,22 +81,24 @@ pub enum InstEvent {
     RouteFlipped(Epoch),
 }
 
+/// GreedyFit's minimum per-key benefit `θ_gap` (Algorithm 1, line 12),
+/// which every engine runs at 0: a key is worth moving as soon as its
+/// benefit is positive, the floor every selector applies anyway.
+const THETA_GAP: f64 = 0.0;
+
 /// The instance step: a join instance and its effect buffer, the one
 /// transition every engine runs.
 pub struct InstanceCore {
     inst: JoinInstance,
-    /// Minimum per-key benefit worth migrating (configuration).
-    theta_gap: f64,
     /// The instance's effect buffer; empty between calls.
     fx: Effects,
 }
 
 impl InstanceCore {
-    /// A step around `inst` (fresh, configured), selecting migration keys
-    /// above `theta_gap`.
+    /// A step around `inst` (fresh, configured).
     #[must_use]
-    pub fn new(inst: JoinInstance, theta_gap: f64) -> Self {
-        InstanceCore { inst, theta_gap, fx: Effects::new() }
+    pub fn new(inst: JoinInstance) -> Self {
+        InstanceCore { inst, fx: Effects::new() }
     }
 
     /// The wrapped instance (load, counters, migration state, store).
@@ -124,7 +126,7 @@ impl InstanceCore {
         out: &mut VecDeque<InstOut>,
     ) -> Result<(), ProtocolError> {
         if let InstanceMsg::Data(_) = msg {
-            return self.inst.handle(msg, selector, self.theta_gap, &mut self.fx);
+            return self.inst.handle(msg, selector, THETA_GAP, &mut self.fx);
         }
         // Decision audit, per-key half: a MigrateCmd is about to run key
         // selection, so capture the loads the benefit formula (Eq. 8) will
@@ -143,7 +145,7 @@ impl InstanceCore {
         } else {
             None
         };
-        self.inst.handle(msg, selector, self.theta_gap, &mut self.fx)?;
+        self.inst.handle(msg, selector, THETA_GAP, &mut self.fx)?;
         // A command engages only if selection found something to move.
         let source = matches!(self.inst.migration_state(), MigrationState::Source { .. });
         let event = event.filter(|e| source || !matches!(e, InstEvent::BecameSource(_)));
@@ -274,7 +276,7 @@ pub struct InstanceStage {
 impl Clone for InstanceStage {
     fn clone(&self) -> Self {
         let Replayable { core, selector, eos } = &self.state;
-        let core = InstanceCore::new(core.inst.fork(), core.theta_gap);
+        let core = InstanceCore::new(core.inst.fork());
         InstanceStage {
             state: Replayable { core, selector: selector.clone(), eos: *eos },
             checkpoint: self.checkpoint.clone(),
@@ -287,17 +289,15 @@ impl Clone for InstanceStage {
 
 impl InstanceStage {
     /// A stage around `inst` (fresh, configured), selecting migration keys
-    /// with `selector` above `theta_gap` and checkpointing every
-    /// `checkpoint_every` (≥ 1) committed messages.
+    /// with `selector` and checkpointing every `checkpoint_every` (≥ 1)
+    /// committed messages.
     #[must_use]
     pub fn new(
         inst: JoinInstance,
         selector: Box<dyn KeySelector + Send>,
-        theta_gap: f64,
         checkpoint_every: u64,
     ) -> Self {
-        let mut state =
-            Replayable { core: InstanceCore::new(inst, theta_gap), selector, eos: false };
+        let mut state = Replayable { core: InstanceCore::new(inst), selector, eos: false };
         InstanceStage {
             checkpoint: state.checkpoint(),
             state,
@@ -487,7 +487,7 @@ mod tests {
         fn new(every: u64) -> Self {
             let inst = JoinInstance::new(0, Side::R, None);
             Rig {
-                stage: InstanceStage::new(inst, Box::new(GreedyFit::new()), 0.0, every),
+                stage: InstanceStage::new(inst, Box::new(GreedyFit::new()), every),
                 ring: TraceRing::new(Actor::instance(0, 0), &TraceConfig::disabled()),
                 pairs: Vec::new(),
             }

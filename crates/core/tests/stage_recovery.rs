@@ -56,7 +56,7 @@ impl KeySelector for MoveTheBiggest {
 
 fn stage(id: usize, window: Option<WindowConfig>, checkpoint_every: u64) -> InstanceStage {
     let inst = JoinInstance::new(id, Side::R, window);
-    InstanceStage::new(inst, Box::new(MoveTheBiggest), 0.0, checkpoint_every)
+    InstanceStage::new(inst, Box::new(MoveTheBiggest), checkpoint_every)
 }
 
 /// A dispatched tuple: it probes `fanout` instances.

@@ -76,6 +76,39 @@ impl RuntimeReport {
     pub fn stored_total(&self, group: usize) -> u64 {
         self.counters[group].iter().map(|c| c.stored).sum()
     }
+
+    /// Why this run was not exactly-once against an oracle of
+    /// `expected_pairs` join results over `probes` probing tuples; empty
+    /// when it was. Every pair is joined once, every probe is processed
+    /// and reported once, and every triggered migration round closes once
+    /// (it moved keys, or its source found nothing worth moving). The
+    /// round check is skipped when a monitor degraded for good: its
+    /// in-flight round completes at the instances with nobody counting.
+    #[must_use]
+    pub fn exactly_once_violations(&self, expected_pairs: u64, probes: u64) -> Vec<String> {
+        let mut bad = Vec::new();
+        if self.results_total != expected_pairs {
+            bad.push(format!("results {} != oracle {expected_pairs}", self.results_total));
+        }
+        if self.probes_total != probes {
+            bad.push(format!("probes {} != {probes}", self.probes_total));
+        }
+        if self.latency.count() != probes {
+            bad.push(format!("latency samples {} != {probes}", self.latency.count()));
+        }
+        if self.registry.counter_sum("monitor.permanent_degraded") > 0 {
+            return bad;
+        }
+        for (g, stats) in self.monitor_stats.iter().enumerate() {
+            if let Some(s) = stats.filter(|s| s.triggered != s.effective + s.abandoned) {
+                bad.push(format!(
+                    "group {g}: {} rounds triggered, {} effective + {} abandoned closed",
+                    s.triggered, s.effective, s.abandoned
+                ));
+            }
+        }
+        bad
+    }
 }
 
 #[cfg(test)]
@@ -106,5 +139,20 @@ mod tests {
         assert_eq!(r.results_per_sec(), 0.0);
         assert_eq!(r.mean_latency_us(), 0.0);
         assert_eq!(r.migrations(), 0);
+    }
+
+    #[test]
+    fn exactly_once_verdict_names_each_miss_and_an_unclosed_round() {
+        let mut r = empty_report();
+        assert!(r.exactly_once_violations(0, 0).is_empty());
+        r.monitor_stats[1] =
+            Some(MonitorStats { triggered: 2, effective: 1, ..MonitorStats::default() });
+        let bad = r.exactly_once_violations(5, 1);
+        assert_eq!(bad.len(), 4, "{bad:?}");
+        assert!(bad[0].starts_with("results 0 != oracle 5"), "{bad:?}");
+        assert!(bad[3].starts_with("group 1: 2 rounds triggered"), "{bad:?}");
+        // A permanently degraded monitor stops counting its round.
+        r.registry.counter_add("monitor.permanent_degraded", 1);
+        assert_eq!(r.exactly_once_violations(5, 1).len(), 3);
     }
 }

@@ -87,12 +87,11 @@ impl InstanceIo {
         let mut inst = JoinInstance::new(self.id, self.side(), fj.window);
         // Pairs are only materialized when a consumer wants them.
         inst.set_emit_pairs(self.results.is_some());
-        inst.set_migration_mode(fj.migration_mode);
         let selector = make_selector(&FastJoinConfig {
             seed: executor_seed(fj.seed, self.group as u64, self.id as u64, SEED_ROLE_SELECTOR),
             ..fj.clone()
         });
-        InstanceStage::new(inst, selector, fj.theta_gap, checkpoint_every)
+        InstanceStage::new(inst, selector, checkpoint_every)
     }
 }
 

@@ -47,6 +47,12 @@ use fastjoin_core::tuple::{Side, Tuple};
 use crate::cost::CostModel;
 use crate::event::{ChannelClock, Endpoint, Event, EventQueue, SimTime};
 
+/// Metric bucket width, µs (the paper reports per second).
+const REPORT_PERIOD: u64 = 1_000_000;
+
+/// How long a stalled ingest waits before retrying, µs.
+const BACKPRESSURE_RETRY: SimTime = 1_000;
+
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -56,15 +62,11 @@ pub struct SimConfig {
     pub fastjoin: FastJoinConfig,
     /// Service and network cost model.
     pub cost: CostModel,
-    /// Metric bucket width, µs (the paper reports per second).
-    pub report_period: u64,
     /// Hard stop of simulated time, µs.
     pub max_time: SimTime,
     /// Backpressure threshold: ingest stalls while any instance's pending
     /// queue exceeds this many tuples.
     pub queue_cap: usize,
-    /// How long a stalled ingest waits before retrying, µs.
-    pub backpressure_retry: SimTime,
     /// Record per-instance load time series of the R group (Fig. 1c).
     pub record_instance_loads: bool,
 }
@@ -75,10 +77,8 @@ impl Default for SimConfig {
             system: SystemKind::FastJoin,
             fastjoin: FastJoinConfig::default(),
             cost: CostModel::default(),
-            report_period: 1_000_000,
             max_time: 60_000_000,
             queue_cap: 2048,
-            backpressure_retry: 1_000,
             record_instance_loads: false,
         }
     }
@@ -226,9 +226,8 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
                     let mut inst = JoinInstance::new(i, side, cfg.fastjoin.window);
                     // The simulator measures counts and timing only.
                     inst.set_emit_pairs(false);
-                    inst.set_migration_mode(cfg.fastjoin.migration_mode);
                     Server {
-                        core: InstanceCore::new(inst, cfg.fastjoin.theta_gap),
+                        core: InstanceCore::new(inst),
                         busy: false,
                         busy_us: 0,
                         pause_until: 0,
@@ -251,12 +250,12 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
         }
         queue.push(cfg.fastjoin.monitor_period, Event::MonitorTick);
         let instance_loads = if cfg.record_instance_loads {
-            (0..n).map(|_| TimeSeries::new(cfg.report_period)).collect()
+            (0..n).map(|_| TimeSeries::new(REPORT_PERIOD)).collect()
         } else {
             Vec::new()
         };
         Simulation {
-            metrics: RunMetrics::new(cfg.report_period),
+            metrics: RunMetrics::new(REPORT_PERIOD),
             dispatcher: Dispatcher::new(r_part, s_part),
             groups,
             queue,
@@ -268,8 +267,8 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
             tuples_ingested: 0,
             probes: ProbeAccountant::new(),
             instance_loads,
-            ingest_series: TimeSeries::new(cfg.report_period),
-            stored_series: TimeSeries::new(cfg.report_period),
+            ingest_series: TimeSeries::new(REPORT_PERIOD),
+            stored_series: TimeSeries::new(REPORT_PERIOD),
             next_tuple,
             workload,
             cfg,
@@ -334,7 +333,7 @@ impl<W: Iterator<Item = Tuple>> Simulation<W> {
         // Storm-style backpressure: stall the spout while any instance is
         // over its queue cap.
         if self.is_congested() {
-            self.queue.push(self.now + self.cfg.backpressure_retry, Event::Arrival);
+            self.queue.push(self.now + BACKPRESSURE_RETRY, Event::Arrival);
             return;
         }
         let mut tuple = self.next_tuple.take().expect("checked above");

@@ -79,10 +79,8 @@ impl ExperimentParams {
             system,
             fastjoin: self.fastjoin_config(),
             cost: self.cost,
-            report_period: 1_000_000,
             max_time: self.max_secs * 1_000_000,
             queue_cap: 512,
-            backpressure_retry: 1_000,
             record_instance_loads: false,
         }
     }

@@ -62,13 +62,13 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use fastjoin_core::accounting::ProbeAccountant;
-use fastjoin_core::config::MigrationMode;
 use fastjoin_core::dispatcher::Dispatcher;
 use fastjoin_core::instance::JoinInstance;
 use fastjoin_core::load::{InstanceLoad, KeyStat};
 use fastjoin_core::partition::{HashPartitioner, Partitioner};
 use fastjoin_core::protocol::{
-    DispatcherMsg, InstanceMsg, MigrationDone, MigrationState, ProbeReport, RtMsg, ShardNote,
+    DispatcherMsg, InstanceMsg, MigrationDone, MigrationState, ProbeReport, RouteRequest, RtMsg,
+    ShardNote,
 };
 use fastjoin_core::routing::RouteSnapshot;
 use fastjoin_core::selection::{KeySelector, MigrationPlan};
@@ -88,11 +88,12 @@ const COLD_KEY: Key = 1;
 /// Protocol implementation variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// The shipped protocol (Algorithm 2, `MigrationMode::Safe`) behind a
-    /// one-shard stage; two rounds move the hot key away and back.
+    /// The shipped protocol (Algorithm 2) behind a one-shard stage; two
+    /// rounds move the hot key away and back.
     Safe,
-    /// Known-bad: the target does not hold newly routed data until
-    /// `MigEnd`, so probes race the store transfer (the paper's warning).
+    /// Known-bad: the route flip is requested when the source has selected
+    /// its keys, ahead of its `MigStart`, so newly routed probes race the
+    /// store transfer to an idle target (the protocol §III-D rejects).
     NaiveNotifyFirst,
     /// Known-bad: the source's `MigStore` is sent after its `MigForward`,
     /// so forwarded probes reach the target before the store they must
@@ -507,12 +508,9 @@ impl Explorer {
         let n = self.shards();
         let shard = |k| Shard::new(k, Self::initial_table(), self.sc.batch_size);
         let inst = |i| {
-            let mut inst = JoinInstance::new(i, Side::R, None);
-            if self.variant == Variant::NaiveNotifyFirst {
-                inst.set_migration_mode(MigrationMode::NaiveNotifyFirst);
-            }
+            let inst = JoinInstance::new(i, Side::R, None);
             let sel = Box::new(HotKeySelector { only_if_stored: self.sc.abandons });
-            let stage = InstanceStage::new(inst, sel, 0.0, self.sc.checkpoint_every);
+            let stage = InstanceStage::new(inst, sel, self.sc.checkpoint_every);
             Rc::new(InstNode { stage, handed_off: Vec::new(), deferred_store: None })
         };
         let nodes = self.mon_node + 1;
@@ -934,10 +932,24 @@ impl Explorer {
             }
         }
         // Front to back: the order the stage computed is the order sent.
+        let notify_first = self.variant == Variant::NaiveNotifyFirst;
         let mut sends = Vec::with_capacity(out.len());
         for o in out {
             let (port, msg) = match o {
+                InstOut::Peer { to, msg: InstanceMsg::MigStart { epoch, from, keys } }
+                    if notify_first =>
+                {
+                    // The bug under test: the source asks for the flip as
+                    // soon as it has selected the keys, ahead of MigStart.
+                    let req = RouteRequest { epoch, keys: keys.clone(), target: to, source: from };
+                    let route = Msg::Ctrl(DispatcherMsg::Route { group: 0, req });
+                    sends.push((SEQ_CTRL, self.queued(route)));
+                    (to, Msg::Rt(RtMsg::Inst(InstanceMsg::MigStart { epoch, from, keys })))
+                }
                 InstOut::Peer { to, msg } => (to, Msg::Rt(RtMsg::Inst(msg))),
+                // Every round's flip was asked for at its MigStart; the
+                // target's own request would apply it a second time.
+                InstOut::Route(_) if notify_first => continue,
                 InstOut::Route(req) => {
                     (SEQ_CTRL, Msg::Ctrl(DispatcherMsg::Route { group: 0, req }))
                 }

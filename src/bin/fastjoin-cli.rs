@@ -321,9 +321,10 @@ fn cmd_gen(argv: &[String]) -> Result<(), String> {
 
 /// The chaos matrix: every fault class of the in-tree suite, replayed
 /// across `--seeds` distinct seeds each, every run checked exactly-once
-/// against a single-threaded oracle. The run-by-run outcome is written as
-/// a JSON failure report (`--out`, default `CHAOS_report.json`) so CI can
-/// upload it as an artifact when the command exits non-zero.
+/// against a single-threaded oracle, triggered migration rounds included
+/// (`RuntimeReport::exactly_once_violations`). The run-by-run outcome is
+/// written as a JSON failure report (`--out`, default `CHAOS_report.json`)
+/// so CI can upload it as an artifact when the command exits non-zero.
 fn cmd_chaos(argv: &[String]) -> Result<(), String> {
     use fastjoin::core::config::FastJoinConfig;
     use fastjoin::core::json::Json;
@@ -419,20 +420,7 @@ fn cmd_chaos(argv: &[String]) -> Result<(), String> {
             let verdict: Result<(), String> = match try_run_topology(&cfg, tuples) {
                 Err(e) => Err(format!("run failed: {e}")),
                 Ok(report) => {
-                    let mut problems = Vec::new();
-                    if report.results_total != expected {
-                        problems
-                            .push(format!("results {} != oracle {expected}", report.results_total));
-                    }
-                    if report.probes_total != tuples_n {
-                        problems.push(format!("probes {} != {tuples_n}", report.probes_total));
-                    }
-                    if report.latency.count() != tuples_n {
-                        problems.push(format!(
-                            "latency samples {} != {tuples_n}",
-                            report.latency.count()
-                        ));
-                    }
+                    let problems = report.exactly_once_violations(expected, tuples_n);
                     if problems.is_empty() {
                         Ok(())
                     } else {

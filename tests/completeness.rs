@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use fastjoin::baselines::{build_cluster, SystemKind};
 use fastjoin::core::config::FastJoinConfig;
 use fastjoin::core::tuple::{JoinedPair, Side, Tuple};
-use fastjoin::sim::{SimConfig, Simulation};
+use fastjoin::sim::{CostModel, SimConfig, Simulation};
 
 fn expected_pairs(tuples: &[Tuple]) -> u64 {
     let mut r: HashMap<u64, u64> = HashMap::new();
@@ -91,16 +91,55 @@ fn simulator_matches_synchronous_cluster_result_counts() {
                 ..FastJoinConfig::default()
             },
             max_time: 120_000_000,
-            cost: fastjoin::sim::CostModel {
-                per_comparison: 0.01,
-                per_match: 0.01,
-                ..fastjoin::sim::CostModel::default()
-            },
+            cost: CostModel { per_comparison: 0.01, per_match: 0.01, ..CostModel::default() },
             ..SimConfig::default()
         };
         let report = Simulation::new(cfg, tuples.clone().into_iter()).run();
         assert_eq!(report.results_total, expected, "{} in the simulator", system.label());
     }
+}
+
+/// Algorithm 2 under delivery latency: a migrated store and the data the
+/// dispatcher re-routes after the flip travel on different channels, and
+/// the target holds that data until the store has arrived. (The rejected
+/// notify-first order races the two and loses joins; `cargo xtask
+/// check-protocol --variant naive-notify-first` shows the interleaving.)
+#[test]
+fn migration_protocol_is_complete_under_network_latency() {
+    // Heavy skew → many migrations; network latency opens the race window.
+    let tuples: Vec<Tuple> = (0..30_000u64)
+        .map(|i| {
+            let key = if i % 3 == 0 { 7 } else { (i * 31 + 1) % 41 };
+            let ts = (i + 1) * 20;
+            if i % 2 == 0 {
+                Tuple::r(key, ts, i)
+            } else {
+                Tuple::s(key, ts, i)
+            }
+        })
+        .collect();
+    let expected = expected_pairs(&tuples);
+    let cfg = SimConfig {
+        system: SystemKind::FastJoin,
+        fastjoin: FastJoinConfig {
+            instances_per_group: 4,
+            theta: 1.2,
+            monitor_period: 20_000,
+            migration_cooldown: 40_000,
+            ..FastJoinConfig::default()
+        },
+        cost: CostModel {
+            per_comparison: 0.005,
+            per_match: 0.005,
+            network_latency: 500.0,
+            ..CostModel::default()
+        },
+        max_time: 300_000_000,
+        ..SimConfig::default()
+    };
+    let report = Simulation::new(cfg, tuples.into_iter()).run();
+    assert!(report.migrations() > 0, "the run needs migrations to race");
+    assert_eq!(report.results_total, expected);
 }
 
 #[test]
@@ -111,7 +150,6 @@ fn interleaved_migration_storms_preserve_completeness() {
         theta: 1.05,
         monitor_period: 100,
         migration_cooldown: 0,
-        theta_gap: 0.0,
         ..FastJoinConfig::default()
     };
     let mut cluster = build_cluster(SystemKind::FastJoin, cfg);

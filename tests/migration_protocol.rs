@@ -46,7 +46,7 @@ impl Harness {
     fn new() -> Self {
         Harness {
             instances: (0..2)
-                .map(|i| InstanceCore::new(JoinInstance::new(i, Side::R, None), 0.0))
+                .map(|i| InstanceCore::new(JoinInstance::new(i, Side::R, None)))
                 .collect(),
             channels: HashMap::new(),
             route: HashMap::new(),

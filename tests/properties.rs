@@ -3,9 +3,11 @@
 use proptest::prelude::*;
 
 use fastjoin::baselines::{build_cluster, SystemKind};
-use fastjoin::core::config::{FastJoinConfig, SaFitParams};
+use fastjoin::core::config::FastJoinConfig;
 use fastjoin::core::load::{InstanceLoad, KeyStat};
-use fastjoin::core::selection::{plan_is_feasible, ExhaustiveFit, GreedyFit, KeySelector, SaFit};
+use fastjoin::core::selection::{
+    plan_is_feasible, ExhaustiveFit, GreedyFit, KeySelector, SaFit, SaFitParams,
+};
 use fastjoin::core::state::TupleStore;
 use fastjoin::core::tuple::{JoinedPair, Side, Tuple};
 use fastjoin::core::window::SubWindowRing;

@@ -66,26 +66,16 @@ fn cfg(system: SystemKind, shards: usize, batch: usize, faults: FaultPlan) -> Ru
 }
 
 /// Runs `tuples` through the topology and checks the report against the
-/// oracle, and that every triggered round closed exactly once: it moved
-/// keys, or its source found nothing worth moving.
+/// oracle with [`RuntimeReport::exactly_once_violations`]: pairs, probes,
+/// and every triggered round closed exactly once.
 fn run_checked(cfg: &RuntimeConfig, tuples: Vec<Tuple>, label: &str) -> RuntimeReport {
     let n = tuples.len() as u64;
     let expected = oracle(&tuples);
     assert!(expected > 0, "{label}: a workload without join results checks nothing");
     let report =
         try_run_topology(cfg, tuples).unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
-    assert_eq!(report.results_total, expected, "{label}: lost or duplicated join results");
-    assert_eq!(report.probes_total, n, "{label}: every tuple probes exactly once");
-    assert_eq!(report.latency.count(), n, "{label}: one latency sample per probe");
-    for (g, stats) in report.monitor_stats.iter().enumerate() {
-        if let Some(s) = stats {
-            assert_eq!(
-                s.triggered,
-                s.effective + s.abandoned,
-                "{label}: group {g}'s triggered rounds did not each close once: {s:?}"
-            );
-        }
-    }
+    let bad = report.exactly_once_violations(expected, n);
+    assert!(bad.is_empty(), "{label}: {}", bad.join("; "));
     report
 }
 
